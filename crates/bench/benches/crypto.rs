@@ -22,6 +22,18 @@ fn bench_crypto(c: &mut Criterion) {
     let keys = KeyPair::generate(dh, &mut entropy);
     let msg = b"interaction request body";
 
+    // A base that is not g, so the generic Montgomery window path runs
+    // rather than the fixed-base table.
+    let base = *keys.public_key().element();
+    let exp = *keys.secret_scalar();
+    group.bench_function("pow_mod_512", |b| {
+        b.iter(|| black_box(black_box(base).pow_mod(&exp, dh.modulus())))
+    });
+
+    group.bench_function("pow_g_512", |b| {
+        b.iter(|| black_box(dh.pow_g(black_box(&exp))))
+    });
+
     group.bench_function("schnorr_sign_512", |b| {
         b.iter(|| {
             let sig = keys.sign(black_box(msg), &mut entropy);
@@ -49,6 +61,11 @@ fn bench_crypto(c: &mut Criterion) {
     let keys_prod = KeyPair::generate(dh_prod, &mut entropy);
     group.bench_function("schnorr_sign_2048", |b| {
         b.iter(|| black_box(keys_prod.sign(black_box(msg), &mut entropy)))
+    });
+
+    let sig_prod = keys_prod.sign(msg, &mut entropy);
+    group.bench_function("schnorr_verify_2048", |b| {
+        b.iter(|| black_box(keys_prod.public_key().verify(black_box(msg), &sig_prod)))
     });
 
     let page = vec![0xABu8; 64 * 1024];

@@ -4,10 +4,12 @@
 //! vendors the small slice of criterion's API its benches use:
 //! [`Criterion::benchmark_group`], [`BenchmarkGroup::bench_function`],
 //! [`BenchmarkGroup::bench_with_input`], [`BenchmarkId`], [`Bencher::iter`],
-//! and the [`criterion_group!`] / [`criterion_main!`] macros. Measurement
-//! is a plain wall-clock mean over `sample_size` timed batches — good
-//! enough for the relative comparisons the experiment binaries print, with
-//! none of criterion's statistics.
+//! and the [`criterion_group!`] / [`criterion_main!`] macros. Each of
+//! `sample_size` samples is timed on its own (one call, or a batch of
+//! calls for routines under 10 µs) and the report is their median, minimum
+//! and median absolute deviation (MAD): robust to the occasional preempted
+//! sample that drags a plain mean, with none of criterion's bootstrap
+//! statistics.
 
 use std::fmt::Display;
 use std::time::{Duration, Instant};
@@ -76,10 +78,14 @@ impl BenchmarkGroup {
         let id = id.into();
         let mut b = Bencher {
             samples: self.sample_size,
-            mean: Duration::ZERO,
+            summary: Summary::default(),
         };
         routine(&mut b);
-        println!("{}/{}: {:>12.3?} per iter", self.name, id.id, b.mean);
+        let Summary { median, min, mad } = b.summary;
+        println!(
+            "{}/{}: {:>12.3?} median per iter (min {:.3?}, MAD {:.3?}, k = {})",
+            self.name, id.id, median, min, mad, self.sample_size
+        );
         self
     }
 
@@ -100,23 +106,77 @@ impl BenchmarkGroup {
     pub fn finish(self) {}
 }
 
+/// Robust statistics over a set of timed samples.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Summary {
+    /// Median sample (the mean of the middle two for an even count).
+    pub median: Duration,
+    /// Fastest sample.
+    pub min: Duration,
+    /// Median absolute deviation from the median.
+    pub mad: Duration,
+}
+
+impl Summary {
+    /// Summarises `samples` (reordered in place); all zero when empty.
+    pub fn of(samples: &mut [Duration]) -> Summary {
+        if samples.is_empty() {
+            return Summary::default();
+        }
+        let median = median_of(samples);
+        let min = samples[0];
+        let mut deviations: Vec<Duration> = samples.iter().map(|s| s.abs_diff(median)).collect();
+        Summary {
+            median,
+            min,
+            mad: median_of(&mut deviations),
+        }
+    }
+}
+
+/// Median of a non-empty slice, which is left sorted.
+fn median_of(values: &mut [Duration]) -> Duration {
+    values.sort_unstable();
+    let mid = values.len() / 2;
+    if values.len() % 2 == 1 {
+        values[mid]
+    } else {
+        (values[mid - 1] + values[mid]) / 2
+    }
+}
+
 /// Times a closure over repeated iterations.
 #[derive(Debug)]
 pub struct Bencher {
     samples: usize,
-    mean: Duration,
+    summary: Summary,
 }
 
+/// Shortest timed sample: nanosecond-scale routines run in batches this
+/// long, so the clock's own cost (tens of ns) stays out of the figure.
+const MIN_SAMPLE: Duration = Duration::from_micros(10);
+
 impl Bencher {
-    /// Measures `f`, storing the mean wall-clock duration per call.
+    /// Measures `f` over `samples` timed batches, storing the [`Summary`]
+    /// of the per-call wall-clock durations.
     pub fn iter<O, F: FnMut() -> O>(&mut self, mut f: F) {
-        // One warm-up call keeps lazy setup out of the measurement.
+        // One warm-up call keeps lazy setup out of the measurement; a
+        // second, timed, sizes the batch.
         std::hint::black_box(f());
         let start = Instant::now();
-        for _ in 0..self.samples {
-            std::hint::black_box(f());
-        }
-        self.mean = start.elapsed() / self.samples as u32;
+        std::hint::black_box(f());
+        let once = start.elapsed().as_nanos().max(1);
+        let batch = (MIN_SAMPLE.as_nanos() / once).clamp(1, 1 << 20) as u32;
+        let mut samples: Vec<Duration> = (0..self.samples)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..batch {
+                    std::hint::black_box(f());
+                }
+                start.elapsed() / batch
+            })
+            .collect();
+        self.summary = Summary::of(&mut samples);
     }
 }
 
@@ -159,6 +219,32 @@ mod tests {
         });
         group.finish();
         assert_eq!(total, 499_500);
+    }
+
+    #[test]
+    fn summary_is_median_min_and_mad() {
+        let ms = Duration::from_millis;
+        // One 100 ms outlier: a mean would read 23.6 ms.
+        let mut odd = [ms(5), ms(3), ms(100), ms(4), ms(6)];
+        assert_eq!(
+            Summary::of(&mut odd),
+            Summary {
+                median: ms(5),
+                min: ms(3),
+                mad: ms(1),
+            }
+        );
+        // Even count: median and MAD average the middle pair.
+        let mut even = [ms(8), ms(2), ms(4), ms(6)];
+        assert_eq!(
+            Summary::of(&mut even),
+            Summary {
+                median: ms(5),
+                min: ms(2),
+                mad: ms(2),
+            }
+        );
+        assert_eq!(Summary::of(&mut []), Summary::default());
     }
 
     #[test]

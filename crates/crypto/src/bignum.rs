@@ -4,7 +4,8 @@
 //! the operations required by discrete-log cryptography over ≤2048-bit
 //! moduli: comparison, addition/subtraction with carry, full 4096-bit
 //! multiplication, Knuth Algorithm D division (for reduction mod `p` and
-//! mod `q`), and modular exponentiation.
+//! mod `q`), and modular exponentiation, which for odd moduli runs in the
+//! Montgomery domain (CIOS products, 4-bit fixed window).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -267,7 +268,11 @@ impl U2048 {
         rem_wide(&wide, m)
     }
 
-    /// `self^exp mod m` by left-to-right square-and-multiply.
+    /// `self^exp mod m`.
+    ///
+    /// Odd moduli (every group modulus and order here) run in the
+    /// Montgomery domain with a 4-bit fixed window; even moduli take the
+    /// square-and-multiply path.
     ///
     /// # Panics
     ///
@@ -277,13 +282,18 @@ impl U2048 {
         if m == &U2048::ONE {
             return U2048::ZERO;
         }
-        let base = self.rem(m);
-        let nbits = exp.bits();
-        if nbits == 0 {
-            return U2048::ONE;
+        if m.is_even() {
+            return self.pow_mod_square_multiply(exp, m);
         }
+        Montgomery::new(m).pow(&self.rem(m), exp)
+    }
+
+    /// `self^exp mod m` by left-to-right square-and-multiply over
+    /// [`U2048::mul_mod`]; `m` must exceed 1.
+    fn pow_mod_square_multiply(&self, exp: &U2048, m: &U2048) -> U2048 {
+        let base = self.rem(m);
         let mut acc = U2048::ONE;
-        for i in (0..nbits).rev() {
+        for i in (0..exp.bits()).rev() {
             acc = acc.mul_mod(&acc, m);
             if exp.bit(i) {
                 acc = acc.mul_mod(&base, m);
@@ -292,17 +302,10 @@ impl U2048 {
         acc
     }
 
-    /// `self^(-1) mod m` for prime `m`, via Fermat's little theorem.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` reduces to zero mod `m` (no inverse) or if `m < 2`.
-    pub fn inv_mod_prime(&self, m: &U2048) -> U2048 {
-        assert!(m > &U2048::ONE, "modulus must exceed 1");
-        let reduced = self.rem(m);
-        assert!(!reduced.is_zero(), "zero has no modular inverse");
-        let exp = m.checked_sub(&U2048::from_u64(2));
-        reduced.pow_mod(&exp, m)
+    /// The 4-bit digit `i` of `self` (bits `4i .. 4i+4`).
+    pub(crate) fn nibble(&self, i: usize) -> usize {
+        // 4 divides 64, so a digit never straddles two limbs.
+        ((self.limbs[i / 16] >> (4 * (i % 16))) & 0xF) as usize
     }
 
     /// Shifts right by one bit.
@@ -503,9 +506,169 @@ fn cmp_limbs(a: &[u64], b: &[u64]) -> Ordering {
     Ordering::Equal
 }
 
+/// Montgomery arithmetic modulo an odd `m > 1`, with `R = 2^(64·n)` for
+/// the `n` limbs `m` occupies.
+///
+/// A residue `x` is held as `x·R mod m` in the low `n` limbs of a
+/// `[u64; LIMBS]`; the limbs above `n` are never read. Products use CIOS
+/// (coarsely integrated operand scanning): one pass over the multiplier's
+/// limbs interleaves the schoolbook row with the word-by-word reduction,
+/// so no double-width product and no division is ever formed.
+#[derive(Clone)]
+pub(crate) struct Montgomery {
+    m: [u64; LIMBS],
+    n: usize,
+    /// `-m⁻¹ mod 2⁶⁴`.
+    m_inv: u64,
+    /// `R mod m`: the Montgomery form of 1.
+    r1: [u64; LIMBS],
+    /// `R² mod m`: multiplying by it converts into Montgomery form.
+    r2: [u64; LIMBS],
+}
+
+impl Montgomery {
+    /// The context for odd `m > 1`.
+    pub(crate) fn new(m: &U2048) -> Self {
+        debug_assert!(
+            !m.is_even() && m > &U2048::ONE,
+            "Montgomery needs odd m > 1"
+        );
+        let n = trim(&m.limbs).len();
+        // Newton's iteration doubles the correct low bits of m[0]⁻¹ each
+        // step: 1 → 64 bits in six.
+        let m0 = m.limbs[0];
+        let mut inv = 1u64;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
+        }
+        let mut wide = [0u64; LIMBS * 2];
+        wide[n] = 1;
+        let r1 = rem_wide(&wide, m);
+        let r2 = r1.mul_mod(&r1, m);
+        Montgomery {
+            m: m.limbs,
+            n,
+            m_inv: inv.wrapping_neg(),
+            r1: r1.limbs,
+            r2: r2.limbs,
+        }
+    }
+
+    /// Limbs per residue.
+    pub(crate) fn width(&self) -> usize {
+        self.n
+    }
+
+    /// The Montgomery form of 1.
+    pub(crate) fn one(&self) -> [u64; LIMBS] {
+        self.r1
+    }
+
+    /// `a·b·R⁻¹ mod m` for Montgomery residues `a, b` (low `n` limbs read).
+    pub(crate) fn mul(&self, a: &[u64], b: &[u64]) -> [u64; LIMBS] {
+        let mut out = [0u64; LIMBS];
+        let n = self.n;
+        match n {
+            8 => cios::<8>(&mut out[..8], &a[..8], &b[..8], &self.m[..8], self.m_inv),
+            32 => cios::<32>(&mut out, &a[..32], &b[..32], &self.m[..32], self.m_inv),
+            _ => cios::<LIMBS>(&mut out[..n], &a[..n], &b[..n], &self.m[..n], self.m_inv),
+        }
+        out
+    }
+
+    /// Montgomery form of `x < m`.
+    pub(crate) fn to_mont(&self, x: &U2048) -> [u64; LIMBS] {
+        self.mul(&x.limbs, &self.r2)
+    }
+
+    /// Ordinary value of the Montgomery residue `x`.
+    pub(crate) fn to_normal(&self, x: &[u64]) -> U2048 {
+        U2048 {
+            limbs: self.mul(x, &U2048::ONE.limbs),
+        }
+    }
+
+    /// `base^exp mod m` for `base < m`, by a fixed 4-bit window: 14
+    /// products build `base^2 .. base^15`, then each exponent digit costs
+    /// four squarings and at most one multiply.
+    pub(crate) fn pow(&self, base: &U2048, exp: &U2048) -> U2048 {
+        let digits = exp.bits().div_ceil(4);
+        if digits == 0 {
+            return U2048::ONE;
+        }
+        let mut table = [[0u64; LIMBS]; 16];
+        table[0] = self.r1;
+        table[1] = self.to_mont(base);
+        for j in 2..16 {
+            table[j] = self.mul(&table[j - 1], &table[1]);
+        }
+        let mut acc = table[exp.nibble(digits - 1)];
+        for i in (0..digits - 1).rev() {
+            for _ in 0..4 {
+                acc = self.mul(&acc, &acc);
+            }
+            let d = exp.nibble(i);
+            if d != 0 {
+                acc = self.mul(&acc, &table[d]);
+            }
+        }
+        self.to_normal(&acc)
+    }
+}
+
+/// One CIOS Montgomery product `out = a·b·R⁻¹ mod m` over `n = m.len()`
+/// limbs, with `a, b < m` and `N ≥ n` the scratch size.
+///
+/// Called with `N == n` for the 8- and 32-limb moduli so the loops have
+/// constant trip counts, and with `N == LIMBS` for every other width.
+#[inline(always)]
+fn cios<const N: usize>(out: &mut [u64], a: &[u64], b: &[u64], m: &[u64], m_inv: u64) {
+    let n = m.len();
+    // t[..n] plus two spill limbs; the invariant t < 2m keeps t_hi ≤ 1.
+    let mut t = [0u64; N];
+    let t = &mut t[..n];
+    let mut t_hi = 0u64;
+    for &bi in b {
+        // t += a·bi
+        let mut carry = 0u64;
+        for j in 0..n {
+            let s = t[j] as u128 + (a[j] as u128) * (bi as u128) + carry as u128;
+            t[j] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let s = t_hi as u128 + carry as u128;
+        let (t_n, t_n1) = (s as u64, (s >> 64) as u64);
+        // t = (t + u·m) / 2⁶⁴, with u chosen to zero the low limb.
+        let u = t[0].wrapping_mul(m_inv);
+        let s = t[0] as u128 + (u as u128) * (m[0] as u128);
+        let mut carry = (s >> 64) as u64;
+        for j in 1..n {
+            let s = t[j] as u128 + (u as u128) * (m[j] as u128) + carry as u128;
+            t[j - 1] = s as u64;
+            carry = (s >> 64) as u64;
+        }
+        let s = t_n as u128 + carry as u128;
+        t[n - 1] = s as u64;
+        t_hi = t_n1 + (s >> 64) as u64;
+    }
+    // t < 2m: one conditional subtraction makes it canonical. When t_hi
+    // is set the borrow out of the low limbs cancels it.
+    if t_hi != 0 || cmp_limbs(t, m) != Ordering::Less {
+        let mut borrow = false;
+        for (tj, &mj) in t.iter_mut().zip(m) {
+            let (d1, b1) = tj.overflowing_sub(mj);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
+            *tj = d2;
+            borrow = b1 || b2;
+        }
+    }
+    out.copy_from_slice(t);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::test_runner::TestRng;
 
     fn u(v: u64) -> U2048 {
         U2048::from_u64(v)
@@ -620,19 +783,127 @@ mod tests {
         assert_eq!(a.pow_mod(&exp, &p), U2048::ONE);
     }
 
+    /// A value of `n` random limbs.
+    fn random_limbs(rng: &mut TestRng, n: usize) -> U2048 {
+        let mut limbs = [0u64; LIMBS];
+        for limb in &mut limbs[..n] {
+            *limb = rng.next_u64();
+        }
+        U2048 { limbs }
+    }
+
     #[test]
-    fn inverse_mod_prime() {
-        let p = u(101);
-        for a in [2u64, 3, 50, 100] {
-            let inv = u(a).inv_mod_prime(&p);
-            assert_eq!(u(a).mul_mod(&inv, &p), U2048::ONE, "a = {a}");
+    fn montgomery_pow_matches_square_multiply_at_every_width() {
+        let mut rng = TestRng::for_case(12);
+        for n in 1..=LIMBS {
+            for top_bit_set in [false, true] {
+                let mut m = random_limbs(&mut rng, n);
+                m.limbs[0] |= 1;
+                if top_bit_set {
+                    // Products land in [m, 2m) most often here, and t can
+                    // spill past n limbs: the final-subtraction path.
+                    m.limbs[n - 1] |= 1 << 63;
+                } else {
+                    m.limbs[n - 1] = (m.limbs[n - 1] >> 1).max(1);
+                }
+                if m == U2048::ONE {
+                    m = u(3);
+                }
+                // A base one limb wider than m exercises the reduction.
+                let base = random_limbs(&mut rng, (n + 1).min(LIMBS));
+                let exp = random_limbs(&mut rng, n.min(4));
+                assert_eq!(
+                    base.pow_mod(&exp, &m),
+                    base.pow_mod_square_multiply(&exp, &m),
+                    "{n} limbs, top bit {top_bit_set}"
+                );
+            }
         }
     }
 
     #[test]
-    #[should_panic(expected = "no modular inverse")]
-    fn inverse_of_zero_panics() {
-        let _ = U2048::ZERO.inv_mod_prime(&u(101));
+    fn montgomery_pow_edge_cases() {
+        let rfc3526 = *crate::group::DhGroup::modp_2048().modulus();
+        let test512 = *crate::group::DhGroup::test_512().modulus();
+        let mut rng = TestRng::for_case(13);
+        for m in [u(3), u(u64::MAX), test512, rfc3526] {
+            let below = random_limbs(&mut rng, 32).rem(&m);
+            let above = match m.overflowing_add(&below) {
+                (sum, false) => sum,
+                (_, true) => U2048 {
+                    limbs: [u64::MAX; LIMBS],
+                },
+            };
+            assert!(above >= m);
+            let exps = [U2048::ZERO, U2048::ONE, u(2), random_limbs(&mut rng, 2)];
+            for base in [U2048::ZERO, U2048::ONE, below, m, above] {
+                for exp in &exps {
+                    assert_eq!(
+                        base.pow_mod(exp, &m),
+                        base.pow_mod_square_multiply(exp, &m),
+                        "{base:?}^{exp:?} mod {m:?}"
+                    );
+                }
+            }
+            assert_eq!(
+                above.pow_mod(&U2048::ONE, &m),
+                above.rem(&m),
+                "base >= m reduces"
+            );
+        }
+        assert_eq!(test512.pow_mod(&u(5), &U2048::ONE), U2048::ZERO, "m = 1");
+        // Even moduli take the square-and-multiply path.
+        assert_eq!(u(3).pow_mod(&u(4), &u(10)), u(1));
+    }
+
+    #[test]
+    fn inverse_free_exponent_identity() {
+        // y^e · y^(p−1−e) ≡ 1 for every y in [1, p): Schnorr verification
+        // computes y^(p−1−e) where it would otherwise invert y^e.
+        let p = u(101);
+        let p_minus_1 = u(100);
+        for y in [2u64, 3, 50, 100] {
+            for e in [1u64, 7, 99] {
+                let inv = u(y).pow_mod(&p_minus_1.checked_sub(&u(e)), &p);
+                assert_eq!(
+                    u(y).pow_mod(&u(e), &p).mul_mod(&inv, &p),
+                    U2048::ONE,
+                    "y = {y}, e = {e}"
+                );
+            }
+        }
+        // Zero lies outside [1, p) and has no inverse: the product is 0.
+        let inv = U2048::ZERO.pow_mod(&u(99), &p);
+        assert_eq!(
+            U2048::ZERO.pow_mod(&U2048::ONE, &p).mul_mod(&inv, &p),
+            U2048::ZERO
+        );
+
+        // Random y of both groups outside the order-q subgroup (y^q = −1).
+        let mut rng = TestRng::for_case(14);
+        for group in [
+            crate::group::DhGroup::test_512(),
+            crate::group::DhGroup::modp_2048(),
+        ] {
+            let p = group.modulus();
+            let p_minus_1 = p.checked_sub(&U2048::ONE);
+            let mut checked = 0;
+            while checked < 3 {
+                let y = random_limbs(&mut rng, LIMBS).rem(p);
+                if y.is_zero() || y.pow_mod(group.order(), p) == U2048::ONE {
+                    continue;
+                }
+                let e = random_limbs(&mut rng, LIMBS).rem(group.order());
+                let inv = y.pow_mod(&p_minus_1.checked_sub(&e), p);
+                assert_eq!(
+                    y.pow_mod(&e, p).mul_mod(&inv, p),
+                    U2048::ONE,
+                    "{}",
+                    group.name()
+                );
+                checked += 1;
+            }
+        }
     }
 
     #[test]

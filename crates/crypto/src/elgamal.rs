@@ -27,7 +27,7 @@ pub struct SealedBox {
 /// Why opening a sealed box failed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum OpenError {
-    /// The ephemeral share was not a valid group element.
+    /// The ephemeral share was not an element of the order-`q` subgroup.
     InvalidEphemeral,
     /// The authentication tag did not verify (tampering or wrong key).
     TagMismatch,
@@ -102,9 +102,14 @@ pub fn seal(recipient: &PublicKey, plaintext: &[u8], entropy: &mut dyn EntropySo
 ///
 /// Returns [`OpenError`] if the ephemeral element is invalid or the tag does
 /// not verify (wrong key, tampered ciphertext, or tampered ephemeral).
+///
+/// Honest ephemerals are `g^k`. One outside the order-`q` subgroup (order
+/// 2 or `2q`) is refused before the secret touches it: its shared value
+/// depends on the secret's parity, so a tag check against it would tell a
+/// sender who guessed that parity whether the guess was right.
 pub fn open(recipient: &KeyPair, boxed: &SealedBox) -> Result<Vec<u8>, OpenError> {
     let group = recipient.public_key().group();
-    if !group.contains(&boxed.ephemeral) {
+    if !group.in_subgroup(&boxed.ephemeral) {
         return Err(OpenError::InvalidEphemeral);
     }
     let shared = group.pow(&boxed.ephemeral, recipient.secret_scalar());
@@ -182,6 +187,38 @@ mod tests {
         let mut boxed = seal(kp.public_key(), b"payload", &mut e);
         boxed.ephemeral = U2048::ZERO;
         assert_eq!(open(&kp, &boxed), Err(OpenError::InvalidEphemeral));
+    }
+
+    #[test]
+    fn small_subgroup_ephemerals_rejected() {
+        // A sender who picks an ephemeral of order 2 (p−1) or 2q (−g^k)
+        // knows the shared value up to the parity of the recipient's
+        // secret. Both parity guesses must fail the same way, or the
+        // answer reveals that bit.
+        let (kp, mut e) = setup(10);
+        let group = kp.public_key().group();
+        let p = group.modulus();
+        let minus_one = p.checked_sub(&U2048::ONE);
+        let k = group.random_scalar(&mut e);
+        let g_k = group.pow_g(&k);
+        let minus_g_k = group.mul(&g_k, &minus_one);
+        let y_k = group.pow(kp.public_key().element(), &k);
+        for (ephemeral, even, odd) in [
+            (minus_one, U2048::ONE, minus_one),
+            (minus_g_k, y_k, group.mul(&y_k, &minus_one)),
+        ] {
+            for shared in [even, odd] {
+                let (cipher_key, mac_key, nonce) = derive_keys(&shared, &ephemeral);
+                let ciphertext = chacha20::encrypt(&cipher_key, &nonce, b"guess");
+                let tag = tag_for(&mac_key, &ephemeral, &ciphertext);
+                let boxed = SealedBox {
+                    ephemeral,
+                    ciphertext,
+                    tag,
+                };
+                assert_eq!(open(&kp, &boxed), Err(OpenError::InvalidEphemeral));
+            }
+        }
     }
 
     #[test]

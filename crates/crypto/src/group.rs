@@ -12,7 +12,7 @@
 use std::fmt;
 use std::sync::OnceLock;
 
-use crate::bignum::U2048;
+use crate::bignum::{Montgomery, LIMBS, U2048};
 use crate::entropy::EntropySource;
 
 /// RFC 3526 group 14 (2048-bit MODP) modulus.
@@ -32,12 +32,77 @@ const TEST_512_P: &str = "
     cda249dd0ca53cce9ac2dfbfad68b840d02a01837ec075b1dc145ad6bdbb28bf";
 
 /// A safe-prime Diffie–Hellman group.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// Equality compares the parameters; the cached fixed-base table is
+/// derived from them and takes no part.
+#[derive(Clone)]
 pub struct DhGroup {
     name: &'static str,
     p: U2048,
     q: U2048,
     g: U2048,
+    g_table: OnceLock<FixedBase>,
+}
+
+impl PartialEq for DhGroup {
+    fn eq(&self, other: &Self) -> bool {
+        (self.name, &self.p, &self.q, &self.g) == (other.name, &other.p, &other.q, &other.g)
+    }
+}
+
+impl Eq for DhGroup {}
+
+/// Precomputed powers `g^(j·16^i)` in Montgomery form, for every 4-bit
+/// digit position `i` of a `q`-sized exponent and every digit `j ∈ [1, 16)`.
+///
+/// `g^e` is then the product of one entry per non-zero digit of `e`: no
+/// squarings at all. Entries are stored at the modulus's limb width, so
+/// the table is `digits × 15 × n × 8` bytes: 120 KiB for `test_512`
+/// (128 digits × 8 limbs), 1.9 MiB for `modp_2048` (512 × 32).
+#[derive(Clone)]
+struct FixedBase {
+    mont: Montgomery,
+    digits: usize,
+    entries: Vec<u64>,
+}
+
+impl FixedBase {
+    fn new(g: &U2048, p: &U2048, exp_bits: usize) -> Self {
+        let mont = Montgomery::new(p);
+        let n = mont.width();
+        let digits = exp_bits.div_ceil(4);
+        let mut entries = Vec::with_capacity(digits * 15 * n);
+        // base = g^(16^i): the entries for digit i are base^1 .. base^15,
+        // and base^16 starts digit i+1.
+        let mut base = mont.to_mont(g);
+        for _ in 0..digits {
+            let mut power = base;
+            for _ in 1..16 {
+                entries.extend_from_slice(&power[..n]);
+                power = mont.mul(&power, &base);
+            }
+            base = power;
+        }
+        FixedBase {
+            mont,
+            digits,
+            entries,
+        }
+    }
+
+    /// `g^e` for `e` no wider than the table.
+    fn pow(&self, e: &U2048) -> U2048 {
+        let n = self.mont.width();
+        let mut acc: [u64; LIMBS] = self.mont.one();
+        for i in 0..self.digits {
+            let j = e.nibble(i);
+            if j != 0 {
+                let at = (i * 15 + j - 1) * n;
+                acc = self.mont.mul(&acc, &self.entries[at..at + n]);
+            }
+        }
+        self.mont.to_normal(&acc)
+    }
 }
 
 impl fmt::Debug for DhGroup {
@@ -59,6 +124,7 @@ impl DhGroup {
                 p,
                 q,
                 g: U2048::from_u64(4),
+                g_table: OnceLock::new(),
             }
         })
     }
@@ -74,6 +140,7 @@ impl DhGroup {
                 p,
                 q,
                 g: U2048::from_u64(4),
+                g_table: OnceLock::new(),
             }
         })
     }
@@ -98,9 +165,16 @@ impl DhGroup {
         &self.g
     }
 
-    /// `g^e mod p`.
+    /// `g^e mod p`, from the group's fixed-base table (built on first
+    /// use). Exponents wider than `q` fall back to [`U2048::pow_mod`].
     pub fn pow_g(&self, e: &U2048) -> U2048 {
-        self.g.pow_mod(e, &self.p)
+        let table = self
+            .g_table
+            .get_or_init(|| FixedBase::new(&self.g, &self.p, self.q.bits()));
+        if e.bits() > 4 * table.digits {
+            return self.g.pow_mod(e, &self.p);
+        }
+        table.pow(e)
     }
 
     /// `base^e mod p`.
@@ -137,6 +211,14 @@ impl DhGroup {
     /// Whether `x` is a valid group element in `[1, p)`.
     pub fn contains(&self, x: &U2048) -> bool {
         !x.is_zero() && x < &self.p
+    }
+
+    /// Whether `x` lies in the order-`q` subgroup generated by `g`
+    /// (`x ∈ [1, p)` and `x^q = 1`). In a safe-prime group the only other
+    /// elements have order 2 or `2q`, and a Diffie–Hellman share of that
+    /// kind would leak the parity of the secret exponent it meets.
+    pub fn in_subgroup(&self, x: &U2048) -> bool {
+        self.contains(x) && self.pow(x, &self.q) == U2048::ONE
     }
 
     /// Hashes arbitrary bytes to a scalar mod `q` (SHA-256 output reduced).
@@ -218,6 +300,52 @@ mod tests {
         assert_eq!(s1, s2);
         assert!(&s1 < g.order());
         assert_ne!(g.hash_to_scalar(b"a"), g.hash_to_scalar(b"b"));
+    }
+
+    #[test]
+    fn fixed_base_pow_g_matches_pow_mod() {
+        let mut e = ChaChaEntropy::from_u64_seed(2);
+        for g in [DhGroup::test_512(), DhGroup::modp_2048()] {
+            let p = g.modulus();
+            let mut exps = vec![
+                U2048::ZERO,
+                U2048::ONE,
+                U2048::from_u64(16),
+                *g.order(),
+                p.checked_sub(&U2048::ONE),
+            ];
+            exps.extend((0..3).map(|_| g.random_scalar(&mut e)));
+            // 2p is wider than test_512's table (q's 511 bits round up to
+            // 512): the pow_mod fallback. modp_2048's table spans all 2048
+            // bits, so no U2048 exponent falls back there.
+            if let (wide, false) = p.overflowing_add(p) {
+                assert!(wide.bits() > g.order().bits().div_ceil(4) * 4);
+                exps.push(wide);
+            }
+            for exp in &exps {
+                assert_eq!(
+                    g.pow_g(exp),
+                    g.generator().pow_mod(exp, p),
+                    "{}: g^{exp:?}",
+                    g.name()
+                );
+            }
+            assert_eq!(g.pow_g(g.order()), U2048::ONE);
+        }
+    }
+
+    #[test]
+    fn subgroup_membership() {
+        let g = DhGroup::test_512();
+        let p_minus_1 = g.modulus().checked_sub(&U2048::ONE);
+        let element = g.pow_g(&U2048::from_u64(77));
+        assert!(g.in_subgroup(&U2048::ONE));
+        assert!(g.in_subgroup(&element));
+        // Order 2, and an element of order 2q.
+        assert!(!g.in_subgroup(&p_minus_1));
+        assert!(!g.in_subgroup(&g.mul(&element, &p_minus_1)));
+        assert!(!g.in_subgroup(&U2048::ZERO));
+        assert!(!g.in_subgroup(g.modulus()));
     }
 
     #[test]

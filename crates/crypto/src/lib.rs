@@ -10,7 +10,7 @@
 //! this crate provides a discrete-log suite over standard groups:
 //!
 //! * [`bignum`] — fixed-width 2048-bit unsigned arithmetic with Knuth
-//!   division and modular exponentiation.
+//!   division and Montgomery-domain modular exponentiation.
 //! * [`group`] — Diffie–Hellman groups: the RFC 3526 2048-bit MODP group for
 //!   production parameters and a 512-bit safe-prime group for fast tests.
 //! * [`sha256`](mod@sha256) — FIPS 180-4 SHA-256.

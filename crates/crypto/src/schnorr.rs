@@ -10,8 +10,9 @@
 //! * sign(m): pick `k ∈ [1, q)`, compute `r = g^k`, challenge
 //!   `e = H(group ∥ y ∥ r ∥ m) mod q`, response `s = k + x·e mod q`;
 //!   signature is `(e, s)`.
-//! * verify(m, (e, s)): recompute `r' = g^s · y^(−e) = g^s · (y^e)^(−1)` and
-//!   accept iff `H(group ∥ y ∥ r' ∥ m) mod q == e`.
+//! * verify(m, (e, s)): recompute `r' = g^s · y^(−e)` and accept iff
+//!   `H(group ∥ y ∥ r' ∥ m) mod q == e`. Since `y^(p−1) = 1` for every
+//!   `y ∈ [1, p)`, `y^(−e)` is computed as `y^(p−1−e)`, with no inversion.
 
 use std::fmt;
 
@@ -99,11 +100,15 @@ impl PublicKey {
         if sig.e.is_zero() || &sig.e >= q || &sig.s >= q {
             return false;
         }
-        // r' = g^s * (y^e)^(-1) mod p
+        // r' = g^s * y^(p-1-e) mod p
         let g_s = self.group.pow_g(&sig.s);
-        let y_e = self.group.pow(&self.y, &sig.e);
-        let y_e_inv = y_e.inv_mod_prime(self.group.modulus());
-        let r = self.group.mul(&g_s, &y_e_inv);
+        let neg_e = self
+            .group
+            .modulus()
+            .checked_sub(&U2048::ONE)
+            .checked_sub(&sig.e);
+        let y_neg_e = self.group.pow(&self.y, &neg_e);
+        let r = self.group.mul(&g_s, &y_neg_e);
         let e2 = challenge(self.group, &self.y, &r, message);
         e2 == sig.e
     }

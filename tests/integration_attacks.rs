@@ -333,8 +333,42 @@ fn unknown_ca_device_cannot_register() {
     );
 }
 
+/// Seals `plaintext` the way `btd_crypto::elgamal::seal` does, but with an
+/// ephemeral and shared value of the sender's choosing: the KDF is public,
+/// so any sender can build such a box.
+fn seal_with_shared(
+    ephemeral: btd_crypto::U2048,
+    shared: &btd_crypto::U2048,
+    plaintext: &[u8],
+) -> btd_crypto::elgamal::SealedBox {
+    use btd_crypto::sha256::Sha256;
+    let mut h = Sha256::new();
+    h.update_field(b"elgamal-kdf");
+    h.update_field(&shared.to_be_bytes());
+    h.update_field(&ephemeral.to_be_bytes());
+    let base = h.finalize();
+    let expand = |label: u8| {
+        let mut hh = Sha256::new();
+        hh.update(base.as_bytes());
+        hh.update(&[label]);
+        hh.finalize()
+    };
+    let mut nonce = [0u8; 12];
+    nonce.copy_from_slice(&expand(3).as_bytes()[..12]);
+    let ciphertext = btd_crypto::chacha20::encrypt(expand(1).as_bytes(), &nonce, plaintext);
+    let mut tagged = ephemeral.to_be_bytes().to_vec();
+    tagged.extend_from_slice(&ciphertext);
+    let tag = *btd_crypto::hmac::hmac_sha256(expand(2).as_bytes(), &tagged).as_bytes();
+    btd_crypto::elgamal::SealedBox {
+        ephemeral,
+        ciphertext,
+        tag,
+    }
+}
+
 #[test]
 fn login_rejection_paths_are_exhaustive() {
+    use btd_crypto::bignum::U2048;
     use btd_crypto::elgamal::seal;
     use btd_crypto::entropy::ChaChaEntropy;
     use btd_crypto::group::DhGroup;
@@ -437,6 +471,51 @@ fn login_rejection_paths_are_exhaustive() {
         world.server_mut(0).handle_login(&forged).unwrap_err(),
         Reject::BadSessionKey
     );
+
+    // 3b. Small-subgroup probe: a registered device seals with an
+    // ephemeral of order 2 (p−1) or 2q (−g^k). The server's shared value
+    // is then known up to the parity of its long-term secret, so the
+    // device sends one box per parity guess. Both must be refused alike,
+    // or the reply reveals that bit.
+    let group = DhGroup::test_512();
+    let minus_one = group.modulus().checked_sub(&U2048::ONE);
+    let k = group.random_scalar(&mut entropy);
+    let y_k = group.pow(server_key.element(), &k);
+    let probes = [
+        (minus_one, [U2048::ONE, minus_one]),
+        (
+            group.mul(&group.pow_g(&k), &minus_one),
+            [y_k, group.mul(&y_k, &minus_one)],
+        ),
+    ];
+    for (ephemeral, guesses) in probes {
+        for shared in guesses {
+            let probe_box = seal_with_shared(ephemeral, &shared, b"session-key");
+            let hello = world.server_mut(0).hello("/login");
+            let bytes = trust_core::messages::LoginSubmit::signed_bytes(
+                "www.xyz.com",
+                "alice",
+                &hello.nonce,
+                &probe_box,
+                &frame_hash,
+                &risk,
+            );
+            let probe = trust_core::messages::LoginSubmit {
+                domain: "www.xyz.com".to_owned(),
+                account: "alice".to_owned(),
+                nonce: hello.nonce,
+                sealed_session_key: probe_box,
+                frame_hash,
+                risk,
+                signature: user_keys.sign(&bytes, &mut entropy),
+            };
+            assert_eq!(
+                world.server_mut(0).handle_login(&probe).map(|_| ()),
+                Err(Reject::BadSessionKey),
+                "a parity guess must not be told apart from the other"
+            );
+        }
+    }
 
     // 4. Fraud-laden risk report at login: policy terminates.
     let hello4 = world.server_mut(0).hello("/login");
