@@ -308,6 +308,22 @@ impl U2048 {
         ((self.limbs[i / 16] >> (4 * (i % 16))) & 0xF) as usize
     }
 
+    /// `self^(-1) mod m` for prime `m`, via Fermat's little theorem.
+    ///
+    /// Schnorr verification does not call this: it computes `y^(p−1−e)`
+    /// directly rather than inverting `y^e`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` reduces to zero mod `m` (no inverse) or if `m < 2`.
+    pub fn inv_mod_prime(&self, m: &U2048) -> U2048 {
+        assert!(m > &U2048::ONE, "modulus must exceed 1");
+        let reduced = self.rem(m);
+        assert!(!reduced.is_zero(), "zero has no modular inverse");
+        let exp = m.checked_sub(&U2048::from_u64(2));
+        reduced.pow_mod(&exp, m)
+    }
+
     /// Shifts right by one bit.
     #[allow(clippy::needless_range_loop)] // limb indexing mirrors the maths
     pub fn shr1(&self) -> U2048 {
@@ -904,6 +920,21 @@ mod tests {
                 checked += 1;
             }
         }
+    }
+
+    #[test]
+    fn inverse_mod_prime() {
+        let p = u(101);
+        for a in [2u64, 3, 50, 100] {
+            let inv = u(a).inv_mod_prime(&p);
+            assert_eq!(u(a).mul_mod(&inv, &p), U2048::ONE, "a = {a}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no modular inverse")]
+    fn inverse_of_zero_panics() {
+        let _ = U2048::ZERO.inv_mod_prime(&u(101));
     }
 
     #[test]
