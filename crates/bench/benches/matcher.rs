@@ -10,6 +10,7 @@ use btd_fingerprint::matcher::{match_observation, MatchConfig};
 use btd_fingerprint::minutiae::CaptureWindow;
 use btd_fingerprint::pattern::FingerPattern;
 use btd_fingerprint::quality::{CaptureConditions, QualityReport};
+use btd_flock::fp_processor::FingerprintProcessor;
 use btd_sim::geom::MmPoint;
 use btd_sim::rng::SimRng;
 
@@ -42,6 +43,13 @@ fn bench_matcher(c: &mut Criterion) {
                 &cfg,
             ))
         })
+    });
+    // The fleet's per-touch call: the owner's 8 mm observation against
+    // all three enrolled fingers.
+    let mut processor = FingerprintProcessor::new();
+    processor.enroll_user(1, 3, &mut SimRng::seed_from(2));
+    group.bench_function("verify_3_templates", |b| {
+        b.iter(|| black_box(processor.verify(black_box(&genuine_obs.minutiae))))
     });
     group.bench_function("quality_assessment", |b| {
         b.iter(|| {

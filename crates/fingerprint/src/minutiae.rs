@@ -53,7 +53,18 @@ impl Minutia {
     /// Applies the rigid transform (rotate by `theta`, then translate by
     /// `(tx, ty)`).
     pub fn transformed(&self, theta: f64, tx: f64, ty: f64) -> Minutia {
-        let (s, c) = theta.sin_cos();
+        self.transformed_sin_cos(theta, theta.sin_cos(), tx, ty)
+    }
+
+    /// [`Minutia::transformed`] with `theta.sin_cos()` already computed, so
+    /// a whole constellation can share one evaluation.
+    pub(crate) fn transformed_sin_cos(
+        &self,
+        theta: f64,
+        (s, c): (f64, f64),
+        tx: f64,
+        ty: f64,
+    ) -> Minutia {
         let x = self.pos.x * c - self.pos.y * s + tx;
         let y = self.pos.x * s + self.pos.y * c + ty;
         Minutia::new(MmPoint::new(x, y), self.angle + theta, self.kind)
@@ -63,7 +74,9 @@ impl Minutia {
 /// Normalizes an angle into `[0, 2π)`.
 pub fn normalize_angle(a: f64) -> f64 {
     let tau = std::f64::consts::TAU;
-    let mut x = a % tau;
+    // `fmod` is exact and returns `a` itself when |a| < τ, so the
+    // common in-range case skips the libm call.
+    let mut x = if a.abs() < tau { a } else { a % tau };
     if x < 0.0 {
         x += tau;
     }
@@ -140,6 +153,45 @@ mod tests {
         assert!((normalize_angle(-FRAC_PI_2) - 1.5 * PI).abs() < 1e-12);
         assert!((normalize_angle(TAU + 0.25) - 0.25).abs() < 1e-12);
         assert_eq!(normalize_angle(0.0), 0.0);
+    }
+
+    #[test]
+    fn fmod_free_normalization_is_bit_exact() {
+        let with_fmod = |a: f64| {
+            let mut x = a % TAU;
+            if x < 0.0 {
+                x += TAU;
+            }
+            x
+        };
+        let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        for a in [
+            TAU,
+            -TAU,
+            below(TAU),
+            -below(TAU),
+            0.0,
+            -0.0,
+            PI,
+            -FRAC_PI_2,
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            1e9 + 0.5,
+            -3e7,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ] {
+            assert_eq!(
+                normalize_angle(a).to_bits(),
+                with_fmod(a).to_bits(),
+                "normalize_angle({a:e})"
+            );
+        }
     }
 
     #[test]

@@ -205,7 +205,12 @@ impl AuthPipeline {
                     TouchAuthOutcome::LowQuality(data.observation.quality.clone())
                 } else {
                     match self.processor.verify(&data.observation.minutiae) {
-                        None => TouchAuthOutcome::LowQuality(data.observation.quality.clone()),
+                        // Nothing enrolled: no usable match, reported and
+                        // counted as low quality.
+                        None => {
+                            self.stats.low_quality += 1;
+                            TouchAuthOutcome::LowQuality(data.observation.quality.clone())
+                        }
                         Some(result) => {
                             latency += result.latency;
                             match result.decision {
@@ -396,19 +401,43 @@ mod tests {
         assert!(out.latency < SimDuration::from_millis(60));
     }
 
-    #[test]
-    fn stats_partition_touch_count() {
-        let mut rng = SimRng::seed_from(6);
-        let mut p = pipeline(0, &mut rng);
-        let mut gen = SessionGenerator::new(UserProfile::builtin(0), &mut rng);
+    /// Runs 200 touches of user 0 and checks that the outcome buckets
+    /// partition the touch count; returns the stats.
+    fn partitioned_stats(mut p: AuthPipeline, rng: &mut SimRng) -> PipelineStats {
+        let mut gen = SessionGenerator::new(UserProfile::builtin(0), rng);
         for _ in 0..200 {
-            let s = gen.next_touch(&mut rng);
-            p.process_touch(&s, &mut rng);
+            let s = gen.next_touch(rng);
+            p.process_touch(&s, rng);
         }
         let st = p.stats();
+        assert_eq!(st.touches, 200);
         assert_eq!(
             st.outside + st.low_quality + st.verified + st.inconclusive + st.mismatched,
             st.touches
         );
+        st
+    }
+
+    #[test]
+    fn stats_partition_touch_count() {
+        let mut rng = SimRng::seed_from(6);
+        let p = pipeline(0, &mut rng);
+        partitioned_stats(p, &mut rng);
+    }
+
+    #[test]
+    fn stats_partition_touch_count_with_nothing_enrolled() {
+        let mut rng = SimRng::seed_from(6);
+        let p = AuthPipeline::new(
+            CapturePipeline::new(sensors(), ReadoutConfig::default()),
+            QualityGate::default(),
+            FingerprintProcessor::new(),
+            RiskConfig::default(),
+            SimDuration::from_millis(4),
+        );
+        let st = partitioned_stats(p, &mut rng);
+        // Captures that pass the gate have no template to match against.
+        assert!(st.low_quality > 0);
+        assert_eq!(st.verified + st.inconclusive + st.mismatched, 0);
     }
 }
