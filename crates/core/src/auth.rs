@@ -1,12 +1,14 @@
 //! The end-to-end continuous-authentication flow (Figure 10).
 //!
-//! Every request/response exchange runs through a retry/timeout/backoff
-//! loop ([`RetryPolicy`]) against the fault-injecting
-//! [`Channel`](crate::channel::Channel): dropped, delayed, or corrupted
-//! messages are retransmitted, the server answers retransmits from its
-//! idempotency cache, and [`ProtocolMetrics`] records exactly what
-//! happened — including the one count that must never move,
-//! `replays_accepted`.
+//! Every request/response exchange runs through one lock-step
+//! retry/timeout/backoff driver ([`RetryPolicy`]) against the
+//! fault-injecting [`Channel`](crate::channel::Channel): dropped, delayed,
+//! or corrupted messages are retransmitted, the server answers
+//! retransmits from its idempotency cache, and [`ProtocolMetrics`] records
+//! exactly what happened — including the one count that must never move,
+//! `replays_accepted`. The driver owns the per-attempt accounting; each
+//! flow supplies one attempt as a closure. Counters move only by emitting
+//! trace events through [`ProtocolMetrics::observe`].
 
 use btd_sim::rng::SimRng;
 use btd_sim::time::SimDuration;
@@ -18,7 +20,7 @@ use crate::messages::{ContentPage, Freshness, Reject, ServerHello};
 use crate::metrics::{Phase, ProtocolMetrics, RetryPolicy};
 use crate::registration::FlowError;
 use crate::server::WebServer;
-use crate::trace::{CtxArgs, DuplicateVerdict, EventKind, Outcome, SpanKind};
+use crate::trace::{CtxArgs, DuplicateVerdict, EventKind, Outcome, SpanKind, Tracer};
 
 /// Why a retried exchange ultimately did not get its reply applied.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -58,6 +60,74 @@ fn retryable(reject: Reject) -> bool {
     matches!(reject, Reject::BadMac | Reject::UnknownNonce)
 }
 
+/// What one lock-step attempt came to, as reported to [`retry`].
+pub(crate) enum Attempt<T, E> {
+    /// No acceptable reply arrived before the timeout: the request or the
+    /// reply was lost, the reply came late, or the server died.
+    Lost,
+    /// A retryable refusal, recorded as the given event, after the given
+    /// time on the wire.
+    Bounced(EventKind, SimDuration),
+    /// A conclusive failure after the given time on the wire.
+    Failed(E, SimDuration),
+    /// Served with the given round trip.
+    Served(T, SimDuration),
+}
+
+/// The lock-step retry driver shared by every request/reply flow. It owns
+/// the per-attempt accounting: `Send` before each attempt, `Timeout` plus
+/// backoff for a lost one, backoff after a bounce, `Served` with its
+/// round trip, and `GiveUp` (returning `gave_up`) once the policy's
+/// attempts are spent. `attempt` runs one attempt and may emit its own
+/// mid-attempt events into the metrics it is handed.
+pub(crate) fn retry<T, E>(
+    policy: &RetryPolicy,
+    tracer: &Tracer,
+    metrics: &mut ProtocolMetrics,
+    latency: &mut SimDuration,
+    phase: Phase,
+    gave_up: E,
+    mut attempt: impl FnMut(u32, &mut ProtocolMetrics) -> Attempt<T, E>,
+) -> Result<T, E> {
+    for n in 0..policy.max_attempts {
+        tracer.emit(metrics, EventKind::Send { attempt: n });
+        let backoff = policy.backoff(n);
+        match attempt(n, metrics) {
+            Attempt::Lost => {
+                tracer.emit(
+                    metrics,
+                    EventKind::Timeout {
+                        attempt: n,
+                        backoff_ms: backoff.as_millis(),
+                    },
+                );
+                *latency += policy.timeout + backoff;
+            }
+            Attempt::Bounced(refusal, spent) => {
+                tracer.emit(metrics, refusal);
+                *latency += spent + backoff;
+            }
+            Attempt::Failed(error, spent) => {
+                *latency += spent;
+                return Err(error);
+            }
+            Attempt::Served(value, rtt) => {
+                *latency += rtt;
+                tracer.emit(
+                    metrics,
+                    EventKind::Served {
+                        phase,
+                        rtt_nanos: rtt.as_nanos(),
+                    },
+                );
+                return Ok(value);
+            }
+        }
+    }
+    tracer.emit(metrics, EventKind::GiveUp);
+    Err(gave_up)
+}
+
 /// Drives one request/response exchange under the retry policy.
 ///
 /// Per attempt: transmit the request, let the server process every copy
@@ -83,144 +153,88 @@ where
     A: FnMut(&Resp) -> bool,
 {
     let tracer = channel.tracer().clone();
-    for attempt in 0..policy.max_attempts {
-        metrics.sends += 1;
-        if attempt > 0 {
-            metrics.retries += 1;
-        }
-        tracer.record(EventKind::Send { attempt });
-
-        let mut primary = None;
-        for (i, arrival) in channel.transmit(request.clone()).into_iter().enumerate() {
-            if i == 0 {
-                primary = Some((arrival.delay, serve(&arrival.msg)));
-            } else {
-                // Adversary-injected duplicate: the server's verdict on it
-                // is the replay-defense scoreboard.
-                match serve(&arrival.msg) {
-                    Ok((_, Freshness::Fresh)) => {
-                        metrics.replays_accepted += 1;
-                        tracer.record(EventKind::Duplicate {
-                            verdict: DuplicateVerdict::AcceptedFresh,
-                        });
-                    }
-                    Ok((_, Freshness::Resent | Freshness::Resync)) => {
-                        metrics.duplicates_resent += 1;
-                        tracer.record(EventKind::Duplicate {
-                            verdict: DuplicateVerdict::Resent,
-                        });
-                    }
-                    // A dead server renders no verdict; the duplicate was
-                    // neither accepted nor rejected.
-                    Err(Reject::ServerCrashed) => {}
-                    Err(_) => {
-                        metrics.replays_rejected += 1;
-                        tracer.record(EventKind::Duplicate {
-                            verdict: DuplicateVerdict::Rejected,
-                        });
-                    }
+    retry(
+        policy,
+        &tracer,
+        metrics,
+        latency,
+        phase,
+        ExchangeFailure::GaveUp,
+        |attempt, metrics| {
+            let mut primary = None;
+            for (i, arrival) in channel.transmit(request.clone()).into_iter().enumerate() {
+                if i == 0 {
+                    primary = Some((arrival.delay, serve(&arrival.msg)));
+                    continue;
                 }
+                // Adversary-injected duplicate: the server's verdict on it is
+                // the replay-defense scoreboard. A dead server renders no
+                // verdict; the duplicate was neither accepted nor rejected.
+                let verdict = match serve(&arrival.msg) {
+                    Ok((_, Freshness::Fresh)) => DuplicateVerdict::AcceptedFresh,
+                    Ok((_, Freshness::Resent | Freshness::Resync)) => DuplicateVerdict::Resent,
+                    Err(Reject::ServerCrashed) => continue,
+                    Err(_) => DuplicateVerdict::Rejected,
+                };
+                tracer.emit(metrics, EventKind::Duplicate { verdict });
             }
-        }
 
-        let Some((request_delay, result)) = primary else {
             // Every copy of the request was destroyed in transit.
-            metrics.timeouts += 1;
-            tracer.record(EventKind::Timeout {
-                attempt,
-                backoff_ms: policy.backoff(attempt).as_millis(),
-            });
-            *latency += policy.timeout + policy.backoff(attempt);
-            continue;
-        };
-
-        let (reply, freshness) = match result {
-            Ok(served) => served,
-            Err(Reject::ServerCrashed) => {
-                // The server died mid-exchange: no reply will ever arrive.
-                // From the device's clock this is indistinguishable from
-                // loss, so it burns the attempt as a timeout.
-                metrics.timeouts += 1;
-                tracer.record(EventKind::Timeout {
-                    attempt,
-                    backoff_ms: policy.backoff(attempt).as_millis(),
-                });
-                *latency += policy.timeout + policy.backoff(attempt);
-                continue;
+            let Some((request_delay, result)) = primary else {
+                return Attempt::Lost;
+            };
+            let (reply, freshness) = match result {
+                Ok(served) => served,
+                // The server died mid-exchange: no reply will ever arrive, which
+                // the device's clock cannot tell from loss.
+                Err(Reject::ServerCrashed) => return Attempt::Lost,
+                Err(reason) if retryable(reason) => {
+                    // In an honest flow this is a message damaged in transit;
+                    // the undamaged original is worth resending. (A genuine
+                    // forgery also lands here, and simply bounces again.)
+                    let refusal = EventKind::CorruptReject {
+                        attempt,
+                        reason,
+                        backoff_ms: policy.backoff(attempt).as_millis(),
+                    };
+                    return Attempt::Bounced(refusal, request_delay + channel.latency);
+                }
+                Err(reject) => {
+                    let spent = request_delay + channel.latency;
+                    return Attempt::Failed(ExchangeFailure::Rejected(reject), spent);
+                }
+            };
+            if freshness != Freshness::Fresh {
+                tracer.emit(metrics, EventKind::Resync);
             }
-            Err(reject) if retryable(reject) => {
-                // In an honest flow this is a message damaged in transit;
-                // the undamaged original is worth resending. (A genuine
-                // forgery also lands here, and simply bounces again.)
-                metrics.corrupt_rejected += 1;
-                tracer.record(EventKind::CorruptReject {
-                    attempt,
-                    reason: reject,
-                    backoff_ms: policy.backoff(attempt).as_millis(),
-                });
-                *latency += request_delay + channel.latency + policy.backoff(attempt);
-                continue;
-            }
-            Err(reject) => {
-                *latency += request_delay + channel.latency;
-                return Err(ExchangeFailure::Rejected(reject));
-            }
-        };
-        if freshness != Freshness::Fresh {
-            metrics.resyncs += 1;
-            tracer.record(EventKind::Resync);
-        }
 
-        let mut arrivals = channel.transmit(reply).into_iter();
-        let Some(first) = arrivals.next() else {
-            // The reply was destroyed; the server has already advanced, so
-            // the retransmit will be answered from the idempotency cache.
-            metrics.timeouts += 1;
-            tracer.record(EventKind::Timeout {
-                attempt,
-                backoff_ms: policy.backoff(attempt).as_millis(),
-            });
-            *latency += policy.timeout + policy.backoff(attempt);
-            continue;
-        };
-        let stale = arrivals.count() as u64;
-        metrics.stale_content_ignored += stale;
-        if stale > 0 {
-            tracer.record(EventKind::StaleContent { copies: stale });
-        }
+            // A destroyed reply leaves the server advanced, so the retransmit
+            // is answered from the idempotency cache.
+            let mut arrivals = channel.transmit(reply).into_iter();
+            let Some(first) = arrivals.next() else {
+                return Attempt::Lost;
+            };
+            let stale = arrivals.count() as u64;
+            if stale > 0 {
+                tracer.emit(metrics, EventKind::StaleContent { copies: stale });
+            }
 
-        let rtt = request_delay + first.delay;
-        if rtt > policy.timeout {
-            // The reply exists but arrived after the device stopped
-            // waiting — indistinguishable from loss on this attempt.
-            metrics.timeouts += 1;
-            tracer.record(EventKind::Timeout {
-                attempt,
-                backoff_ms: policy.backoff(attempt).as_millis(),
-            });
-            *latency += policy.timeout + policy.backoff(attempt);
-            continue;
-        }
-        if !accept(&first.msg) {
-            metrics.corrupt_rejected += 1;
-            tracer.record(EventKind::ReplyRejected { attempt });
-            *latency += rtt + policy.backoff(attempt);
-            continue;
-        }
-        *latency += rtt;
-        metrics.record_latency(phase, rtt);
-        tracer.record(EventKind::Served {
-            phase,
-            rtt_nanos: rtt.as_nanos(),
-        });
-        return Ok(match freshness {
-            Freshness::Resync => Exchanged::Resynced,
-            _ => Exchanged::Served(first.msg),
-        });
-    }
-    metrics.giveups += 1;
-    tracer.record(EventKind::GiveUp);
-    Err(ExchangeFailure::GaveUp)
+            // A reply that arrives after the device stopped waiting is
+            // indistinguishable from loss on this attempt.
+            let rtt = request_delay + first.delay;
+            if rtt > policy.timeout {
+                return Attempt::Lost;
+            }
+            if !accept(&first.msg) {
+                return Attempt::Bounced(EventKind::ReplyRejected { attempt }, rtt);
+            }
+            let exchanged = match freshness {
+                Freshness::Resync => Exchanged::Resynced,
+                _ => Exchanged::Served(first.msg),
+            };
+            Attempt::Served(exchanged, rtt)
+        },
+    )
 }
 
 /// Fetches and validates a server hello under the retry policy. Each
@@ -237,61 +251,33 @@ pub(crate) fn fetch_hello(
     path: &str,
 ) -> Result<ServerHello, ExchangeFailure> {
     let tracer = channel.tracer().clone();
-    for attempt in 0..policy.max_attempts {
-        metrics.sends += 1;
-        if attempt > 0 {
-            metrics.retries += 1;
-        }
-        tracer.record(EventKind::Send { attempt });
-        if server.is_crashed() {
+    retry(
+        policy,
+        &tracer,
+        metrics,
+        latency,
+        Phase::Hello,
+        ExchangeFailure::GaveUp,
+        |attempt, _| {
             // A dead server answers nothing; the fetch simply times out.
-            metrics.timeouts += 1;
-            tracer.record(EventKind::Timeout {
-                attempt,
-                backoff_ms: policy.backoff(attempt).as_millis(),
-            });
-            *latency += policy.timeout + policy.backoff(attempt);
-            continue;
-        }
-        let hello = server.hello(path);
-        let mut arrivals = channel.transmit(hello).into_iter();
-        let Some(first) = arrivals.next() else {
-            metrics.timeouts += 1;
-            tracer.record(EventKind::Timeout {
-                attempt,
-                backoff_ms: policy.backoff(attempt).as_millis(),
-            });
-            *latency += policy.timeout + policy.backoff(attempt);
-            continue;
-        };
-        // Duplicate copies of a public page carry no state; ignore them.
-        let rtt = channel.latency + first.delay;
-        if rtt > policy.timeout {
-            metrics.timeouts += 1;
-            tracer.record(EventKind::Timeout {
-                attempt,
-                backoff_ms: policy.backoff(attempt).as_millis(),
-            });
-            *latency += policy.timeout + policy.backoff(attempt);
-            continue;
-        }
-        if device.check_hello(&first.msg).is_err() {
-            metrics.corrupt_rejected += 1;
-            tracer.record(EventKind::ReplyRejected { attempt });
-            *latency += rtt + policy.backoff(attempt);
-            continue;
-        }
-        *latency += rtt;
-        metrics.record_latency(Phase::Hello, rtt);
-        tracer.record(EventKind::Served {
-            phase: Phase::Hello,
-            rtt_nanos: rtt.as_nanos(),
-        });
-        return Ok(first.msg);
-    }
-    metrics.giveups += 1;
-    tracer.record(EventKind::GiveUp);
-    Err(ExchangeFailure::GaveUp)
+            if server.is_crashed() {
+                return Attempt::Lost;
+            }
+            let hello = server.hello(path);
+            // Duplicate copies of a public page carry no state; ignore them.
+            let Some(first) = channel.transmit(hello).into_iter().next() else {
+                return Attempt::Lost;
+            };
+            let rtt = channel.latency + first.delay;
+            if rtt > policy.timeout {
+                return Attempt::Lost;
+            }
+            if device.check_hello(&first.msg).is_err() {
+                return Attempt::Bounced(EventKind::ReplyRejected { attempt }, rtt);
+            }
+            Attempt::Served(first.msg, rtt)
+        },
+    )
 }
 
 /// What happened during a login run.
@@ -527,4 +513,70 @@ pub fn run_session(
         })
         .unwrap_or(0);
     Ok(report)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::trace::derive_metrics;
+
+    fn ms(n: u64) -> SimDuration {
+        SimDuration::from_millis(n)
+    }
+
+    /// Runs the driver over scripted attempt outcomes; returns the result,
+    /// the live metrics, the latency, and the metrics derived from the
+    /// trace.
+    fn drive(
+        script: Vec<Attempt<u8, &'static str>>,
+    ) -> (
+        Result<u8, &'static str>,
+        ProtocolMetrics,
+        SimDuration,
+        ProtocolMetrics,
+    ) {
+        let tracer = Tracer::enabled();
+        let (mut metrics, mut latency) = (ProtocolMetrics::default(), SimDuration::ZERO);
+        let mut script = script.into_iter();
+        let result = retry(
+            &RetryPolicy::default(),
+            &tracer,
+            &mut metrics,
+            &mut latency,
+            Phase::Submit,
+            "gave up",
+            |_, _| script.next().expect("script covers every attempt"),
+        );
+        (result, metrics, latency, derive_metrics(&tracer.events()))
+    }
+
+    #[test]
+    fn retry_accounts_each_outcome_once() {
+        // Default policy: 4 attempts, 250 ms timeout, backoff 50 ms * 2^k.
+        let bounce = EventKind::ReplyRejected { attempt: 1 };
+        let (result, m, latency, derived) = drive(vec![
+            Attempt::Lost,
+            Attempt::Bounced(bounce, ms(30)),
+            Attempt::Served(7, ms(40)),
+        ]);
+        assert_eq!(result, Ok(7));
+        assert_eq!((m.sends, m.retries, m.timeouts), (3, 2, 1));
+        assert_eq!((m.corrupt_rejected, m.giveups), (1, 0));
+        assert_eq!(m.submit.samples, 1);
+        assert_eq!(latency, ms(250 + 50) + ms(30 + 100) + ms(40));
+        assert_eq!(derived, m);
+
+        let (result, m, latency, derived) =
+            drive(vec![Attempt::Lost, Attempt::Failed("no", ms(9))]);
+        assert_eq!(result, Err("no"));
+        assert_eq!((m.sends, m.timeouts, m.giveups), (2, 1, 0));
+        assert_eq!(latency, ms(250 + 50) + ms(9));
+        assert_eq!(derived, m);
+
+        let (result, m, latency, derived) = drive((0..4).map(|_| Attempt::Lost).collect());
+        assert_eq!(result, Err("gave up"));
+        assert_eq!((m.sends, m.retries, m.timeouts, m.giveups), (4, 3, 4, 1));
+        assert_eq!(latency, ms(4 * 250 + 50 + 100 + 200 + 400));
+        assert_eq!(derived, m);
+    }
 }

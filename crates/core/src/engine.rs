@@ -22,10 +22,11 @@
 //! zero under loss, duplication, and reordering — same as the lock-step
 //! protocol, but without its serial round trips.
 //!
-//! Metrics parity: every counter bump pairs with the same trace event the
-//! lock-step [`crate::auth::exchange`] loop would record, so
+//! Metrics parity: every outcome is one emit of the same trace event the
+//! lock-step [`crate::auth::exchange`] loop would record, folded into the
+//! live [`ProtocolMetrics`] as it is recorded, so
 //! [`crate::trace::derive_metrics`] over the event stream reproduces the
-//! live [`ProtocolMetrics`] exactly (pinned by `tests/prop_window.rs`).
+//! live counters exactly (pinned by `tests/prop_window.rs`).
 //! With `window == 1` the engine degenerates to stop-and-wait on the event
 //! timeline, which is the baseline row of the goodput ablation.
 
@@ -303,11 +304,8 @@ impl Core<'_> {
             run.slots[i].observed = true;
             run.attempted += 1;
         }
-        self.metrics.sends += 1;
-        if attempt > 0 {
-            self.metrics.retries += 1;
-        }
-        self.tracer.record(EventKind::Send { attempt });
+        self.tracer
+            .emit(&mut self.metrics, EventKind::Send { attempt });
         if attempt > 0 || run.slots[i].round > 0 {
             self.tracer
                 .record(EventKind::SelectiveRetransmit { seq: slot, attempt });
@@ -375,35 +373,21 @@ impl Core<'_> {
             // Adversary-injected duplicate: the server's verdict on it is
             // the replay-defense scoreboard, exactly as in the lock-step
             // exchange. Its reply (if any) is not transmitted.
-            match result {
-                Ok((_, Freshness::Fresh)) => {
-                    self.metrics.replays_accepted += 1;
-                    self.tracer.record(EventKind::Duplicate {
-                        verdict: DuplicateVerdict::AcceptedFresh,
-                    });
-                }
-                Ok((_, Freshness::Resent | Freshness::Resync)) => {
-                    self.metrics.duplicates_resent += 1;
-                    self.tracer.record(EventKind::Duplicate {
-                        verdict: DuplicateVerdict::Resent,
-                    });
-                }
+            let verdict = match result {
+                Ok((_, Freshness::Fresh)) => DuplicateVerdict::AcceptedFresh,
+                Ok((_, Freshness::Resent | Freshness::Resync)) => DuplicateVerdict::Resent,
                 // A dead server renders no verdict.
-                Err(Reject::ServerCrashed) => {}
-                Err(_) => {
-                    self.metrics.replays_rejected += 1;
-                    self.tracer.record(EventKind::Duplicate {
-                        verdict: DuplicateVerdict::Rejected,
-                    });
-                }
-            }
+                Err(Reject::ServerCrashed) => return,
+                Err(_) => DuplicateVerdict::Rejected,
+            };
+            self.tracer
+                .emit(&mut self.metrics, EventKind::Duplicate { verdict });
             return;
         }
         match result {
             Ok((reply, freshness)) => {
                 if freshness != Freshness::Fresh {
-                    self.metrics.resyncs += 1;
-                    self.tracer.record(EventKind::Resync);
+                    self.tracer.emit(&mut self.metrics, EventKind::Resync);
                 }
                 let mut arrivals = self.channel.transmit(reply).into_iter();
                 if let Some(first) = arrivals.next() {
@@ -420,9 +404,8 @@ impl Core<'_> {
                     );
                     let stale = arrivals.count() as u64;
                     if stale > 0 {
-                        self.metrics.stale_content_ignored += stale;
                         self.tracer
-                            .record(EventKind::StaleContent { copies: stale });
+                            .emit(&mut self.metrics, EventKind::StaleContent { copies: stale });
                     }
                 }
                 // Every reply copy destroyed: the slot's timer drives the
@@ -437,12 +420,12 @@ impl Core<'_> {
                 }
             }
             Err(reject) if transit_retryable(reject) => {
-                self.metrics.corrupt_rejected += 1;
-                self.tracer.record(EventKind::CorruptReject {
+                let refusal = EventKind::CorruptReject {
                     attempt,
                     reason: reject,
                     backoff_ms: self.policy.backoff(attempt).as_millis(),
-                });
+                };
+                self.tracer.emit(&mut self.metrics, refusal);
                 let delay = self.channel.latency + self.policy.backoff(attempt);
                 self.burn(dev, run, slot, attempt, delay);
             }
@@ -494,14 +477,14 @@ impl Core<'_> {
             Err(_) => {
                 // Damaged in transit; the undamaged original is worth
                 // resending after the backoff.
-                self.metrics.corrupt_rejected += 1;
-                self.tracer.record(EventKind::ReplyRejected { attempt });
+                self.tracer
+                    .emit(&mut self.metrics, EventKind::ReplyRejected { attempt });
                 let delay = self.policy.backoff(attempt);
                 self.burn(dev, run, slot, attempt, delay);
             }
             Ok(WindowAccept::Stale) => {
-                self.metrics.stale_content_ignored += 1;
-                self.tracer.record(EventKind::StaleContent { copies: 1 });
+                self.tracer
+                    .emit(&mut self.metrics, EventKind::StaleContent { copies: 1 });
             }
             Ok(WindowAccept::Buffered) => {
                 // Out-of-order but in-window: the slot is served; only the
@@ -531,11 +514,11 @@ impl Core<'_> {
         run.slots[i].acked = true;
         run.served += 1;
         let rtt = self.now.saturating_duration_since(sent_at);
-        self.metrics.record_latency(Phase::Interaction, rtt);
-        self.tracer.record(EventKind::Served {
+        let served = EventKind::Served {
             phase: Phase::Interaction,
             rtt_nanos: rtt.as_nanos(),
-        });
+        };
+        self.tracer.emit(&mut self.metrics, served);
     }
 
     /// Slot `slot`'s timer fired with no acceptable reply: a timeout.
@@ -547,11 +530,11 @@ impl Core<'_> {
         if run.slots[i].done || run.slots[i].acked || run.slots[i].attempt != attempt {
             return;
         }
-        self.metrics.timeouts += 1;
-        self.tracer.record(EventKind::Timeout {
+        let timeout = EventKind::Timeout {
             attempt,
             backoff_ms: self.policy.backoff(attempt).as_millis(),
-        });
+        };
+        self.tracer.emit(&mut self.metrics, timeout);
         let delay = self.policy.backoff(attempt);
         self.burn(dev, run, slot, attempt, delay);
     }
@@ -574,8 +557,7 @@ impl Core<'_> {
         }
         let next = attempt + 1;
         if next >= self.policy.max_attempts {
-            self.metrics.giveups += 1;
-            self.tracer.record(EventKind::GiveUp);
+            self.tracer.emit(&mut self.metrics, EventKind::GiveUp);
             state.round += 1;
             if state.round >= MAX_ROUNDS {
                 state.done = true;
@@ -646,7 +628,7 @@ pub struct WindowedReport {
     /// Audit-log entries from this session whose frame hash matched no
     /// legitimate view of the served page.
     pub audit_mismatches: u64,
-    /// Network/retry accounting (every bump paired with a trace event, so
+    /// Network/retry accounting (a fold of the emitted trace events, so
     /// [`derive_metrics`] reproduces it).
     pub metrics: ProtocolMetrics,
 }

@@ -51,8 +51,6 @@
 //! * [`trace`] — deterministic protocol tracing: typed spans and point
 //!   events across every layer, with JSONL export, queries, trace diff,
 //!   and metrics derivation.
-//! * [`timeline`] — a discrete-event replay of a session with true
-//!   timestamps (touches at workload time, messages after latency).
 //! * [`scenario`] — turnkey harnesses used by the examples, integration
 //!   tests, and benches.
 //! * [`parallel`] — the deterministic shard-parallel runtime: shard
@@ -93,7 +91,6 @@ pub mod risk_policy;
 pub mod scenario;
 pub mod server;
 pub mod telemetry;
-pub mod timeline;
 pub mod trace;
 pub mod transfer;
 pub mod wire;

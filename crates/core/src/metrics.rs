@@ -7,8 +7,17 @@
 //! latency distributed per protocol phase. [`RetryPolicy`] is the
 //! device-side liveness knob: per-attempt timeout, attempt cap, and
 //! exponential backoff.
+//!
+//! The counters are a fold of the protocol's trace events:
+//! [`ProtocolMetrics::observe`] is the one rule for which event moves
+//! which counter. Flows never bump a counter by hand; they emit the event
+//! (`Tracer::emit`), which folds it into their metrics and records it, and
+//! [`derive_metrics`](crate::trace::derive_metrics) replays the same fold
+//! over a recorded trace.
 
 use btd_sim::time::SimDuration;
+
+use crate::trace::{DuplicateVerdict, EventKind};
 
 /// Upper bounds (in milliseconds, inclusive) of the latency buckets; the
 /// final bucket is unbounded.
@@ -71,11 +80,6 @@ impl LatencyHistogram {
             self.counts[LATENCY_BUCKET_MS.len()],
         ));
         rows
-    }
-
-    /// Folds another histogram into this one.
-    pub fn absorb(&mut self, other: &LatencyHistogram) {
-        self.merge(other);
     }
 
     /// Merges another histogram into this one: bucket-wise counts, sample
@@ -198,6 +202,37 @@ impl ProtocolMetrics {
         }
     }
 
+    /// Folds one protocol event into the counters. This is the only rule
+    /// for which outcome moves which counter; events that carry no
+    /// protocol accounting (spans, storage, faults, window bookkeeping)
+    /// leave the metrics unchanged.
+    pub fn observe(&mut self, event: &EventKind) {
+        match event {
+            EventKind::Send { attempt } => {
+                self.sends += 1;
+                if *attempt > 0 {
+                    self.retries += 1;
+                }
+            }
+            EventKind::Timeout { .. } => self.timeouts += 1,
+            EventKind::CorruptReject { .. } | EventKind::ReplyRejected { .. } => {
+                self.corrupt_rejected += 1;
+            }
+            EventKind::Duplicate { verdict } => match verdict {
+                DuplicateVerdict::AcceptedFresh => self.replays_accepted += 1,
+                DuplicateVerdict::Resent => self.duplicates_resent += 1,
+                DuplicateVerdict::Rejected => self.replays_rejected += 1,
+            },
+            EventKind::Resync => self.resyncs += 1,
+            EventKind::GiveUp => self.giveups += 1,
+            EventKind::StaleContent { copies } => self.stale_content_ignored += copies,
+            EventKind::Served { phase, rtt_nanos } => {
+                self.record_latency(*phase, SimDuration::from_nanos(*rtt_nanos));
+            }
+            _ => {}
+        }
+    }
+
     /// Folds another flow's metrics into this one (for whole-scenario
     /// summaries).
     pub fn absorb(&mut self, other: &ProtocolMetrics) {
@@ -211,10 +246,10 @@ impl ProtocolMetrics {
         self.giveups += other.giveups;
         self.corrupt_rejected += other.corrupt_rejected;
         self.stale_content_ignored += other.stale_content_ignored;
-        self.hello.absorb(&other.hello);
-        self.submit.absorb(&other.submit);
-        self.interaction.absorb(&other.interaction);
-        self.lifecycle.absorb(&other.lifecycle);
+        self.hello.merge(&other.hello);
+        self.submit.merge(&other.submit);
+        self.interaction.merge(&other.interaction);
+        self.lifecycle.merge(&other.lifecycle);
     }
 }
 

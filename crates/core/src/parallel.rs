@@ -487,7 +487,7 @@ impl ParallelRun {
     pub fn fleet_interaction_latency(&self) -> LatencyHistogram {
         let mut h = LatencyHistogram::default();
         for run in &self.shard_runs {
-            h.absorb(&run.metrics.interaction);
+            h.merge(&run.metrics.interaction);
         }
         h
     }

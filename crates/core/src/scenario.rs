@@ -532,32 +532,6 @@ impl World {
         )
     }
 
-    /// Replays a session on the discrete-event timeline (see
-    /// [`crate::timeline::replay_session`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the device has no live session at `domain`.
-    pub fn replay_session(
-        &mut self,
-        device_idx: usize,
-        domain: &str,
-        touches: &[TouchSample],
-        rng: &mut SimRng,
-    ) -> Vec<crate::timeline::TraceEntry> {
-        let sidx = self.server_index(domain);
-        let latency = self.channel.latency;
-        crate::timeline::replay_session(
-            &mut self.devices[device_idx].0,
-            &mut self.servers[sidx],
-            domain,
-            &DEFAULT_ACTIONS,
-            touches,
-            latency,
-            rng,
-        )
-    }
-
     /// Runs a session with caller-supplied touches (e.g. an impostor's
     /// touches on a hijacked device).
     ///

@@ -33,8 +33,9 @@
 //! * [`TraceQuery`] — filter by account/session/span, pull the causal
 //!   chain of one interaction, render a per-account timeline.
 //! * [`derive_metrics`] — rebuild [`ProtocolMetrics`] from the event
-//!   stream alone; a consistency test pins it equal to the live
-//!   counters, so events and counters can never disagree.
+//!   stream alone. Live counters move only through the same fold
+//!   ([`ProtocolMetrics::observe`]) at each emit point, so events and
+//!   counters cannot disagree; a consistency test pins it.
 //! * [`first_divergence`] — explain where two runs' traces part ways
 //!   (mirroring [`audit::first_divergence`](crate::audit)), with the
 //!   shared causal prefix as context.
@@ -43,8 +44,6 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::rc::Rc;
-
-use btd_sim::time::SimDuration;
 
 use crate::messages::Reject;
 use crate::metrics::{Phase, ProtocolMetrics};
@@ -519,6 +518,15 @@ impl Tracer {
         self.inner.is_some()
     }
 
+    /// The one emit point for protocol outcomes: folds `kind` into the
+    /// caller's `metrics` ([`ProtocolMetrics::observe`]) and records it.
+    /// A disabled tracer still keeps the counters, so an untraced flow
+    /// (the device-to-device transfer link) accounts the same way.
+    pub(crate) fn emit(&self, metrics: &mut ProtocolMetrics, kind: EventKind) {
+        metrics.observe(&kind);
+        self.record(kind);
+    }
+
     /// Records `kind` under the context of the innermost open span.
     pub fn record(&self, kind: EventKind) {
         if let Some(inner) = &self.inner {
@@ -871,40 +879,16 @@ fn write_event_json(out: &mut String, ev: &TraceEvent) {
 
 // --- Derived metrics -------------------------------------------------------
 
-/// Rebuilds [`ProtocolMetrics`] from a trace alone. Every counter-bump
-/// site in the exchange loops emits exactly one event, and `Served`
-/// events carry exact nanosecond round trips, so the reconstruction is
-/// lossless: for any traced run, `derive_metrics(events)` equals the sum
-/// of the live per-flow metrics.
+/// Rebuilds [`ProtocolMetrics`] from a trace alone: the same
+/// [`ProtocolMetrics::observe`] fold the live flows apply at each emit
+/// point, replayed over the recorded events. `Served` events carry exact
+/// nanosecond round trips, so for any traced run `derive_metrics(events)`
+/// equals the sum of the live per-flow metrics.
 pub fn derive_metrics(events: &[TraceEvent]) -> ProtocolMetrics {
-    let mut m = ProtocolMetrics::default();
-    for ev in events {
-        match &ev.kind {
-            EventKind::Send { attempt } => {
-                m.sends += 1;
-                if *attempt > 0 {
-                    m.retries += 1;
-                }
-            }
-            EventKind::Timeout { .. } => m.timeouts += 1,
-            EventKind::CorruptReject { .. } | EventKind::ReplyRejected { .. } => {
-                m.corrupt_rejected += 1;
-            }
-            EventKind::Duplicate { verdict } => match verdict {
-                DuplicateVerdict::AcceptedFresh => m.replays_accepted += 1,
-                DuplicateVerdict::Resent => m.duplicates_resent += 1,
-                DuplicateVerdict::Rejected => m.replays_rejected += 1,
-            },
-            EventKind::Resync => m.resyncs += 1,
-            EventKind::GiveUp => m.giveups += 1,
-            EventKind::StaleContent { copies } => m.stale_content_ignored += copies,
-            EventKind::Served { phase, rtt_nanos } => {
-                m.record_latency(*phase, SimDuration::from_nanos(*rtt_nanos));
-            }
-            _ => {}
-        }
-    }
-    m
+    events.iter().fold(ProtocolMetrics::default(), |mut m, ev| {
+        m.observe(&ev.kind);
+        m
+    })
 }
 
 // --- Trace diff ------------------------------------------------------------
@@ -1170,6 +1154,7 @@ pub fn describe(ev: &TraceEvent) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use btd_sim::time::SimDuration;
 
     #[test]
     fn disabled_tracer_records_nothing() {

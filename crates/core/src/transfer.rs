@@ -23,9 +23,11 @@ use btd_flock::module::ImportError;
 use btd_sim::rng::SimRng;
 use btd_sim::time::SimDuration;
 
+use crate::auth::{retry, Attempt};
 use crate::channel::{flip_random_bit, Channel, NetMessage};
 use crate::device::{DeviceError, MobileDevice};
 use crate::metrics::{Phase, ProtocolMetrics, RetryPolicy};
+use crate::trace::{EventKind, Tracer};
 use crate::wire::signing_bytes;
 
 /// Why an identity transfer failed.
@@ -123,6 +125,11 @@ pub struct TransferReport {
 /// authorization on the old device, sealed export, and import on the new
 /// device, retrying either leg under the policy.
 ///
+/// Both legs run the shared lock-step retry driver with a disabled
+/// tracer: the link is device-to-device, outside any server session, so
+/// it records no trace events but keeps its counters through the same
+/// emit points as every other flow.
+///
 /// # Errors
 ///
 /// [`TransferError`] at whichever step fails conclusively; on failure no
@@ -164,38 +171,33 @@ fn deliver_offer(
     offer: &TransferOffer,
     report: &mut TransferReport,
 ) -> Result<Certificate, TransferError> {
-    for attempt in 0..policy.max_attempts {
-        // trust-lint: allow(metrics-trace-parity) -- device-to-device transfer happens outside any server session, so there is no Tracer here; TransferReport.metrics is returned to the caller, not reconciled by derive_metrics
-        report.metrics.sends += 1;
-        if attempt > 0 {
-            report.metrics.retries += 1;
-        }
-        let mut arrivals = channel.transmit(offer.clone()).into_iter();
-        let Some(first) = arrivals.next() else {
-            report.metrics.timeouts += 1;
-            report.latency += policy.timeout + policy.backoff(attempt);
-            continue;
-        };
-        report.metrics.stale_content_ignored += arrivals.count() as u64;
-        if first.delay > policy.timeout {
-            report.metrics.timeouts += 1;
-            report.latency += policy.timeout + policy.backoff(attempt);
-            continue;
-        }
-        if !first.msg.intact() {
-            report.metrics.corrupt_rejected += 1;
-            report.latency += first.delay + policy.backoff(attempt);
-            continue;
-        }
-        report.latency += first.delay;
-        if !old.flock_mut().verify_certificate(&first.msg.cert) {
-            return Err(TransferError::UntrustedNewDevice);
-        }
-        report.metrics.record_latency(Phase::Lifecycle, first.delay);
-        return Ok(first.msg.cert);
-    }
-    report.metrics.giveups += 1;
-    Err(TransferError::ChannelFailed)
+    let untraced = Tracer::disabled();
+    retry(
+        policy,
+        &untraced,
+        &mut report.metrics,
+        &mut report.latency,
+        Phase::Lifecycle,
+        TransferError::ChannelFailed,
+        |attempt, metrics| {
+            let mut arrivals = channel.transmit(offer.clone()).into_iter();
+            let Some(first) = arrivals.next() else {
+                return Attempt::Lost;
+            };
+            let stale = arrivals.count() as u64;
+            untraced.emit(metrics, EventKind::StaleContent { copies: stale });
+            if first.delay > policy.timeout {
+                return Attempt::Lost;
+            }
+            if !first.msg.intact() {
+                return Attempt::Bounced(EventKind::ReplyRejected { attempt }, first.delay);
+            }
+            if !old.flock_mut().verify_certificate(&first.msg.cert) {
+                return Attempt::Failed(TransferError::UntrustedNewDevice, first.delay);
+            }
+            Attempt::Served(first.msg.cert, first.delay)
+        },
+    )
 }
 
 /// Leg 2: sealed export to the new device's built-in key. Each retry
@@ -209,43 +211,37 @@ fn deliver_payload(
     cert: &Certificate,
     report: &mut TransferReport,
 ) -> Result<(), TransferError> {
-    for attempt in 0..policy.max_attempts {
-        // trust-lint: allow(metrics-trace-parity) -- same as deliver_offer: the transfer link is untraced by design, and these counters feed TransferReport only
-        report.metrics.sends += 1;
-        if attempt > 0 {
-            report.metrics.retries += 1;
-        }
-        let payload = TransferPayload {
-            sealed: old.flock_mut().export_identity(cert.public_key()),
-        };
-        let mut arrivals = channel.transmit(payload).into_iter();
-        let Some(first) = arrivals.next() else {
-            report.metrics.timeouts += 1;
-            report.latency += policy.timeout + policy.backoff(attempt);
-            continue;
-        };
-        report.metrics.stale_content_ignored += arrivals.count() as u64;
-        if first.delay > policy.timeout {
-            report.metrics.timeouts += 1;
-            report.latency += policy.timeout + policy.backoff(attempt);
-            continue;
-        }
-        match new.flock_mut().import_identity(&first.msg.sealed) {
-            Ok(()) => {
-                report.latency += first.delay;
-                report.metrics.record_latency(Phase::Lifecycle, first.delay);
-                return Ok(());
+    let untraced = Tracer::disabled();
+    retry(
+        policy,
+        &untraced,
+        &mut report.metrics,
+        &mut report.latency,
+        Phase::Lifecycle,
+        TransferError::ChannelFailed,
+        |attempt, metrics| {
+            let payload = TransferPayload {
+                sealed: old.flock_mut().export_identity(cert.public_key()),
+            };
+            let mut arrivals = channel.transmit(payload).into_iter();
+            let Some(first) = arrivals.next() else {
+                return Attempt::Lost;
+            };
+            let stale = arrivals.count() as u64;
+            untraced.emit(metrics, EventKind::StaleContent { copies: stale });
+            if first.delay > policy.timeout {
+                return Attempt::Lost;
             }
-            Err(ImportError::Unsealable) => {
+            match new.flock_mut().import_identity(&first.msg.sealed) {
+                Ok(()) => Attempt::Served((), first.delay),
                 // Tampered or damaged in transit; the re-export heals it.
-                report.metrics.corrupt_rejected += 1;
-                report.latency += first.delay + policy.backoff(attempt);
+                Err(ImportError::Unsealable) => {
+                    Attempt::Bounced(EventKind::ReplyRejected { attempt }, first.delay)
+                }
+                Err(_) => Attempt::Failed(TransferError::ImportFailed, SimDuration::ZERO),
             }
-            Err(_) => return Err(TransferError::ImportFailed),
-        }
-    }
-    report.metrics.giveups += 1;
-    Err(TransferError::ChannelFailed)
+        },
+    )
 }
 
 /// An explicit verified touch on the old device.

@@ -67,7 +67,7 @@ pub struct Config {
     pub sync_markers: Vec<&'static str>,
     /// Metrics/trace parity: crate prefix, the `ProtocolMetrics` counter
     /// fields, and functions exempt because they aggregate rather than
-    /// observe (`absorb`) or *are* the reconciliation (`derive_metrics`).
+    /// observe (`absorb`) or *are* the event-to-counter fold (`observe`).
     pub parity_paths: Vec<&'static str>,
     pub counters: Vec<&'static str>,
     pub parity_exempt_fns: Vec<&'static str>,
@@ -215,7 +215,7 @@ impl Default for Config {
                 "corrupt_rejected",
                 "stale_content_ignored",
             ],
-            parity_exempt_fns: vec!["absorb", "derive_metrics"],
+            parity_exempt_fns: vec!["absorb", "observe"],
             telemetry_paths: vec!["crates/"],
             telemetry_register_fns: vec![
                 "register_counter",

@@ -33,7 +33,7 @@
 //! | determinism | `wall-clock`, `os-thread`, `os-random`, `unordered-iteration` | same seed ⇒ byte-identical runs |
 //! | journal discipline | `journal-discipline` | durable state mutates only in `apply_record` |
 //! | storage sync discipline | `storage-sync-before-reply` | a reply never leaves before its record is synced |
-//! | metrics/trace parity | `metrics-trace-parity` | `derive_metrics` reconciles exactly |
+//! | metrics/trace parity | `metrics-trace-parity` | counters move only in the `ProtocolMetrics::observe` fold of trace events, so `derive_metrics` reconciles exactly |
 
 pub mod callgraph;
 pub mod config;

@@ -2,12 +2,14 @@
 //!
 //! `derive_metrics` reconstructs `ProtocolMetrics` from the trace and the
 //! CI gate (`trace_explain`) asserts it equals the live counters exactly.
-//! That contract breaks the moment someone bumps a counter without
-//! recording the matching trace event. This rule enforces the cheap
-//! mechanical half: any function that bumps a `ProtocolMetrics` counter
-//! must also record at least one `Tracer` event. (Aggregation functions —
-//! `absorb`, and `derive_metrics` itself — are exempt: they fold counters,
-//! they do not observe protocol events.)
+//! Both sides share one fold, `ProtocolMetrics::observe`, and flows move
+//! counters only by emitting an event through it. That contract breaks
+//! the moment someone bumps a counter by hand without recording the
+//! matching trace event. This rule enforces the cheap mechanical half:
+//! any function that bumps a `ProtocolMetrics` counter must also record
+//! at least one `Tracer` event. (The fold functions — `observe`, which
+//! maps one event to its counter, and `absorb`, which sums two metrics —
+//! are exempt: they fold counters, they do not observe protocol events.)
 
 use crate::config::Config;
 use crate::findings::Finding;
