@@ -281,7 +281,7 @@ pub(crate) fn fetch_hello(
 }
 
 /// What happened during a login run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct LoginOutcome {
     /// The session id the server opened.
     pub session_id: String,
@@ -291,44 +291,17 @@ pub struct LoginOutcome {
     pub metrics: ProtocolMetrics,
 }
 
-/// Runs the Fig. 10 login (steps 1–3) under the retry policy.
+/// Runs the Fig. 10 login (steps 1–3) under the retry policy and returns
+/// the opened session id. Accounting accumulates into the caller's
+/// `metrics` and `latency`, so a failed attempt's sends and timeouts are
+/// not lost with the error.
 ///
 /// # Errors
 ///
 /// Propagates device refusals, conclusive server rejections, or exhausted
 /// retries ([`FlowError::NetworkDropped`]).
-pub fn login(
-    device: &mut MobileDevice,
-    owner_user: u64,
-    server: &mut WebServer,
-    channel: &mut Channel,
-    policy: &RetryPolicy,
-    rng: &mut SimRng,
-) -> Result<LoginOutcome, FlowError> {
-    let mut metrics = ProtocolMetrics::default();
-    let mut latency = SimDuration::ZERO;
-    let session_id = login_collect(
-        device,
-        owner_user,
-        server,
-        channel,
-        policy,
-        rng,
-        &mut metrics,
-        &mut latency,
-    )?;
-    Ok(LoginOutcome {
-        session_id,
-        latency,
-        metrics,
-    })
-}
-
-/// [`login`], but accumulating metrics and latency into the caller's
-/// counters so a failed attempt's accounting is not lost with the error.
-/// Returns the opened session id.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn login_collect(
+pub fn login(
     device: &mut MobileDevice,
     owner_user: u64,
     server: &mut WebServer,

@@ -22,13 +22,13 @@ use btd_sim::rng::SimRng;
 use btd_sim::time::SimDuration;
 use btd_workload::session::TouchSample;
 
-use crate::auth::{exchange, login_collect, ExchangeFailure, Exchanged};
+use crate::auth::{exchange, login, ExchangeFailure, Exchanged};
 use crate::channel::Channel;
 use crate::device::MobileDevice;
 use crate::messages::{ContentPage, Reject, ResumeAck};
 use crate::metrics::LatencyHistogram;
 use crate::metrics::{Phase, ProtocolMetrics, RetryPolicy};
-use crate::registration::{register_collect, FlowError};
+use crate::registration::{register, FlowError};
 use crate::server::journal::{CrashProfile, CrashSchedule};
 use crate::server::WebServer;
 use crate::trace::{CtxArgs, EventKind, Outcome, SpanKind, Tracer};
@@ -346,7 +346,7 @@ impl DeviceLifecycle {
             self.enter(LifecycleState::Login);
             return;
         }
-        match register_collect(
+        match register(
             device,
             self.owner_user,
             server,
@@ -393,7 +393,7 @@ impl DeviceLifecycle {
         profile: CrashProfile,
         rng: &mut SimRng,
     ) {
-        match login_collect(
+        match login(
             device,
             self.owner_user,
             server,

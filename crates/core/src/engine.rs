@@ -37,12 +37,12 @@ use btd_sim::rng::SimRng;
 use btd_sim::time::{SimDuration, SimTime};
 use btd_workload::session::TouchSample;
 
-use crate::auth::login_collect;
+use crate::auth::login;
 use crate::channel::Channel;
 use crate::device::{DeviceError, MobileDevice, WindowAccept};
 use crate::messages::{ContentPage, Freshness, InteractionRequest, Reject};
 use crate::metrics::{Phase, ProtocolMetrics, RetryPolicy};
-use crate::registration::{register_collect, FlowError};
+use crate::registration::{register, FlowError};
 use crate::server::journal::{CrashProfile, CrashSchedule};
 use crate::server::WebServer;
 use crate::trace::{derive_metrics, DuplicateVerdict, EventKind, Tracer};
@@ -265,17 +265,6 @@ impl Core<'_> {
             );
             run.scheduled += 1;
         }
-        // Telemetry probe (no-op unless sampling is installed): slots
-        // currently in flight — scheduled but not yet settled.
-        let open = run
-            .slots
-            .iter()
-            .take(run.scheduled)
-            .filter(|s| !s.done)
-            .count() as u64;
-        self.server
-            .telemetry()
-            .set_gauge_by_name("window_occupancy", open);
     }
 
     /// Transmits (or retransmits) `slot`'s request and arms its timer.
@@ -1054,7 +1043,7 @@ fn bring_up(
     let mut scratch = SimDuration::ZERO;
     let mut rounds = 0;
     while !core.server.has_account(account) {
-        match register_collect(
+        match register(
             device,
             owner,
             core.server,
@@ -1096,7 +1085,7 @@ fn relogin(
     let mut scratch = SimDuration::ZERO;
     let mut rounds = 0;
     loop {
-        match login_collect(
+        match login(
             device,
             owner,
             core.server,

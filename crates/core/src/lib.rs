@@ -57,8 +57,10 @@
 //!   workers on OS threads outside the sim core, merged by logical time
 //!   into byte-identical same-seed output at any worker count.
 //! * [`telemetry`] — deterministic fleet observability over the trace:
-//!   per-shard time series sampled on the logical clock, declarative
-//!   SLO health verdicts, and a span profiler with folded-stack export.
+//!   per-shard time series folded from the event stream with
+//!   [`metrics::ProtocolMetrics::observe`] and sampled on the logical
+//!   clock, declarative SLO health verdicts, and a span profiler with
+//!   folded-stack export.
 //!
 //! # Example
 //!

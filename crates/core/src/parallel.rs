@@ -54,7 +54,7 @@ use crate::server::storage::DiskFaultProfile;
 use crate::telemetry::{
     self, profile_spans, HealthEngine, HealthReport, SeriesPoint, ShardSampler, SpanProfile,
 };
-use crate::trace::{derive_metrics, event_json, TraceEvent};
+use crate::trace::{derive_metrics, event_json, TraceEvent, Tracer};
 use crate::wire::signing_bytes;
 
 /// Domain every shard world serves; fixed so account → shard routing is
@@ -197,14 +197,11 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
     let mut world = World::with_adversary(adversary, &mut rng);
     let tracer = world.enable_tracing();
     // Telemetry rides on the trace: the sampler folds the same drained
-    // events the merge stamps (observation, never consumption), so
-    // turning sampling on cannot perturb the protocol, its RNG draws, or
-    // the exported trace bytes.
+    // events the merge stamps (observation, never consumption) and reads
+    // the server through `&self`, so turning sampling on cannot perturb
+    // the protocol, its RNG draws, or the exported trace bytes.
     let mut sampler =
         (cfg.sample_interval > 0).then(|| ShardSampler::new(shard, cfg.sample_interval));
-    if let Some(s) = &sampler {
-        world.install_telemetry(s.telemetry());
-    }
 
     // The shard world's server carries the *global* shard count so
     // account routing matches `shard_index(account, cfg.shards)` exactly;
@@ -265,16 +262,9 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
     let mut events: Vec<StampedEvent> = Vec::new();
     let mut lt = 0u64;
     // Setup events (enrollment, lifecycle-span opens) land at tick 0.
-    let drained = tracer.drain();
-    if let Some(s) = &sampler {
-        for ev in &drained {
-            s.observe_event(ev);
-        }
-    }
-    events.extend(stamp(lt, drained));
+    drain_at(lt, &tracer, sampler.as_mut(), &mut events);
     if let Some(s) = sampler.as_mut() {
-        s.probe(world.server(sidx), lifecycles.len() as u64);
-        s.tick(lt);
+        s.tick(lt, world.server(sidx), lifecycles.len() as u64);
     }
 
     // Round-robin sweeps: the logical clock ticks once per sweep, and
@@ -290,39 +280,19 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
             if world.step_lifecycle(lc, owned[i].0, sidx, profile, &mut rng) {
                 live += 1;
             }
-            let drained = tracer.drain();
-            if let Some(s) = &sampler {
-                for ev in &drained {
-                    s.observe_event(ev);
-                }
-            }
-            events.extend(stamp(lt, drained));
+            drain_at(lt, &tracer, sampler.as_mut(), &mut events);
         }
         if let Some(s) = sampler.as_mut() {
-            s.probe(world.server(sidx), live as u64);
-            s.tick(lt);
+            s.tick(lt, world.server(sidx), live as u64);
         }
     }
     // Span closes recorded by the final steps are already drained; catch
     // any stragglers at one tick past the last sweep.
-    let drained = tracer.drain();
-    if let Some(s) = &sampler {
-        for ev in &drained {
-            s.observe_event(ev);
-        }
-    }
-    events.extend(stamp(lt + 1, drained));
-    let series = match sampler {
-        Some(mut s) => {
-            // A final forced point at the straggler tick carries the
-            // run's cumulative totals (what `telemetry::reconcile`
-            // checks against the live metrics).
-            s.probe(world.server(sidx), 0);
-            s.finish(lt + 1);
-            s.into_points()
-        }
-        None => Vec::new(),
-    };
+    drain_at(lt + 1, &tracer, sampler.as_mut(), &mut events);
+    // A final forced point at the straggler tick carries the run's
+    // cumulative totals (what `telemetry::reconcile` checks against the
+    // live metrics).
+    let series = sampler.map_or_else(Vec::new, |s| s.finish(lt + 1, world.server(sidx)));
 
     let mut metrics = ProtocolMetrics::default();
     let mut elapsed = SimDuration::ZERO;
@@ -365,12 +335,26 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
     shard_run
 }
 
-fn stamp(lt: u64, drained: Vec<TraceEvent>) -> impl Iterator<Item = StampedEvent> {
-    drained.into_iter().map(move |event| StampedEvent {
+/// One drain step: takes everything `tracer` recorded since the last
+/// drain, folds each event into `sampler` in recording order, and stamps
+/// the batch at logical time `lt`.
+fn drain_at(
+    lt: u64,
+    tracer: &Tracer,
+    sampler: Option<&mut ShardSampler>,
+    events: &mut Vec<StampedEvent>,
+) {
+    let drained = tracer.drain();
+    if let Some(s) = sampler {
+        for ev in &drained {
+            s.observe_event(ev);
+        }
+    }
+    events.extend(drained.into_iter().map(|event| StampedEvent {
         lt,
         seq: event.id,
         event,
-    })
+    }));
 }
 
 /// Runs every shard across `cfg.workers` OS threads and merges the

@@ -47,7 +47,7 @@ impl From<Reject> for FlowError {
 }
 
 /// What happened during a registration run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RegistrationReport {
     /// End-to-end latency (network + device work), including retry
     /// timeouts and backoff.
@@ -61,41 +61,15 @@ pub struct RegistrationReport {
 /// retransmitted; the server re-acks an already-bound retransmit from its
 /// idempotency cache instead of failing on `AccountExists`.
 ///
+/// Accounting accumulates into the caller's `metrics` and `latency`, so
+/// a failed attempt's sends and timeouts are not lost with the error.
+///
 /// # Errors
 ///
 /// Propagates device refusals, conclusive server rejections, or exhausted
 /// retries ([`FlowError::NetworkDropped`]).
-pub fn register(
-    device: &mut MobileDevice,
-    owner_user: u64,
-    server: &mut WebServer,
-    channel: &mut Channel,
-    account: &str,
-    policy: &RetryPolicy,
-    rng: &mut SimRng,
-) -> Result<RegistrationReport, FlowError> {
-    let mut metrics = ProtocolMetrics::default();
-    let mut latency = SimDuration::ZERO;
-    register_collect(
-        device,
-        owner_user,
-        server,
-        channel,
-        account,
-        policy,
-        rng,
-        &mut metrics,
-        &mut latency,
-    )?;
-    Ok(RegistrationReport { latency, metrics })
-}
-
-/// [`register`], but accumulating metrics and latency into the caller's
-/// counters so a failed attempt's accounting is not lost with the error.
-/// The chaos harness uses this to keep the live counters consistent with
-/// the trace even when a flow gives up mid-way.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn register_collect(
+pub fn register(
     device: &mut MobileDevice,
     owner_user: u64,
     server: &mut WebServer,

@@ -92,8 +92,17 @@ pub fn reset_and_rebind(
     )
     .map_err(FlowError::from)?;
 
-    let rebind = register(
-        new_device, owner_user, server, channel, account, policy, rng,
+    let mut rebind = RegistrationReport::default();
+    register(
+        new_device,
+        owner_user,
+        server,
+        channel,
+        account,
+        policy,
+        rng,
+        &mut rebind.metrics,
+        &mut rebind.latency,
     )?;
     Ok(ResetReport {
         latency,

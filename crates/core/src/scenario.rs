@@ -18,7 +18,6 @@ use crate::metrics::RetryPolicy;
 use crate::registration::{register, FlowError, RegistrationReport};
 use crate::server::storage::DiskFaultProfile;
 use crate::server::WebServer;
-use crate::telemetry::Telemetry;
 use crate::trace::Tracer;
 
 /// Default post-login actions a session cycles through.
@@ -37,7 +36,6 @@ pub struct World {
     servers: Vec<WebServer>,
     devices: Vec<(MobileDevice, u64)>,
     tracer: Tracer,
-    telemetry: Telemetry,
 }
 
 impl World {
@@ -58,7 +56,6 @@ impl World {
             servers: Vec::new(),
             devices: Vec::new(),
             tracer: Tracer::disabled(),
-            telemetry: Telemetry::disabled(),
         }
     }
 
@@ -106,32 +103,11 @@ impl World {
         &self.tracer
     }
 
-    /// Installs a telemetry registry handle into every server (including
-    /// ones added later), so server hook-site metrics — the risk-score
-    /// distribution, the engine's window gauge — land in the owning
-    /// sampler's series. The shard-parallel runtime passes its
-    /// [`ShardSampler`](crate::telemetry::ShardSampler)'s handle here.
-    pub fn install_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-        for server in self.servers.iter_mut() {
-            server.set_telemetry(self.telemetry.clone());
-        }
-    }
-
-    /// The world's telemetry handle (disabled unless
-    /// [`World::install_telemetry`] ran).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
-    }
-
     /// Adds a web server for `domain`; returns its index.
     pub fn add_server(&mut self, domain: &str, rng: &mut SimRng) -> usize {
         let mut server = WebServer::new(domain, self.group, &mut self.ca, rng);
         if self.tracer.is_enabled() {
             server.set_tracer(self.tracer.clone());
-        }
-        if self.telemetry.is_enabled() {
-            server.set_telemetry(self.telemetry.clone());
         }
         self.servers.push(server);
         self.servers.len() - 1
@@ -148,9 +124,6 @@ impl World {
         let mut server = WebServer::with_shards(domain, self.group, &mut self.ca, rng, shards);
         if self.tracer.is_enabled() {
             server.set_tracer(self.tracer.clone());
-        }
-        if self.telemetry.is_enabled() {
-            server.set_telemetry(self.telemetry.clone());
         }
         self.servers.push(server);
         self.servers.len() - 1
@@ -256,6 +229,7 @@ impl World {
     ) -> Result<RegistrationReport, FlowError> {
         let sidx = self.server_index(domain);
         let holder = self.devices[device_idx].1;
+        let mut report = RegistrationReport::default();
         register(
             &mut self.devices[device_idx].0,
             holder,
@@ -264,7 +238,10 @@ impl World {
             account,
             &self.policy,
             rng,
-        )
+            &mut report.metrics,
+            &mut report.latency,
+        )?;
+        Ok(report)
     }
 
     /// Logs device `device_idx` into `domain`.
@@ -280,14 +257,18 @@ impl World {
     ) -> Result<LoginOutcome, FlowError> {
         let sidx = self.server_index(domain);
         let holder = self.devices[device_idx].1;
-        login(
+        let mut outcome = LoginOutcome::default();
+        outcome.session_id = login(
             &mut self.devices[device_idx].0,
             holder,
             &mut self.servers[sidx],
             &mut self.channel,
             &self.policy,
             rng,
-        )
+            &mut outcome.metrics,
+            &mut outcome.latency,
+        )?;
+        Ok(outcome)
     }
 
     /// Generates `n` natural touches for the holder of device `idx`.
@@ -494,11 +475,6 @@ impl World {
                     live += 1;
                 }
             }
-            // Telemetry probe (no-op unless sampling is installed):
-            // lifecycles still live after this sweep.
-            self.servers[sidx]
-                .telemetry()
-                .set_gauge_by_name("live_sessions", live as u64);
         }
         if let Some(err) = lifecycles.iter().find_map(|lc| lc.failure()) {
             return Err(err);

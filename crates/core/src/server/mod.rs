@@ -58,7 +58,7 @@ use crate::messages::{
 };
 use crate::pages::Page;
 use crate::risk_policy::{RiskDecision, RiskReport, ServerRiskPolicy};
-use crate::telemetry::Telemetry;
+use crate::telemetry::RISK_BUCKET_PCT;
 use crate::trace::{CacheKind, CtxArgs, EventKind, Outcome, SpanKind, Tracer};
 use crate::wire::{signing_bytes, FieldReader};
 
@@ -530,9 +530,11 @@ pub struct WebServer {
     /// in-place recovery but, like all observability state, is not
     /// durable — a server recovered from journals alone starts disabled.
     tracer: Tracer,
-    /// Telemetry registry handle (disabled unless a sampler installed
-    /// one); same lifecycle rules as the tracer.
-    telemetry: Telemetry,
+    /// Cumulative `risk_verified_pct` histogram over [`RISK_BUCKET_PCT`]
+    /// (plus overflow). Observability state with the tracer's lifecycle:
+    /// carried across in-place recovery, never in snapshot bytes or
+    /// digests.
+    risk_verified: [u64; RISK_BUCKET_PCT.len() + 1],
     /// The active crash-injection schedule.
     crash: CrashSchedule,
     /// Set once a crash point fires: the process is "dead" until recovery.
@@ -613,7 +615,7 @@ impl WebServer {
             reject_counts: HashMap::new(),
             trace: TraceLog::new(),
             tracer: Tracer::disabled(),
-            telemetry: Telemetry::disabled(),
+            risk_verified: [0; RISK_BUCKET_PCT.len() + 1],
             crash: CrashSchedule::Never,
             crashed: false,
             degraded: false,
@@ -804,26 +806,24 @@ impl WebServer {
         &self.tracer
     }
 
-    /// Installs a telemetry registry handle; hook-site metrics (the
-    /// risk-score distribution, the engine's window-occupancy gauge)
-    /// record through it into whatever sampler owns the registry.
-    pub fn set_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = telemetry;
-    }
-
-    /// The server's telemetry handle (disabled unless installed).
-    pub fn telemetry(&self) -> &Telemetry {
-        &self.telemetry
+    /// The cumulative `risk_verified_pct` histogram: per
+    /// [`RISK_BUCKET_PCT`] bucket (plus overflow), how many fresh risk
+    /// evaluations saw that percent of the rolling window verify.
+    pub(crate) fn risk_verified_counts(&self) -> &[u64; RISK_BUCKET_PCT.len() + 1] {
+        &self.risk_verified
     }
 
     /// Samples one risk report into the `risk_verified_pct` histogram:
     /// the percent of the rolling window's touches that verified, on
     /// every fresh policy evaluation (duplicates answered from cache do
-    /// not re-sample). A no-op unless a sampler installed a registry.
-    fn observe_risk(&self, risk: &RiskReport) {
+    /// not re-sample).
+    fn observe_risk(&mut self, risk: &RiskReport) {
         let pct = u64::from(risk.verified) * 100 / u64::from(risk.window.max(1));
-        self.telemetry
-            .record_histogram_by_name("risk_verified_pct", pct);
+        let bucket = RISK_BUCKET_PCT
+            .iter()
+            .position(|bound| pct <= *bound)
+            .unwrap_or(RISK_BUCKET_PCT.len());
+        self.risk_verified[bucket] += 1;
     }
 
     fn fresh_nonce(&mut self) -> Nonce {
@@ -1845,8 +1845,8 @@ impl WebServer {
     /// the restored sessions are re-issued. Fresh entropy comes from
     /// `rng` — a restarted process never reuses its old randomness.
     ///
-    /// Observability state (reject counters, trace) restarts empty; only
-    /// protocol state is durable.
+    /// Observability state (reject counters, trace, risk histogram)
+    /// restarts empty; only protocol state is durable.
     pub fn recover(
         identity: ServerIdentity,
         journals: Vec<Journal>,
@@ -1875,7 +1875,7 @@ impl WebServer {
             reject_counts: HashMap::new(),
             trace: TraceLog::new(),
             tracer: Tracer::disabled(),
-            telemetry: Telemetry::disabled(),
+            risk_verified: [0; RISK_BUCKET_PCT.len() + 1],
             crash: CrashSchedule::Never,
             crashed: false,
             degraded: false,
@@ -1942,17 +1942,17 @@ impl WebServer {
             .map(|s| std::mem::take(&mut s.journal))
             .collect();
         let identity = self.identity();
-        // The tracer outlives the process: journal replay inside
-        // `recover` runs with a disabled tracer (replayed records re-emit
-        // nothing), then the live handle is reinstalled and the recovery
-        // itself is recorded as per-shard spans.
+        // The tracer and the risk histogram outlive the process: journal
+        // replay inside `recover` runs with a disabled tracer (replayed
+        // records re-emit nothing), then the live handle is reinstalled
+        // and the recovery itself is recorded as per-shard spans.
         let tracer = self.tracer.clone();
-        let telemetry = self.telemetry.clone();
+        let risk_verified = self.risk_verified;
         let sync_policy = self.sync_policy;
         let (server, report) = WebServer::recover(identity, journals, rng);
         *self = server;
         self.tracer = tracer;
-        self.telemetry = telemetry;
+        self.risk_verified = risk_verified;
         self.sync_policy = sync_policy;
         for (i, sh) in report.shards.iter().enumerate() {
             self.tracer.open(SpanKind::Recover(i), CtxArgs::shard(i));
@@ -2711,6 +2711,48 @@ mod tests {
         assert_eq!(report.snapshots_restored(), 0);
         assert_eq!(report.shards.len(), server.shard_count());
         assert_eq!(server.state_digest(), digest);
+    }
+
+    #[test]
+    fn risk_histogram_survives_recovery_and_stays_out_of_durable_state() {
+        let mut rng = SimRng::seed_from(29);
+        let mut world = crate::scenario::World::new(&mut rng);
+        let sidx = world.add_server("www.xyz.com", &mut rng);
+        let dev = world.add_device("phone", 42, &mut rng);
+        world
+            .register(dev, "www.xyz.com", "alice", &mut rng)
+            .expect("register");
+        world.login(dev, "www.xyz.com", &mut rng).expect("login");
+        world
+            .run_session(dev, "www.xyz.com", 6, &mut rng)
+            .expect("session");
+        let server = world.server_mut(sidx);
+        let counts = *server.risk_verified_counts();
+        assert!(counts.iter().sum::<u64>() > 0, "{counts:?}");
+
+        server.recover_in_place(&mut rng);
+        assert_eq!(*server.risk_verified_counts(), counts, "carried across");
+
+        // A server rebuilt from the same journals starts with zero counts
+        // and still snapshots byte-identically.
+        let snapshots: Vec<Vec<u8>> = (0..server.shard_count())
+            .map(|i| server.shard_snapshot_bytes(i))
+            .collect();
+        let digest = server.state_digest();
+        let journals = server
+            .shards
+            .iter_mut()
+            .map(|sh| std::mem::take(&mut sh.journal))
+            .collect();
+        let (rebuilt, _) = WebServer::recover(server.identity(), journals, &mut rng);
+        assert_eq!(
+            *rebuilt.risk_verified_counts(),
+            [0; RISK_BUCKET_PCT.len() + 1]
+        );
+        for (i, bytes) in snapshots.iter().enumerate() {
+            assert_eq!(&rebuilt.shard_snapshot_bytes(i), bytes, "shard {i}");
+        }
+        assert_eq!(rebuilt.state_digest(), digest);
     }
 
     #[test]

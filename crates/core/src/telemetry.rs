@@ -11,46 +11,36 @@
 //! and profiles at any worker count — the observability surface obeys
 //! the same determinism contract as the protocol itself.
 //!
-//! Three layers:
+//! Two layers:
 //!
-//! * [`MetricsRegistry`] / [`Telemetry`] — named counters, gauges, and
-//!   fixed-bucket histograms. Registration requires a **sampling
-//!   source** string naming where the value comes from (`trace:…`,
-//!   `probe:…`, `hook:…`); trust-lint's `telemetry-parity` rule keeps
-//!   that honest. [`Telemetry`] is the cheap cloneable handle layers
-//!   hold, mirroring [`Tracer`](crate::trace::Tracer): disabled by
-//!   default, shared buffer when enabled.
-//! * [`ShardSampler`] — folds a shard's drained trace events into
-//!   counters (the same events [`crate::trace::derive_metrics`]
-//!   consumes, so series totals reconcile *exactly* with live
-//!   [`ProtocolMetrics`]), probes server gauges, and cuts a
-//!   [`SeriesPoint`] every `interval` logical ticks. Per-shard points
-//!   merge by `(lt, shard)` exactly like the event merge in
-//!   [`crate::parallel`], which is what makes
-//!   [`export_series_jsonl`] worker-count invariant.
+//! * [`ShardSampler`] — folds a shard's drained trace events into typed
+//!   counters: a [`ProtocolMetrics`] through
+//!   [`ProtocolMetrics::observe`] (the fold
+//!   [`crate::trace::derive_metrics`] is made of, so series totals
+//!   reconcile *exactly* with live metrics) plus the storage and fault
+//!   events `observe` ignores. Each cut reads the server's gauges and
+//!   its risk histogram through `&self` and writes a [`SeriesPoint`]
+//!   every `interval` logical ticks. Per-shard points merge by
+//!   `(lt, shard)` exactly like the event merge in
+//!   [`crate::parallel`], which is what makes [`export_series_jsonl`]
+//!   worker-count invariant.
 //! * [`HealthEngine`] / [`SpanProfile`] — SLO rules evaluated over the
 //!   merged series into a deterministic [`HealthReport`] (alerts are
 //!   recordable as [`EventKind::SloAlert`] trace events, which
 //!   `derive_metrics` ignores, so trace/metrics parity is unchanged),
 //!   and span aggregation with a folded-stack (flamegraph) export.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::rc::Rc;
 
-use crate::metrics::{Phase, ProtocolMetrics, LATENCY_BUCKET_MS};
+use crate::metrics::{ProtocolMetrics, LATENCY_BUCKET_MS};
 use crate::server::WebServer;
-use crate::trace::{DuplicateVerdict, EventKind, TraceEvent, Tracer};
+use crate::trace::{EventKind, TraceEvent, Tracer};
 
 /// Buckets for the risk-score distribution histogram: percent of the
 /// rolling window's touches that verified. The overflow bucket is the
 /// fully-verified (100%) case.
 pub const RISK_BUCKET_PCT: [u64; 5] = [25, 50, 75, 90, 99];
-
-/// Handle to one registered instrument.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct InstrumentId(usize);
 
 /// A sampled value: a scalar for counters/gauges, a bucket-count vector
 /// for histograms.
@@ -68,276 +58,10 @@ pub enum SampleValue {
     },
 }
 
-/// What kind of instrument a registration created.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum InstrumentKind {
-    /// Monotonically accumulating count.
-    Counter,
-    /// Last-write-wins level.
-    Gauge,
-    /// Fixed-bucket distribution.
-    Histogram,
-}
-
-#[derive(Clone, Debug)]
-struct Instrument {
-    name: &'static str,
-    source: &'static str,
-    kind: InstrumentKind,
-    value: SampleValue,
-}
-
-/// The registry behind a [`Telemetry`] handle: instruments registered
-/// with a name and a sampling source, updated by id (hot paths) or by
-/// name (cold hook sites).
-#[derive(Clone, Debug, Default)]
-pub struct MetricsRegistry {
-    instruments: Vec<Instrument>,
-}
-
-impl MetricsRegistry {
-    fn register(
-        &mut self,
-        name: &'static str,
-        source: &'static str,
-        kind: InstrumentKind,
-        value: SampleValue,
-    ) -> InstrumentId {
-        assert!(
-            self.instruments.iter().all(|i| i.name != name),
-            "instrument {name:?} registered twice"
-        );
-        assert!(!source.is_empty(), "instrument {name:?} needs a source");
-        self.instruments.push(Instrument {
-            name,
-            source,
-            kind,
-            value,
-        });
-        InstrumentId(self.instruments.len() - 1)
-    }
-
-    /// Registers a counter. `source` names where the increments come
-    /// from (e.g. `"trace:Send"`), so a reader of the series can audit
-    /// each metric back to its producer.
-    pub fn register_counter(&mut self, name: &'static str, source: &'static str) -> InstrumentId {
-        self.register(name, source, InstrumentKind::Counter, SampleValue::Int(0))
-    }
-
-    /// Registers a gauge (see [`MetricsRegistry::register_counter`] for
-    /// the `source` contract).
-    pub fn register_gauge(&mut self, name: &'static str, source: &'static str) -> InstrumentId {
-        self.register(name, source, InstrumentKind::Gauge, SampleValue::Int(0))
-    }
-
-    /// Registers a fixed-bucket histogram over `bounds` (ascending upper
-    /// bounds; an overflow bucket is added automatically).
-    pub fn register_histogram(
-        &mut self,
-        name: &'static str,
-        source: &'static str,
-        bounds: &'static [u64],
-    ) -> InstrumentId {
-        let value = SampleValue::Dist {
-            bounds,
-            counts: vec![0; bounds.len() + 1],
-        };
-        self.register(name, source, InstrumentKind::Histogram, value)
-    }
-
-    /// The id registered under `name`, if any.
-    pub fn lookup(&self, name: &str) -> Option<InstrumentId> {
-        self.instruments
-            .iter()
-            .position(|i| i.name == name)
-            .map(InstrumentId)
-    }
-
-    /// `(name, source)` for every instrument, in registration order.
-    pub fn sources(&self) -> Vec<(&'static str, &'static str)> {
-        self.instruments
-            .iter()
-            .map(|i| (i.name, i.source))
-            .collect()
-    }
-
-    fn add(&mut self, id: InstrumentId, delta: u64) {
-        let inst = &mut self.instruments[id.0];
-        debug_assert_eq!(inst.kind, InstrumentKind::Counter);
-        if let SampleValue::Int(v) = &mut inst.value {
-            *v = v.saturating_add(delta);
-        }
-    }
-
-    fn set(&mut self, id: InstrumentId, value: u64) {
-        let inst = &mut self.instruments[id.0];
-        debug_assert_eq!(inst.kind, InstrumentKind::Gauge);
-        if let SampleValue::Int(v) = &mut inst.value {
-            *v = value;
-        }
-    }
-
-    fn record(&mut self, id: InstrumentId, sample: u64) {
-        let inst = &mut self.instruments[id.0];
-        debug_assert_eq!(inst.kind, InstrumentKind::Histogram);
-        if let SampleValue::Dist { bounds, counts } = &mut inst.value {
-            let bucket = bounds
-                .iter()
-                .position(|bound| sample <= *bound)
-                .unwrap_or(bounds.len());
-            counts[bucket] += 1;
-        }
-    }
-
-    /// Every instrument's current value, sorted by name — the canonical
-    /// order [`SeriesPoint`]s and the JSONL export use.
-    pub fn snapshot(&self) -> Vec<(&'static str, SampleValue)> {
-        let mut values: Vec<(&'static str, SampleValue)> = self
-            .instruments
-            .iter()
-            .map(|i| (i.name, i.value.clone()))
-            .collect();
-        values.sort_by_key(|(name, _)| *name);
-        values
-    }
-}
-
-/// A cheap, cloneable handle to a shared [`MetricsRegistry`], mirroring
-/// [`Tracer`](crate::trace::Tracer): disabled by default so every update
-/// call is a no-op branch, shared buffer when enabled. Layers that
-/// cannot see the registry's ids (the server's risk hook, the engine's
-/// window gauge) update by name; the sampler's hot loop updates by id.
-#[derive(Clone, Debug, Default)]
-pub struct Telemetry {
-    inner: Option<Rc<RefCell<MetricsRegistry>>>,
-}
-
-impl Telemetry {
-    /// A disabled handle: every call is a no-op.
-    pub fn disabled() -> Self {
-        Telemetry::default()
-    }
-
-    /// A fresh enabled handle over an empty registry.
-    pub fn enabled() -> Self {
-        Telemetry {
-            inner: Some(Rc::new(RefCell::new(MetricsRegistry::default()))),
-        }
-    }
-
-    /// Whether this handle records anything.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
-    }
-
-    /// Registers a counter (see [`MetricsRegistry::register_counter`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a disabled handle — registration is the sampler's job
-    /// and always happens on an enabled one.
-    pub fn register_counter(&self, name: &'static str, source: &'static str) -> InstrumentId {
-        self.registry().borrow_mut().register_counter(name, source)
-    }
-
-    /// Registers a gauge (see [`MetricsRegistry::register_gauge`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a disabled handle.
-    pub fn register_gauge(&self, name: &'static str, source: &'static str) -> InstrumentId {
-        self.registry().borrow_mut().register_gauge(name, source)
-    }
-
-    /// Registers a histogram (see [`MetricsRegistry::register_histogram`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a disabled handle.
-    pub fn register_histogram(
-        &self,
-        name: &'static str,
-        source: &'static str,
-        bounds: &'static [u64],
-    ) -> InstrumentId {
-        self.registry()
-            .borrow_mut()
-            .register_histogram(name, source, bounds)
-    }
-
-    fn registry(&self) -> &Rc<RefCell<MetricsRegistry>> {
-        self.inner
-            .as_ref()
-            .expect("registering an instrument on a disabled Telemetry handle")
-    }
-
-    /// Adds `delta` to counter `id`.
-    pub fn counter_add(&self, id: InstrumentId, delta: u64) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().add(id, delta);
-        }
-    }
-
-    /// Sets gauge `id` to `value`.
-    pub fn gauge_set(&self, id: InstrumentId, value: u64) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().set(id, value);
-        }
-    }
-
-    /// Records `sample` into histogram `id`.
-    pub fn histogram_record(&self, id: InstrumentId, sample: u64) {
-        if let Some(inner) = &self.inner {
-            inner.borrow_mut().record(id, sample);
-        }
-    }
-
-    /// Records `sample` into the histogram named `name`; a no-op when
-    /// disabled or when no sampler registered that name. This is the
-    /// hook-site entry point: the producer (e.g. the server's risk
-    /// evaluation) does not know or care whether a sampler is attached.
-    pub fn record_histogram_by_name(&self, name: &str, sample: u64) {
-        if let Some(inner) = &self.inner {
-            let mut reg = inner.borrow_mut();
-            if let Some(id) = reg.lookup(name) {
-                reg.record(id, sample);
-            }
-        }
-    }
-
-    /// Sets the gauge named `name`; a no-op when disabled or unknown.
-    pub fn set_gauge_by_name(&self, name: &str, value: u64) {
-        if let Some(inner) = &self.inner {
-            let mut reg = inner.borrow_mut();
-            if let Some(id) = reg.lookup(name) {
-                reg.set(id, value);
-            }
-        }
-    }
-
-    /// Current values, sorted by name (empty when disabled).
-    pub fn snapshot(&self) -> Vec<(&'static str, SampleValue)> {
-        self.inner
-            .as_ref()
-            .map(|i| i.borrow().snapshot())
-            .unwrap_or_default()
-    }
-
-    /// `(name, source)` pairs for every registered instrument (empty
-    /// when disabled).
-    pub fn sources(&self) -> Vec<(&'static str, &'static str)> {
-        self.inner
-            .as_ref()
-            .map(|i| i.borrow().sources())
-            .unwrap_or_default()
-    }
-}
-
 // --- Time series -----------------------------------------------------------
 
-/// One sample of every instrument at a logical-clock tick, for one
-/// shard. `values` is sorted by metric name (the registry snapshot
-/// order), so serialization is canonical.
+/// One sample of every metric at a logical-clock tick, for one shard.
+/// `values` is sorted by metric name, so serialization is canonical.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct SeriesPoint {
     /// The shard's logical clock (round-robin sweep counter) at sample
@@ -428,49 +152,57 @@ pub fn merge_series(per_shard: impl IntoIterator<Item = Vec<SeriesPoint>>) -> Ve
 
 // --- Shard sampler ---------------------------------------------------------
 
-/// Ids of the standard per-shard instruments [`ShardSampler`] registers.
-#[derive(Clone, Copy, Debug)]
-struct StandardInstruments {
-    sends: InstrumentId,
-    retries: InstrumentId,
-    timeouts: InstrumentId,
-    giveups: InstrumentId,
-    resyncs: InstrumentId,
-    served: InstrumentId,
-    replays_accepted: InstrumentId,
-    server_rejects: InstrumentId,
-    journal_appends: InstrumentId,
-    journal_bytes: InstrumentId,
-    segments_sealed: InstrumentId,
-    sync_retries: InstrumentId,
-    crashes: InstrumentId,
-    recoveries: InstrumentId,
-    records_skipped: InstrumentId,
-    live_sessions: InstrumentId,
-    cache_entries: InstrumentId,
-    window_occupancy: InstrumentId,
-    degraded_mode: InstrumentId,
-    quarantined_shards: InstrumentId,
-    storage_pressure_pct: InstrumentId,
-    journal_resident_bytes: InstrumentId,
-    interaction_rtt: InstrumentId,
+/// Storage and fault counters: the events [`ProtocolMetrics::observe`]
+/// leaves alone.
+#[derive(Debug, Default)]
+struct StorageCounters {
+    server_rejects: u64,
+    journal_appends: u64,
+    journal_bytes: u64,
+    segments_sealed: u64,
+    sync_retries: u64,
+    crashes: u64,
+    recoveries: u64,
+    records_skipped: u64,
+}
+
+impl StorageCounters {
+    fn observe(&mut self, event: &EventKind) {
+        match event {
+            EventKind::ServerReject { .. } => self.server_rejects += 1,
+            EventKind::JournalAppend { bytes, .. } => {
+                self.journal_appends += 1;
+                self.journal_bytes += *bytes as u64;
+            }
+            EventKind::SegmentSealed { .. } => self.segments_sealed += 1,
+            EventKind::SyncRetried { .. } => self.sync_retries += 1,
+            EventKind::CrashInjected { .. } => self.crashes += 1,
+            EventKind::Recovered { skipped, .. } => {
+                self.recoveries += 1;
+                self.records_skipped += *skipped as u64;
+            }
+            _ => {}
+        }
+    }
 }
 
 /// Samples one shard's simulation into a fixed-interval time series.
 ///
-/// Counters are folded from the shard's drained trace events — the same
-/// stream [`crate::trace::derive_metrics`] consumes — so the series'
-/// final cumulative values reconcile **exactly** with the live
+/// Counters are a fold of the shard's drained trace events: protocol
+/// counters through [`ProtocolMetrics::observe`], the same rule every
+/// flow folds its live metrics with, and storage counters through a
+/// small match over the events that rule ignores. So the series' final
+/// cumulative values reconcile **exactly** with the live
 /// [`ProtocolMetrics`] ([`reconcile`] checks this, and CI enforces it).
-/// Gauges are probed from the shard server's public accessors at every
-/// sweep. A [`SeriesPoint`] is cut every `interval` logical ticks plus
-/// once at the end of the run.
+/// Gauges and the risk histogram are read from the shard server's
+/// accessors at each cut. A [`SeriesPoint`] is cut every `interval`
+/// logical ticks plus once at the end of the run.
 #[derive(Debug)]
 pub struct ShardSampler {
     shard: usize,
     interval: u64,
-    telemetry: Telemetry,
-    ids: StandardInstruments,
+    protocol: ProtocolMetrics,
+    storage: StorageCounters,
     points: Vec<SeriesPoint>,
     last_sampled: Option<u64>,
 }
@@ -480,171 +212,104 @@ impl ShardSampler {
     /// logical ticks (`interval >= 1`).
     pub fn new(shard: usize, interval: u64) -> Self {
         assert!(interval >= 1, "sampling interval must be at least 1 tick");
-        let telemetry = Telemetry::enabled();
-        let ids = StandardInstruments {
-            sends: telemetry.register_counter("sends_total", "trace:Send"),
-            retries: telemetry.register_counter("retries_total", "trace:Send{attempt>0}"),
-            timeouts: telemetry.register_counter("timeouts_total", "trace:Timeout"),
-            giveups: telemetry.register_counter("giveups_total", "trace:GiveUp"),
-            resyncs: telemetry.register_counter("resyncs_total", "trace:Resync"),
-            served: telemetry.register_counter("served_total", "trace:Served"),
-            replays_accepted: telemetry
-                .register_counter("replays_accepted_total", "trace:Duplicate{AcceptedFresh}"),
-            server_rejects: telemetry
-                .register_counter("server_rejects_total", "trace:ServerReject"),
-            journal_appends: telemetry
-                .register_counter("journal_appends_total", "trace:JournalAppend"),
-            journal_bytes: telemetry
-                .register_counter("journal_bytes_total", "trace:JournalAppend.bytes"),
-            segments_sealed: telemetry
-                .register_counter("segments_sealed_total", "trace:SegmentSealed"),
-            sync_retries: telemetry.register_counter("sync_retries_total", "trace:SyncRetried"),
-            crashes: telemetry.register_counter("crashes_total", "trace:CrashInjected"),
-            recoveries: telemetry.register_counter("recoveries_total", "trace:Recovered"),
-            records_skipped: telemetry
-                .register_counter("records_skipped_total", "trace:Recovered.skipped"),
-            live_sessions: telemetry
-                .register_gauge("live_sessions", "probe:WebServer::resident_stats.sessions"),
-            cache_entries: telemetry.register_gauge(
-                "cache_entries",
-                "probe:WebServer::resident_stats.cache_entries",
-            ),
-            window_occupancy: telemetry
-                .register_gauge("window_occupancy", "probe:driver.live_lifecycles"),
-            degraded_mode: telemetry
-                .register_gauge("degraded_mode", "probe:WebServer::is_degraded"),
-            quarantined_shards: telemetry
-                .register_gauge("quarantined_shards", "probe:WebServer::is_quarantined"),
-            storage_pressure_pct: telemetry
-                .register_gauge("storage_pressure_pct", "probe:Journal::pressure"),
-            journal_resident_bytes: telemetry
-                .register_gauge("journal_resident_bytes", "probe:WebServer::journal_bytes"),
-            interaction_rtt: telemetry.register_histogram(
-                "interaction_rtt_ms",
-                "trace:Served{Interaction}.rtt_nanos",
-                &LATENCY_BUCKET_MS,
-            ),
-        };
-        telemetry.register_histogram(
-            "risk_verified_pct",
-            "hook:WebServer::observe_risk",
-            &RISK_BUCKET_PCT,
-        );
         ShardSampler {
             shard,
             interval,
-            telemetry,
-            ids,
+            protocol: ProtocolMetrics::default(),
+            storage: StorageCounters::default(),
             points: Vec::new(),
             last_sampled: None,
         }
     }
 
-    /// A handle to the sampler's registry, for installing into producers
-    /// (e.g. [`WebServer::set_telemetry`]) so hook-site metrics like the
-    /// risk distribution land in the same series.
-    pub fn telemetry(&self) -> Telemetry {
-        self.telemetry.clone()
-    }
-
     /// Folds one drained trace event into the counters. Call in drain
     /// order; the events are observed, never consumed, so tracing output
     /// is untouched.
-    pub fn observe_event(&self, ev: &TraceEvent) {
-        let t = &self.telemetry;
-        let ids = &self.ids;
-        match &ev.kind {
-            EventKind::Send { attempt } => {
-                t.counter_add(ids.sends, 1);
-                if *attempt > 0 {
-                    t.counter_add(ids.retries, 1);
-                }
-            }
-            EventKind::Timeout { .. } => t.counter_add(ids.timeouts, 1),
-            EventKind::GiveUp => t.counter_add(ids.giveups, 1),
-            EventKind::Resync => t.counter_add(ids.resyncs, 1),
-            EventKind::Served { phase, rtt_nanos } => {
-                t.counter_add(ids.served, 1);
-                if *phase == Phase::Interaction {
-                    // Millisecond truncation matches
-                    // `LatencyHistogram::record` exactly, so the final
-                    // bucket counts reconcile with the live histogram.
-                    t.histogram_record(ids.interaction_rtt, rtt_nanos / 1_000_000);
-                }
-            }
-            EventKind::Duplicate {
-                verdict: DuplicateVerdict::AcceptedFresh,
-            } => t.counter_add(ids.replays_accepted, 1),
-            EventKind::ServerReject { .. } => t.counter_add(ids.server_rejects, 1),
-            EventKind::JournalAppend { bytes, .. } => {
-                t.counter_add(ids.journal_appends, 1);
-                t.counter_add(ids.journal_bytes, *bytes as u64);
-            }
-            EventKind::SegmentSealed { .. } => t.counter_add(ids.segments_sealed, 1),
-            EventKind::SyncRetried { .. } => t.counter_add(ids.sync_retries, 1),
-            EventKind::CrashInjected { .. } => t.counter_add(ids.crashes, 1),
-            EventKind::Recovered { skipped, .. } => {
-                t.counter_add(ids.recoveries, 1);
-                t.counter_add(ids.records_skipped, *skipped as u64);
-            }
-            _ => {}
-        }
-    }
-
-    /// Probes the shard server's gauges. `live_lifecycles` is the
-    /// driver's count of still-open lifecycles (the fleet's window
-    /// occupancy at lock-step grain).
-    pub fn probe(&self, server: &WebServer, live_lifecycles: u64) {
-        let t = &self.telemetry;
-        let ids = &self.ids;
-        let stats = server.resident_stats();
-        t.gauge_set(ids.live_sessions, stats.sessions as u64);
-        t.gauge_set(ids.cache_entries, stats.cache_entries as u64);
-        t.gauge_set(ids.window_occupancy, live_lifecycles);
-        t.gauge_set(ids.degraded_mode, u64::from(server.is_degraded()));
-        let mut quarantined = 0u64;
-        let mut pressure_pct = 0u64;
-        for idx in 0..server.shard_count() {
-            quarantined += u64::from(server.is_quarantined(idx));
-            if let Some(p) = server.journal(idx).pressure() {
-                pressure_pct = pressure_pct.max((p * 100.0).round() as u64);
-            }
-        }
-        t.gauge_set(ids.quarantined_shards, quarantined);
-        t.gauge_set(ids.storage_pressure_pct, pressure_pct);
-        t.gauge_set(ids.journal_resident_bytes, server.journal_bytes() as u64);
+    pub fn observe_event(&mut self, ev: &TraceEvent) {
+        self.protocol.observe(&ev.kind);
+        self.storage.observe(&ev.kind);
     }
 
     /// Cuts a point at tick `lt` if it is on the sampling interval and
-    /// was not already sampled.
-    pub fn tick(&mut self, lt: u64) {
+    /// was not already sampled. `live_lifecycles` is the driver's count
+    /// of still-open lifecycles (the fleet's window occupancy at
+    /// lock-step grain).
+    pub fn tick(&mut self, lt: u64, server: &WebServer, live_lifecycles: u64) {
         if lt.is_multiple_of(self.interval) {
-            self.cut(lt);
+            self.cut(lt, server, live_lifecycles);
         }
     }
 
     /// Cuts a final point at `lt` unconditionally, so the series always
     /// ends with the run's cumulative totals (the values [`reconcile`]
-    /// checks).
-    pub fn finish(&mut self, lt: u64) {
-        self.cut(lt);
+    /// checks), and returns the series (ascending `lt`).
+    pub fn finish(mut self, lt: u64, server: &WebServer) -> Vec<SeriesPoint> {
+        self.cut(lt, server, 0);
+        self.points
     }
 
-    fn cut(&mut self, lt: u64) {
+    fn cut(&mut self, lt: u64, server: &WebServer, live_lifecycles: u64) {
+        use SampleValue::Int;
         if self.last_sampled == Some(lt) {
             return;
         }
         self.last_sampled = Some(lt);
+        let p = &self.protocol;
+        let s = &self.storage;
+        let stats = server.resident_stats();
+        let mut quarantined = 0u64;
+        let mut pressure_pct = 0u64;
+        for idx in 0..server.shard_count() {
+            quarantined += u64::from(server.is_quarantined(idx));
+            if let Some(pressure) = server.journal(idx).pressure() {
+                pressure_pct = pressure_pct.max((pressure * 100.0).round() as u64);
+            }
+        }
+        let served =
+            p.hello.samples + p.submit.samples + p.interaction.samples + p.lifecycle.samples;
         self.points.push(SeriesPoint {
             lt,
             shard: self.shard,
-            values: self.telemetry.snapshot(),
+            // In metric-name order.
+            values: vec![
+                ("cache_entries", Int(stats.cache_entries as u64)),
+                ("crashes_total", Int(s.crashes)),
+                ("degraded_mode", Int(u64::from(server.is_degraded()))),
+                ("giveups_total", Int(p.giveups)),
+                (
+                    "interaction_rtt_ms",
+                    SampleValue::Dist {
+                        bounds: &LATENCY_BUCKET_MS,
+                        counts: p.interaction.counts.to_vec(),
+                    },
+                ),
+                ("journal_appends_total", Int(s.journal_appends)),
+                ("journal_bytes_total", Int(s.journal_bytes)),
+                ("journal_resident_bytes", Int(server.journal_bytes() as u64)),
+                ("live_sessions", Int(stats.sessions as u64)),
+                ("quarantined_shards", Int(quarantined)),
+                ("records_skipped_total", Int(s.records_skipped)),
+                ("recoveries_total", Int(s.recoveries)),
+                ("replays_accepted_total", Int(p.replays_accepted)),
+                ("resyncs_total", Int(p.resyncs)),
+                ("retries_total", Int(p.retries)),
+                (
+                    "risk_verified_pct",
+                    SampleValue::Dist {
+                        bounds: &RISK_BUCKET_PCT,
+                        counts: server.risk_verified_counts().to_vec(),
+                    },
+                ),
+                ("segments_sealed_total", Int(s.segments_sealed)),
+                ("sends_total", Int(p.sends)),
+                ("served_total", Int(served)),
+                ("server_rejects_total", Int(s.server_rejects)),
+                ("storage_pressure_pct", Int(pressure_pct)),
+                ("sync_retries_total", Int(s.sync_retries)),
+                ("timeouts_total", Int(p.timeouts)),
+                ("window_occupancy", Int(live_lifecycles)),
+            ],
         });
-    }
-
-    /// Consumes the sampler, returning its series (ascending `lt`).
-    pub fn into_points(self) -> Vec<SeriesPoint> {
-        self.points
     }
 }
 
@@ -652,9 +317,11 @@ impl ShardSampler {
 /// exactly with live [`ProtocolMetrics`] accounting. Returns the first
 /// mismatch as an error string.
 ///
-/// This is the telemetry analogue of trace/metrics parity: the sampler
-/// folds the same events `derive_metrics` consumes, so any divergence
-/// means a counter was dropped or double-counted.
+/// This is the telemetry analogue of trace/metrics parity: both sides
+/// fold with [`ProtocolMetrics::observe`], the live side at emit time
+/// inside each lifecycle and the series side over the drained, stamped
+/// stream, so any divergence means an event was dropped or drained
+/// twice.
 pub fn reconcile(points: &[SeriesPoint], live: &ProtocolMetrics) -> Result<(), String> {
     // Final point per shard: points are merged by (lt, shard), so the
     // last occurrence of each shard id carries its cumulative totals.
@@ -1187,80 +854,33 @@ impl SpanProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ca::TrustAuthority;
+    use crate::metrics::Phase;
     use crate::trace::{CtxArgs, Outcome, SpanKind};
-
-    #[test]
-    fn disabled_telemetry_is_a_no_op() {
-        let t = Telemetry::disabled();
-        assert!(!t.is_enabled());
-        t.record_histogram_by_name("risk_verified_pct", 50);
-        t.set_gauge_by_name("window_occupancy", 3);
-        assert!(t.snapshot().is_empty());
-    }
-
-    #[test]
-    fn registry_snapshot_is_sorted_by_name() {
-        let t = Telemetry::enabled();
-        let b = t.register_counter("bbb", "trace:test");
-        let a = t.register_counter("aaa", "trace:test");
-        t.counter_add(b, 2);
-        t.counter_add(a, 1);
-        let snap = t.snapshot();
-        assert_eq!(snap[0], ("aaa", SampleValue::Int(1)));
-        assert_eq!(snap[1], ("bbb", SampleValue::Int(2)));
-    }
-
-    #[test]
-    #[should_panic(expected = "registered twice")]
-    fn duplicate_registration_panics() {
-        let t = Telemetry::enabled();
-        t.register_counter("dup", "trace:test");
-        t.register_counter("dup", "trace:test");
-    }
-
-    #[test]
-    fn histogram_bucketing_matches_latency_histogram() {
-        use crate::metrics::LatencyHistogram;
-        use btd_sim::time::SimDuration;
-        let t = Telemetry::enabled();
-        let id = t.register_histogram("h", "trace:test", &LATENCY_BUCKET_MS);
-        let mut live = LatencyHistogram::default();
-        for nanos in [
-            1u64,
-            74_999_999,
-            75_000_000,
-            75_000_001,
-            1_199_999_999,
-            1_300_000_000,
-        ] {
-            t.histogram_record(id, nanos / 1_000_000);
-            live.record(SimDuration::from_nanos(nanos));
-        }
-        let snap = t.snapshot();
-        let SampleValue::Dist { counts, .. } = &snap[0].1 else {
-            panic!("expected a distribution");
-        };
-        assert_eq!(counts.as_slice(), &live.counts[..]);
-    }
+    use btd_crypto::group::DhGroup;
+    use btd_sim::rng::SimRng;
 
     #[test]
     fn series_export_is_canonical() {
+        let mut rng = SimRng::seed_from(3);
+        let mut ca = TrustAuthority::new(DhGroup::test_512(), &mut rng);
+        let server = WebServer::new("www.xyz.com", DhGroup::test_512(), &mut ca, &mut rng);
         let mut s = ShardSampler::new(3, 2);
-        s.tick(0);
-        s.tick(1); // off-interval: no point
-        s.tick(2);
-        let points = s.into_points();
-        assert_eq!(points.len(), 2);
+        s.tick(0, &server, 1);
+        s.tick(1, &server, 1); // off-interval: no point
+        s.tick(2, &server, 1);
+        let points = s.finish(2, &server);
+        assert_eq!(points.len(), 2, "a finish on a sampled tick adds no point");
         assert_eq!(points[0].lt, 0);
         assert_eq!(points[1].lt, 2);
         let jsonl = export_series_jsonl(&points);
         assert!(jsonl.starts_with("{\"lt\":0,\"shard\":3,\"metrics\":{"));
         assert_eq!(jsonl.lines().count(), 2);
         // Names appear in sorted order.
-        let line = jsonl.lines().next().unwrap();
-        let cache = line.find("\"cache_entries\"").unwrap();
-        let window = line.find("\"window_occupancy\"").unwrap();
-        assert!(cache < window);
+        let names: Vec<&str> = points[0].values.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names.len(), 24);
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "{names:?}");
+        assert_eq!(points[0].scalar("window_occupancy"), Some(1));
     }
 
     #[test]

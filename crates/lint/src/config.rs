@@ -71,13 +71,6 @@ pub struct Config {
     pub parity_paths: Vec<&'static str>,
     pub counters: Vec<&'static str>,
     pub parity_exempt_fns: Vec<&'static str>,
-    /// Telemetry registration discipline: paths where instrument
-    /// registrations are checked, and the registry method names whose
-    /// call sites must pass a literal metric name plus a literal
-    /// sampling-source string (the `register_*` forwarding shims
-    /// themselves are exempt by function name).
-    pub telemetry_paths: Vec<&'static str>,
-    pub telemetry_register_fns: Vec<&'static str>,
     /// Dataflow taint sources: (type, field) pairs whose field reads are
     /// secret regardless of what the value is later called. The
     /// `secret-taint` rule tracks these through renames, projections, and
@@ -216,12 +209,6 @@ impl Default for Config {
                 "stale_content_ignored",
             ],
             parity_exempt_fns: vec!["absorb", "observe"],
-            telemetry_paths: vec!["crates/"],
-            telemetry_register_fns: vec![
-                "register_counter",
-                "register_gauge",
-                "register_histogram",
-            ],
             secret_fields: vec![
                 ("Session", "key"),
                 ("DeviceSession", "key"),

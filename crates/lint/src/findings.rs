@@ -17,7 +17,6 @@ pub const RULES: &[&str] = &[
     "journal-discipline",
     "storage-sync-before-reply",
     "metrics-trace-parity",
-    "telemetry-parity",
     "secret-taint",
     "determinism-reach",
     "waiver-syntax",

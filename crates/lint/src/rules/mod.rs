@@ -10,7 +10,6 @@ pub mod reach;
 pub mod secret;
 pub mod storage;
 pub mod taint;
-pub mod telemetry;
 
 use crate::config::Config;
 use crate::dataflow::Analysis;
@@ -25,7 +24,6 @@ pub fn run_all(file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
     journal::check(file, cfg, out);
     storage::check(file, cfg, out);
     parity::check(file, cfg, out);
-    telemetry::check(file, cfg, out);
 }
 
 /// Runs the workspace-level dataflow rules: one symbol table + call

@@ -334,17 +334,6 @@ impl Book {
 }
 
 #[test]
-fn telemetry_parity() {
-    check_pair(
-        "crates/core/src/flow.rs",
-        include_str!("fixtures/telemetry_parity/bad.rs"),
-        include_str!("fixtures/telemetry_parity/good.rs"),
-        "telemetry-parity",
-        2,
-    );
-}
-
-#[test]
 fn journal_discipline() {
     check_pair(
         "crates/core/src/server/mod.rs",
