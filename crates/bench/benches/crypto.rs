@@ -10,7 +10,7 @@ use btd_crypto::elgamal::{open, seal};
 use btd_crypto::entropy::ChaChaEntropy;
 use btd_crypto::group::DhGroup;
 use btd_crypto::hmac::hmac_sha256;
-use btd_crypto::schnorr::KeyPair;
+use btd_crypto::schnorr::{KeyPair, PublicKey};
 use btd_crypto::sha256::sha256;
 
 fn bench_crypto(c: &mut Criterion) {
@@ -41,20 +41,43 @@ fn bench_crypto(c: &mut Criterion) {
         })
     });
 
+    // A key rebuilt from its element has a fresh table cache, so its one
+    // exponentiation takes the variable-base path: a one-use key (a device
+    // or fresh account key). The reused-key cases run on one long-lived
+    // key whose table is built by the warm-up.
+    let y = *keys.public_key().element();
+    let one_use = || PublicKey::from_element(dh, y);
     let sig = keys.sign(msg, &mut entropy);
     group.bench_function("schnorr_verify_512", |b| {
-        b.iter(|| black_box(keys.public_key().verify(black_box(msg), &sig)))
+        b.iter(|| black_box(one_use().verify(black_box(msg), &sig)))
+    });
+
+    let reused = keys.public_key().clone();
+    group.bench_function("schnorr_verify_512_reused_key", |b| {
+        b.iter(|| black_box(reused.verify(black_box(msg), &sig)))
     });
 
     group.bench_function("elgamal_seal_open_512", |b| {
         b.iter(|| {
-            let boxed = seal(
-                keys.public_key(),
-                black_box(b"session key material"),
-                &mut entropy,
-            );
+            let boxed = seal(&one_use(), black_box(b"session key material"), &mut entropy);
             black_box(open(&keys, &boxed).unwrap())
         })
+    });
+
+    group.bench_function("elgamal_seal_reused_key_512", |b| {
+        b.iter(|| {
+            black_box(seal(
+                &reused,
+                black_box(b"session key material"),
+                &mut entropy,
+            ))
+        })
+    });
+
+    // An ephemeral as `elgamal::open` sees it: g^k, a quadratic residue.
+    let ephemeral = dh.pow_g(&exp);
+    group.bench_function("in_subgroup_512", |b| {
+        b.iter(|| black_box(dh.in_subgroup(black_box(&ephemeral))))
     });
 
     let dh_prod = DhGroup::modp_2048();
@@ -64,8 +87,12 @@ fn bench_crypto(c: &mut Criterion) {
     });
 
     let sig_prod = keys_prod.sign(msg, &mut entropy);
+    let y_prod = *keys_prod.public_key().element();
     group.bench_function("schnorr_verify_2048", |b| {
-        b.iter(|| black_box(keys_prod.public_key().verify(black_box(msg), &sig_prod)))
+        b.iter(|| {
+            let key = PublicKey::from_element(dh_prod, y_prod);
+            black_box(key.verify(black_box(msg), &sig_prod))
+        })
     });
 
     let page = vec![0xABu8; 64 * 1024];

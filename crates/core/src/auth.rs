@@ -15,8 +15,8 @@ use btd_sim::time::SimDuration;
 use btd_workload::session::TouchSample;
 
 use crate::channel::{Channel, NetMessage};
-use crate::device::MobileDevice;
-use crate::messages::{ContentPage, Freshness, Reject, ServerHello};
+use crate::device::{CheckedHello, MobileDevice};
+use crate::messages::{ContentPage, Freshness, Reject};
 use crate::metrics::{Phase, ProtocolMetrics, RetryPolicy};
 use crate::registration::FlowError;
 use crate::server::WebServer;
@@ -240,7 +240,8 @@ where
 /// Fetches and validates a server hello under the retry policy. Each
 /// retry requests a *fresh* hello (nonces are cheap; only consumption is
 /// guarded), and a hello damaged in transit is detected by the FLock
-/// certificate/signature check and refetched.
+/// certificate/signature check and refetched. The check's proof is
+/// returned, so the step that uses the hello does not verify it again.
 pub(crate) fn fetch_hello(
     device: &mut MobileDevice,
     server: &mut WebServer,
@@ -249,7 +250,7 @@ pub(crate) fn fetch_hello(
     metrics: &mut ProtocolMetrics,
     latency: &mut SimDuration,
     path: &str,
-) -> Result<ServerHello, ExchangeFailure> {
+) -> Result<CheckedHello<'static>, ExchangeFailure> {
     let tracer = channel.tracer().clone();
     retry(
         policy,
@@ -272,10 +273,10 @@ pub(crate) fn fetch_hello(
             if rtt > policy.timeout {
                 return Attempt::Lost;
             }
-            if device.check_hello(&first.msg).is_err() {
-                return Attempt::Bounced(EventKind::ReplyRejected { attempt }, rtt);
+            match device.check_hello(first.msg) {
+                Ok(hello) => Attempt::Served(hello, rtt),
+                Err(_) => Attempt::Bounced(EventKind::ReplyRejected { attempt }, rtt),
             }
-            Attempt::Served(first.msg, rtt)
         },
     )
 }
@@ -349,7 +350,7 @@ fn login_inner(
         .map_err(FlowError::from)?;
     let domain = hello.domain.clone();
 
-    let submit = device.begin_login(&hello, owner_user, rng)?;
+    let submit = device.begin_login_checked(&hello, owner_user, rng)?;
     exchange(
         channel,
         policy,

@@ -9,7 +9,9 @@
 //! "browser" only shuttles opaque messages and chooses what to display —
 //! which is exactly the power a malware infection has, and no more.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
+use std::ops::Deref;
 
 use btd_crypto::cert::Role;
 use btd_crypto::hmac::verify_hmac;
@@ -28,6 +30,20 @@ use crate::messages::{
 use crate::pages::{Page, View};
 use crate::risk_policy::RiskReport;
 use crate::trace::{EventKind, Tracer};
+
+/// A server hello that passed [`MobileDevice::check_hello`]: its
+/// certificate chains to the provisioned CA, names a web server for the
+/// hello's domain, and signs the hello. Only `check_hello` makes one.
+#[derive(Debug)]
+pub struct CheckedHello<'a>(Cow<'a, ServerHello>);
+
+impl Deref for CheckedHello<'_> {
+    type Target = ServerHello;
+
+    fn deref(&self) -> &ServerHello {
+        &self.0
+    }
+}
 
 /// Why a device-side protocol step failed.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -192,20 +208,21 @@ impl MobileDevice {
         self.flock.relay_frame(&frame).0
     }
 
-    /// Validates a server hello inside FLock without acting on it — the
-    /// retry loop uses this to tell a damaged hello (retry) from a forged
-    /// one (abort).
+    /// Validates a server hello inside FLock: CA-chain the certificate,
+    /// check the role, and verify the hello signature. The returned
+    /// [`CheckedHello`] is the proof the registration and login steps
+    /// take, so a hello the retry loop already checked (telling a damaged
+    /// hello, which it refetches, from a forged one) is not verified again.
+    /// Takes the hello by reference or by value.
     ///
     /// # Errors
     ///
     /// Fails if the certificate or hello signature does not verify.
-    pub fn check_hello(&mut self, hello: &ServerHello) -> Result<(), DeviceError> {
-        self.validate_hello(hello)
-    }
-
-    /// Validates a server hello inside FLock: CA-chain the certificate,
-    /// check the role, and verify the hello signature.
-    fn validate_hello(&mut self, hello: &ServerHello) -> Result<(), DeviceError> {
+    pub fn check_hello<'a>(
+        &mut self,
+        hello: impl Into<Cow<'a, ServerHello>>,
+    ) -> Result<CheckedHello<'a>, DeviceError> {
+        let hello = hello.into();
         if !self.flock.verify_certificate(&hello.server_cert)
             || hello.server_cert.role() != Role::WebServer
             || hello.server_cert.subject() != hello.domain
@@ -220,7 +237,7 @@ impl MobileDevice {
         {
             return Err(DeviceError::BadServerSignature);
         }
-        Ok(())
+        Ok(CheckedHello(hello))
     }
 
     /// An explicit, deliberate owner touch on a button drawn over the
@@ -288,7 +305,19 @@ impl MobileDevice {
         user_id: u64,
         rng: &mut SimRng,
     ) -> Result<RegistrationSubmit, DeviceError> {
-        self.validate_hello(hello)?;
+        let hello = self.check_hello(hello)?;
+        self.begin_registration_checked(&hello, account, user_id, rng)
+    }
+
+    /// [`MobileDevice::begin_registration`] for a hello FLock already
+    /// validated.
+    pub(crate) fn begin_registration_checked(
+        &mut self,
+        hello: &CheckedHello<'_>,
+        account: &str,
+        user_id: u64,
+        rng: &mut SimRng,
+    ) -> Result<RegistrationSubmit, DeviceError> {
         let frame_hash = self.display(&hello.page, View::default());
         self.explicit_verified_touch(user_id, 0, rng)?;
         let user_public = self
@@ -331,7 +360,17 @@ impl MobileDevice {
         user_id: u64,
         rng: &mut SimRng,
     ) -> Result<LoginSubmit, DeviceError> {
-        self.validate_hello(hello)?;
+        let hello = self.check_hello(hello)?;
+        self.begin_login_checked(&hello, user_id, rng)
+    }
+
+    /// [`MobileDevice::begin_login`] for a hello FLock already validated.
+    pub(crate) fn begin_login_checked(
+        &mut self,
+        hello: &CheckedHello<'_>,
+        user_id: u64,
+        rng: &mut SimRng,
+    ) -> Result<LoginSubmit, DeviceError> {
         let record = self
             .flock
             .domain_record(&hello.domain)

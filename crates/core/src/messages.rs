@@ -5,6 +5,8 @@
 //! message exposes the canonical bytes its signature or MAC covers, built
 //! with [`crate::wire`] so fields cannot be re-split by an attacker.
 
+use std::borrow::Cow;
+
 use btd_crypto::cert::Certificate;
 use btd_crypto::elgamal::SealedBox;
 use btd_crypto::nonce::Nonce;
@@ -49,6 +51,18 @@ pub struct ServerHello {
     /// Server signature over the hello fields ("MAC … signed by the Web
     /// Server using its private key").
     pub signature: Signature,
+}
+
+impl<'a> From<&'a ServerHello> for Cow<'a, ServerHello> {
+    fn from(hello: &'a ServerHello) -> Self {
+        Cow::Borrowed(hello)
+    }
+}
+
+impl From<ServerHello> for Cow<'_, ServerHello> {
+    fn from(hello: ServerHello) -> Self {
+        Cow::Owned(hello)
+    }
 }
 
 impl ServerHello {

@@ -39,6 +39,7 @@
 
 use std::sync::Mutex;
 
+use btd_crypto::group::ModexpCounts;
 use btd_crypto::sha256::{sha256, Digest};
 use btd_sim::rng::SimRng;
 use btd_sim::time::SimDuration;
@@ -160,6 +161,8 @@ pub struct ShardRun {
     /// The shard's sampled telemetry series, ascending `lt` (empty when
     /// `sample_interval == 0`).
     pub series: Vec<SeriesPoint>,
+    /// Modular exponentiations the shard's world ran, set-up included.
+    pub modexps: ModexpCounts,
 }
 
 /// The merged result of a run: per-shard results in shard order plus the
@@ -188,6 +191,8 @@ fn shard_seed(seed: u64, shard: usize) -> u64 {
 /// shard)`: the worker that calls this has no influence on the result,
 /// which is what makes the merge worker-count invariant.
 pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
+    // One thread runs the whole shard, so its counter delta is exact.
+    let modexps_before = ModexpCounts::current();
     let mut rng = SimRng::seed_from(shard_seed(cfg.seed, shard));
     let adversary = if cfg.loss > 0.0 {
         Adversary::RandomLoss { loss: cfg.loss }
@@ -312,6 +317,7 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
         digest: sha256(&world.server(sidx).shard_snapshot_bytes(shard)),
         events,
         series,
+        modexps: ModexpCounts::current().since(&modexps_before),
     };
     for lc in &lifecycles {
         let r = &lc.report;
@@ -567,6 +573,58 @@ mod tests {
         ParallelConfig {
             touches: 3,
             ..ParallelConfig::new(0xA11CE, 8, 4, workers)
+        }
+    }
+
+    #[test]
+    fn modexps_per_honest_lifecycle_are_pinned_at_one_and_two_workers() {
+        // The world's set-up: CA and server key generation, server
+        // certificate.
+        const WORLD: ModexpCounts = ModexpCounts {
+            variable_base: 0,
+            g_table: 3,
+            key_table: 0,
+            table_builds: 0,
+        };
+        // One honest lifecycle, device set-up included. Variable base:
+        // the device-certificate signature (device key), the login
+        // signature (fresh account key) and `open`'s shared secret.
+        // Key tables: the CA key (two hellos and the device certificate)
+        // and the server key (two hellos and the seal), three each. Each
+        // hello is verified once, by the retry loop's check, and the
+        // subgroup tests are Jacobi symbols. Before per-key tables a
+        // lifecycle ran 14 variable-base exponentiations and 20 g-table
+        // ones.
+        const LIFECYCLE: ModexpCounts = ModexpCounts {
+            variable_base: 3,
+            g_table: 16,
+            key_table: 6,
+            table_builds: 0,
+        };
+        for workers in [1, 2] {
+            let run = run_parallel(&ParallelConfig {
+                touches: 1,
+                ..ParallelConfig::new(7, 6, 2, workers)
+            });
+            assert_eq!(run.total_served(), 6);
+            for shard in &run.shard_runs {
+                let n = shard.accounts as u64;
+                assert!(n > 0, "every shard runs a lifecycle");
+                // The CA key and the server key are the shard's two
+                // reused keys: the first use of each is variable-base,
+                // the second builds its one table.
+                let expected = ModexpCounts {
+                    variable_base: WORLD.variable_base + n * LIFECYCLE.variable_base + 2,
+                    g_table: WORLD.g_table + n * LIFECYCLE.g_table,
+                    key_table: WORLD.key_table + n * LIFECYCLE.key_table - 2,
+                    table_builds: 2,
+                };
+                assert_eq!(
+                    shard.modexps, expected,
+                    "{workers} workers, shard {}",
+                    shard.shard
+                );
+            }
         }
     }
 

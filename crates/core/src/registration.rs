@@ -122,7 +122,7 @@ fn register_inner(
     .map_err(FlowError::from)?;
 
     // Steps 2–4: device-side validation, display, touch, key generation.
-    let submit = device.begin_registration(&hello, account, owner_user, rng)?;
+    let submit = device.begin_registration_checked(&hello, account, owner_user, rng)?;
 
     // Step 5: server verification and binding, acked back to the device.
     let expected_nonce = submit.nonce;

@@ -1149,9 +1149,12 @@ impl WebServer {
         if self.shards[idx].accounts.contains_key(&msg.account) {
             return Err(self.reject(Reject::AccountExists));
         }
+        // Honest keys are `g^x`. A key of order 2 or 2q (`p−1`, `−g^x`)
+        // is refused like a bad signature: the subgroup test is a Jacobi
+        // symbol, cheaper than the signature check above.
         let element = U2048::from_be_bytes(&msg.user_public);
         let group = self.keys.public_key().group();
-        if !group.contains(&element) {
+        if !group.in_subgroup(&element) {
             return Err(self.reject(Reject::BadSignature));
         }
         let public_key = PublicKey::from_element(group, element);

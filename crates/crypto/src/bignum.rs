@@ -496,6 +496,82 @@ pub fn rem_wide(wide: &[u64; LIMBS * 2], m: &U2048) -> U2048 {
     U2048 { limbs }
 }
 
+/// The Jacobi symbol `(a/n)` for odd `n`: `1`, `-1`, or `0` when `a` and
+/// `n` share a factor.
+///
+/// The binary algorithm: strip factors of two (each odd strip flips the
+/// sign when `n ≡ ±3 mod 8`), swap under quadratic reciprocity (flip
+/// when both are `≡ 3 mod 4`), subtract the smaller from the larger.
+/// Only shifts, subtractions and comparisons run, over the limbs the
+/// larger value occupies, so the cost is far below one exponentiation.
+/// Variable-time: callers pass public values only.
+///
+/// # Panics
+///
+/// Panics if `n` is even.
+pub(crate) fn jacobi(a: &U2048, n: &U2048) -> i32 {
+    assert!(!n.is_even(), "the Jacobi symbol needs an odd modulus");
+    let mut a = if a < n { a.limbs } else { a.rem(n).limbs };
+    let mut b = n.limbs;
+    let mut w = trim(&b).len();
+    let mut sign = 1;
+    loop {
+        // Invariant: b odd, a < 2^(64w), b < 2^(64w).
+        while w > 1 && a[w - 1] == 0 && b[w - 1] == 0 {
+            w -= 1;
+        }
+        let (a, b) = (&mut a[..w], &mut b[..w]);
+        let Some(zeros) = trailing_zeros(a) else {
+            // a = 0: b is gcd(a, n), so the symbol is 0 unless b = 1.
+            return if b[0] == 1 && b[1..].iter().all(|&l| l == 0) {
+                sign
+            } else {
+                0
+            };
+        };
+        shr_in_place(a, zeros);
+        if zeros % 2 == 1 && matches!(b[0] & 7, 3 | 5) {
+            sign = -sign;
+        }
+        if cmp_limbs(a, b) == Ordering::Less {
+            a.swap_with_slice(b);
+            if a[0] & 3 == 3 && b[0] & 3 == 3 {
+                sign = -sign;
+            }
+        }
+        // Both odd and a ≥ b: the difference is even (or zero).
+        let mut borrow = false;
+        for (aj, &bj) in a.iter_mut().zip(b.iter()) {
+            let (d1, b1) = aj.overflowing_sub(bj);
+            let (d2, b2) = d1.overflowing_sub(borrow as u64);
+            *aj = d2;
+            borrow = b1 || b2;
+        }
+    }
+}
+
+/// Number of trailing zero bits of a little-endian limb slice, or `None`
+/// if every limb is zero.
+fn trailing_zeros(a: &[u64]) -> Option<usize> {
+    let i = a.iter().position(|&l| l != 0)?;
+    Some(i * 64 + a[i].trailing_zeros() as usize)
+}
+
+/// Shifts a little-endian limb slice right by `k` bits in place.
+fn shr_in_place(a: &mut [u64], k: usize) {
+    let (limbs, bits) = (k / 64, k % 64);
+    let len = a.len();
+    for i in 0..len {
+        let lo = a.get(i + limbs).copied().unwrap_or(0);
+        let hi = a.get(i + limbs + 1).copied().unwrap_or(0);
+        a[i] = if bits == 0 {
+            lo
+        } else {
+            (lo >> bits) | (hi << (64 - bits))
+        };
+    }
+}
+
 /// Strips high zero limbs (returns at least one limb).
 fn trim(a: &[u64]) -> &[u64] {
     let mut n = a.len();
@@ -919,6 +995,62 @@ mod tests {
                 );
                 checked += 1;
             }
+        }
+    }
+
+    /// The textbook Jacobi symbol over `u128`, by remainders.
+    fn jacobi_oracle(mut a: u128, mut n: u128) -> i32 {
+        a %= n;
+        let mut sign = 1;
+        while a != 0 {
+            while a.is_multiple_of(2) {
+                a /= 2;
+                if matches!(n % 8, 3 | 5) {
+                    sign = -sign;
+                }
+            }
+            std::mem::swap(&mut a, &mut n);
+            if a % 4 == 3 && n % 4 == 3 {
+                sign = -sign;
+            }
+            a %= n;
+        }
+        if n == 1 {
+            sign
+        } else {
+            0
+        }
+    }
+
+    #[test]
+    fn jacobi_matches_the_remainder_oracle() {
+        let mut rng = TestRng::for_case(15);
+        for _ in 0..2000 {
+            let n = (rng.next_u64() as u128 | (rng.next_u64() as u128) << 64) | 1;
+            // Small odd moduli too, so shared factors (symbol 0) occur.
+            let n = if rng.next_u64().is_multiple_of(2) {
+                (n % 999) | 1
+            } else {
+                n
+            };
+            let a = rng.next_u64() as u128 | (rng.next_u64() as u128) << 64;
+            let big = |v: u128| U2048::from_be_bytes(&v.to_be_bytes());
+            assert_eq!(jacobi(&big(a), &big(n)), jacobi_oracle(a, n), "({a}/{n})");
+        }
+        assert_eq!(jacobi(&U2048::ZERO, &u(1)), 1);
+        assert_eq!(jacobi(&U2048::ZERO, &u(9)), 0);
+        assert_eq!(jacobi(&u(6), &u(9)), 0);
+        // Shifts of more than one limb: (2^k·3 / n) = (2/n)^k · (3/n).
+        let n = U2048::from_hex("1 0000000000000000 0000000000000000 000000000000000b");
+        let three = u(3);
+        let (two_over_n, three_over_n) = (-1, jacobi(&three, &n)); // n ≡ 3 mod 8
+        for k in [64usize, 65, 129, 130] {
+            let mut x = three;
+            for _ in 0..k {
+                x = x.overflowing_add(&x).0;
+            }
+            let expected = if k % 2 == 1 { two_over_n } else { 1 } * three_over_n;
+            assert_eq!(jacobi(&x, &n), expected, "k = {k}");
         }
     }
 

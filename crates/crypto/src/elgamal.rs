@@ -85,7 +85,7 @@ pub fn seal(recipient: &PublicKey, plaintext: &[u8], entropy: &mut dyn EntropySo
     let group = recipient.group();
     let k = group.random_scalar(entropy);
     let ephemeral = group.pow_g(&k);
-    let shared = group.pow(recipient.element(), &k);
+    let shared = recipient.pow(&k);
     let (cipher_key, mac_key, nonce) = derive_keys(&shared, &ephemeral);
     let ciphertext = chacha20::encrypt(&cipher_key, &nonce, plaintext);
     let tag = tag_for(&mac_key, &ephemeral, &ciphertext);
@@ -236,6 +236,18 @@ mod tests {
         let b2 = seal(kp.public_key(), b"same", &mut e);
         assert_ne!(b1.ephemeral, b2.ephemeral);
         assert_ne!(b1.ciphertext, b2.ciphertext);
+    }
+
+    #[test]
+    fn seals_to_a_reused_key_open_alike() {
+        // Seal 1 raises the recipient key by the variable-base window,
+        // seal 2 builds the key's table, seal 3 reads it.
+        let (kp, mut e) = setup(11);
+        let recipient = kp.public_key().clone();
+        for i in 0..3u8 {
+            let boxed = seal(&recipient, &[i; 8], &mut e);
+            assert_eq!(open(&kp, &boxed).unwrap(), [i; 8]);
+        }
     }
 
     #[test]

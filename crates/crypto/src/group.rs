@@ -9,10 +9,11 @@
 //! * [`DhGroup::test_512`] — a locally generated 512-bit safe prime so unit
 //!   tests and benches run in microseconds rather than milliseconds.
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::OnceLock;
 
-use crate::bignum::{Montgomery, LIMBS, U2048};
+use crate::bignum::{jacobi, Montgomery, LIMBS, U2048};
 use crate::entropy::EntropySource;
 
 /// RFC 3526 group 14 (2048-bit MODP) modulus.
@@ -105,6 +106,151 @@ impl FixedBase {
     }
 }
 
+/// Precomputed powers `y^(16^i)` in Montgomery form, one per 4-bit digit
+/// position `i` of a modulus-sized exponent: the per-key table behind
+/// [`crate::schnorr::PublicKey`]'s exponentiations.
+///
+/// `y^e` is evaluated by the Brickell–Gordon–McCurley–Wilson method: the
+/// entries of all digits equal to `d` multiply into bucket `B_d`, and
+/// `∏ B_d^d` is folded from the top digit value down as a running
+/// product, so an exponent of `k` digits costs about `k + 28` products
+/// and no squarings. The table stores one entry per digit where the `g`
+/// table stores fifteen: 8 KiB for `test_512` (128 digits × 8 limbs),
+/// 128 KiB for `modp_2048` (512 × 32).
+pub(crate) struct DigitPowers {
+    mont: Montgomery,
+    digits: usize,
+    entries: Vec<u64>,
+}
+
+impl DigitPowers {
+    /// The table for base `y < p`, covering exponents of up to
+    /// `p.bits()` bits: every `y^(p−1−e)` and `y^k` the protocol raises.
+    pub(crate) fn new(y: &U2048, p: &U2048) -> Self {
+        let mont = Montgomery::new(p);
+        let n = mont.width();
+        let digits = p.bits().div_ceil(4);
+        let mut entries = Vec::with_capacity(digits * n);
+        let mut base = mont.to_mont(y);
+        for i in 0..digits {
+            entries.extend_from_slice(&base[..n]);
+            if i + 1 < digits {
+                for _ in 0..4 {
+                    base = mont.mul(&base, &base);
+                }
+            }
+        }
+        count(|c| c.table_builds += 1);
+        DigitPowers {
+            mont,
+            digits,
+            entries,
+        }
+    }
+
+    /// `y^e mod p` for `e` below `2^(4·digits)`, which holds for every
+    /// exponent below `p`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is wider than the table.
+    pub(crate) fn pow(&self, e: &U2048) -> U2048 {
+        assert!(e.bits() <= 4 * self.digits, "exponent wider than the table");
+        count(|c| c.key_table += 1);
+        let n = self.mont.width();
+        let mut buckets = [[0u64; LIMBS]; 16];
+        let mut filled = [false; 16];
+        for (i, entry) in self.entries.chunks_exact(n).enumerate() {
+            let d = e.nibble(i);
+            if d == 0 {
+                continue;
+            }
+            if filled[d] {
+                buckets[d] = self.mont.mul(&buckets[d], entry);
+            } else {
+                buckets[d][..n].copy_from_slice(entry);
+                filled[d] = true;
+            }
+        }
+        // ∏ B_d^d = ∏_d (∏_{d' ≥ d} B_d'): `run` is the inner product.
+        let mut run: Option<[u64; LIMBS]> = None;
+        let mut acc: Option<[u64; LIMBS]> = None;
+        for d in (1..16).rev() {
+            if filled[d] {
+                run = Some(match run {
+                    Some(r) => self.mont.mul(&r, &buckets[d]),
+                    None => buckets[d],
+                });
+            }
+            if let Some(r) = &run {
+                acc = Some(match acc {
+                    Some(a) => self.mont.mul(&a, r),
+                    None => *r,
+                });
+            }
+        }
+        acc.map_or(U2048::ONE, |a| self.mont.to_normal(&a))
+    }
+}
+
+/// Modular exponentiations by kind, as counted on one thread.
+///
+/// The counters are per thread, so a shard driven start to finish on one
+/// worker reads exact, schedule-independent deltas with
+/// [`ModexpCounts::since`].
+#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
+pub struct ModexpCounts {
+    /// Fixed-window exponentiations of an arbitrary base
+    /// ([`DhGroup::pow`]), including `pow_g`'s fallback for exponents
+    /// wider than its table.
+    pub variable_base: u64,
+    /// `g^e` from the group's fixed-base table ([`DhGroup::pow_g`]).
+    pub g_table: u64,
+    /// `y^e` from a public key's table (Schnorr verify, ElGamal seal).
+    pub key_table: u64,
+    /// Public-key tables built (about one variable-base exponentiation
+    /// of squarings each). The group's `g` table is built once per
+    /// process and is not counted.
+    pub table_builds: u64,
+}
+
+impl ModexpCounts {
+    /// The counts on the calling thread since it started.
+    pub fn current() -> ModexpCounts {
+        COUNTS.with(Cell::get)
+    }
+
+    /// What was counted between `earlier` and `self`.
+    pub fn since(&self, earlier: &ModexpCounts) -> ModexpCounts {
+        ModexpCounts {
+            variable_base: self.variable_base - earlier.variable_base,
+            g_table: self.g_table - earlier.g_table,
+            key_table: self.key_table - earlier.key_table,
+            table_builds: self.table_builds - earlier.table_builds,
+        }
+    }
+}
+
+thread_local! {
+    static COUNTS: Cell<ModexpCounts> = const {
+        Cell::new(ModexpCounts {
+            variable_base: 0,
+            g_table: 0,
+            key_table: 0,
+            table_builds: 0,
+        })
+    };
+}
+
+/// Bumps this thread's counters.
+fn count(bump: impl FnOnce(&mut ModexpCounts)) {
+    COUNTS.with(|c| {
+        let mut counts = c.get();
+        bump(&mut counts);
+        c.set(counts);
+    });
+}
+
 impl fmt::Debug for DhGroup {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "DhGroup({}, {} bits)", self.name, self.p.bits())
@@ -172,13 +318,15 @@ impl DhGroup {
             .g_table
             .get_or_init(|| FixedBase::new(&self.g, &self.p, self.q.bits()));
         if e.bits() > 4 * table.digits {
-            return self.g.pow_mod(e, &self.p);
+            return self.pow(&self.g, e);
         }
+        count(|c| c.g_table += 1);
         table.pow(e)
     }
 
     /// `base^e mod p`.
     pub fn pow(&self, base: &U2048, e: &U2048) -> U2048 {
+        count(|c| c.variable_base += 1);
         base.pow_mod(e, &self.p)
     }
 
@@ -217,8 +365,13 @@ impl DhGroup {
     /// (`x ∈ [1, p)` and `x^q = 1`). In a safe-prime group the only other
     /// elements have order 2 or `2q`, and a Diffie–Hellman share of that
     /// kind would leak the parity of the secret exponent it meets.
+    ///
+    /// For a safe prime the order-`q` subgroup is exactly the quadratic
+    /// residues, so by Euler's criterion `x^q = 1` is the Legendre symbol
+    /// `(x/p) = 1`: a binary Jacobi loop, with no exponentiation.
+    /// Variable-time, which suits its public inputs.
     pub fn in_subgroup(&self, x: &U2048) -> bool {
-        self.contains(x) && self.pow(x, &self.q) == U2048::ONE
+        self.contains(x) && jacobi(x, &self.p) == 1
     }
 
     /// Hashes arbitrary bytes to a scalar mod `q` (SHA-256 output reduced).
@@ -346,6 +499,117 @@ mod tests {
         assert!(!g.in_subgroup(&g.mul(&element, &p_minus_1)));
         assert!(!g.in_subgroup(&U2048::ZERO));
         assert!(!g.in_subgroup(g.modulus()));
+    }
+
+    /// Euler's criterion by exponentiation: the definition `in_subgroup`
+    /// replaced.
+    fn in_subgroup_by_pow(g: &DhGroup, x: &U2048) -> bool {
+        g.contains(x) && x.pow_mod(g.order(), g.modulus()) == U2048::ONE
+    }
+
+    /// A uniformly random value below `p`.
+    fn random_below(g: &DhGroup, e: &mut ChaChaEntropy) -> U2048 {
+        let mut buf = [0u8; 256];
+        e.fill(&mut buf);
+        U2048::from_be_bytes(&buf).rem(g.modulus())
+    }
+
+    #[test]
+    fn jacobi_subgroup_test_matches_euler_criterion() {
+        let mut e = ChaChaEntropy::from_u64_seed(3);
+        for g in [DhGroup::test_512(), DhGroup::modp_2048()] {
+            let p = g.modulus();
+            let minus_one = p.checked_sub(&U2048::ONE);
+            let k = g.random_scalar(&mut e);
+            let g_k = g.pow_g(&k);
+            // 0, 1, p−1 (order 2), −g^k (order 2q: attack case 3b's
+            // ephemerals), g^k, p and values with long runs of low zeros.
+            let mut xs = vec![
+                U2048::ZERO,
+                U2048::ONE,
+                minus_one,
+                g.mul(&g_k, &minus_one),
+                g_k,
+                *p,
+                U2048::from_u64(2),
+                U2048::from_hex("3 0000000000000000 0000000000000000 0000000000000000"),
+            ];
+            xs.extend((0..200).map(|_| random_below(g, &mut e)));
+            let mut residues = 0;
+            for x in &xs {
+                let expected = in_subgroup_by_pow(g, x);
+                assert_eq!(g.in_subgroup(x), expected, "{}: {x:?}", g.name());
+                residues += usize::from(expected);
+            }
+            // Random elements split about evenly between the two cosets.
+            assert!((60..=150).contains(&residues), "{residues}");
+            assert!(g.in_subgroup(&g_k) && !g.in_subgroup(&g.mul(&g_k, &minus_one)));
+        }
+    }
+
+    #[test]
+    fn digit_power_table_matches_pow_mod() {
+        let mut e = ChaChaEntropy::from_u64_seed(4);
+        for g in [DhGroup::test_512(), DhGroup::modp_2048()] {
+            let p = g.modulus();
+            let minus_one = p.checked_sub(&U2048::ONE);
+            let g_x = g.pow_g(&g.random_scalar(&mut e));
+            let mut outside = random_below(g, &mut e);
+            while g.in_subgroup(&outside) || outside.is_zero() {
+                outside = random_below(g, &mut e);
+            }
+            // Keys inside the subgroup (g^x, 1) and outside it (−g^x, p−1,
+            // a random non-residue).
+            let keys = [g_x, U2048::ONE, g.mul(&g_x, &minus_one), minus_one, outside];
+            let sig_e = g.random_scalar(&mut e);
+            let digits = p.bits().div_ceil(4);
+            // The widest exponent the table covers: 4·digits one bits.
+            let widest = U2048::from_hex(&"f".repeat(digits));
+            let exps = [
+                U2048::ZERO,
+                U2048::ONE,
+                U2048::from_u64(15),
+                U2048::from_u64(16),
+                *g.order(),
+                minus_one.checked_sub(&sig_e),
+                minus_one,
+                g.random_scalar(&mut e),
+                widest,
+            ];
+            for y in &keys {
+                let table = DigitPowers::new(y, p);
+                for exp in &exps {
+                    assert_eq!(
+                        table.pow(exp),
+                        y.pow_mod(exp, p),
+                        "{}: {y:?}^{exp:?}",
+                        g.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn counters_record_each_kind() {
+        let g = DhGroup::test_512();
+        let y = g.pow_g(&U2048::from_u64(5));
+        let before = ModexpCounts::current();
+        g.pow_g(&U2048::from_u64(7));
+        g.pow(&y, &U2048::from_u64(7));
+        let table = DigitPowers::new(&y, g.modulus());
+        table.pow(g.order());
+        assert!(g.in_subgroup(&y));
+        assert_eq!(
+            ModexpCounts::current().since(&before),
+            ModexpCounts {
+                variable_base: 1,
+                g_table: 1,
+                key_table: 1,
+                table_builds: 1,
+            },
+            "the subgroup test is no exponentiation"
+        );
     }
 
     #[test]

@@ -52,6 +52,6 @@ pub mod sha256;
 
 pub use bignum::U2048;
 pub use entropy::{ChaChaEntropy, EntropySource};
-pub use group::DhGroup;
+pub use group::{DhGroup, ModexpCounts};
 pub use schnorr::{KeyPair, PublicKey, Signature};
 pub use sha256::{sha256, Digest};

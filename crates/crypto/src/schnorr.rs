@@ -15,17 +15,58 @@
 //!   `y ∈ [1, p)`, `y^(−e)` is computed as `y^(p−1−e)`, with no inversion.
 
 use std::fmt;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
 use crate::bignum::U2048;
 use crate::entropy::EntropySource;
-use crate::group::DhGroup;
+use crate::group::{DhGroup, DigitPowers};
 use crate::sha256::Sha256;
 
 /// A Schnorr public key bound to its group.
-#[derive(Clone, PartialEq, Eq)]
+///
+/// Equality compares the group and `y`; the shared table cache takes no
+/// part.
+#[derive(Clone)]
 pub struct PublicKey {
     group: &'static DhGroup,
     y: U2048,
+    table: Arc<KeyTable>,
+}
+
+impl PartialEq for PublicKey {
+    fn eq(&self, other: &Self) -> bool {
+        (self.group, &self.y) == (other.group, &other.y)
+    }
+}
+
+impl Eq for PublicKey {}
+
+/// The lazily built fixed-base table of one key, shared by all its
+/// clones: the CA key provisioned into every FLock module and held by
+/// the server, or a server key cloned into every hello and domain record,
+/// builds one table between them.
+///
+/// The first exponentiation runs the variable-base window; the second
+/// builds the table, so a key used once never allocates one.
+#[derive(Default)]
+struct KeyTable {
+    used: AtomicBool,
+    powers: OnceLock<Box<DigitPowers>>,
+}
+
+impl KeyTable {
+    /// `y^e mod p` through the table, building it on the second call.
+    fn pow(&self, group: &DhGroup, y: &U2048, e: &U2048) -> U2048 {
+        // Relaxed suffices: `used` guards no other data (the OnceLock
+        // publishes the table), and the OnceLock builds it at most once.
+        if self.powers.get().is_none() && !self.used.swap(true, Ordering::Relaxed) {
+            return group.pow(y, e);
+        }
+        self.powers
+            .get_or_init(|| Box::new(DigitPowers::new(y, group.modulus())))
+            .pow(e)
+    }
 }
 
 /// A Schnorr key pair.
@@ -70,7 +111,20 @@ impl PublicKey {
     /// Panics if `y` is not a valid group element.
     pub fn from_element(group: &'static DhGroup, y: U2048) -> Self {
         assert!(group.contains(&y), "public key must be a group element");
-        PublicKey { group, y }
+        PublicKey::new(group, y)
+    }
+
+    fn new(group: &'static DhGroup, y: U2048) -> Self {
+        PublicKey {
+            group,
+            y,
+            table: Arc::default(),
+        }
+    }
+
+    /// `y^e mod p`, from the key's shared table once the key is in reuse.
+    pub(crate) fn pow(&self, e: &U2048) -> U2048 {
+        self.table.pow(self.group, &self.y, e)
     }
 
     /// The group this key lives in.
@@ -107,7 +161,7 @@ impl PublicKey {
             .modulus()
             .checked_sub(&U2048::ONE)
             .checked_sub(&sig.e);
-        let y_neg_e = self.group.pow(&self.y, &neg_e);
+        let y_neg_e = self.pow(&neg_e);
         let r = self.group.mul(&g_s, &y_neg_e);
         let e2 = challenge(self.group, &self.y, &r, message);
         e2 == sig.e
@@ -120,7 +174,7 @@ impl KeyPair {
         let x = group.random_scalar(entropy);
         let y = group.pow_g(&x);
         KeyPair {
-            public: PublicKey { group, y },
+            public: PublicKey::new(group, y),
             x,
         }
     }
@@ -135,7 +189,7 @@ impl KeyPair {
         assert!(!x.is_zero() && &x < group.order(), "invalid secret scalar");
         let y = group.pow_g(&x);
         KeyPair {
-            public: PublicKey { group, y },
+            public: PublicKey::new(group, y),
             x,
         }
     }
@@ -302,6 +356,37 @@ mod tests {
         let restored = PublicKey::from_element(DhGroup::test_512(), U2048::from_be_bytes(&bytes));
         assert_eq!(&restored, kp.public_key());
         assert_eq!(restored.fingerprint().len(), 16);
+    }
+
+    #[test]
+    fn clones_share_one_table_built_on_second_use() {
+        use crate::group::ModexpCounts;
+        let (kp, mut e) = keys(11);
+        let sig = kp.sign(b"hello", &mut e);
+        let key = kp.public_key().clone();
+        let clones = [key.clone(), key.clone(), key.clone()];
+        let before = ModexpCounts::current();
+        // Use 1 runs the variable-base window; use 2, on another clone,
+        // builds the table every clone then shares.
+        assert!(clones[0].verify(b"hello", &sig));
+        assert!(clones[1].table.powers.get().is_none());
+        assert!(clones[1].verify(b"hello", &sig));
+        for clone in &clones {
+            assert!(clone.verify(b"hello", &sig));
+            assert!(Arc::ptr_eq(&clone.table, &key.table));
+        }
+        assert!(key.table.powers.get().is_some());
+        let counts = ModexpCounts::current().since(&before);
+        assert_eq!(
+            (counts.variable_base, counts.key_table, counts.table_builds),
+            (1, 4, 1)
+        );
+        // A key rebuilt from the same element is equal but has its own
+        // (still unbuilt) cache.
+        let rebuilt = PublicKey::from_element(key.group(), *key.element());
+        assert_eq!(rebuilt, key);
+        assert!(!Arc::ptr_eq(&rebuilt.table, &key.table));
+        assert!(rebuilt.table.powers.get().is_none());
     }
 
     #[test]

@@ -333,6 +333,54 @@ fn unknown_ca_device_cannot_register() {
     );
 }
 
+#[test]
+fn out_of_subgroup_user_keys_are_refused_at_registration() {
+    // A certified device signs a registration whose per-site key lies
+    // outside the order-q subgroup: p−1 (order 2) or −g^x (order 2q).
+    // The signature and certificate are genuine, so only the server's
+    // subgroup check stands between such a key and the account table.
+    let mut rng = SimRng::seed_from(27);
+    let mut world = World::new(&mut rng);
+    world.add_server("www.xyz.com", &mut rng);
+    let d = world.add_device("phone-1", 42, &mut rng);
+    let group = btd_crypto::group::DhGroup::test_512();
+    let minus_one = group.modulus().checked_sub(&btd_crypto::U2048::ONE);
+    let mut entropy = btd_crypto::entropy::ChaChaEntropy::from_u64_seed(27);
+    let g_x = group.pow_g(&group.random_scalar(&mut entropy));
+    let keys = [
+        (minus_one, Err(Reject::BadSignature)),
+        (group.mul(&g_x, &minus_one), Err(Reject::BadSignature)),
+        // The same construction with an honest key registers.
+        (g_x, Ok(())),
+    ];
+    for (i, (element, verdict)) in keys.into_iter().enumerate() {
+        let hello = world.server_mut(0).hello("/register");
+        let account = format!("odd-key-{i}");
+        let frame_hash = btd_crypto::sha256::Digest([7; 32]);
+        let user_public = element.to_be_bytes().to_vec();
+        let bytes = RegistrationSubmit::signed_bytes(
+            &hello.domain,
+            &account,
+            &hello.nonce,
+            &frame_hash,
+            &user_public,
+        );
+        let flock = world.device_mut(d).flock_mut();
+        let submit = RegistrationSubmit {
+            domain: hello.domain.clone(),
+            account,
+            nonce: hello.nonce,
+            frame_hash,
+            user_public,
+            device_cert: flock.certificate().unwrap().clone(),
+            signature: flock.sign_with_device_key(&bytes),
+        };
+        let result = world.server_mut(0).handle_registration(&submit);
+        assert_eq!(result.map(|_| ()), verdict, "key {i}");
+    }
+    assert_eq!(world.server(0).account_count(), 1, "only the honest key");
+}
+
 /// Seals `plaintext` the way `btd_crypto::elgamal::seal` does, but with an
 /// ephemeral and shared value of the sender's choosing: the KDF is public,
 /// so any sender can build such a box.
