@@ -12,7 +12,6 @@
 //! cargo run -p btd-bench --bin goodput_matrix            # smoke table
 //! cargo run -p btd-bench --bin goodput_matrix -- --full  # full ablation
 //! cargo run -p btd-bench --bin goodput_matrix -- --json  # canonical JSON
-//! cargo run -p btd-bench --bin goodput_matrix -- --delta BENCH_goodput.json
 //! ```
 //!
 //! The `--json` output is deterministic and is checked in as
@@ -201,10 +200,6 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let json = args.iter().any(|a| a == "--json");
-    let delta = args
-        .iter()
-        .position(|a| a == "--delta")
-        .map(|i| args.get(i + 1).expect("--delta <blessed.json>").clone());
 
     let mut table = Table::new([
         "policy",
@@ -284,12 +279,6 @@ fn main() {
         }
     }
 
-    if let Some(blessed) = delta {
-        std::process::exit(btd_bench::delta::run_delta_gate(
-            &blessed,
-            &json_output(&rows, full),
-        ));
-    }
     if json {
         println!("{}", json_output(&rows, full));
         return;

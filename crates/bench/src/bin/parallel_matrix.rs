@@ -20,12 +20,7 @@
 //! ```sh
 //! cargo run -p btd-bench --bin parallel_matrix            # table + wall clocks
 //! cargo run -p btd-bench --bin parallel_matrix -- --json  # canonical JSON
-//! cargo run -p btd-bench --bin parallel_matrix -- --delta BENCH_parallel.json
 //! ```
-//!
-//! `--delta` re-runs fresh and compares metric-by-metric against the
-//! blessed file (see [`btd_bench::delta`]), exiting nonzero on a
-//! regression past the threshold.
 //!
 //! The `--json` output is deterministic (sim-time throughput and
 //! checksums only, no wall timings) and is checked in as
@@ -345,10 +340,6 @@ fn json_output(rows: &[CellRow], hot_paths: &[HotPath]) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
-    let delta = args
-        .iter()
-        .position(|a| a == "--delta")
-        .map(|i| args.get(i + 1).expect("--delta <blessed.json>").clone());
 
     let mut rows: Vec<CellRow> = Vec::new();
     for &(accounts, shards) in &CELLS {
@@ -362,10 +353,6 @@ fn main() {
         hot_journal_frame(),
     ];
 
-    if let Some(blessed) = delta {
-        let fresh = json_output(&rows, &hot_paths);
-        std::process::exit(btd_bench::delta::run_delta_gate(&blessed, &fresh));
-    }
     if json {
         println!("{}", json_output(&rows, &hot_paths));
         return;

@@ -17,7 +17,6 @@
 //! cargo run -p btd-bench --bin storage_matrix            # smoke table
 //! cargo run -p btd-bench --bin storage_matrix -- --full  # adds the 100k row
 //! cargo run -p btd-bench --bin storage_matrix -- --json  # canonical JSON
-//! cargo run -p btd-bench --bin storage_matrix -- --delta BENCH_storage.json
 //! ```
 //!
 //! The `--json` output is deterministic (counts and byte sizes only, no
@@ -193,13 +192,9 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let full = args.iter().any(|a| a == "--full");
     let json = args.iter().any(|a| a == "--json");
-    let delta = args
-        .iter()
-        .position(|a| a == "--delta")
-        .map(|i| args.get(i + 1).expect("--delta <blessed.json>").clone());
 
     let mut accounts = vec![1_000usize, 10_000];
-    if full || json || delta.is_some() {
+    if full || json {
         accounts.push(100_000);
     }
     let shard_counts = [4usize, 16];
@@ -250,12 +245,6 @@ fn main() {
         }
     }
 
-    if let Some(blessed) = delta {
-        std::process::exit(btd_bench::delta::run_delta_gate(
-            &blessed,
-            &json_output(&rows),
-        ));
-    }
     if json {
         println!("{}", json_output(&rows));
         return;

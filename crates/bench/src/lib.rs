@@ -1,3 +1,1 @@
-pub mod delta;
-pub mod json;
 pub mod report;

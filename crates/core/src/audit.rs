@@ -64,13 +64,6 @@ impl AuditReport {
         self.findings.is_empty()
     }
 
-    /// The per-account log index of the *first* entry that diverged from
-    /// every legitimate view, if any — i.e. the exact frame where the
-    /// user started seeing tampered content.
-    pub fn first_divergence(&self) -> Option<usize> {
-        self.findings.first().map(|f| f.log_index)
-    }
-
     fn merge(&mut self, other: AuditReport) {
         self.total += other.total;
         self.legitimate += other.legitimate;

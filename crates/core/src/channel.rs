@@ -215,11 +215,6 @@ impl Channel {
         }
     }
 
-    /// The configured adversary.
-    pub fn adversary(&self) -> &Adversary {
-        &self.adversary
-    }
-
     /// Installs a tracer; injected faults are recorded as
     /// [`EventKind::Fault`] events as they fire.
     pub fn set_tracer(&mut self, tracer: Tracer) {
@@ -368,11 +363,6 @@ impl Channel {
         }
     }
 
-    /// Round-trip latency for one request/response exchange.
-    pub fn round_trip(&self) -> SimDuration {
-        self.latency * 2
-    }
-
     /// Channel counters.
     pub fn stats(&self) -> ChannelStats {
         self.stats
@@ -510,5 +500,12 @@ mod tests {
     fn round_trip_doubles_latency() {
         let ch = Channel::honest();
         assert_eq!(ch.round_trip(), SimDuration::from_millis(120));
+    }
+
+    impl Channel {
+        /// Round-trip latency for one request/response exchange.
+        pub fn round_trip(&self) -> SimDuration {
+            self.latency * 2
+        }
     }
 }

@@ -640,11 +640,6 @@ impl MultiChaosReport {
         self.per_device.iter().map(|r| r.corrupt_segments).sum()
     }
 
-    /// Registrations shed under storage pressure, across all devices.
-    pub fn shed_registrations(&self) -> u64 {
-        self.per_device.iter().map(|r| r.shed_registrations).sum()
-    }
-
     /// Every device's interaction-latency histogram merged into one
     /// fleet-level distribution (for p50/p95/p99 summaries).
     pub fn fleet_interaction_latency(&self) -> LatencyHistogram {

@@ -172,11 +172,6 @@ impl MobileDevice {
         self.tracer = tracer;
     }
 
-    /// The device's tracer handle (disabled unless installed).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
     /// The FLock module.
     pub fn flock(&self) -> &FlockModule {
         &self.flock
@@ -483,15 +478,6 @@ impl MobileDevice {
         }
         session.window = window.max(1);
         Ok(())
-    }
-
-    /// The highest slot (exclusive) the device may currently have in
-    /// flight: `base + window` in windowed mode.
-    pub fn window_limit(&self, domain: &str) -> Option<u64> {
-        self.sessions
-            .get(domain)
-            .filter(|s| s.window >= 1 && !s.session_id.is_empty())
-            .map(|s| s.next_seq + s.window)
     }
 
     /// Builds a windowed interaction request for an explicit `slot` in

@@ -38,15 +38,6 @@ impl RiskReport {
             mismatched: 0,
         }
     }
-
-    /// Fraction of the window that verified.
-    pub fn verified_fraction(&self) -> f64 {
-        if self.window == 0 {
-            0.0
-        } else {
-            self.verified as f64 / self.window as f64
-        }
-    }
 }
 
 /// What the server decides about a request given its risk report.
@@ -162,5 +153,16 @@ mod tests {
             p.evaluate(&RiskReport::fresh_login(), 0),
             RiskDecision::Allow
         );
+    }
+
+    impl RiskReport {
+        /// Fraction of the window that verified.
+        pub fn verified_fraction(&self) -> f64 {
+            if self.window == 0 {
+                0.0
+            } else {
+                self.verified as f64 / self.window as f64
+            }
+        }
     }
 }

@@ -188,11 +188,6 @@ impl World {
         &mut self.servers[idx]
     }
 
-    /// Finds a server by domain.
-    pub fn server_by_domain(&self, domain: &str) -> Option<&WebServer> {
-        self.servers.iter().find(|s| s.domain() == domain)
-    }
-
     /// The device at `idx`.
     pub fn device(&self, idx: usize) -> &MobileDevice {
         &self.devices[idx].0
@@ -201,11 +196,6 @@ impl World {
     /// The device at `idx`, mutable.
     pub fn device_mut(&mut self, idx: usize) -> &mut MobileDevice {
         &mut self.devices[idx].0
-    }
-
-    /// The user currently holding device `idx`.
-    pub fn holder(&self, idx: usize) -> u64 {
-        self.devices[idx].1
     }
 
     fn server_index(&self, domain: &str) -> usize {
@@ -593,41 +583,6 @@ impl World {
         )
     }
 
-    /// [`World::run_windowed_session`] with seeded server crash faults
-    /// composed on top of the channel adversary: the engine schedules an
-    /// operator restart whenever a crash point fires, and the derived
-    /// per-slot nonces make the restart transparent to in-flight slots.
-    ///
-    /// # Errors
-    ///
-    /// Propagates flow setup errors; per-interaction rejections are in the
-    /// report.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_windowed_chaos_session(
-        &mut self,
-        device_idx: usize,
-        domain: &str,
-        n: usize,
-        window: u64,
-        profile: crate::server::journal::CrashProfile,
-        rng: &mut SimRng,
-    ) -> Result<crate::engine::WindowedReport, FlowError> {
-        let touches = self.touches_for_holder(device_idx, n, rng);
-        let sidx = self.server_index(domain);
-        crate::engine::run_windowed_session(
-            &mut self.devices[device_idx].0,
-            &mut self.servers[sidx],
-            &mut self.channel,
-            domain,
-            &DEFAULT_ACTIONS,
-            &touches,
-            &self.policy,
-            window,
-            Some(profile),
-            rng,
-        )
-    }
-
     /// Drives `cfg.lifecycles` full device lifecycles through the
     /// pipelined engine's shared event queue against the server at
     /// `domain` (see [`crate::engine::run_windowed_fleet`]). Devices are
@@ -753,5 +708,42 @@ mod tests {
         // Not assert_ne!: on failure it would print both secret scalars.
         let keys_differ = r1.user_secret != r2.user_secret;
         assert!(keys_differ, "per-site keys must differ");
+    }
+
+    impl World {
+        /// [`World::run_windowed_session`] with seeded server crash faults
+        /// composed on top of the channel adversary: the engine schedules an
+        /// operator restart whenever a crash point fires, and the derived
+        /// per-slot nonces make the restart transparent to in-flight slots.
+        ///
+        /// # Errors
+        ///
+        /// Propagates flow setup errors; per-interaction rejections are in the
+        /// report.
+        #[allow(clippy::too_many_arguments)]
+        pub fn run_windowed_chaos_session(
+            &mut self,
+            device_idx: usize,
+            domain: &str,
+            n: usize,
+            window: u64,
+            profile: crate::server::journal::CrashProfile,
+            rng: &mut SimRng,
+        ) -> Result<crate::engine::WindowedReport, FlowError> {
+            let touches = self.touches_for_holder(device_idx, n, rng);
+            let sidx = self.server_index(domain);
+            crate::engine::run_windowed_session(
+                &mut self.devices[device_idx].0,
+                &mut self.servers[sidx],
+                &mut self.channel,
+                domain,
+                &DEFAULT_ACTIONS,
+                &touches,
+                &self.policy,
+                window,
+                Some(profile),
+                rng,
+            )
+        }
     }
 }

@@ -649,11 +649,6 @@ impl WebServer {
         }
     }
 
-    /// Overrides the sync retry budget (transient failures per barrier).
-    pub fn set_sync_policy(&mut self, policy: RetryPolicy) {
-        self.sync_policy = policy;
-    }
-
     /// Whether the server is shedding new registrations under storage
     /// pressure.
     pub fn is_degraded(&self) -> bool {
@@ -692,11 +687,6 @@ impl WebServer {
     /// The page at `path`, if served here.
     pub fn page(&self, path: &str) -> Option<&Page> {
         self.pages.get(path)
-    }
-
-    /// Adds (or replaces) a served page.
-    pub fn put_page(&mut self, page: Page) {
-        self.pages.insert(page.path.clone(), page);
     }
 
     /// Number of account shards.
@@ -787,11 +777,6 @@ impl WebServer {
         );
         self.tracer.record(EventKind::ServerReject { reason });
         reason
-    }
-
-    /// The server's security-event trace (every rejection, in order).
-    pub fn trace(&self) -> &TraceLog {
-        &self.trace
     }
 
     /// Installs a structured protocol tracer; rejects, journal appends,
@@ -885,20 +870,6 @@ impl WebServer {
             .iter()
             .map(|s| s.journal.log_len() + s.journal.snapshot_len())
             .sum()
-    }
-
-    /// Overrides the auto-compaction threshold (records per shard
-    /// snapshot).
-    pub fn set_compaction_threshold(&mut self, records: usize) {
-        self.compaction_threshold = records.max(1);
-    }
-
-    /// Overrides the LRU watermark bounding the registration/reset
-    /// caches (entries per shard). Takes effect on subsequent applies;
-    /// part of [`ServerIdentity`], so recovery reproduces the same
-    /// evictions.
-    pub fn set_cache_watermark(&mut self, entries: usize) {
-        self.cache_watermark = entries.max(1);
     }
 
     fn check_up(&self) -> Result<(), Reject> {
@@ -1804,17 +1775,6 @@ impl WebServer {
         self.find_session(session_id).map(|s| s.interactions)
     }
 
-    /// Whether the session has been terminated.
-    pub fn session_terminated(&self, session_id: &str) -> Option<bool> {
-        self.find_session(session_id).map(|s| s.terminated)
-    }
-
-    /// The sequence number the session's next fresh interaction must
-    /// carry (testing).
-    pub fn session_expected_seq(&self, session_id: &str) -> Option<u64> {
-        self.find_session(session_id).map(|s| s.expected_seq)
-    }
-
     /// Sessions ever opened, across shards (drives unique session ids).
     fn total_sessions(&self) -> u64 {
         self.shards.iter().map(|s| s.session_counter).sum()
@@ -2669,8 +2629,11 @@ mod tests {
         let _ = server.reset_identity("ghost", "pw");
         assert_eq!(server.reject_counts()[&Reject::UnknownAccount], 2);
         // The security trace mirrors the counters.
-        assert_eq!(server.trace().count_severity(Severity::Security), 2);
-        assert_eq!(server.trace().matching("unknown account").count(), 2);
+        let events = server.trace().events();
+        assert_eq!(events.len(), 2);
+        assert!(events
+            .iter()
+            .all(|e| e.severity == Severity::Security && e.message.contains("unknown account")));
     }
 
     #[test]
@@ -2980,5 +2943,17 @@ mod tests {
             "restore unseals back to the raw key"
         );
         assert_eq!(server.state_digest(), digest, "snapshotting is read-only");
+    }
+
+    impl WebServer {
+        /// Adds (or replaces) a served page.
+        pub fn put_page(&mut self, page: Page) {
+            self.pages.insert(page.path.clone(), page);
+        }
+
+        /// The server's security-event trace (every rejection, in order).
+        pub fn trace(&self) -> &TraceLog {
+            &self.trace
+        }
     }
 }

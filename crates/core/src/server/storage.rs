@@ -136,17 +136,6 @@ pub enum DiskFaultSchedule {
 }
 
 impl DiskFaultSchedule {
-    /// A schedule that fires exactly once, at the `nth` (0-based) visit of
-    /// `kind`.
-    pub fn once_at(kind: DiskFaultKind, nth: u64) -> Self {
-        DiskFaultSchedule::OnceAt {
-            kind,
-            nth,
-            seen: [0; 3],
-            fired: false,
-        }
-    }
-
     /// A seeded stochastic schedule over `profile`.
     pub fn seeded(profile: DiskFaultProfile, seed: u64) -> Self {
         DiskFaultSchedule::Seeded {
@@ -375,11 +364,6 @@ impl SimDisk {
             schedule,
             rng: SimRng::seed_from(seed),
         }
-    }
-
-    /// A perfect unbounded disk (still buffers until sync).
-    pub fn faultless() -> Self {
-        SimDisk::new(DiskFaultSchedule::Never, None, 0)
     }
 
     fn pending(&self) -> usize {
@@ -1005,5 +989,25 @@ mod tests {
         s.corrupt_at(1, 0); // offset 1 lands in the sealed segment
         let after = s.chunks()[0].data.clone();
         assert_eq!(before[1] ^ 1, after[1]);
+    }
+
+    impl DiskFaultSchedule {
+        /// A schedule that fires exactly once, at the `nth` (0-based) visit of
+        /// `kind`.
+        pub fn once_at(kind: DiskFaultKind, nth: u64) -> Self {
+            DiskFaultSchedule::OnceAt {
+                kind,
+                nth,
+                seen: [0; 3],
+                fired: false,
+            }
+        }
+    }
+
+    impl SimDisk {
+        /// A perfect unbounded disk (still buffers until sync).
+        pub fn faultless() -> Self {
+            SimDisk::new(DiskFaultSchedule::Never, None, 0)
+        }
     }
 }

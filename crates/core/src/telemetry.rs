@@ -35,7 +35,7 @@ use std::fmt::Write as _;
 
 use crate::metrics::{ProtocolMetrics, LATENCY_BUCKET_MS};
 use crate::server::WebServer;
-use crate::trace::{EventKind, TraceEvent, Tracer};
+use crate::trace::{EventKind, TraceEvent};
 
 /// Buckets for the risk-score distribution histogram: percent of the
 /// rolling window's touches that verified. The overflow bucket is the
@@ -665,19 +665,6 @@ impl HealthReport {
         self.verdicts.iter().filter(|v| !v.ok)
     }
 
-    /// Records one [`EventKind::SloAlert`] per failed verdict into
-    /// `tracer`, in report order. The alert events are ignored by
-    /// [`crate::trace::derive_metrics`], so trace/metrics parity is
-    /// unchanged by alerting.
-    pub fn record_alerts(&self, tracer: &Tracer) {
-        for v in self.alerts() {
-            tracer.record(EventKind::SloAlert {
-                rule: v.slo,
-                alert_shard: v.shard,
-            });
-        }
-    }
-
     /// A fixed-width verdict table.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -856,7 +843,7 @@ mod tests {
     use super::*;
     use crate::ca::TrustAuthority;
     use crate::metrics::Phase;
-    use crate::trace::{CtxArgs, Outcome, SpanKind};
+    use crate::trace::{CtxArgs, Outcome, SpanKind, Tracer};
     use btd_crypto::group::DhGroup;
     use btd_sim::rng::SimRng;
 
@@ -993,5 +980,20 @@ mod tests {
         let folded = profile.folded_stacks();
         assert!(folded.contains("shard0;lifecycle;interact 50000000"));
         assert_eq!(profile.top_spans(1)[0].stack, "lifecycle;interact");
+    }
+
+    impl HealthReport {
+        /// Records one [`EventKind::SloAlert`] per failed verdict into
+        /// `tracer`, in report order. The alert events are ignored by
+        /// [`crate::trace::derive_metrics`], so trace/metrics parity is
+        /// unchanged by alerting.
+        pub fn record_alerts(&self, tracer: &crate::trace::Tracer) {
+            for v in self.alerts() {
+                tracer.record(EventKind::SloAlert {
+                    rule: v.slo,
+                    alert_shard: v.shard,
+                });
+            }
+        }
     }
 }

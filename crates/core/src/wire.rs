@@ -40,11 +40,6 @@ impl FieldWriter {
         self.bytes(&v.to_be_bytes())
     }
 
-    /// Appends an `f64` field (IEEE-754 big-endian bits).
-    pub fn f64(&mut self, v: f64) -> &mut Self {
-        self.bytes(&v.to_be_bytes())
-    }
-
     /// Finishes, returning the canonical bytes.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -111,12 +106,6 @@ impl<'a> FieldReader<'a> {
     pub fn u64(&mut self) -> Option<u64> {
         let b = self.bytes()?;
         Some(u64::from_be_bytes(b.try_into().ok()?))
-    }
-
-    /// Reads the next field as an `f64`.
-    pub fn f64(&mut self) -> Option<f64> {
-        let b = self.bytes()?;
-        Some(f64::from_be_bytes(b.try_into().ok()?))
     }
 
     /// Reads the next field as a `u32`.
@@ -240,5 +229,20 @@ mod tests {
             w.str("");
         });
         assert_ne!(a, b);
+    }
+
+    impl FieldWriter {
+        /// Appends an `f64` field (IEEE-754 big-endian bits).
+        pub fn f64(&mut self, v: f64) -> &mut Self {
+            self.bytes(&v.to_be_bytes())
+        }
+    }
+
+    impl<'a> FieldReader<'a> {
+        /// Reads the next field as an `f64`.
+        pub fn f64(&mut self) -> Option<f64> {
+            let b = self.bytes()?;
+            Some(f64::from_be_bytes(b.try_into().ok()?))
+        }
     }
 }

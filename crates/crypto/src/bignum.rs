@@ -235,18 +235,6 @@ impl U2048 {
         }
     }
 
-    /// `(self - other) mod m`. Inputs must already be `< m`.
-    pub fn sub_mod(&self, other: &U2048, m: &U2048) -> U2048 {
-        debug_assert!(self < m && other < m, "sub_mod inputs must be reduced");
-        let (diff, borrow) = self.overflowing_sub(other);
-        if borrow {
-            let (r, _) = diff.overflowing_add(m);
-            r
-        } else {
-            diff
-        }
-    }
-
     /// `(self * other) mod m`.
     ///
     /// # Panics
@@ -316,6 +304,7 @@ impl U2048 {
     /// # Panics
     ///
     /// Panics if `self` reduces to zero mod `m` (no inverse) or if `m < 2`.
+    // trust-lint: allow(unreached-pub-fn) -- kept on purpose as a general U2048 operation with its own tests, though the protocol no longer inverts
     pub fn inv_mod_prime(&self, m: &U2048) -> U2048 {
         assert!(m > &U2048::ONE, "modulus must exceed 1");
         let reduced = self.rem(m);
@@ -1122,6 +1111,20 @@ mod tests {
         // (a mod m)^2 mod m must agree.
         let a_red = a.rem(&m);
         assert_eq!(a_red.mul_mod(&a_red, &m), r);
+    }
+
+    impl U2048 {
+        /// `(self - other) mod m`. Inputs must already be `< m`.
+        pub fn sub_mod(&self, other: &U2048, m: &U2048) -> U2048 {
+            debug_assert!(self < m && other < m, "sub_mod inputs must be reduced");
+            let (diff, borrow) = self.overflowing_sub(other);
+            if borrow {
+                let (r, _) = diff.overflowing_add(m);
+                r
+            } else {
+                diff
+            }
+        }
     }
 }
 

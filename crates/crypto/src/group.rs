@@ -373,18 +373,6 @@ impl DhGroup {
     pub fn in_subgroup(&self, x: &U2048) -> bool {
         self.contains(x) && jacobi(x, &self.p) == 1
     }
-
-    /// Hashes arbitrary bytes to a scalar mod `q` (SHA-256 output reduced).
-    pub fn hash_to_scalar(&self, data: &[u8]) -> U2048 {
-        let digest = crate::sha256::sha256(data);
-        let wide = U2048::from_be_bytes(digest.as_bytes());
-        let r = wide.rem(&self.q);
-        if r.is_zero() {
-            U2048::ONE
-        } else {
-            r
-        }
-    }
 }
 
 #[cfg(test)]
@@ -618,5 +606,19 @@ mod tests {
         assert!(!g.contains(&U2048::ZERO));
         assert!(g.contains(&U2048::ONE));
         assert!(!g.contains(g.modulus()));
+    }
+
+    impl DhGroup {
+        /// Hashes arbitrary bytes to a scalar mod `q` (SHA-256 output reduced).
+        pub fn hash_to_scalar(&self, data: &[u8]) -> U2048 {
+            let digest = crate::sha256::sha256(data);
+            let wide = U2048::from_be_bytes(digest.as_bytes());
+            let r = wide.rem(&self.q);
+            if r.is_zero() {
+                U2048::ONE
+            } else {
+                r
+            }
+        }
     }
 }

@@ -79,11 +79,6 @@ impl HmacSha256 {
         self.inner.update(data);
     }
 
-    /// Absorbs a length-prefixed field (see [`Sha256::update_field`]).
-    pub fn update_field(&mut self, data: &[u8]) {
-        self.inner.update_field(data);
-    }
-
     /// Finishes and returns the tag.
     pub fn finalize(self) -> Tag {
         let inner_digest = self.inner.finalize();

@@ -46,7 +46,9 @@ pub mod entropy;
 pub mod group;
 pub mod hmac;
 pub mod nonce;
-pub mod primality;
+/// Miller–Rabin, used only to check the group moduli in tests.
+#[cfg(test)]
+mod primality;
 pub mod schnorr;
 pub mod sha256;
 

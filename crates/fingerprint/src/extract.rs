@@ -71,11 +71,6 @@ impl Bitmap {
         self.width
     }
 
-    /// Bitmap height in pixels.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// Pixel value, `false` outside the image.
     pub fn get(&self, x: isize, y: isize) -> bool {
         if x < 0 || y < 0 || x as usize >= self.width || y as usize >= self.height {
@@ -293,37 +288,6 @@ pub fn tensor_orientation(img: &GrayImage, cx: usize, cy: usize, radius: usize) 
     }
 }
 
-/// Estimates the ridge direction at a skeleton minutia by walking `steps`
-/// pixels along the skeleton away from it and taking the displacement
-/// direction (used by tests and as a fallback; the extractor itself uses
-/// [`tensor_orientation`]).
-pub fn direction_at(skeleton: &Bitmap, x: isize, y: isize, steps: usize) -> f64 {
-    let mut visited = vec![(x, y)];
-    let (mut cx, mut cy) = (x, y);
-    for _ in 0..steps {
-        let mut advanced = false;
-        'next: for dy in -1isize..=1 {
-            for dx in -1isize..=1 {
-                if dx == 0 && dy == 0 {
-                    continue;
-                }
-                let (nx, ny) = (cx + dx, cy + dy);
-                if skeleton.get(nx, ny) && !visited.contains(&(nx, ny)) {
-                    visited.push((nx, ny));
-                    cx = nx;
-                    cy = ny;
-                    advanced = true;
-                    break 'next;
-                }
-            }
-        }
-        if !advanced {
-            break;
-        }
-    }
-    ((cy - y) as f64).atan2((cx - x) as f64)
-}
-
 /// Enrolls a template through the *image* pipeline: rasterize the full
 /// fingertip pad, extract minutiae, and store them in the fingertip frame.
 ///
@@ -538,5 +502,43 @@ mod tests {
     fn empty_image_extracts_nothing() {
         let img = GrayImage::new(60, 60, 0.05);
         assert!(extract_minutiae(&img, &ExtractionConfig::default()).is_empty());
+    }
+
+    impl Bitmap {
+        /// Bitmap height in pixels.
+        pub fn height(&self) -> usize {
+            self.height
+        }
+    }
+
+    /// Estimates the ridge direction at a skeleton minutia by walking `steps`
+    /// pixels along the skeleton away from it and taking the displacement
+    /// direction (used by tests and as a fallback; the extractor itself uses
+    /// [`tensor_orientation`]).
+    pub fn direction_at(skeleton: &Bitmap, x: isize, y: isize, steps: usize) -> f64 {
+        let mut visited = vec![(x, y)];
+        let (mut cx, mut cy) = (x, y);
+        for _ in 0..steps {
+            let mut advanced = false;
+            'next: for dy in -1isize..=1 {
+                for dx in -1isize..=1 {
+                    if dx == 0 && dy == 0 {
+                        continue;
+                    }
+                    let (nx, ny) = (cx + dx, cy + dy);
+                    if skeleton.get(nx, ny) && !visited.contains(&(nx, ny)) {
+                        visited.push((nx, ny));
+                        cx = nx;
+                        cy = ny;
+                        advanced = true;
+                        break 'next;
+                    }
+                }
+            }
+            if !advanced {
+                break;
+            }
+        }
+        ((cy - y) as f64).atan2((cx - x) as f64)
     }
 }

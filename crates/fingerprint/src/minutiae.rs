@@ -50,12 +50,6 @@ impl Minutia {
         }
     }
 
-    /// Applies the rigid transform (rotate by `theta`, then translate by
-    /// `(tx, ty)`).
-    pub fn transformed(&self, theta: f64, tx: f64, ty: f64) -> Minutia {
-        self.transformed_sin_cos(theta, theta.sin_cos(), tx, ty)
-    }
-
     /// [`Minutia::transformed`] with `theta.sin_cos()` already computed, so
     /// a whole constellation can share one evaluation.
     pub(crate) fn transformed_sin_cos(
@@ -226,5 +220,13 @@ mod tests {
         assert!((w.area() - 8.0).abs() < 1e-12);
         assert!(w.rect.contains(MmPoint::new(5.0, 5.9)));
         assert!(!w.rect.contains(MmPoint::new(5.0, 6.1)));
+    }
+
+    impl Minutia {
+        /// Applies the rigid transform (rotate by `theta`, then translate by
+        /// `(tx, ty)`).
+        pub fn transformed(&self, theta: f64, tx: f64, ty: f64) -> Minutia {
+            self.transformed_sin_cos(theta, theta.sin_cos(), tx, ty)
+        }
     }
 }

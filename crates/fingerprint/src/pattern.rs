@@ -120,20 +120,9 @@ impl FingerPattern {
         self.finger_index
     }
 
-    /// Ridge frequency in ridges/mm.
-    pub fn ridge_freq(&self) -> f64 {
-        self.ridge_freq
-    }
-
     /// Ground-truth minutiae in the fingertip frame.
     pub fn minutiae(&self) -> &[Minutia] {
         &self.minutiae
-    }
-
-    /// The smooth ridge orientation at a fingertip-frame point, radians in
-    /// `[0, π)` (ridge direction is orientation, not heading).
-    pub fn orientation_at(&self, p: MmPoint) -> f64 {
-        orientation_at_from(self.base_dir, self.ridge_freq, &self.modulation, p)
     }
 
     /// The ridge-field intensity at a fingertip-frame point, in `[0, 1]`
@@ -460,5 +449,18 @@ mod tests {
         let mean = total as f64 / n as f64;
         assert!((mean - 2.0).abs() < 0.15, "mean {mean}");
         assert_eq!(poisson_draw(&mut rng, 0.0), 0);
+    }
+
+    impl FingerPattern {
+        /// Ridge frequency in ridges/mm.
+        pub fn ridge_freq(&self) -> f64 {
+            self.ridge_freq
+        }
+
+        /// The smooth ridge orientation at a fingertip-frame point, radians in
+        /// `[0, π)` (ridge direction is orientation, not heading).
+        pub fn orientation_at(&self, p: MmPoint) -> f64 {
+            orientation_at_from(self.base_dir, self.ridge_freq, &self.modulation, p)
+        }
     }
 }

@@ -130,14 +130,6 @@ impl QualityReport {
         let score = (motion * pressure * coverage * moisture).clamp(0.0, 1.0);
         QualityReport { score, issues }
     }
-
-    /// A perfect-quality report (used by enrollment).
-    pub fn perfect() -> QualityReport {
-        QualityReport {
-            score: 1.0,
-            issues: Vec::new(),
-        }
-    }
 }
 
 /// The accept/discard gate at the front of the matching pipeline.
@@ -263,5 +255,15 @@ mod tests {
         let mut c = CaptureConditions::ideal();
         c.pressure = 1.5;
         let _ = QualityReport::assess(&c);
+    }
+
+    impl QualityReport {
+        /// A perfect-quality report (used by enrollment).
+        pub fn perfect() -> QualityReport {
+            QualityReport {
+                score: 1.0,
+                issues: Vec::new(),
+            }
+        }
     }
 }

@@ -52,25 +52,6 @@ impl RocAnalysis {
         self.genuine.iter().filter(|s| **s < threshold).count() as f64 / self.genuine.len() as f64
     }
 
-    /// The curve sampled at `steps` evenly spaced thresholds over `[0, 1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `steps < 2`.
-    pub fn curve(&self, steps: usize) -> Vec<RocPoint> {
-        assert!(steps >= 2, "need at least two curve points");
-        (0..steps)
-            .map(|i| {
-                let threshold = i as f64 / (steps - 1) as f64;
-                RocPoint {
-                    threshold,
-                    far: self.far_at(threshold),
-                    frr: self.frr_at(threshold),
-                }
-            })
-            .collect()
-    }
-
     /// The equal error rate and the threshold where FAR ≈ FRR.
     pub fn eer(&self) -> (f64, f64) {
         let mut best = (f64::INFINITY, 0.0, 0.0);
@@ -181,5 +162,26 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn empty_population_rejected() {
         let _ = RocAnalysis::new(vec![], vec![0.1]);
+    }
+
+    impl RocAnalysis {
+        /// The curve sampled at `steps` evenly spaced thresholds over `[0, 1]`.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `steps < 2`.
+        pub fn curve(&self, steps: usize) -> Vec<RocPoint> {
+            assert!(steps >= 2, "need at least two curve points");
+            (0..steps)
+                .map(|i| {
+                    let threshold = i as f64 / (steps - 1) as f64;
+                    RocPoint {
+                        threshold,
+                        far: self.far_at(threshold),
+                        frr: self.frr_at(threshold),
+                    }
+                })
+                .collect()
+        }
     }
 }

@@ -74,12 +74,6 @@ impl Template {
     pub fn is_empty(&self) -> bool {
         self.minutiae.is_empty()
     }
-
-    /// A compact, storage-friendly byte encoding (used to size the FLock
-    /// flash budget): 17 bytes per minutia plus an 16-byte header.
-    pub fn encoded_size(&self) -> usize {
-        16 + 17 * self.minutiae.len()
-    }
 }
 
 #[cfg(test)]
@@ -112,5 +106,13 @@ mod tests {
         let t1 = Template::new(1, 0, vec![minutia(0.0)]);
         let t2 = Template::new(1, 0, vec![minutia(0.0), minutia(1.0)]);
         assert_eq!(t2.encoded_size() - t1.encoded_size(), 17);
+    }
+
+    impl Template {
+        /// A compact, storage-friendly byte encoding (used to size the FLock
+        /// flash budget): 17 bytes per minutia plus an 16-byte header.
+        pub fn encoded_size(&self) -> usize {
+            16 + 17 * self.minutiae.len()
+        }
     }
 }

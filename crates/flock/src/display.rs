@@ -35,17 +35,6 @@ impl DisplayRepeater {
         self.frames_relayed += 1;
         (digest, took)
     }
-
-    /// The hash of the most recently displayed frame — what FLock attaches
-    /// to outgoing requests ("FrameHash: hash(frame L)").
-    pub fn last_frame_hash(&self) -> Option<Digest> {
-        self.last_hash
-    }
-
-    /// Total frames relayed.
-    pub fn frames_relayed(&self) -> u64 {
-        self.frames_relayed
-    }
 }
 
 #[cfg(test)]
@@ -78,5 +67,18 @@ mod tests {
         let (served_hash, _) = engine.hash_frame(&served);
         let (seen_hash, _) = r.relay(&spoofed);
         assert_ne!(served_hash, seen_hash);
+    }
+
+    impl DisplayRepeater {
+        /// The hash of the most recently displayed frame — what FLock attaches
+        /// to outgoing requests ("FrameHash: hash(frame L)").
+        pub fn last_frame_hash(&self) -> Option<Digest> {
+            self.last_hash
+        }
+
+        /// Total frames relayed.
+        pub fn frames_relayed(&self) -> u64 {
+            self.frames_relayed
+        }
     }
 }

@@ -46,12 +46,7 @@ pub struct VerifyResult {
     pub latency: SimDuration,
 }
 
-impl VerifyResult {
-    /// Whether the decision is [`MatchDecision::Accept`].
-    pub fn accepted(&self) -> bool {
-        self.decision == MatchDecision::Accept
-    }
-}
+impl VerifyResult {}
 
 /// The fingerprint processor with its template store.
 #[derive(Clone, Debug)]
@@ -76,14 +71,6 @@ impl FingerprintProcessor {
         }
     }
 
-    /// Creates a processor with a custom matcher configuration.
-    pub fn with_config(config: MatchConfig) -> Self {
-        FingerprintProcessor {
-            config,
-            ..FingerprintProcessor::new()
-        }
-    }
-
     /// The matcher configuration.
     pub fn config(&self) -> &MatchConfig {
         &self.config
@@ -97,16 +84,6 @@ impl FingerprintProcessor {
     /// Number of enrolled finger templates.
     pub fn template_count(&self) -> usize {
         self.templates.len()
-    }
-
-    /// Total flash footprint of the stored templates, bytes.
-    pub fn templates_encoded_size(&self) -> usize {
-        self.templates.iter().map(Template::encoded_size).sum()
-    }
-
-    /// How many verifications have been run.
-    pub fn verification_count(&self) -> u64 {
-        self.verifications
     }
 
     /// Enrolls `finger_count` fingers of `user_id` via the guided flow,
@@ -348,5 +325,19 @@ mod tests {
         assert!(r.latency > SimDuration::ZERO);
         assert!(r.latency < SimDuration::from_millis(10));
         assert_eq!(p.verification_count(), 1);
+    }
+
+    impl VerifyResult {
+        /// Whether the decision is [`MatchDecision::Accept`].
+        pub fn accepted(&self) -> bool {
+            self.decision == MatchDecision::Accept
+        }
+    }
+
+    impl FingerprintProcessor {
+        /// How many verifications have been run.
+        pub fn verification_count(&self) -> u64 {
+            self.verifications
+        }
     }
 }

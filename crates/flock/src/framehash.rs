@@ -68,20 +68,6 @@ impl FrameHashEngine {
         }
     }
 
-    /// Creates an engine with explicit throughput parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes_per_cycle` is zero.
-    pub fn with_throughput(clock: ClockDomain, bytes_per_cycle: u64) -> Self {
-        assert!(bytes_per_cycle > 0, "throughput must be positive");
-        FrameHashEngine {
-            clock,
-            bytes_per_cycle,
-            frames_hashed: 0,
-        }
-    }
-
     /// Hashes a frame, returning the digest and the engine time it took.
     pub fn hash_frame(&mut self, frame: &DisplayFrame) -> (Digest, SimDuration) {
         let mut h = Sha256::new();
@@ -92,11 +78,6 @@ impl FrameHashEngine {
         let cycles = (frame.byte_len() as u64).div_ceil(self.bytes_per_cycle) + 64;
         self.frames_hashed += 1;
         (digest, self.clock.cycles_to_duration(cycles))
-    }
-
-    /// How many frames this engine has hashed.
-    pub fn frames_hashed(&self) -> u64 {
-        self.frames_hashed
     }
 }
 
@@ -156,5 +137,12 @@ mod tests {
         assert!(t_large > t_small * 100);
         // A 1 MB frame at 1.6 GB/s is well under a millisecond.
         assert!(t_large < SimDuration::from_millis(1));
+    }
+
+    impl FrameHashEngine {
+        /// How many frames this engine has hashed.
+        pub fn frames_hashed(&self) -> u64 {
+            self.frames_hashed
+        }
     }
 }

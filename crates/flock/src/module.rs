@@ -75,14 +75,6 @@ impl FlockConfig {
             touch_frame: SimDuration::from_millis(4),
         }
     }
-
-    /// Production parameters: the RFC 3526 2048-bit group.
-    pub fn production() -> Self {
-        FlockConfig {
-            group: DhGroup::modp_2048(),
-            ..FlockConfig::fast_test()
-        }
-    }
 }
 
 /// Errors from identity import.
@@ -243,11 +235,6 @@ impl FlockModule {
         self.display.relay(frame)
     }
 
-    /// Hash of the most recently displayed frame.
-    pub fn last_frame_hash(&self) -> Option<Digest> {
-        self.display.last_frame_hash()
-    }
-
     // --- Identity / key management ---------------------------------------
 
     /// Registers a new web-site identity: generates a per-site key pair,
@@ -283,12 +270,6 @@ impl FlockModule {
         self.storage
             .record(domain)
             .map(|r| KeyPair::from_secret(self.group, r.user_secret))
-    }
-
-    /// Removes a domain identity (server-side identity reset is mirrored
-    /// locally when the user re-binds).
-    pub fn remove_domain(&mut self, domain: &str) -> Option<DomainRecord> {
-        self.storage.remove_record(domain)
     }
 
     /// Number of registered domains.
@@ -621,5 +602,12 @@ mod tests {
         // Truncation is rejected.
         let bytes = encode_identity(9, &[], &[]);
         assert!(decode_identity(&bytes[..bytes.len() - 1], group).is_none());
+    }
+
+    impl FlockModule {
+        /// Hash of the most recently displayed frame.
+        pub fn last_frame_hash(&self) -> Option<Digest> {
+            self.display.last_frame_hash()
+        }
     }
 }

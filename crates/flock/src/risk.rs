@@ -160,15 +160,6 @@ impl RiskTracker {
         RiskAction::Continue
     }
 
-    /// Lifetime counters: `(touches, verified, mismatched)`.
-    pub fn totals(&self) -> (u64, u64, u64) {
-        (
-            self.total_touches,
-            self.total_verified,
-            self.total_mismatched,
-        )
-    }
-
     /// Clears the window (after a successful explicit re-authentication).
     pub fn reset_window(&mut self) {
         self.history.clear();
@@ -350,5 +341,16 @@ mod tests {
     #[should_panic(expected = "window must be positive")]
     fn zero_window_rejected() {
         let _ = tracker(0, 0, 1);
+    }
+
+    impl RiskTracker {
+        /// Lifetime counters: `(touches, verified, mismatched)`.
+        pub fn totals(&self) -> (u64, u64, u64) {
+            (
+                self.total_touches,
+                self.total_verified,
+                self.total_mismatched,
+            )
+        }
     }
 }

@@ -99,11 +99,6 @@ impl SecureStorage {
         }
     }
 
-    /// A realistic embedded part: 1 MiB of protected flash.
-    pub fn one_mib() -> Self {
-        SecureStorage::new(1 << 20)
-    }
-
     /// Total capacity, bytes.
     pub fn capacity(&self) -> usize {
         self.capacity_bytes
@@ -114,11 +109,6 @@ impl SecureStorage {
         let records: usize = self.records.values().map(DomainRecord::encoded_size).sum();
         let blobs: usize = self.blobs.iter().map(|(k, v)| k.len() + v.len() + 8).sum();
         records + blobs
-    }
-
-    /// Bytes still free.
-    pub fn free(&self) -> usize {
-        self.capacity_bytes.saturating_sub(self.used())
     }
 
     /// Stores (or replaces) a domain record.
@@ -145,11 +135,6 @@ impl SecureStorage {
         self.records.get(domain)
     }
 
-    /// Removes the record for `domain`, returning it.
-    pub fn remove_record(&mut self, domain: &str) -> Option<DomainRecord> {
-        self.records.remove(domain)
-    }
-
     /// All stored records, in domain order.
     pub fn records(&self) -> impl Iterator<Item = &DomainRecord> {
         self.records.values()
@@ -158,32 +143,6 @@ impl SecureStorage {
     /// Number of stored domain records.
     pub fn record_count(&self) -> usize {
         self.records.len()
-    }
-
-    /// Stores (or replaces) a raw blob (e.g. an encoded template).
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError::CapacityExceeded`] if the blob does not fit.
-    pub fn put_blob(&mut self, key: &str, data: Vec<u8>) -> Result<(), StorageError> {
-        let new_size = key.len() + data.len() + 8;
-        let old_size = self.blobs.get(key).map_or(0, |v| key.len() + v.len() + 8);
-        if self.used() - old_size + new_size > self.capacity_bytes {
-            return Err(StorageError::CapacityExceeded);
-        }
-        self.blobs.insert(key.to_owned(), data);
-        Ok(())
-    }
-
-    /// Reads a blob.
-    pub fn blob(&self, key: &str) -> Option<&[u8]> {
-        self.blobs.get(key).map(Vec::as_slice)
-    }
-
-    /// Erases everything (identity reset on the device side).
-    pub fn wipe(&mut self) {
-        self.records.clear();
-        self.blobs.clear();
     }
 }
 
@@ -280,5 +239,48 @@ mod tests {
             count += 1;
         }
         assert!(count >= 500, "only {count} records fit in 1 MiB");
+    }
+
+    impl SecureStorage {
+        /// A realistic embedded part: 1 MiB of protected flash.
+        pub fn one_mib() -> Self {
+            SecureStorage::new(1 << 20)
+        }
+
+        /// Bytes still free.
+        pub fn free(&self) -> usize {
+            self.capacity_bytes.saturating_sub(self.used())
+        }
+
+        /// Removes the record for `domain`, returning it.
+        pub fn remove_record(&mut self, domain: &str) -> Option<DomainRecord> {
+            self.records.remove(domain)
+        }
+
+        /// Stores (or replaces) a raw blob (e.g. an encoded template).
+        ///
+        /// # Errors
+        ///
+        /// [`StorageError::CapacityExceeded`] if the blob does not fit.
+        pub fn put_blob(&mut self, key: &str, data: Vec<u8>) -> Result<(), StorageError> {
+            let new_size = key.len() + data.len() + 8;
+            let old_size = self.blobs.get(key).map_or(0, |v| key.len() + v.len() + 8);
+            if self.used() - old_size + new_size > self.capacity_bytes {
+                return Err(StorageError::CapacityExceeded);
+            }
+            self.blobs.insert(key.to_owned(), data);
+            Ok(())
+        }
+
+        /// Reads a blob.
+        pub fn blob(&self, key: &str) -> Option<&[u8]> {
+            self.blobs.get(key).map(Vec::as_slice)
+        }
+
+        /// Erases everything (identity reset on the device side).
+        pub fn wipe(&mut self) {
+            self.records.clear();
+            self.blobs.clear();
+        }
     }
 }

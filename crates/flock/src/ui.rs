@@ -86,20 +86,6 @@ impl UiLayout {
         &self.buttons
     }
 
-    /// Checks a touch (position + dwell) against `action`'s button.
-    pub fn check_touch(&self, action: &str, pos: MmPoint, dwell: SimDuration) -> ButtonTouchCheck {
-        let Some(button) = self.button_for(action) else {
-            return ButtonTouchCheck::UnknownAction;
-        };
-        if !button.region.contains(pos) {
-            return ButtonTouchCheck::OffButton;
-        }
-        if dwell < button.min_dwell {
-            return ButtonTouchCheck::TooShort;
-        }
-        ButtonTouchCheck::Accepted
-    }
-
     /// Synthesizes the deliberate touch a user makes on `action`'s button:
     /// slow, firm, centred, and held for the minimal dwell.
     ///
@@ -237,5 +223,26 @@ mod tests {
         let window = spec.full_window();
         let capture = btd_sensor::readout::ReadoutConfig::default().capture_time(&spec, &window);
         assert!(b.min_dwell > capture);
+    }
+
+    impl UiLayout {
+        /// Checks a touch (position + dwell) against `action`'s button.
+        pub fn check_touch(
+            &self,
+            action: &str,
+            pos: MmPoint,
+            dwell: SimDuration,
+        ) -> ButtonTouchCheck {
+            let Some(button) = self.button_for(action) else {
+                return ButtonTouchCheck::UnknownAction;
+            };
+            if !button.region.contains(pos) {
+                return ButtonTouchCheck::OffButton;
+            }
+            if dwell < button.min_dwell {
+                return ButtonTouchCheck::TooShort;
+            }
+            ButtonTouchCheck::Accepted
+        }
     }
 }

@@ -19,6 +19,7 @@ pub const RULES: &[&str] = &[
     "metrics-trace-parity",
     "secret-taint",
     "determinism-reach",
+    "unreached-pub-fn",
     "waiver-syntax",
 ];
 

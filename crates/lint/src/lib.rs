@@ -34,6 +34,8 @@
 //! | journal discipline | `journal-discipline` | durable state mutates only in `apply_record` |
 //! | storage sync discipline | `storage-sync-before-reply` | a reply never leaves before its record is synced |
 //! | metrics/trace parity | `metrics-trace-parity` | counters move only in the `ProtocolMetrics::observe` fold of trace events, so `derive_metrics` reconciles exactly |
+//! | dataflow | `secret-taint`, `determinism-reach` | no secret value reaches a sink through renames or calls; nothing a sim entry reaches is nondeterministic |
+//! | dead code | `unreached-pub-fn` | every `pub fn` is reached from a bin, example, bench, integration test, trait impl or item initializer |
 
 pub mod callgraph;
 pub mod config;

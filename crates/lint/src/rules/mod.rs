@@ -10,6 +10,7 @@ pub mod reach;
 pub mod secret;
 pub mod storage;
 pub mod taint;
+pub mod unreached;
 
 use crate::config::Config;
 use crate::dataflow::Analysis;
@@ -26,13 +27,15 @@ pub fn run_all(file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
     parity::check(file, cfg, out);
 }
 
-/// Runs the workspace-level dataflow rules: one symbol table + call
-/// graph + summary fixpoint over *all* files, then the three flow rules.
+/// Runs the workspace-level rules: one symbol table + call graph +
+/// summary fixpoint over *all* files, then the three flow rules and the
+/// reachability sweep.
 pub fn run_workspace(files: &[SourceFile], cfg: &Config, out: &mut Vec<Finding>) {
     let analysis = Analysis::build(files, cfg);
     taint::check(&analysis, cfg, out);
     reach::check(files, &analysis, cfg, out);
     order::check(files, &analysis, cfg, out);
+    unreached::check(&analysis, out);
 }
 
 /// True if token `i` is a field/method access: the previous token is `.`.

@@ -41,6 +41,14 @@ pub struct FnDef {
     pub ret_ty: Vec<String>,
     /// Source line of the `fn` keyword.
     pub line: u32,
+    /// Declared plain `pub` (not `pub(crate)` / `pub(super)`).
+    pub is_pub: bool,
+    /// Defined in an `impl Trait for Type` block or as a trait's default
+    /// body: trait dispatch calls it, so no call site names it.
+    pub trait_item: bool,
+    /// Inside `#[cfg(test)]` code (a test module, a test-only item, or a
+    /// file declared `#[cfg(test)] mod name;`).
+    pub in_test: bool,
 }
 
 impl FnDef {
@@ -71,6 +79,9 @@ pub struct SymbolTable {
     /// Workspace-relative path per file index (mirrors the file list the
     /// table was built from, so consumers need not thread it separately).
     pub paths: Vec<String>,
+    /// Per file: token ranges `[start, end)` of `#[cfg(test)]` items.
+    /// A file that is test code as a whole holds one all-covering range.
+    pub test_ranges: Vec<Vec<(usize, usize)>>,
 }
 
 impl SymbolTable {
@@ -80,26 +91,50 @@ impl SymbolTable {
             paths: files.iter().map(|f| f.rel_path.clone()).collect(),
             ..SymbolTable::default()
         };
+        let test_files = test_module_files(files);
         for (file_idx, file) in files.iter().enumerate() {
             let tokens = file.tokens();
+            table
+                .test_ranges
+                .push(if test_files.contains(&file.rel_path) {
+                    vec![(0, tokens.len())]
+                } else {
+                    cfg_test_ranges(tokens)
+                });
             let impls = impl_blocks(tokens);
-            for span in fn_spans(tokens) {
-                let self_type = impls
+            let traits = trait_blocks(tokens);
+            let spans = fn_spans(tokens);
+            for span in &spans {
+                // The innermost enclosing item decides what a fn is: a
+                // method (impl), a default body (trait), or a nested fn
+                // that is free in all but scope.
+                let impl_block = impls
                     .iter()
                     .filter(|b| b.start <= span.start && span.end <= b.end)
-                    .min_by_key(|b| b.end - b.start)
-                    .map(|b| b.type_name.clone());
-                let (params, has_self) = fn_params(tokens, &span);
-                let ret_ty = fn_ret_ty(tokens, &span);
+                    .min_by_key(|b| b.end - b.start);
+                let outer_fn = spans
+                    .iter()
+                    .filter(|o| o.start < span.start && span.end <= o.end)
+                    .map(|o| o.start)
+                    .max();
+                let in_trait = traits.iter().any(|&(s, e)| {
+                    s <= span.start && span.end <= e && outer_fn.is_none_or(|o| o < s)
+                });
+                let impl_block = impl_block.filter(|b| outer_fn.is_none_or(|o| o < b.start));
+                let (params, has_self) = fn_params(tokens, span);
+                let ret_ty = fn_ret_ty(tokens, span);
                 table.fns.push(FnDef {
                     file: file_idx,
                     line: tokens[span.start].line,
                     name: span.name.clone(),
-                    self_type,
+                    self_type: impl_block.map(|b| b.type_name.clone()),
                     params,
                     has_self,
                     ret_ty,
-                    span,
+                    is_pub: declared_pub(tokens, span.start),
+                    trait_item: in_trait || impl_block.is_some_and(|b| b.is_trait_impl),
+                    in_test: table.in_test(file_idx, span.start),
+                    span: span.clone(),
                 });
             }
             for item in type_items(tokens) {
@@ -119,12 +154,9 @@ impl SymbolTable {
         table
     }
 
-    /// All fns with the given bare name.
-    pub fn fns_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = (usize, &'a FnDef)> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(move |(_, f)| f.name == name)
+    /// True if token `i` of `file` lies in `#[cfg(test)]` code.
+    pub fn in_test(&self, file: usize, i: usize) -> bool {
+        self.test_ranges[file].iter().any(|&(s, e)| s <= i && i < e)
     }
 
     /// The declared type of a struct field, if the (type, field) pair is
@@ -156,6 +188,8 @@ impl SymbolTable {
 #[derive(Clone, Debug)]
 struct ImplBlock {
     type_name: String,
+    /// `impl Trait for Type`, as opposed to an inherent impl.
+    is_trait_impl: bool,
     start: usize,
     end: usize,
 }
@@ -208,6 +242,7 @@ fn impl_blocks(tokens: &[Token]) -> Vec<ImplBlock> {
             if let Some(end) = match_brace(tokens, open) {
                 blocks.push(ImplBlock {
                     type_name: name,
+                    is_trait_impl: saw_for,
                     start: i,
                     end,
                 });
@@ -216,6 +251,123 @@ fn impl_blocks(tokens: &[Token]) -> Vec<ImplBlock> {
         i = j + 1;
     }
     blocks
+}
+
+/// Token extents `[start, end)` of `trait Name … { … }` blocks.
+fn trait_blocks(tokens: &[Token]) -> Vec<(usize, usize)> {
+    let mut blocks = Vec::new();
+    for i in 0..tokens.len() {
+        if !tokens[i].is_ident("trait")
+            || !matches!(tokens.get(i + 1).map(|t| &t.tok), Some(Tok::Ident(_)))
+        {
+            continue;
+        }
+        let Some(open) = (i + 2..tokens.len())
+            .take_while(|&j| !tokens[j].is_punct(';'))
+            .find(|&j| tokens[j].is_punct('{'))
+        else {
+            continue;
+        };
+        if let Some(end) = match_brace(tokens, open) {
+            blocks.push((i, end));
+        }
+    }
+    blocks
+}
+
+/// Token extents `[start, end)` of items under `#[cfg(test)]` (or any
+/// `cfg` naming `test` without `not`): from the attribute through the
+/// item's closing brace or `;`.
+fn cfg_test_ranges(tokens: &[Token]) -> Vec<(usize, usize)> {
+    let mut ranges = Vec::new();
+    let mut i = 0;
+    while i + 2 < tokens.len() {
+        if !(tokens[i].is_punct('#')
+            && tokens[i + 1].is_punct('[')
+            && tokens[i + 2].is_ident("cfg"))
+        {
+            i += 1;
+            continue;
+        }
+        let Some(attr_end) = match_brace(tokens, i + 1) else {
+            break;
+        };
+        let args = &tokens[i + 3..attr_end];
+        if !args.iter().any(|t| t.is_ident("test")) || args.iter().any(|t| t.is_ident("not")) {
+            i = attr_end;
+            continue;
+        }
+        // The item runs to its first `;` or brace block at depth 0,
+        // past any further attributes.
+        let mut j = attr_end;
+        let mut depth = 0i32;
+        let mut end = tokens.len();
+        while j < tokens.len() {
+            match tokens[j].tok {
+                Tok::Punct('(') | Tok::Punct('[') => depth += 1,
+                Tok::Punct(')') | Tok::Punct(']') => depth -= 1,
+                Tok::Punct(';') if depth == 0 => {
+                    end = j + 1;
+                    break;
+                }
+                Tok::Punct('{') if depth == 0 => {
+                    end = match_brace(tokens, j).unwrap_or(tokens.len());
+                    break;
+                }
+                _ => {}
+            }
+            j += 1;
+        }
+        ranges.push((i, end));
+        i = end;
+    }
+    ranges
+}
+
+/// Paths of files that are `#[cfg(test)] mod name;` modules of another
+/// file: `src/matcher.rs` declaring `mod reference;` makes
+/// `src/matcher/reference.rs` (or `…/reference/mod.rs`) test code.
+fn test_module_files(files: &[SourceFile]) -> Vec<String> {
+    let mut out = Vec::new();
+    for file in files {
+        let tokens = file.tokens();
+        for (s, e) in cfg_test_ranges(tokens) {
+            let item = &tokens[s..e];
+            let Some(m) = item.iter().position(|t| t.is_ident("mod")) else {
+                continue;
+            };
+            let (Some(name), true) = (
+                item.get(m + 1).and_then(Token::ident),
+                item.last().is_some_and(|t| t.is_punct(';')),
+            ) else {
+                continue;
+            };
+            let path = &file.rel_path;
+            let dir = match path.rsplit_once('/') {
+                Some((dir, "lib.rs" | "main.rs" | "mod.rs")) => dir.to_owned(),
+                _ => path.trim_end_matches(".rs").to_owned(),
+            };
+            out.push(format!("{dir}/{name}.rs"));
+            out.push(format!("{dir}/{name}/mod.rs"));
+        }
+    }
+    out
+}
+
+/// True if the `fn` keyword at `fn_tok` is declared plain `pub` (past any
+/// `const` / `async` / `unsafe` / `extern "…"` qualifiers).
+fn declared_pub(tokens: &[Token], fn_tok: usize) -> bool {
+    let mut k = fn_tok;
+    while k > 0 {
+        k -= 1;
+        match &tokens[k].tok {
+            Tok::Ident(q) if matches!(q.as_str(), "const" | "async" | "unsafe" | "extern") => {}
+            Tok::Str => {}
+            Tok::Ident(p) => return p == "pub",
+            _ => return false,
+        }
+    }
+    false
 }
 
 /// Parses the parameter list of a fn span: `(self, a: Foo, b: &[u8])` →
@@ -346,6 +498,61 @@ impl<D: Disk> Store<D> {
 ";
         let (t, _) = table(src);
         assert_eq!(t.fns[0].qualified(), "Store::sync");
+    }
+
+    #[test]
+    fn fns_know_visibility_trait_dispatch_and_test_scope() {
+        let src = "\
+pub struct S;
+impl S {
+    pub fn open(&self) { fn helper() {} }
+    pub(crate) fn shut(&self) {}
+    pub const fn size() -> usize { 0 }
+}
+impl Drop for S {
+    fn drop(&mut self) {}
+}
+pub trait Greet {
+    fn hello(&self) -> u32 { 1 }
+    fn name(&self) -> u32;
+}
+#[cfg(test)]
+mod tests {
+    pub fn fixture() {}
+}
+#[cfg(not(test))]
+pub fn live() {}
+";
+        let (t, _) = table(src);
+        let get = |q: &str| t.fns.iter().find(|f| f.qualified() == q).unwrap();
+        assert!(get("S::open").is_pub && !get("S::shut").is_pub && get("S::size").is_pub);
+        // A fn nested in a method is free: it has no receiver type.
+        assert!(!get("helper").is_pub && get("helper").self_type.is_none());
+        assert!(get("S::drop").trait_item && get("hello").trait_item);
+        assert!(!get("S::open").trait_item);
+        assert!(get("fixture").in_test);
+        assert!(!get("live").in_test && !get("S::open").in_test);
+    }
+
+    #[test]
+    fn out_of_line_test_modules_are_test_code() {
+        let files = [
+            SourceFile::parse(
+                "crates/fp/src/matcher.rs",
+                "pub fn run() {}
+#[cfg(test)]
+mod reference;",
+                RULES,
+            ),
+            SourceFile::parse(
+                "crates/fp/src/matcher/reference.rs",
+                "pub fn oracle() {}",
+                RULES,
+            ),
+        ];
+        let t = SymbolTable::build(&files);
+        assert!(!t.fns[0].in_test);
+        assert!(t.fns[1].in_test);
     }
 
     #[test]

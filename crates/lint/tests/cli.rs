@@ -106,6 +106,27 @@ fn json_on_a_clean_tree_is_quiet_and_succeeds() {
 }
 
 #[test]
+fn an_unreached_pub_fn_fails_the_run_once_a_bin_is_scanned() {
+    let root = stage("unreached", "pub fn used() {}\n\npub fn orphan() {}\n");
+    fs::create_dir_all(root.join("crates/core/src/bin")).unwrap();
+    fs::write(
+        root.join("crates/core/src/bin/tool.rs"),
+        "fn main() {\n    core::used();\n}\n",
+    )
+    .unwrap();
+    let out = run(&root, &[]);
+    assert_eq!(out.status.code(), Some(1), "{out:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        "crates/core/src/lib.rs:3: error[unreached-pub-fn]: `pub fn orphan` is reached from \
+         nothing: no bin, example, bench, integration test, trait impl or item initializer \
+         calls it; delete it\n\
+         trust-lint: 2 files scanned, 1 finding(s): 1 unwaived, 0 waived\n"
+    );
+    let _ = fs::remove_dir_all(&root);
+}
+
+#[test]
 fn list_rules_prints_every_rule_id() {
     let out = Command::new(env!("CARGO_BIN_EXE_trust_lint"))
         .arg("--list-rules")

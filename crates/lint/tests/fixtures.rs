@@ -285,6 +285,58 @@ fn determinism_reach_follows_the_call_chain() {
     );
 }
 
+/// The integration test staged next to the `unreached_pub_fn` fixtures:
+/// the entry that reaches `drive`.
+const SMOKE_TEST: &str = "#[test]\nfn smoke() {\n    let _ = demo::drive(2);\n}\n";
+
+fn lint_with_smoke_test(lib: &str) -> Report {
+    lint_sources(
+        [
+            ("crates/demo/src/lib.rs", lib),
+            ("crates/demo/tests/smoke.rs", SMOKE_TEST),
+        ],
+        &Config::default(),
+    )
+}
+
+#[test]
+fn unreached_pub_fn() {
+    let bad = lint_with_smoke_test(include_str!("fixtures/unreached_pub_fn/bad.rs"));
+    assert_eq!(
+        fired(&bad),
+        ["unreached-pub-fn", "unreached-pub-fn"],
+        "{}",
+        bad.render(true)
+    );
+    let messages: Vec<&str> = bad.unwaived().map(|f| f.message.as_str()).collect();
+    assert!(
+        messages[0].starts_with("`pub fn orphan` is reached from nothing"),
+        "{}",
+        messages[0]
+    );
+    assert!(
+        messages[1].starts_with(
+            "`pub fn test_only` is reached only from `#[cfg(test)]` code (via `triples`)"
+        ),
+        "{}",
+        messages[1]
+    );
+
+    let good = lint_with_smoke_test(include_str!("fixtures/unreached_pub_fn/good.rs"));
+    assert_eq!(good.unwaived_count(), 0, "{}", good.render(true));
+}
+
+#[test]
+fn unreached_pub_fn_needs_an_entry_in_the_scanned_set() {
+    // Linted alone, a library cannot tell a fn nothing calls from one a
+    // crate outside the scanned set calls.
+    let report = lint(
+        "crates/demo/src/lib.rs",
+        include_str!("fixtures/unreached_pub_fn/bad.rs"),
+    );
+    assert_eq!(report.unwaived_count(), 0, "{}", report.render(true));
+}
+
 #[test]
 fn unordered_iteration_tracks_flow_through_renames() {
     // Dataflow, not lookahead: the hash-ordered Vec passes through a

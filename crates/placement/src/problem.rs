@@ -45,11 +45,6 @@ impl PlacementProblem {
         self.sensor
     }
 
-    /// The touch-density weights.
-    pub fn heatmap(&self) -> &Heatmap {
-        &self.heatmap
-    }
-
     /// The sensor rectangle whose top-left corner is `origin`.
     pub fn sensor_rect(&self, origin: MmPoint) -> MmRect {
         MmRect::new(origin, self.sensor)
@@ -261,6 +256,13 @@ mod tests {
             for other in &placement[i + 1..] {
                 assert!(!r.overlaps(*other));
             }
+        }
+    }
+
+    impl PlacementProblem {
+        /// The touch-density weights.
+        pub fn heatmap(&self) -> &Heatmap {
+            &self.heatmap
         }
     }
 }

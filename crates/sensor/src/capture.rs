@@ -61,11 +61,6 @@ impl CapturePipeline {
         &self.sensors
     }
 
-    /// The readout configuration.
-    pub fn readout(&self) -> &ReadoutConfig {
-        &self.readout
-    }
-
     /// Which sensor covers `p`, if any.
     pub fn sensor_covering(&self, p: MmPoint) -> Option<usize> {
         self.sensors.iter().position(|s| s.covers(p))

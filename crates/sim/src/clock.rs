@@ -52,19 +52,9 @@ impl ClockDomain {
         self.freq_hz
     }
 
-    /// The period of one cycle.
-    pub fn period(self) -> SimDuration {
-        SimDuration::from_secs_f64(1.0 / self.freq_hz)
-    }
-
     /// The duration of `cycles` clock cycles.
     pub fn cycles_to_duration(self, cycles: u64) -> SimDuration {
         SimDuration::from_secs_f64(cycles as f64 / self.freq_hz)
-    }
-
-    /// How many full cycles fit in `d` (truncating).
-    pub fn duration_to_cycles(self, d: SimDuration) -> u64 {
-        (d.as_secs_f64() * self.freq_hz).floor() as u64
     }
 }
 
@@ -95,5 +85,17 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_frequency_rejected() {
         let _ = ClockDomain::from_hz(0.0);
+    }
+
+    impl ClockDomain {
+        /// The period of one cycle.
+        pub fn period(self) -> SimDuration {
+            SimDuration::from_secs_f64(1.0 / self.freq_hz)
+        }
+
+        /// How many full cycles fit in `d` (truncating).
+        pub fn duration_to_cycles(self, d: SimDuration) -> u64 {
+            (d.as_secs_f64() * self.freq_hz).floor() as u64
+        }
     }
 }

@@ -84,11 +84,6 @@ impl<E> EventQueue<E> {
         self.heap.pop().map(|e| (e.at, e.event))
     }
 
-    /// The timestamp of the earliest pending event, if any.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -97,15 +92,6 @@ impl<E> EventQueue<E> {
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
-    }
-
-    /// Drains events in time order into a vector (consumes the queue).
-    pub fn into_sorted_vec(mut self) -> Vec<(SimTime, E)> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(item) = self.pop() {
-            out.push(item);
-        }
-        out
     }
 }
 
@@ -176,5 +162,21 @@ mod tests {
         let q: EventQueue<&str> = vec![(t(2), "b"), (t(1), "a")].into_iter().collect();
         let drained = q.into_sorted_vec();
         assert_eq!(drained, vec![(t(1), "a"), (t(2), "b")]);
+    }
+
+    impl<E> EventQueue<E> {
+        /// The timestamp of the earliest pending event, if any.
+        pub fn peek_time(&self) -> Option<SimTime> {
+            self.heap.peek().map(|e| e.at)
+        }
+
+        /// Drains events in time order into a vector (consumes the queue).
+        pub fn into_sorted_vec(mut self) -> Vec<(SimTime, E)> {
+            let mut out = Vec::with_capacity(self.len());
+            while let Some(item) = self.pop() {
+                out.push(item);
+            }
+            out
+        }
     }
 }

@@ -138,6 +138,7 @@ impl MmRect {
     }
 
     /// Whether `other` lies entirely inside this rectangle.
+    // trust-lint: allow(unreached-pub-fn) -- the sensor and flock unit tests check layouts with it; a cfg(test) gate would hide it from other crates' tests
     pub fn contains_rect(self, other: MmRect) -> bool {
         other.left() >= self.left()
             && other.right() <= self.right()

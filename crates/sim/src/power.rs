@@ -104,14 +104,6 @@ impl EnergyMeter {
             .or_insert(Joules(0.0)) += energy;
     }
 
-    /// The accumulated energy for `component`, or zero if never recorded.
-    pub fn component(&self, component: &str) -> Joules {
-        self.by_component
-            .get(component)
-            .copied()
-            .unwrap_or(Joules(0.0))
-    }
-
     /// Total energy across all components.
     pub fn total(&self) -> Joules {
         self.by_component.values().copied().sum()
@@ -167,5 +159,15 @@ mod tests {
     fn display_units() {
         assert_eq!(Joules(0.5).to_string(), "500.000mJ");
         assert_eq!(Watts(0.0005).to_string(), "500.000uW");
+    }
+
+    impl EnergyMeter {
+        /// The accumulated energy for `component`, or zero if never recorded.
+        pub fn component(&self, component: &str) -> Joules {
+            self.by_component
+                .get(component)
+                .copied()
+                .unwrap_or(Joules(0.0))
+        }
     }
 }

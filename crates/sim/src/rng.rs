@@ -175,14 +175,6 @@ impl SimRng {
         weights.len() - 1
     }
 
-    /// Fisher–Yates shuffles `items` in place.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.below(i as u64 + 1) as usize;
-            items.swap(i, j);
-        }
-    }
-
     /// Fills `buf` with random bytes.
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         for chunk in buf.chunks_mut(8) {
@@ -304,6 +296,16 @@ mod tests {
             assert!((-3..=4).contains(&x));
             let y = rng.range_f64(2.5, 3.5);
             assert!((2.5..3.5).contains(&y));
+        }
+    }
+
+    impl SimRng {
+        /// Fisher–Yates shuffles `items` in place.
+        pub fn shuffle<T>(&mut self, items: &mut [T]) {
+            for i in (1..items.len()).rev() {
+                let j = self.below(i as u64 + 1) as usize;
+                items.swap(i, j);
+            }
         }
     }
 }

@@ -40,6 +40,7 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Creates a time `nanos` nanoseconds after simulation start.
+    // trust-lint: allow(unreached-pub-fn) -- the touch, workload and sim unit tests build event times with it; a cfg(test) gate would hide it from the other crates' tests
     pub const fn from_nanos(nanos: u64) -> Self {
         SimTime(nanos)
     }
@@ -157,19 +158,6 @@ impl SimDuration {
     /// this clamps at `u64::MAX` nanoseconds.
     pub const fn saturating_mul(self, factor: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(factor))
-    }
-
-    /// Multiplies by a float factor, rounding to the nearest nanosecond.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is negative or not finite.
-    pub fn mul_f64(self, factor: f64) -> SimDuration {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "factor must be finite and non-negative"
-        );
-        SimDuration((self.0 as f64 * factor).round() as u64)
     }
 
     /// Integer division by `n`, truncating.
@@ -380,5 +368,20 @@ mod tests {
         assert_eq!(SimDuration::from_micros(12).to_string(), "12.000us");
         assert_eq!(SimDuration::from_millis(12).to_string(), "12.000ms");
         assert_eq!(SimDuration::from_secs(12).to_string(), "12.000s");
+    }
+
+    impl SimDuration {
+        /// Multiplies by a float factor, rounding to the nearest nanosecond.
+        ///
+        /// # Panics
+        ///
+        /// Panics if `factor` is negative or not finite.
+        pub fn mul_f64(self, factor: f64) -> SimDuration {
+            assert!(
+                factor.is_finite() && factor >= 0.0,
+                "factor must be finite and non-negative"
+            );
+            SimDuration((self.0 as f64 * factor).round() as u64)
+        }
     }
 }

@@ -64,7 +64,7 @@ impl fmt::Display for TraceEvent {
 ///
 /// let mut log = TraceLog::new();
 /// log.security(SimTime::ZERO, "server", "replayed nonce rejected");
-/// assert_eq!(log.count_severity(Severity::Security), 1);
+/// assert_eq!(log.events()[0].severity, Severity::Security);
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct TraceLog {
@@ -93,16 +93,6 @@ impl TraceLog {
         });
     }
 
-    /// Appends an [`Severity::Info`] event.
-    pub fn info(&mut self, at: SimTime, component: &str, message: impl Into<String>) {
-        self.push(at, component, Severity::Info, message);
-    }
-
-    /// Appends a [`Severity::Warn`] event.
-    pub fn warn(&mut self, at: SimTime, component: &str, message: impl Into<String>) {
-        self.push(at, component, Severity::Warn, message);
-    }
-
     /// Appends a [`Severity::Security`] event.
     pub fn security(&mut self, at: SimTime, component: &str, message: impl Into<String>) {
         self.push(at, component, Severity::Security, message);
@@ -121,21 +111,6 @@ impl TraceLog {
     /// Whether the log is empty.
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
-    }
-
-    /// How many events carry the given severity.
-    pub fn count_severity(&self, severity: Severity) -> usize {
-        self.events
-            .iter()
-            .filter(|e| e.severity == severity)
-            .count()
-    }
-
-    /// Events whose message contains `needle`.
-    pub fn matching<'a>(&'a self, needle: &'a str) -> impl Iterator<Item = &'a TraceEvent> + 'a {
-        self.events
-            .iter()
-            .filter(move |e| e.message.contains(needle))
     }
 
     /// Appends all events from `other`.
@@ -182,5 +157,35 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("srv"));
         assert!(s.contains("bad"));
+    }
+
+    impl TraceLog {
+        /// Appends an [`Severity::Info`] event.
+        pub fn info(&mut self, at: SimTime, component: &str, message: impl Into<String>) {
+            self.push(at, component, Severity::Info, message);
+        }
+
+        /// Appends a [`Severity::Warn`] event.
+        pub fn warn(&mut self, at: SimTime, component: &str, message: impl Into<String>) {
+            self.push(at, component, Severity::Warn, message);
+        }
+
+        /// How many events carry the given severity.
+        pub fn count_severity(&self, severity: Severity) -> usize {
+            self.events
+                .iter()
+                .filter(|e| e.severity == severity)
+                .count()
+        }
+
+        /// Events whose message contains `needle`.
+        pub fn matching<'a>(
+            &'a self,
+            needle: &'a str,
+        ) -> impl Iterator<Item = &'a TraceEvent> + 'a {
+            self.events
+                .iter()
+                .filter(move |e| e.message.contains(needle))
+        }
     }
 }

@@ -62,11 +62,6 @@ impl TouchController {
         }
     }
 
-    /// The panel this controller drives.
-    pub fn panel(&self) -> &PanelSpec {
-        &self.panel
-    }
-
     /// Scans one frame at time `now` with the given physical contacts and
     /// returns the touch events the frame produces. Detection results are
     /// available one frame time after `now` (the paper's 4 ms); event
@@ -161,11 +156,6 @@ impl TouchController {
         self.active = next_active;
         events
     }
-
-    /// Number of touches currently tracked.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
-    }
 }
 
 #[cfg(test)]
@@ -254,5 +244,17 @@ mod tests {
         let second = tc.scan_frame(now, &[c(20.0, 40.0)], &mut rng);
         assert_ne!(first[0].id, second[0].id);
         assert_eq!(second[0].phase, TouchPhase::Down);
+    }
+
+    impl TouchController {
+        /// The panel this controller drives.
+        pub fn panel(&self) -> &PanelSpec {
+            &self.panel
+        }
+
+        /// Number of touches currently tracked.
+        pub fn active_count(&self) -> usize {
+            self.active.len()
+        }
     }
 }

@@ -30,15 +30,6 @@ impl PanelSpec {
         }
     }
 
-    /// A tablet-class panel (for the scaling ablation).
-    pub fn tablet() -> Self {
-        PanelSpec {
-            size: MmSize::new(150.0, 200.0),
-            electrode_pitch_mm: 5.5,
-            frame_time: SimDuration::from_millis(6),
-        }
-    }
-
     /// Creates a custom panel.
     ///
     /// # Panics
@@ -126,5 +117,16 @@ mod tests {
     #[test]
     fn tablet_is_larger() {
         assert!(PanelSpec::tablet().rows() > PanelSpec::smartphone().rows());
+    }
+
+    impl PanelSpec {
+        /// A tablet-class panel (for the scaling ablation).
+        pub fn tablet() -> Self {
+            PanelSpec {
+                size: MmSize::new(150.0, 200.0),
+                electrode_pitch_mm: 5.5,
+                frame_time: SimDuration::from_millis(6),
+            }
+        }
     }
 }

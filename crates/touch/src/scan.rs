@@ -58,22 +58,7 @@ pub fn scan(panel: &PanelSpec, contacts: &[Contact], rng: &mut SimRng) -> ScanFr
     ScanFrame { columns, rows }
 }
 
-impl ScanFrame {
-    /// The strongest column reading.
-    pub fn peak_column(&self) -> f64 {
-        self.columns.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// The strongest row reading.
-    pub fn peak_row(&self) -> f64 {
-        self.rows.iter().copied().fold(0.0, f64::max)
-    }
-
-    /// Whether any electrode reads above `threshold`.
-    pub fn any_above(&self, threshold: f64) -> bool {
-        self.peak_column() > threshold && self.peak_row() > threshold
-    }
-}
+impl ScanFrame {}
 
 #[cfg(test)]
 mod tests {
@@ -151,5 +136,22 @@ mod tests {
         let f_soft = scan(&panel, &[soft], &mut rng);
         let f_hard = scan(&panel, &[hard], &mut rng);
         assert!(f_hard.peak_column() > 2.0 * f_soft.peak_column());
+    }
+
+    impl ScanFrame {
+        /// The strongest column reading.
+        pub fn peak_column(&self) -> f64 {
+            self.columns.iter().copied().fold(0.0, f64::max)
+        }
+
+        /// The strongest row reading.
+        pub fn peak_row(&self) -> f64 {
+            self.rows.iter().copied().fold(0.0, f64::max)
+        }
+
+        /// Whether any electrode reads above `threshold`.
+        pub fn any_above(&self, threshold: f64) -> bool {
+            self.peak_column() > threshold && self.peak_row() > threshold
+        }
     }
 }

@@ -75,11 +75,6 @@ impl Heatmap {
         self.rows
     }
 
-    /// Cell edge length, millimetres.
-    pub fn cell_mm(&self) -> f64 {
-        self.cell_mm
-    }
-
     /// Total recorded touches.
     pub fn total(&self) -> u64 {
         self.total
@@ -95,40 +90,12 @@ impl Heatmap {
         self.counts[row * self.cols + col]
     }
 
-    /// Fraction of all touches in cell `(row, col)`.
-    pub fn density(&self, row: usize, col: usize) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.count(row, col) as f64 / self.total as f64
-        }
-    }
-
     /// The panel rectangle of cell `(row, col)`.
     pub fn cell_rect(&self, row: usize, col: usize) -> MmRect {
         MmRect::new(
             MmPoint::new(col as f64 * self.cell_mm, row as f64 * self.cell_mm),
             MmSize::new(self.cell_mm, self.cell_mm),
         )
-    }
-
-    /// Fraction of touches that fall inside `region`.
-    pub fn mass_in(&self, region: MmRect) -> f64 {
-        if self.total == 0 {
-            return 0.0;
-        }
-        let mut mass = 0u64;
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let cell = self.cell_rect(r, c);
-                if let Some(overlap) = cell.intersect(region) {
-                    // Pro-rate cells straddling the region edge by area.
-                    let frac = overlap.area() / cell.area();
-                    mass += (self.counts[r * self.cols + c] as f64 * frac).round() as u64;
-                }
-            }
-        }
-        (mass as f64 / self.total as f64).min(1.0)
     }
 
     /// The `k` densest cells, ordered densest first, as (row, col, count).
@@ -299,5 +266,35 @@ mod tests {
         let before = a.total();
         a.absorb(&b);
         assert_eq!(a.total(), before + b.total());
+    }
+
+    impl Heatmap {
+        /// Fraction of all touches in cell `(row, col)`.
+        pub fn density(&self, row: usize, col: usize) -> f64 {
+            if self.total == 0 {
+                0.0
+            } else {
+                self.count(row, col) as f64 / self.total as f64
+            }
+        }
+
+        /// Fraction of touches that fall inside `region`.
+        pub fn mass_in(&self, region: MmRect) -> f64 {
+            if self.total == 0 {
+                return 0.0;
+            }
+            let mut mass = 0u64;
+            for r in 0..self.rows {
+                for c in 0..self.cols {
+                    let cell = self.cell_rect(r, c);
+                    if let Some(overlap) = cell.intersect(region) {
+                        // Pro-rate cells straddling the region edge by area.
+                        let frac = overlap.area() / cell.area();
+                        mass += (self.counts[r * self.cols + c] as f64 * frac).round() as u64;
+                    }
+                }
+            }
+            (mass as f64 / self.total as f64).min(1.0)
+        }
     }
 }

@@ -205,11 +205,6 @@ impl UserProfile {
         self.panel_size
     }
 
-    /// The mixture components.
-    pub fn clusters(&self) -> &[TouchCluster] {
-        &self.clusters
-    }
-
     /// Samples a touch position, clamped to the panel.
     pub fn sample_position(&self, rng: &mut SimRng) -> MmPoint {
         let weights: Vec<f64> = self.clusters.iter().map(|c| c.weight).collect();
@@ -226,21 +221,6 @@ impl UserProfile {
     /// Samples which enrolled finger performs a touch.
     pub fn sample_finger(&self, rng: &mut SimRng) -> u8 {
         rng.weighted_index(&self.finger_weights) as u8
-    }
-
-    /// Probability density (unnormalized) of a touch at `p` — used by the
-    /// placement optimizer's analytic mode.
-    pub fn density_at(&self, p: MmPoint) -> f64 {
-        let total_w: f64 = self.clusters.iter().map(|c| c.weight).sum();
-        self.clusters
-            .iter()
-            .map(|c| {
-                let zx = (p.x - c.mean.x) / c.std_dev.w;
-                let zy = (p.y - c.mean.y) / c.std_dev.h;
-                c.weight / total_w * (-0.5 * (zx * zx + zy * zy)).exp()
-                    / (c.std_dev.w * c.std_dev.h)
-            })
-            .sum()
     }
 }
 
@@ -339,5 +319,22 @@ mod tests {
         }
         assert!(counts[0] > counts[1]);
         assert!(counts[1] > counts[2]);
+    }
+
+    impl UserProfile {
+        /// Probability density (unnormalized) of a touch at `p` — used by the
+        /// placement optimizer's analytic mode.
+        pub fn density_at(&self, p: MmPoint) -> f64 {
+            let total_w: f64 = self.clusters.iter().map(|c| c.weight).sum();
+            self.clusters
+                .iter()
+                .map(|c| {
+                    let zx = (p.x - c.mean.x) / c.std_dev.w;
+                    let zy = (p.y - c.mean.y) / c.std_dev.h;
+                    c.weight / total_w * (-0.5 * (zx * zx + zy * zy)).exp()
+                        / (c.std_dev.w * c.std_dev.h)
+                })
+                .sum()
+        }
     }
 }

@@ -58,11 +58,6 @@ impl SessionGenerator {
         }
     }
 
-    /// The profile driving this session.
-    pub fn profile(&self) -> &UserProfile {
-        &self.profile
-    }
-
     /// The current session clock.
     pub fn now(&self) -> SimTime {
         self.now

@@ -23,6 +23,13 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
+# The wall-clock benchmark is a workspace of its own that builds against
+# these crates by path: build and unit-test it here, so an API change that
+# breaks it fails locally rather than in the benchmark pipeline.
+echo "==> perfbench: build + unit tests against the workspace crates"
+cargo build --release --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+cargo test --release -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 # Runs a deterministic --json bench into $2 and fails fast on a nonzero
 # exit status BEFORE any diff: a binary that panics mid-emit leaves a
 # truncated JSON whose diff noise would bury the real failure.
@@ -54,14 +61,6 @@ echo "==> parallel matrix determinism gate (same seed, second run must be byte-i
 run_bench_json parallel_matrix target/parallel_matrix.run2.json
 diff -u target/parallel_matrix.json target/parallel_matrix.run2.json \
   || { echo "parallel_matrix is nondeterministic across same-seed runs"; exit 1; }
-
-echo "==> bench-delta gate (per-metric comparison against the blessed baselines)"
-cargo run -q --release -p btd-bench --bin goodput_matrix -- --delta BENCH_goodput.json \
-  || { echo "goodput regressed against BENCH_goodput.json"; exit 1; }
-cargo run -q --release -p btd-bench --bin storage_matrix -- --delta BENCH_storage.json \
-  || { echo "storage regressed against BENCH_storage.json"; exit 1; }
-cargo run -q --release -p btd-bench --bin parallel_matrix -- --delta BENCH_parallel.json \
-  || { echo "parallel regressed against BENCH_parallel.json"; exit 1; }
 
 echo "==> fleet_top smoke (telemetry invariance + reconciliation + SLO health)"
 cargo run -q --release -p btd-bench --bin fleet_top -- 16 > target/fleet_top.txt \
