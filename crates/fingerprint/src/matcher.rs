@@ -96,19 +96,46 @@ impl MatchConfig {
     /// or Hough votes for the identity transform split into a spurious
     /// 180°-rotation bin.
     fn fold(&self, a: f64) -> f64 {
+        self.fold_parity(a).0
+    }
+
+    /// [`MatchConfig::fold`], also telling whether the fold moved `a` by an
+    /// odd multiple of π, which flips the signs of both its sine and
+    /// cosine. The parity is `None` two or more periods from zero, where
+    /// the fold calls `fmod` and does not count periods.
+    fn fold_parity(&self, a: f64) -> (f64, Option<bool>) {
+        let pi = std::f64::consts::PI;
+        let period = if self.angle_mod_pi {
+            pi
+        } else {
+            std::f64::consts::TAU
+        };
+        // `fmod` is exact: below one period it returns `a` itself, and
+        // below two it returns `a ∓ period`, which is representable, so the
+        // subtraction gives it exactly (`copysign` keeps a zero's sign as
+        // `fmod` does).
+        let (mut d, mut odd) = if a.abs() < period {
+            (a, Some(false))
+        } else if a.abs() < 2.0 * period {
+            (
+                (a - period.copysign(a)).copysign(a),
+                Some(self.angle_mod_pi),
+            )
+        } else {
+            (a % period, None)
+        };
         if self.angle_mod_pi {
-            let pi = std::f64::consts::PI;
-            // `fmod` is exact and returns `a` itself when |a| < π.
-            let mut d = if a.abs() < pi { a } else { a % pi };
             if d < -pi / 2.0 {
                 d += pi;
+                odd = odd.map(|o| !o);
             } else if d >= pi / 2.0 {
                 d -= pi;
+                odd = odd.map(|o| !o);
             }
-            d
-        } else {
-            normalize_angle(a)
+        } else if d < 0.0 {
+            d += period;
         }
+        (d, odd)
     }
 
     /// Angular distance under this configuration's period.
@@ -155,7 +182,9 @@ impl MatchResult {
 /// Matches an observation (sensor-frame minutiae) against a template.
 ///
 /// Returns [`MatchResult::no_match`] when the observation has fewer than
-/// [`MatchConfig::min_minutiae`] points.
+/// [`MatchConfig::min_minutiae`] points. This is
+/// [`MatchScratch::best_match`] over one template with a fresh scratch;
+/// a caller that matches every touch keeps its scratch instead.
 ///
 /// # Example
 ///
@@ -185,85 +214,321 @@ pub fn match_observation(
     observed: &[Minutia],
     config: &MatchConfig,
 ) -> MatchResult {
-    if observed.len() < config.min_minutiae {
-        return MatchResult::no_match();
+    MatchScratch::new()
+        .best_match(std::slice::from_ref(template), observed, config)
+        .expect("one template")
+        .1
+}
+
+/// The buffers matching needs, kept across calls so that matching every
+/// touch allocates nothing once they have grown: the Hough vote table and
+/// its best bins, the scoring [`Workspace`], and the directions' sines and
+/// cosines.
+///
+/// Between calls the buffers still hold minutiae derived from the last
+/// template matched, so a scratch belongs with the templates it matches
+/// (the fingerprint processor keeps one next to its template store). Its
+/// `Debug` shows none of them, and a clone is a fresh, empty scratch.
+#[derive(Default)]
+pub struct MatchScratch {
+    /// Open-addressing vote table: each slot holds 1 + an index into
+    /// `bins`, 0 marks an empty slot.
+    slots: Vec<u32>,
+    /// The distinct bins voted for, with their votes.
+    bins: Vec<(u32, BinKey)>,
+    /// The bins to score, best first.
+    top: Vec<(u32, BinKey)>,
+    /// `sin_cos` of each template direction.
+    template_trig: Vec<(f64, f64)>,
+    /// `sin_cos` of each observed direction.
+    observed_trig: Vec<(f64, f64)>,
+    work: Workspace,
+}
+
+impl std::fmt::Debug for MatchScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("MatchScratch").finish_non_exhaustive()
+    }
+}
+
+impl Clone for MatchScratch {
+    fn clone(&self) -> Self {
+        MatchScratch::new()
+    }
+}
+
+impl MatchScratch {
+    /// An empty scratch; its buffers grow on first use.
+    pub fn new() -> Self {
+        MatchScratch::default()
     }
 
-    // Evaluate the top few bins — vote quantization occasionally splits
-    // the true transform across neighbouring bins, and committing to a
-    // single bin causes catastrophic genuine misalignments.
-    let bins = top_hough_bins(template, observed, config);
-    let obs_bound = bounding_radius(observed);
-    let mut work = Workspace::new(template.len(), observed.len());
-    let mut best_result = MatchResult::no_match();
-    for &(_, bin) in &bins {
-        let candidate = score_bin(template, observed, config, bin, obs_bound, &mut work);
-        if candidate.score > best_result.score {
-            best_result = candidate;
+    /// Matches `observed` against every template and returns the index and
+    /// result of the best: the first template whose score no later one
+    /// exceeds. `None` when `templates` is empty. Each result is
+    /// bit-identical to [`match_observation`]'s for that template.
+    pub fn best_match(
+        &mut self,
+        templates: &[Template],
+        observed: &[Minutia],
+        config: &MatchConfig,
+    ) -> Option<(usize, MatchResult)> {
+        if templates.is_empty() {
+            return None;
+        }
+        if observed.len() < config.min_minutiae {
+            return Some((0, MatchResult::no_match()));
+        }
+        let fast = FilteredVote::new(config).filter(|_| FilteredVote::certifies(observed));
+        self.observed_trig.clear();
+        if fast.is_some() {
+            self.observed_trig
+                .extend(observed.iter().map(|m| m.angle.sin_cos()));
+        }
+        let obs_bound = bounding_radius(observed);
+        let mut best: Option<(usize, MatchResult)> = None;
+        for (i, template) in templates.iter().enumerate() {
+            let fast = fast.filter(|_| FilteredVote::certifies(template.minutiae()));
+            self.vote(template, observed, config, fast);
+            // Evaluate the top few bins — vote quantization occasionally
+            // splits the true transform across neighbouring bins, and
+            // committing to a single bin causes catastrophic genuine
+            // misalignments.
+            let mut result = MatchResult::no_match();
+            for &(_, bin) in &self.top {
+                let candidate =
+                    score_bin(template, observed, config, bin, obs_bound, &mut self.work);
+                if candidate.score > result.score {
+                    result = candidate;
+                }
+            }
+            if best.is_none_or(|(_, b)| result.score > b.score) {
+                best = Some((i, result));
+            }
+        }
+        best
+    }
+
+    /// Hough voting over (rotation, translation): every (template,
+    /// observed) pair hypothesizes a rotation by the angle difference and
+    /// whatever translation then maps the template minutia onto the
+    /// observed one. Leaves the `hough_bins_evaluated` (at least one)
+    /// most-voted bins in `self.top`, ordered by votes descending, then
+    /// key ascending.
+    ///
+    /// Votes are counted in an open-addressing table sized for one vote
+    /// per pair, so it never grows. The (votes, key) order is total over
+    /// distinct keys, so the bins chosen do not depend on how the table is
+    /// laid out.
+    fn vote(
+        &mut self,
+        template: &Template,
+        observed: &[Minutia],
+        config: &MatchConfig,
+        fast: Option<FilteredVote>,
+    ) {
+        let pairs = template.len() * observed.len();
+        // At most half full: short probe runs.
+        let slot_bits = (2 * pairs).next_power_of_two().max(16).trailing_zeros();
+        self.slots.clear();
+        self.slots.resize(1 << slot_bits, 0);
+        self.bins.clear();
+        self.bins.reserve(pairs);
+        let (slots, bins) = (&mut self.slots, &mut self.bins);
+        match fast {
+            Some(fast) => {
+                self.template_trig.clear();
+                self.template_trig
+                    .extend(template.minutiae().iter().map(|m| m.angle.sin_cos()));
+                for (t, &t_trig) in template.minutiae().iter().zip(&self.template_trig) {
+                    for (o, &o_trig) in observed.iter().zip(&self.observed_trig) {
+                        let key = fast
+                            .key(config, t, t_trig, o, o_trig)
+                            .unwrap_or_else(|| exact_key(config, t, o));
+                        count_vote(slots, bins, slot_bits, key);
+                    }
+                }
+            }
+            None => {
+                for t in template.minutiae() {
+                    for o in observed {
+                        count_vote(slots, bins, slot_bits, exact_key(config, t, o));
+                    }
+                }
+            }
+        }
+        // One pass keeps the best `keep` bins in rank order.
+        let ranks_before =
+            |a: (u32, BinKey), b: (u32, BinKey)| a.0 > b.0 || (a.0 == b.0 && a.1 < b.1);
+        let keep = config.hough_bins_evaluated.max(1);
+        self.top.clear();
+        for &bin in &self.bins {
+            if self.top.len() == keep {
+                if !ranks_before(bin, self.top[keep - 1]) {
+                    continue;
+                }
+                self.top.pop();
+            }
+            let at = self.top.partition_point(|&b| ranks_before(b, bin));
+            self.top.insert(at, bin);
         }
     }
-    best_result
 }
 
 /// A Hough bin: quantized (rotation, x translation, y translation).
 type BinKey = (i64, i64, i64);
 
-/// Hough voting over (rotation, translation): every (template, observed)
-/// pair hypothesizes a rotation by the angle difference and whatever
-/// translation then maps the template minutia onto the observed one.
-/// Returns the `hough_bins_evaluated` (at least one) most-voted bins with
-/// their votes, ordered by votes descending, then key ascending.
-///
-/// Votes are counted in an open-addressing table sized for one vote per
-/// pair, so it never grows. The (votes, key) order is total over distinct
-/// keys, so the bins chosen do not depend on how the table is laid out.
-fn top_hough_bins(
-    template: &Template,
-    observed: &[Minutia],
-    config: &MatchConfig,
-) -> Vec<(u32, BinKey)> {
-    let pairs = template.len() * observed.len();
-    // At most half full: short probe runs.
-    let slot_bits = (2 * pairs).next_power_of_two().max(16).trailing_zeros();
-    // Each slot holds 1 + an index into `bins`; 0 marks an empty slot.
-    let mut slots = vec![0u32; 1 << slot_bits];
-    let mut bins: Vec<(u32, BinKey)> = Vec::with_capacity(pairs);
-    for t in template.minutiae() {
-        for o in observed {
-            let dtheta = config.fold(o.angle - t.angle);
-            let (s, c) = dtheta.sin_cos();
-            let tx = o.pos.x - (t.pos.x * c - t.pos.y * s);
-            let ty = o.pos.y - (t.pos.x * s + t.pos.y * c);
-            let key = (
-                (dtheta / config.rotation_bin_rad).round() as i64,
-                (tx / config.translation_bin_mm).round() as i64,
-                (ty / config.translation_bin_mm).round() as i64,
-            );
-            let mut slot = bin_hash(key) >> (64 - slot_bits);
-            loop {
-                match slots[slot as usize] {
-                    0 => {
-                        bins.push((1, key));
-                        slots[slot as usize] = bins.len() as u32;
-                        break;
-                    }
-                    i if bins[i as usize - 1].1 == key => {
-                        bins[i as usize - 1].0 += 1;
-                        break;
-                    }
-                    _ => slot = (slot + 1) & ((1 << slot_bits) - 1),
-                }
+/// Adds one vote for `key` to the table.
+fn count_vote(slots: &mut [u32], bins: &mut Vec<(u32, BinKey)>, slot_bits: u32, key: BinKey) {
+    let mask = (1u64 << slot_bits) - 1;
+    let mut slot = bin_hash(key) >> (64 - slot_bits);
+    loop {
+        match slots[slot as usize] {
+            0 => {
+                bins.push((1, key));
+                slots[slot as usize] = bins.len() as u32;
+                return;
             }
+            i if bins[i as usize - 1].1 == key => {
+                bins[i as usize - 1].0 += 1;
+                return;
+            }
+            _ => slot = (slot + 1) & mask,
         }
     }
-    let by_rank = |a: &(u32, BinKey), b: &(u32, BinKey)| b.0.cmp(&a.0).then(a.1.cmp(&b.1));
-    let keep = config.hough_bins_evaluated.max(1);
-    if bins.len() > keep {
-        bins.select_nth_unstable_by(keep - 1, by_rank);
-        bins.truncate(keep);
+}
+
+/// The bin a (template, observed) pair votes for, evaluated as written:
+/// `sin_cos` of the folded angle difference and three divisions and
+/// roundings. [`FilteredVote`] falls back to it.
+fn exact_key(config: &MatchConfig, t: &Minutia, o: &Minutia) -> BinKey {
+    let dtheta = config.fold(o.angle - t.angle);
+    let (s, c) = dtheta.sin_cos();
+    let tx = o.pos.x - (t.pos.x * c - t.pos.y * s);
+    let ty = o.pos.y - (t.pos.x * s + t.pos.y * c);
+    (
+        (dtheta / config.rotation_bin_rad).round() as i64,
+        (tx / config.translation_bin_mm).round() as i64,
+        (ty / config.translation_bin_mm).round() as i64,
+    )
+}
+
+/// Largest |coordinate| of a certified minutia, millimetres.
+const CERTIFIED_POS_MM: f64 = 64.0;
+/// Largest |direction| of a certified minutia, radians.
+const CERTIFIED_ANGLE_RAD: f64 = 4.0 * std::f64::consts::PI;
+/// Narrowest certified rotation bin, radians.
+const MIN_ROTATION_BIN_RAD: f64 = 1e-3;
+/// Narrowest certified translation bin, millimetres.
+const MIN_TRANSLATION_BIN_MM: f64 = 1e-2;
+/// How far from a half-integer, in bin units, a fast coordinate must lie
+/// to be rounded.
+const DELTA: f64 = 1e-9;
+/// 1.5 · 2^52: adding and subtracting it rounds any |x| ≤ 2^51 to the
+/// nearest integer (ties to even) in two additions.
+const ROUNDER: f64 = 6_755_399_441_055_744.0;
+
+/// The vote key without libm calls or divisions, as a filtered
+/// evaluation of [`exact_key`]: a fast approximation whose error is
+/// bounded, used only where that bound cannot change the rounded key.
+///
+/// Per pair, `sin`/`cos` of the angle difference come from each
+/// minutia's own `sin_cos` by the subtraction identities
+/// `sin(o − t) = sin o cos t − cos o sin t` and
+/// `cos(o − t) = cos o cos t + sin o sin t`. The fold into the canonical
+/// range takes off whole periods; where it takes off an odd number of π
+/// (π-periodic mode) both signs flip. Divisions become multiplications by
+/// the reciprocal bin widths, and rounding is [`ROUNDER`]'s two
+/// additions.
+///
+/// **Error bound.** Inside the certified range (every |coordinate| ≤ 64
+/// mm and |direction| ≤ 4π, bins at least 1e-3 rad and 1e-2 mm), with
+/// u = 2⁻⁵³ and libm's `sin`/`cos` within 1 ulp (≤ 2u on [−1, 1]):
+///
+/// - The folded difference `d` is bit-identical to `exact_key`'s: the
+///   fast path runs only where [`MatchConfig::fold_parity`] needs no
+///   `fmod`. The fold differs from the real `(o − t) − mπ` by the rounding
+///   of `o − t` (|o − t| < 16 here: ≤ 2⁻⁵⁰), by `m` times `|π − PI|`
+///   (≤ 4 · 1.23e-16 counting τ as two π) and by the final ± π (≤ u):
+///   1.5e-15 in all. With libm's 2u, `exact_key`'s sine and cosine are
+///   within 1.71e-15 of ±sin(o − t) and ±cos(o − t).
+/// - The identities take four libm values (2u each), two products and a
+///   sum: within 11u = 1.22e-15 of the same. So the fast `s`, `c` differ
+///   from `exact_key`'s by at most ε_t = 2.93e-15.
+/// - `tx = o.x − (t.x·c − t.y·s)`: ε_t times |t.x| + |t.y| ≤ 128 gives
+///   3.75e-13 mm, plus both evaluations' four roundings (magnitudes ≤ 64,
+///   64, 128, 192: ≤ 5.7e-14 each) gives 4.9e-13 mm; `ty` alike.
+/// - In bin units, the reciprocal and product add 2u and the division u
+///   of |tx| / b ≤ 192 / b: ε = (4.9e-13 + 6.4e-14) / b ≤ 5.6e-11 for
+///   b ≥ 1e-2 mm. The rotation differs only by that rounding:
+///   3u · 2π / rb ≤ 2.1e-12 for rb ≥ 1e-3 rad.
+///
+/// So ε ≤ 5.6e-11 ≪ δ = [`DELTA`] = 1e-9 (4.7e-13 at the default 1.2 mm
+/// bins). Where the fast value `x` lies more than δ from every
+/// half-integer, `x − rne(x)` (exact: its operands are within a factor
+/// of two, or `rne(x)` is 0) is below 1/2 − δ, so the exact value lies
+/// within 1/2 − δ + ε < 1/2 of the same integer and `round` picks it too.
+/// Any pair that fails that test, or needs `fmod`, and any call with an
+/// input outside the certified range, votes through `exact_key`. Every
+/// key, and so every score, equals the unfiltered vote's.
+#[derive(Clone, Copy)]
+struct FilteredVote {
+    inv_rotation_bin: f64,
+    inv_translation_bin: f64,
+}
+
+impl FilteredVote {
+    /// The filter for `config`, or `None` when its bins are narrower than
+    /// the certified range.
+    fn new(config: &MatchConfig) -> Option<Self> {
+        (config.rotation_bin_rad >= MIN_ROTATION_BIN_RAD
+            && config.translation_bin_mm >= MIN_TRANSLATION_BIN_MM)
+            .then(|| FilteredVote {
+                inv_rotation_bin: 1.0 / config.rotation_bin_rad,
+                inv_translation_bin: 1.0 / config.translation_bin_mm,
+            })
     }
-    bins.sort_unstable_by(by_rank);
-    bins
+
+    /// Whether every minutia lies in the certified range (NaN never does).
+    fn certifies(minutiae: &[Minutia]) -> bool {
+        minutiae.iter().all(|m| {
+            m.pos.x.abs() <= CERTIFIED_POS_MM
+                && m.pos.y.abs() <= CERTIFIED_POS_MM
+                && m.angle.abs() <= CERTIFIED_ANGLE_RAD
+        })
+    }
+
+    /// [`exact_key`] of the pair, from each minutia's `sin_cos`, or `None`
+    /// where the fast value cannot be rounded safely.
+    #[inline]
+    fn key(
+        &self,
+        config: &MatchConfig,
+        t: &Minutia,
+        (st, ct): (f64, f64),
+        o: &Minutia,
+        (so, co): (f64, f64),
+    ) -> Option<BinKey> {
+        let (dtheta, odd) = config.fold_parity(o.angle - t.angle);
+        let sign = if odd? { -1.0 } else { 1.0 };
+        let s = sign * (so * ct - co * st);
+        let c = sign * (co * ct + so * st);
+        let tx = o.pos.x - (t.pos.x * c - t.pos.y * s);
+        let ty = o.pos.y - (t.pos.x * s + t.pos.y * c);
+        let (r, x, y) = (
+            dtheta * self.inv_rotation_bin,
+            tx * self.inv_translation_bin,
+            ty * self.inv_translation_bin,
+        );
+        let (rr, rx, ry) = (
+            (r + ROUNDER) - ROUNDER,
+            (x + ROUNDER) - ROUNDER,
+            (y + ROUNDER) - ROUNDER,
+        );
+        let clear = 0.5 - DELTA;
+        (((r - rr).abs() < clear) & ((x - rx).abs() < clear) & ((y - ry).abs() < clear))
+            .then_some((rr as i64, rx as i64, ry as i64))
+    }
 }
 
 /// A multiplicative hash of a bin key; the high bits are the well mixed
@@ -275,9 +540,8 @@ fn bin_hash((r, x, y): BinKey) -> u64 {
         .fold(0u64, |h, &w| (h.rotate_left(23) ^ w as u64).wrapping_mul(K))
 }
 
-/// Buffers one [`match_observation`] call shares across its bins and
-/// refinement passes. They hold template-derived minutiae, so they live
-/// only for the call and have no `Debug`.
+/// The scoring buffers, shared by every bin and refinement pass.
+#[derive(Default)]
 struct Workspace {
     /// The template under the current transform.
     transformed: Vec<Minutia>,
@@ -292,16 +556,6 @@ struct Workspace {
 }
 
 impl Workspace {
-    fn new(template_len: usize, observed_len: usize) -> Self {
-        Workspace {
-            transformed: Vec::with_capacity(template_len),
-            candidates: Vec::new(),
-            pairs: Vec::with_capacity(template_len.min(observed_len)),
-            t_used: Vec::with_capacity(template_len),
-            o_used: Vec::with_capacity(observed_len),
-        }
-    }
-
     /// Puts the template under the rigid transform (rotate by `theta`,
     /// then translate) into `self.transformed`.
     fn transform(&mut self, template: &Template, theta: f64, (tx, ty): (f64, f64)) {
@@ -328,10 +582,17 @@ impl Workspace {
         angle_tolerance: f64,
         config: &MatchConfig,
     ) {
+        let gate = squared_gate(pos_tolerance);
         self.candidates.clear();
         for (oi, o) in observed.iter().enumerate() {
             for (ti, t) in self.transformed.iter().enumerate() {
-                let d = o.pos.distance_to(t.pos);
+                // `MmPoint::distance_to`'s sum of squares; its root is
+                // taken only for pairs the gate cannot rule out.
+                let d2 = (o.pos.x - t.pos.x).powi(2) + (o.pos.y - t.pos.y).powi(2);
+                if d2 > gate {
+                    continue;
+                }
+                let d = d2.sqrt();
                 if d <= pos_tolerance && config.angle_gap(o.angle, t.angle) <= angle_tolerance {
                     self.candidates.push((d, ti, oi));
                 }
@@ -355,6 +616,19 @@ impl Workspace {
                 self.pairs.push((ti, oi));
             }
         }
+    }
+}
+
+/// A squared distance above which a correctly rounded square root exceeds
+/// `limit`, or infinity where `limit` is too small, too large or NaN for
+/// the bound to hold. If `sqrt(d2)` rounds to at most `limit`, then
+/// `d2 ≤ limit²·(1 + u)² < limit²·(1 + 3u)`, below the gate's
+/// `limit²·(1 + 1e-9)` less its own three roundings.
+fn squared_gate(limit: f64) -> f64 {
+    if (1e-100..=1e100).contains(&limit) {
+        limit * limit * (1.0 + 1e-9)
+    } else {
+        f64::INFINITY
     }
 }
 
@@ -444,10 +718,24 @@ fn score_bin(
     // the candidate set sizes. Accidental alignments that pair only a few
     // minutiae are punished much harder than by a linear ratio, which is
     // what keeps impostor scores low on small partial prints.
+    let bound = obs_bound + config.pos_tolerance_mm;
+    // Squared radii clearly inside or outside `bound` decide without
+    // `hypot`: the sum of squares is within 3u of x² + y² and `hypot`
+    // within 1 ulp of its root, far inside the 1e-9 band.
+    let band = (1e-100..=1e100)
+        .contains(&bound)
+        .then_some((bound * bound * (1.0 - 1e-9), bound * bound * (1.0 + 1e-9)));
     let in_region = work
         .transformed
         .iter()
-        .filter(|t| t.pos.x.hypot(t.pos.y) <= obs_bound + config.pos_tolerance_mm)
+        .filter(|t| {
+            let r2 = t.pos.x * t.pos.x + t.pos.y * t.pos.y;
+            match band {
+                Some((inside, _)) if r2 <= inside => true,
+                Some((_, outside)) if r2 >= outside => false,
+                _ => t.pos.x.hypot(t.pos.y) <= bound,
+            }
+        })
         .count()
         .max(config.min_minutiae);
     let denom = (observed.len() * in_region) as f64;

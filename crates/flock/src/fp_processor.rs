@@ -7,7 +7,7 @@
 //! touch can come from any enrolled finger.
 
 use btd_fingerprint::enroll::enroll;
-use btd_fingerprint::matcher::{match_observation, MatchConfig, MatchResult};
+use btd_fingerprint::matcher::{MatchConfig, MatchResult, MatchScratch};
 use btd_fingerprint::minutiae::Minutia;
 use btd_fingerprint::pattern::FingerPattern;
 use btd_fingerprint::template::Template;
@@ -55,6 +55,8 @@ pub struct FingerprintProcessor {
     config: MatchConfig,
     owner_user_id: Option<u64>,
     verifications: u64,
+    /// Matcher buffers, reused by every verification.
+    scratch: MatchScratch,
 }
 
 /// Enrollment captures per finger (guided flow).
@@ -68,6 +70,7 @@ impl FingerprintProcessor {
             config: MatchConfig::default(),
             owner_user_id: None,
             verifications: 0,
+            scratch: MatchScratch::new(),
         }
     }
 
@@ -152,14 +155,10 @@ impl FingerprintProcessor {
             return None;
         }
         self.verifications += 1;
-        let mut best: Option<(usize, MatchResult)> = None;
-        for (i, t) in self.templates.iter().enumerate() {
-            let r = match_observation(t, observed, &self.config);
-            if best.is_none_or(|(_, b)| r.score > b.score) {
-                best = Some((i, r));
-            }
-        }
-        let (finger_index, best) = best.expect("templates non-empty");
+        let (finger_index, best) = self
+            .scratch
+            .best_match(&self.templates, observed, &self.config)
+            .expect("templates non-empty");
         let matched_user = self.templates[finger_index].user_id();
         let decision = if observed.len() < self.config.min_minutiae {
             MatchDecision::Inconclusive

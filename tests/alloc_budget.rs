@@ -176,9 +176,9 @@ fn honest_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 158, 115_072),
-            b(1, 175, 123_320),
-            b(16, 1_344, 196_384),
+            b(1, 152, 104_046),
+            b(1, 152, 31_204),
+            b(16, 1_320, 104_086),
             b(1, 401, 40_088),
         ],
         "honest lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -191,9 +191,9 @@ fn lossy_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 161, 118_016),
-            b(1, 178, 125_856),
-            b(16, 1_462, 208_797),
+            b(1, 155, 106_990),
+            b(1, 155, 33_740),
+            b(16, 1_438, 116_499),
             b(1, 401, 40_088),
         ],
         "10%-loss lifecycle budget moved (register, login, interact, close): {got:?}"
