@@ -196,11 +196,13 @@ impl MobileDevice {
     }
 
     /// Renders a page through the FLock display repeater, honouring any
-    /// active display malware; returns the frame hash of what the user saw.
-    fn display(&mut self, page: &Page, view: View) -> Digest {
-        let shown = self.spoofed_page.as_ref().unwrap_or(page);
+    /// active display malware (`spoofed`); returns the frame hash of what
+    /// the user saw. It takes the two fields it needs rather than `self`,
+    /// so a caller can show a page it borrows from a session.
+    fn display(flock: &mut FlockModule, spoofed: Option<&Page>, page: &Page, view: View) -> Digest {
+        let shown = spoofed.unwrap_or(page);
         let frame = shown.render(view);
-        self.flock.relay_frame(&frame).0
+        flock.relay_frame(&frame).0
     }
 
     /// Validates a server hello inside FLock: CA-chain the certificate,
@@ -313,7 +315,12 @@ impl MobileDevice {
         user_id: u64,
         rng: &mut SimRng,
     ) -> Result<RegistrationSubmit, DeviceError> {
-        let frame_hash = self.display(&hello.page, View::default());
+        let frame_hash = Self::display(
+            &mut self.flock,
+            self.spoofed_page.as_ref(),
+            &hello.page,
+            View::default(),
+        );
         self.explicit_verified_touch(user_id, 0, rng)?;
         let user_public = self
             .flock
@@ -373,7 +380,12 @@ impl MobileDevice {
         let account = record.account.clone();
         let server_key = record.server_key.clone();
 
-        let frame_hash = self.display(&hello.page, View::default());
+        let frame_hash = Self::display(
+            &mut self.flock,
+            self.spoofed_page.as_ref(),
+            &hello.page,
+            View::default(),
+        );
         self.explicit_verified_touch(user_id, 0, rng)?;
         let risk = RiskReport::from_tracker(self.flock.auth().risk());
 
@@ -447,15 +459,19 @@ impl MobileDevice {
         if !session.session_id.is_empty() && content.seq < session.next_seq {
             return Ok(()); // stale duplicate: authentic but already superseded
         }
-        let page = content.page.clone();
         let session = self.sessions.get_mut(domain).expect("session checked");
-        session.session_id = content.session_id.clone();
+        session.session_id.clone_from(&content.session_id);
         session.next_nonce = content.nonce;
         session.next_seq = content.seq;
-        session.current_page = page.clone();
+        session.current_page = content.page.clone();
         self.tracer
             .record(EventKind::ContentAccepted { seq: content.seq });
-        self.display(&page, View::default());
+        Self::display(
+            &mut self.flock,
+            self.spoofed_page.as_ref(),
+            &session.current_page,
+            View::default(),
+        );
         Ok(())
     }
 
@@ -505,15 +521,20 @@ impl MobileDevice {
             return Err(DeviceError::NoSession);
         }
         let session_id = session.session_id.clone();
-        let current_page = session.current_page.clone();
         let account = self
             .flock
             .domain_record(domain)
             .ok_or(DeviceError::UnknownDomain)?
             .account
             .clone();
-        let nonce = window_nonce(&self.sessions[domain].key, slot);
-        let frame_hash = self.display(&current_page, View::default());
+        let session = &self.sessions[domain];
+        let nonce = window_nonce(&session.key, slot);
+        let frame_hash = Self::display(
+            &mut self.flock,
+            self.spoofed_page.as_ref(),
+            &session.current_page,
+            View::default(),
+        );
         let bytes = InteractionRequest::mac_bytes(
             &session_id,
             &account,
@@ -588,7 +609,8 @@ impl MobileDevice {
         // Base reply: apply it, then drain every contiguous buffered
         // successor.
         let mut applied = 0u64;
-        let mut page = content.page.clone();
+        // The page of the last drained successor, if any.
+        let mut drained_page = None;
         session.next_seq = content.seq;
         session.next_nonce = content.nonce;
         applied += 1;
@@ -603,18 +625,23 @@ impl MobileDevice {
             let next = session.ooo_replies.remove(0);
             session.next_seq = next.seq;
             session.next_nonce = next.nonce;
-            page = next.page.clone();
+            drained_page = Some(next.page);
             applied += 1;
             self.tracer
                 .record(EventKind::ContentAccepted { seq: next.seq });
         }
         let new_base = session.next_seq;
-        session.current_page = page.clone();
+        session.current_page = drained_page.unwrap_or_else(|| content.page.clone());
         self.tracer.record(EventKind::WindowAdvance {
             base: new_base,
             applied,
         });
-        self.display(&page, View::default());
+        Self::display(
+            &mut self.flock,
+            self.spoofed_page.as_ref(),
+            &session.current_page,
+            View::default(),
+        );
         Ok(WindowAccept::Applied { applied })
     }
 
@@ -654,7 +681,6 @@ impl MobileDevice {
         if session.session_id.is_empty() {
             return Err(DeviceError::NoSession);
         }
-        let current_page = session.current_page.clone();
         let session_id = session.session_id.clone();
         let account = self
             .flock
@@ -662,11 +688,16 @@ impl MobileDevice {
             .ok_or(DeviceError::UnknownDomain)?
             .account
             .clone();
-        let nonce = self.sessions[domain].next_nonce;
-        let seq = self.sessions[domain].next_seq;
+        let session = &self.sessions[domain];
+        let (nonce, seq) = (session.next_nonce, session.next_seq);
 
         // The frame hash of what the user is currently looking at.
-        let frame_hash = self.display(&current_page, View::default());
+        let frame_hash = Self::display(
+            &mut self.flock,
+            self.spoofed_page.as_ref(),
+            &session.current_page,
+            View::default(),
+        );
 
         let bytes = InteractionRequest::mac_bytes(
             &session_id,

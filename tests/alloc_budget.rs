@@ -177,8 +177,8 @@ fn honest_lifecycle_allocations_are_pinned() {
         got,
         [
             b(1, 152, 104_046),
-            b(1, 152, 31_204),
-            b(16, 1_320, 104_086),
+            b(1, 150, 31_187),
+            b(16, 1_240, 102_758),
             b(1, 401, 40_088),
         ],
         "honest lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -192,8 +192,8 @@ fn lossy_lifecycle_allocations_are_pinned() {
         got,
         [
             b(1, 155, 106_990),
-            b(1, 155, 33_740),
-            b(16, 1_438, 116_499),
+            b(1, 153, 33_723),
+            b(16, 1_358, 115_171),
             b(1, 401, 40_088),
         ],
         "10%-loss lifecycle budget moved (register, login, interact, close): {got:?}"
