@@ -132,14 +132,17 @@ impl Sha256 {
     /// Finishes and returns the digest.
     pub fn finalize(mut self) -> Digest {
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        // Manual length append (update would double-count total_len, but we
-        // already captured bit_len above so that is harmless).
+        // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit length,
+        // written straight into the last block, or the last two when
+        // more than 55 bytes are buffered.
         let mut block = self.buffer;
-        block[56..64].copy_from_slice(&bit_len.to_be_bytes());
+        block[self.buffered] = 0x80;
+        block[self.buffered + 1..].fill(0);
+        if self.buffered >= 56 {
+            self.compress(&block);
+            block = [0; 64];
+        }
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
         self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
@@ -246,6 +249,56 @@ mod tests {
                 h.update(chunk);
             }
             assert_eq!(h.finalize(), oneshot, "chunk size {chunk_size}");
+        }
+    }
+
+    /// Digests of `(31·i + 7) mod 256` byte strings at the padding
+    /// boundaries (the length field fits, just fits, or needs a second
+    /// block), computed independently with Python's `hashlib.sha256`.
+    #[test]
+    fn known_answers_at_padding_boundaries() {
+        let cases = [
+            (
+                0,
+                "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+            ),
+            (
+                55,
+                "8aa994584139d128848eeebc4e815639ba5ab6e6e39574195a63ac4f14f7c43b",
+            ),
+            (
+                56,
+                "ad574708f75c044c9b85de64cb568ee7711ff4f36448c6242f053ba8f6cc2b63",
+            ),
+            (
+                63,
+                "280ed3e8ff1df845b2e7dfe6ac6cee817bef20e783cc65abc41b818b4d2fe076",
+            ),
+            (
+                64,
+                "c6ab9724ade5b6a7a1edfffb12f3aa9181351355af8fd08c919952ad211339dd",
+            ),
+            (
+                119,
+                "3d610547d68216dedf7435a4fb6260353911f6b3fd3f18805ddb8be285d726fe",
+            ),
+            (
+                120,
+                "1f80156a804cb7862ad113e8200e9d74499723e7c7854d5f48776d3148e09656",
+            ),
+            (
+                1000,
+                "5097e7d587352f5097062ae679f37bda5802d9f875aba14c8cb4d1a188ada179",
+            ),
+        ];
+        for (len, hex) in cases {
+            let msg: Vec<u8> = (0..len).map(|i| (31 * i + 7) as u8).collect();
+            assert_eq!(sha256(&msg).to_hex(), hex, "len {len}");
+            let mut h = Sha256::new();
+            for byte in msg.chunks(1) {
+                h.update(byte);
+            }
+            assert_eq!(h.finalize().to_hex(), hex, "len {len}, byte by byte");
         }
     }
 
