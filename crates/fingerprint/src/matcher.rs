@@ -1089,6 +1089,183 @@ mod tests {
         }
     }
 
+    /// Every bin with its votes from the production vote, ranked as
+    /// `reference::hough_votes` ranks them.
+    fn vote_table(
+        template: &Template,
+        observed: &[Minutia],
+        cfg: &MatchConfig,
+    ) -> Vec<(u32, BinKey)> {
+        let all = MatchConfig {
+            hough_bins_evaluated: usize::MAX,
+            min_minutiae: 0,
+            ..*cfg
+        };
+        let mut scratch = MatchScratch::new();
+        scratch.best_match(std::slice::from_ref(template), observed, &all);
+        scratch.top
+    }
+
+    /// Steps `v` by single ulps (at most 64) while that brings `f(v)`
+    /// nearer `target`.
+    fn aim(mut v: f64, target: f64, f: impl Fn(f64) -> f64) -> f64 {
+        let miss = |v: f64| (f(v) - target).abs();
+        for _ in 0..64 {
+            let (up, down) = (v.next_up(), v.next_down());
+            if miss(up) < miss(v) && miss(up) <= miss(down) {
+                v = up;
+            } else if miss(down) < miss(v) {
+                v = down;
+            } else {
+                break;
+            }
+        }
+        v
+    }
+
+    /// `n` (template, observed) pairs, each aimed so that its exact
+    /// rotation, x or y translation (in turn), in bin units, lands on a
+    /// half-integer or within 1e-15 to 1e-12 of one. Positions are offset
+    /// by `(shift, −shift)` mm and directions by `turn` rad.
+    fn boundary_pairs(
+        cfg: &MatchConfig,
+        rng: &mut SimRng,
+        n: usize,
+        shift: f64,
+        turn: f64,
+    ) -> (Vec<Minutia>, Vec<Minutia>) {
+        use std::f64::consts::TAU;
+        let point = |rng: &mut SimRng| {
+            MmPoint::new(
+                rng.range_f64(-6.0, 6.0) + shift,
+                rng.range_f64(-6.0, 6.0) - shift,
+            )
+        };
+        let (mut template, mut observed) = (Vec::new(), Vec::new());
+        for i in 0..n {
+            let t = Minutia::new(point(rng), 0.0, crate::minutiae::MinutiaKind::Ending);
+            let t = Minutia {
+                angle: rng.range_f64(0.0, TAU) + turn,
+                ..t
+            };
+            let o = Minutia {
+                pos: point(rng),
+                angle: rng.range_f64(0.0, TAU) + turn,
+                ..t
+            };
+            let offset = [0.0, 1e-15, -1e-15, 1e-13, -1e-13, 9e-13, -9e-13][i % 7];
+            let axis = i % 3;
+            let coord = |o: &Minutia| {
+                let (r, x, y) = reference::pair_coordinates(cfg, &t, o);
+                [r, x, y][axis]
+            };
+            // Moves the observed minutia's direction, x or y so that its
+            // coordinate on `axis` lands on `target`.
+            let place = |target: f64| {
+                let now = coord(&o);
+                let o = match axis {
+                    0 => {
+                        let start = o.angle + (target - now) * cfg.rotation_bin_rad;
+                        let angle = aim(start, target, |a| coord(&Minutia { angle: a, ..o }));
+                        Minutia { angle, ..o }
+                    }
+                    1 => {
+                        let start = o.pos.x + (target - now) * cfg.translation_bin_mm;
+                        let at = |x| MmPoint::new(x, o.pos.y);
+                        let x = aim(start, target, |x| coord(&Minutia { pos: at(x), ..o }));
+                        Minutia { pos: at(x), ..o }
+                    }
+                    _ => {
+                        let start = o.pos.y + (target - now) * cfg.translation_bin_mm;
+                        let at = |y| MmPoint::new(o.pos.x, y);
+                        let y = aim(start, target, |y| coord(&Minutia { pos: at(y), ..o }));
+                        Minutia { pos: at(y), ..o }
+                    }
+                };
+                (o, coord(&o))
+            };
+            // The half-integer just above the current coordinate, or a
+            // neighbour where that one is outside the rotation's fold.
+            let above = coord(&o).floor() + 0.5;
+            let (half, (o, aimed)) = [above, above - 1.0, above + 1.0]
+                .into_iter()
+                .map(|half| (half, place(half + offset)))
+                .find(|(half, (_, aimed))| (aimed - half).abs() < 1e-6)
+                .unwrap_or_else(|| (above, place(above + offset)));
+            if shift == 0.0 && turn == 0.0 {
+                assert!(
+                    (aimed - half).abs() <= 1e-12,
+                    "pair {i} missed: {aimed} vs {half}"
+                );
+            }
+            template.push(t);
+            observed.push(o);
+        }
+        (template, observed)
+    }
+
+    /// The production vote table and results, for a few bin counts, equal
+    /// the reference's bit for bit.
+    fn assert_votes_exact(template: Vec<Minutia>, observed: &[Minutia], cfg: &MatchConfig) {
+        let template = Template::new(0, 0, template);
+        assert_eq!(
+            vote_table(&template, observed, cfg),
+            reference::hough_votes(&template, observed, cfg),
+            "vote tables differ (mod pi: {})",
+            cfg.angle_mod_pi
+        );
+        for bins in [1, 4] {
+            let cfg = MatchConfig {
+                hough_bins_evaluated: bins,
+                ..*cfg
+            };
+            assert_eq!(
+                result_bits(&match_observation(&template, observed, &cfg)),
+                result_bits(&reference::match_observation(&template, observed, &cfg)),
+            );
+        }
+    }
+
+    #[test]
+    fn filtered_vote_is_exact_at_rounding_boundaries() {
+        for cfg in [MatchConfig::default(), MatchConfig::for_image_extraction()] {
+            let mut rng = SimRng::seed_from(0xB0DE);
+            for _ in 0..6 {
+                let (template, observed) = boundary_pairs(&cfg, &mut rng, 42, 0.0, 0.0);
+                assert_votes_exact(template, &observed, &cfg);
+            }
+        }
+    }
+
+    #[test]
+    fn inputs_outside_the_certified_range_vote_exactly() {
+        for cfg in [MatchConfig::default(), MatchConfig::for_image_extraction()] {
+            let mut rng = SimRng::seed_from(0x0FF);
+            // Positions a kilometre and a thousand kilometres out, with
+            // aimed boundaries.
+            for shift in [1e6, 1e6, 1e9, 1e9] {
+                let (template, observed) = boundary_pairs(&cfg, &mut rng, 42, shift, 0.0);
+                assert_votes_exact(template, &observed, &cfg);
+            }
+            // Directions far outside [0, 2π): both sides near ±1e9 rad, or
+            // one side there and the other in range.
+            for turn in [1e9, -1e9] {
+                let (template, observed) = boundary_pairs(&cfg, &mut rng, 42, 0.0, turn);
+                assert_votes_exact(template, &observed, &cfg);
+                let (template, mut observed) = boundary_pairs(&cfg, &mut rng, 42, 0.0, 0.0);
+                for o in observed.iter_mut().step_by(2) {
+                    o.angle += turn;
+                }
+                assert_votes_exact(template, &observed, &cfg);
+            }
+            // NaN directions on either side.
+            let (mut template, mut observed) = boundary_pairs(&cfg, &mut rng, 42, 0.0, 0.0);
+            template[3].angle = f64::NAN;
+            observed[5].angle = f64::NAN;
+            assert_votes_exact(template, &observed, &cfg);
+        }
+    }
+
     #[test]
     fn fmod_free_fold_is_bit_exact() {
         use std::f64::consts::{FRAC_PI_2, PI, TAU};

@@ -1,9 +1,12 @@
 //! The matcher as it stood before the allocation-light rewrite, kept
-//! verbatim as a test oracle: a `SipHash` vote map, a full sort of the
-//! bins, fresh vectors per bin and pass, `sin_cos` per transformed
-//! minutia and `fmod` in every angle fold. The differential tests in
-//! `super::tests` compare its results with [`super::match_observation`]
-//! bit for bit.
+//! as a test oracle: a `SipHash` vote map, a full sort of the bins, fresh
+//! vectors per bin and pass, `sin_cos`, three divisions and three
+//! roundings per voting pair, `sin_cos` per transformed minutia and
+//! `fmod` in every angle fold. The voting loop is split into
+//! [`pair_coordinates`] and [`hough_votes`] so the tests can aim pairs
+//! at rounding boundaries and compare whole vote tables; the arithmetic
+//! is unchanged. The differential tests in `super::tests` compare its
+//! results with [`super::match_observation`] bit for bit.
 
 use std::collections::HashMap;
 
@@ -80,29 +83,10 @@ pub(super) fn match_observation(
         return MatchResult::no_match();
     }
 
-    // --- Hough voting over (rotation, translation) ----------------------
-    // Every pair hypothesizes: rotate template minutia by Δθ (the angle
-    // difference), translation is whatever maps it onto the observed one.
-    let mut votes: HashMap<(i64, i64, i64), u32> = HashMap::new();
-    for t in template.minutiae() {
-        for o in observed {
-            let dtheta = fold(config, o.angle - t.angle);
-            let (s, c) = dtheta.sin_cos();
-            let tx = o.pos.x - (t.pos.x * c - t.pos.y * s);
-            let ty = o.pos.y - (t.pos.x * s + t.pos.y * c);
-            let key = (
-                (dtheta / config.rotation_bin_rad).round() as i64,
-                (tx / config.translation_bin_mm).round() as i64,
-                (ty / config.translation_bin_mm).round() as i64,
-            );
-            *votes.entry(key).or_insert(0) += 1;
-        }
-    }
     // Evaluate the top few bins — vote quantization occasionally splits
     // the true transform across neighbouring bins, and committing to a
     // single bin causes catastrophic genuine misalignments.
-    let mut bins: Vec<(u32, (i64, i64, i64))> = votes.into_iter().map(|(k, v)| (v, k)).collect();
-    bins.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    let mut bins = hough_votes(template, observed, config);
     bins.truncate(config.hough_bins_evaluated.max(1));
     let mut best_result = MatchResult::no_match();
     for (_, bin) in bins {
@@ -112,6 +96,42 @@ pub(super) fn match_observation(
         }
     }
     best_result
+}
+
+/// The (rotation, x, y) a pair votes for, in bin units, before rounding:
+/// every pair hypothesizes a rotation by Δθ (the angle difference), and
+/// the translation is whatever maps the template minutia onto the
+/// observed one.
+pub(super) fn pair_coordinates(config: &MatchConfig, t: &Minutia, o: &Minutia) -> (f64, f64, f64) {
+    let dtheta = fold(config, o.angle - t.angle);
+    let (s, c) = dtheta.sin_cos();
+    let tx = o.pos.x - (t.pos.x * c - t.pos.y * s);
+    let ty = o.pos.y - (t.pos.x * s + t.pos.y * c);
+    (
+        dtheta / config.rotation_bin_rad,
+        tx / config.translation_bin_mm,
+        ty / config.translation_bin_mm,
+    )
+}
+
+/// Hough voting over (rotation, translation): every bin with its votes,
+/// by votes descending, then key ascending.
+pub(super) fn hough_votes(
+    template: &Template,
+    observed: &[Minutia],
+    config: &MatchConfig,
+) -> Vec<(u32, (i64, i64, i64))> {
+    let mut votes: HashMap<(i64, i64, i64), u32> = HashMap::new();
+    for t in template.minutiae() {
+        for o in observed {
+            let (r, x, y) = pair_coordinates(config, t, o);
+            let key = (r.round() as i64, x.round() as i64, y.round() as i64);
+            *votes.entry(key).or_insert(0) += 1;
+        }
+    }
+    let mut bins: Vec<(u32, (i64, i64, i64))> = votes.into_iter().map(|(k, v)| (v, k)).collect();
+    bins.sort_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
+    bins
 }
 
 /// Refines the transform implied by one Hough bin and scores the
