@@ -234,8 +234,8 @@ pub struct MatchScratch {
     /// Open-addressing vote table: each slot holds 1 + an index into
     /// `bins`, 0 marks an empty slot.
     slots: Vec<u32>,
-    /// The distinct bins voted for, with their votes.
-    bins: Vec<(u32, BinKey)>,
+    /// The distinct bins a certified call voted for, with their votes.
+    bins: Vec<(u32, PackedKey)>,
     /// The bins to score, best first.
     top: Vec<(u32, BinKey)>,
     /// `sin_cos` of each template direction.
@@ -264,9 +264,9 @@ impl MatchScratch {
     }
 
     /// Matches `observed` against every template and returns the index and
-    /// result of the best: the first template whose score no later one
-    /// exceeds. `None` when `templates` is empty. Each result is
-    /// bit-identical to [`match_observation`]'s for that template.
+    /// result of the best score (the first template, on a tie), or `None`
+    /// when `templates` is empty. Each result is bit-identical to
+    /// [`match_observation`]'s for that template.
     pub fn best_match(
         &mut self,
         templates: &[Template],
@@ -332,45 +332,43 @@ impl MatchScratch {
         let slot_bits = (2 * pairs).next_power_of_two().max(16).trailing_zeros();
         self.slots.clear();
         self.slots.resize(1 << slot_bits, 0);
-        self.bins.clear();
-        self.bins.reserve(pairs);
-        let (slots, bins) = (&mut self.slots, &mut self.bins);
+        let keep = config.hough_bins_evaluated.max(1);
+        self.top.clear();
         match fast {
             Some(fast) => {
+                self.bins.clear();
+                self.bins.reserve(pairs);
                 self.template_trig.clear();
                 self.template_trig
                     .extend(template.minutiae().iter().map(|m| m.angle.sin_cos()));
                 for (t, &t_trig) in template.minutiae().iter().zip(&self.template_trig) {
                     for (o, &o_trig) in observed.iter().zip(&self.observed_trig) {
-                        let key = fast
-                            .key(config, t, t_trig, o, o_trig)
-                            .unwrap_or_else(|| exact_key(config, t, o));
-                        count_vote(slots, bins, slot_bits, key);
+                        let key = pack(
+                            fast.key(config, t, t_trig, o, o_trig)
+                                .unwrap_or_else(|| exact_key(config, t, o)),
+                        );
+                        let hash = key.wrapping_mul(FIBONACCI);
+                        count_vote(&mut self.slots, &mut self.bins, slot_bits, key, hash);
                     }
+                }
+                for &(votes, key) in &self.bins {
+                    keep_best(&mut self.top, keep, (votes, unpack(key)));
                 }
             }
             None => {
+                // Outside the certified range a key can be any `i64`:
+                // full keys, in a table allocated for the call.
+                let mut bins = Vec::with_capacity(pairs);
                 for t in template.minutiae() {
                     for o in observed {
-                        count_vote(slots, bins, slot_bits, exact_key(config, t, o));
+                        let key = exact_key(config, t, o);
+                        count_vote(&mut self.slots, &mut bins, slot_bits, key, bin_hash(key));
                     }
                 }
-            }
-        }
-        // One pass keeps the best `keep` bins in rank order.
-        let ranks_before =
-            |a: (u32, BinKey), b: (u32, BinKey)| a.0 > b.0 || (a.0 == b.0 && a.1 < b.1);
-        let keep = config.hough_bins_evaluated.max(1);
-        self.top.clear();
-        for &bin in &self.bins {
-            if self.top.len() == keep {
-                if !ranks_before(bin, self.top[keep - 1]) {
-                    continue;
+                for &bin in &bins {
+                    keep_best(&mut self.top, keep, bin);
                 }
-                self.top.pop();
             }
-            let at = self.top.partition_point(|&b| ranks_before(b, bin));
-            self.top.insert(at, bin);
         }
     }
 }
@@ -378,10 +376,50 @@ impl MatchScratch {
 /// A Hough bin: quantized (rotation, x translation, y translation).
 type BinKey = (i64, i64, i64);
 
-/// Adds one vote for `key` to the table.
-fn count_vote(slots: &mut [u32], bins: &mut Vec<(u32, BinKey)>, slot_bits: u32, key: BinKey) {
+/// A certified call's [`BinKey`] in one word: each coordinate biased by
+/// [`PACK_BIAS`] into 21 bits, rotation highest, so that the words order
+/// as the keys do. Certified inputs keep every coordinate below 2 · 10⁴
+/// in magnitude (|rotation| ≤ 2π / 1e-3 rad, |translation| ≤ 155 mm /
+/// 1e-2 mm), far inside ±2²⁰.
+type PackedKey = u64;
+
+const PACK_BIAS: i64 = 1 << 20;
+
+/// Golden-ratio multiplier for Fibonacci hashing.
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+fn pack((r, x, y): BinKey) -> PackedKey {
+    debug_assert!([r, x, y]
+        .iter()
+        .all(|v| (-PACK_BIAS..PACK_BIAS).contains(v)));
+    let field = |v: i64| (v + PACK_BIAS) as u64;
+    field(r) << 42 | field(x) << 21 | field(y)
+}
+
+fn unpack(key: PackedKey) -> BinKey {
+    let field = |shift: u32| ((key >> shift) & ((1 << 21) - 1)) as i64 - PACK_BIAS;
+    (field(42), field(21), field(0))
+}
+
+/// A multiplicative hash of a full bin key; the high bits are the well
+/// mixed ones.
+fn bin_hash((r, x, y): BinKey) -> u64 {
+    [r, x, y].iter().fold(0u64, |h, &w| {
+        (h.rotate_left(23) ^ w as u64).wrapping_mul(FIBONACCI)
+    })
+}
+
+/// Adds one vote for `key`, whose hash is `hash`, to the table: `slots`
+/// holds 1 + an index into `bins`, 0 marking an empty slot.
+fn count_vote<K: Copy + Eq>(
+    slots: &mut [u32],
+    bins: &mut Vec<(u32, K)>,
+    slot_bits: u32,
+    key: K,
+    hash: u64,
+) {
     let mask = (1u64 << slot_bits) - 1;
-    let mut slot = bin_hash(key) >> (64 - slot_bits);
+    let mut slot = hash >> (64 - slot_bits);
     loop {
         match slots[slot as usize] {
             0 => {
@@ -396,6 +434,20 @@ fn count_vote(slots: &mut [u32], bins: &mut Vec<(u32, BinKey)>, slot_bits: u32, 
             _ => slot = (slot + 1) & mask,
         }
     }
+}
+
+/// Inserts `bin` into `top`, the best `keep` bins so far by votes
+/// descending, then key ascending, when it ranks among them.
+fn keep_best(top: &mut Vec<(u32, BinKey)>, keep: usize, bin: (u32, BinKey)) {
+    let ranks_before = |a: (u32, BinKey), b: (u32, BinKey)| a.0 > b.0 || (a.0 == b.0 && a.1 < b.1);
+    if top.len() == keep {
+        if !ranks_before(bin, top[keep - 1]) {
+            return;
+        }
+        top.pop();
+    }
+    let at = top.partition_point(|&b| ranks_before(b, bin));
+    top.insert(at, bin);
 }
 
 /// The bin a (template, observed) pair votes for, evaluated as written:
@@ -447,23 +499,24 @@ const ROUNDER: f64 = 6_755_399_441_055_744.0;
 ///
 /// - The folded difference `d` is bit-identical to `exact_key`'s: the
 ///   fast path runs only where [`MatchConfig::fold_parity`] needs no
-///   `fmod`. The fold differs from the real `(o − t) − mπ` by the rounding
-///   of `o − t` (|o − t| < 16 here: ≤ 2⁻⁵⁰), by `m` times `|π − PI|`
-///   (≤ 4 · 1.23e-16 counting τ as two π) and by the final ± π (≤ u):
-///   1.5e-15 in all. With libm's 2u, `exact_key`'s sine and cosine are
-///   within 1.71e-15 of ±sin(o − t) and ±cos(o − t).
+///   `fmod`. It differs from the real `(o − t) − mπ` by the rounding of
+///   `o − t` (|o − t| < 4π here: ≤ 2⁻⁵⁰ = 8.9e-16), by `m` times
+///   `|π − PI|` (≤ 4 · 1.23e-16, counting τ as two π) and by the final
+///   `± PI` or `+ TAU` (≤ 2⁻⁵¹ = 4.4e-16): 1.82e-15 in all. With libm's
+///   2u, `exact_key`'s sine and cosine are within 2.04e-15 of
+///   ±sin(o − t) and ±cos(o − t).
 /// - The identities take four libm values (2u each), two products and a
 ///   sum: within 11u = 1.22e-15 of the same. So the fast `s`, `c` differ
-///   from `exact_key`'s by at most ε_t = 2.93e-15.
+///   from `exact_key`'s by at most ε_t = 3.26e-15.
 /// - `tx = o.x − (t.x·c − t.y·s)`: ε_t times |t.x| + |t.y| ≤ 128 gives
-///   3.75e-13 mm, plus both evaluations' four roundings (magnitudes ≤ 64,
-///   64, 128, 192: ≤ 5.7e-14 each) gives 4.9e-13 mm; `ty` alike.
+///   4.17e-13 mm, plus both evaluations' four roundings (magnitudes ≤ 64,
+///   64, 128, 192: ≤ 5.7e-14 each) gives 5.3e-13 mm; `ty` alike.
 /// - In bin units, the reciprocal and product add 2u and the division u
-///   of |tx| / b ≤ 192 / b: ε = (4.9e-13 + 6.4e-14) / b ≤ 5.6e-11 for
+///   of |tx| / b ≤ 192 / b: ε = (5.3e-13 + 6.4e-14) / b ≤ 5.9e-11 for
 ///   b ≥ 1e-2 mm. The rotation differs only by that rounding:
 ///   3u · 2π / rb ≤ 2.1e-12 for rb ≥ 1e-3 rad.
 ///
-/// So ε ≤ 5.6e-11 ≪ δ = [`DELTA`] = 1e-9 (4.7e-13 at the default 1.2 mm
+/// So ε ≤ 5.9e-11 ≪ δ = [`DELTA`] = 1e-9 (5e-13 at the default 1.2 mm
 /// bins). Where the fast value `x` lies more than δ from every
 /// half-integer, `x − rne(x)` (exact: its operands are within a factor
 /// of two, or `rne(x)` is 0) is below 1/2 − δ, so the exact value lies
@@ -529,15 +582,6 @@ impl FilteredVote {
         (((r - rr).abs() < clear) & ((x - rx).abs() < clear) & ((y - ry).abs() < clear))
             .then_some((rr as i64, rx as i64, ry as i64))
     }
-}
-
-/// A multiplicative hash of a bin key; the high bits are the well mixed
-/// ones.
-fn bin_hash((r, x, y): BinKey) -> u64 {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    [r, x, y]
-        .iter()
-        .fold(0u64, |h, &w| (h.rotate_left(23) ^ w as u64).wrapping_mul(K))
 }
 
 /// The scoring buffers, shared by every bin and refinement pass.

@@ -176,7 +176,7 @@ fn honest_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 152, 104_046),
+            b(1, 152, 80_286),
             b(1, 150, 31_187),
             b(16, 1_240, 102_758),
             b(1, 401, 40_088),
@@ -191,7 +191,7 @@ fn lossy_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 155, 106_990),
+            b(1, 155, 83_230),
             b(1, 153, 33_723),
             b(16, 1_358, 115_171),
             b(1, 401, 40_088),
