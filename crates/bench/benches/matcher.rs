@@ -6,7 +6,7 @@ use std::hint::black_box;
 use btd_fingerprint::enroll::enroll;
 use btd_fingerprint::extract::{extract_minutiae, thin, Bitmap, ExtractionConfig};
 use btd_fingerprint::image::rasterize;
-use btd_fingerprint::matcher::{match_observation, MatchConfig};
+use btd_fingerprint::matcher::{match_observation, MatchConfig, MatchScratch};
 use btd_fingerprint::minutiae::CaptureWindow;
 use btd_fingerprint::pattern::FingerPattern;
 use btd_fingerprint::quality::{CaptureConditions, QualityReport};
@@ -50,6 +50,16 @@ fn bench_matcher(c: &mut Criterion) {
     processor.enroll_user(1, 3, &mut SimRng::seed_from(2));
     group.bench_function("verify_3_templates", |b| {
         b.iter(|| black_box(processor.verify(black_box(&genuine_obs.minutiae))))
+    });
+    // The same search under the image-extraction configuration, so the
+    // π-periodic voting branch is timed too.
+    let templates = processor.export_templates();
+    let image_cfg = MatchConfig::for_image_extraction();
+    let mut scratch = MatchScratch::new();
+    group.bench_function("verify_3_templates_pi_periodic", |b| {
+        b.iter(|| {
+            black_box(scratch.best_match(&templates, black_box(&genuine_obs.minutiae), &image_cfg))
+        })
     });
     group.bench_function("quality_assessment", |b| {
         b.iter(|| {
