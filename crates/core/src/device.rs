@@ -198,11 +198,17 @@ impl MobileDevice {
     /// Renders a page through the FLock display repeater, honouring any
     /// active display malware (`spoofed`); returns the frame hash of what
     /// the user saw. It takes the two fields it needs rather than `self`,
-    /// so a caller can show a page it borrows from a session.
-    fn display(flock: &mut FlockModule, spoofed: Option<&Page>, page: &Page, view: View) -> Digest {
+    /// so a page borrowed from a session is shown in place.
+    fn display(flock: &mut FlockModule, spoofed: Option<&Page>, page: &Page) -> Digest {
         let shown = spoofed.unwrap_or(page);
-        let frame = shown.render(view);
+        let frame = shown.render(View::default());
         flock.relay_frame(&frame).0
+    }
+
+    /// [`MobileDevice::display`] of the session page at `domain`.
+    fn display_session(&mut self, domain: &str) -> Digest {
+        let page = &self.sessions[domain].current_page;
+        Self::display(&mut self.flock, self.spoofed_page.as_ref(), page)
     }
 
     /// Validates a server hello inside FLock: CA-chain the certificate,
@@ -315,12 +321,7 @@ impl MobileDevice {
         user_id: u64,
         rng: &mut SimRng,
     ) -> Result<RegistrationSubmit, DeviceError> {
-        let frame_hash = Self::display(
-            &mut self.flock,
-            self.spoofed_page.as_ref(),
-            &hello.page,
-            View::default(),
-        );
+        let frame_hash = Self::display(&mut self.flock, self.spoofed_page.as_ref(), &hello.page);
         self.explicit_verified_touch(user_id, 0, rng)?;
         let user_public = self
             .flock
@@ -380,12 +381,7 @@ impl MobileDevice {
         let account = record.account.clone();
         let server_key = record.server_key.clone();
 
-        let frame_hash = Self::display(
-            &mut self.flock,
-            self.spoofed_page.as_ref(),
-            &hello.page,
-            View::default(),
-        );
+        let frame_hash = Self::display(&mut self.flock, self.spoofed_page.as_ref(), &hello.page);
         self.explicit_verified_touch(user_id, 0, rng)?;
         let risk = RiskReport::from_tracker(self.flock.auth().risk());
 
@@ -466,12 +462,7 @@ impl MobileDevice {
         session.current_page = content.page.clone();
         self.tracer
             .record(EventKind::ContentAccepted { seq: content.seq });
-        Self::display(
-            &mut self.flock,
-            self.spoofed_page.as_ref(),
-            &session.current_page,
-            View::default(),
-        );
+        self.display_session(domain);
         Ok(())
     }
 
@@ -527,14 +518,8 @@ impl MobileDevice {
             .ok_or(DeviceError::UnknownDomain)?
             .account
             .clone();
-        let session = &self.sessions[domain];
-        let nonce = window_nonce(&session.key, slot);
-        let frame_hash = Self::display(
-            &mut self.flock,
-            self.spoofed_page.as_ref(),
-            &session.current_page,
-            View::default(),
-        );
+        let nonce = window_nonce(&self.sessions[domain].key, slot);
+        let frame_hash = self.display_session(domain);
         let bytes = InteractionRequest::mac_bytes(
             &session_id,
             &account,
@@ -636,12 +621,7 @@ impl MobileDevice {
             base: new_base,
             applied,
         });
-        Self::display(
-            &mut self.flock,
-            self.spoofed_page.as_ref(),
-            &session.current_page,
-            View::default(),
-        );
+        self.display_session(domain);
         Ok(WindowAccept::Applied { applied })
     }
 
@@ -688,16 +668,11 @@ impl MobileDevice {
             .ok_or(DeviceError::UnknownDomain)?
             .account
             .clone();
-        let session = &self.sessions[domain];
-        let (nonce, seq) = (session.next_nonce, session.next_seq);
+        let nonce = self.sessions[domain].next_nonce;
+        let seq = self.sessions[domain].next_seq;
 
         // The frame hash of what the user is currently looking at.
-        let frame_hash = Self::display(
-            &mut self.flock,
-            self.spoofed_page.as_ref(),
-            &session.current_page,
-            View::default(),
-        );
+        let frame_hash = self.display_session(domain);
 
         let bytes = InteractionRequest::mac_bytes(
             &session_id,
