@@ -221,9 +221,11 @@ pub fn match_observation(
 }
 
 /// The buffers matching needs, kept across calls so that matching every
-/// touch allocates nothing once they have grown: the Hough vote table and
-/// its best bins, the scoring [`Workspace`], and the directions' sines and
-/// cosines.
+/// touch allocates little once they have grown: the best Hough bins, the
+/// scoring [`Workspace`], and the directions' sines and cosines. The vote
+/// table itself ([`VoteTable`], about 25 KB for a fleet touch) is
+/// allocated once per [`MatchScratch::best_match`] call and shared by its
+/// templates: kept on every device, it would stay resident on each.
 ///
 /// Between calls the buffers still hold minutiae derived from the last
 /// template matched, so a scratch belongs with the templates it matches
@@ -231,11 +233,6 @@ pub fn match_observation(
 /// `Debug` shows none of them, and a clone is a fresh, empty scratch.
 #[derive(Default)]
 pub struct MatchScratch {
-    /// Open-addressing vote table: each slot holds 1 + an index into
-    /// `bins`, 0 marks an empty slot.
-    slots: Vec<u32>,
-    /// The distinct bins a certified call voted for, with their votes.
-    bins: Vec<(u32, PackedKey)>,
     /// The bins to score, best first.
     top: Vec<(u32, BinKey)>,
     /// `sin_cos` of each template direction.
@@ -286,10 +283,12 @@ impl MatchScratch {
                 .extend(observed.iter().map(|m| m.angle.sin_cos()));
         }
         let obs_bound = bounding_radius(observed);
+        let most_pairs = templates.iter().map(Template::len).max().unwrap_or(0) * observed.len();
+        let mut table = VoteTable::for_pairs(most_pairs);
         let mut best: Option<(usize, MatchResult)> = None;
         for (i, template) in templates.iter().enumerate() {
             let fast = fast.filter(|_| FilteredVote::certifies(template.minutiae()));
-            self.vote(template, observed, config, fast);
+            self.vote(&mut table, template, observed, config, fast);
             // Evaluate the top few bins — vote quantization occasionally
             // splits the true transform across neighbouring bins, and
             // committing to a single bin causes catastrophic genuine
@@ -322,22 +321,23 @@ impl MatchScratch {
     /// laid out.
     fn vote(
         &mut self,
+        table: &mut VoteTable,
         template: &Template,
         observed: &[Minutia],
         config: &MatchConfig,
         fast: Option<FilteredVote>,
     ) {
         let pairs = template.len() * observed.len();
-        // At most half full: short probe runs.
-        let slot_bits = (2 * pairs).next_power_of_two().max(16).trailing_zeros();
-        self.slots.clear();
-        self.slots.resize(1 << slot_bits, 0);
+        let slot_bits = VoteTable::slot_bits(pairs);
+        let slots = &mut table.slots;
+        slots.clear();
+        slots.resize(1 << slot_bits, 0);
         let keep = config.hough_bins_evaluated.max(1);
         self.top.clear();
         match fast {
             Some(fast) => {
-                self.bins.clear();
-                self.bins.reserve(pairs);
+                let bins = &mut table.bins;
+                bins.clear();
                 self.template_trig.clear();
                 self.template_trig
                     .extend(template.minutiae().iter().map(|m| m.angle.sin_cos()));
@@ -348,10 +348,10 @@ impl MatchScratch {
                                 .unwrap_or_else(|| exact_key(config, t, o)),
                         );
                         let hash = key.wrapping_mul(FIBONACCI);
-                        count_vote(&mut self.slots, &mut self.bins, slot_bits, key, hash);
+                        count_vote(slots, bins, slot_bits, key, hash);
                     }
                 }
-                for &(votes, key) in &self.bins {
+                for &(votes, key) in bins.iter() {
                     keep_best(&mut self.top, keep, (votes, unpack(key)));
                 }
             }
@@ -362,7 +362,7 @@ impl MatchScratch {
                 for t in template.minutiae() {
                     for o in observed {
                         let key = exact_key(config, t, o);
-                        count_vote(&mut self.slots, &mut bins, slot_bits, key, bin_hash(key));
+                        count_vote(slots, &mut bins, slot_bits, key, bin_hash(key));
                     }
                 }
                 for &bin in &bins {
@@ -370,6 +370,31 @@ impl MatchScratch {
                 }
             }
         }
+    }
+}
+
+/// The Hough vote table, sized for one pair count and reused for any
+/// smaller one, so it never grows while in use.
+struct VoteTable {
+    /// Open addressing: each slot holds 1 + an index into `bins`, 0 marks
+    /// an empty slot.
+    slots: Vec<u32>,
+    /// The distinct bins a certified call voted for, with their votes.
+    bins: Vec<(u32, PackedKey)>,
+}
+
+impl VoteTable {
+    fn for_pairs(pairs: usize) -> Self {
+        VoteTable {
+            slots: Vec::with_capacity(1 << VoteTable::slot_bits(pairs)),
+            bins: Vec::with_capacity(pairs),
+        }
+    }
+
+    /// log2 of the slot count for `pairs` votes: at most half full, for
+    /// short probe runs.
+    fn slot_bits(pairs: usize) -> u32 {
+        (2 * pairs).next_power_of_two().max(16).trailing_zeros()
     }
 }
 

@@ -176,9 +176,9 @@ fn honest_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 152, 80_286),
-            b(1, 150, 31_187),
-            b(16, 1_240, 102_758),
+            b(1, 150, 62_110),
+            b(1, 152, 50_819),
+            b(16, 1_242, 122_390),
             b(1, 401, 40_088),
         ],
         "honest lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -191,9 +191,9 @@ fn lossy_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 155, 83_230),
-            b(1, 153, 33_723),
-            b(16, 1_358, 115_171),
+            b(1, 153, 65_054),
+            b(1, 155, 53_355),
+            b(16, 1_360, 134_803),
             b(1, 401, 40_088),
         ],
         "10%-loss lifecycle budget moved (register, login, interact, close): {got:?}"
