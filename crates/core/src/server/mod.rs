@@ -123,8 +123,8 @@ struct AccountRecord {
     reset_password: String,
 }
 
-/// The last reply served in a session, kept so a retransmitted request
-/// can be answered without advancing state (at-most-once semantics).
+/// A reply served in a session, kept so a retransmitted request can be
+/// answered without advancing state (at-most-once semantics).
 #[derive(Clone, Debug)]
 struct CachedInteraction {
     /// Sequence number of the request that produced the reply.
@@ -133,6 +133,15 @@ struct CachedInteraction {
     request_mac: Digest,
     /// The reply to resend.
     reply: ContentPage,
+}
+
+/// Reads one [`CachedInteraction`] of a shard snapshot.
+fn get_cached_interaction(r: &mut FieldReader<'_>) -> Option<CachedInteraction> {
+    Some(CachedInteraction {
+        seq: r.u64()?,
+        request_mac: Digest(r.array()?),
+        reply: get_content_page(r)?,
+    })
 }
 
 /// A live session.
@@ -145,11 +154,12 @@ struct CachedInteraction {
 struct Session {
     account: String,
     key: Vec<u8>,
+    /// The challenge a lock-step request must echo (window 0 only).
     pending_nonce: Nonce,
-    /// Sequence number the next fresh interaction must carry.
+    /// The window base: the lowest slot not yet served, advanced past
+    /// contiguously served slots on every apply. In lock-step, the
+    /// sequence number the next fresh interaction must carry.
     expected_seq: u64,
-    /// Idempotency cache for the last served interaction.
-    cache: Option<CachedInteraction>,
     current_path: String,
     stepups: u32,
     terminated: bool,
@@ -165,10 +175,8 @@ struct Session {
     /// flow; `w >= 1` lets the pipelined engine keep up to `w`
     /// interactions in flight, authenticated by per-slot derived nonces.
     window: u64,
-    /// Served replies for in-window slots, sorted by seq and capped at
-    /// `window` entries — the windowed generalization of `cache`.
-    /// `expected_seq` doubles as the window base: the lowest slot not yet
-    /// served, advanced past contiguously served slots on every apply.
+    /// Served replies, sorted by seq and capped at the session's credit
+    /// `max(window, 1)`: a lock-step session keeps its last reply here.
     reply_window: Vec<CachedInteraction>,
 }
 
@@ -176,6 +184,40 @@ impl Session {
     /// The cached reply for slot `seq`, if it is still in the window.
     fn window_reply(&self, seq: u64) -> Option<&CachedInteraction> {
         self.reply_window.iter().find(|c| c.seq == seq)
+    }
+
+    /// Caches the reply to `slot` and advances the base past every
+    /// contiguously served slot. Order-independent on purpose: applying
+    /// served slots in any in-window order converges to the same state,
+    /// so reply reordering on the wire cannot fork the digest. Returns
+    /// false for a slot already cached (exactly-once holds).
+    fn cache_reply(&mut self, slot: u64, request_mac: Digest, reply: &ContentPage) -> bool {
+        if self.window_reply(slot).is_some() {
+            return false;
+        }
+        // At most `credit - 1` cached slots lie at or above the base (the
+        // base itself is unserved), so a full cache holds one below it,
+        // older than `slot`: evicting it first keeps the buffer at its
+        // reserved size. The device cannot retransmit a slot that old.
+        let credit = self.window.max(1) as usize;
+        if self.reply_window.len() == credit {
+            self.reply_window.remove(0);
+        }
+        self.reply_window
+            .reserve_exact(credit - self.reply_window.len());
+        let at = self.reply_window.partition_point(|c| c.seq < slot);
+        self.reply_window.insert(
+            at,
+            CachedInteraction {
+                seq: slot,
+                request_mac,
+                reply: reply.clone(),
+            },
+        );
+        while self.window_reply(self.expected_seq).is_some() {
+            self.expected_seq += 1;
+        }
+        true
     }
 }
 
@@ -1247,21 +1289,30 @@ impl WebServer {
 
     /// Handles a post-login interaction (Fig. 10, step 4).
     ///
-    /// Requests carry a sequence number in lockstep with the server's
-    /// per-session counter, which makes duplicate handling explicit:
+    /// Every session runs one admission rule with credit `max(window, 1)`
+    /// slots, `expected_seq` being the window base (the lowest slot not yet
+    /// served). A lock-step session (window 0) is the window of one that
+    /// Fig. 10 describes: stop-and-wait.
     ///
-    /// * `seq == expected` — fresh work: full nonce/MAC/risk checks, the
-    ///   advance is journaled then applied, reply is cached, returned as
-    ///   [`Freshness::Fresh`].
-    /// * `seq == expected - 1`, byte-identical to the cached request — a
-    ///   retransmit (our reply was lost): the cached reply is resent as
-    ///   [`Freshness::Resent`] and *no state advances*.
-    /// * `seq == expected - 1`, different bytes but a valid session MAC —
-    ///   the genuine device lost our reply and built a new request against
-    ///   stale state: the cached reply is resent as [`Freshness::Resync`]
-    ///   so the device can catch up. No state advances.
-    /// * anything else — rejected ([`Reject::Replay`] for stale sequence
-    ///   numbers, [`Reject::UnknownNonce`] for future ones).
+    /// 1. Slot still in the reply cache — a retransmit: MAC-verify *this
+    ///    copy's* bytes, then answer from the cache ([`Freshness::Resent`]
+    ///    if byte-identical to the served request, [`Freshness::Resync`]
+    ///    when the device rebuilt it after losing our reply). No state
+    ///    moves.
+    /// 2. Slot below the base and no longer cached — [`Reject::Replay`].
+    /// 3. Slot at or past `base + credit` — the device may not run ahead of
+    ///    its credit: [`Reject::UnknownNonce`].
+    /// 4. Wrong nonce — [`Reject::Replay`] if consumed, else
+    ///    [`Reject::UnknownNonce`].
+    /// 5. Bad MAC — [`Reject::BadMac`].
+    /// 6. Fresh work: risk policy, then the reply, journaled then applied.
+    ///
+    /// Only the nonce source differs. A lock-step request echoes the
+    /// challenge the server issued with its last reply, and the reply
+    /// carries a fresh one. A windowed request carries the per-slot nonce
+    /// both ends derive from the session key
+    /// ([`crate::messages::window_nonce`]), so pipelined requests need no
+    /// challenge and recovery needs no resume round.
     ///
     /// # Errors
     ///
@@ -1276,91 +1327,77 @@ impl WebServer {
         let idx = self.shard_for(&msg.account);
         self.check_writable(idx)?;
         self.maybe_compact(idx);
-        let (terminated, account_matches, pending_nonce, key, expected_seq, window) =
-            match self.shards[idx].sessions.get(&msg.session_id) {
-                Some(s) => (
-                    s.terminated,
-                    s.account == msg.account,
-                    s.pending_nonce,
-                    s.key.clone(),
-                    s.expected_seq,
-                    s.window,
-                ),
-                None => return Err(self.reject(Reject::UnknownSession)),
-            };
-        if terminated || !account_matches {
+        let shard = &self.shards[idx];
+        let Some(s) = shard.sessions.get(&msg.session_id) else {
+            return Err(self.reject(Reject::UnknownSession));
+        };
+        if s.terminated || s.account != msg.account {
             return Err(self.reject(Reject::UnknownSession));
         }
-        if window >= 1 {
-            return self.windowed_interaction(idx, key, expected_seq, window, msg);
-        }
-        if msg.seq.checked_add(1) == Some(expected_seq) {
-            if let Some(cache) = self.shards[idx]
-                .sessions
-                .get(&msg.session_id)
-                .and_then(|s| s.cache.as_ref())
-            {
-                if cache.seq == msg.seq {
-                    // The MAC must verify over *this copy's* bytes before
-                    // the cache answers: equality with the cached MAC alone
-                    // would let a tampered copy (original MAC, rewritten
-                    // fields) pass as a benign retransmit.
-                    let mac_bytes = InteractionRequest::mac_bytes(
-                        &msg.session_id,
-                        &msg.account,
-                        &msg.nonce,
-                        msg.seq,
-                        &msg.action,
-                        &msg.frame_hash,
-                        &msg.risk,
-                    );
-                    if !verify_hmac(&key, &mac_bytes, &msg.mac) {
-                        // Damaged or tampered copy of an old request;
-                        // BadMac keeps an honest retransmit retryable.
-                        return Err(self.reject(Reject::BadMac));
-                    }
-                    let freshness = if cache.request_mac == msg.mac {
-                        Freshness::Resent
-                    } else {
-                        Freshness::Resync
-                    };
-                    return Ok((cache.reply.clone(), freshness));
-                }
+        let mac_ok = |key: &[u8]| {
+            let mac_bytes = InteractionRequest::mac_bytes(
+                &msg.session_id,
+                &msg.account,
+                &msg.nonce,
+                msg.seq,
+                &msg.action,
+                &msg.frame_hash,
+                &msg.risk,
+            );
+            verify_hmac(key, &mac_bytes, &msg.mac)
+        };
+        if let Some(cache) = s.window_reply(msg.seq) {
+            // The MAC must verify over this copy's bytes before the cache
+            // answers: equality with the cached MAC alone would let a
+            // tampered copy (original MAC, rewritten fields) pass as a
+            // benign retransmit. BadMac keeps an honest one retryable.
+            if !mac_ok(&s.key) {
+                return Err(self.reject(Reject::BadMac));
             }
-            // No cache entry: classify below as a replay.
-        }
-        if msg.seq != expected_seq {
-            let reason = if msg.seq < expected_seq {
-                Reject::Replay
+            let freshness = if cache.request_mac == msg.mac {
+                Freshness::Resent
             } else {
-                Reject::UnknownNonce
+                Freshness::Resync
             };
-            return Err(self.reject(reason));
+            return Ok((cache.reply.clone(), freshness));
         }
-        if msg.nonce != pending_nonce {
+        let base = s.expected_seq;
+        if msg.seq < base {
+            // Served long enough ago that the cache evicted it; an honest
+            // device cannot still be retransmitting this slot.
+            return Err(self.reject(Reject::Replay));
+        }
+        if msg.seq >= base.saturating_add(s.window.max(1)) {
+            return Err(self.reject(Reject::UnknownNonce));
+        }
+        // The one difference between the flows: where the nonces come
+        // from. A lock-step request echoes the challenge the last reply
+        // issued, and its reply draws the next one; a windowed session
+        // derives both from the key (no entropy draw, so serving the same
+        // slot set in any order leaves identical durable state).
+        let (request_nonce, reply_nonce) = if s.window == 0 {
+            (s.pending_nonce, None)
+        } else {
+            (
+                window_nonce(&s.key, msg.seq),
+                Some(window_nonce(&s.key, msg.seq + 1)),
+            )
+        };
+        if msg.nonce != request_nonce {
             // Either a replayed old nonce or a forged one.
-            let reason = if self.shards[idx].consumed.is_consumed(msg.nonce) {
+            let reason = if shard.consumed.is_consumed(msg.nonce) {
                 Reject::Replay
             } else {
                 Reject::UnknownNonce
             };
             return Err(self.reject(reason));
         }
-        let mac_bytes = InteractionRequest::mac_bytes(
-            &msg.session_id,
-            &msg.account,
-            &msg.nonce,
-            msg.seq,
-            &msg.action,
-            &msg.frame_hash,
-            &msg.risk,
-        );
-        if !verify_hmac(&key, &mac_bytes, &msg.mac) {
+        if !mac_ok(&s.key) {
             return Err(self.reject(Reject::BadMac));
         }
+        let stepups = s.stepups;
 
         // Risk policy. A termination is itself a durable state change.
-        let stepups = self.shards[idx].sessions[&msg.session_id].stepups;
         self.observe_risk(&msg.risk);
         let decision = self.policy.evaluate(&msg.risk, stepups);
         if decision == RiskDecision::Terminate {
@@ -1389,148 +1426,12 @@ impl WebServer {
             .or_else(|| self.pages.get("/home"))
             .expect("home page")
             .clone();
-        let nonce = self.fresh_nonce();
         let next_seq = msg.seq + 1;
+        let nonce = reply_nonce.unwrap_or_else(|| self.fresh_nonce());
+        let key = &self.shards[idx].sessions[&msg.session_id].key;
         let mac_bytes =
             ContentPage::mac_bytes(&msg.session_id, &msg.account, &nonce, next_seq, &page);
-        let mac = hmac_sha256(&key, &mac_bytes);
-        let reply = ContentPage {
-            session_id: msg.session_id.clone(),
-            account: msg.account.clone(),
-            nonce,
-            seq: next_seq,
-            page,
-            mac,
-        };
-        let record = JournalRecord::InteractionServed {
-            request_nonce: msg.nonce,
-            request_mac: msg.mac,
-            action: msg.action.clone(),
-            frame_hash: msg.frame_hash,
-            risk: msg.risk,
-            expected_path,
-            stepups: next_stepups as u64,
-            reply: reply.clone(),
-        };
-        self.journal_append(idx, &record)?;
-        self.apply_record(&record);
-        self.pre_reply_crash()?;
-        Ok((reply, Freshness::Fresh))
-    }
-
-    /// The windowed counterpart of the lock-step interaction state
-    /// machine, for sessions opened with `window >= 1`:
-    ///
-    /// * slot already served and still cached in the reply window — a
-    ///   selective retransmit: MAC-verify *this copy's* bytes, then answer
-    ///   from the cache ([`Freshness::Resent`] if byte-identical to the
-    ///   served request, [`Freshness::Resync`] otherwise). No state moves.
-    /// * slot below the window base and no longer cached — [`Reject::Replay`].
-    /// * slot at or past `base + window` — the device may not run ahead of
-    ///   its advertised credit: [`Reject::UnknownNonce`].
-    /// * unserved in-window slot — fresh work. The request must carry the
-    ///   *derived* per-slot nonce ([`crate::messages::window_nonce`]): both
-    ///   ends compute it from the session key, so pipelined requests need
-    ///   no server-issued challenge and recovery needs no resume round.
-    ///
-    /// Exactly-once per slot is the reply-window membership test: a slot
-    /// is served fresh at most once, and every later copy is answered from
-    /// the cache until the base moves past it.
-    fn windowed_interaction(
-        &mut self,
-        idx: usize,
-        key: Vec<u8>,
-        base: u64,
-        window: u64,
-        msg: &InteractionRequest,
-    ) -> Result<(ContentPage, Freshness), Reject> {
-        if let Some(cache) = self.shards[idx]
-            .sessions
-            .get(&msg.session_id)
-            .and_then(|s| s.window_reply(msg.seq))
-        {
-            let mac_bytes = InteractionRequest::mac_bytes(
-                &msg.session_id,
-                &msg.account,
-                &msg.nonce,
-                msg.seq,
-                &msg.action,
-                &msg.frame_hash,
-                &msg.risk,
-            );
-            if !verify_hmac(&key, &mac_bytes, &msg.mac) {
-                return Err(self.reject(Reject::BadMac));
-            }
-            let freshness = if cache.request_mac == msg.mac {
-                Freshness::Resent
-            } else {
-                Freshness::Resync
-            };
-            return Ok((cache.reply.clone(), freshness));
-        }
-        if msg.seq < base {
-            // Served long enough ago that the cache evicted it; an honest
-            // device cannot still be retransmitting this slot.
-            return Err(self.reject(Reject::Replay));
-        }
-        if msg.seq >= base.saturating_add(window) {
-            return Err(self.reject(Reject::UnknownNonce));
-        }
-        if msg.nonce != window_nonce(&key, msg.seq) {
-            let reason = if self.shards[idx].consumed.is_consumed(msg.nonce) {
-                Reject::Replay
-            } else {
-                Reject::UnknownNonce
-            };
-            return Err(self.reject(reason));
-        }
-        let mac_bytes = InteractionRequest::mac_bytes(
-            &msg.session_id,
-            &msg.account,
-            &msg.nonce,
-            msg.seq,
-            &msg.action,
-            &msg.frame_hash,
-            &msg.risk,
-        );
-        if !verify_hmac(&key, &mac_bytes, &msg.mac) {
-            return Err(self.reject(Reject::BadMac));
-        }
-
-        let stepups = self.shards[idx].sessions[&msg.session_id].stepups;
-        self.observe_risk(&msg.risk);
-        let decision = self.policy.evaluate(&msg.risk, stepups);
-        if decision == RiskDecision::Terminate {
-            let record = JournalRecord::SessionTerminated {
-                session_id: msg.session_id.clone(),
-                account: msg.account.clone(),
-            };
-            self.journal_append(idx, &record)?;
-            self.apply_record(&record);
-            return Err(self.reject(Reject::RiskTerminated));
-        }
-        let next_stepups = match decision {
-            RiskDecision::StepUp => stepups + 1,
-            _ => 0,
-        };
-
-        let expected_path = self.shards[idx].sessions[&msg.session_id]
-            .current_path
-            .clone();
-        let page = self
-            .pages
-            .get(&msg.action)
-            .or_else(|| self.pages.get("/home"))
-            .expect("home page")
-            .clone();
-        // The reply nonce is derived too (the device never echoes it back
-        // in windowed mode): no entropy draw, so serving the same slot set
-        // in any order leaves identical durable state.
-        let next_seq = msg.seq + 1;
-        let nonce = window_nonce(&key, next_seq);
-        let mac_bytes =
-            ContentPage::mac_bytes(&msg.session_id, &msg.account, &nonce, next_seq, &page);
-        let mac = hmac_sha256(&key, &mac_bytes);
+        let mac = hmac_sha256(key, &mac_bytes);
         let reply = ContentPage {
             session_id: msg.session_id.clone(),
             account: msg.account.clone(),
@@ -1611,7 +1512,7 @@ impl WebServer {
             match self.shards[idx]
                 .sessions
                 .get(&msg.session_id)
-                .and_then(|s| s.cache.as_ref())
+                .and_then(|s| s.window_reply(msg.last_seq))
             {
                 Some(cache) => Some(cache.reply.clone()),
                 // Behind by one with no cached reply: nothing to heal
@@ -2056,7 +1957,6 @@ impl WebServer {
                         key: session_key,
                         pending_nonce: reply.nonce,
                         expected_seq: reply.seq,
-                        cache: None,
                         current_path: reply.page.path.clone(),
                         stepups: 0,
                         terminated: false,
@@ -2104,62 +2004,23 @@ impl WebServer {
                         lookback,
                     });
                 if let Some(session) = shard.sessions.get_mut(&reply.session_id) {
-                    if session.window >= 1 {
-                        // Windowed apply. `reply.seq` is `slot + 1` (the
-                        // lock-step convention), so the served slot is one
-                        // less. Order-independent on purpose: replaying
-                        // these records in any in-window order converges
-                        // to the same state, so reply reordering on the
-                        // wire cannot fork the digest.
-                        let slot = reply.seq.saturating_sub(1);
-                        let at = session.reply_window.partition_point(|c| c.seq < slot);
-                        if session.reply_window.get(at).is_some_and(|c| c.seq == slot) {
-                            return; // duplicate slot: exactly-once holds
-                        }
-                        session.reply_window.insert(
-                            at,
-                            CachedInteraction {
-                                seq: slot,
-                                request_mac: *request_mac,
-                                reply: reply.clone(),
-                            },
-                        );
-                        // Cumulative ack: advance the base past every
-                        // contiguously served slot.
-                        while session
-                            .reply_window
-                            .iter()
-                            .any(|c| c.seq == session.expected_seq)
-                        {
-                            session.expected_seq += 1;
-                        }
-                        // Keep at most `window` cached replies; the device
-                        // cannot retransmit a slot older than that.
-                        let window = session.window as usize;
-                        while session.reply_window.len() > window {
-                            session.reply_window.remove(0);
-                        }
-                        // The page shown is the highest-seq one served so
-                        // far — again independent of apply order.
-                        if let Some(last) = session.reply_window.last() {
-                            session.current_path = last.reply.page.path.clone();
-                        }
-                        session.interactions += 1;
-                        session.stepups = *stepups as u32;
-                        session.consumed_nonces.push(*request_nonce);
-                    } else {
-                        session.pending_nonce = reply.nonce;
-                        session.expected_seq = reply.seq;
-                        session.cache = Some(CachedInteraction {
-                            seq: reply.seq.saturating_sub(1),
-                            request_mac: *request_mac,
-                            reply: reply.clone(),
-                        });
-                        session.current_path = reply.page.path.clone();
-                        session.interactions += 1;
-                        session.stepups = *stepups as u32;
-                        session.consumed_nonces.push(*request_nonce);
+                    // `reply.seq` is `slot + 1`, so the served slot is one
+                    // less.
+                    let slot = reply.seq.saturating_sub(1);
+                    if !session.cache_reply(slot, *request_mac, reply) {
+                        return;
                     }
+                    if session.window == 0 {
+                        session.pending_nonce = reply.nonce;
+                    }
+                    // The page shown is the highest-seq one served so far
+                    // — again independent of apply order.
+                    if let Some(last) = session.reply_window.last() {
+                        session.current_path.clone_from(&last.reply.page.path);
+                    }
+                    session.interactions += 1;
+                    session.stepups = *stepups as u32;
+                    session.consumed_nonces.push(*request_nonce);
                 }
             }
             JournalRecord::SessionResumed {
@@ -2294,11 +2155,18 @@ impl WebServer {
                         &s.key,
                     ))
                     .bytes(s.pending_nonce.as_bytes())
-                    .u64(s.expected_seq)
-                    .u64(s.cache.is_some() as u64);
-                if let Some(cache) = &s.cache {
-                    w.u64(cache.seq).bytes(cache.request_mac.as_bytes());
-                    put_content_page(w, &cache.reply);
+                    .u64(s.expected_seq);
+                // v3 layout: a lock-step session's one cached reply sits in
+                // its own slot here and its list below stays empty.
+                let (slot, list) = if s.window == 0 {
+                    (s.reply_window.first(), &[][..])
+                } else {
+                    (None, &s.reply_window[..])
+                };
+                w.u64(slot.is_some() as u64);
+                if let Some(c) = slot {
+                    w.u64(c.seq).bytes(c.request_mac.as_bytes());
+                    put_content_page(w, &c.reply);
                 }
                 w.str(&s.current_path)
                     .u64(s.stepups as u64)
@@ -2314,8 +2182,8 @@ impl WebServer {
                     w.bytes(n.as_bytes());
                 }
                 w.u64(s.window);
-                w.u64(s.reply_window.len() as u64);
-                for c in &s.reply_window {
+                w.u64(list.len() as u64);
+                for c in list {
                     w.u64(c.seq).bytes(c.request_mac.as_bytes());
                     put_content_page(w, &c.reply);
                 }
@@ -2430,15 +2298,8 @@ impl WebServer {
             let sealed_key = r.bytes()?.to_vec();
             let pending_nonce = Nonce(r.array()?);
             let expected_seq = r.u64()?;
-            let cache = if r.u64()? == 1 {
-                let seq = r.u64()?;
-                let request_mac = Digest(r.array()?);
-                let reply = get_content_page(&mut r)?;
-                Some(CachedInteraction {
-                    seq,
-                    request_mac,
-                    reply,
-                })
+            let slot = if r.u64()? == 1 {
+                Some(get_cached_interaction(&mut r)?)
             } else {
                 None
             };
@@ -2456,16 +2317,15 @@ impl WebServer {
                 consumed_nonces.push(Nonce(r.array()?));
             }
             let window = r.u64()?;
-            let mut reply_window = Vec::new();
-            for _ in 0..r.u64()? {
-                let seq = r.u64()?;
-                let request_mac = Digest(r.array()?);
-                let reply = get_content_page(&mut r)?;
-                reply_window.push(CachedInteraction {
-                    seq,
-                    request_mac,
-                    reply,
-                });
+            let listed = r.u64()?;
+            // A lock-step session keeps its reply in the slot, a windowed
+            // one in the list; no writer mixes the two.
+            if (window == 0 && listed > 0) || (window > 0 && slot.is_some()) {
+                return None;
+            }
+            let mut reply_window: Vec<_> = slot.into_iter().collect();
+            for _ in 0..listed {
+                reply_window.push(get_cached_interaction(&mut r)?);
             }
             let key = open_session_key(&recovery_key, &login_nonce, &sealed_key)?;
             shard.sessions.insert(
@@ -2475,7 +2335,6 @@ impl WebServer {
                     key,
                     pending_nonce,
                     expected_seq,
-                    cache,
                     current_path,
                     stepups,
                     terminated,
@@ -2943,6 +2802,78 @@ mod tests {
             "restore unseals back to the raw key"
         );
         assert_eq!(server.state_digest(), digest, "snapshotting is read-only");
+    }
+
+    /// One shard snapshot holding a session opened at `window` that served
+    /// slot 0 on request nonce `[7; 16]`, and the offset of the session's
+    /// window value in it.
+    fn snapshot_with_one_served_slot(window: u64) -> (Vec<u8>, usize) {
+        let (mut server, _, _) = setup();
+        let key = vec![0x5E; 32];
+        let login_nonce = Nonce([1u8; 16]);
+        let reply = |seq, nonce| ContentPage {
+            session_id: "sess-1-x".to_owned(),
+            account: "alice".to_owned(),
+            nonce,
+            seq,
+            page: Page::new("/home", b"welcome back".to_vec()),
+            mac: Digest([0u8; 32]),
+        };
+        server.apply_record(&JournalRecord::LoginServed {
+            nonce: login_nonce,
+            signature: vec![1],
+            sealed_session_key: seal_session_key(&server.recovery_key, &login_nonce, &key),
+            window,
+            reply: reply(0, Nonce([2u8; 16])),
+            frame_hash: Digest([3u8; 32]),
+            risk: RiskReport::fresh_login(),
+        });
+        server.apply_record(&JournalRecord::InteractionServed {
+            request_nonce: Nonce([7u8; 16]),
+            request_mac: Digest([4u8; 32]),
+            action: "/home".to_owned(),
+            frame_hash: Digest([3u8; 32]),
+            risk: RiskReport::fresh_login(),
+            expected_path: "/home".to_owned(),
+            stepups: 0,
+            reply: reply(1, Nonce([8u8; 16])),
+        });
+        let bytes = server.shard_snapshot_bytes(server.shard_for("alice"));
+        // The session's consumed nonces end with the request's; the window
+        // follows as a 4-byte length and 8 big-endian bytes.
+        let at = bytes
+            .windows(16)
+            .position(|w| w == [7u8; 16])
+            .expect("consumed request nonce")
+            + 16
+            + 4;
+        assert_eq!(bytes[at..at + 8], window.to_be_bytes());
+        (bytes, at)
+    }
+
+    #[test]
+    fn snapshot_rejects_a_reply_cache_in_the_other_flows_place() {
+        // A lock-step session's reply sits in the single slot, a windowed
+        // one's in the list; relabelling the window mixes the two.
+        for (window, relabelled) in [(0u64, 1u64), (1, 0)] {
+            let (mut bytes, at) = snapshot_with_one_served_slot(window);
+            let (mut server, _, _) = setup();
+            let idx = server.shard_for("alice");
+            assert!(
+                server.restore_shard_snapshot(idx, &bytes),
+                "window {window}"
+            );
+            assert_eq!(
+                server.shards[idx].sessions["sess-1-x"].reply_window.len(),
+                1
+            );
+            bytes[at..at + 8].copy_from_slice(&relabelled.to_be_bytes());
+            let (mut server, _, _) = setup();
+            assert!(
+                !server.restore_shard_snapshot(idx, &bytes),
+                "window {window} relabelled {relabelled} must be malformed"
+            );
+        }
     }
 
     impl WebServer {

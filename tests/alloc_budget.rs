@@ -177,8 +177,8 @@ fn honest_lifecycle_allocations_are_pinned() {
         got,
         [
             b(1, 150, 62_110),
-            b(1, 152, 50_819),
-            b(16, 1_242, 122_390),
+            b(1, 152, 50_051),
+            b(16, 1_212, 121_964),
             b(1, 401, 40_088),
         ],
         "honest lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -192,8 +192,8 @@ fn lossy_lifecycle_allocations_are_pinned() {
         got,
         [
             b(1, 153, 65_054),
-            b(1, 155, 53_355),
-            b(16, 1_360, 134_803),
+            b(1, 155, 52_587),
+            b(16, 1_327, 134_281),
             b(1, 401, 40_088),
         ],
         "10%-loss lifecycle budget moved (register, login, interact, close): {got:?}"
