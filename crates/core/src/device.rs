@@ -503,43 +503,15 @@ impl MobileDevice {
         action: &str,
         slot: u64,
     ) -> Result<InteractionRequest, DeviceError> {
-        let risk = RiskReport::from_tracker(self.flock.auth().risk());
         let session = self.sessions.get(domain).ok_or(DeviceError::NoSession)?;
-        if session.session_id.is_empty() || session.window == 0 {
+        if session.window == 0
+            || slot < session.next_seq
+            || slot >= session.next_seq + session.window
+        {
             return Err(DeviceError::NoSession);
         }
-        if slot < session.next_seq || slot >= session.next_seq + session.window {
-            return Err(DeviceError::NoSession);
-        }
-        let session_id = session.session_id.clone();
-        let account = self
-            .flock
-            .domain_record(domain)
-            .ok_or(DeviceError::UnknownDomain)?
-            .account
-            .clone();
-        let nonce = window_nonce(&self.sessions[domain].key, slot);
-        let frame_hash = self.display_session(domain);
-        let bytes = InteractionRequest::mac_bytes(
-            &session_id,
-            &account,
-            &nonce,
-            slot,
-            action,
-            &frame_hash,
-            &risk,
-        );
-        let mac = btd_crypto::hmac::hmac_sha256(&self.sessions[domain].key, &bytes);
-        Ok(InteractionRequest {
-            session_id,
-            account,
-            nonce,
-            seq: slot,
-            action: action.to_owned(),
-            frame_hash,
-            risk,
-            mac,
-        })
+        let nonce = window_nonce(&session.key, slot);
+        self.sign_interaction(domain, action, slot, nonce)
     }
 
     /// Accepts a windowed content page: verifies the session MAC, then
@@ -655,8 +627,23 @@ impl MobileDevice {
         domain: &str,
         action: &str,
     ) -> Result<InteractionRequest, DeviceError> {
-        let risk = RiskReport::from_tracker(self.flock.auth().risk());
+        let session = self.sessions.get(domain).ok_or(DeviceError::NoSession)?;
+        let (seq, nonce) = (session.next_seq, session.next_nonce);
+        self.sign_interaction(domain, action, seq, nonce)
+    }
 
+    /// Signs an interaction request for `action` at slot `seq` carrying
+    /// `nonce`, the one body behind both builders: the current risk
+    /// window, the frame hash of what the user is looking at, and the
+    /// session MAC.
+    fn sign_interaction(
+        &mut self,
+        domain: &str,
+        action: &str,
+        seq: u64,
+        nonce: Nonce,
+    ) -> Result<InteractionRequest, DeviceError> {
+        let risk = RiskReport::from_tracker(self.flock.auth().risk());
         let session = self.sessions.get(domain).ok_or(DeviceError::NoSession)?;
         if session.session_id.is_empty() {
             return Err(DeviceError::NoSession);
@@ -668,12 +655,7 @@ impl MobileDevice {
             .ok_or(DeviceError::UnknownDomain)?
             .account
             .clone();
-        let nonce = self.sessions[domain].next_nonce;
-        let seq = self.sessions[domain].next_seq;
-
-        // The frame hash of what the user is currently looking at.
         let frame_hash = self.display_session(domain);
-
         let bytes = InteractionRequest::mac_bytes(
             &session_id,
             &account,
@@ -683,8 +665,7 @@ impl MobileDevice {
             &frame_hash,
             &risk,
         );
-        let key = &self.sessions[domain].key;
-        let mac = btd_crypto::hmac::hmac_sha256(key, &bytes);
+        let mac = btd_crypto::hmac::hmac_sha256(&self.sessions[domain].key, &bytes);
         Ok(InteractionRequest {
             session_id,
             account,
