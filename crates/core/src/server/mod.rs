@@ -48,8 +48,6 @@ use btd_crypto::nonce::{Nonce, NonceGenerator, ReplayGuard};
 use btd_crypto::schnorr::{KeyPair, PublicKey, Signature};
 use btd_crypto::sha256::{sha256, Digest};
 use btd_sim::rng::SimRng;
-use btd_sim::time::SimTime;
-use btd_sim::trace::TraceLog;
 
 use crate::ca::TrustAuthority;
 use crate::messages::{
@@ -567,7 +565,6 @@ pub struct WebServer {
     pages: HashMap<String, Page>,
     policy: ServerRiskPolicy,
     reject_counts: HashMap<Reject, u64>,
-    trace: TraceLog,
     /// Structured protocol tracer (disabled unless installed); survives
     /// in-place recovery but, like all observability state, is not
     /// durable — a server recovered from journals alone starts disabled.
@@ -655,7 +652,6 @@ impl WebServer {
             pages,
             policy: ServerRiskPolicy::default(),
             reject_counts: HashMap::new(),
-            trace: TraceLog::new(),
             tracer: Tracer::disabled(),
             risk_verified: [0; RISK_BUCKET_PCT.len() + 1],
             crash: CrashSchedule::Never,
@@ -812,11 +808,6 @@ impl WebServer {
 
     fn reject(&mut self, reason: Reject) -> Reject {
         *self.reject_counts.entry(reason).or_insert(0) += 1;
-        self.trace.security(
-            SimTime::ZERO,
-            "server",
-            format!("rejected request: {reason}"),
-        );
         self.tracer.record(EventKind::ServerReject { reason });
         reason
     }
@@ -1737,7 +1728,6 @@ impl WebServer {
             pages: identity.pages,
             policy: identity.policy,
             reject_counts: HashMap::new(),
-            trace: TraceLog::new(),
             tracer: Tracer::disabled(),
             risk_verified: [0; RISK_BUCKET_PCT.len() + 1],
             crash: CrashSchedule::Never,
@@ -2411,8 +2401,6 @@ impl WebServer {
 mod tests {
     use super::*;
 
-    use btd_sim::trace::Severity;
-
     fn setup() -> (WebServer, TrustAuthority, SimRng) {
         let mut rng = SimRng::seed_from(11);
         let mut ca = TrustAuthority::new(DhGroup::test_512(), &mut rng);
@@ -2484,15 +2472,26 @@ mod tests {
     #[test]
     fn reject_counters_accumulate() {
         let (mut server, _, _) = setup();
+        server.set_tracer(Tracer::enabled());
         let _ = server.reset_identity("ghost", "pw");
         let _ = server.reset_identity("ghost", "pw");
         assert_eq!(server.reject_counts()[&Reject::UnknownAccount], 2);
-        // The security trace mirrors the counters.
-        let events = server.trace().events();
-        assert_eq!(events.len(), 2);
-        assert!(events
-            .iter()
-            .all(|e| e.severity == Severity::Security && e.message.contains("unknown account")));
+        // Every rejection is also a typed event.
+        let kinds: Vec<EventKind> = server
+            .tracer()
+            .events()
+            .into_iter()
+            .map(|e| e.kind)
+            .collect();
+        assert_eq!(
+            kinds,
+            vec![
+                EventKind::ServerReject {
+                    reason: Reject::UnknownAccount
+                };
+                2
+            ]
+        );
     }
 
     #[test]
@@ -2880,11 +2879,6 @@ mod tests {
         /// Adds (or replaces) a served page.
         pub fn put_page(&mut self, page: Page) {
             self.pages.insert(page.path.clone(), page);
-        }
-
-        /// The server's security-event trace (every rejection, in order).
-        pub fn trace(&self) -> &TraceLog {
-            &self.trace
         }
     }
 }

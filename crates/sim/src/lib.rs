@@ -17,8 +17,6 @@
 //!   touchscreen, sensor, and placement crates.
 //! * [`event`] — a deterministic discrete-event queue.
 //! * [`power`] — energy/power bookkeeping for the hardware models.
-//! * [`trace`] — a lightweight structured trace recorder used by the
-//!   experiment harnesses.
 //!
 //! # Example
 //!
@@ -36,7 +34,6 @@ pub mod geom;
 pub mod power;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use geom::{MmPoint, MmRect, MmSize};
 pub use rng::SimRng;
