@@ -4,8 +4,7 @@
 //! crypto processor, and the corresponding information about user account,
 //! web server name, and biometric templates in protected non-volatile
 //! storage." [`SecureStorage`] models that flash with a byte budget, so the
-//! capacity experiment can ask how many accounts and templates a realistic
-//! part holds.
+//! capacity experiment can ask how many accounts a realistic part holds.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -66,23 +65,21 @@ impl std::fmt::Display for StorageError {
 
 impl std::error::Error for StorageError {}
 
-/// Byte-budgeted protected storage for domain records and raw blobs.
+/// Byte-budgeted protected storage for domain records.
 #[derive(Clone)]
 pub struct SecureStorage {
     capacity_bytes: usize,
     records: BTreeMap<String, DomainRecord>,
-    blobs: BTreeMap<String, Vec<u8>>,
 }
 
-// The flash holds every domain secret and enrolled template blob; Debug
-// reports occupancy, never contents.
+// The flash holds every domain secret; Debug reports occupancy, never
+// contents.
 impl fmt::Debug for SecureStorage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "SecureStorage({} records, {} blobs, {}/{} bytes, contents <redacted>)",
+            "SecureStorage({} records, {}/{} bytes, contents <redacted>)",
             self.records.len(),
-            self.blobs.len(),
             self.used(),
             self.capacity_bytes
         )
@@ -95,7 +92,6 @@ impl SecureStorage {
         SecureStorage {
             capacity_bytes,
             records: BTreeMap::new(),
-            blobs: BTreeMap::new(),
         }
     }
 
@@ -106,9 +102,7 @@ impl SecureStorage {
 
     /// Bytes currently used.
     pub fn used(&self) -> usize {
-        let records: usize = self.records.values().map(DomainRecord::encoded_size).sum();
-        let blobs: usize = self.blobs.iter().map(|(k, v)| k.len() + v.len() + 8).sum();
-        records + blobs
+        self.records.values().map(DomainRecord::encoded_size).sum()
     }
 
     /// Stores (or replaces) a domain record.
@@ -209,23 +203,12 @@ mod tests {
     }
 
     #[test]
-    fn blobs_share_the_budget() {
-        let mut s = SecureStorage::new(1_000);
-        s.put_blob("template-0", vec![0u8; 800]).unwrap();
-        assert!(s.put_blob("template-1", vec![0u8; 800]).is_err());
-        assert_eq!(s.blob("template-0").unwrap().len(), 800);
-        assert!(s.free() < 200);
-    }
-
-    #[test]
     fn wipe_clears_everything() {
         let mut s = SecureStorage::one_mib();
         s.put_record(record("a.com")).unwrap();
-        s.put_blob("t", vec![1, 2, 3]).unwrap();
         s.wipe();
         assert_eq!(s.used(), 0);
         assert_eq!(s.record_count(), 0);
-        assert!(s.blob("t").is_none());
     }
 
     #[test]
@@ -247,40 +230,14 @@ mod tests {
             SecureStorage::new(1 << 20)
         }
 
-        /// Bytes still free.
-        pub fn free(&self) -> usize {
-            self.capacity_bytes.saturating_sub(self.used())
-        }
-
         /// Removes the record for `domain`, returning it.
         pub fn remove_record(&mut self, domain: &str) -> Option<DomainRecord> {
             self.records.remove(domain)
         }
 
-        /// Stores (or replaces) a raw blob (e.g. an encoded template).
-        ///
-        /// # Errors
-        ///
-        /// [`StorageError::CapacityExceeded`] if the blob does not fit.
-        pub fn put_blob(&mut self, key: &str, data: Vec<u8>) -> Result<(), StorageError> {
-            let new_size = key.len() + data.len() + 8;
-            let old_size = self.blobs.get(key).map_or(0, |v| key.len() + v.len() + 8);
-            if self.used() - old_size + new_size > self.capacity_bytes {
-                return Err(StorageError::CapacityExceeded);
-            }
-            self.blobs.insert(key.to_owned(), data);
-            Ok(())
-        }
-
-        /// Reads a blob.
-        pub fn blob(&self, key: &str) -> Option<&[u8]> {
-            self.blobs.get(key).map(Vec::as_slice)
-        }
-
         /// Erases everything (identity reset on the device side).
         pub fn wipe(&mut self) {
             self.records.clear();
-            self.blobs.clear();
         }
     }
 }
