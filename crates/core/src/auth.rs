@@ -55,8 +55,9 @@ pub(crate) enum Exchanged<R> {
 /// in transit — worth retrying with the undamaged original. A corrupted
 /// nonce surfaces as `UnknownNonce`, a corrupted MAC as `BadMac`.
 /// `BadSignature` is *not* here: transit damage never lands there in this
-/// model, so it means a key mismatch, which no retry heals.
-fn retryable(reject: Reject) -> bool {
+/// model, so it means a key mismatch, which no retry heals. The lock-step
+/// exchange and the pipelined engine share this classification.
+pub(crate) fn retryable(reject: Reject) -> bool {
     matches!(reject, Reject::BadMac | Reject::UnknownNonce)
 }
 

@@ -37,7 +37,7 @@ use btd_sim::rng::SimRng;
 use btd_sim::time::{SimDuration, SimTime};
 use btd_workload::session::TouchSample;
 
-use crate::auth::login;
+use crate::auth::{login, retryable};
 use crate::channel::Channel;
 use crate::device::{DeviceError, MobileDevice, WindowAccept};
 use crate::messages::{ContentPage, Freshness, InteractionRequest, Reject};
@@ -63,12 +63,6 @@ const SPAWN_STAGGER: SimDuration = SimDuration::from_millis(1);
 /// (fleet mode): the re-login prompt is a user-visible interruption, not
 /// an instant retry.
 const REAUTH_DELAY: SimDuration = SimDuration::from_millis(150);
-
-/// Rejects worth retrying with the undamaged original (transit damage);
-/// mirrors the lock-step exchange's classification.
-fn transit_retryable(reject: Reject) -> bool {
-    matches!(reject, Reject::BadMac | Reject::UnknownNonce)
-}
 
 /// Flow outcomes a blocking stage (register / login / re-login) survives
 /// by running the flow again. Losses burn the round as before; a
@@ -408,7 +402,7 @@ impl Core<'_> {
                     self.queue.schedule(self.now + RECOVERY_DELAY, Ev::Recover);
                 }
             }
-            Err(reject) if transit_retryable(reject) => {
+            Err(reject) if retryable(reject) => {
                 let refusal = EventKind::CorruptReject {
                     attempt,
                     reason: reject,
