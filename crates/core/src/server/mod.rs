@@ -58,7 +58,7 @@ use crate::pages::Page;
 use crate::risk_policy::{RiskDecision, RiskReport, ServerRiskPolicy};
 use crate::telemetry::RISK_BUCKET_PCT;
 use crate::trace::{CacheKind, CtxArgs, EventKind, Outcome, SpanKind, Tracer};
-use crate::wire::{signing_bytes, FieldReader};
+use crate::wire::{signing_bytes, FieldReader, FieldWriter};
 
 use crate::metrics::RetryPolicy;
 use journal::{
@@ -131,6 +131,12 @@ struct CachedInteraction {
     request_mac: Digest,
     /// The reply to resend.
     reply: ContentPage,
+}
+
+/// Writes one [`CachedInteraction`] into a shard snapshot.
+fn put_cached_interaction(w: &mut FieldWriter, c: &CachedInteraction) {
+    w.u64(c.seq).bytes(c.request_mac.as_bytes());
+    put_content_page(w, &c.reply);
 }
 
 /// Reads one [`CachedInteraction`] of a shard snapshot.
@@ -1325,7 +1331,7 @@ impl WebServer {
         if s.terminated || s.account != msg.account {
             return Err(self.reject(Reject::UnknownSession));
         }
-        let mac_ok = |key: &[u8]| {
+        let mac_ok = || {
             let mac_bytes = InteractionRequest::mac_bytes(
                 &msg.session_id,
                 &msg.account,
@@ -1335,14 +1341,14 @@ impl WebServer {
                 &msg.frame_hash,
                 &msg.risk,
             );
-            verify_hmac(key, &mac_bytes, &msg.mac)
+            verify_hmac(&s.key, &mac_bytes, &msg.mac)
         };
         if let Some(cache) = s.window_reply(msg.seq) {
             // The MAC must verify over this copy's bytes before the cache
             // answers: equality with the cached MAC alone would let a
             // tampered copy (original MAC, rewritten fields) pass as a
             // benign retransmit. BadMac keeps an honest one retryable.
-            if !mac_ok(&s.key) {
+            if !mac_ok() {
                 return Err(self.reject(Reject::BadMac));
             }
             let freshness = if cache.request_mac == msg.mac {
@@ -1383,7 +1389,7 @@ impl WebServer {
             };
             return Err(self.reject(reason));
         }
-        if !mac_ok(&s.key) {
+        if !mac_ok() {
             return Err(self.reject(Reject::BadMac));
         }
         let stepups = s.stepups;
@@ -2155,8 +2161,7 @@ impl WebServer {
                 };
                 w.u64(slot.is_some() as u64);
                 if let Some(c) = slot {
-                    w.u64(c.seq).bytes(c.request_mac.as_bytes());
-                    put_content_page(w, &c.reply);
+                    put_cached_interaction(w, c);
                 }
                 w.str(&s.current_path)
                     .u64(s.stepups as u64)
@@ -2174,8 +2179,7 @@ impl WebServer {
                 w.u64(s.window);
                 w.u64(list.len() as u64);
                 for c in list {
-                    w.u64(c.seq).bytes(c.request_mac.as_bytes());
-                    put_content_page(w, &c.reply);
+                    put_cached_interaction(w, c);
                 }
             }
 
