@@ -24,6 +24,8 @@ struct Rig {
     device: usize,
     window: u64,
     rng: SimRng,
+    /// The last request the variants served fresh.
+    last: Option<InteractionRequest>,
 }
 
 impl Rig {
@@ -48,6 +50,7 @@ impl Rig {
             device,
             window,
             rng,
+            last: None,
         }
     }
 
@@ -135,6 +138,7 @@ impl Rig {
         let (v, reply) = self.send(&last);
         out.push(("fresh after refusals", v));
         self.deliver(&reply.expect("served"));
+        self.last = Some(last);
         out
     }
 
@@ -152,6 +156,17 @@ impl Rig {
 }
 
 fn assert_parity(stage: &str, lock_step: &mut Rig, windowed: &mut Rig) {
+    // The reply cache came through: the last request is still a resend.
+    for rig in [&mut *lock_step, &mut *windowed] {
+        let last = rig.last.clone().expect("served before");
+        let verdict = rig.send(&last).0;
+        assert_eq!(
+            verdict,
+            Ok(Freshness::Resent),
+            "{stage}: window {}",
+            rig.window
+        );
+    }
     let a = lock_step.variants();
     let b = windowed.variants();
     for ((name, va), (_, vb)) in a.iter().zip(&b) {
