@@ -81,7 +81,7 @@ impl std::fmt::Display for DeviceError {
 
 impl std::error::Error for DeviceError {}
 
-/// How a verified windowed reply reconciled into the device's window
+/// How a verified reply reconciled into the device's window
 /// (see [`MobileDevice::accept_windowed_content`]).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum WindowAccept {
@@ -104,10 +104,9 @@ struct DeviceSession {
     session_id: String,
     key: Vec<u8>,
     next_nonce: Nonce,
-    /// Sequence number the next interaction request must carry (echoed
-    /// from the last accepted content page). In windowed mode this is the
-    /// cumulative-ack base: the lowest slot whose reply has not been
-    /// applied yet.
+    /// The cumulative-ack base, echoed from the last applied content
+    /// page: the lowest slot whose reply has not been applied yet, which
+    /// is the slot a lock-step request carries.
     next_seq: u64,
     current_page: Page,
     /// The nonce of an in-flight resume request, so the matching ack can
@@ -425,13 +424,10 @@ impl MobileDevice {
         })
     }
 
-    /// Accepts a content page from the server (login response or
-    /// interaction response): verifies the session MAC, displays the page,
-    /// and arms the next nonce and sequence number.
-    ///
-    /// A duplicate or out-of-date page (sequence number behind the
-    /// device's) is verified but otherwise ignored, so adversarial
-    /// re-deliveries can never roll the session state backwards.
+    /// Accepts a content page from the server (login response,
+    /// interaction response, or a reply healed by a resume ack); see
+    /// [`MobileDevice::accept_windowed_content`], which this forwards to
+    /// for the callers that do not need the [`WindowAccept`] verdict.
     ///
     /// # Errors
     ///
@@ -441,29 +437,7 @@ impl MobileDevice {
         domain: &str,
         content: &ContentPage,
     ) -> Result<(), DeviceError> {
-        let session = self.sessions.get(domain).ok_or(DeviceError::NoSession)?;
-        let bytes = ContentPage::mac_bytes(
-            &content.session_id,
-            &content.account,
-            &content.nonce,
-            content.seq,
-            &content.page,
-        );
-        if !verify_hmac(&session.key, &bytes, &content.mac) {
-            return Err(DeviceError::BadServerMac);
-        }
-        if !session.session_id.is_empty() && content.seq < session.next_seq {
-            return Ok(()); // stale duplicate: authentic but already superseded
-        }
-        let session = self.sessions.get_mut(domain).expect("session checked");
-        session.session_id.clone_from(&content.session_id);
-        session.next_nonce = content.nonce;
-        session.next_seq = content.seq;
-        session.current_page = content.page.clone();
-        self.tracer
-            .record(EventKind::ContentAccepted { seq: content.seq });
-        self.display_session(domain);
-        Ok(())
+        self.accept_windowed_content(domain, content).map(|_| ())
     }
 
     /// Switches the session at `domain` into pipelined windowed mode with
@@ -514,24 +488,33 @@ impl MobileDevice {
         self.sign_interaction(domain, action, slot, nonce)
     }
 
-    /// Accepts a windowed content page: verifies the session MAC, then
-    /// reconciles the reply into the sliding window. A reply for the base
-    /// slot applies immediately and drains any buffered out-of-order
-    /// successors (cumulative ack); a reply ahead of the base is buffered;
-    /// a reply behind it is verified and ignored.
+    /// Accepts a content page into the session's window: the device-side
+    /// mirror of the server's admission rule, with credit `max(window, 1)`
+    /// (lock-step is a window of one). After the session MAC verifies:
+    ///
+    /// * a session still waiting for its login page adopts the page;
+    /// * a reply for slot `s` carries seq `s + 1`. Below the base it is
+    ///   stale; at the base it applies, then drains every buffered
+    ///   successor it unlocks (cumulative ack); inside
+    ///   `(base, base + credit)` it is buffered; anything else is stale.
+    ///
+    /// A stale reply is authentic but superseded and changes nothing, so
+    /// adversarial re-deliveries can never roll the session backwards.
+    /// A windowed session records the base's advance as a
+    /// [`EventKind::WindowAdvance`] event.
     ///
     /// # Errors
     ///
-    /// Fails without a live windowed session or on MAC mismatch.
+    /// Fails without a live session or on MAC mismatch.
     pub fn accept_windowed_content(
         &mut self,
         domain: &str,
         content: &ContentPage,
     ) -> Result<WindowAccept, DeviceError> {
-        let session = self.sessions.get(domain).ok_or(DeviceError::NoSession)?;
-        if session.session_id.is_empty() || session.window == 0 {
-            return Err(DeviceError::NoSession);
-        }
+        let session = self
+            .sessions
+            .get_mut(domain)
+            .ok_or(DeviceError::NoSession)?;
         let bytes = ContentPage::mac_bytes(
             &content.session_id,
             &content.account,
@@ -542,38 +525,28 @@ impl MobileDevice {
         if !verify_hmac(&session.key, &bytes, &content.mac) {
             return Err(DeviceError::BadServerMac);
         }
-        // A reply for slot `s` carries seq `s + 1`.
-        let slot = content.seq.saturating_sub(1);
-        let (base, window) = (session.next_seq, session.window);
-        if content.seq == 0 || slot < base {
-            return Ok(WindowAccept::Stale); // authentic but superseded
-        }
-        let session = self.sessions.get_mut(domain).expect("session checked");
-        if slot > base {
-            if slot >= base + window {
-                return Ok(WindowAccept::Stale); // cannot be an honest reply
+        if session.session_id.is_empty() {
+            session.session_id.clone_from(&content.session_id);
+        } else {
+            let base = session.next_seq;
+            if content.seq <= base || content.seq > base + session.window.max(1) {
+                return Ok(WindowAccept::Stale);
             }
-            let at = session.ooo_replies.partition_point(|p| p.seq < content.seq);
-            let already = session
-                .ooo_replies
-                .get(at)
-                .is_some_and(|p| p.seq == content.seq);
-            if !already {
-                session.ooo_replies.insert(at, content.clone());
+            if content.seq > base + 1 {
+                let at = session.ooo_replies.partition_point(|p| p.seq < content.seq);
+                if session.ooo_replies.get(at).map(|p| p.seq) != Some(content.seq) {
+                    session.ooo_replies.insert(at, content.clone());
+                }
+                return Ok(WindowAccept::Buffered);
             }
-            return Ok(WindowAccept::Buffered);
         }
-        // Base reply: apply it, then drain every contiguous buffered
-        // successor.
-        let mut applied = 0u64;
-        // The page of the last drained successor, if any.
-        let mut drained_page = None;
         session.next_seq = content.seq;
         session.next_nonce = content.nonce;
-        applied += 1;
         self.tracer
             .record(EventKind::ContentAccepted { seq: content.seq });
-        let session = self.sessions.get_mut(domain).expect("session checked");
+        let mut applied = 1;
+        // The page of the last drained successor, if any.
+        let mut drained_page = None;
         while session
             .ooo_replies
             .first()
@@ -587,12 +560,13 @@ impl MobileDevice {
             self.tracer
                 .record(EventKind::ContentAccepted { seq: next.seq });
         }
-        let new_base = session.next_seq;
         session.current_page = drained_page.unwrap_or_else(|| content.page.clone());
-        self.tracer.record(EventKind::WindowAdvance {
-            base: new_base,
-            applied,
-        });
+        if session.window > 0 {
+            self.tracer.record(EventKind::WindowAdvance {
+                base: session.next_seq,
+                applied,
+            });
+        }
         self.display_session(domain);
         Ok(WindowAccept::Applied { applied })
     }
