@@ -1,26 +1,25 @@
 //! Trace-driven postmortem for a chaos run.
 //!
-//! Replays a concurrent chaos scenario under a fixed seed with tracing
-//! enabled, prints one indented timeline per account (every span, fault,
-//! retry, crash, and recovery in total order), and then cross-checks the
-//! trace against the live counters: [`trust_core::trace::derive_metrics`]
-//! re-derives the whole fleet's `ProtocolMetrics` from trace events alone
-//! and must match the fleet's live accounting exactly. Exits non-zero on
-//! any disagreement, so CI can pin the trace/metrics consistency contract.
+//! Replays a small shard-parallel fleet under loss and crash injection
+//! with a fixed seed ([`trust_core::parallel::run_parallel`]), prints one
+//! indented timeline per account from the merged trace (every span,
+//! fault, retry, crash, and recovery in total order), and then
+//! cross-checks the trace against the live counters:
+//! [`trust_core::trace::derive_metrics`] re-derives the whole fleet's
+//! `ProtocolMetrics` from trace events alone and must match the fleet's
+//! live accounting exactly. Exits non-zero on any disagreement, so CI can
+//! pin the trace/metrics consistency contract.
 //!
 //! ```sh
 //! cargo run -p btd-bench --bin trace_explain -- [seed]
 //! ```
 
 use btd_bench::report::banner;
-use btd_sim::rng::SimRng;
-use trust_core::channel::Adversary;
-use trust_core::scenario::World;
+use trust_core::parallel::{run_parallel, ParallelConfig};
 use trust_core::server::journal::CrashProfile;
-use trust_core::trace::{derive_metrics, TraceQuery};
+use trust_core::trace::{TraceEvent, TraceQuery};
 
-const DOMAIN: &str = "www.xyz.com";
-const DEVICES: usize = 3;
+const ACCOUNTS: usize = 3;
 const SHARDS: usize = 2;
 const TOUCHES: usize = 6;
 const LOSS: f64 = 0.05;
@@ -33,31 +32,14 @@ fn main() {
         .unwrap_or(7);
     banner(&format!("trace explain: chaos postmortem, seed {seed}"));
 
-    let mut rng = SimRng::seed_from(seed);
-    let mut world = World::with_adversary(Adversary::RandomLoss { loss: LOSS }, &mut rng);
-    world.add_server_with_shards(DOMAIN, SHARDS, &mut rng);
-    let tracer = world.enable_tracing();
-    let device_idxs: Vec<usize> = (0..DEVICES)
-        .map(|i| world.add_device(&format!("phone-{i}"), 100 + i as u64, &mut rng))
-        .collect();
-    let accounts: Vec<String> = (0..DEVICES).map(|i| format!("user-{i}")).collect();
-    let pairs: Vec<(usize, &str)> = device_idxs
-        .iter()
-        .zip(&accounts)
-        .map(|(&d, a)| (d, a.as_str()))
-        .collect();
+    let run = run_parallel(&ParallelConfig {
+        touches: TOUCHES,
+        loss: LOSS,
+        crash: Some(CrashProfile::uniform(CRASH_PROB)),
+        ..ParallelConfig::new(seed, ACCOUNTS, SHARDS, 1)
+    });
 
-    let report = world
-        .run_concurrent_chaos(
-            DOMAIN,
-            &pairs,
-            TOUCHES,
-            CrashProfile::uniform(CRASH_PROB),
-            &mut rng,
-        )
-        .expect("chaos run");
-
-    let events = tracer.events();
+    let events: Vec<TraceEvent> = run.merged.iter().map(|(_, e)| e.event.clone()).collect();
     let query = TraceQuery::new(&events);
     for account in query.accounts() {
         println!("--- timeline: {account} ---");
@@ -68,12 +50,12 @@ fn main() {
     println!(
         "{} trace events; fleet served {} interactions across {} crash(es).",
         events.len(),
-        report.total_served(),
-        report.crashes()
+        run.total_served(),
+        run.shard_runs.iter().map(|r| r.crashes).sum::<u64>()
     );
 
-    let derived = derive_metrics(&events);
-    let live = report.fleet_metrics();
+    let derived = run.derived_metrics();
+    let live = run.fleet_metrics();
     if derived == live {
         println!("trace-derived metrics match the live counters exactly.");
     } else {

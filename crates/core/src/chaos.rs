@@ -13,10 +13,10 @@
 //! A lifecycle is a [`DeviceLifecycle`] state machine
 //! (register → login → interact → close → done) that advances one unit of
 //! work per [`DeviceLifecycle::step`]. [`run_chaos_lifecycle`] drives one
-//! machine to completion; the concurrent multi-device driver
-//! ([`World::run_concurrent_chaos`](crate::scenario::World::run_concurrent_chaos))
-//! interleaves M machines round-robin over the same server and channel,
-//! with per-device [`ProtocolMetrics`].
+//! machine to completion; the shard-parallel runtime
+//! ([`run_shard`](crate::parallel::run_shard)) interleaves a shard's
+//! machines round-robin over that shard's server and channel, with
+//! per-device [`ProtocolMetrics`].
 
 use btd_sim::rng::SimRng;
 use btd_sim::time::SimDuration;
@@ -26,7 +26,6 @@ use crate::auth::{exchange, login, ExchangeFailure, Exchanged};
 use crate::channel::Channel;
 use crate::device::MobileDevice;
 use crate::messages::{ContentPage, Reject, ResumeAck};
-use crate::metrics::LatencyHistogram;
 use crate::metrics::{Phase, ProtocolMetrics, RetryPolicy};
 use crate::registration::{register, FlowError};
 use crate::server::journal::{CrashProfile, CrashSchedule};
@@ -578,85 +577,6 @@ impl DeviceLifecycle {
                 self.fail(FlowError::Server(e));
             }
         }
-    }
-}
-
-/// Aggregate outcome of a concurrent multi-device chaos run: one
-/// [`ChaosReport`] per device, in device order, plus whole-run sums.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct MultiChaosReport {
-    /// Per-device lifecycle reports, in the order devices were given.
-    pub per_device: Vec<ChaosReport>,
-}
-
-impl MultiChaosReport {
-    /// Server crashes observed across all lifecycles (each crash is
-    /// recovered by exactly one device's step, so the sum counts each
-    /// crash once).
-    pub fn crashes(&self) -> u64 {
-        self.per_device.iter().map(|r| r.crashes).sum()
-    }
-
-    /// Whether every device's lifecycle completed.
-    pub fn all_completed(&self) -> bool {
-        self.per_device.iter().all(|r| r.completed)
-    }
-
-    /// Whether every device's session was closed.
-    pub fn all_closed(&self) -> bool {
-        self.per_device.iter().all(|r| r.closed)
-    }
-
-    /// Replayed duplicates any server accepted as fresh — must stay 0.
-    pub fn replays_accepted(&self) -> u64 {
-        self.per_device
-            .iter()
-            .map(|r| r.metrics.replays_accepted)
-            .sum()
-    }
-
-    /// Interactions served across all devices.
-    pub fn total_served(&self) -> u64 {
-        self.per_device.iter().map(|r| r.served).sum()
-    }
-
-    /// Audit mismatches across all account windows.
-    pub fn audit_mismatches(&self) -> u64 {
-        self.per_device.iter().map(|r| r.audit_mismatches).sum()
-    }
-
-    /// Journal records lost across all recoveries.
-    pub fn records_skipped(&self) -> u64 {
-        self.per_device.iter().map(|r| r.records_skipped).sum()
-    }
-
-    /// Quarantined shards observed across all recoveries.
-    pub fn quarantined_shards(&self) -> u64 {
-        self.per_device.iter().map(|r| r.quarantined_shards).sum()
-    }
-
-    /// Corrupt sealed segments found across all recoveries.
-    pub fn corrupt_segments(&self) -> u64 {
-        self.per_device.iter().map(|r| r.corrupt_segments).sum()
-    }
-
-    /// Every device's interaction-latency histogram merged into one
-    /// fleet-level distribution (for p50/p95/p99 summaries).
-    pub fn fleet_interaction_latency(&self) -> LatencyHistogram {
-        let mut fleet = LatencyHistogram::default();
-        for r in &self.per_device {
-            fleet.merge(&r.metrics.interaction);
-        }
-        fleet
-    }
-
-    /// The whole run's metrics summed across devices.
-    pub fn fleet_metrics(&self) -> ProtocolMetrics {
-        let mut fleet = ProtocolMetrics::default();
-        for r in &self.per_device {
-            fleet.absorb(&r.metrics);
-        }
-        fleet
     }
 }
 

@@ -133,20 +133,15 @@ pub struct ShardRun {
     pub shard: usize,
     /// Accounts routed to this shard.
     pub accounts: usize,
-    /// Interactions attempted across the shard's lifecycles.
-    pub attempted: u64,
     /// Interactions served exactly once.
     pub served: u64,
     /// Lifecycles that completed every attempted interaction.
     pub completed: usize,
-    /// Lifecycles the server terminated on risk.
-    pub terminated: usize,
     /// Server crashes observed (each followed by a recovery).
     pub crashes: u64,
-    /// Journal records lost to torn writes or corruption.
-    pub records_skipped: u64,
-    /// Shards quarantined by a failed segment certificate check.
-    pub quarantined_shards: u64,
+    /// Audit-log entries of the shard's lifecycles that matched no
+    /// legitimate view.
+    pub audit_mismatches: u64,
     /// Conclusive lifecycle failures, by account.
     pub failures: Vec<(String, FlowError)>,
     /// Network/retry accounting summed over the shard's lifecycles.
@@ -243,7 +238,7 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
     }
 
     // Pre-generate every lifecycle's touches so workload draws are
-    // independent of interleaving, mirroring `run_concurrent_chaos`.
+    // independent of interleaving.
     let touches: Vec<_> = owned
         .iter()
         .map(|&(didx, _, _)| world.touches_for_holder(didx, cfg.touches, &mut rng))
@@ -304,13 +299,10 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
     let mut shard_run = ShardRun {
         shard,
         accounts: owned.len(),
-        attempted: 0,
         served: 0,
         completed: 0,
-        terminated: 0,
         crashes: 0,
-        records_skipped: 0,
-        quarantined_shards: 0,
+        audit_mismatches: 0,
         failures: Vec::new(),
         metrics: ProtocolMetrics::default(),
         elapsed: SimDuration::ZERO,
@@ -321,13 +313,10 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
     };
     for lc in &lifecycles {
         let r = &lc.report;
-        shard_run.attempted += r.attempted;
         shard_run.served += r.served;
         shard_run.completed += usize::from(r.completed);
-        shard_run.terminated += usize::from(r.terminated);
         shard_run.crashes += r.crashes;
-        shard_run.records_skipped += r.records_skipped;
-        shard_run.quarantined_shards += r.quarantined_shards;
+        shard_run.audit_mismatches += r.audit_mismatches;
         metrics.absorb(&r.metrics);
         elapsed += r.latency;
     }

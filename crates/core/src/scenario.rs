@@ -394,92 +394,11 @@ impl World {
         )
     }
 
-    /// Runs `n`-touch chaos lifecycles for several devices *concurrently*
-    /// against one server: each `(device_idx, account)` pair becomes a
-    /// [`DeviceLifecycle`](crate::chaos::DeviceLifecycle) and the driver
-    /// interleaves them round-robin, one unit of work per turn, so
-    /// crashes, recoveries, and resumes from different devices overlap on
-    /// the shared (sharded) server. Reports come back per device, in the
-    /// order given.
-    ///
-    /// # Errors
-    ///
-    /// Fails with the first lifecycle's conclusive error (remaining
-    /// lifecycles are abandoned); per-interaction rejections are in the
-    /// per-device reports.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pairs` is empty or names an unknown device.
-    pub fn run_concurrent_chaos(
-        &mut self,
-        domain: &str,
-        pairs: &[(usize, &str)],
-        n: usize,
-        profile: crate::server::journal::CrashProfile,
-        rng: &mut SimRng,
-    ) -> Result<crate::chaos::MultiChaosReport, FlowError> {
-        use crate::server::journal::CrashSchedule;
-
-        assert!(!pairs.is_empty(), "need at least one device");
-        let sidx = self.server_index(domain);
-        // Generate every device's touches first so workload draws are
-        // independent of interleaving order.
-        let touches: Vec<Vec<TouchSample>> = pairs
-            .iter()
-            .map(|&(di, _)| self.touches_for_holder(di, n, rng))
-            .collect();
-        self.servers[sidx].arm_crash_schedule(CrashSchedule::seeded(profile, rng.next_u64()));
-        let holders: Vec<u64> = pairs.iter().map(|&(di, _)| self.devices[di].1).collect();
-        let mut lifecycles: Vec<crate::chaos::DeviceLifecycle> = pairs
-            .iter()
-            .zip(holders)
-            .zip(touches)
-            .map(|((&(_, account), holder), t)| {
-                crate::chaos::DeviceLifecycle::new(
-                    domain,
-                    account,
-                    holder,
-                    &DEFAULT_ACTIONS,
-                    t,
-                    &self.servers[sidx],
-                )
-            })
-            .collect();
-        // Round-robin: every live lifecycle advances one unit per sweep.
-        let mut live = lifecycles.len();
-        while live > 0 {
-            live = 0;
-            for (lc, &(di, _)) in lifecycles.iter_mut().zip(pairs) {
-                if lc.is_done() {
-                    continue;
-                }
-                if lc.step(
-                    &mut self.devices[di].0,
-                    &mut self.servers[sidx],
-                    &mut self.channel,
-                    &self.policy,
-                    profile,
-                    rng,
-                ) {
-                    live += 1;
-                }
-            }
-        }
-        if let Some(err) = lifecycles.iter().find_map(|lc| lc.failure()) {
-            return Err(err);
-        }
-        Ok(crate::chaos::MultiChaosReport {
-            per_device: lifecycles.into_iter().map(|lc| lc.report).collect(),
-        })
-    }
-
     /// Advances one chaos lifecycle a single unit against this world's
-    /// device, server, and channel — the same split borrow
-    /// [`World::run_concurrent_chaos`] performs on each sweep, exposed so
-    /// external drivers can own the round-robin loop. The shard-parallel
-    /// runtime ([`crate::parallel`]) uses this to interleave its logical
-    /// clock ticks and trace drains between steps.
+    /// device, server, and channel. The shard-parallel runtime
+    /// ([`crate::parallel::run_shard`]) owns the round-robin loop over a
+    /// shard's lifecycles and interleaves its logical clock ticks and
+    /// trace drains between these steps.
     pub fn step_lifecycle(
         &mut self,
         lifecycle: &mut crate::chaos::DeviceLifecycle,

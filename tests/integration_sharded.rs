@@ -1,12 +1,15 @@
 //! The sharded server under many concurrent devices: per-account shard
 //! routing, bounded resident state across session lifecycles, per-shard
-//! recovery isolation, and the concurrent multi-device chaos sweep.
+//! recovery isolation, and the concurrent multi-device chaos sweep (one
+//! world per shard, each interleaving several devices' lifecycles on its
+//! server).
 
 use btd_sim::rng::SimRng;
 use trust_core::channel::Adversary;
+use trust_core::parallel::{run_parallel, ParallelConfig, ParallelRun};
 use trust_core::server::journal::CrashProfile;
 use trust_core::server::WebServer;
-use trust_core::trace::{TraceEvent, TraceQuery};
+use trust_core::trace::{DuplicateVerdict, EventKind, Outcome, SpanKind, TraceEvent, TraceQuery};
 use trust_core::World;
 
 const DOMAIN: &str = "www.xyz.com";
@@ -29,50 +32,46 @@ fn sharded_world(adversary: Adversary, rng: &mut SimRng) -> (World, usize, Vec<u
     (world, sidx, devices)
 }
 
-fn concurrent_chaos_run(
-    seed: u64,
-    crash_prob: f64,
-    loss: f64,
-) -> (
-    trust_core::chaos::MultiChaosReport,
-    btd_crypto::sha256::Digest,
-    Vec<TraceEvent>,
-) {
-    let mut rng = SimRng::seed_from(seed);
-    let (mut world, sidx, devices) = sharded_world(Adversary::RandomLoss { loss }, &mut rng);
-    let tracer = world.enable_tracing();
-    let accounts: Vec<String> = (0..DEVICES).map(account).collect();
-    let pairs: Vec<(usize, &str)> = devices
-        .iter()
-        .zip(&accounts)
-        .map(|(&d, a)| (d, a.as_str()))
-        .collect();
-    let report = world
-        .run_concurrent_chaos(
-            DOMAIN,
-            &pairs,
-            TOUCHES,
-            CrashProfile::uniform(crash_prob),
-            &mut rng,
-        )
-        .expect("concurrent chaos sweep completes");
-    (report, world.server(sidx).state_digest(), tracer.events())
+/// `DEVICES` lifecycles of `TOUCHES` touches spread over `SHARDS` shard
+/// worlds under loss and crash injection. Every shard world hosts at
+/// least two lifecycles, so devices still interleave on a shared server.
+fn concurrent_chaos_run(seed: u64, crash_prob: f64, loss: f64) -> (ParallelRun, Vec<TraceEvent>) {
+    let run = run_parallel(&ParallelConfig {
+        touches: TOUCHES,
+        loss,
+        crash: Some(CrashProfile::uniform(crash_prob)),
+        ..ParallelConfig::new(seed, DEVICES, SHARDS, 2)
+    });
+    for shard in &run.shard_runs {
+        assert!(
+            shard.accounts >= 2,
+            "shard {} hosts {} lifecycle(s)",
+            shard.shard,
+            shard.accounts
+        );
+    }
+    let events = run.merged.iter().map(|(_, e)| e.event.clone()).collect();
+    (run, events)
 }
 
-/// Renders the timelines of the devices `pick` selects — the trace slice
-/// a failed assertion dumps so the postmortem starts with the evidence.
-fn timelines_where(
-    events: &[TraceEvent],
-    report: &trust_core::chaos::MultiChaosReport,
-    pick: impl Fn(&trust_core::chaos::ChaosReport) -> bool,
-) -> String {
-    let q = TraceQuery::new(events);
-    report
-        .per_device
+/// Successful closes of `span`s matching `kind` in one account's slice.
+fn successes(slice: &[&TraceEvent], kind: impl Fn(SpanKind) -> bool) -> usize {
+    slice
         .iter()
-        .enumerate()
-        .filter(|(_, r)| pick(r))
-        .map(|(i, _)| q.render_timeline(&account(i)))
+        .filter(|e| {
+            matches!(e.kind, EventKind::SpanClose { span, outcome: Outcome::Success } if kind(span))
+        })
+        .count()
+}
+
+/// Renders the timelines of the accounts whose trace slice `pick` selects
+/// — the evidence a failed assertion dumps so the postmortem starts there.
+fn timelines_where(events: &[TraceEvent], pick: impl Fn(&[&TraceEvent]) -> bool) -> String {
+    let q = TraceQuery::new(events);
+    q.accounts()
+        .into_iter()
+        .filter(|a| pick(&q.by_account(a)))
+        .map(|a| q.render_timeline(a))
         .collect::<Vec<_>>()
         .join("\n")
 }
@@ -105,33 +104,52 @@ fn accounts_spread_over_shards_and_routing_is_in_range() {
 
 #[test]
 fn concurrent_chaos_sweep_all_lifecycles_complete_with_zero_replays() {
+    let served = |slice: &[&TraceEvent]| successes(slice, |s| matches!(s, SpanKind::Interact(_)));
+    let closed = |slice: &[&TraceEvent]| successes(slice, |s| s == SpanKind::Close);
     let mut total_crashes = 0;
     for (i, crash_prob) in [0.1, 0.2].into_iter().enumerate() {
         for seed in 1..=4u64 {
-            let (report, _, events) = concurrent_chaos_run(seed * 131 + i as u64, crash_prob, 0.10);
-            assert_eq!(report.per_device.len(), DEVICES);
+            let (run, events) = concurrent_chaos_run(seed * 131 + i as u64, crash_prob, 0.10);
+            let completed: usize = run.shard_runs.iter().map(|r| r.completed).sum();
+            let failures: Vec<_> = run.failures().collect();
             assert!(
-                report.all_completed(),
-                "crash {crash_prob} seed {seed}: every device's lifecycle completes; \
-                 timelines of the stuck devices:\n{}",
-                timelines_where(&events, &report, |r| !r.completed)
+                completed == DEVICES && failures.is_empty(),
+                "crash {crash_prob} seed {seed}: every device's lifecycle completes \
+                 ({completed}/{DEVICES}, failures {failures:?}); timelines of the stuck \
+                 devices:\n{}",
+                timelines_where(&events, |a| {
+                    served(a) != TOUCHES || successes(a, |s| s == SpanKind::Lifecycle) != 1
+                })
             );
-            assert!(report.all_closed(), "every session was closed");
             assert_eq!(
-                report.replays_accepted(),
+                run.replays_accepted(),
                 0,
                 "crash {crash_prob} seed {seed}: replay protection holds across restarts; \
                  timelines of the affected devices:\n{}",
-                timelines_where(&events, &report, |r| r.metrics.replays_accepted > 0)
+                timelines_where(&events, |a| a.iter().any(|e| matches!(
+                    e.kind,
+                    EventKind::Duplicate {
+                        verdict: DuplicateVerdict::AcceptedFresh
+                    }
+                )))
             );
-            assert_eq!(report.audit_mismatches(), 0);
+            let audit_mismatches: u64 = run.shard_runs.iter().map(|r| r.audit_mismatches).sum();
+            assert_eq!(audit_mismatches, 0, "crash {crash_prob} seed {seed}");
+            let q = TraceQuery::new(&events);
+            let closes: usize = q.accounts().iter().map(|a| closed(&q.by_account(a))).sum();
             assert_eq!(
-                report.total_served(),
+                closes,
+                DEVICES,
+                "every session was closed; timelines of the open ones:\n{}",
+                timelines_where(&events, |a| closed(a) != 1)
+            );
+            assert_eq!(
+                run.total_served(),
                 (DEVICES * TOUCHES) as u64,
                 "every touch served exactly once; timelines of the short devices:\n{}",
-                timelines_where(&events, &report, |r| r.served != TOUCHES as u64)
+                timelines_where(&events, |a| served(a) != TOUCHES)
             );
-            total_crashes += report.crashes();
+            total_crashes += run.shard_runs.iter().map(|r| r.crashes).sum::<u64>();
         }
     }
     assert!(
@@ -142,13 +160,15 @@ fn concurrent_chaos_sweep_all_lifecycles_complete_with_zero_replays() {
 
 #[test]
 fn same_seed_concurrent_runs_are_byte_identical_per_device() {
-    let (a, digest_a, events_a) = concurrent_chaos_run(42, 0.2, 0.10);
-    let (b, digest_b, events_b) = concurrent_chaos_run(42, 0.2, 0.10);
+    let (a, events_a) = concurrent_chaos_run(42, 0.2, 0.10);
+    let (b, events_b) = concurrent_chaos_run(42, 0.2, 0.10);
     assert_eq!(
-        digest_a, digest_b,
+        a.state_digest(),
+        b.state_digest(),
         "durable sharded state is bit-for-bit reproducible"
     );
-    assert_eq!(a, b, "per-device reports are identical field for field");
+    assert_eq!(a.export_jsonl(), b.export_jsonl());
+    assert_eq!(a.fleet_metrics(), b.fleet_metrics());
     if let Some(d) = trust_core::trace::first_divergence(&events_a, &events_b) {
         panic!("same-seed traces must be identical, but:\n{d}");
     }

@@ -14,6 +14,7 @@
 use btd_sim::rng::SimRng;
 use trust_core::channel::Adversary;
 use trust_core::metrics::ProtocolMetrics;
+use trust_core::parallel::{run_parallel, ParallelConfig, ParallelRun};
 use trust_core::scenario::World;
 use trust_core::server::journal::CrashProfile;
 use trust_core::trace::{
@@ -22,36 +23,28 @@ use trust_core::trace::{
 
 const DOMAIN: &str = "www.xyz.com";
 
-/// Runs a traced concurrent chaos scenario and returns its events plus
-/// the fleet's live metrics.
-fn chaos_run(seed: u64) -> (Vec<TraceEvent>, ProtocolMetrics) {
-    let mut rng = SimRng::seed_from(seed);
-    let mut world = World::with_adversary(Adversary::RandomLoss { loss: 0.08 }, &mut rng);
-    world.add_server_with_shards(DOMAIN, 2, &mut rng);
-    let tracer = world.enable_tracing();
-    let d0 = world.add_device("phone-0", 100, &mut rng);
-    let d1 = world.add_device("phone-1", 101, &mut rng);
-    let d2 = world.add_device("phone-2", 102, &mut rng);
-    let pairs = [(d0, "user-0"), (d1, "user-1"), (d2, "user-2")];
-    let report = world
-        .run_concurrent_chaos(DOMAIN, &pairs, 5, CrashProfile::uniform(0.15), &mut rng)
-        .expect("chaos run");
-    (tracer.events(), report.fleet_metrics())
+/// A traced chaos fleet: `accounts` lifecycles of five touches over two
+/// shard worlds, under loss and crash injection.
+fn chaos_fleet(seed: u64, accounts: usize) -> ParallelRun {
+    run_parallel(&ParallelConfig {
+        touches: 5,
+        loss: 0.08,
+        crash: Some(CrashProfile::uniform(0.15)),
+        ..ParallelConfig::new(seed, accounts, 2, 1)
+    })
 }
 
-/// Same chaos scenario, but returning the JSONL export.
+/// Runs a traced chaos fleet and returns its merged events plus the
+/// fleet's live metrics.
+fn chaos_run(seed: u64) -> (Vec<TraceEvent>, ProtocolMetrics) {
+    let run = chaos_fleet(seed, 3);
+    let events = run.merged.iter().map(|(_, e)| e.event.clone()).collect();
+    (events, run.fleet_metrics())
+}
+
+/// A smaller chaos fleet, returning the JSONL export.
 fn chaos_jsonl(seed: u64) -> String {
-    let mut rng = SimRng::seed_from(seed);
-    let mut world = World::with_adversary(Adversary::RandomLoss { loss: 0.08 }, &mut rng);
-    world.add_server_with_shards(DOMAIN, 2, &mut rng);
-    let tracer = world.enable_tracing();
-    let d0 = world.add_device("phone-0", 100, &mut rng);
-    let d1 = world.add_device("phone-1", 101, &mut rng);
-    let pairs = [(d0, "user-0"), (d1, "user-1")];
-    world
-        .run_concurrent_chaos(DOMAIN, &pairs, 5, CrashProfile::uniform(0.15), &mut rng)
-        .expect("chaos run");
-    tracer.export_jsonl()
+    chaos_fleet(seed, 2).export_jsonl()
 }
 
 #[test]
@@ -144,7 +137,7 @@ fn query_slices_and_causal_chains_cover_the_trace() {
     let q = TraceQuery::new(&events);
 
     let accounts = q.accounts();
-    assert_eq!(accounts, vec!["user-0", "user-1", "user-2"]);
+    assert_eq!(accounts, vec!["par-user-0", "par-user-1", "par-user-2"]);
 
     // Every account ran a full lifecycle; its slice is non-trivial and
     // renders a timeline line per event.
@@ -158,9 +151,9 @@ fn query_slices_and_causal_chains_cover_the_trace() {
     // Lifecycle spans: one open per account.
     assert_eq!(q.spans(SpanKind::Lifecycle).len(), accounts.len());
 
-    // The causal chain of user-0's first interaction contains its span
-    // bracket and at least one send.
-    let chain = q.causal_chain("user-0", 0);
+    // The causal chain of par-user-0's first interaction contains its
+    // span bracket and at least one send.
+    let chain = q.causal_chain("par-user-0", 0);
     assert!(chain
         .iter()
         .any(|e| matches!(e.kind, EventKind::SpanOpen { .. })));
