@@ -25,10 +25,8 @@
 //!   [`crate::parallel`], which is what makes [`export_series_jsonl`]
 //!   worker-count invariant.
 //! * [`HealthEngine`] / [`SpanProfile`] — SLO rules evaluated over the
-//!   merged series into a deterministic [`HealthReport`] (alerts are
-//!   recordable as [`EventKind::SloAlert`] trace events, which
-//!   `derive_metrics` ignores, so trace/metrics parity is unchanged),
-//!   and span aggregation with a folded-stack (flamegraph) export.
+//!   merged series into a deterministic [`HealthReport`], and span
+//!   aggregation with a folded-stack (flamegraph) export.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -922,6 +920,8 @@ mod tests {
 
     #[test]
     fn alert_events_do_not_perturb_derived_metrics() {
+        // Alerts live in the health report only: a failed verdict adds
+        // nothing to the trace, so trace/metrics parity is untouched.
         use crate::trace::derive_metrics;
         let tracer = Tracer::enabled();
         tracer.record(EventKind::Send { attempt: 0 });
@@ -935,11 +935,10 @@ mod tests {
                 bound: 96,
             }],
         };
-        report.record_alerts(&tracer);
+        assert_eq!(report.alerts().count(), 1);
         let events = tracer.events();
-        assert_eq!(events.len(), 2, "alert was traced");
+        assert_eq!(events.len(), 1, "no alert was traced");
         assert_eq!(derive_metrics(&events), before, "parity unchanged");
-        assert!(crate::trace::event_json(&events[1]).contains("\"type\":\"slo_alert\""));
     }
 
     #[test]
@@ -980,20 +979,5 @@ mod tests {
         let folded = profile.folded_stacks();
         assert!(folded.contains("shard0;lifecycle;interact 50000000"));
         assert_eq!(profile.top_spans(1)[0].stack, "lifecycle;interact");
-    }
-
-    impl HealthReport {
-        /// Records one [`EventKind::SloAlert`] per failed verdict into
-        /// `tracer`, in report order. The alert events are ignored by
-        /// [`crate::trace::derive_metrics`], so trace/metrics parity is
-        /// unchanged by alerting.
-        pub fn record_alerts(&self, tracer: &crate::trace::Tracer) {
-            for v in self.alerts() {
-                tracer.record(EventKind::SloAlert {
-                    rule: v.slo,
-                    alert_shard: v.shard,
-                });
-            }
-        }
     }
 }

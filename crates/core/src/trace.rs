@@ -412,17 +412,6 @@ pub enum EventKind {
         /// True on entry, false on exit.
         entered: bool,
     },
-    /// A telemetry SLO rule evaluated false over the sampled series
-    /// ([`crate::telemetry::HealthReport::record_alerts`]). Emitted by
-    /// the health engine after a run, never from inside protocol flows,
-    /// and ignored by [`derive_metrics`] — trace/metrics parity is
-    /// unchanged by alerting.
-    SloAlert {
-        /// The violated rule's stable name.
-        rule: &'static str,
-        /// The shard the verdict scoped to (`None` = fleet-wide).
-        alert_shard: Option<usize>,
-    },
 }
 
 /// One recorded event: a monotonically assigned id, the context it fired
@@ -866,13 +855,6 @@ fn write_event_json(out: &mut String, ev: &TraceEvent) {
             json_str_field(out, "type", "degraded_mode");
             let _ = write!(out, ",\"degraded_shard\":{shard},\"entered\":{entered}");
         }
-        EventKind::SloAlert { rule, alert_shard } => {
-            json_str_field(out, "type", "slo_alert");
-            json_str_field(out, "rule", rule);
-            if let Some(sh) = alert_shard {
-                let _ = write!(out, ",\"alert_shard\":{sh}");
-            }
-        }
     }
     out.push('}');
 }
@@ -1140,10 +1122,6 @@ pub fn describe(ev: &TraceEvent) -> String {
                 format!("degraded mode lifted (shard {shard} pressure cleared)")
             }
         }
-        EventKind::SloAlert { rule, alert_shard } => match alert_shard {
-            Some(sh) => format!("SLO ALERT {rule} (shard {sh})"),
-            None => format!("SLO ALERT {rule} (fleet)"),
-        },
     };
     if let Some(seq) = ev.ctx.seq {
         let _ = write!(s, " [seq {seq}]");
