@@ -245,12 +245,7 @@ impl Default for Config {
                 "match_observation",
             ],
             sim_entry_types: vec!["World"],
-            sim_entry_fns: vec![
-                "run_shard",
-                "run_parallel",
-                "run_chaos_lifecycle",
-                "run_concurrent_chaos",
-            ],
+            sim_entry_fns: vec!["run_shard", "run_parallel", "run_chaos_lifecycle"],
             wall_clock_paths: vec![
                 "crates/core/",
                 "crates/crypto/",

@@ -17,7 +17,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// use btd_sim::time::{SimDuration, SimTime};
 ///
 /// let t = SimTime::ZERO + SimDuration::from_micros(250);
-/// assert_eq!(t.as_micros(), 250);
+/// assert_eq!(t.as_nanos(), 250_000);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimTime(u64);
@@ -48,11 +48,6 @@ impl SimTime {
     /// Nanoseconds since simulation start.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// Microseconds since simulation start (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// Milliseconds since simulation start (truncating).
@@ -126,11 +121,6 @@ impl SimDuration {
     /// The duration in nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
-    }
-
-    /// The duration in microseconds (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.0 / 1_000
     }
 
     /// The duration in milliseconds (truncating).
@@ -287,6 +277,13 @@ fn fmt_nanos(nanos: u64, f: &mut fmt::Formatter<'_>) -> fmt::Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl SimDuration {
+        /// The duration in microseconds (truncating).
+        const fn as_micros(self) -> u64 {
+            self.0 / 1_000
+        }
+    }
 
     #[test]
     fn time_arithmetic_roundtrips() {
