@@ -5,8 +5,10 @@
 //! counting allocator with per-thread counters (test threads run side by
 //! side) and pins the allocations and bytes requested by every register,
 //! login, interaction and close step of one honest and one 10%-loss
-//! lifecycle. A change that adds or removes an allocation on the Fig. 10
-//! path moves the pin; move it deliberately, in the same commit.
+//! lifecycle, and the totals of one traced shard of a fleet run, the path
+//! the wall-clock benchmark measures. A change that adds or removes an
+//! allocation on the Fig. 10 path moves the pin; move it deliberately, in
+//! the same commit.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,6 +16,7 @@ use std::cell::Cell;
 use btd_sim::rng::SimRng;
 use trust_core::channel::Adversary;
 use trust_core::chaos::{ChaosReport, DeviceLifecycle};
+use trust_core::parallel::{run_shard, ParallelConfig};
 use trust_core::scenario::{World, DEFAULT_ACTIONS};
 use trust_core::server::journal::CrashProfile;
 
@@ -197,5 +200,71 @@ fn lossy_lifecycle_allocations_are_pinned() {
             b(1, 401, 40_088),
         ],
         "10%-loss lifecycle budget moved (register, login, interact, close): {got:?}"
+    );
+}
+
+/// What one traced shard of a fleet run requested from the heap, whole
+/// run included: world set-up, every lifecycle, the trace and the
+/// telemetry sampler.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct ShardBudget {
+    /// Interactions the shard served.
+    served: u64,
+    /// Allocation requests over the whole `run_shard` call.
+    allocs: u64,
+    /// Bytes requested over the whole `run_shard` call.
+    bytes: u64,
+}
+
+impl ShardBudget {
+    /// Allocations per served interaction (the benchmark's figure).
+    fn allocs_per_interaction(&self) -> f64 {
+        self.allocs as f64 / self.served as f64
+    }
+
+    /// Bytes per served interaction.
+    fn bytes_per_interaction(&self) -> f64 {
+        self.bytes as f64 / self.served as f64
+    }
+}
+
+/// Runs shard 0 of a small honest fleet exactly as `run_parallel` runs
+/// each of its shards: 16 shards, the default telemetry sampling, the
+/// shard's own tracer on.
+fn shard_budget() -> ShardBudget {
+    let mut cfg = ParallelConfig::new(0x5EED, 32, 16, 1);
+    cfg.touches = 128;
+    let before = COUNTS.with(Cell::get);
+    let run = run_shard(&cfg, 0);
+    let after = COUNTS.with(Cell::get);
+    assert!(
+        run.failures.is_empty(),
+        "lifecycle failed: {:?}",
+        run.failures
+    );
+    assert_eq!(run.served, (run.accounts * cfg.touches) as u64);
+    assert!(!run.events.is_empty(), "the shard must be traced");
+    ShardBudget {
+        served: run.served,
+        allocs: after.0 - before.0,
+        bytes: after.1 - before.1,
+    }
+}
+
+#[test]
+fn traced_shard_allocations_are_pinned() {
+    shard_budget();
+    let got = shard_budget();
+    assert_eq!(got, shard_budget(), "allocations do not repeat");
+    assert_eq!(
+        got,
+        ShardBudget {
+            served: 512,
+            allocs: 53_283,
+            bytes: 10_098_945,
+        },
+        "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
+        got.allocs_per_interaction(),
+        got.bytes_per_interaction(),
     );
 }
