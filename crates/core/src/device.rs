@@ -14,7 +14,6 @@ use std::collections::HashMap;
 use std::ops::Deref;
 
 use btd_crypto::cert::Role;
-use btd_crypto::hmac::verify_hmac;
 use btd_crypto::nonce::Nonce;
 use btd_crypto::sha256::Digest;
 use btd_flock::module::FlockModule;
@@ -30,6 +29,7 @@ use crate::messages::{
 use crate::pages::{Page, View};
 use crate::risk_policy::RiskReport;
 use crate::trace::{EventKind, Tracer};
+use crate::wire;
 
 /// A server hello that passed [`MobileDevice::check_hello`]: its
 /// certificate chains to the provisioned CA, names a web server for the
@@ -515,14 +515,7 @@ impl MobileDevice {
             .sessions
             .get_mut(domain)
             .ok_or(DeviceError::NoSession)?;
-        let bytes = ContentPage::mac_bytes(
-            &content.session_id,
-            &content.account,
-            &content.nonce,
-            content.seq,
-            &content.page,
-        );
-        if !verify_hmac(&session.key, &bytes, &content.mac) {
+        if !wire::mac_matches(&session.key, content, &content.mac) {
             return Err(DeviceError::BadServerMac);
         }
         if session.session_id.is_empty() {
@@ -630,17 +623,7 @@ impl MobileDevice {
             .account
             .clone();
         let frame_hash = self.display_session(domain);
-        let bytes = InteractionRequest::mac_bytes(
-            &session_id,
-            &account,
-            &nonce,
-            seq,
-            action,
-            &frame_hash,
-            &risk,
-        );
-        let mac = btd_crypto::hmac::hmac_sha256(&self.sessions[domain].key, &bytes);
-        Ok(InteractionRequest {
+        let mut request = InteractionRequest {
             session_id,
             account,
             nonce,
@@ -648,8 +631,10 @@ impl MobileDevice {
             action: action.to_owned(),
             frame_hash,
             risk,
-            mac,
-        })
+            mac: Digest([0; 32]),
+        };
+        request.mac = wire::mac(&self.sessions[domain].key, &request);
+        Ok(request)
     }
 
     /// Builds a post-login interaction request for `action`, driven by a
@@ -730,19 +715,19 @@ impl MobileDevice {
                 .try_into()
                 .expect("16 bytes"),
         );
-        let bytes = ResumeRequest::mac_bytes(&session_id, &account, &nonce, last_seq);
-        let mac = btd_crypto::hmac::hmac_sha256(&key, &bytes);
-        self.sessions
-            .get_mut(domain)
-            .expect("session checked")
-            .pending_resume = Some(nonce);
-        Ok(ResumeRequest {
+        let mut request = ResumeRequest {
             session_id,
             account,
             nonce,
             last_seq,
-            mac,
-        })
+            mac: Digest([0; 32]),
+        };
+        request.mac = wire::mac(&key, &request);
+        self.sessions
+            .get_mut(domain)
+            .expect("session checked")
+            .pending_resume = Some(nonce);
+        Ok(request)
     }
 
     /// Accepts a resume acknowledgement: verifies the MAC and the echo of
@@ -759,15 +744,7 @@ impl MobileDevice {
         if session.session_id.is_empty() || ack.session_id != session.session_id {
             return Err(DeviceError::NoSession);
         }
-        let bytes = ResumeAck::mac_bytes(
-            &ack.session_id,
-            &ack.account,
-            &ack.device_nonce,
-            &ack.nonce,
-            ack.seq,
-            ack.last_reply.as_ref(),
-        );
-        if !verify_hmac(&session.key, &bytes, &ack.mac) {
+        if !wire::mac_matches(&session.key, ack, &ack.mac) {
             return Err(DeviceError::BadServerMac);
         }
         if session.pending_resume != Some(ack.device_nonce) {

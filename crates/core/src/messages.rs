@@ -2,13 +2,16 @@
 //!
 //! "The FLock module relies on cookie extensions for exchanging data with
 //! a remote server" — each struct here is one such cookie payload. Every
-//! message exposes the canonical bytes its signature or MAC covers, built
-//! with [`crate::wire`] so fields cannot be re-split by an attacker.
+//! message exposes the canonical fields its signature or MAC covers,
+//! written with [`crate::wire`] so fields cannot be re-split by an
+//! attacker. A signed message builds its bytes; a session-MACed one
+//! implements [`Canonical`] and streams its fields into the MAC.
 
 use std::borrow::Cow;
 
 use btd_crypto::cert::Certificate;
 use btd_crypto::elgamal::SealedBox;
+use btd_crypto::hmac::HmacSha256;
 use btd_crypto::nonce::Nonce;
 use btd_crypto::schnorr::Signature;
 use btd_crypto::sha256::{sha256, Digest};
@@ -18,7 +21,7 @@ use btd_sim::rng::SimRng;
 use crate::channel::{flip_random_bit, NetMessage};
 use crate::pages::Page;
 use crate::risk_policy::RiskReport;
-use crate::wire::signing_bytes;
+use crate::wire::{signing_bytes, Canonical, FieldWriter, Sink};
 
 /// Whether the server answered a message by doing new work or from its
 /// idempotency cache.
@@ -132,22 +135,24 @@ pub fn sealed_box_bytes(boxed: &SealedBox) -> Vec<u8> {
 /// weaken: the nonce is bound to one slot, and the server's reply-window
 /// membership test ensures each slot is served fresh at most once.
 pub fn window_nonce(key: &[u8], seq: u64) -> Nonce {
-    let mut msg = Vec::with_capacity(29);
-    msg.extend_from_slice(b"trust-window-nonce-v1");
-    msg.extend_from_slice(&seq.to_be_bytes());
-    let tag = btd_crypto::hmac::hmac_sha256(key, &msg);
+    let mut mac = HmacSha256::new(key);
+    mac.update(b"trust-window-nonce-v1");
+    mac.update(&seq.to_be_bytes());
+    let tag = mac.finalize();
     let mut n = [0u8; 16];
     n.copy_from_slice(&tag.as_bytes()[..16]);
     Nonce(n)
 }
 
-/// Canonical bytes of a risk report.
-pub fn risk_report_bytes(r: &RiskReport) -> Vec<u8> {
-    signing_bytes("risk-report-v1", |w| {
-        w.u64(r.window as u64)
-            .u64(r.verified as u64)
-            .u64(r.mismatched as u64);
-    })
+/// A risk report's fields, nested inside the login signature and the
+/// interaction MAC.
+impl Canonical for RiskReport {
+    fn fields<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.str("risk-report-v1")
+            .u64(self.window as u64)
+            .u64(self.verified as u64)
+            .u64(self.mismatched as u64);
+    }
 }
 
 /// Device → server: the login submission of Fig. 10, step 2.
@@ -186,7 +191,7 @@ impl LoginSubmit {
                 .bytes(nonce.as_bytes())
                 .bytes(&sealed_box_bytes(sealed))
                 .bytes(frame_hash.as_bytes())
-                .bytes(&risk_report_bytes(risk));
+                .nested(risk);
         })
     }
 }
@@ -219,23 +224,16 @@ pub struct ContentPage {
     pub mac: Digest,
 }
 
-impl ContentPage {
-    /// The bytes the session MAC covers.
-    pub fn mac_bytes(
-        session_id: &str,
-        account: &str,
-        nonce: &Nonce,
-        seq: u64,
-        page: &Page,
-    ) -> Vec<u8> {
-        signing_bytes("trust-content-v1", |w| {
-            w.str(session_id)
-                .str(account)
-                .bytes(nonce.as_bytes())
-                .u64(seq)
-                .str(&page.path)
-                .bytes(&page.body);
-        })
+/// The fields the session MAC covers: everything but the MAC.
+impl Canonical for ContentPage {
+    fn fields<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.str("trust-content-v1")
+            .str(&self.session_id)
+            .str(&self.account)
+            .bytes(self.nonce.as_bytes())
+            .u64(self.seq)
+            .str(&self.page.path)
+            .bytes(&self.page.body);
     }
 }
 
@@ -263,26 +261,18 @@ pub struct InteractionRequest {
     pub mac: Digest,
 }
 
-impl InteractionRequest {
-    /// The bytes the session MAC covers.
-    pub fn mac_bytes(
-        session_id: &str,
-        account: &str,
-        nonce: &Nonce,
-        seq: u64,
-        action: &str,
-        frame_hash: &Digest,
-        risk: &RiskReport,
-    ) -> Vec<u8> {
-        signing_bytes("trust-interaction-v1", |w| {
-            w.str(session_id)
-                .str(account)
-                .bytes(nonce.as_bytes())
-                .u64(seq)
-                .str(action)
-                .bytes(frame_hash.as_bytes())
-                .bytes(&risk_report_bytes(risk));
-        })
+/// The fields the session MAC covers: everything but the MAC, the risk
+/// report nested as one field.
+impl Canonical for InteractionRequest {
+    fn fields<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.str("trust-interaction-v1")
+            .str(&self.session_id)
+            .str(&self.account)
+            .bytes(self.nonce.as_bytes())
+            .u64(self.seq)
+            .str(&self.action)
+            .bytes(self.frame_hash.as_bytes())
+            .nested(&self.risk);
     }
 }
 
@@ -306,15 +296,14 @@ pub struct ResumeRequest {
     pub mac: Digest,
 }
 
-impl ResumeRequest {
-    /// The bytes the session MAC covers.
-    pub fn mac_bytes(session_id: &str, account: &str, nonce: &Nonce, last_seq: u64) -> Vec<u8> {
-        signing_bytes("trust-resume-v1", |w| {
-            w.str(session_id)
-                .str(account)
-                .bytes(nonce.as_bytes())
-                .u64(last_seq);
-        })
+/// The fields the session MAC covers: everything but the MAC.
+impl Canonical for ResumeRequest {
+    fn fields<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.str("trust-resume-v1")
+            .str(&self.session_id)
+            .str(&self.account)
+            .bytes(self.nonce.as_bytes())
+            .u64(self.last_seq);
     }
 }
 
@@ -340,41 +329,25 @@ pub struct ResumeAck {
     pub mac: Digest,
 }
 
-impl ResumeAck {
-    /// The bytes the session MAC covers. The optional healed reply is
-    /// bound in full (its canonical bytes and its own MAC), so a relay
-    /// cannot strip or swap it.
-    pub fn mac_bytes(
-        session_id: &str,
-        account: &str,
-        device_nonce: &Nonce,
-        nonce: &Nonce,
-        seq: u64,
-        last_reply: Option<&ContentPage>,
-    ) -> Vec<u8> {
-        signing_bytes("trust-resume-ack-v1", |w| {
-            w.str(session_id)
-                .str(account)
-                .bytes(device_nonce.as_bytes())
-                .bytes(nonce.as_bytes())
-                .u64(seq);
-            match last_reply {
-                Some(r) => {
-                    w.u64(1)
-                        .bytes(&ContentPage::mac_bytes(
-                            &r.session_id,
-                            &r.account,
-                            &r.nonce,
-                            r.seq,
-                            &r.page,
-                        ))
-                        .bytes(r.mac.as_bytes());
-                }
-                None => {
-                    w.u64(0);
-                }
+/// The fields the session MAC covers: everything but the MAC. The
+/// optional healed reply is bound in full (its nested fields and its own
+/// MAC), so a relay cannot strip or swap it.
+impl Canonical for ResumeAck {
+    fn fields<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.str("trust-resume-ack-v1")
+            .str(&self.session_id)
+            .str(&self.account)
+            .bytes(self.device_nonce.as_bytes())
+            .bytes(self.nonce.as_bytes())
+            .u64(self.seq);
+        match &self.last_reply {
+            Some(r) => {
+                w.u64(1).nested(r).bytes(r.mac.as_bytes());
             }
-        })
+            None => {
+                w.u64(0);
+            }
+        }
     }
 }
 
@@ -552,6 +525,7 @@ impl std::error::Error for Reject {}
 mod tests {
     use super::*;
     use btd_crypto::bignum::U2048;
+    use btd_crypto::hmac::hmac_sha256;
 
     fn nonce(b: u8) -> Nonce {
         Nonce([b; 16])
@@ -605,20 +579,21 @@ mod tests {
 
     #[test]
     fn interaction_bytes_bind_action_and_risk() {
-        let fh = Digest([7; 32]);
         let risk = RiskReport {
             window: 12,
             verified: 2,
             mismatched: 0,
         };
-        let base = InteractionRequest::mac_bytes("s", "a", &nonce(1), 3, "pay", &fh, &risk);
+        let base = interaction(7, risk);
+        let tag = |r: &InteractionRequest| crate::wire::mac(KEY, r);
+        let mut other = base.clone();
+        other.action = "pay-all".into();
+        assert_ne!(tag(&base), tag(&other));
+        let mut other = base.clone();
+        other.seq = 8;
         assert_ne!(
-            base,
-            InteractionRequest::mac_bytes("s", "a", &nonce(1), 3, "pay-all", &fh, &risk)
-        );
-        assert_ne!(
-            base,
-            InteractionRequest::mac_bytes("s", "a", &nonce(1), 4, "pay", &fh, &risk),
+            tag(&base),
+            tag(&other),
             "the sequence number must be MAC-covered"
         );
         let worse = RiskReport {
@@ -626,10 +601,7 @@ mod tests {
             verified: 0,
             mismatched: 2,
         };
-        assert_ne!(
-            base,
-            InteractionRequest::mac_bytes("s", "a", &nonce(1), 3, "pay", &fh, &worse)
-        );
+        assert_ne!(tag(&base), tag(&interaction(7, worse)));
     }
 
     #[test]
@@ -652,9 +624,293 @@ mod tests {
         assert_eq!(damaged_a.mac, damaged_b.mac, "corruption must be seeded");
     }
 
+    const KEY: &[u8] = b"kat-session-key";
+
+    fn interaction(seq: u64, risk: RiskReport) -> InteractionRequest {
+        InteractionRequest {
+            session_id: "sess-1-00ff".into(),
+            account: "alice".into(),
+            nonce: nonce(0x11),
+            seq,
+            action: "/pay".into(),
+            frame_hash: Digest([0x22; 32]),
+            risk,
+            mac: Digest([0; 32]),
+        }
+    }
+
+    fn content() -> ContentPage {
+        ContentPage {
+            session_id: "sess-1-00ff".into(),
+            account: "alice".into(),
+            nonce: nonce(0x33),
+            seq: 8,
+            page: Page::new("/pay", b"<pay form>".to_vec()),
+            mac: Digest([0x44; 32]),
+        }
+    }
+
+    fn resume_ack(last_reply: Option<ContentPage>) -> ResumeAck {
+        ResumeAck {
+            session_id: "sess-1-00ff".into(),
+            account: "alice".into(),
+            device_nonce: nonce(0x55),
+            nonce: nonce(0x66),
+            seq: 9,
+            last_reply,
+            mac: Digest([0; 32]),
+        }
+    }
+
+    // The oracles: each message's MAC input built as a buffer, the
+    // layout written out field by field, then MACed in one shot.
+
+    fn risk_bytes(r: &RiskReport) -> Vec<u8> {
+        signing_bytes("risk-report-v1", |w| {
+            w.u64(r.window as u64)
+                .u64(r.verified as u64)
+                .u64(r.mismatched as u64);
+        })
+    }
+
+    fn content_bytes(c: &ContentPage) -> Vec<u8> {
+        signing_bytes("trust-content-v1", |w| {
+            w.str(&c.session_id)
+                .str(&c.account)
+                .bytes(c.nonce.as_bytes())
+                .u64(c.seq)
+                .str(&c.page.path)
+                .bytes(&c.page.body);
+        })
+    }
+
+    pub(super) fn interaction_oracle(key: &[u8], r: &InteractionRequest) -> Digest {
+        hmac_sha256(
+            key,
+            &signing_bytes("trust-interaction-v1", |w| {
+                w.str(&r.session_id)
+                    .str(&r.account)
+                    .bytes(r.nonce.as_bytes())
+                    .u64(r.seq)
+                    .str(&r.action)
+                    .bytes(r.frame_hash.as_bytes())
+                    .bytes(&risk_bytes(&r.risk));
+            }),
+        )
+    }
+
+    pub(super) fn content_oracle(key: &[u8], c: &ContentPage) -> Digest {
+        hmac_sha256(key, &content_bytes(c))
+    }
+
+    pub(super) fn resume_oracle(key: &[u8], r: &ResumeRequest) -> Digest {
+        hmac_sha256(
+            key,
+            &signing_bytes("trust-resume-v1", |w| {
+                w.str(&r.session_id)
+                    .str(&r.account)
+                    .bytes(r.nonce.as_bytes())
+                    .u64(r.last_seq);
+            }),
+        )
+    }
+
+    pub(super) fn ack_oracle(key: &[u8], a: &ResumeAck) -> Digest {
+        hmac_sha256(
+            key,
+            &signing_bytes("trust-resume-ack-v1", |w| {
+                w.str(&a.session_id)
+                    .str(&a.account)
+                    .bytes(a.device_nonce.as_bytes())
+                    .bytes(a.nonce.as_bytes())
+                    .u64(a.seq);
+                match &a.last_reply {
+                    Some(r) => {
+                        w.u64(1).bytes(&content_bytes(r)).bytes(r.mac.as_bytes());
+                    }
+                    None => {
+                        w.u64(0);
+                    }
+                }
+            }),
+        )
+    }
+
+    pub(super) fn window_nonce_oracle(key: &[u8], seq: u64) -> Nonce {
+        let mut msg = b"trust-window-nonce-v1".to_vec();
+        msg.extend_from_slice(&seq.to_be_bytes());
+        Nonce(hmac_sha256(key, &msg).as_bytes()[..16].try_into().unwrap())
+    }
+
+    /// Tags computed with the buffered encoders the streamed ones
+    /// replaced: the wire layout of every session MAC is frozen.
+    #[test]
+    fn session_macs_match_known_answers() {
+        let risk = RiskReport {
+            window: 12,
+            verified: 9,
+            mismatched: 1,
+        };
+        assert_eq!(risk_bytes(&risk).len(), 54);
+        let resume = ResumeRequest {
+            session_id: "sess-1-00ff".into(),
+            account: "alice".into(),
+            nonce: nonce(0x55),
+            last_seq: 8,
+            mac: Digest([0; 32]),
+        };
+        let cases = [
+            (
+                crate::wire::mac(KEY, &interaction(7, risk)),
+                interaction_oracle(KEY, &interaction(7, risk)),
+                "735f4938d3a3553d20ce7a78e65b0f00ae046cd08eca80ea822ea71259c0e4d0",
+            ),
+            (
+                crate::wire::mac(KEY, &content()),
+                content_oracle(KEY, &content()),
+                "fd9dd0e658c380e6ccb4ed8b0d605fbc452771669eb46fd5bab066b7aa135ec2",
+            ),
+            (
+                crate::wire::mac(KEY, &resume),
+                resume_oracle(KEY, &resume),
+                "bd6eadc25ac19c00b82d15e5cdf3a662632c3bc2a5efa45ab568655fded238e8",
+            ),
+            (
+                crate::wire::mac(KEY, &resume_ack(Some(content()))),
+                ack_oracle(KEY, &resume_ack(Some(content()))),
+                "6773ab9a1f47659854053d54c8bc5258cfbcb096d8e0d8810cb8901f5aeca5e6",
+            ),
+            (
+                crate::wire::mac(KEY, &resume_ack(None)),
+                ack_oracle(KEY, &resume_ack(None)),
+                "378c955445be231817ffd11b85daf1918a282bedf0cb707c3759741629c96217",
+            ),
+        ];
+        for (streamed, oracle, known) in cases {
+            assert_eq!(streamed.to_hex(), known);
+            assert_eq!(oracle.to_hex(), known);
+        }
+        let known = [
+            0x6d, 0x01, 0xc3, 0x8f, 0xe0, 0x38, 0x66, 0x73, 0xd9, 0x66, 0xae, 0xe0, 0xfe, 0xf2,
+            0x1c, 0xcf,
+        ];
+        assert_eq!(window_nonce(KEY, 9).0, known);
+        assert_eq!(window_nonce_oracle(KEY, 9).0, known);
+    }
+
+    #[test]
+    fn mac_matches_rejects_a_flipped_tag() {
+        let mut page = content();
+        page.mac = crate::wire::mac(KEY, &page);
+        assert!(crate::wire::mac_matches(KEY, &page, &page.mac));
+        let mut bad = page.mac;
+        bad.0[31] ^= 1;
+        assert!(!crate::wire::mac_matches(KEY, &page, &bad));
+        assert!(!crate::wire::mac_matches(b"other key", &page, &page.mac));
+    }
+
     #[test]
     fn reject_display_is_informative() {
         assert_eq!(Reject::Replay.to_string(), "nonce replayed");
         assert_eq!(Reject::BadMac.to_string(), "bad mac");
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn text(b: &[u8]) -> String {
+        String::from_utf8_lossy(b).into_owned()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Every streamed session MAC equals HMAC over the buffered
+        /// canonical bytes, for arbitrary fields and keys (including keys
+        /// longer than a block, which HMAC hashes first).
+        #[test]
+        fn streamed_macs_equal_the_buffered_oracle(
+            key in proptest::collection::vec(any::<u8>(), 0..80),
+            ids in (
+                proptest::collection::vec(any::<u8>(), 0..24),
+                proptest::collection::vec(any::<u8>(), 0..24),
+                proptest::collection::vec(any::<u8>(), 0..24),
+            ),
+            nums in (any::<u64>(), any::<u64>(), any::<u32>(), any::<u32>(), any::<u32>()),
+            digests in (
+                proptest::collection::vec(any::<u8>(), 16..17),
+                proptest::collection::vec(any::<u8>(), 16..17),
+                proptest::collection::vec(any::<u8>(), 32..33),
+            ),
+            page in (
+                proptest::collection::vec(any::<u8>(), 0..16),
+                proptest::collection::vec(any::<u8>(), 0..200),
+                proptest::collection::vec(any::<u8>(), 32..33),
+            ),
+            healed in any::<bool>(),
+        ) {
+            let n1 = Nonce(digests.0[..].try_into().unwrap());
+            let n2 = Nonce(digests.1[..].try_into().unwrap());
+            let hash = Digest(digests.2[..].try_into().unwrap());
+            let risk = RiskReport {
+                window: nums.2,
+                verified: nums.3,
+                mismatched: nums.4,
+            };
+            let request = InteractionRequest {
+                session_id: text(&ids.0),
+                account: text(&ids.1),
+                nonce: n1,
+                seq: nums.0,
+                action: text(&ids.2),
+                frame_hash: hash,
+                risk,
+                mac: hash,
+            };
+            prop_assert_eq!(
+                crate::wire::mac(&key, &request),
+                tests::interaction_oracle(&key, &request)
+            );
+            let content = ContentPage {
+                session_id: text(&ids.0),
+                account: text(&ids.1),
+                nonce: n2,
+                seq: nums.1,
+                page: Page::new(&text(&page.0), page.1.clone()),
+                mac: Digest(page.2[..].try_into().unwrap()),
+            };
+            prop_assert_eq!(
+                crate::wire::mac(&key, &content),
+                tests::content_oracle(&key, &content)
+            );
+            let resume = ResumeRequest {
+                session_id: text(&ids.0),
+                account: text(&ids.1),
+                nonce: n1,
+                last_seq: nums.0,
+                mac: hash,
+            };
+            prop_assert_eq!(
+                crate::wire::mac(&key, &resume),
+                tests::resume_oracle(&key, &resume)
+            );
+            let ack = ResumeAck {
+                session_id: text(&ids.0),
+                account: text(&ids.2),
+                device_nonce: n1,
+                nonce: n2,
+                seq: nums.1,
+                last_reply: healed.then_some(content),
+                mac: hash,
+            };
+            prop_assert_eq!(crate::wire::mac(&key, &ack), tests::ack_oracle(&key, &ack));
+            prop_assert_eq!(
+                window_nonce(&key, nums.0),
+                tests::window_nonce_oracle(&key, nums.0)
+            );
+        }
     }
 }

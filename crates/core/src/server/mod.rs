@@ -43,7 +43,7 @@ use btd_crypto::bignum::U2048;
 use btd_crypto::cert::{Certificate, Role};
 use btd_crypto::entropy::{ChaChaEntropy, EntropySource};
 use btd_crypto::group::DhGroup;
-use btd_crypto::hmac::{hmac_sha256, verify_hmac};
+use btd_crypto::hmac::hmac_sha256;
 use btd_crypto::nonce::{Nonce, NonceGenerator, ReplayGuard};
 use btd_crypto::schnorr::{KeyPair, PublicKey, Signature};
 use btd_crypto::sha256::{sha256, Digest};
@@ -58,7 +58,7 @@ use crate::pages::Page;
 use crate::risk_policy::{RiskDecision, RiskReport, ServerRiskPolicy};
 use crate::telemetry::RISK_BUCKET_PCT;
 use crate::trace::{CacheKind, CtxArgs, EventKind, Outcome, SpanKind, Tracer};
-use crate::wire::{signing_bytes, FieldReader, FieldWriter};
+use crate::wire::{self, signing_bytes, FieldReader, FieldWriter};
 
 use crate::metrics::RetryPolicy;
 use journal::{
@@ -1258,16 +1258,15 @@ impl WebServer {
         );
         let home = self.pages.get("/home").expect("home page").clone();
         let nonce = self.fresh_nonce();
-        let mac_bytes = ContentPage::mac_bytes(&session_id, &msg.account, &nonce, 0, &home);
-        let mac = hmac_sha256(&session_key, &mac_bytes);
-        let page = ContentPage {
+        let mut page = ContentPage {
             session_id,
             account: msg.account.clone(),
             nonce,
             seq: 0,
             page: home,
-            mac,
+            mac: Digest([0; 32]),
         };
+        page.mac = wire::mac(&session_key, &page);
         let sealed_session_key = seal_session_key(&self.recovery_key, &msg.nonce, &session_key);
         let record = JournalRecord::LoginServed {
             nonce: msg.nonce,
@@ -1331,18 +1330,7 @@ impl WebServer {
         if s.terminated || s.account != msg.account {
             return Err(self.reject(Reject::UnknownSession));
         }
-        let mac_ok = || {
-            let mac_bytes = InteractionRequest::mac_bytes(
-                &msg.session_id,
-                &msg.account,
-                &msg.nonce,
-                msg.seq,
-                &msg.action,
-                &msg.frame_hash,
-                &msg.risk,
-            );
-            verify_hmac(&s.key, &mac_bytes, &msg.mac)
-        };
+        let mac_ok = || wire::mac_matches(&s.key, msg, &msg.mac);
         if let Some(cache) = s.window_reply(msg.seq) {
             // The MAC must verify over this copy's bytes before the cache
             // answers: equality with the cached MAC alone would let a
@@ -1425,18 +1413,15 @@ impl WebServer {
             .clone();
         let next_seq = msg.seq + 1;
         let nonce = reply_nonce.unwrap_or_else(|| self.fresh_nonce());
-        let key = &self.shards[idx].sessions[&msg.session_id].key;
-        let mac_bytes =
-            ContentPage::mac_bytes(&msg.session_id, &msg.account, &nonce, next_seq, &page);
-        let mac = hmac_sha256(key, &mac_bytes);
-        let reply = ContentPage {
+        let mut reply = ContentPage {
             session_id: msg.session_id.clone(),
             account: msg.account.clone(),
             nonce,
             seq: next_seq,
             page,
-            mac,
+            mac: Digest([0; 32]),
         };
+        reply.mac = wire::mac(&self.shards[idx].sessions[&msg.session_id].key, &reply);
         let record = JournalRecord::InteractionServed {
             request_nonce: msg.nonce,
             request_mac: msg.mac,
@@ -1492,9 +1477,7 @@ impl WebServer {
         if terminated || !account_matches {
             return Err(self.reject(Reject::UnknownSession));
         }
-        let bytes =
-            ResumeRequest::mac_bytes(&msg.session_id, &msg.account, &msg.nonce, msg.last_seq);
-        if !verify_hmac(&key, &bytes, &msg.mac) {
+        if !wire::mac_matches(&key, msg, &msg.mac) {
             return Err(self.reject(Reject::BadMac));
         }
         if self.shards[idx].consumed.is_consumed(msg.nonce) {
@@ -1523,24 +1506,16 @@ impl WebServer {
             return Err(self.reject(Reject::UnknownNonce));
         };
         let nonce = self.fresh_nonce();
-        let ack_bytes = ResumeAck::mac_bytes(
-            &msg.session_id,
-            &msg.account,
-            &msg.nonce,
-            &nonce,
-            expected_seq,
-            last_reply.as_ref(),
-        );
-        let mac = hmac_sha256(&key, &ack_bytes);
-        let ack = ResumeAck {
+        let mut ack = ResumeAck {
             session_id: msg.session_id.clone(),
             account: msg.account.clone(),
             device_nonce: msg.nonce,
             nonce,
             seq: expected_seq,
             last_reply,
-            mac,
+            mac: Digest([0; 32]),
         };
+        ack.mac = wire::mac(&key, &ack);
         let record = JournalRecord::SessionResumed {
             device_nonce: msg.nonce,
             request_mac: msg.mac,

@@ -4,24 +4,81 @@
 //! for that to be meaningful the values need one unambiguous byte
 //! representation. [`FieldWriter`] length-prefixes every field, so two
 //! different field sequences can never encode to the same bytes.
+//!
+//! A writer streams into any [`Sink`]: a `Vec<u8>` when the bytes must
+//! exist (signatures, journal frames), an [`HmacSha256`] when they exist
+//! only to be MACed. A message's one [`Canonical`] field list therefore
+//! feeds its session MAC ([`mac`]) with no intermediate buffer, and a
+//! nested field list is length-prefixed without being built first
+//! ([`FieldWriter::nested`]).
 
-/// Serializes a sequence of length-prefixed fields.
+use btd_crypto::hmac::{constant_time_eq, HmacSha256, Tag};
+
+/// Where a [`FieldWriter`] puts the bytes it encodes.
+pub trait Sink {
+    /// Absorbs `data`, in order.
+    fn put(&mut self, data: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, data: &[u8]) {
+        self.extend_from_slice(data);
+    }
+}
+
+impl Sink for HmacSha256 {
+    fn put(&mut self, data: &[u8]) {
+        self.update(data);
+    }
+}
+
+/// A borrowed sink, so a writer can fill a buffer its caller keeps.
+impl<S: Sink + ?Sized> Sink for &mut S {
+    fn put(&mut self, data: &[u8]) {
+        (**self).put(data);
+    }
+}
+
+/// Counts bytes and keeps none: measures a nested field list's length
+/// before the list is streamed.
 #[derive(Debug, Default)]
-pub struct FieldWriter {
-    buf: Vec<u8>,
+struct Len(usize);
+
+impl Sink for Len {
+    fn put(&mut self, data: &[u8]) {
+        self.0 += data.len();
+    }
+}
+
+/// A value with one canonical field list, written into any sink.
+pub trait Canonical {
+    /// Writes the value's fields, in their canonical order, into `w`.
+    fn fields<S: Sink>(&self, w: &mut FieldWriter<S>);
+}
+
+/// Serializes a sequence of length-prefixed fields into a [`Sink`].
+#[derive(Debug, Default)]
+pub struct FieldWriter<S: Sink = Vec<u8>> {
+    sink: S,
 }
 
 impl FieldWriter {
-    /// Creates an empty writer.
+    /// Creates a writer over an empty buffer.
     pub fn new() -> Self {
         FieldWriter::default()
+    }
+}
+
+impl<S: Sink> FieldWriter<S> {
+    /// Creates a writer that streams into `sink`.
+    pub fn over(sink: S) -> Self {
+        FieldWriter { sink }
     }
 
     /// Appends a byte-string field.
     pub fn bytes(&mut self, data: &[u8]) -> &mut Self {
-        self.buf
-            .extend_from_slice(&(data.len() as u32).to_be_bytes());
-        self.buf.extend_from_slice(data);
+        self.sink.put(&(data.len() as u32).to_be_bytes());
+        self.sink.put(data);
         self
     }
 
@@ -40,10 +97,35 @@ impl FieldWriter {
         self.bytes(&v.to_be_bytes())
     }
 
-    /// Finishes, returning the canonical bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
+    /// Appends `value`'s whole field list as one byte-string field, the
+    /// same bytes as `bytes(&encoded(value))` without building the inner
+    /// encoding: the list is written once into a counting sink for its
+    /// length, then again into this writer's sink.
+    pub fn nested(&mut self, value: &impl Canonical) -> &mut Self {
+        let mut len = FieldWriter::over(Len::default());
+        value.fields(&mut len);
+        self.sink.put(&(len.sink.0 as u32).to_be_bytes());
+        value.fields(self);
+        self
     }
+
+    /// Finishes, returning the sink.
+    pub fn finish(self) -> S {
+        self.sink
+    }
+}
+
+/// `HMAC-SHA256(key, fields(value))`, with the field list streamed
+/// straight into the MAC.
+pub fn mac(key: &[u8], value: &impl Canonical) -> Tag {
+    let mut w = FieldWriter::over(HmacSha256::new(key));
+    value.fields(&mut w);
+    w.finish().finalize()
+}
+
+/// Whether `tag` is [`mac`]`(key, value)`, compared in constant time.
+pub fn mac_matches(key: &[u8], value: &impl Canonical, tag: &Tag) -> bool {
+    constant_time_eq(mac(key, value).as_bytes(), tag.as_bytes())
 }
 
 /// Convenience: encodes fields with a domain-separation label first.
@@ -128,10 +210,46 @@ impl<'a> FieldReader<'a> {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use btd_crypto::hmac::hmac_sha256;
     use proptest::prelude::*;
+
+    /// A bare field list.
+    struct List(Vec<Vec<u8>>);
+
+    impl Canonical for List {
+        fn fields<S: Sink>(&self, w: &mut FieldWriter<S>) {
+            for f in &self.0 {
+                w.bytes(f);
+            }
+        }
+    }
+
+    fn encoded(list: &List) -> Vec<u8> {
+        let mut w = FieldWriter::new();
+        list.fields(&mut w);
+        w.finish()
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// A nested list writes exactly the bytes of its encoding framed
+        /// as one field, and streaming a list into the MAC tags exactly
+        /// its encoding.
+        #[test]
+        fn nested_and_streamed_fields_match_the_buffer(
+            head in proptest::collection::vec(any::<u8>(), 0..16),
+            inner in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..6),
+            key in proptest::collection::vec(any::<u8>(), 0..80),
+        ) {
+            let inner = List(inner);
+            let mut streamed = FieldWriter::new();
+            streamed.bytes(&head).nested(&inner).u64(7);
+            let mut buffered = FieldWriter::new();
+            buffered.bytes(&head).bytes(&encoded(&inner)).u64(7);
+            prop_assert_eq!(streamed.finish(), buffered.finish());
+            prop_assert_eq!(mac(&key, &inner), hmac_sha256(&key, &encoded(&inner)));
+        }
 
         /// Two different field sequences never encode to the same bytes
         /// (framing is unambiguous).

@@ -180,8 +180,8 @@ fn honest_lifecycle_allocations_are_pinned() {
         got,
         [
             b(1, 150, 62_110),
-            b(1, 152, 50_051),
-            b(16, 1_212, 121_964),
+            b(1, 134, 49_167),
+            b(16, 732, 83_756),
             b(1, 401, 40_088),
         ],
         "honest lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -195,8 +195,8 @@ fn lossy_lifecycle_allocations_are_pinned() {
         got,
         [
             b(1, 153, 65_054),
-            b(1, 155, 52_587),
-            b(16, 1_327, 134_281),
+            b(1, 137, 51_703),
+            b(16, 817, 93_415),
             b(1, 401, 40_088),
         ],
         "10%-loss lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -260,8 +260,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 53_283,
-            bytes: 10_098_945,
+            allocs: 37_851,
+            bytes: 8_872_753,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
