@@ -1002,6 +1002,110 @@ mod tests {
         }
     }
 
+    /// One record of every variant, a large one before small ones so a
+    /// reused frame buffer would show any stale tail.
+    fn every_variant() -> Vec<JournalRecord> {
+        let page = |seq: u64, body: usize| ContentPage {
+            session_id: "sess-1-00ff".into(),
+            account: "alice".into(),
+            nonce: Nonce([3; 16]),
+            seq,
+            page: Page::new("/pay", vec![0xAB; body]),
+            mac: Digest([4; 32]),
+        };
+        let risk = RiskReport {
+            window: 12,
+            verified: 9,
+            mismatched: 1,
+        };
+        let ack = |last_reply| ResumeAck {
+            session_id: "sess-1-00ff".into(),
+            account: "alice".into(),
+            device_nonce: Nonce([5; 16]),
+            nonce: Nonce([6; 16]),
+            seq: 9,
+            last_reply,
+            mac: Digest([7; 32]),
+        };
+        vec![
+            JournalRecord::LoginServed {
+                nonce: Nonce([1; 16]),
+                signature: vec![2; 64],
+                sealed_session_key: vec![3; 80],
+                window: 0,
+                reply: page(0, 900),
+                frame_hash: Digest([8; 32]),
+                risk,
+            },
+            sample_record(1),
+            JournalRecord::InteractionServed {
+                request_nonce: Nonce([9; 16]),
+                request_mac: Digest([10; 32]),
+                action: "/pay".into(),
+                frame_hash: Digest([11; 32]),
+                risk,
+                expected_path: "/home".into(),
+                stepups: 1,
+                reply: page(8, 40),
+            },
+            JournalRecord::SessionResumed {
+                device_nonce: Nonce([5; 16]),
+                request_mac: Digest([12; 32]),
+                ack: ack(Some(page(8, 40))),
+            },
+            JournalRecord::SessionResumed {
+                device_nonce: Nonce([5; 16]),
+                request_mac: Digest([12; 32]),
+                ack: ack(None),
+            },
+            JournalRecord::SessionTerminated {
+                session_id: "sess-1".into(),
+                account: "alice".into(),
+            },
+            JournalRecord::SessionClosed {
+                session_id: "sess-2".into(),
+                account: "bob".into(),
+            },
+            JournalRecord::IdentityReset {
+                account: "alice".into(),
+            },
+            JournalRecord::ResetServed {
+                account: "bob".into(),
+                nonce: Nonce([9; 16]),
+                request_digest: Digest([8; 32]),
+            },
+        ]
+    }
+
+    /// The log concatenated across chunks.
+    fn log_bytes(j: &Journal) -> Vec<u8> {
+        j.storage
+            .chunks()
+            .into_iter()
+            .flat_map(|c| c.data)
+            .collect()
+    }
+
+    #[test]
+    fn append_writes_len_crc_payload_for_every_variant() {
+        for mut j in [Journal::in_memory(), segmented_journal(1 << 20)] {
+            let recs = every_variant();
+            for rec in &recs {
+                let before = log_bytes(&j).len();
+                let written = j.append(rec);
+                let payload = rec.encode();
+                let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+                frame.extend_from_slice(&crc32(&payload).to_be_bytes());
+                frame.extend_from_slice(&payload);
+                assert_eq!(written, frame.len());
+                assert_eq!(log_bytes(&j)[before..], frame[..], "{rec:?}");
+            }
+            let contents = j.read();
+            assert_eq!(contents.records, recs);
+            assert_eq!(contents.skipped, 0);
+        }
+    }
+
     #[test]
     fn every_record_routes_to_an_account() {
         assert_eq!(sample_record(2).shard_account(), "user-2");
