@@ -22,7 +22,7 @@ use btd_sim::rng::SimRng;
 use crate::messages::{ContentPage, ResumeAck};
 use crate::pages::Page;
 use crate::risk_policy::RiskReport;
-use crate::wire::{FieldReader, FieldWriter};
+use crate::wire::{FieldReader, FieldWriter, Sink};
 
 /// Slice-by-4 lookup tables for the IEEE CRC-32 polynomial, built at
 /// compile time (4 tables x 256 entries = 4 KiB).
@@ -473,7 +473,7 @@ pub enum JournalRecord {
     },
 }
 
-pub(super) fn put_risk(w: &mut FieldWriter, r: &RiskReport) {
+pub(super) fn put_risk<S: Sink>(w: &mut FieldWriter<S>, r: &RiskReport) {
     w.u64(r.window as u64)
         .u64(r.verified as u64)
         .u64(r.mismatched as u64);
@@ -488,7 +488,7 @@ pub(super) fn get_risk(r: &mut FieldReader) -> Option<RiskReport> {
 }
 
 /// Encodes a content page into `w` (shared by records and snapshots).
-pub(super) fn put_content_page(w: &mut FieldWriter, p: &ContentPage) {
+pub(super) fn put_content_page<S: Sink>(w: &mut FieldWriter<S>, p: &ContentPage) {
     w.str(&p.session_id)
         .str(&p.account)
         .bytes(p.nonce.as_bytes())
@@ -510,7 +510,7 @@ pub(super) fn get_content_page(r: &mut FieldReader) -> Option<ContentPage> {
     })
 }
 
-pub(super) fn put_resume_ack(w: &mut FieldWriter, a: &ResumeAck) {
+pub(super) fn put_resume_ack<S: Sink>(w: &mut FieldWriter<S>, a: &ResumeAck) {
     w.str(&a.session_id)
         .str(&a.account)
         .bytes(a.device_nonce.as_bytes())
@@ -567,6 +567,12 @@ impl JournalRecord {
     /// Canonical payload bytes (tagged, length-prefixed fields).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = FieldWriter::new();
+        self.encode_into(&mut w);
+        w.finish()
+    }
+
+    /// Writes the canonical payload into `w`, whatever its sink.
+    fn encode_into<S: Sink>(&self, w: &mut FieldWriter<S>) {
         match self {
             JournalRecord::Registered {
                 account,
@@ -599,8 +605,8 @@ impl JournalRecord {
                     .bytes(sealed_session_key)
                     .u64(*window)
                     .bytes(frame_hash.as_bytes());
-                put_risk(&mut w, risk);
-                put_content_page(&mut w, reply);
+                put_risk(w, risk);
+                put_content_page(w, reply);
             }
             JournalRecord::InteractionServed {
                 request_nonce,
@@ -619,8 +625,8 @@ impl JournalRecord {
                     .bytes(frame_hash.as_bytes())
                     .str(expected_path)
                     .u64(*stepups);
-                put_risk(&mut w, risk);
-                put_content_page(&mut w, reply);
+                put_risk(w, risk);
+                put_content_page(w, reply);
             }
             JournalRecord::SessionResumed {
                 device_nonce,
@@ -630,7 +636,7 @@ impl JournalRecord {
                 w.str("resume")
                     .bytes(device_nonce.as_bytes())
                     .bytes(request_mac.as_bytes());
-                put_resume_ack(&mut w, ack);
+                put_resume_ack(w, ack);
             }
             JournalRecord::SessionTerminated {
                 session_id,
@@ -658,7 +664,6 @@ impl JournalRecord {
                     .bytes(request_digest.as_bytes());
             }
         }
-        w.finish()
     }
 
     /// Decodes a payload written by [`JournalRecord::encode`]; `None` on
@@ -774,6 +779,9 @@ pub struct Journal {
     storage: Box<dyn Storage>,
     /// Records appended since the last snapshot (drives auto-compaction).
     pending_records: usize,
+    /// The frame [`Journal::append`] builds, kept so appends reuse its
+    /// capacity.
+    frame: Vec<u8>,
 }
 
 impl Default for Journal {
@@ -794,6 +802,7 @@ impl Journal {
         let mut j = Journal {
             storage,
             pending_records: 0,
+            frame: Vec::new(),
         };
         j.pending_records = j.read().records.len();
         j
@@ -801,13 +810,19 @@ impl Journal {
 
     /// Appends one record, CRC-framed; returns the framed bytes written
     /// (header + payload), so callers can account journal growth.
+    ///
+    /// The payload is encoded straight into the reused frame buffer behind
+    /// an 8-byte header placeholder, and the header is backpatched once
+    /// the payload's length and CRC are known.
     pub fn append(&mut self, rec: &JournalRecord) -> usize {
-        let payload = rec.encode();
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_be_bytes());
-        frame.extend_from_slice(&payload);
-        self.storage.append(&frame);
+        let frame = &mut self.frame;
+        frame.clear();
+        frame.extend_from_slice(&[0; 8]);
+        rec.encode_into(&mut FieldWriter::over(&mut *frame));
+        let (header, payload) = frame.split_at_mut(8);
+        header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
+        header[4..].copy_from_slice(&crc32(payload).to_be_bytes());
+        self.storage.append(frame);
         self.pending_records += 1;
         frame.len()
     }
@@ -871,6 +886,7 @@ impl Journal {
         Journal {
             storage: self.storage.duplicate(),
             pending_records: self.pending_records,
+            frame: Vec::new(),
         }
     }
 

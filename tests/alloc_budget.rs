@@ -179,10 +179,10 @@ fn honest_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 150, 62_110),
-            b(1, 134, 49_167),
-            b(16, 732, 83_756),
-            b(1, 401, 40_088),
+            b(1, 150, 61_330),
+            b(1, 127, 46_556),
+            b(16, 604, 62_084),
+            b(1, 396, 39_833),
         ],
         "honest lifecycle budget moved (register, login, interact, close): {got:?}"
     );
@@ -194,10 +194,10 @@ fn lossy_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 153, 65_054),
-            b(1, 137, 51_703),
-            b(16, 817, 93_415),
-            b(1, 401, 40_088),
+            b(1, 153, 64_274),
+            b(1, 130, 49_092),
+            b(16, 689, 71_743),
+            b(1, 396, 39_833),
         ],
         "10%-loss lifecycle budget moved (register, login, interact, close): {got:?}"
     );
@@ -260,8 +260,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 37_851,
-            bytes: 8_872_753,
+            allocs: 33_686,
+            bytes: 8_158_731,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
