@@ -44,6 +44,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::rc::Rc;
+use std::sync::Arc;
 
 use crate::messages::Reject;
 use crate::metrics::{Phase, ProtocolMetrics};
@@ -53,12 +54,14 @@ use crate::server::journal::CrashPoint;
 /// number the protocol was working for when the event fired. Fields are
 /// optional because layers know different amounts (a channel fault during
 /// a hello fetch has no session yet; a journal append knows its shard).
+/// The strings are shared: every event a span records holds the span's
+/// own copy, and a fleet run's trace crosses threads.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct TraceCtx {
     /// Account the flow serves, when known.
-    pub account: Option<String>,
+    pub account: Option<Arc<str>>,
     /// Live session id, when one exists.
-    pub session: Option<String>,
+    pub session: Option<Arc<str>>,
     /// Shard the event touched (journal/recovery events).
     pub shard: Option<usize>,
     /// Interaction sequence number, when inside an interaction.
@@ -99,8 +102,8 @@ impl<'a> CtxArgs<'a> {
 
     fn to_owned_ctx(self) -> TraceCtx {
         TraceCtx {
-            account: self.account.map(str::to_owned),
-            session: self.session.map(str::to_owned),
+            account: self.account.map(Arc::from),
+            session: self.session.map(Arc::from),
             shard: self.shard,
             seq: self.seq,
         }
@@ -588,7 +591,8 @@ impl Tracer {
     }
 
     /// Takes every recorded event out of the buffer, leaving it empty
-    /// (ids keep climbing, so a later drain never repeats one). This is
+    /// with its capacity kept for the next batch (ids keep climbing, so
+    /// a later drain never repeats one). This is
     /// the memory-bounded way to consume a huge trace incrementally:
     /// [`derive_metrics`] is additive over any partition of the event
     /// stream, so folding drained chunks with
@@ -598,11 +602,7 @@ impl Tracer {
     pub fn drain(&self) -> Vec<TraceEvent> {
         self.inner
             .as_ref()
-            .map(|i| {
-                std::mem::take(&mut i.borrow_mut().events)
-                    .into_iter()
-                    .collect()
-            })
+            .map(|i| i.borrow_mut().events.drain(..).collect())
             .unwrap_or_default()
     }
 
