@@ -165,6 +165,8 @@ pub trait Storage: std::fmt::Debug {
     fn install_snapshot(&mut self, snapshot: &[u8]) -> Result<(), StorageError>;
     /// The current snapshot blob (empty if none).
     fn snapshot(&self) -> Vec<u8>;
+    /// The current snapshot's length in bytes, without copying it.
+    fn snapshot_len(&self) -> usize;
     /// Number of live log segments (1 for single-chunk backends).
     fn segment_count(&self) -> usize {
         1
@@ -222,6 +224,9 @@ impl Storage for MemStorage {
     }
     fn snapshot(&self) -> Vec<u8> {
         self.snapshot.clone()
+    }
+    fn snapshot_len(&self) -> usize {
+        self.snapshot.len()
     }
     fn crash(&mut self) {}
     fn discard_unsynced(&mut self) {}
@@ -930,7 +935,7 @@ impl Journal {
 
     /// Raw snapshot length in bytes (0 if none was installed).
     pub fn snapshot_len(&self) -> usize {
-        self.storage.snapshot().len()
+        self.storage.snapshot_len()
     }
 
     /// Number of live log segments in the backing storage.

@@ -653,6 +653,10 @@ impl Storage for SegmentedStorage {
             .unwrap_or_default()
     }
 
+    fn snapshot_len(&self) -> usize {
+        self.snapshot_file.map_or(0, |f| self.disk.file_len(f))
+    }
+
     fn install_snapshot(&mut self, snapshot: &[u8]) -> Result<(), StorageError> {
         // Unsynced log bytes are appends the snapshot does not cover (the
         // record in flight); park them so the barrier sync below does not
@@ -772,6 +776,7 @@ impl Storage for SegmentedStorage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::journal::MemStorage;
 
     #[test]
     fn schedule_once_at_fires_once() {
@@ -867,6 +872,34 @@ mod tests {
 
     fn frame(b: u8, n: usize) -> Vec<u8> {
         vec![b; n]
+    }
+
+    #[test]
+    fn snapshot_len_matches_the_snapshot_copy() {
+        let faulty = SegmentedStorage::sim(DiskFaultProfile::uniform(0.3), Some(4096), 64, 11);
+        let storages: [Box<dyn Storage>; 3] = [
+            Box::<MemStorage>::default(),
+            Box::new(SegmentedStorage::with_config(
+                Box::new(SimDisk::faultless()),
+                64,
+                16,
+            )),
+            Box::new(faulty),
+        ];
+        for mut s in storages {
+            let check = |s: &dyn Storage, at: &str| {
+                assert_eq!(s.snapshot_len(), s.snapshot().len(), "{at}: {s:?}");
+            };
+            check(&*s, "fresh");
+            for round in 0..6u8 {
+                s.append(&frame(round, 40));
+                let _ = s.install_snapshot(&vec![round; 100 + 37 * round as usize]);
+                check(&*s, "after install_snapshot");
+                s.append(&frame(round, 30));
+                s.crash();
+                check(&*s, "after crash");
+            }
+        }
     }
 
     #[test]

@@ -260,8 +260,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 26_399,
-            bytes: 7_039_941,
+            allocs: 26_382,
+            bytes: 6_155_597,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
