@@ -433,7 +433,6 @@ impl DeviceLifecycle {
         rng: &mut SimRng,
     ) {
         let touch = self.touches[self.touch_idx];
-        let action = self.actions[self.touch_idx % self.actions.len()].clone();
         if !self.touch_observed {
             device.observe_touch(&touch, rng);
             self.touch_observed = true;
@@ -453,14 +452,15 @@ impl DeviceLifecycle {
                 seq: Some(pre_seq.unwrap_or(0)),
             },
         );
-        let request = match device.build_interaction(&self.domain, &action) {
+        let action = &self.actions[self.touch_idx % self.actions.len()];
+        let request = match device.build_interaction(&self.domain, action) {
             Ok(r) => r,
             Err(e) => {
                 self.tracer.close(span, Outcome::DeviceRefused);
                 return self.fail(e.into());
             }
         };
-        let domain = self.domain.clone();
+        let domain = &self.domain;
         match exchange(
             channel,
             policy,
@@ -469,7 +469,7 @@ impl DeviceLifecycle {
             Phase::Interaction,
             &request,
             |m| server.handle_interaction(m),
-            |content: &ContentPage| device.accept_content(&domain, content).is_ok(),
+            |content: &ContentPage| device.accept_content(domain, content).is_ok(),
         ) {
             Ok(Exchanged::Served(_)) => {
                 self.tracer.close(span, Outcome::Success);

@@ -1430,11 +1430,14 @@ impl WebServer {
             risk: msg.risk,
             expected_path,
             stepups: next_stepups as u64,
-            reply: reply.clone(),
+            reply,
         };
         self.journal_append(idx, &record)?;
         self.apply_record(&record);
         self.pre_reply_crash()?;
+        let JournalRecord::InteractionServed { reply, .. } = record else {
+            unreachable!("built as an interaction record above");
+        };
         Ok((reply, Freshness::Fresh))
     }
 
@@ -1962,10 +1965,15 @@ impl WebServer {
                     .sessions
                     .get(&reply.session_id)
                     .map_or(1, |s| s.window.max(1));
+                // Served on every touch: the account key is cloned only
+                // when its audit log is first created.
+                if !shard.audit.contains_key(&reply.account) {
+                    shard.audit.insert(reply.account.clone(), Vec::new());
+                }
                 shard
                     .audit
-                    .entry(reply.account.clone())
-                    .or_default()
+                    .get_mut(&reply.account)
+                    .expect("audit log created above")
                     .push(AuditEntry {
                         account: reply.account.clone(),
                         expected_path: expected_path.clone(),

@@ -181,7 +181,7 @@ fn honest_lifecycle_allocations_are_pinned() {
         [
             b(1, 150, 61_330),
             b(1, 127, 46_556),
-            b(16, 604, 62_084),
+            b(16, 492, 60_464),
             b(1, 396, 39_833),
         ],
         "honest lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -196,7 +196,7 @@ fn lossy_lifecycle_allocations_are_pinned() {
         [
             b(1, 153, 64_274),
             b(1, 130, 49_092),
-            b(16, 689, 71_743),
+            b(16, 577, 70_123),
             b(1, 396, 39_833),
         ],
         "10%-loss lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -260,8 +260,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 26_382,
-            bytes: 6_155_597,
+            allocs: 22_798,
+            bytes: 6_104_013,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
