@@ -54,8 +54,8 @@ use crate::server::journal::CrashPoint;
 /// number the protocol was working for when the event fired. Fields are
 /// optional because layers know different amounts (a channel fault during
 /// a hello fetch has no session yet; a journal append knows its shard).
-/// The strings are shared: every event a span records holds the span's
-/// own copy, and a fleet run's trace crosses threads.
+/// The strings are shared: the events a span records point at the copy
+/// the span made when it opened, and a fleet run's trace crosses threads.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct TraceCtx {
     /// Account the flow serves, when known.
