@@ -1127,6 +1127,18 @@ mod tests {
         }
     }
 
+    /// Pins the payload layout of every variant byte for byte. A round
+    /// trip cannot see two same-typed fields swapped on both sides, and
+    /// the framing test compares against `encode` itself.
+    #[test]
+    fn record_layout_matches_known_answer() {
+        let bytes: Vec<u8> = every_variant().iter().flat_map(|r| r.encode()).collect();
+        assert_eq!(
+            btd_crypto::sha256::sha256(&bytes).to_hex(),
+            "f445ea7991b6a8d3c36f843c930ad35a7f2f916ceb0077457e4d1ba6965c0bdb"
+        );
+    }
+
     #[test]
     fn every_record_routes_to_an_account() {
         assert_eq!(sample_record(2).shard_account(), "user-2");
