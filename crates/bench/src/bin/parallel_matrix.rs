@@ -42,6 +42,7 @@ use btd_sim::geom::{MmPoint, MmRect, MmSize};
 use btd_sim::rng::SimRng;
 use trust_core::parallel::{run_parallel, ParallelConfig, ParallelRun};
 use trust_core::server::journal::{crc32, JournalRecord};
+use trust_core::wire;
 
 const SEED: u64 = 0x007A_11E7;
 const TOUCHES: usize = 8;
@@ -275,7 +276,7 @@ fn hot_journal_frame() -> HotPath {
     let mut checksum = 0u64;
     let started = Instant::now();
     for _ in 0..iters {
-        let payload = record.encode();
+        let payload = wire::encode(&record);
         let mut frame = Vec::with_capacity(payload.len() + 8);
         frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
         frame.extend_from_slice(&crc32(&payload).to_be_bytes());

@@ -22,7 +22,7 @@ use btd_sim::rng::SimRng;
 use crate::messages::{ContentPage, ResumeAck};
 use crate::pages::Page;
 use crate::risk_policy::RiskReport;
-use crate::wire::{FieldReader, FieldWriter, Sink};
+use crate::wire::{self, durable, Durable, FieldReader, FieldWriter, Sink};
 
 /// Slice-by-4 lookup tables for the IEEE CRC-32 polynomial, built at
 /// compile time (4 tables x 256 entries = 4 KiB).
@@ -478,76 +478,59 @@ pub enum JournalRecord {
     },
 }
 
-pub(super) fn put_risk<S: Sink>(w: &mut FieldWriter<S>, r: &RiskReport) {
-    w.u64(r.window as u64)
-        .u64(r.verified as u64)
-        .u64(r.mismatched as u64);
-}
+// The durable layouts: one field list per type, in wire order, read and
+// written by the same `Durable` impl (journal records and shard snapshots).
 
-pub(super) fn get_risk(r: &mut FieldReader) -> Option<RiskReport> {
-    Some(RiskReport {
-        window: r.u64()? as u32,
-        verified: r.u64()? as u32,
-        mismatched: r.u64()? as u32,
-    })
-}
+durable!(JournalRecord {
+    "reg" => Registered { account, public_key, reset_password, nonce, signature, frame_hash },
+    "login" => LoginServed { nonce, signature, sealed_session_key, window, frame_hash, risk, reply },
+    "interact" => InteractionServed {
+        request_nonce, request_mac, action, frame_hash, expected_path, stepups, risk, reply
+    },
+    "resume" => SessionResumed { device_nonce, request_mac, ack },
+    "terminate" => SessionTerminated { session_id, account },
+    "close" => SessionClosed { session_id, account },
+    "ireset" => IdentityReset { account },
+    "wreset" => ResetServed { account, nonce, request_digest },
+});
 
-/// Encodes a content page into `w` (shared by records and snapshots).
-pub(super) fn put_content_page<S: Sink>(w: &mut FieldWriter<S>, p: &ContentPage) {
-    w.str(&p.session_id)
-        .str(&p.account)
-        .bytes(p.nonce.as_bytes())
-        .u64(p.seq)
-        .str(&p.page.path)
-        .bytes(&p.page.body)
-        .bytes(p.mac.as_bytes());
-}
+durable!(ContentPage {
+    session_id,
+    account,
+    nonce,
+    seq,
+    page,
+    mac
+});
 
-/// Decodes a content page written by [`put_content_page`].
-pub(super) fn get_content_page(r: &mut FieldReader) -> Option<ContentPage> {
-    Some(ContentPage {
-        session_id: r.str()?.to_owned(),
-        account: r.str()?.to_owned(),
-        nonce: Nonce(r.array()?),
-        seq: r.u64()?,
-        page: Page::new(r.str()?, r.bytes()?.to_vec()),
-        mac: Digest(r.array()?),
-    })
-}
+durable!(Page { path, body });
 
-pub(super) fn put_resume_ack<S: Sink>(w: &mut FieldWriter<S>, a: &ResumeAck) {
-    w.str(&a.session_id)
-        .str(&a.account)
-        .bytes(a.device_nonce.as_bytes())
-        .bytes(a.nonce.as_bytes())
-        .u64(a.seq)
-        .u64(a.last_reply.is_some() as u64);
-    if let Some(reply) = &a.last_reply {
-        put_content_page(w, reply);
+durable!(ResumeAck {
+    session_id,
+    account,
+    device_nonce,
+    nonce,
+    seq,
+    last_reply,
+    mac
+});
+
+/// Each count widened to a `u64` field; reading narrows it back and
+/// rejects a count no `u32` holds.
+impl Durable for RiskReport {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.u64(self.window.into())
+            .u64(self.verified.into())
+            .u64(self.mismatched.into());
     }
-    w.bytes(a.mac.as_bytes());
-}
-
-pub(super) fn get_resume_ack(r: &mut FieldReader) -> Option<ResumeAck> {
-    let session_id = r.str()?.to_owned();
-    let account = r.str()?.to_owned();
-    let device_nonce = Nonce(r.array()?);
-    let nonce = Nonce(r.array()?);
-    let seq = r.u64()?;
-    let last_reply = if r.u64()? == 1 {
-        Some(get_content_page(r)?)
-    } else {
-        None
-    };
-    Some(ResumeAck {
-        session_id,
-        account,
-        device_nonce,
-        nonce,
-        seq,
-        last_reply,
-        mac: Digest(r.array()?),
-    })
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        let mut count = || u32::try_from(r.u64()?).ok();
+        Some(RiskReport {
+            window: count()?,
+            verified: count()?,
+            mismatched: count()?,
+        })
+    }
 }
 
 impl JournalRecord {
@@ -567,185 +550,6 @@ impl JournalRecord {
             JournalRecord::IdentityReset { account } => account,
             JournalRecord::ResetServed { account, .. } => account,
         }
-    }
-
-    /// Canonical payload bytes (tagged, length-prefixed fields).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = FieldWriter::new();
-        self.encode_into(&mut w);
-        w.finish()
-    }
-
-    /// Writes the canonical payload into `w`, whatever its sink.
-    fn encode_into<S: Sink>(&self, w: &mut FieldWriter<S>) {
-        match self {
-            JournalRecord::Registered {
-                account,
-                public_key,
-                reset_password,
-                nonce,
-                signature,
-                frame_hash,
-            } => {
-                w.str("reg")
-                    .str(account)
-                    .bytes(public_key)
-                    .str(reset_password)
-                    .bytes(nonce.as_bytes())
-                    .bytes(signature)
-                    .bytes(frame_hash.as_bytes());
-            }
-            JournalRecord::LoginServed {
-                nonce,
-                signature,
-                sealed_session_key,
-                window,
-                reply,
-                frame_hash,
-                risk,
-            } => {
-                w.str("login")
-                    .bytes(nonce.as_bytes())
-                    .bytes(signature)
-                    .bytes(sealed_session_key)
-                    .u64(*window)
-                    .bytes(frame_hash.as_bytes());
-                put_risk(w, risk);
-                put_content_page(w, reply);
-            }
-            JournalRecord::InteractionServed {
-                request_nonce,
-                request_mac,
-                action,
-                frame_hash,
-                risk,
-                expected_path,
-                stepups,
-                reply,
-            } => {
-                w.str("interact")
-                    .bytes(request_nonce.as_bytes())
-                    .bytes(request_mac.as_bytes())
-                    .str(action)
-                    .bytes(frame_hash.as_bytes())
-                    .str(expected_path)
-                    .u64(*stepups);
-                put_risk(w, risk);
-                put_content_page(w, reply);
-            }
-            JournalRecord::SessionResumed {
-                device_nonce,
-                request_mac,
-                ack,
-            } => {
-                w.str("resume")
-                    .bytes(device_nonce.as_bytes())
-                    .bytes(request_mac.as_bytes());
-                put_resume_ack(w, ack);
-            }
-            JournalRecord::SessionTerminated {
-                session_id,
-                account,
-            } => {
-                w.str("terminate").str(session_id).str(account);
-            }
-            JournalRecord::SessionClosed {
-                session_id,
-                account,
-            } => {
-                w.str("close").str(session_id).str(account);
-            }
-            JournalRecord::IdentityReset { account } => {
-                w.str("ireset").str(account);
-            }
-            JournalRecord::ResetServed {
-                account,
-                nonce,
-                request_digest,
-            } => {
-                w.str("wreset")
-                    .str(account)
-                    .bytes(nonce.as_bytes())
-                    .bytes(request_digest.as_bytes());
-            }
-        }
-    }
-
-    /// Decodes a payload written by [`JournalRecord::encode`]; `None` on
-    /// any truncation or malformation.
-    pub fn decode(payload: &[u8]) -> Option<JournalRecord> {
-        let mut r = FieldReader::new(payload);
-        let rec = match r.str()? {
-            "reg" => JournalRecord::Registered {
-                account: r.str()?.to_owned(),
-                public_key: r.bytes()?.to_vec(),
-                reset_password: r.str()?.to_owned(),
-                nonce: Nonce(r.array()?),
-                signature: r.bytes()?.to_vec(),
-                frame_hash: Digest(r.array()?),
-            },
-            "login" => {
-                let nonce = Nonce(r.array()?);
-                let signature = r.bytes()?.to_vec();
-                let sealed_session_key = r.bytes()?.to_vec();
-                let window = r.u64()?;
-                let frame_hash = Digest(r.array()?);
-                let risk = get_risk(&mut r)?;
-                let reply = get_content_page(&mut r)?;
-                JournalRecord::LoginServed {
-                    nonce,
-                    signature,
-                    sealed_session_key,
-                    window,
-                    reply,
-                    frame_hash,
-                    risk,
-                }
-            }
-            "interact" => {
-                let request_nonce = Nonce(r.array()?);
-                let request_mac = Digest(r.array()?);
-                let action = r.str()?.to_owned();
-                let frame_hash = Digest(r.array()?);
-                let expected_path = r.str()?.to_owned();
-                let stepups = r.u64()?;
-                let risk = get_risk(&mut r)?;
-                let reply = get_content_page(&mut r)?;
-                JournalRecord::InteractionServed {
-                    request_nonce,
-                    request_mac,
-                    action,
-                    frame_hash,
-                    risk,
-                    expected_path,
-                    stepups,
-                    reply,
-                }
-            }
-            "resume" => JournalRecord::SessionResumed {
-                device_nonce: Nonce(r.array()?),
-                request_mac: Digest(r.array()?),
-                ack: get_resume_ack(&mut r)?,
-            },
-            "terminate" => JournalRecord::SessionTerminated {
-                session_id: r.str()?.to_owned(),
-                account: r.str()?.to_owned(),
-            },
-            "close" => JournalRecord::SessionClosed {
-                session_id: r.str()?.to_owned(),
-                account: r.str()?.to_owned(),
-            },
-            "ireset" => JournalRecord::IdentityReset {
-                account: r.str()?.to_owned(),
-            },
-            "wreset" => JournalRecord::ResetServed {
-                account: r.str()?.to_owned(),
-                nonce: Nonce(r.array()?),
-                request_digest: Digest(r.array()?),
-            },
-            _ => return None,
-        };
-        Some(rec)
     }
 }
 
@@ -823,7 +627,7 @@ impl Journal {
         let frame = &mut self.frame;
         frame.clear();
         frame.extend_from_slice(&[0; 8]);
-        rec.encode_into(&mut FieldWriter::over(&mut *frame));
+        FieldWriter::over(&mut *frame).put(rec);
         let (header, payload) = frame.split_at_mut(8);
         header[..4].copy_from_slice(&(payload.len() as u32).to_be_bytes());
         header[4..].copy_from_slice(&crc32(payload).to_be_bytes());
@@ -867,7 +671,7 @@ impl Journal {
                     chunk_skips += 1; // bit rot mid-log
                     continue;
                 }
-                match JournalRecord::decode(payload) {
+                match wire::decode(payload) {
                     Some(rec) => contents.records.push(rec),
                     None => chunk_skips += 1,
                 }
@@ -1019,7 +823,7 @@ mod tests {
             },
         ];
         for rec in &recs {
-            assert_eq!(JournalRecord::decode(&rec.encode()).as_ref(), Some(rec));
+            assert_eq!(wire::decode(&wire::encode(rec)).as_ref(), Some(rec));
         }
     }
 
@@ -1114,7 +918,7 @@ mod tests {
             for rec in &recs {
                 let before = log_bytes(&j).len();
                 let written = j.append(rec);
-                let payload = rec.encode();
+                let payload = wire::encode(rec);
                 let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
                 frame.extend_from_slice(&crc32(&payload).to_be_bytes());
                 frame.extend_from_slice(&payload);
@@ -1132,7 +936,7 @@ mod tests {
     /// the framing test compares against `encode` itself.
     #[test]
     fn record_layout_matches_known_answer() {
-        let bytes: Vec<u8> = every_variant().iter().flat_map(|r| r.encode()).collect();
+        let bytes: Vec<u8> = every_variant().iter().flat_map(wire::encode).collect();
         assert_eq!(
             btd_crypto::sha256::sha256(&bytes).to_hex(),
             "f445ea7991b6a8d3c36f843c930ad35a7f2f916ceb0077457e4d1ba6965c0bdb"

@@ -58,13 +58,10 @@ use crate::pages::Page;
 use crate::risk_policy::{RiskDecision, RiskReport, ServerRiskPolicy};
 use crate::telemetry::RISK_BUCKET_PCT;
 use crate::trace::{CacheKind, CtxArgs, EventKind, Outcome, SpanKind, Tracer};
-use crate::wire::{self, signing_bytes, FieldReader, FieldWriter};
+use crate::wire::{self, durable, signing_bytes, FieldReader};
 
 use crate::metrics::RetryPolicy;
-use journal::{
-    get_content_page, get_resume_ack, get_risk, put_content_page, put_resume_ack, put_risk,
-    CorruptSegment, CrashPoint, CrashSchedule, Journal, JournalRecord, StorageError,
-};
+use journal::{CorruptSegment, CrashPoint, CrashSchedule, Journal, JournalRecord, StorageError};
 use storage::{DiskFaultProfile, SegmentedStorage};
 
 /// Degraded-mode hysteresis: entered when log-partition pressure reaches
@@ -133,20 +130,11 @@ struct CachedInteraction {
     reply: ContentPage,
 }
 
-/// Writes one [`CachedInteraction`] into a shard snapshot.
-fn put_cached_interaction(w: &mut FieldWriter, c: &CachedInteraction) {
-    w.u64(c.seq).bytes(c.request_mac.as_bytes());
-    put_content_page(w, &c.reply);
-}
-
-/// Reads one [`CachedInteraction`] of a shard snapshot.
-fn get_cached_interaction(r: &mut FieldReader<'_>) -> Option<CachedInteraction> {
-    Some(CachedInteraction {
-        seq: r.u64()?,
-        request_mac: Digest(r.array()?),
-        reply: get_content_page(r)?,
-    })
-}
+durable!(CachedInteraction {
+    seq,
+    request_mac,
+    reply
+});
 
 /// A live session.
 ///
@@ -267,6 +255,15 @@ pub struct AuditEntry {
     /// audit accepts a view of any of those pages.
     pub lookback: u64,
 }
+
+durable!(AuditEntry {
+    account,
+    expected_path,
+    frame_hash,
+    action,
+    risk,
+    lookback
+});
 
 /// The server-wide set of issued-but-unconsumed challenge nonces.
 ///
@@ -2125,45 +2122,35 @@ impl WebServer {
             let mut sessions: Vec<_> = shard.sessions.iter().collect();
             sessions.sort_by(|a, b| a.0.cmp(b.0));
             w.u64(sessions.len() as u64);
+            let none = Vec::new();
             for (sid, s) in sessions {
-                w.str(sid)
-                    .str(&s.account)
+                // v3 layout: a lock-step session's one cached reply sits in
+                // its own slot here and its list below stays empty. A slot
+                // is a list of at most one, whose count is the presence flag.
+                let (slot, list) = if s.window == 0 {
+                    (&s.reply_window, &none)
+                } else {
+                    (&none, &s.reply_window)
+                };
+                w.put(sid)
+                    .put(&s.account)
                     .bytes(&seal_session_key(
                         &self.recovery_key,
                         &s.login_nonce,
                         &s.key,
                     ))
-                    .bytes(s.pending_nonce.as_bytes())
-                    .u64(s.expected_seq);
-                // v3 layout: a lock-step session's one cached reply sits in
-                // its own slot here and its list below stays empty.
-                let (slot, list) = if s.window == 0 {
-                    (s.reply_window.first(), &[][..])
-                } else {
-                    (None, &s.reply_window[..])
-                };
-                w.u64(slot.is_some() as u64);
-                if let Some(c) = slot {
-                    put_cached_interaction(w, c);
-                }
-                w.str(&s.current_path)
-                    .u64(s.stepups as u64)
-                    .u64(s.terminated as u64)
-                    .u64(s.interactions)
-                    .bytes(s.login_nonce.as_bytes());
-                w.u64(s.resume_nonces.len() as u64);
-                for n in &s.resume_nonces {
-                    w.bytes(n.as_bytes());
-                }
-                w.u64(s.consumed_nonces.len() as u64);
-                for n in &s.consumed_nonces {
-                    w.bytes(n.as_bytes());
-                }
-                w.u64(s.window);
-                w.u64(list.len() as u64);
-                for c in list {
-                    put_cached_interaction(w, c);
-                }
+                    .put(&s.pending_nonce)
+                    .put(&s.expected_seq)
+                    .put(slot)
+                    .put(&s.current_path)
+                    .u64(s.stepups.into())
+                    .u64(s.terminated.into())
+                    .put(&s.interactions)
+                    .put(&s.login_nonce)
+                    .put(&s.resume_nonces)
+                    .put(&s.consumed_nonces)
+                    .put(&s.window)
+                    .put(list);
             }
 
             // The LRU caches serialize in eviction (insertion) order so a
@@ -2171,54 +2158,36 @@ impl WebServer {
             w.u64(shard.reg_order.len() as u64);
             for n in &shard.reg_order {
                 let (sig, ack) = &shard.reg_cache[n];
-                w.bytes(n.as_bytes())
-                    .bytes(&sig.to_bytes())
-                    .str(&ack.account);
+                w.put(n).bytes(&sig.to_bytes()).put(&ack.account);
             }
 
             let mut logins: Vec<_> = shard.login_cache.iter().collect();
             logins.sort_by_key(|(n, _)| n.0);
             w.u64(logins.len() as u64);
             for (n, (sig, page)) in logins {
-                w.bytes(n.as_bytes()).bytes(&sig.to_bytes());
-                put_content_page(w, page);
+                w.put(n).bytes(&sig.to_bytes()).put(page);
             }
 
             let mut resumes: Vec<_> = shard.resume_cache.iter().collect();
             resumes.sort_by_key(|(n, _)| n.0);
             w.u64(resumes.len() as u64);
             for (n, (mac, ack)) in resumes {
-                w.bytes(n.as_bytes()).bytes(mac.as_bytes());
-                put_resume_ack(w, ack);
+                w.put(n).put(mac).put(ack);
             }
 
             w.u64(shard.reset_order.len() as u64);
             for n in &shard.reset_order {
                 let (digest, ack) = &shard.reset_cache[n];
-                w.bytes(n.as_bytes())
-                    .bytes(digest.as_bytes())
-                    .str(&ack.account);
+                w.put(n).put(digest).put(&ack.account);
             }
 
-            let consumed = shard.consumed.consumed_sorted();
-            w.u64(consumed.len() as u64);
-            for n in consumed {
-                w.bytes(n.as_bytes());
-            }
+            w.put(&shard.consumed.consumed_sorted());
 
             let mut audit_accounts: Vec<_> = shard.audit.iter().collect();
             audit_accounts.sort_by(|a, b| a.0.cmp(b.0));
             w.u64(audit_accounts.len() as u64);
             for (account, entries) in audit_accounts {
-                w.str(account).u64(entries.len() as u64);
-                for entry in entries {
-                    w.str(&entry.account)
-                        .str(&entry.expected_path)
-                        .bytes(entry.frame_hash.as_bytes())
-                        .str(&entry.action);
-                    put_risk(w, &entry.risk);
-                    w.u64(entry.lookback);
-                }
+                w.put(account).put(entries);
             }
         })
     }
@@ -2252,12 +2221,12 @@ impl WebServer {
         let group = self.keys.public_key().group();
         let recovery_key = self.recovery_key;
         let shard = &mut self.shards[idx];
-        shard.session_counter = r.u64()?;
+        shard.session_counter = r.get()?;
 
         for _ in 0..r.u64()? {
-            let name = r.str()?.to_owned();
+            let name = r.get()?;
             let key = PublicKey::from_element(group, U2048::from_be_bytes(r.bytes()?));
-            let reset_password = r.str()?.to_owned();
+            let reset_password = r.get()?;
             shard.accounts.insert(
                 name,
                 AccountRecord {
@@ -2268,42 +2237,34 @@ impl WebServer {
         }
 
         for _ in 0..r.u64()? {
-            let sid = r.str()?.to_owned();
-            let account = r.str()?.to_owned();
+            let sid = r.get()?;
+            let account = r.get()?;
             // The login nonce (the seal's stream nonce) arrives later in
             // the stream; buffer the sealed bytes until it does.
-            let sealed_key = r.bytes()?.to_vec();
-            let pending_nonce = Nonce(r.array()?);
-            let expected_seq = r.u64()?;
-            let slot = if r.u64()? == 1 {
-                Some(get_cached_interaction(&mut r)?)
-            } else {
-                None
+            let sealed_key: Vec<u8> = r.get()?;
+            let pending_nonce = r.get()?;
+            let expected_seq = r.get()?;
+            let slot: Vec<CachedInteraction> = r.get()?;
+            let current_path = r.get()?;
+            let stepups = u32::try_from(r.u64()?).ok()?;
+            let terminated = match r.u64()? {
+                0 => false,
+                1 => true,
+                _ => return None,
             };
-            let current_path = r.str()?.to_owned();
-            let stepups = r.u64()? as u32;
-            let terminated = r.u64()? == 1;
-            let interactions = r.u64()?;
-            let login_nonce = Nonce(r.array()?);
-            let mut resume_nonces = Vec::new();
-            for _ in 0..r.u64()? {
-                resume_nonces.push(Nonce(r.array()?));
-            }
-            let mut consumed_nonces = Vec::new();
-            for _ in 0..r.u64()? {
-                consumed_nonces.push(Nonce(r.array()?));
-            }
-            let window = r.u64()?;
-            let listed = r.u64()?;
+            let interactions = r.get()?;
+            let login_nonce = r.get()?;
+            let resume_nonces = r.get()?;
+            let consumed_nonces = r.get()?;
+            let window = r.get()?;
+            let list: Vec<CachedInteraction> = r.get()?;
             // A lock-step session keeps its reply in the slot, a windowed
             // one in the list; no writer mixes the two.
-            if (window == 0 && listed > 0) || (window > 0 && slot.is_some()) {
-                return None;
-            }
-            let mut reply_window: Vec<_> = slot.into_iter().collect();
-            for _ in 0..listed {
-                reply_window.push(get_cached_interaction(&mut r)?);
-            }
+            let reply_window = match (window, slot.len(), list.len()) {
+                (0, 0 | 1, 0) => slot,
+                (1.., 0, _) => list,
+                _ => return None,
+            };
             let key = open_session_key(&recovery_key, &login_nonce, &sealed_key)?;
             shard.sessions.insert(
                 sid,
@@ -2326,9 +2287,9 @@ impl WebServer {
         }
 
         for _ in 0..r.u64()? {
-            let nonce = Nonce(r.array()?);
+            let nonce = r.get()?;
             let sig = Signature::from_bytes(r.bytes()?)?;
-            let account = r.str()?.to_owned();
+            let account = r.get()?;
             shard
                 .reg_cache
                 .insert(nonce, (sig, RegistrationAck { account, nonce }));
@@ -2336,51 +2297,38 @@ impl WebServer {
         }
 
         for _ in 0..r.u64()? {
-            let nonce = Nonce(r.array()?);
+            let nonce = r.get()?;
             let sig = Signature::from_bytes(r.bytes()?)?;
-            let page = get_content_page(&mut r)?;
+            let page = r.get()?;
             shard.login_cache.insert(nonce, (sig, page));
         }
 
         for _ in 0..r.u64()? {
-            let nonce = Nonce(r.array()?);
-            let mac = Digest(r.array()?);
-            let ack = get_resume_ack(&mut r)?;
+            let nonce = r.get()?;
+            let mac = r.get()?;
+            let ack = r.get()?;
             shard.resume_cache.insert(nonce, (mac, ack));
         }
 
         for _ in 0..r.u64()? {
-            let nonce = Nonce(r.array()?);
-            let digest = Digest(r.array()?);
-            let account = r.str()?.to_owned();
+            let nonce = r.get()?;
+            let digest = r.get()?;
+            let account = r.get()?;
             shard
                 .reset_cache
                 .insert(nonce, (digest, ResetAck { account, nonce }));
             shard.reset_order.push_back(nonce);
         }
 
-        let mut consumed = Vec::new();
-        for _ in 0..r.u64()? {
-            consumed.push(Nonce(r.array()?));
-        }
+        let consumed: Vec<Nonce> = r.get()?;
         shard.consumed = ReplayGuard::from_consumed(consumed);
 
         for _ in 0..r.u64()? {
-            let account = r.str()?.to_owned();
-            let count = r.u64()?;
-            let entries = shard.audit.entry(account).or_default();
-            for _ in 0..count {
-                entries.push(AuditEntry {
-                    account: r.str()?.to_owned(),
-                    expected_path: r.str()?.to_owned(),
-                    frame_hash: Digest(r.array()?),
-                    action: r.str()?.to_owned(),
-                    risk: get_risk(&mut r)?,
-                    lookback: r.u64()?,
-                });
-            }
+            let account = r.get()?;
+            let entries = r.get()?;
+            shard.audit.insert(account, entries);
         }
-        Some(())
+        r.is_empty().then_some(())
     }
 }
 
@@ -2728,12 +2676,12 @@ mod tests {
             frame_hash: Digest([2u8; 32]),
             risk: RiskReport::fresh_login(),
         };
-        let encoded = record.encode();
+        let encoded = wire::encode(&record);
         assert!(
             !encoded.windows(key.len()).any(|w| w == &key[..]),
             "the journal frame must not contain the raw session key"
         );
-        let decoded = JournalRecord::decode(&encoded).expect("decodes");
+        let decoded: JournalRecord = wire::decode(&encoded).expect("decodes");
         assert_eq!(decoded, record, "sealed key and window survive the trip");
         let JournalRecord::LoginServed {
             sealed_session_key, ..

@@ -11,8 +11,14 @@
 //! feeds its session MAC ([`mac`]) with no intermediate buffer, and a
 //! nested field list is length-prefixed without being built first
 //! ([`FieldWriter::nested`]).
+//!
+//! Durable state (journal records, shard snapshots) uses the same framing
+//! through [`Durable`]: one impl per type writes and reads it, and the
+//! [`durable!`] macro derives both directions from one field list.
 
 use btd_crypto::hmac::{constant_time_eq, HmacSha256, Tag};
+use btd_crypto::nonce::Nonce;
+use btd_crypto::sha256::Digest;
 
 /// Where a [`FieldWriter`] puts the bytes it encodes.
 pub trait Sink {
@@ -109,6 +115,12 @@ impl<S: Sink> FieldWriter<S> {
         self
     }
 
+    /// Appends `value`'s durable fields.
+    pub fn put<T: Durable>(&mut self, value: &T) -> &mut Self {
+        value.put(self);
+        self
+    }
+
     /// Finishes, returning the sink.
     pub fn finish(self) -> S {
         self.sink
@@ -201,11 +213,163 @@ impl<'a> FieldReader<'a> {
         self.bytes()?.try_into().ok()
     }
 
+    /// Reads the next durable value.
+    pub fn get<T: Durable>(&mut self) -> Option<T> {
+        T::get(self)
+    }
+
     /// True once every byte has been consumed.
     pub fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
     }
 }
+
+/// A value with one durable field list: [`Durable::put`] writes it and
+/// [`Durable::get`] reads it back, so the two directions cannot drift.
+///
+/// Unlike [`Canonical`], which builds MAC inputs (a label first, the MAC
+/// itself left out), a durable encoding carries every field and no label.
+pub trait Durable: Sized {
+    /// Writes the fields, in wire order, into `w`.
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>);
+    /// Reads the fields written by [`Durable::put`]; `None` on truncated
+    /// or malformed input.
+    fn get(r: &mut FieldReader<'_>) -> Option<Self>;
+}
+
+/// The encoding of `value` in a fresh buffer.
+pub fn encode<T: Durable>(value: &T) -> Vec<u8> {
+    let mut w = FieldWriter::new();
+    w.put(value);
+    w.finish()
+}
+
+/// Decodes `bytes` as exactly one `T`: `None` on truncation, malformation
+/// or trailing bytes, so no two buffers decode to the same value.
+pub fn decode<T: Durable>(bytes: &[u8]) -> Option<T> {
+    let mut r = FieldReader::new(bytes);
+    let value = r.get()?;
+    r.is_empty().then_some(value)
+}
+
+impl Durable for u64 {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.u64(*self);
+    }
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        r.u64()
+    }
+}
+
+impl Durable for String {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.str(self);
+    }
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        r.str().map(str::to_owned)
+    }
+}
+
+impl Durable for Vec<u8> {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.bytes(self);
+    }
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        r.bytes().map(<[u8]>::to_vec)
+    }
+}
+
+impl Durable for Nonce {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.bytes(self.as_bytes());
+    }
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        r.array().map(Nonce)
+    }
+}
+
+impl Durable for Digest {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.bytes(self.as_bytes());
+    }
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        r.array().map(Digest)
+    }
+}
+
+/// A `u64` flag (0 or 1), then the value if present.
+impl<T: Durable> Durable for Option<T> {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        match self {
+            Some(v) => w.u64(1).put(v),
+            None => w.u64(0),
+        };
+    }
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        match r.u64()? {
+            0 => Some(None),
+            1 => r.get().map(Some),
+            _ => None,
+        }
+    }
+}
+
+/// A `u64` count, then the items.
+impl<T: Durable> Durable for Vec<T> {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.u64(self.len() as u64);
+        for v in self {
+            w.put(v);
+        }
+    }
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        // The count is untrusted: grow as items arrive, never reserve it.
+        let mut items = Vec::new();
+        for _ in 0..r.u64()? {
+            items.push(r.get()?);
+        }
+        Some(items)
+    }
+}
+
+/// Implements [`Durable`] from one field list in wire order, so the
+/// writer and the reader are the same list. Every field must be listed
+/// (the pattern and the constructor are exhaustive), and each field's
+/// type must itself be [`Durable`].
+///
+/// A struct: `durable!(Page { path, body })`. An enum: each variant after
+/// its tag, written first as a string field:
+/// `durable!(Record { "a" => A { x }, "b" => B { x, y } })`.
+macro_rules! durable {
+    ($ty:ident { $($tag:literal => $variant:ident { $($field:ident),* $(,)? }),+ $(,)? }) => {
+        impl $crate::wire::Durable for $ty {
+            fn put<S: $crate::wire::Sink>(&self, w: &mut $crate::wire::FieldWriter<S>) {
+                match self {
+                    $($ty::$variant { $($field),* } => {
+                        w.str($tag)$(.put($field))*;
+                    })+
+                }
+            }
+            fn get(r: &mut $crate::wire::FieldReader<'_>) -> Option<Self> {
+                Some(match r.str()? {
+                    $($tag => $ty::$variant { $($field: r.get()?),* },)+
+                    _ => return None,
+                })
+            }
+        }
+    };
+    ($ty:ident { $($field:ident),+ $(,)? }) => {
+        impl $crate::wire::Durable for $ty {
+            fn put<S: $crate::wire::Sink>(&self, w: &mut $crate::wire::FieldWriter<S>) {
+                w$(.put(&self.$field))+;
+            }
+            fn get(r: &mut $crate::wire::FieldReader<'_>) -> Option<Self> {
+                Some($ty { $($field: r.get()?),+ })
+            }
+        }
+    };
+}
+pub(crate) use durable;
 
 #[cfg(test)]
 mod proptests {
