@@ -1096,3 +1096,145 @@ mod tests {
         assert!(run(7).iter().any(|b| *b), "p=0.3 over 60 visits must fire");
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Arbitrary field values drawn from one seeded stream.
+    struct Gen(SimRng);
+
+    impl Gen {
+        fn bytes(&mut self, max: u64) -> Vec<u8> {
+            let mut b = vec![0; self.0.below(max + 1) as usize];
+            self.0.fill_bytes(&mut b);
+            b
+        }
+        fn string(&mut self) -> String {
+            const CHARS: [char; 5] = ['a', '/', '-', 'é', '😀'];
+            (0..self.0.below(12))
+                .map(|_| CHARS[self.0.below(5) as usize])
+                .collect()
+        }
+        fn array<const N: usize>(&mut self) -> [u8; N] {
+            let mut a = [0; N];
+            self.0.fill_bytes(&mut a);
+            a
+        }
+        fn nonce(&mut self) -> Nonce {
+            Nonce(self.array())
+        }
+        fn digest(&mut self) -> Digest {
+            Digest(self.array())
+        }
+        fn risk(&mut self) -> RiskReport {
+            RiskReport {
+                window: self.0.next_u32(),
+                verified: self.0.next_u32(),
+                mismatched: self.0.next_u32(),
+            }
+        }
+        fn page(&mut self) -> ContentPage {
+            ContentPage {
+                session_id: self.string(),
+                account: self.string(),
+                nonce: self.nonce(),
+                seq: self.0.next_u64(),
+                page: Page::new(&self.string(), self.bytes(48)),
+                mac: self.digest(),
+            }
+        }
+
+        /// A record of variant `variant` (0..8); a resume's healed reply
+        /// is present or absent at random.
+        fn record(&mut self, variant: u8) -> JournalRecord {
+            match variant {
+                0 => JournalRecord::Registered {
+                    account: self.string(),
+                    public_key: self.bytes(64),
+                    reset_password: self.string(),
+                    nonce: self.nonce(),
+                    signature: self.bytes(64),
+                    frame_hash: self.digest(),
+                },
+                1 => JournalRecord::LoginServed {
+                    nonce: self.nonce(),
+                    signature: self.bytes(64),
+                    sealed_session_key: self.bytes(80),
+                    window: self.0.next_u64(),
+                    reply: self.page(),
+                    frame_hash: self.digest(),
+                    risk: self.risk(),
+                },
+                2 => JournalRecord::InteractionServed {
+                    request_nonce: self.nonce(),
+                    request_mac: self.digest(),
+                    action: self.string(),
+                    frame_hash: self.digest(),
+                    risk: self.risk(),
+                    expected_path: self.string(),
+                    stepups: self.0.next_u64(),
+                    reply: self.page(),
+                },
+                3 => JournalRecord::SessionResumed {
+                    device_nonce: self.nonce(),
+                    request_mac: self.digest(),
+                    ack: ResumeAck {
+                        session_id: self.string(),
+                        account: self.string(),
+                        device_nonce: self.nonce(),
+                        nonce: self.nonce(),
+                        seq: self.0.next_u64(),
+                        last_reply: self.0.chance(0.5).then(|| self.page()),
+                        mac: self.digest(),
+                    },
+                },
+                4 => JournalRecord::SessionTerminated {
+                    session_id: self.string(),
+                    account: self.string(),
+                },
+                5 => JournalRecord::SessionClosed {
+                    session_id: self.string(),
+                    account: self.string(),
+                },
+                6 => JournalRecord::IdentityReset {
+                    account: self.string(),
+                },
+                _ => JournalRecord::ResetServed {
+                    account: self.string(),
+                    nonce: self.nonce(),
+                    request_digest: self.digest(),
+                },
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Decoding is the exact inverse of encoding: every record round
+        /// trips, no strict prefix and no extension decodes, and a flipped
+        /// bit never panics; whatever it still decodes to re-encodes to the
+        /// flipped bytes, so no two payloads share a record.
+        #[test]
+        fn record_decoding_is_strict_and_total(seed in any::<u64>(), variant in 0u8..8, extra in any::<u8>()) {
+            let rec = Gen(SimRng::seed_from(seed)).record(variant);
+            let bytes = wire::encode(&rec);
+            prop_assert_eq!(wire::decode::<JournalRecord>(&bytes), Some(rec.clone()));
+            for end in 0..bytes.len() {
+                prop_assert!(wire::decode::<JournalRecord>(&bytes[..end]).is_none(), "prefix {end}");
+            }
+            let mut longer = bytes.clone();
+            longer.push(extra);
+            prop_assert!(wire::decode::<JournalRecord>(&longer).is_none());
+            for bit in 0..bytes.len() * 8 {
+                let mut flipped = bytes.clone();
+                flipped[bit / 8] ^= 1 << (bit % 8);
+                if let Some(other) = wire::decode::<JournalRecord>(&flipped) {
+                    prop_assert_eq!(wire::encode(&other), flipped);
+                }
+            }
+        }
+    }
+}

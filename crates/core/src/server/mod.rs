@@ -2817,3 +2817,77 @@ mod tests {
         }
     }
 }
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use crate::channel::Adversary;
+    use journal::CrashProfile;
+    use proptest::prelude::*;
+
+    const DOMAIN: &str = "www.xyz.com";
+
+    /// The identity and shard snapshots of a server after a seeded run
+    /// over a 10%-loss channel: chaos lifecycles with crashes (closed at
+    /// the end), lock-step sessions left open, and one windowed session
+    /// left open.
+    fn lossy_snapshots(seed: u64) -> (ServerIdentity, Vec<Vec<u8>>) {
+        let mut rng = SimRng::seed_from(seed);
+        let mut world = crate::World::with_adversary(Adversary::RandomLoss { loss: 0.1 }, &mut rng);
+        let sidx = world.add_server(DOMAIN, &mut rng);
+        for (i, account) in ["alice", "bob", "carol", "dave", "erin"].iter().enumerate() {
+            let device = world.add_device(&format!("phone-{i}"), i as u64 + 1, &mut rng);
+            // A lossy run may leave any step unfinished; whatever state it
+            // reached is what the snapshot must carry.
+            if i < 2 {
+                let crashes = CrashProfile::uniform(0.05);
+                let _ = world.run_chaos_lifecycle(device, DOMAIN, account, 6, crashes, &mut rng);
+                continue;
+            }
+            let _ = world.register(device, DOMAIN, account, &mut rng);
+            if i == 4 {
+                let _ = world.login_windowed(device, DOMAIN, 3, &mut rng);
+                let _ = world.run_windowed_session(device, DOMAIN, 8, 3, &mut rng);
+            } else {
+                let _ = world.login(device, DOMAIN, &mut rng);
+                let _ = world.run_session(device, DOMAIN, 4, &mut rng);
+                // A resume served straight to the server fills its cache.
+                if let Ok(req) = world.device_mut(device).begin_resume(DOMAIN) {
+                    let _ = world.server_mut(sidx).handle_resume(&req);
+                }
+            }
+        }
+        let server = world.server(sidx);
+        let snapshots = (0..server.shard_count())
+            .map(|idx| server.shard_snapshot_bytes(idx))
+            .collect();
+        (server.identity(), snapshots)
+    }
+
+    /// A server with `identity`'s keys and empty shards.
+    fn fresh(identity: &ServerIdentity) -> WebServer {
+        let journals = (0..identity.shard_count()).map(|_| Journal::in_memory());
+        let mut rng = SimRng::seed_from(0);
+        WebServer::recover(identity.clone(), journals.collect(), &mut rng).0
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        /// Every shard snapshot restores into a fresh server that
+        /// snapshots back to the same bytes, and a trailing byte makes
+        /// the restore fail.
+        #[test]
+        fn shard_snapshots_restore_to_the_same_bytes(seed in any::<u64>(), extra in any::<u8>()) {
+            let (identity, snapshots) = lossy_snapshots(seed);
+            let mut server = fresh(&identity);
+            for (idx, bytes) in snapshots.iter().enumerate() {
+                prop_assert!(server.restore_shard_snapshot(idx, bytes));
+                prop_assert_eq!(&server.shard_snapshot_bytes(idx), bytes);
+                let mut longer = bytes.clone();
+                longer.push(extra);
+                prop_assert!(!fresh(&identity).restore_shard_snapshot(idx, &longer));
+            }
+        }
+    }
+}
