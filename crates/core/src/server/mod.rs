@@ -1270,14 +1270,17 @@ impl WebServer {
             signature: msg.signature.to_bytes(),
             sealed_session_key,
             window: self.interaction_window,
-            reply: page.clone(),
+            reply: page,
             frame_hash: msg.frame_hash,
             risk: msg.risk,
         };
         self.journal_append(idx, &record)?;
         self.apply_record(&record);
         self.pre_reply_crash()?;
-        Ok((page, Freshness::Fresh))
+        let JournalRecord::LoginServed { reply, .. } = record else {
+            unreachable!("built as a login record above");
+        };
+        Ok((reply, Freshness::Fresh))
     }
 
     /// Handles a post-login interaction (Fig. 10, step 4).

@@ -180,7 +180,7 @@ fn honest_lifecycle_allocations_are_pinned() {
         got,
         [
             b(1, 150, 61_330),
-            b(1, 127, 46_556),
+            b(1, 123, 46_489),
             b(16, 492, 60_464),
             b(1, 396, 39_833),
         ],
@@ -195,7 +195,7 @@ fn lossy_lifecycle_allocations_are_pinned() {
         got,
         [
             b(1, 153, 64_274),
-            b(1, 130, 49_092),
+            b(1, 126, 49_025),
             b(16, 577, 70_123),
             b(1, 396, 39_833),
         ],
@@ -260,8 +260,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 22_798,
-            bytes: 6_104_013,
+            allocs: 22_782,
+            bytes: 6_103_746,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
