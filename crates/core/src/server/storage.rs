@@ -641,9 +641,13 @@ impl Storage for SegmentedStorage {
     }
 
     fn log_len(&self) -> usize {
-        self.log_files()
-            .iter()
-            .map(|&f| self.disk.file_len(f))
+        // Summed in place: the telemetry sampler calls this for every
+        // shard at every sample, where `log_files()` would allocate.
+        let sealed = self.sealed.iter().map(|s| s.file);
+        let files = sealed.chain(self.uncertified.iter().copied());
+        files
+            .chain([self.active])
+            .map(|f| self.disk.file_len(f))
             .sum()
     }
 
