@@ -2250,11 +2250,7 @@ impl WebServer {
             let slot: Vec<CachedInteraction> = r.get()?;
             let current_path = r.get()?;
             let stepups = u32::try_from(r.u64()?).ok()?;
-            let terminated = match r.u64()? {
-                0 => false,
-                1 => true,
-                _ => return None,
-            };
+            let terminated = r.u64().filter(|&t| t < 2)? == 1;
             let interactions = r.get()?;
             let login_nonce = r.get()?;
             let resume_nonces = r.get()?;

@@ -202,12 +202,6 @@ impl<'a> FieldReader<'a> {
         Some(u64::from_be_bytes(b.try_into().ok()?))
     }
 
-    /// Reads the next field as a `u32`.
-    pub fn u32(&mut self) -> Option<u32> {
-        let b = self.bytes()?;
-        Some(u32::from_be_bytes(b.try_into().ok()?))
-    }
-
     /// Reads a fixed-size byte array field.
     pub fn array<const N: usize>(&mut self) -> Option<[u8; N]> {
         self.bytes()?.try_into().ok()
@@ -521,6 +515,12 @@ mod tests {
     }
 
     impl<'a> FieldReader<'a> {
+        /// Reads the next field as a `u32`.
+        pub fn u32(&mut self) -> Option<u32> {
+            let b = self.bytes()?;
+            Some(u32::from_be_bytes(b.try_into().ok()?))
+        }
+
         /// Reads the next field as an `f64`.
         pub fn f64(&mut self) -> Option<f64> {
             let b = self.bytes()?;
