@@ -30,6 +30,22 @@ echo "==> perfbench: build + unit tests against the workspace crates"
 cargo build --release --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 cargo test --release -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
+# The benchmark checks its own outputs: one short run per workload must
+# end with a JSON line reporting "correct": true and "failed": 0.
+echo "==> perfbench smoke: every workload reports correct outputs"
+mkdir -p target
+for workload in signup_storm continuous_session lossy_durable; do
+  out=target/perfbench_smoke.txt
+  CARGO_TARGET_DIR=target/perfbench python3 perfbench/run.py \
+    --workload "$workload" --seed 1 --seconds 1 --trace 0 > "$out" \
+    || { echo "perfbench $workload exited nonzero"; exit 1; }
+  tail -n 1 "$out" | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+sys.exit(0 if r.get("correct") is True and r.get("failed") == 0 else 1)' \
+    || { echo "perfbench $workload reported wrong outputs:"; tail -n 1 "$out"; exit 1; }
+done
+
 # Runs a deterministic --json bench into $2 and fails fast on a nonzero
 # exit status BEFORE any diff: a binary that panics mid-emit leaves a
 # truncated JSON whose diff noise would bury the real failure.
