@@ -9,9 +9,19 @@
 //! the wall-clock benchmark measures. A change that adds or removes an
 //! allocation on the Fig. 10 path moves the pin; move it deliberately, in
 //! the same commit.
+//!
+//! To see where the interaction steps of one honest lifecycle allocate,
+//! run the ignored profiler, which prints the allocating call sites, most
+//! frequent first:
+//!
+//! ```sh
+//! cargo test --release --test alloc_budget -- --ignored --nocapture
+//! ```
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use std::backtrace::Backtrace;
+use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
 
 use btd_sim::rng::SimRng;
 use trust_core::channel::Adversary;
@@ -27,6 +37,14 @@ struct Counting;
 thread_local! {
     /// (allocations, bytes) requested by this thread.
     static COUNTS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    /// Set while this thread records a backtrace per allocation (only the
+    /// ignored profiler sets it, so the pinned tests stay exact).
+    static PROFILING: Cell<bool> = const { Cell::new(false) };
+    /// Set while a backtrace is being captured: the capture allocates,
+    /// and those allocations must not capture again.
+    static CAPTURING: Cell<bool> = const { Cell::new(false) };
+    /// The backtraces recorded while `PROFILING` was set.
+    static SITES: RefCell<Vec<Backtrace>> = const { RefCell::new(Vec::new()) };
 }
 
 fn count(bytes: usize) {
@@ -37,12 +55,21 @@ fn count(bytes: usize) {
         let (n, b) = c.get();
         c.set((n + 1, b + bytes as u64));
     });
+    if PROFILING.try_with(Cell::get).unwrap_or(false)
+        && !CAPTURING.try_with(Cell::get).unwrap_or(true)
+    {
+        CAPTURING.set(true);
+        let trace = Backtrace::force_capture();
+        SITES.with_borrow_mut(|sites| sites.push(trace));
+        CAPTURING.set(false);
+    }
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; counting touches only a
-// const-initialized thread-local `Cell` and never allocates, so it cannot
-// recurse into the allocator.
+// upholds the `GlobalAlloc` contract. Counting touches only
+// const-initialized thread-local `Cell`s and never allocates; the
+// profiler's capture does allocate, but `CAPTURING` stops that from
+// capturing again, so the recursion is one level deep.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         count(layout.size());
@@ -104,38 +131,71 @@ fn stage_of(registered: bool, in_session: bool, report: &ChaosReport) -> usize {
     }
 }
 
+/// One device's lifecycle against one server, set up and ready to step.
+struct Rig {
+    rng: SimRng,
+    world: World,
+    server: usize,
+    device: usize,
+    lc: DeviceLifecycle,
+}
+
+impl Rig {
+    /// Sets up the world; nothing here is counted.
+    fn new(adversary: Adversary) -> Rig {
+        let mut rng = SimRng::seed_from(0xA110C);
+        let mut world = World::with_adversary(adversary, &mut rng);
+        let server = world.add_server(DOMAIN, &mut rng);
+        let device = world.add_device("budget-dev", HOLDER, &mut rng);
+        let touches = world.touches_for_holder(device, TOUCHES, &mut rng);
+        let lc = DeviceLifecycle::new(
+            DOMAIN,
+            ACCOUNT,
+            HOLDER,
+            &DEFAULT_ACTIONS,
+            touches,
+            world.server(server),
+        );
+        Rig {
+            rng,
+            world,
+            server,
+            device,
+            lc,
+        }
+    }
+
+    /// Stage index of the next step.
+    fn stage(&self) -> usize {
+        stage_of(
+            self.world.server(self.server).has_account(ACCOUNT),
+            self.world.device(self.device).session_id(DOMAIN).is_some(),
+            &self.lc.report,
+        )
+    }
+
+    /// Advances the lifecycle by one step.
+    fn step(&mut self) {
+        self.world.step_lifecycle(
+            &mut self.lc,
+            self.device,
+            self.server,
+            CrashProfile::uniform(0.0),
+            &mut self.rng,
+        );
+    }
+}
+
 /// Runs one lifecycle over `adversary` and returns the heap requests of
 /// its register, login, interact and close steps. World set-up is not
 /// counted.
 fn lifecycle_budget(adversary: Adversary) -> [Budget; 4] {
-    let mut rng = SimRng::seed_from(0xA110C);
-    let mut world = World::with_adversary(adversary, &mut rng);
-    let server = world.add_server(DOMAIN, &mut rng);
-    let device = world.add_device("budget-dev", HOLDER, &mut rng);
-    let touches = world.touches_for_holder(device, TOUCHES, &mut rng);
-    let mut lc = DeviceLifecycle::new(
-        DOMAIN,
-        ACCOUNT,
-        HOLDER,
-        &DEFAULT_ACTIONS,
-        touches,
-        world.server(server),
-    );
+    let mut rig = Rig::new(adversary);
     let mut budget = [Budget::default(); 4];
-    while !lc.is_done() {
-        let stage = stage_of(
-            world.server(server).has_account(ACCOUNT),
-            world.device(device).session_id(DOMAIN).is_some(),
-            &lc.report,
-        );
+    while !rig.lc.is_done() {
+        let stage = rig.stage();
         let before = COUNTS.with(Cell::get);
-        world.step_lifecycle(
-            &mut lc,
-            device,
-            server,
-            CrashProfile::uniform(0.0),
-            &mut rng,
-        );
+        rig.step();
         let after = COUNTS.with(Cell::get);
         let b = &mut budget[stage];
         b.steps += 1;
@@ -143,11 +203,11 @@ fn lifecycle_budget(adversary: Adversary) -> [Budget; 4] {
         b.bytes += after.1 - before.1;
     }
     assert!(
-        lc.failure().is_none(),
+        rig.lc.failure().is_none(),
         "lifecycle failed: {:?}",
-        lc.failure()
+        rig.lc.failure()
     );
-    assert_eq!(lc.report.served, TOUCHES as u64);
+    assert_eq!(rig.lc.report.served, TOUCHES as u64);
     budget
 }
 
@@ -267,4 +327,75 @@ fn traced_shard_allocations_are_pinned() {
         got.allocs_per_interaction(),
         got.bytes_per_interaction(),
     );
+}
+
+/// The first frame of `trace` outside the allocator, the standard
+/// library and this file's counting hooks: the call site that asked for
+/// the memory, with its caller for context.
+fn allocation_site(trace: &Backtrace) -> String {
+    let text = trace.to_string();
+    let frames: Vec<&str> = text
+        .lines()
+        .filter_map(|line| {
+            let (index, name) = line.trim_start().split_once(": ")?;
+            index.parse::<usize>().ok().map(|_| name)
+        })
+        .collect();
+    let plumbing = |name: &str| {
+        [
+            "std::",
+            "core::",
+            "alloc::",
+            "<std::",
+            "<core::",
+            "<alloc::",
+            "__rust",
+            "alloc_budget::",
+        ]
+        .iter()
+        .any(|prefix| name.starts_with(prefix))
+            || name.contains("Counting")
+            || name.contains("GlobalAlloc")
+    };
+    let mut sites = frames.iter().skip_while(|name| plumbing(name));
+    match (sites.next(), sites.next()) {
+        (Some(site), Some(caller)) => format!("{site}\n        from {caller}"),
+        (Some(site), None) => (*site).to_owned(),
+        _ => "<unresolved>".to_owned(),
+    }
+}
+
+/// Prints the call sites behind the allocations of the interaction steps
+/// of one honest lifecycle (after a warm-up lifecycle), most frequent
+/// first: the starting point for the next cut. Most steps allocate
+/// nothing; what is left lands on the step that grows a collection past
+/// its capacity. Backtraces are captured only on this test's thread, so
+/// the pinned tests running beside it stay exact.
+#[test]
+#[ignore = "diagnostic: prints allocation call sites"]
+fn print_interaction_allocation_sites() {
+    lifecycle_budget(Adversary::None);
+    let mut rig = Rig::new(Adversary::None);
+    let mut steps = 0u64;
+    while !rig.lc.is_done() {
+        let interacting = rig.stage() == 2;
+        PROFILING.set(interacting);
+        rig.step();
+        PROFILING.set(false);
+        steps += u64::from(interacting);
+    }
+    let traces = SITES.take();
+    let mut by_site: HashMap<String, u64> = HashMap::new();
+    for trace in &traces {
+        *by_site.entry(allocation_site(trace)).or_default() += 1;
+    }
+    let mut sites: Vec<(String, u64)> = by_site.into_iter().collect();
+    sites.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    println!(
+        "{} allocations in {steps} honest interaction steps:",
+        traces.len()
+    );
+    for (site, n) in sites {
+        println!("{n:>4}  {site}");
+    }
 }
