@@ -126,6 +126,90 @@ pub struct Arrival<T> {
     pub delay: SimDuration,
 }
 
+/// The copies of one transmitted message that arrive, earliest first.
+///
+/// Every send starts with one copy and only a duplicating adversary adds
+/// more, so the first copy is held inline and the heap is touched only
+/// when a second one joins. Derefs to a slice; iterating by value yields
+/// the copies in order.
+#[derive(Clone, Debug)]
+pub struct Arrivals<T>(Copies<T>);
+
+#[derive(Clone, Debug)]
+enum Copies<T> {
+    /// No copy or one copy.
+    Inline(Option<Arrival<T>>),
+    /// Two or more copies.
+    Spilled(Vec<Arrival<T>>),
+}
+
+impl<T> Arrivals<T> {
+    fn one(arrival: Arrival<T>) -> Self {
+        Arrivals(Copies::Inline(Some(arrival)))
+    }
+
+    fn push(&mut self, arrival: Arrival<T>) {
+        self.0 = match std::mem::replace(&mut self.0, Copies::Inline(None)) {
+            Copies::Inline(None) => Copies::Inline(Some(arrival)),
+            Copies::Inline(Some(first)) => Copies::Spilled(vec![first, arrival]),
+            Copies::Spilled(mut all) => {
+                all.push(arrival);
+                Copies::Spilled(all)
+            }
+        };
+    }
+
+    fn clear(&mut self) {
+        self.0 = Copies::Inline(None);
+    }
+
+    /// Keeps the copies `keep` approves, visiting them in order.
+    fn retain(&mut self, mut keep: impl FnMut(&Arrival<T>) -> bool) {
+        match &mut self.0 {
+            Copies::Inline(slot) => {
+                if slot.as_ref().is_some_and(|a| !keep(a)) {
+                    *slot = None;
+                }
+            }
+            Copies::Spilled(all) => all.retain(keep),
+        }
+    }
+}
+
+impl<T> std::ops::Deref for Arrivals<T> {
+    type Target = [Arrival<T>];
+
+    fn deref(&self) -> &[Arrival<T>] {
+        match &self.0 {
+            Copies::Inline(slot) => slot.as_slice(),
+            Copies::Spilled(all) => all,
+        }
+    }
+}
+
+impl<T> std::ops::DerefMut for Arrivals<T> {
+    fn deref_mut(&mut self) -> &mut [Arrival<T>] {
+        match &mut self.0 {
+            Copies::Inline(slot) => slot.as_mut_slice(),
+            Copies::Spilled(all) => all,
+        }
+    }
+}
+
+impl<T> IntoIterator for Arrivals<T> {
+    type Item = Arrival<T>;
+    type IntoIter =
+        std::iter::Chain<std::option::IntoIter<Arrival<T>>, std::vec::IntoIter<Arrival<T>>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (inline, spilled) = match self.0 {
+            Copies::Inline(slot) => (slot, Vec::new()),
+            Copies::Spilled(all) => (None, all),
+        };
+        inline.into_iter().chain(spilled)
+    }
+}
+
 /// Per-adversary-kind fault breakdown. The aggregate [`ChannelStats`]
 /// counters lose which adversary layer fired — under a `Composed` stack,
 /// `dropped` can't say whether the dropper or a loss burst destroyed a
@@ -235,16 +319,19 @@ impl Channel {
     }
 
     /// Transmits a message, returning the copies that arrive, earliest
-    /// first. An empty vector means every copy was destroyed in transit.
-    pub fn transmit<T: NetMessage>(&mut self, msg: T) -> Vec<Arrival<T>> {
+    /// first. No arrival means every copy was destroyed in transit.
+    pub fn transmit<T: NetMessage>(&mut self, msg: T) -> Arrivals<T> {
         self.stats.sent += 1;
         let seq = self.stats.sent;
-        let mut arrivals = vec![Arrival {
+        let mut arrivals = Arrivals::one(Arrival {
             msg,
             delay: self.latency,
-        }];
-        let adversary = self.adversary.clone();
-        arrivals = self.apply(&adversary, arrivals, seq);
+        });
+        // Lent out for the send rather than cloned: `apply` needs `self`
+        // mutably for the fault streams and counters.
+        let adversary = std::mem::replace(&mut self.adversary, Adversary::None);
+        self.apply(&adversary, &mut arrivals, seq);
+        self.adversary = adversary;
         arrivals.sort_by_key(|a| a.delay);
         self.stats.delivered += arrivals.len() as u64;
         arrivals
@@ -253,63 +340,59 @@ impl Channel {
     fn apply<T: NetMessage>(
         &mut self,
         adversary: &Adversary,
-        mut arrivals: Vec<Arrival<T>>,
+        arrivals: &mut Arrivals<T>,
         seq: u64,
-    ) -> Vec<Arrival<T>> {
+    ) {
         match adversary {
-            Adversary::None => arrivals,
+            Adversary::None => {}
             Adversary::Replayer => {
-                let copies: Vec<Arrival<T>> = arrivals
-                    .iter()
-                    .map(|a| Arrival {
-                        msg: a.msg.clone(),
-                        delay: a.delay + REPLAY_GAP,
-                    })
-                    .collect();
-                self.stats.duplicated += copies.len() as u64;
-                self.stats.faults.replay_duplicates += copies.len() as u64;
-                self.fault(FaultKind::ReplayDuplicate, copies.len() as u64);
-                arrivals.extend(copies);
-                arrivals
+                let copies = arrivals.len();
+                for i in 0..copies {
+                    let copy = Arrival {
+                        msg: arrivals[i].msg.clone(),
+                        delay: arrivals[i].delay + REPLAY_GAP,
+                    };
+                    arrivals.push(copy);
+                }
+                self.stats.duplicated += copies as u64;
+                self.stats.faults.replay_duplicates += copies as u64;
+                self.fault(FaultKind::ReplayDuplicate, copies as u64);
             }
             Adversary::Dropper { period } => {
                 if *period > 0 && seq.is_multiple_of(*period as u64) {
                     self.stats.dropped += arrivals.len() as u64;
                     self.stats.faults.dropper_drops += arrivals.len() as u64;
                     self.fault(FaultKind::DropperDrop, arrivals.len() as u64);
-                    Vec::new()
-                } else {
-                    arrivals
+                    arrivals.clear();
                 }
             }
             Adversary::RandomLoss { loss } => {
-                let mut kept = Vec::with_capacity(arrivals.len());
-                for a in arrivals {
+                arrivals.retain(|_| {
                     if self.rng.chance(*loss) {
                         self.stats.dropped += 1;
                         self.stats.faults.random_loss_drops += 1;
                         self.fault(FaultKind::RandomLossDrop, 1);
+                        false
                     } else {
-                        kept.push(a);
+                        true
                     }
-                }
-                kept
+                });
             }
             Adversary::BurstLoss { start, burst } => {
-                if self.burst_left > 0 {
+                let in_burst = if self.burst_left > 0 {
                     self.burst_left -= 1;
-                    self.stats.dropped += arrivals.len() as u64;
-                    self.stats.faults.burst_loss_drops += arrivals.len() as u64;
-                    self.fault(FaultKind::BurstLossDrop, arrivals.len() as u64);
-                    Vec::new()
+                    true
                 } else if self.rng.chance(*start) {
                     self.burst_left = burst.saturating_sub(1);
+                    true
+                } else {
+                    false
+                };
+                if in_burst {
                     self.stats.dropped += arrivals.len() as u64;
                     self.stats.faults.burst_loss_drops += arrivals.len() as u64;
                     self.fault(FaultKind::BurstLossDrop, arrivals.len() as u64);
-                    Vec::new()
-                } else {
-                    arrivals
+                    arrivals.clear();
                 }
             }
             Adversary::Jitter { max_extra_ms } => {
@@ -322,7 +405,6 @@ impl Channel {
                         self.fault(FaultKind::JitterDelay { extra_ms: extra }, 1);
                     }
                 }
-                arrivals
             }
             Adversary::Reorderer { period, extra_ms } => {
                 if *period > 0 && seq.is_multiple_of(*period as u64) {
@@ -338,7 +420,6 @@ impl Channel {
                         );
                     }
                 }
-                arrivals
             }
             Adversary::Corruptor { period } => {
                 if *period > 0 && seq.is_multiple_of(*period as u64) {
@@ -349,16 +430,14 @@ impl Channel {
                         self.fault(FaultKind::Corruption, 1);
                     }
                 }
-                arrivals
             }
             Adversary::Composed(layers) => {
                 for layer in layers {
-                    arrivals = self.apply(layer, arrivals, seq);
+                    self.apply(layer, arrivals, seq);
                     if arrivals.is_empty() {
                         break;
                     }
                 }
-                arrivals
             }
         }
     }

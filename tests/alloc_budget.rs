@@ -24,7 +24,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
 use btd_sim::rng::SimRng;
-use trust_core::channel::Adversary;
+use trust_core::channel::{Adversary, Channel};
 use trust_core::chaos::{ChaosReport, DeviceLifecycle};
 use trust_core::parallel::{run_shard, ParallelConfig};
 use trust_core::scenario::{World, DEFAULT_ACTIONS};
@@ -239,9 +239,9 @@ fn honest_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 150, 61_330),
-            b(1, 123, 46_489),
-            b(16, 492, 60_464),
+            b(1, 147, 58_386),
+            b(1, 120, 43_953),
+            b(16, 460, 54_960),
             b(1, 396, 39_833),
         ],
         "honest lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -254,9 +254,9 @@ fn lossy_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 153, 64_274),
-            b(1, 126, 49_025),
-            b(16, 577, 70_123),
+            b(1, 147, 58_386),
+            b(1, 120, 43_953),
+            b(16, 493, 55_579),
             b(1, 396, 39_833),
         ],
         "10%-loss lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -320,13 +320,37 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 22_782,
-            bytes: 6_103_746,
+            allocs: 21_734,
+            bytes: 5_905_698,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
         got.bytes_per_interaction(),
     );
+}
+
+/// Honest sends (and independent loss and jitter, which filter and delay
+/// in place) hand back their one arrival without touching the heap.
+#[test]
+fn channel_transmit_without_duplicates_allocates_nothing() {
+    let adversaries = [
+        Adversary::None,
+        Adversary::RandomLoss { loss: 0.5 },
+        Adversary::Jitter { max_extra_ms: 20 },
+    ];
+    for adversary in adversaries {
+        let mut channel = Channel::seeded(adversary.clone(), &mut SimRng::seed_from(3));
+        let before = COUNTS.with(Cell::get);
+        let mut delivered = 0u64;
+        for i in 0..64u64 {
+            for arrival in channel.transmit(i) {
+                delivered += arrival.msg;
+            }
+        }
+        let after = COUNTS.with(Cell::get);
+        assert!(delivered > 0, "{adversary:?} delivered nothing");
+        assert_eq!(after.0 - before.0, 0, "{adversary:?}: transmit allocated");
+    }
 }
 
 /// The first frame of `trace` outside the allocator, the standard
