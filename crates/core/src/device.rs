@@ -16,6 +16,7 @@ use std::ops::Deref;
 use btd_crypto::cert::Role;
 use btd_crypto::nonce::Nonce;
 use btd_crypto::sha256::Digest;
+use btd_flock::framehash::DisplayFrame;
 use btd_flock::module::FlockModule;
 use btd_flock::pipeline::TouchAuthOutcome;
 use btd_sim::rng::SimRng;
@@ -142,6 +143,9 @@ pub struct MobileDevice {
     sessions: HashMap<String, DeviceSession>,
     /// Set when malware controls the browser's display path.
     spoofed_page: Option<Page>,
+    /// The frame every page is rendered into, kept so each render reuses
+    /// its buffer.
+    frame: DisplayFrame,
     tracer: Tracer,
 }
 
@@ -156,6 +160,7 @@ impl MobileDevice {
             flock,
             sessions: HashMap::new(),
             spoofed_page: None,
+            frame: DisplayFrame::new(Vec::new(), 0, 0),
             tracer: Tracer::disabled(),
         }
     }
@@ -194,20 +199,31 @@ impl MobileDevice {
         self.spoofed_page = None;
     }
 
-    /// Renders a page through the FLock display repeater, honouring any
-    /// active display malware (`spoofed`); returns the frame hash of what
-    /// the user saw. It takes the two fields it needs rather than `self`,
-    /// so a page borrowed from a session is shown in place.
-    fn display(flock: &mut FlockModule, spoofed: Option<&Page>, page: &Page) -> Digest {
+    /// Renders a page into `frame` and through the FLock display
+    /// repeater, honouring any active display malware (`spoofed`);
+    /// returns the frame hash of what the user saw. It takes the fields it
+    /// needs rather than `self`, so a page borrowed from a session is
+    /// shown in place.
+    fn display(
+        flock: &mut FlockModule,
+        frame: &mut DisplayFrame,
+        spoofed: Option<&Page>,
+        page: &Page,
+    ) -> Digest {
         let shown = spoofed.unwrap_or(page);
-        let frame = shown.render(View::default());
-        flock.relay_frame(&frame).0
+        shown.render_into(View::default(), frame);
+        flock.relay_frame(frame).0
     }
 
     /// [`MobileDevice::display`] of the session page at `domain`.
     fn display_session(&mut self, domain: &str) -> Digest {
         let page = &self.sessions[domain].current_page;
-        Self::display(&mut self.flock, self.spoofed_page.as_ref(), page)
+        Self::display(
+            &mut self.flock,
+            &mut self.frame,
+            self.spoofed_page.as_ref(),
+            page,
+        )
     }
 
     /// Validates a server hello inside FLock: CA-chain the certificate,
@@ -320,7 +336,12 @@ impl MobileDevice {
         user_id: u64,
         rng: &mut SimRng,
     ) -> Result<RegistrationSubmit, DeviceError> {
-        let frame_hash = Self::display(&mut self.flock, self.spoofed_page.as_ref(), &hello.page);
+        let frame_hash = Self::display(
+            &mut self.flock,
+            &mut self.frame,
+            self.spoofed_page.as_ref(),
+            &hello.page,
+        );
         self.explicit_verified_touch(user_id, 0, rng)?;
         let user_public = self
             .flock
@@ -380,7 +401,12 @@ impl MobileDevice {
         let account = record.account.clone();
         let server_key = record.server_key.clone();
 
-        let frame_hash = Self::display(&mut self.flock, self.spoofed_page.as_ref(), &hello.page);
+        let frame_hash = Self::display(
+            &mut self.flock,
+            &mut self.frame,
+            self.spoofed_page.as_ref(),
+            &hello.page,
+        );
         self.explicit_verified_touch(user_id, 0, rng)?;
         let risk = RiskReport::from_tracker(self.flock.auth().risk());
 

@@ -52,13 +52,10 @@ impl Page {
         }
     }
 
-    /// Renders the page under `view` into a display frame.
-    pub fn render(&self, view: View) -> DisplayFrame {
-        let mut content = Vec::with_capacity(self.path.len() + self.body.len());
-        content.extend_from_slice(self.path.as_bytes());
-        content.push(0);
-        content.extend_from_slice(&self.body);
-        DisplayFrame::rendered_view(&content, view.zoom, view.scroll)
+    /// Renders the page under `view` into `frame`, reusing its buffer.
+    pub fn render_into(&self, view: View, frame: &mut DisplayFrame) {
+        let parts: [&[u8]; 3] = [self.path.as_bytes(), &[0], &self.body];
+        frame.render_view(&parts, view.zoom, view.scroll);
     }
 
     /// Every view the browser can produce of this page.
@@ -73,8 +70,12 @@ impl Page {
     /// The finite set of legitimate frame hashes for this page.
     pub fn all_view_hashes(&self) -> Vec<Digest> {
         let mut engine = FrameHashEngine::new();
+        let mut frame = DisplayFrame::new(Vec::new(), 0, 0);
         Page::all_views()
-            .map(|v| engine.hash_frame(&self.render(v)).0)
+            .map(|v| {
+                self.render_into(v, &mut frame);
+                engine.hash_frame(&frame).0
+            })
             .collect()
     }
 }
@@ -83,6 +84,15 @@ impl Page {
 mod tests {
     use super::*;
 
+    impl Page {
+        /// Renders the page under `view` into a fresh frame.
+        fn render(&self, view: View) -> DisplayFrame {
+            let mut frame = DisplayFrame::new(Vec::new(), 0, 0);
+            self.render_into(view, &mut frame);
+            frame
+        }
+    }
+
     #[test]
     fn default_view_renders_deterministically() {
         let p = Page::new("/login", b"login form".to_vec());
@@ -90,6 +100,34 @@ mod tests {
         let h1 = e.hash_frame(&p.render(View::default())).0;
         let h2 = e.hash_frame(&p.render(View::default())).0;
         assert_eq!(h1, h2);
+    }
+
+    #[test]
+    fn rendering_into_a_reused_frame_matches_a_fresh_render() {
+        let long = Page::new("/statement/2024", vec![b'x'; 300]);
+        let short = Page::new("/a", b"b".to_vec());
+        let mut frame = DisplayFrame::new(Vec::new(), 0, 0);
+        for v in Page::all_views() {
+            // The long page first, so a stale tail would survive into the
+            // short page's frame.
+            long.render_into(v, &mut frame);
+            assert_eq!(frame, long.render(v));
+            short.render_into(v, &mut frame);
+            assert_eq!(frame, short.render(v));
+        }
+    }
+
+    #[test]
+    fn render_keeps_the_frame_layout() {
+        // Path, a zero byte, body, then the view: the bytes every frame
+        // hash and audit pin was computed over.
+        let p = Page::new("/login", b"login form".to_vec());
+        for v in Page::all_views() {
+            let mut content = b"/login\0login form".to_vec();
+            content.extend_from_slice(&v.zoom.to_be_bytes());
+            content.extend_from_slice(&v.scroll.to_be_bytes());
+            assert_eq!(p.render(v), DisplayFrame::new(content, 480, 800));
+        }
     }
 
     #[test]

@@ -33,15 +33,22 @@ impl DisplayFrame {
         }
     }
 
-    /// A frame rendering `page` under a view transform (zoom/scroll); the
-    /// finite set of such views is what the server can precompute ("the
-    /// displayed view of a web page can only belong to a finite set").
-    pub fn rendered_view(page: &[u8], zoom_percent: u32, scroll_y: u32) -> Self {
-        let mut content = Vec::with_capacity(page.len() + 8);
-        content.extend_from_slice(page);
-        content.extend_from_slice(&zoom_percent.to_be_bytes());
-        content.extend_from_slice(&scroll_y.to_be_bytes());
-        DisplayFrame::new(content, 480, 800)
+    /// Rewrites this frame as the rendering of the concatenated
+    /// `page_parts` under a view transform (zoom/scroll), reusing the
+    /// frame's buffer. The finite set of such views is what the server
+    /// can precompute ("the displayed view of a web page can only belong
+    /// to a finite set").
+    pub fn render_view(&mut self, page_parts: &[&[u8]], zoom_percent: u32, scroll_y: u32) {
+        self.content.clear();
+        let len = page_parts.iter().map(|part| part.len()).sum::<usize>() + 8;
+        self.content.reserve(len);
+        for part in page_parts {
+            self.content.extend_from_slice(part);
+        }
+        self.content.extend_from_slice(&zoom_percent.to_be_bytes());
+        self.content.extend_from_slice(&scroll_y.to_be_bytes());
+        self.width = 480;
+        self.height = 800;
     }
 
     /// Total bytes the hash engine must stream.
@@ -120,9 +127,12 @@ mod tests {
     #[test]
     fn zoomed_views_hash_differently_but_deterministically() {
         let mut e = FrameHashEngine::new();
-        let v100 = DisplayFrame::rendered_view(b"article", 100, 0);
-        let v150 = DisplayFrame::rendered_view(b"article", 150, 0);
-        let v100_again = DisplayFrame::rendered_view(b"article", 100, 0);
+        let view = |zoom| {
+            let mut frame = DisplayFrame::new(Vec::new(), 0, 0);
+            frame.render_view(&[b"article"], zoom, 0);
+            frame
+        };
+        let (v100, v150, v100_again) = (view(100), view(150), view(100));
         assert_ne!(e.hash_frame(&v100).0, e.hash_frame(&v150).0);
         assert_eq!(e.hash_frame(&v100).0, e.hash_frame(&v100_again).0);
     }

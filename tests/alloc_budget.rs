@@ -239,10 +239,10 @@ fn honest_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 147, 58_386),
-            b(1, 120, 43_953),
-            b(16, 460, 54_960),
-            b(1, 396, 39_833),
+            b(1, 145, 58_302),
+            b(1, 114, 43_823),
+            b(16, 364, 51_856),
+            b(1, 42, 28_774),
         ],
         "honest lifecycle budget moved (register, login, interact, close): {got:?}"
     );
@@ -254,10 +254,10 @@ fn lossy_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 147, 58_386),
-            b(1, 120, 43_953),
-            b(16, 493, 55_579),
-            b(1, 396, 39_833),
+            b(1, 145, 58_302),
+            b(1, 114, 43_823),
+            b(16, 397, 52_475),
+            b(1, 42, 28_774),
         ],
         "10%-loss lifecycle budget moved (register, login, interact, close): {got:?}"
     );
@@ -320,8 +320,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 21_734,
-            bytes: 5_905_698,
+            allocs: 17_214,
+            bytes: 5_761_502,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
