@@ -265,7 +265,7 @@ fn hot_ridge_rasterize() -> HotPath {
 fn hot_journal_frame() -> HotPath {
     let tag = sha256(b"parallel-matrix-frame");
     let record = JournalRecord::Registered {
-        account: "par-user-0".to_owned(),
+        account: "par-user-0".into(),
         public_key: vec![0x42; 64],
         reset_password: "reset-0".to_owned(),
         nonce: Nonce([7u8; 16]),

@@ -50,7 +50,7 @@ fn synth_record(account: &str, i: u64, public_key: &[u8]) -> JournalRecord {
     nonce[..8].copy_from_slice(&i.to_be_bytes());
     nonce[8..].copy_from_slice(&(!i).to_be_bytes());
     JournalRecord::Registered {
-        account: account.to_owned(),
+        account: account.into(),
         public_key: public_key.to_vec(),
         reset_password: format!("reset-{i}"),
         nonce: Nonce(nonce),

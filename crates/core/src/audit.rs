@@ -116,10 +116,10 @@ fn audit_window(
         } else {
             report.findings.push(AuditFinding {
                 log_index: i,
-                account: entry.account.clone(),
-                expected_path: entry.expected_path.clone(),
+                account: entry.account.to_string(),
+                expected_path: entry.expected_path.to_string(),
                 observed_hash: entry.frame_hash,
-                action: entry.action.clone(),
+                action: entry.action.to_string(),
             });
         }
     }

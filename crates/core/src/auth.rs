@@ -10,6 +10,8 @@
 //! flow supplies one attempt as a closure. Counters move only by emitting
 //! trace events through [`ProtocolMetrics::observe`].
 
+use std::sync::Arc;
+
 use btd_sim::rng::SimRng;
 use btd_sim::time::SimDuration;
 use btd_workload::session::TouchSample;
@@ -414,14 +416,16 @@ pub fn run_session(
     assert!(!actions.is_empty(), "need at least one action");
     let mut report = SessionReport::default();
     let tracer = channel.tracer().clone();
-    let account = device.account_for(domain).map(str::to_owned);
+    let account: Option<Arc<str>> = device.account_for(domain).map(Arc::from);
+    // Shared, so each touch's request and span reference one copy.
+    let actions: Vec<Arc<str>> = actions.iter().map(|a| Arc::from(*a)).collect();
     let audit_start = account
         .as_deref()
         .map(|a| server.audit_log_for(a).len())
         .unwrap_or(0);
 
     'touches: for (i, touch) in touches.iter().enumerate() {
-        let action = actions[i % actions.len()];
+        let action = &actions[i % actions.len()];
         device.observe_touch(touch, rng);
         report.attempted += 1;
 
@@ -441,7 +445,7 @@ pub fn run_session(
         // and sent once more.
         let mut outcome = Outcome::GaveUp;
         for _round in 0..2 {
-            let request = match device.build_interaction(domain, action) {
+            let request = match device.build_interaction(domain, Arc::clone(action)) {
                 Ok(request) => request,
                 Err(err) => {
                     tracer.close(SpanKind::Interact(pre_seq), Outcome::DeviceRefused);

@@ -18,6 +18,8 @@
 //! machines round-robin over that shard's server and channel, with
 //! per-device [`ProtocolMetrics`].
 
+use std::sync::Arc;
+
 use btd_sim::rng::SimRng;
 use btd_sim::time::SimDuration;
 use btd_workload::session::TouchSample;
@@ -172,9 +174,11 @@ enum LifecycleState {
 #[derive(Debug)]
 pub struct DeviceLifecycle {
     domain: String,
-    account: String,
+    /// Shared with the trace context of every span the lifecycle opens.
+    account: Arc<str>,
     owner_user: u64,
-    actions: Vec<String>,
+    /// Shared with every request built for them.
+    actions: Vec<Arc<str>>,
     touches: Vec<TouchSample>,
     state: LifecycleState,
     touch_idx: usize,
@@ -208,23 +212,24 @@ impl DeviceLifecycle {
         // The lifecycle span covers many interleaved `step` calls, so it
         // cannot use the tracer's nesting stack: open/close are recorded
         // with an explicit context instead.
+        let account: Arc<str> = Arc::from(account);
         tracer.record_with(
-            CtxArgs::account(account),
+            CtxArgs::account(&account),
             EventKind::SpanOpen {
                 span: SpanKind::Lifecycle,
             },
         );
         DeviceLifecycle {
             domain: domain.to_owned(),
-            account: account.to_owned(),
+            audit_start: server.audit_log_for(&account).len(),
+            account,
             owner_user,
-            actions: actions.iter().map(|a| (*a).to_owned()).collect(),
+            actions: actions.iter().map(|a| Arc::from(*a)).collect(),
             touches,
             state: LifecycleState::Register,
             touch_idx: 0,
             touch_observed: false,
             rounds: 0,
-            audit_start: server.audit_log_for(account).len(),
             failure: None,
             tracer,
             span_closed: false,
@@ -452,7 +457,7 @@ impl DeviceLifecycle {
                 seq: Some(pre_seq.unwrap_or(0)),
             },
         );
-        let action = &self.actions[self.touch_idx % self.actions.len()];
+        let action = Arc::clone(&self.actions[self.touch_idx % self.actions.len()]);
         let request = match device.build_interaction(&self.domain, action) {
             Ok(r) => r,
             Err(e) => {
@@ -542,7 +547,7 @@ impl DeviceLifecycle {
         profile: CrashProfile,
         rng: &mut SimRng,
     ) {
-        let Some(session_id) = device.session_id(&self.domain).map(str::to_owned) else {
+        let Some(session_id) = device.shared_session_id(&self.domain).cloned() else {
             // Never logged in (or already ended locally): nothing to close.
             self.enter(LifecycleState::Done);
             return;

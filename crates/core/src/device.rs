@@ -12,6 +12,7 @@
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Deref;
+use std::sync::Arc;
 
 use btd_crypto::cert::Role;
 use btd_crypto::nonce::Nonce;
@@ -100,9 +101,14 @@ pub enum WindowAccept {
     Stale,
 }
 
-/// FLock-held session state for one domain.
+/// FLock-held session state for one domain. The names are shared with
+/// every request the session signs.
 struct DeviceSession {
-    session_id: String,
+    /// The server's session id, adopted from the first content page
+    /// (`None` until it arrives).
+    session_id: Option<Arc<str>>,
+    /// The account the session logged in as.
+    account: Arc<str>,
     key: Vec<u8>,
     next_nonce: Nonce,
     /// The cumulative-ack base, echoed from the last applied content
@@ -429,7 +435,8 @@ impl MobileDevice {
         self.sessions.insert(
             hello.domain.clone(),
             DeviceSession {
-                session_id: String::new(),
+                session_id: None,
+                account: Arc::from(account.as_str()),
                 key: session_key,
                 next_nonce: hello.nonce,
                 next_seq: 0,
@@ -480,7 +487,7 @@ impl MobileDevice {
             .sessions
             .get_mut(domain)
             .ok_or(DeviceError::NoSession)?;
-        if session.session_id.is_empty() {
+        if session.session_id.is_none() {
             return Err(DeviceError::NoSession);
         }
         session.window = window.max(1);
@@ -500,7 +507,7 @@ impl MobileDevice {
     pub fn windowed_request(
         &mut self,
         domain: &str,
-        action: &str,
+        action: impl Into<Arc<str>>,
         slot: u64,
     ) -> Result<InteractionRequest, DeviceError> {
         let session = self.sessions.get(domain).ok_or(DeviceError::NoSession)?;
@@ -511,7 +518,7 @@ impl MobileDevice {
             return Err(DeviceError::NoSession);
         }
         let nonce = window_nonce(&session.key, slot);
-        self.sign_interaction(domain, action, slot, nonce)
+        self.sign_interaction(domain, action.into(), slot, nonce)
     }
 
     /// Accepts a content page into the session's window: the device-side
@@ -544,8 +551,8 @@ impl MobileDevice {
         if !wire::mac_matches(&session.key, content, &content.mac) {
             return Err(DeviceError::BadServerMac);
         }
-        if session.session_id.is_empty() {
-            session.session_id.clone_from(&content.session_id);
+        if session.session_id.is_none() {
+            session.session_id = Some(Arc::clone(&content.session_id));
         } else {
             let base = session.next_seq;
             if content.seq <= base || content.seq > base + session.window.max(1) {
@@ -618,11 +625,11 @@ impl MobileDevice {
     pub fn build_interaction(
         &mut self,
         domain: &str,
-        action: &str,
+        action: impl Into<Arc<str>>,
     ) -> Result<InteractionRequest, DeviceError> {
         let session = self.sessions.get(domain).ok_or(DeviceError::NoSession)?;
         let (seq, nonce) = (session.next_seq, session.next_nonce);
-        self.sign_interaction(domain, action, seq, nonce)
+        self.sign_interaction(domain, action.into(), seq, nonce)
     }
 
     /// Signs an interaction request for `action` at slot `seq` carrying
@@ -632,29 +639,32 @@ impl MobileDevice {
     fn sign_interaction(
         &mut self,
         domain: &str,
-        action: &str,
+        action: Arc<str>,
         seq: u64,
         nonce: Nonce,
     ) -> Result<InteractionRequest, DeviceError> {
         let risk = RiskReport::from_tracker(self.flock.auth().risk());
         let session = self.sessions.get(domain).ok_or(DeviceError::NoSession)?;
-        if session.session_id.is_empty() {
+        let Some(session_id) = session.session_id.clone() else {
             return Err(DeviceError::NoSession);
-        }
-        let session_id = session.session_id.clone();
-        let account = self
+        };
+        let record = self
             .flock
             .domain_record(domain)
-            .ok_or(DeviceError::UnknownDomain)?
-            .account
-            .clone();
+            .ok_or(DeviceError::UnknownDomain)?;
+        // The session's copy, unless the domain was re-bound since login.
+        let account = if *session.account == *record.account {
+            Arc::clone(&session.account)
+        } else {
+            Arc::from(record.account.as_str())
+        };
         let frame_hash = self.display_session(domain);
         let mut request = InteractionRequest {
             session_id,
             account,
             nonce,
             seq,
-            action: action.to_owned(),
+            action,
             frame_hash,
             risk,
             mac: Digest([0; 32]),
@@ -694,14 +704,13 @@ impl MobileDevice {
         let account = self
             .flock
             .domain_record(domain)
-            .map(|r| r.account.clone())
-            .unwrap_or_else(|| "forged".to_owned());
+            .map_or("forged", |r| r.account.as_str());
         Some(InteractionRequest {
-            session_id: session.session_id.clone(),
-            account,
+            session_id: session.session_id.clone().unwrap_or_else(|| Arc::from("")),
+            account: Arc::from(account),
             nonce: session.next_nonce,
             seq: session.next_seq,
-            action: action.to_owned(),
+            action: Arc::from(action),
             frame_hash: Digest([0xEE; 32]),
             risk: RiskReport {
                 window: 12,
@@ -722,10 +731,9 @@ impl MobileDevice {
     /// Fails without a live session.
     pub fn begin_resume(&mut self, domain: &str) -> Result<ResumeRequest, DeviceError> {
         let session = self.sessions.get(domain).ok_or(DeviceError::NoSession)?;
-        if session.session_id.is_empty() {
+        let Some(session_id) = session.session_id.as_deref().map(str::to_owned) else {
             return Err(DeviceError::NoSession);
-        }
-        let session_id = session.session_id.clone();
+        };
         let last_seq = session.next_seq;
         let key = session.key.clone();
         let account = self
@@ -767,7 +775,7 @@ impl MobileDevice {
     /// not answer the in-flight resume request.
     pub fn accept_resume(&mut self, domain: &str, ack: &ResumeAck) -> Result<(), DeviceError> {
         let session = self.sessions.get(domain).ok_or(DeviceError::NoSession)?;
-        if session.session_id.is_empty() || ack.session_id != session.session_id {
+        if session.session_id.as_deref() != Some(ack.session_id.as_str()) {
             return Err(DeviceError::NoSession);
         }
         if !wire::mac_matches(&session.key, ack, &ack.mac) {
@@ -799,16 +807,19 @@ impl MobileDevice {
     pub fn session_seq(&self, domain: &str) -> Option<u64> {
         self.sessions
             .get(domain)
-            .filter(|s| !s.session_id.is_empty())
+            .filter(|s| s.session_id.is_some())
             .map(|s| s.next_seq)
     }
 
     /// The device-side session id for a domain, if logged in.
     pub fn session_id(&self, domain: &str) -> Option<&str> {
-        self.sessions
-            .get(domain)
-            .filter(|s| !s.session_id.is_empty())
-            .map(|s| s.session_id.as_str())
+        self.shared_session_id(domain).map(|id| &**id)
+    }
+
+    /// [`MobileDevice::session_id`] as the shared string every request
+    /// of the session carries.
+    pub(crate) fn shared_session_id(&self, domain: &str) -> Option<&Arc<str>> {
+        self.sessions.get(domain)?.session_id.as_ref()
     }
 
     /// The account registered for a domain, if any.

@@ -31,6 +31,7 @@
 //! timeline, which is the baseline row of the goodput ablation.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use btd_sim::event::EventQueue;
 use btd_sim::rng::SimRng;
@@ -230,7 +231,7 @@ struct Core<'a> {
     policy: &'a RetryPolicy,
     tracer: Tracer,
     domain: String,
-    actions: Vec<String>,
+    actions: Vec<Arc<str>>,
     window: u64,
     queue: EventQueue<Ev>,
     now: SimTime,
@@ -294,8 +295,8 @@ impl Core<'_> {
                 .record(EventKind::SelectiveRetransmit { seq: slot, attempt });
         }
         if run.requests[i].is_none() {
-            let action = self.actions[i % self.actions.len()].clone();
-            match device.windowed_request(&self.domain, &action, slot) {
+            let action = Arc::clone(&self.actions[i % self.actions.len()]);
+            match device.windowed_request(&self.domain, action, slot) {
                 Ok(request) => run.requests[i] = Some(request),
                 Err(err) => {
                     run.slots[i].done = true;
@@ -677,7 +678,7 @@ pub fn run_windowed_session(
         policy,
         tracer,
         domain: domain.to_owned(),
-        actions: actions.iter().map(|a| (*a).to_owned()).collect(),
+        actions: actions.iter().map(|a| Arc::from(*a)).collect(),
         window,
         queue: EventQueue::new(),
         now: SimTime::ZERO,
@@ -859,7 +860,7 @@ where
         policy,
         tracer,
         domain: domain.to_owned(),
-        actions: actions.iter().map(|a| (*a).to_owned()).collect(),
+        actions: actions.iter().map(|a| Arc::from(*a)).collect(),
         window: cfg.window,
         queue: EventQueue::new(),
         now: SimTime::ZERO,

@@ -8,6 +8,7 @@
 //! implements [`Canonical`] and streams its fields into the MAC.
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
 use btd_crypto::cert::Certificate;
 use btd_crypto::elgamal::SealedBox;
@@ -208,12 +209,14 @@ pub struct RegistrationAck {
 }
 
 /// Server → device: a content page within a session (Fig. 10, steps 3/4).
+/// The names are shared with the session that served the page, so the
+/// reply, its journal record and its cached copy reference one string.
 #[derive(Clone, PartialEq, Debug)]
 pub struct ContentPage {
     /// Session identifier.
-    pub session_id: String,
+    pub session_id: Arc<str>,
     /// Account the session belongs to.
-    pub account: String,
+    pub account: Arc<str>,
     /// Fresh nonce for the *next* request (`N_WS2`, `N_WS3`, …).
     pub nonce: Nonce,
     /// Sequence number the *next* interaction must carry.
@@ -239,20 +242,21 @@ impl Canonical for ContentPage {
 
 /// Device → server: a post-login interaction (Fig. 10, step 4: "for each
 /// subsequent user-to-Web-Server interaction, the above process is
-/// repeated").
+/// repeated"). The names are shared with the device session that signed
+/// it, so building and retransmitting a request copies no strings.
 #[derive(Clone, Debug)]
 pub struct InteractionRequest {
     /// Session identifier.
-    pub session_id: String,
+    pub session_id: Arc<str>,
     /// Account.
-    pub account: String,
+    pub account: Arc<str>,
     /// Echo of the nonce from the last content page.
     pub nonce: Nonce,
     /// Per-request sequence number (echo of the last content page's
     /// `seq`); lets the server recognise retransmits idempotently.
     pub seq: u64,
     /// The requested action (link/button identifier).
-    pub action: String,
+    pub action: Arc<str>,
     /// Hash of the frame the user was looking at when they touched.
     pub frame_hash: Digest,
     /// Continuous-auth risk state at the moment of the touch.
@@ -861,11 +865,11 @@ mod proptests {
                 mismatched: nums.4,
             };
             let request = InteractionRequest {
-                session_id: text(&ids.0),
-                account: text(&ids.1),
+                session_id: text(&ids.0).into(),
+                account: text(&ids.1).into(),
                 nonce: n1,
                 seq: nums.0,
-                action: text(&ids.2),
+                action: text(&ids.2).into(),
                 frame_hash: hash,
                 risk,
                 mac: hash,
@@ -875,8 +879,8 @@ mod proptests {
                 tests::interaction_oracle(&key, &request)
             );
             let content = ContentPage {
-                session_id: text(&ids.0),
-                account: text(&ids.1),
+                session_id: text(&ids.0).into(),
+                account: text(&ids.1).into(),
                 nonce: n2,
                 seq: nums.1,
                 page: Page::new(&text(&page.0), page.1.clone()),

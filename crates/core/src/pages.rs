@@ -8,6 +8,8 @@
 //! possible hash codes" — [`Page::all_view_hashes`] is that set, used by
 //! the offline audit.
 
+use std::sync::Arc;
+
 use btd_crypto::sha256::Digest;
 use btd_flock::framehash::{DisplayFrame, FrameHashEngine};
 
@@ -16,13 +18,14 @@ pub const ZOOM_LEVELS: [u32; 4] = [75, 100, 150, 200];
 /// The scroll stops the simulated browser supports (pixels).
 pub const SCROLL_STOPS: [u32; 5] = [0, 200, 400, 800, 1600];
 
-/// A hyper-text page served by a web server.
+/// A hyper-text page served by a web server. Both fields are shared, so
+/// serving, caching and journaling a page copies no bytes.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Page {
     /// Stable page identifier (path).
-    pub path: String,
+    pub path: Arc<str>,
     /// Page content (markup stand-in).
-    pub body: Vec<u8>,
+    pub body: Arc<[u8]>,
 }
 
 /// One concrete view (zoom + scroll) of a page.
@@ -47,8 +50,8 @@ impl Page {
     /// Creates a page.
     pub fn new(path: &str, body: impl Into<Vec<u8>>) -> Self {
         Page {
-            path: path.to_owned(),
-            body: body.into(),
+            path: Arc::from(path),
+            body: Arc::from(body.into()),
         }
     }
 

@@ -15,6 +15,8 @@
 //! not check out, counting every skip so operators can see data loss
 //! instead of silently absorbing it.
 
+use std::sync::Arc;
+
 use btd_crypto::nonce::Nonce;
 use btd_crypto::sha256::Digest;
 use btd_sim::rng::SimRng;
@@ -382,7 +384,7 @@ pub enum JournalRecord {
     /// An account was bound (Fig. 9, step 5).
     Registered {
         /// Account name.
-        account: String,
+        account: Arc<str>,
         /// The bound per-site public key (canonical bytes).
         public_key: Vec<u8>,
         /// The out-of-band fallback credential.
@@ -424,13 +426,13 @@ pub enum JournalRecord {
         /// MAC of the served request (identifies retransmits).
         request_mac: Digest,
         /// The requested action.
-        action: String,
+        action: Arc<str>,
         /// The frame hash FLock reported (audit commitment).
         frame_hash: Digest,
         /// The attached risk report.
         risk: RiskReport,
         /// The page the server believed the user was seeing.
-        expected_path: String,
+        expected_path: Arc<str>,
         /// Step-up counter after the risk decision.
         stepups: u64,
         /// The reply served (carries session id, next nonce, next seq).
@@ -448,9 +450,9 @@ pub enum JournalRecord {
     /// A session was terminated by the risk policy.
     SessionTerminated {
         /// The session that died.
-        session_id: String,
+        session_id: Arc<str>,
         /// The account that owned it (routes the record to its shard).
-        account: String,
+        account: Arc<str>,
     },
     /// A session was closed cleanly (logout / end of lifecycle). Applying
     /// this record *evicts*: the session entry, its idempotency-cache
@@ -458,19 +460,19 @@ pub enum JournalRecord {
     /// server state stays bounded across lifecycles.
     SessionClosed {
         /// The session being torn down.
-        session_id: String,
+        session_id: Arc<str>,
         /// The account that owned it (routes the record to its shard).
-        account: String,
+        account: Arc<str>,
     },
     /// An account's key binding was removed (identity reset, local form).
     IdentityReset {
         /// The account whose binding was removed.
-        account: String,
+        account: Arc<str>,
     },
     /// An account's key binding was removed via the wire reset protocol.
     ResetServed {
         /// The account whose binding was removed.
-        account: String,
+        account: Arc<str>,
         /// The consumed request nonce.
         nonce: Nonce,
         /// Digest of the request (keys the idempotency cache).
@@ -773,7 +775,7 @@ mod tests {
 
     fn sample_record(i: u8) -> JournalRecord {
         JournalRecord::Registered {
-            account: format!("user-{i}"),
+            account: format!("user-{i}").into(),
             public_key: vec![i; 8],
             reset_password: format!("pw-{i}"),
             nonce: Nonce([i; 16]),
@@ -1137,8 +1139,8 @@ mod proptests {
         }
         fn page(&mut self) -> ContentPage {
             ContentPage {
-                session_id: self.string(),
-                account: self.string(),
+                session_id: self.string().into(),
+                account: self.string().into(),
                 nonce: self.nonce(),
                 seq: self.0.next_u64(),
                 page: Page::new(&self.string(), self.bytes(48)),
@@ -1151,7 +1153,7 @@ mod proptests {
         fn record(&mut self, variant: u8) -> JournalRecord {
             match variant {
                 0 => JournalRecord::Registered {
-                    account: self.string(),
+                    account: self.string().into(),
                     public_key: self.bytes(64),
                     reset_password: self.string(),
                     nonce: self.nonce(),
@@ -1170,10 +1172,10 @@ mod proptests {
                 2 => JournalRecord::InteractionServed {
                     request_nonce: self.nonce(),
                     request_mac: self.digest(),
-                    action: self.string(),
+                    action: self.string().into(),
                     frame_hash: self.digest(),
                     risk: self.risk(),
-                    expected_path: self.string(),
+                    expected_path: self.string().into(),
                     stepups: self.0.next_u64(),
                     reply: self.page(),
                 },
@@ -1191,18 +1193,18 @@ mod proptests {
                     },
                 },
                 4 => JournalRecord::SessionTerminated {
-                    session_id: self.string(),
-                    account: self.string(),
+                    session_id: self.string().into(),
+                    account: self.string().into(),
                 },
                 5 => JournalRecord::SessionClosed {
-                    session_id: self.string(),
-                    account: self.string(),
+                    session_id: self.string().into(),
+                    account: self.string().into(),
                 },
                 6 => JournalRecord::IdentityReset {
-                    account: self.string(),
+                    account: self.string().into(),
                 },
                 _ => JournalRecord::ResetServed {
-                    account: self.string(),
+                    account: self.string().into(),
                     nonce: self.nonce(),
                     request_digest: self.digest(),
                 },

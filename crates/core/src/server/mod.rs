@@ -38,6 +38,7 @@ pub mod journal;
 pub mod storage;
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use btd_crypto::bignum::U2048;
 use btd_crypto::cert::{Certificate, Role};
@@ -144,7 +145,7 @@ durable!(CachedInteraction {
 /// entries in one pass.
 #[derive(Clone)]
 struct Session {
-    account: String,
+    account: Arc<str>,
     key: Vec<u8>,
     /// The challenge a lock-step request must echo (window 0 only).
     pending_nonce: Nonce,
@@ -152,7 +153,7 @@ struct Session {
     /// contiguously served slots on every apply. In lock-step, the
     /// sequence number the next fresh interaction must carry.
     expected_seq: u64,
-    current_path: String,
+    current_path: Arc<str>,
     stepups: u32,
     terminated: bool,
     interactions: u64,
@@ -234,17 +235,18 @@ impl std::fmt::Debug for Session {
 }
 
 /// One audit-log entry: what page the server believes the user was seeing,
-/// and the frame hash FLock reported.
+/// and the frame hash FLock reported. The names are shared with the
+/// session and the served record.
 #[derive(Clone, Debug)]
 pub struct AuditEntry {
     /// Account that acted.
-    pub account: String,
+    pub account: Arc<str>,
     /// Path of the page the server had served for this view.
-    pub expected_path: String,
+    pub expected_path: Arc<str>,
     /// The frame hash FLock attached to the request.
     pub frame_hash: Digest,
     /// The action requested.
-    pub action: String,
+    pub action: Arc<str>,
     /// The risk report attached.
     pub risk: RiskReport,
     /// How many consecutive serves (this entry included, counting
@@ -339,10 +341,10 @@ impl IssuedNonces {
 /// accounts that hash here, plus its own journal segment.
 #[derive(Debug, Default)]
 struct Shard {
-    accounts: HashMap<String, AccountRecord>,
+    accounts: HashMap<Arc<str>, AccountRecord>,
     /// Live sessions, keyed by session id (an account's sessions live in
     /// its shard).
-    sessions: HashMap<String, Session>,
+    sessions: HashMap<Arc<str>, Session>,
     /// Idempotency cache for bound registrations, keyed by submission
     /// nonce, bounded by the LRU watermark (`reg_order` is eviction
     /// order).
@@ -361,7 +363,7 @@ struct Shard {
     /// Consumed-nonce registry for this shard's accounts.
     consumed: ReplayGuard,
     /// Audit log, per account (batch audit verifies whole windows).
-    audit: HashMap<String, Vec<AuditEntry>>,
+    audit: HashMap<Arc<str>, Vec<AuditEntry>>,
     /// Sessions ever opened in this shard (drives globally unique ids).
     session_counter: u64,
     /// This shard's journal segment.
@@ -755,7 +757,7 @@ impl WebServer {
     /// The audit log, flattened across shards: accounts in sorted order,
     /// each account's entries in append order.
     pub fn audit_log(&self) -> Vec<AuditEntry> {
-        let mut per_account: Vec<(&String, &Vec<AuditEntry>)> =
+        let mut per_account: Vec<(&Arc<str>, &Vec<AuditEntry>)> =
             self.shards.iter().flat_map(|s| s.audit.iter()).collect();
         per_account.sort_by(|a, b| a.0.cmp(b.0));
         per_account
@@ -770,7 +772,7 @@ impl WebServer {
         let mut names: Vec<&str> = self
             .shards
             .iter()
-            .flat_map(|s| s.audit.keys().map(|k| k.as_str()))
+            .flat_map(|s| s.audit.keys().map(|k| &**k))
             .collect();
         names.sort_unstable();
         names
@@ -1153,7 +1155,7 @@ impl WebServer {
         {
             return Err(self.reject(Reject::BadSignature));
         }
-        if self.shards[idx].accounts.contains_key(&msg.account) {
+        if self.shards[idx].accounts.contains_key(msg.account.as_str()) {
             return Err(self.reject(Reject::AccountExists));
         }
         // Honest keys are `g^x`. A key of order 2 or 2q (`p−1`, `−g^x`)
@@ -1169,7 +1171,7 @@ impl WebServer {
         // reset experiment has a stable credential.
         let reset_password = format!("reset-{}-{}", msg.account, public_key.fingerprint());
         let record = JournalRecord::Registered {
-            account: msg.account.clone(),
+            account: Arc::from(msg.account.as_str()),
             public_key: msg.user_public.clone(),
             reset_password,
             nonce: msg.nonce,
@@ -1219,8 +1221,11 @@ impl WebServer {
             }
         }
         self.consume_nonce(idx, msg.nonce)?;
-        let account_key = match self.shards[idx].accounts.get(&msg.account) {
-            Some(record) => record.public_key.clone(),
+        let (account, account_key) = match self.shards[idx]
+            .accounts
+            .get_key_value(msg.account.as_str())
+        {
+            Some((name, record)) => (Arc::clone(name), record.public_key.clone()),
             None => return Err(self.reject(Reject::UnknownAccount)),
         };
         let bytes = LoginSubmit::signed_bytes(
@@ -1244,7 +1249,7 @@ impl WebServer {
 
         // The counters themselves only advance in apply_record, so the
         // live path and journal replay agree on the session id.
-        let session_id = format!(
+        let session_id: Arc<str> = Arc::from(format!(
             "sess-{}-{}",
             self.total_sessions() + 1,
             Nonce({
@@ -1252,12 +1257,12 @@ impl WebServer {
                 self.entropy.fill(&mut b);
                 b
             })
-        );
+        ));
         let home = self.pages.get("/home").expect("home page").clone();
         let nonce = self.fresh_nonce();
         let mut page = ContentPage {
             session_id,
-            account: msg.account.clone(),
+            account,
             nonce,
             seq: 0,
             page: home,
@@ -1407,7 +1412,7 @@ impl WebServer {
             .clone();
         let page = self
             .pages
-            .get(&msg.action)
+            .get(&*msg.action)
             .or_else(|| self.pages.get("/home"))
             .expect("home page")
             .clone();
@@ -1468,10 +1473,10 @@ impl WebServer {
             }
         }
         let (terminated, account_matches, key, expected_seq) =
-            match self.shards[idx].sessions.get(&msg.session_id) {
+            match self.shards[idx].sessions.get(msg.session_id.as_str()) {
                 Some(s) => (
                     s.terminated,
-                    s.account == msg.account,
+                    *s.account == *msg.account,
                     s.key.clone(),
                     s.expected_seq,
                 ),
@@ -1494,7 +1499,7 @@ impl WebServer {
         } else if msg.last_seq.checked_add(1) == Some(expected_seq) {
             match self.shards[idx]
                 .sessions
-                .get(&msg.session_id)
+                .get(msg.session_id.as_str())
                 .and_then(|s| s.window_reply(msg.last_seq))
             {
                 Some(cache) => Some(cache.reply.clone()),
@@ -1557,14 +1562,14 @@ impl WebServer {
         if msg.domain != self.domain {
             return Err(self.reject(Reject::BadSignature));
         }
-        let Some(record) = self.shards[idx].accounts.get(&msg.account) else {
+        let Some(record) = self.shards[idx].accounts.get(msg.account.as_str()) else {
             return Err(self.reject(Reject::UnknownAccount));
         };
         if record.reset_password != msg.password {
             return Err(self.reject(Reject::BadResetCredential));
         }
         let record = JournalRecord::ResetServed {
-            account: msg.account.clone(),
+            account: Arc::from(msg.account.as_str()),
             nonce: msg.nonce,
             request_digest: digest,
         };
@@ -1600,7 +1605,7 @@ impl WebServer {
             return Err(self.reject(Reject::BadResetCredential));
         }
         let record = JournalRecord::IdentityReset {
-            account: account.to_owned(),
+            account: Arc::from(account),
         };
         self.journal_append(idx, &record)?;
         self.apply_record(&record);
@@ -1624,17 +1629,13 @@ impl WebServer {
         let idx = self.shard_for(account);
         self.check_writable(idx)?;
         self.maybe_compact(idx);
-        let owned = self.shards[idx]
-            .sessions
-            .get(session_id)
-            .map(|s| s.account == account)
-            .unwrap_or(false);
-        if !owned {
-            return Ok(false);
-        }
-        let record = JournalRecord::SessionClosed {
-            session_id: session_id.to_owned(),
-            account: account.to_owned(),
+        // The record shares the session's own names.
+        let record = match self.shards[idx].sessions.get_key_value(session_id) {
+            Some((id, s)) if *s.account == *account => JournalRecord::SessionClosed {
+                session_id: Arc::clone(id),
+                account: Arc::clone(&s.account),
+            },
+            _ => return Ok(false),
         };
         self.journal_append(idx, &record)?;
         self.apply_record(&record);
@@ -1854,9 +1855,9 @@ impl WebServer {
                     .or_default()
                     .push(AuditEntry {
                         account: account.clone(),
-                        expected_path: "/register".to_owned(),
+                        expected_path: Arc::from("/register"),
                         frame_hash: *frame_hash,
-                        action: "register".to_owned(),
+                        action: Arc::from("register"),
                         risk: RiskReport::fresh_login(),
                         lookback: 1,
                     });
@@ -1866,7 +1867,7 @@ impl WebServer {
                         (
                             sig,
                             RegistrationAck {
-                                account: account.clone(),
+                                account: account.to_string(),
                                 nonce: *nonce,
                             },
                         ),
@@ -1918,9 +1919,9 @@ impl WebServer {
                     .or_default()
                     .push(AuditEntry {
                         account: reply.account.clone(),
-                        expected_path: "/login".to_owned(),
+                        expected_path: Arc::from("/login"),
                         frame_hash: *frame_hash,
-                        action: "login".to_owned(),
+                        action: Arc::from("login"),
                         risk: *risk,
                         lookback: 1,
                     });
@@ -1965,15 +1966,10 @@ impl WebServer {
                     .sessions
                     .get(&reply.session_id)
                     .map_or(1, |s| s.window.max(1));
-                // Served on every touch: the account key is cloned only
-                // when its audit log is first created.
-                if !shard.audit.contains_key(&reply.account) {
-                    shard.audit.insert(reply.account.clone(), Vec::new());
-                }
                 shard
                     .audit
-                    .get_mut(&reply.account)
-                    .expect("audit log created above")
+                    .entry(reply.account.clone())
+                    .or_default()
                     .push(AuditEntry {
                         account: reply.account.clone(),
                         expected_path: expected_path.clone(),
@@ -2009,7 +2005,7 @@ impl WebServer {
             } => {
                 let shard = &mut self.shards[idx];
                 shard.consumed.mark_consumed(*device_nonce);
-                if let Some(session) = shard.sessions.get_mut(&ack.session_id) {
+                if let Some(session) = shard.sessions.get_mut(ack.session_id.as_str()) {
                     session.pending_nonce = ack.nonce;
                     session.resume_nonces.push(*device_nonce);
                     session.consumed_nonces.push(*device_nonce);
@@ -2058,7 +2054,7 @@ impl WebServer {
                     (
                         *request_digest,
                         ResetAck {
-                            account: account.clone(),
+                            account: account.to_string(),
                             nonce: *nonce,
                         },
                     ),
@@ -2090,7 +2086,7 @@ impl WebServer {
         shard.accounts.remove(account);
         // Kill any live sessions for the account.
         for s in shard.sessions.values_mut() {
-            if s.account == account {
+            if *s.account == *account {
                 s.terminated = true;
             }
         }
@@ -2347,7 +2343,7 @@ mod tests {
         let idx = server.shard_for(name);
         // trust-lint: allow(journal-discipline) -- test fixture: seeds an account behind the journal's back precisely to exercise recovery from a state the journal never saw
         server.shards[idx].accounts.insert(
-            name.to_owned(),
+            name.into(),
             AccountRecord {
                 public_key: key,
                 reset_password: password.to_owned(),
@@ -2659,8 +2655,8 @@ mod tests {
         let login_nonce = Nonce([5u8; 16]);
         let key = vec![0xC4; 32];
         let reply = ContentPage {
-            session_id: "sess-1-n".to_owned(),
-            account: "alice".to_owned(),
+            session_id: "sess-1-n".into(),
+            account: "alice".into(),
             nonce: Nonce([6u8; 16]),
             seq: 0,
             page: Page::new("/home", b"welcome back".to_vec()),
@@ -2708,8 +2704,8 @@ mod tests {
             sealed_session_key: seal_session_key(&server.recovery_key, &login_nonce, &key),
             window: 0,
             reply: ContentPage {
-                session_id: "sess-1-x".to_owned(),
-                account: "alice".to_owned(),
+                session_id: "sess-1-x".into(),
+                account: "alice".into(),
                 nonce: Nonce([2u8; 16]),
                 seq: 0,
                 page: Page::new("/home", b"welcome back".to_vec()),
@@ -2745,8 +2741,8 @@ mod tests {
         let key = vec![0x5E; 32];
         let login_nonce = Nonce([1u8; 16]);
         let reply = |seq, nonce| ContentPage {
-            session_id: "sess-1-x".to_owned(),
-            account: "alice".to_owned(),
+            session_id: "sess-1-x".into(),
+            account: "alice".into(),
             nonce,
             seq,
             page: Page::new("/home", b"welcome back".to_vec()),
@@ -2764,10 +2760,10 @@ mod tests {
         server.apply_record(&JournalRecord::InteractionServed {
             request_nonce: Nonce([7u8; 16]),
             request_mac: Digest([4u8; 32]),
-            action: "/home".to_owned(),
+            action: "/home".into(),
             frame_hash: Digest([3u8; 32]),
             risk: RiskReport::fresh_login(),
-            expected_path: "/home".to_owned(),
+            expected_path: "/home".into(),
             stepups: 0,
             reply: reply(1, Nonce([8u8; 16])),
         });
@@ -2812,7 +2808,7 @@ mod tests {
     impl WebServer {
         /// Adds (or replaces) a served page.
         pub fn put_page(&mut self, page: Page) {
-            self.pages.insert(page.path.clone(), page);
+            self.pages.insert(page.path.to_string(), page);
         }
     }
 }

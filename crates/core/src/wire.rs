@@ -16,6 +16,8 @@
 //! through [`Durable`]: one impl per type writes and reads it, and the
 //! [`durable!`] macro derives both directions from one field list.
 
+use std::sync::Arc;
+
 use btd_crypto::hmac::{constant_time_eq, HmacSha256, Tag};
 use btd_crypto::nonce::Nonce;
 use btd_crypto::sha256::Digest;
@@ -273,6 +275,26 @@ impl Durable for Vec<u8> {
     }
 }
 
+/// The bytes of a `String`: sharing a name changes nothing on the wire.
+impl Durable for Arc<str> {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.str(self);
+    }
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        r.str().map(Arc::from)
+    }
+}
+
+/// The bytes of a `Vec<u8>`.
+impl Durable for Arc<[u8]> {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.bytes(self);
+    }
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        r.bytes().map(Arc::from)
+    }
+}
+
 impl Durable for Nonce {
     fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
         w.bytes(self.as_bytes());
@@ -494,6 +516,26 @@ mod tests {
         // A u32 field cannot be misread as a u64 field (length framing).
         let mut r = FieldReader::new(&bytes);
         assert_eq!(r.u64(), None);
+    }
+
+    #[test]
+    fn shared_names_encode_like_owned_ones() {
+        for name in ["", "sess-7-00ff", "pay/\u{e9}t\u{e9}"] {
+            let shared: Arc<str> = Arc::from(name);
+            assert_eq!(encode(&shared), encode(&name.to_owned()));
+            assert_eq!(decode::<Arc<str>>(&encode(&shared)), Some(shared));
+        }
+        for body in [&b""[..], b"\x00balance: $100\xff"] {
+            let shared: Arc<[u8]> = Arc::from(body);
+            assert_eq!(encode(&shared), encode(&body.to_vec()));
+            assert_eq!(decode::<Arc<[u8]>>(&encode(&shared)), Some(shared));
+        }
+        // Strictness carries over: invalid UTF-8 is no name, and trailing
+        // bytes are no value.
+        assert_eq!(decode::<Arc<str>>(&encode(&vec![0xFFu8])), None);
+        let mut extended = encode(&Arc::<[u8]>::from(&b"x"[..]));
+        extended.push(0);
+        assert_eq!(decode::<Arc<[u8]>>(&extended), None);
     }
 
     #[test]

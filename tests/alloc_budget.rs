@@ -239,10 +239,10 @@ fn honest_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 145, 58_302),
-            b(1, 114, 43_823),
-            b(16, 364, 51_856),
-            b(1, 42, 28_774),
+            b(1, 140, 58_141),
+            b(1, 97, 43_442),
+            b(16, 27, 45_342),
+            b(1, 39, 28_685),
         ],
         "honest lifecycle budget moved (register, login, interact, close): {got:?}"
     );
@@ -254,10 +254,10 @@ fn lossy_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 145, 58_302),
-            b(1, 114, 43_823),
-            b(16, 397, 52_475),
-            b(1, 42, 28_774),
+            b(1, 140, 58_141),
+            b(1, 97, 43_442),
+            b(16, 27, 45_342),
+            b(1, 39, 28_685),
         ],
         "10%-loss lifecycle budget moved (register, login, interact, close): {got:?}"
     );
@@ -320,8 +320,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 17_214,
-            bytes: 5_761_502,
+            allocs: 6_365,
+            bytes: 5_547_595,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),

@@ -269,7 +269,7 @@ fn stolen_session_cookie_is_useless_without_flock() {
     // /transfer): the MAC no longer matches the cached request, and the
     // nonce is consumed, so it is rejected outright.
     let mut rewritten = request.clone();
-    rewritten.action = "/transfer".to_owned();
+    rewritten.action = "/transfer".into();
     assert!(matches!(
         world.server_mut(0).handle_interaction(&rewritten),
         Err(Reject::BadMac) | Err(Reject::Replay) | Err(Reject::UnknownNonce)

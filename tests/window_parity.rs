@@ -112,7 +112,7 @@ impl Rig {
         self.deliver(&reply.expect("resynced"));
 
         let mut tampered = lost.clone();
-        tampered.action = "/home".to_owned();
+        tampered.action = "/home".into();
         out.push(("tampered copy of the cached slot", self.send(&tampered).0));
 
         out.push(("two behind", self.send(&first).0));
