@@ -319,7 +319,7 @@ pub fn login(
     tracer.open(
         SpanKind::SessionEstablish,
         CtxArgs {
-            account: device.account_for(server.domain()),
+            account: device.account_for(server.domain()).map(Into::into),
             ..CtxArgs::default()
         },
     );
@@ -433,8 +433,8 @@ pub fn run_session(
         tracer.open(
             SpanKind::Interact(pre_seq),
             CtxArgs {
-                account: account.as_deref(),
-                session: device.session_id(domain),
+                account: account.as_ref().map(Into::into),
+                session: device.shared_session_id(domain).map(Into::into),
                 shard: None,
                 seq: Some(pre_seq),
             },

@@ -119,8 +119,8 @@ fn resume_session(
         tracer.open(
             SpanKind::Resume,
             CtxArgs {
-                account: device.account_for(domain),
-                session: device.session_id(domain),
+                account: device.account_for(domain).map(Into::into),
+                session: device.shared_session_id(domain).map(Into::into),
                 shard: None,
                 seq: None,
             },
@@ -451,8 +451,8 @@ impl DeviceLifecycle {
         self.tracer.open(
             span,
             CtxArgs {
-                account: Some(&self.account),
-                session: device.session_id(&self.domain),
+                account: Some((&self.account).into()),
+                session: device.shared_session_id(&self.domain).map(Into::into),
                 shard: None,
                 seq: Some(pre_seq.unwrap_or(0)),
             },
@@ -558,8 +558,8 @@ impl DeviceLifecycle {
         self.tracer.open(
             SpanKind::Close,
             CtxArgs {
-                account: Some(&self.account),
-                session: Some(&session_id),
+                account: Some((&self.account).into()),
+                session: Some((&session_id).into()),
                 shard: None,
                 seq: None,
             },

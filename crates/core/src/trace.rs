@@ -70,24 +70,56 @@ pub struct TraceCtx {
 
 /// Borrowed context arguments: call sites hand these to [`Tracer::open`]
 /// / [`Tracer::record_with`] so a *disabled* tracer never allocates the
-/// owned strings.
+/// owned strings, and an enabled one shares the strings a caller already
+/// holds as `Arc<str>` instead of copying them.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CtxArgs<'a> {
     /// Account the flow serves, when known.
-    pub account: Option<&'a str>,
+    pub account: Option<CtxStr<'a>>,
     /// Live session id, when one exists.
-    pub session: Option<&'a str>,
+    pub session: Option<CtxStr<'a>>,
     /// Shard the event touched.
     pub shard: Option<usize>,
     /// Interaction sequence number.
     pub seq: Option<u64>,
 }
 
+/// A context string as the caller holds it: borrowed, which an enabled
+/// tracer copies, or already shared, which it takes another reference to.
+#[derive(Clone, Copy, Debug)]
+pub enum CtxStr<'a> {
+    /// A borrowed string.
+    Borrowed(&'a str),
+    /// A shared string.
+    Shared(&'a Arc<str>),
+}
+
+impl<'a> From<&'a str> for CtxStr<'a> {
+    fn from(s: &'a str) -> Self {
+        CtxStr::Borrowed(s)
+    }
+}
+
+impl<'a> From<&'a Arc<str>> for CtxStr<'a> {
+    fn from(s: &'a Arc<str>) -> Self {
+        CtxStr::Shared(s)
+    }
+}
+
+impl CtxStr<'_> {
+    fn to_shared(self) -> Arc<str> {
+        match self {
+            CtxStr::Borrowed(s) => Arc::from(s),
+            CtxStr::Shared(s) => Arc::clone(s),
+        }
+    }
+}
+
 impl<'a> CtxArgs<'a> {
     /// Context naming just an account.
-    pub fn account(account: &'a str) -> Self {
+    pub fn account(account: impl Into<CtxStr<'a>>) -> Self {
         CtxArgs {
-            account: Some(account),
+            account: Some(account.into()),
             ..CtxArgs::default()
         }
     }
@@ -102,8 +134,8 @@ impl<'a> CtxArgs<'a> {
 
     fn to_owned_ctx(self) -> TraceCtx {
         TraceCtx {
-            account: self.account.map(Arc::from),
-            session: self.session.map(Arc::from),
+            account: self.account.map(CtxStr::to_shared),
+            session: self.session.map(CtxStr::to_shared),
             shard: self.shard,
             seq: self.seq,
         }
@@ -1146,13 +1178,34 @@ mod tests {
     }
 
     #[test]
+    fn shared_context_strings_are_referenced_not_copied() {
+        let t = Tracer::enabled();
+        let account: Arc<str> = Arc::from("alice");
+        let session: Arc<str> = Arc::from("sess-1");
+        t.open(
+            SpanKind::Interact(0),
+            CtxArgs {
+                account: Some((&account).into()),
+                session: Some((&session).into()),
+                shard: None,
+                seq: Some(0),
+            },
+        );
+        t.close(SpanKind::Interact(0), Outcome::Success);
+        for ev in t.events() {
+            assert!(Arc::ptr_eq(ev.ctx.account.as_ref().unwrap(), &account));
+            assert!(Arc::ptr_eq(ev.ctx.session.as_ref().unwrap(), &session));
+        }
+    }
+
+    #[test]
     fn events_inherit_span_context() {
         let t = Tracer::enabled();
         t.open(
             SpanKind::Interact(3),
             CtxArgs {
-                account: Some("alice"),
-                session: Some("sess-1"),
+                account: Some("alice".into()),
+                session: Some("sess-1".into()),
                 shard: None,
                 seq: Some(3),
             },
@@ -1269,8 +1322,8 @@ mod tests {
         t.open(
             SpanKind::Interact(0),
             CtxArgs {
-                account: Some("alice"),
-                session: Some("s1"),
+                account: Some("alice".into()),
+                session: Some("s1".into()),
                 shard: None,
                 seq: Some(0),
             },
@@ -1280,8 +1333,8 @@ mod tests {
         t.open(
             SpanKind::Interact(0),
             CtxArgs {
-                account: Some("bob"),
-                session: Some("s2"),
+                account: Some("bob".into()),
+                session: Some("s2".into()),
                 shard: None,
                 seq: Some(0),
             },

@@ -320,8 +320,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 6_365,
-            bytes: 5_547_595,
+            allocs: 5_325,
+            bytes: 5_501_931,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
