@@ -2208,19 +2208,37 @@ impl WebServer {
         sha256(&self.snapshot_bytes())
     }
 
+    /// Restores shard `idx`'s durable state from `bytes`; false when the
+    /// snapshot does not decode, which leaves the shard as it was.
     fn restore_shard_snapshot(&mut self, idx: usize, bytes: &[u8]) -> bool {
-        self.try_restore_shard_snapshot(idx, bytes).is_some()
+        match self.decode_shard_snapshot(bytes) {
+            Some(mut restored) => {
+                // The journal segment and its quarantine verdict are not
+                // snapshot state; they stay with the live shard.
+                let live = &mut self.shards[idx];
+                std::mem::swap(&mut restored.journal, &mut live.journal);
+                std::mem::swap(&mut restored.corrupt, &mut live.corrupt);
+                restored.quarantined = live.quarantined;
+                *live = restored;
+                true
+            }
+            None => false,
+        }
     }
 
-    fn try_restore_shard_snapshot(&mut self, idx: usize, bytes: &[u8]) -> Option<()> {
+    /// Decodes a whole shard snapshot, trailing-byte check included, into
+    /// a fresh shard, so a snapshot rejected part way installs nothing.
+    fn decode_shard_snapshot(&self, bytes: &[u8]) -> Option<Shard> {
         let mut r = FieldReader::new(bytes);
         if r.str()? != "trust-shard-snapshot-v3" {
             return None;
         }
         let group = self.keys.public_key().group();
         let recovery_key = self.recovery_key;
-        let shard = &mut self.shards[idx];
-        shard.session_counter = r.get()?;
+        let mut shard = Shard {
+            session_counter: r.get()?,
+            ..Shard::default()
+        };
 
         for _ in 0..r.u64()? {
             let name = r.get()?;
@@ -2323,7 +2341,7 @@ impl WebServer {
             let entries = r.get()?;
             shard.audit.insert(account, entries);
         }
-        r.is_empty().then_some(())
+        r.is_empty().then_some(shard)
     }
 }
 
@@ -2803,6 +2821,51 @@ mod tests {
                 "window {window} relabelled {relabelled} must be malformed"
             );
         }
+    }
+
+    #[test]
+    fn rejected_snapshot_installs_nothing() {
+        let (mut server, _, _) = setup();
+        insert_account(&mut server, "alice", "pw");
+        let key = vec![0x5E; 32];
+        let login_nonce = Nonce([1u8; 16]);
+        server.apply_record(&JournalRecord::LoginServed {
+            nonce: login_nonce,
+            signature: vec![1],
+            sealed_session_key: seal_session_key(&server.recovery_key, &login_nonce, &key),
+            window: 0,
+            reply: ContentPage {
+                session_id: "sess-1-x".into(),
+                account: "alice".into(),
+                nonce: Nonce([2u8; 16]),
+                seq: 0,
+                page: Page::new("/home", b"welcome back".to_vec()),
+                mac: Digest([0u8; 32]),
+            },
+            frame_hash: Digest([3u8; 32]),
+            risk: RiskReport::fresh_login(),
+        });
+        let idx = server.shard_for("alice");
+        let mut longer = server.shard_snapshot_bytes(idx);
+        longer.push(0);
+
+        let mut journals: Vec<Journal> = (0..server.shard_count())
+            .map(|_| Journal::in_memory())
+            .collect();
+        journals[idx]
+            .install_snapshot(&longer)
+            .expect("in-memory install");
+        let mut rng = SimRng::seed_from(5);
+        let (recovered, report) = WebServer::recover(server.identity(), journals, &mut rng);
+        assert!(!report.shards[idx].snapshot_restored);
+        assert!(!recovered.has_account("alice"));
+        assert!(recovered.shards[idx].sessions.is_empty());
+        assert!(recovered.audit_log_for("alice").is_empty());
+        let (empty, _, _) = setup();
+        assert_eq!(
+            recovered.shard_snapshot_bytes(idx),
+            empty.shard_snapshot_bytes(idx)
+        );
     }
 
     impl WebServer {

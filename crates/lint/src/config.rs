@@ -184,7 +184,7 @@ impl Default for Config {
                 // during recovery is the other legitimate writer).
                 "apply_record",
                 "remove_binding",
-                "try_restore_shard_snapshot",
+                "decode_shard_snapshot",
             ],
             reply_markers: vec!["pre_reply_crash"],
             sync_markers: vec![
