@@ -713,7 +713,8 @@ impl Storage for SegmentedStorage {
         self.disk.pressure()
     }
 
-    fn crash(&mut self) {
+    fn crash(&mut self) -> bool {
+        let before = self.log_len();
         let torn = self.disk.crash();
         self.active_len = self.disk.file_len(self.active);
         // A torn crash leaves a partial frame at the end of the active
@@ -727,16 +728,20 @@ impl Storage for SegmentedStorage {
             self.active = self.alloc_file();
             self.active_len = 0;
         }
+        self.log_len() < before
     }
 
-    fn discard_unsynced(&mut self) {
+    fn discard_unsynced(&mut self) -> bool {
+        let before = self.log_len();
         for f in self.log_files() {
             self.disk.take_unsynced(f);
         }
         self.active_len = self.disk.file_len(self.active);
+        self.log_len() < before
     }
 
-    fn tear_tail(&mut self, n: usize) {
+    fn tear_tail(&mut self, n: usize) -> bool {
+        let before = self.log_len();
         let mut left = n;
         for f in self.log_files().into_iter().rev() {
             if left == 0 {
@@ -747,6 +752,7 @@ impl Storage for SegmentedStorage {
             left -= cut;
         }
         self.active_len = self.disk.file_len(self.active);
+        self.log_len() < before
     }
 
     fn corrupt_at(&mut self, offset: usize, bit: u8) {

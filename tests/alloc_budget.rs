@@ -23,12 +23,14 @@ use std::backtrace::Backtrace;
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
 
+use btd_crypto::nonce::Nonce;
+use btd_crypto::sha256::Digest;
 use btd_sim::rng::SimRng;
 use trust_core::channel::{Adversary, Channel};
 use trust_core::chaos::{ChaosReport, DeviceLifecycle};
 use trust_core::parallel::{run_shard, ParallelConfig};
 use trust_core::scenario::{World, DEFAULT_ACTIONS};
-use trust_core::server::journal::CrashProfile;
+use trust_core::server::journal::{CrashProfile, Journal, JournalRecord};
 
 /// Forwards to the system allocator and counts every request on the
 /// requesting thread. A `realloc` counts as one allocation of its new size.
@@ -351,6 +353,29 @@ fn channel_transmit_without_duplicates_allocates_nothing() {
         assert!(delivered > 0, "{adversary:?} delivered nothing");
         assert_eq!(after.0 - before.0, 0, "{adversary:?}: transmit allocated");
     }
+}
+
+/// A crash or a discard that drops no log bytes, which in memory is
+/// every one, keeps the pending count without decoding the log.
+#[test]
+fn in_memory_journal_crash_allocates_nothing() {
+    let mut journal = Journal::in_memory();
+    for i in 0..100u8 {
+        journal.append(&JournalRecord::Registered {
+            account: format!("user-{i}").into(),
+            public_key: vec![i; 256],
+            reset_password: format!("reset-{i}"),
+            nonce: Nonce([i; 16]),
+            signature: vec![i; 64],
+            frame_hash: Digest([i; 32]),
+        });
+    }
+    let before = COUNTS.with(Cell::get);
+    journal.crash();
+    journal.discard_unsynced();
+    let after = COUNTS.with(Cell::get);
+    assert_eq!(after.0 - before.0, 0, "crash or discard allocated");
+    assert_eq!(journal.pending_records(), 100);
 }
 
 /// The first frame of `trace` outside the allocator, the standard
