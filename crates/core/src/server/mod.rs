@@ -2868,6 +2868,227 @@ mod tests {
         );
     }
 
+    /// The entry points of the crash-point table.
+    #[derive(Clone, Copy, Debug)]
+    enum Entry {
+        Registration,
+        Login,
+        LockStep,
+        Windowed,
+        RiskTermination,
+        Resume,
+        WireReset,
+        ResetIdentity,
+        CloseSession,
+    }
+
+    /// What one call did: its result, the crash events it traced, the
+    /// visits per crash point, and the state digests before the call,
+    /// after it, and after an in-place recovery.
+    struct Run {
+        returned: String,
+        crashes: Vec<CrashPoint>,
+        seen: [u64; 3],
+        before: Digest,
+        after: Digest,
+        recovered: Digest,
+    }
+
+    /// Primes a world right up to `entry`'s call, arms
+    /// `once_at(point, 0)` (or nothing), makes the call, then recovers in
+    /// place.
+    fn run_armed(entry: Entry, point: Option<CrashPoint>) -> Run {
+        const DOMAIN: &str = "www.xyz.com";
+        let mut rng = SimRng::seed_from(31);
+        let mut world = crate::scenario::World::new(&mut rng);
+        let sidx = world.add_server(DOMAIN, &mut rng);
+        let dev = world.add_device("phone", 42, &mut rng);
+        if !matches!(entry, Entry::Registration) {
+            world
+                .register(dev, DOMAIN, "alice", &mut rng)
+                .expect("register");
+        }
+        match entry {
+            Entry::Windowed => {
+                world
+                    .login_windowed(dev, DOMAIN, 2, &mut rng)
+                    .expect("login");
+            }
+            Entry::LockStep | Entry::RiskTermination | Entry::Resume | Entry::CloseSession => {
+                world.login(dev, DOMAIN, &mut rng).expect("login");
+            }
+            _ => {}
+        }
+        if matches!(entry, Entry::RiskTermination) {
+            world.server_mut(sidx).set_risk_policy(ServerRiskPolicy {
+                max_mismatches: 0,
+                ..ServerRiskPolicy::default()
+            });
+        }
+        let password = world
+            .server(sidx)
+            .reset_password_for("alice")
+            .map(str::to_owned);
+        let session_id = world.device(dev).session_id(DOMAIN).map(str::to_owned);
+        let hello_path = match entry {
+            Entry::Registration => "/register",
+            Entry::Login => "/login",
+            _ => "/reset",
+        };
+        let hello = world.server_mut(sidx).hello(hello_path);
+        let device = world.device_mut(dev);
+        let call: Box<dyn FnOnce(&mut WebServer) -> String> = match entry {
+            Entry::Registration => {
+                let msg = device
+                    .begin_registration(&hello, "alice", 42, &mut rng)
+                    .expect("submit");
+                Box::new(move |s| format!("{:?}", s.handle_registration(&msg).map(|r| r.1)))
+            }
+            Entry::Login => {
+                let msg = device.begin_login(&hello, 42, &mut rng).expect("submit");
+                Box::new(move |s| format!("{:?}", s.handle_login(&msg).map(|r| r.1)))
+            }
+            Entry::LockStep | Entry::RiskTermination => {
+                let msg = device.build_interaction(DOMAIN, "/inbox").expect("request");
+                Box::new(move |s| format!("{:?}", s.handle_interaction(&msg).map(|r| r.1)))
+            }
+            Entry::Windowed => {
+                let msg = device
+                    .windowed_request(DOMAIN, "/inbox", 0)
+                    .expect("request");
+                Box::new(move |s| format!("{:?}", s.handle_interaction(&msg).map(|r| r.1)))
+            }
+            Entry::Resume => {
+                let msg = device.begin_resume(DOMAIN).expect("request");
+                Box::new(move |s| format!("{:?}", s.handle_resume(&msg).map(|r| r.1)))
+            }
+            Entry::WireReset => {
+                let msg = ResetRequest {
+                    domain: DOMAIN.to_owned(),
+                    account: "alice".to_owned(),
+                    password: password.expect("bound"),
+                    nonce: hello.nonce,
+                };
+                Box::new(move |s| format!("{:?}", s.handle_reset(&msg).map(|r| r.1)))
+            }
+            Entry::ResetIdentity => {
+                let password = password.expect("bound");
+                Box::new(move |s| format!("{:?}", s.reset_identity("alice", &password)))
+            }
+            Entry::CloseSession => {
+                let sid = session_id.expect("session");
+                Box::new(move |s| format!("{:?}", s.close_session("alice", &sid)))
+            }
+        };
+
+        let server = world.server_mut(sidx);
+        let tracer = Tracer::enabled();
+        server.set_tracer(tracer.clone());
+        if let Some(point) = point {
+            server.arm_crash_schedule(CrashSchedule::once_at(point, 0));
+        }
+        let before = server.state_digest();
+        let returned = call(server);
+        let after = server.state_digest();
+        let crashes = tracer
+            .events()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                EventKind::CrashInjected { point } => Some(point),
+                _ => None,
+            })
+            .collect();
+        let seen = match server.crash {
+            CrashSchedule::OnceAt { seen, .. } => seen,
+            _ => [0; 3],
+        };
+        server.recover_in_place(&mut rng);
+        Run {
+            returned,
+            crashes,
+            seen,
+            before,
+            after,
+            recovered: server.state_digest(),
+        }
+    }
+
+    #[test]
+    fn crash_point_table_covers_every_entry_point() {
+        use CrashPoint::{AfterAppend as AA, BeforeAppend as BA, BeforeReply as BR};
+        type Row = (
+            &'static str,
+            Vec<CrashPoint>,
+            [u64; 3],
+            &'static str,
+            &'static str,
+        );
+        const CRASHED: &str = "Err(ServerCrashed)";
+        // Columns: what the call returns, the crash events it traces, its
+        // visits per point, and whether the state after the call and after
+        // recovery is the state before it or the one an uncrashed call
+        // commits. An in-memory journal loses nothing in a crash, so a
+        // record appended before the crash is replayed.
+        let fresh = || -> [Row; 3] {
+            [
+                (CRASHED, vec![BA], [1, 0, 0], "before", "before"),
+                (CRASHED, vec![AA], [1, 1, 0], "before", "committed"),
+                (CRASHED, vec![BR], [1, 1, 1], "committed", "committed"),
+            ]
+        };
+        let table: [(Entry, [Row; 3]); 9] = [
+            (Entry::Registration, fresh()),
+            (Entry::Login, fresh()),
+            (Entry::LockStep, fresh()),
+            (Entry::Windowed, fresh()),
+            (
+                Entry::RiskTermination,
+                [
+                    (CRASHED, vec![BA], [1, 0, 0], "before", "before"),
+                    (CRASHED, vec![AA], [1, 1, 0], "before", "committed"),
+                    // A refusal trips no reply gate.
+                    (
+                        "Err(RiskTerminated)",
+                        vec![],
+                        [1, 1, 0],
+                        "committed",
+                        "committed",
+                    ),
+                ],
+            ),
+            (Entry::Resume, fresh()),
+            (Entry::WireReset, fresh()),
+            (
+                Entry::ResetIdentity,
+                [
+                    (CRASHED, vec![BA], [1, 0, 0], "before", "before"),
+                    (CRASHED, vec![AA], [1, 1, 0], "before", "committed"),
+                    ("Ok(())", vec![], [1, 1, 0], "committed", "committed"),
+                ],
+            ),
+            (Entry::CloseSession, fresh()),
+        ];
+        for (entry, rows) in table {
+            let committed = run_armed(entry, None).after;
+            for (point, want) in [BA, AA, BR].into_iter().zip(rows) {
+                let run = run_armed(entry, Some(point));
+                let state = |d: Digest| match d {
+                    d if d == run.before => "before",
+                    d if d == committed => "committed",
+                    _ => "other",
+                };
+                let got = (
+                    run.returned.as_str(),
+                    run.crashes,
+                    run.seen,
+                    state(run.after),
+                    state(run.recovered),
+                );
+                assert_eq!(got, want, "{entry:?} armed at {point:?}");
+            }
+        }
+    }
+
     impl WebServer {
         /// Adds (or replaces) a served page.
         pub fn put_page(&mut self, page: Page) {
