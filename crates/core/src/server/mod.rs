@@ -14,6 +14,15 @@
 //! acknowledged state — including the nonce and sequence caches that keep
 //! `replays_accepted == 0` across restarts.
 //!
+//! # Decide, then commit
+//!
+//! Every entry point runs one frame (DESIGN §22). After admission, a
+//! `decide_*` function validates the message over the [`ServerIdentity`]
+//! and a read-only shard, changing only never-journaled draws (entropy,
+//! challenges, the risk histogram), and returns a `Decision`. One `commit`
+//! then journals, syncs and applies its record, trips the before-reply
+//! crash point on the way to an `Ok` answer, and counts every refusal.
+//!
 //! # Sharding
 //!
 //! Durable state is partitioned by account into [`WebServer::shard_count`]
@@ -31,8 +40,9 @@
 //! application evicts the session entry, its login/resume idempotency
 //! cache entries, and every nonce the session consumed; the
 //! registration/reset caches are bounded by a journal-deterministic LRU
-//! watermark ([`WebServer::set_cache_watermark`]); and the set of issued
-//! but unconsumed challenge nonces is capped at [`ISSUED_NONCE_CAP`].
+//! watermark ([`DEFAULT_CACHE_WATERMARK`] entries per shard); and the set
+//! of issued but unconsumed challenge nonces is capped at
+//! [`ISSUED_NONCE_CAP`].
 
 pub mod journal;
 pub mod storage;
@@ -61,7 +71,6 @@ use crate::telemetry::RISK_BUCKET_PCT;
 use crate::trace::{CacheKind, CtxArgs, EventKind, Outcome, SpanKind, Tracer};
 use crate::wire::{self, durable, signing_bytes, FieldReader};
 
-use crate::metrics::RetryPolicy;
 use journal::{CorruptSegment, CrashPoint, CrashSchedule, Journal, JournalRecord, StorageError};
 use storage::{DiskFaultProfile, SegmentedStorage};
 
@@ -78,11 +87,15 @@ pub const DEGRADE_EXIT_PRESSURE: f64 = 0.5;
 /// them into a new snapshot.
 pub const DEFAULT_COMPACTION_THRESHOLD: usize = 256;
 
+/// Attempts a journal sync gets against transient storage failures;
+/// exhausting them is a fail-stop crash.
+const SYNC_ATTEMPTS: u64 = 4;
+
 /// Default number of account shards.
 pub const DEFAULT_SHARDS: usize = 4;
 
-/// Default LRU watermark for the registration/reset idempotency caches
-/// (entries per shard). Eviction happens inside `apply_record`, so replay
+/// LRU watermark for the registration/reset idempotency caches (entries
+/// per shard). Eviction happens inside `apply_record`, so replay
 /// reproduces it deterministically without explicit eviction records.
 pub const DEFAULT_CACHE_WATERMARK: usize = 64;
 
@@ -301,27 +314,17 @@ impl IssuedNonces {
         // deque entry (if any) becomes a tombstone.
         self.live.insert(n, gen);
         self.order.push_back((n, gen));
-        // The order deque keeps tombstones until they reach the front;
-        // bound it so it cannot outgrow the cap either. Popping a
-        // still-live front entry here is the same oldest-first eviction
-        // as below, just triggered by tombstone pressure.
-        while self.order.len() > 2 * ISSUED_NONCE_CAP {
-            if let Some((old, g)) = self.order.pop_front() {
-                if self.live.get(&old) == Some(&g) {
-                    self.live.remove(&old);
-                }
-            }
-        }
-        while self.live.len() > ISSUED_NONCE_CAP {
-            match self.order.pop_front() {
-                Some((old, g)) => {
-                    // Only the entry carrying a nonce's latest generation
-                    // may evict it; stale entries are skipped tombstones.
-                    if self.live.get(&old) == Some(&g) {
-                        self.live.remove(&old);
-                    }
-                }
-                None => break,
+        // Evict oldest-first past the cap. The order deque keeps
+        // tombstones until they reach the front, so it is bounded too:
+        // tombstone pressure pops the same front entries.
+        while self.live.len() > ISSUED_NONCE_CAP || self.order.len() > 2 * ISSUED_NONCE_CAP {
+            let Some((old, g)) = self.order.pop_front() else {
+                break;
+            };
+            // Only the entry carrying a nonce's latest generation may
+            // evict it; stale entries are skipped tombstones.
+            if self.live.get(&old) == Some(&g) {
+                self.live.remove(&old);
             }
         }
     }
@@ -445,7 +448,8 @@ fn open_session_key(
 /// The durable, non-journaled part of a server: keys, certificate, page
 /// set, policy, and shard layout. In a real deployment this is the
 /// config + key file that survives a crash alongside the journal
-/// segments; [`WebServer::recover`] combines the two.
+/// segments; [`WebServer::recover`] combines the two. Every decision
+/// reads it; none changes it.
 #[derive(Clone, Debug)]
 pub struct ServerIdentity {
     domain: String,
@@ -455,12 +459,12 @@ pub struct ServerIdentity {
     pages: HashMap<String, Page>,
     policy: ServerRiskPolicy,
     shard_count: usize,
-    cache_watermark: usize,
     /// Symmetric key sealing session keys into journal records and
     /// snapshots. Part of the durable identity: recovery must open what
     /// the dead process sealed.
     recovery_key: [u8; 32],
-    /// Interaction window advertised to sessions opened after recovery.
+    /// Interaction window advertised at login: 0 keeps the lock-step
+    /// stop-and-wait flow; `w >= 1` enables the pipelined windowed flow.
     interaction_window: u64,
 }
 
@@ -473,6 +477,66 @@ impl ServerIdentity {
     /// How many shards the journal segments are laid out over.
     pub fn shard_count(&self) -> usize {
         self.shard_count
+    }
+}
+
+/// The state a decision may change: process-local draws that are never
+/// journaled. A restarted process starts them over from fresh entropy,
+/// except the risk histogram, which `recover_in_place` carries across.
+#[derive(Debug)]
+struct Ephemeral {
+    entropy: ChaChaEntropy,
+    nonces: NonceGenerator<ChaChaEntropy>,
+    /// Issued, unconsumed challenge nonces (server-wide).
+    issued: IssuedNonces,
+    /// Cumulative `risk_verified_pct` histogram over [`RISK_BUCKET_PCT`]
+    /// (plus overflow). Observability state with the tracer's lifecycle:
+    /// never in snapshot bytes or digests.
+    risk_verified: [u64; RISK_BUCKET_PCT.len() + 1],
+}
+
+impl Ephemeral {
+    /// Draws over `entropy`; the nonce generator forks from it first.
+    fn new(mut entropy: ChaChaEntropy) -> Ephemeral {
+        let nonces = NonceGenerator::new(entropy.fork(b"nonces"));
+        Ephemeral {
+            entropy,
+            nonces,
+            issued: IssuedNonces::default(),
+            risk_verified: [0; RISK_BUCKET_PCT.len() + 1],
+        }
+    }
+
+    fn fresh_nonce(&mut self) -> Nonce {
+        let n = self.nonces.next_nonce();
+        self.issued.issue(n);
+        n
+    }
+
+    /// Samples one risk report into the `risk_verified_pct` histogram:
+    /// the percent of the rolling window's touches that verified, on
+    /// every fresh policy evaluation (duplicates answered from cache do
+    /// not re-sample).
+    fn observe_risk(&mut self, risk: &RiskReport) {
+        let pct = u64::from(risk.verified) * 100 / u64::from(risk.window.max(1));
+        let bucket = RISK_BUCKET_PCT
+            .iter()
+            .position(|bound| pct <= *bound)
+            .unwrap_or(RISK_BUCKET_PCT.len());
+        self.risk_verified[bucket] += 1;
+    }
+
+    /// Consumes `nonce` against `shard`: replayed, never issued, or taken
+    /// out of the issued set for good, even if the decision later refuses.
+    /// The durable consumed-marking happens in `apply_record`.
+    fn consume_nonce(&mut self, shard: &Shard, nonce: Nonce) -> Result<(), Reject> {
+        if shard.consumed.is_consumed(nonce) {
+            Err(Reject::Replay)
+        } else if self.issued.remove(nonce) {
+            Ok(())
+        } else {
+            Err(Reject::UnknownNonce)
+        }
     }
 }
 
@@ -557,28 +621,15 @@ pub struct ResidentStats {
 /// The TRUST web server.
 #[derive(Debug)]
 pub struct WebServer {
-    domain: String,
-    keys: KeyPair,
-    cert: Certificate,
-    ca_key: PublicKey,
-    entropy: ChaChaEntropy,
-    nonces: NonceGenerator<ChaChaEntropy>,
-    /// Issued, unconsumed challenge nonces (server-wide, ephemeral).
-    issued: IssuedNonces,
+    identity: ServerIdentity,
+    ephemeral: Ephemeral,
     /// The account shards (durable state + journal segment each).
     shards: Vec<Shard>,
-    pages: HashMap<String, Page>,
-    policy: ServerRiskPolicy,
     reject_counts: HashMap<Reject, u64>,
     /// Structured protocol tracer (disabled unless installed); survives
     /// in-place recovery but, like all observability state, is not
     /// durable — a server recovered from journals alone starts disabled.
     tracer: Tracer,
-    /// Cumulative `risk_verified_pct` histogram over [`RISK_BUCKET_PCT`]
-    /// (plus overflow). Observability state with the tracer's lifecycle:
-    /// carried across in-place recovery, never in snapshot bytes or
-    /// digests.
-    risk_verified: [u64; RISK_BUCKET_PCT.len() + 1],
     /// The active crash-injection schedule.
     crash: CrashSchedule,
     /// Set once a crash point fires: the process is "dead" until recovery.
@@ -589,17 +640,6 @@ pub struct WebServer {
     /// once a successful sync observes the pressure back below
     /// [`DEGRADE_EXIT_PRESSURE`].
     degraded: bool,
-    /// Retry budget for transient journal sync failures; exhausting it is
-    /// a fail-stop crash.
-    sync_policy: RetryPolicy,
-    compaction_threshold: usize,
-    cache_watermark: usize,
-    /// Symmetric key under which session keys are sealed before they
-    /// enter durable state (journal records, shard snapshots).
-    recovery_key: [u8; 32],
-    /// Interaction window advertised at login: 0 keeps the lock-step
-    /// stop-and-wait flow; `w >= 1` enables the pipelined windowed flow.
-    interaction_window: u64,
 }
 
 impl WebServer {
@@ -628,9 +668,12 @@ impl WebServer {
         let mut entropy = ChaChaEntropy::from_seed(seed);
         let keys = KeyPair::generate(group, &mut entropy);
         let cert = ca.issue_server_cert(domain, keys.public_key());
-        let nonce_entropy = entropy.fork(b"nonces");
+        let mut ephemeral = Ephemeral::new(entropy);
         let mut recovery_key = [0u8; 32];
-        entropy.fork(b"recovery-seal").fill(&mut recovery_key);
+        ephemeral
+            .entropy
+            .fork(b"recovery-seal")
+            .fill(&mut recovery_key);
 
         let mut pages = HashMap::new();
         for (path, body) in [
@@ -645,28 +688,33 @@ impl WebServer {
             pages.insert(path.to_owned(), Page::new(path, body.to_vec()));
         }
 
-        WebServer {
+        let identity = ServerIdentity {
             domain: domain.to_owned(),
             keys,
             cert,
             ca_key: ca.public_key().clone(),
-            entropy,
-            nonces: NonceGenerator::new(nonce_entropy),
-            issued: IssuedNonces::default(),
-            shards: (0..shard_count.max(1)).map(|_| Shard::default()).collect(),
             pages,
             policy: ServerRiskPolicy::default(),
+            shard_count: shard_count.max(1),
+            recovery_key,
+            interaction_window: 0,
+        };
+        let shards = (0..identity.shard_count).map(|_| Shard::default());
+        WebServer::assemble(identity, ephemeral, shards.collect())
+    }
+
+    /// A live process over `identity` and `shards`: nothing counted,
+    /// traced, armed, crashed or degraded yet.
+    fn assemble(identity: ServerIdentity, ephemeral: Ephemeral, shards: Vec<Shard>) -> Self {
+        WebServer {
+            identity,
+            ephemeral,
+            shards,
             reject_counts: HashMap::new(),
             tracer: Tracer::disabled(),
-            risk_verified: [0; RISK_BUCKET_PCT.len() + 1],
             crash: CrashSchedule::Never,
             crashed: false,
             degraded: false,
-            sync_policy: RetryPolicy::default(),
-            compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
-            cache_watermark: DEFAULT_CACHE_WATERMARK,
-            recovery_key,
-            interaction_window: 0,
         }
     }
 
@@ -709,27 +757,27 @@ impl WebServer {
     /// flight per session. Existing sessions keep the window they were
     /// opened with — it is recorded in their `LoginServed` journal record.
     pub fn set_interaction_window(&mut self, window: u64) {
-        self.interaction_window = window;
+        self.identity.interaction_window = window;
     }
 
     /// The serving domain.
     pub fn domain(&self) -> &str {
-        &self.domain
+        &self.identity.domain
     }
 
     /// The server's public key.
     pub fn public_key(&self) -> &PublicKey {
-        self.keys.public_key()
+        self.identity.keys.public_key()
     }
 
     /// Overrides the risk policy (for the policy-sweep experiments).
     pub fn set_risk_policy(&mut self, policy: ServerRiskPolicy) {
-        self.policy = policy;
+        self.identity.policy = policy;
     }
 
     /// The page at `path`, if served here.
     pub fn page(&self, path: &str) -> Option<&Page> {
-        self.pages.get(path)
+        self.identity.pages.get(path)
     }
 
     /// Number of account shards.
@@ -791,7 +839,7 @@ impl WebServer {
     /// Resident (evictable) state counts, for boundedness assertions.
     pub fn resident_stats(&self) -> ResidentStats {
         let mut st = ResidentStats {
-            issued_nonces: self.issued.len(),
+            issued_nonces: self.ephemeral.issued.len(),
             ..ResidentStats::default()
         };
         for sh in &self.shards {
@@ -833,41 +881,7 @@ impl WebServer {
     /// [`RISK_BUCKET_PCT`] bucket (plus overflow), how many fresh risk
     /// evaluations saw that percent of the rolling window verify.
     pub(crate) fn risk_verified_counts(&self) -> &[u64; RISK_BUCKET_PCT.len() + 1] {
-        &self.risk_verified
-    }
-
-    /// Samples one risk report into the `risk_verified_pct` histogram:
-    /// the percent of the rolling window's touches that verified, on
-    /// every fresh policy evaluation (duplicates answered from cache do
-    /// not re-sample).
-    fn observe_risk(&mut self, risk: &RiskReport) {
-        let pct = u64::from(risk.verified) * 100 / u64::from(risk.window.max(1));
-        let bucket = RISK_BUCKET_PCT
-            .iter()
-            .position(|bound| pct <= *bound)
-            .unwrap_or(RISK_BUCKET_PCT.len());
-        self.risk_verified[bucket] += 1;
-    }
-
-    fn fresh_nonce(&mut self) -> Nonce {
-        let n = self.nonces.next_nonce();
-        self.issued.issue(n);
-        n
-    }
-
-    /// Consumes `nonce` against shard `idx`: rejects a nonce the shard
-    /// already consumed as a replay, and one this server never issued as
-    /// unknown. The durable consumed-marking happens in `apply_record`,
-    /// so live state and journal replay agree exactly.
-    fn consume_nonce(&mut self, idx: usize, nonce: Nonce) -> Result<(), Reject> {
-        if self.shards[idx].consumed.is_consumed(nonce) {
-            return Err(self.reject(Reject::Replay));
-        }
-        if self.issued.remove(nonce) {
-            Ok(())
-        } else {
-            Err(self.reject(Reject::UnknownNonce))
-        }
+        &self.ephemeral.risk_verified
     }
 
     // --- Crash injection and journaling ----------------------------------
@@ -910,16 +924,6 @@ impl WebServer {
             .sum()
     }
 
-    fn check_up(&self) -> Result<(), Reject> {
-        if self.crashed {
-            // A dead process counts nothing and logs nothing: the reject
-            // counters deliberately stay untouched.
-            Err(Reject::ServerCrashed)
-        } else {
-            Ok(())
-        }
-    }
-
     /// Kills the process at `point`: the storage layer loses (or tears)
     /// whatever was never synced, exactly as a power cut would.
     fn crash_now(&mut self, point: CrashPoint) -> Reject {
@@ -952,8 +956,8 @@ impl WebServer {
     }
 
     /// Drives shard `idx`'s journal through its durability barrier:
-    /// transient failures retry under the sync policy (fail-stop once the
-    /// budget is exhausted), a full disk forces emergency compaction and
+    /// transient failures retry up to [`SYNC_ATTEMPTS`] times (fail-stop
+    /// once they are spent), a full disk forces emergency compaction and
     /// one more attempt, and a disk that stays full sheds the record and
     /// degrades. Success traces freshly sealed segments and maintains the
     /// degraded-mode pressure hysteresis.
@@ -978,7 +982,7 @@ impl WebServer {
                         shard: idx,
                         attempt,
                     });
-                    if attempt >= u64::from(self.sync_policy.max_attempts) {
+                    if attempt >= SYNC_ATTEMPTS {
                         // Retries exhausted: fail-stop. A crashed server is
                         // a state the recovery machinery already handles
                         // exactly-once; limping on with an unsynced reply
@@ -1045,21 +1049,58 @@ impl WebServer {
         Ok(())
     }
 
-    /// Rejects mutating traffic routed to a quarantined shard.
-    fn check_writable(&mut self, idx: usize) -> Result<(), Reject> {
-        if self.shards[idx].quarantined {
-            Err(self.reject(Reject::ShardQuarantined))
-        } else {
-            Ok(())
+    /// The frame every entry point runs. Admission: a dead process
+    /// answers nothing and counts nothing, a quarantined shard takes no
+    /// mutating traffic, a request that `sheds` (a registration) is
+    /// refused under storage pressure before anything compacts, and a long
+    /// log folds into a snapshot. Then `decide` over the account's shard,
+    /// read-only, and [`WebServer::commit`].
+    fn serve<R: Reply>(
+        &mut self,
+        account: &str,
+        sheds: bool,
+        decide: impl FnOnce(&ServerIdentity, &Shard, &mut Ephemeral) -> Result<Decision<R>, Reject>,
+    ) -> Result<R, Reject> {
+        if self.crashed {
+            return Err(Reject::ServerCrashed);
         }
+        let idx = self.shard_for(account);
+        let decision = if self.shards[idx].quarantined {
+            Err(Reject::ShardQuarantined)
+        } else if sheds && self.degraded {
+            Err(Reject::StorageDegraded)
+        } else {
+            if self.shards[idx].journal.pending_records() >= DEFAULT_COMPACTION_THRESHOLD {
+                self.compact_shard(idx);
+            }
+            decide(&self.identity, &self.shards[idx], &mut self.ephemeral)
+        };
+        self.commit(idx, decision)
     }
 
-    /// Folds shard `idx`'s pending records into a fresh snapshot once the
-    /// threshold is reached.
-    fn maybe_compact(&mut self, idx: usize) {
-        if self.shards[idx].journal.pending_records() >= self.compaction_threshold {
-            self.compact_shard(idx);
+    /// The one commit path. A refusal is counted; an answer passes
+    /// through; a record is journaled and synced, applied, and then either
+    /// refused (risk termination) or answered after the before-reply crash
+    /// point, with the reply taken back out of the record. Nothing is
+    /// acknowledged before it is durable.
+    fn commit<R: Reply>(
+        &mut self,
+        idx: usize,
+        decision: Result<Decision<R>, Reject>,
+    ) -> Result<R, Reject> {
+        let (record, refusal) = match decision {
+            Err(reason) => return Err(self.reject(reason)),
+            Ok(Decision::Answer(reply)) => return Ok(reply),
+            Ok(Decision::Commit(record)) => (record, None),
+            Ok(Decision::CommitThenRefuse(record, reason)) => (record, Some(reason)),
+        };
+        self.journal_append(idx, &record)?;
+        self.apply_record(&record);
+        if let Some(reason) = refusal {
+            return Err(self.reject(reason));
         }
+        self.pre_reply_crash()?;
+        Ok(R::from_record(record))
     }
 
     /// Installs a snapshot of shard `idx`'s state, truncating its log. A
@@ -1091,19 +1132,20 @@ impl WebServer {
     ///
     /// Panics if `path` is not a served page.
     pub fn hello(&mut self, path: &str) -> ServerHello {
-        let page = self
+        let id = &self.identity;
+        let page = id
             .pages
             .get(path)
             .unwrap_or_else(|| panic!("no page at {path}"))
             .clone();
-        let nonce = self.fresh_nonce();
-        let bytes = ServerHello::signed_bytes(&self.domain, &page, &nonce);
-        let signature = self.keys.sign(&bytes, &mut self.entropy);
+        let nonce = self.ephemeral.fresh_nonce();
+        let bytes = ServerHello::signed_bytes(&id.domain, &page, &nonce);
+        let signature = id.keys.sign(&bytes, &mut self.ephemeral.entropy);
         ServerHello {
-            domain: self.domain.clone(),
+            domain: id.domain.clone(),
             page,
             nonce,
-            server_cert: self.cert.clone(),
+            server_cert: id.cert.clone(),
             signature,
         }
     }
@@ -1125,67 +1167,9 @@ impl WebServer {
         &mut self,
         msg: &RegistrationSubmit,
     ) -> Result<(RegistrationAck, Freshness), Reject> {
-        self.check_up()?;
-        let idx = self.shard_for(&msg.account);
-        self.check_writable(idx)?;
-        if self.degraded {
-            // Load shedding: registrations grow live state permanently, so
-            // they are the first thing refused under storage pressure.
-            // Existing sessions keep being served.
-            return Err(self.reject(Reject::StorageDegraded));
-        }
-        self.maybe_compact(idx);
-        if let Some((sig, ack)) = self.shards[idx].reg_cache.get(&msg.nonce) {
-            if *sig == msg.signature {
-                return Ok((ack.clone(), Freshness::Resent));
-            }
-        }
-        self.consume_nonce(idx, msg.nonce)?;
-        if !msg.device_cert.verify(&self.ca_key) || msg.device_cert.role() != Role::FlockModule {
-            return Err(self.reject(Reject::BadCertificate));
-        }
-        let bytes = RegistrationSubmit::signed_bytes(
-            &msg.domain,
-            &msg.account,
-            &msg.nonce,
-            &msg.frame_hash,
-            &msg.user_public,
-        );
-        if msg.domain != self.domain || !msg.device_cert.public_key().verify(&bytes, &msg.signature)
-        {
-            return Err(self.reject(Reject::BadSignature));
-        }
-        if self.shards[idx].accounts.contains_key(msg.account.as_str()) {
-            return Err(self.reject(Reject::AccountExists));
-        }
-        // Honest keys are `g^x`. A key of order 2 or 2q (`p−1`, `−g^x`)
-        // is refused like a bad signature: the subgroup test is a Jacobi
-        // symbol, cheaper than the signature check above.
-        let element = U2048::from_be_bytes(&msg.user_public);
-        let group = self.keys.public_key().group();
-        if !group.in_subgroup(&element) {
-            return Err(self.reject(Reject::BadSignature));
-        }
-        let public_key = PublicKey::from_element(group, element);
-        // Fallback password, deliverable out of band; derived here so the
-        // reset experiment has a stable credential.
-        let reset_password = format!("reset-{}-{}", msg.account, public_key.fingerprint());
-        let record = JournalRecord::Registered {
-            account: Arc::from(msg.account.as_str()),
-            public_key: msg.user_public.clone(),
-            reset_password,
-            nonce: msg.nonce,
-            signature: msg.signature.to_bytes(),
-            frame_hash: msg.frame_hash,
-        };
-        self.journal_append(idx, &record)?;
-        self.apply_record(&record);
-        self.pre_reply_crash()?;
-        let ack = RegistrationAck {
-            account: msg.account.clone(),
-            nonce: msg.nonce,
-        };
-        Ok((ack, Freshness::Fresh))
+        self.serve(&msg.account, true, |id, shard, eph| {
+            decide_registration(id, shard, eph, msg)
+        })
     }
 
     /// The account's fallback reset password (out-of-band channel in the
@@ -1211,81 +1195,10 @@ impl WebServer {
     /// Rejects on nonce, account, signature, session-key, or risk-policy
     /// failures; returns [`Reject::ServerCrashed`] if a crash point fires.
     pub fn handle_login(&mut self, msg: &LoginSubmit) -> Result<(ContentPage, Freshness), Reject> {
-        self.check_up()?;
-        let idx = self.shard_for(&msg.account);
-        self.check_writable(idx)?;
-        self.maybe_compact(idx);
-        if let Some((sig, page)) = self.shards[idx].login_cache.get(&msg.nonce) {
-            if *sig == msg.signature {
-                return Ok((page.clone(), Freshness::Resent));
-            }
-        }
-        self.consume_nonce(idx, msg.nonce)?;
-        let (account, account_key) = match self.shards[idx]
-            .accounts
-            .get_key_value(msg.account.as_str())
-        {
-            Some((name, record)) => (Arc::clone(name), record.public_key.clone()),
-            None => return Err(self.reject(Reject::UnknownAccount)),
-        };
-        let bytes = LoginSubmit::signed_bytes(
-            &msg.domain,
-            &msg.account,
-            &msg.nonce,
-            &msg.sealed_session_key,
-            &msg.frame_hash,
-            &msg.risk,
-        );
-        if msg.domain != self.domain || !account_key.verify(&bytes, &msg.signature) {
-            return Err(self.reject(Reject::BadSignature));
-        }
-        let Ok(session_key) = btd_crypto::elgamal::open(&self.keys, &msg.sealed_session_key) else {
-            return Err(self.reject(Reject::BadSessionKey));
-        };
-        self.observe_risk(&msg.risk);
-        if self.policy.evaluate(&msg.risk, 0) == RiskDecision::Terminate {
-            return Err(self.reject(Reject::RiskTerminated));
-        }
-
-        // The counters themselves only advance in apply_record, so the
-        // live path and journal replay agree on the session id.
-        let session_id: Arc<str> = Arc::from(format!(
-            "sess-{}-{}",
-            self.total_sessions() + 1,
-            Nonce({
-                let mut b = [0u8; 16];
-                self.entropy.fill(&mut b);
-                b
-            })
-        ));
-        let home = self.pages.get("/home").expect("home page").clone();
-        let nonce = self.fresh_nonce();
-        let mut page = ContentPage {
-            session_id,
-            account,
-            nonce,
-            seq: 0,
-            page: home,
-            mac: Digest([0; 32]),
-        };
-        page.mac = wire::mac(&session_key, &page);
-        let sealed_session_key = seal_session_key(&self.recovery_key, &msg.nonce, &session_key);
-        let record = JournalRecord::LoginServed {
-            nonce: msg.nonce,
-            signature: msg.signature.to_bytes(),
-            sealed_session_key,
-            window: self.interaction_window,
-            reply: page,
-            frame_hash: msg.frame_hash,
-            risk: msg.risk,
-        };
-        self.journal_append(idx, &record)?;
-        self.apply_record(&record);
-        self.pre_reply_crash()?;
-        let JournalRecord::LoginServed { reply, .. } = record else {
-            unreachable!("built as a login record above");
-        };
-        Ok((reply, Freshness::Fresh))
+        let opened = self.total_sessions();
+        self.serve(&msg.account, false, |id, shard, eph| {
+            decide_login(id, shard, eph, msg, opened)
+        })
     }
 
     /// Handles a post-login interaction (Fig. 10, step 4).
@@ -1324,126 +1237,9 @@ impl WebServer {
         &mut self,
         msg: &InteractionRequest,
     ) -> Result<(ContentPage, Freshness), Reject> {
-        self.check_up()?;
-        let idx = self.shard_for(&msg.account);
-        self.check_writable(idx)?;
-        self.maybe_compact(idx);
-        let shard = &self.shards[idx];
-        let Some(s) = shard.sessions.get(&msg.session_id) else {
-            return Err(self.reject(Reject::UnknownSession));
-        };
-        if s.terminated || s.account != msg.account {
-            return Err(self.reject(Reject::UnknownSession));
-        }
-        let mac_ok = || wire::mac_matches(&s.key, msg, &msg.mac);
-        if let Some(cache) = s.window_reply(msg.seq) {
-            // The MAC must verify over this copy's bytes before the cache
-            // answers: equality with the cached MAC alone would let a
-            // tampered copy (original MAC, rewritten fields) pass as a
-            // benign retransmit. BadMac keeps an honest one retryable.
-            if !mac_ok() {
-                return Err(self.reject(Reject::BadMac));
-            }
-            let freshness = if cache.request_mac == msg.mac {
-                Freshness::Resent
-            } else {
-                Freshness::Resync
-            };
-            return Ok((cache.reply.clone(), freshness));
-        }
-        let base = s.expected_seq;
-        if msg.seq < base {
-            // Served long enough ago that the cache evicted it; an honest
-            // device cannot still be retransmitting this slot.
-            return Err(self.reject(Reject::Replay));
-        }
-        if msg.seq >= base.saturating_add(s.window.max(1)) {
-            return Err(self.reject(Reject::UnknownNonce));
-        }
-        // The one difference between the flows: where the nonces come
-        // from. A lock-step request echoes the challenge the last reply
-        // issued, and its reply draws the next one; a windowed session
-        // derives both from the key (no entropy draw, so serving the same
-        // slot set in any order leaves identical durable state).
-        let (request_nonce, reply_nonce) = if s.window == 0 {
-            (s.pending_nonce, None)
-        } else {
-            (
-                window_nonce(&s.key, msg.seq),
-                Some(window_nonce(&s.key, msg.seq + 1)),
-            )
-        };
-        if msg.nonce != request_nonce {
-            // Either a replayed old nonce or a forged one.
-            let reason = if shard.consumed.is_consumed(msg.nonce) {
-                Reject::Replay
-            } else {
-                Reject::UnknownNonce
-            };
-            return Err(self.reject(reason));
-        }
-        if !mac_ok() {
-            return Err(self.reject(Reject::BadMac));
-        }
-        let stepups = s.stepups;
-
-        // Risk policy. A termination is itself a durable state change.
-        self.observe_risk(&msg.risk);
-        let decision = self.policy.evaluate(&msg.risk, stepups);
-        if decision == RiskDecision::Terminate {
-            let record = JournalRecord::SessionTerminated {
-                session_id: msg.session_id.clone(),
-                account: msg.account.clone(),
-            };
-            self.journal_append(idx, &record)?;
-            self.apply_record(&record);
-            return Err(self.reject(Reject::RiskTerminated));
-        }
-        let next_stepups = match decision {
-            RiskDecision::StepUp => stepups + 1,
-            _ => 0,
-        };
-
-        // The page the server believed the user was seeing when they
-        // acted (the audit commitment), and the page to serve next
-        // (unknown actions bounce to home).
-        let expected_path = self.shards[idx].sessions[&msg.session_id]
-            .current_path
-            .clone();
-        let page = self
-            .pages
-            .get(&*msg.action)
-            .or_else(|| self.pages.get("/home"))
-            .expect("home page")
-            .clone();
-        let next_seq = msg.seq + 1;
-        let nonce = reply_nonce.unwrap_or_else(|| self.fresh_nonce());
-        let mut reply = ContentPage {
-            session_id: msg.session_id.clone(),
-            account: msg.account.clone(),
-            nonce,
-            seq: next_seq,
-            page,
-            mac: Digest([0; 32]),
-        };
-        reply.mac = wire::mac(&self.shards[idx].sessions[&msg.session_id].key, &reply);
-        let record = JournalRecord::InteractionServed {
-            request_nonce: msg.nonce,
-            request_mac: msg.mac,
-            action: msg.action.clone(),
-            frame_hash: msg.frame_hash,
-            risk: msg.risk,
-            expected_path,
-            stepups: next_stepups as u64,
-            reply,
-        };
-        self.journal_append(idx, &record)?;
-        self.apply_record(&record);
-        self.pre_reply_crash()?;
-        let JournalRecord::InteractionServed { reply, .. } = record else {
-            unreachable!("built as an interaction record above");
-        };
-        Ok((reply, Freshness::Fresh))
+        self.serve(&msg.account, false, |id, shard, eph| {
+            decide_interaction(id, shard, eph, msg)
+        })
     }
 
     /// Handles a session-resumption request: a device whose exchange timed
@@ -1463,76 +1259,9 @@ impl WebServer {
     /// resume nonce, or an implausible sequence number; returns
     /// [`Reject::ServerCrashed`] if a crash point fires.
     pub fn handle_resume(&mut self, msg: &ResumeRequest) -> Result<(ResumeAck, Freshness), Reject> {
-        self.check_up()?;
-        let idx = self.shard_for(&msg.account);
-        self.check_writable(idx)?;
-        self.maybe_compact(idx);
-        if let Some((mac, ack)) = self.shards[idx].resume_cache.get(&msg.nonce) {
-            if *mac == msg.mac {
-                return Ok((ack.clone(), Freshness::Resent));
-            }
-        }
-        let (terminated, account_matches, key, expected_seq) =
-            match self.shards[idx].sessions.get(msg.session_id.as_str()) {
-                Some(s) => (
-                    s.terminated,
-                    *s.account == *msg.account,
-                    s.key.clone(),
-                    s.expected_seq,
-                ),
-                None => return Err(self.reject(Reject::UnknownSession)),
-            };
-        if terminated || !account_matches {
-            return Err(self.reject(Reject::UnknownSession));
-        }
-        if !wire::mac_matches(&key, msg, &msg.mac) {
-            return Err(self.reject(Reject::BadMac));
-        }
-        if self.shards[idx].consumed.is_consumed(msg.nonce) {
-            // Same nonce, different MAC: a tampered replay of an old
-            // resume. The byte-identical case was answered from the cache.
-            return Err(self.reject(Reject::Replay));
-        }
-        let last_reply = if msg.last_seq == expected_seq {
-            // Fully in sync; the device just needs the current nonce.
-            None
-        } else if msg.last_seq.checked_add(1) == Some(expected_seq) {
-            match self.shards[idx]
-                .sessions
-                .get(msg.session_id.as_str())
-                .and_then(|s| s.window_reply(msg.last_seq))
-            {
-                Some(cache) => Some(cache.reply.clone()),
-                // Behind by one with no cached reply: nothing to heal
-                // with, the device must treat the session as lost.
-                None => return Err(self.reject(Reject::UnknownSession)),
-            }
-        } else if msg.last_seq < expected_seq {
-            return Err(self.reject(Reject::Replay));
-        } else {
-            // The device claims acks from the future.
-            return Err(self.reject(Reject::UnknownNonce));
-        };
-        let nonce = self.fresh_nonce();
-        let mut ack = ResumeAck {
-            session_id: msg.session_id.clone(),
-            account: msg.account.clone(),
-            device_nonce: msg.nonce,
-            nonce,
-            seq: expected_seq,
-            last_reply,
-            mac: Digest([0; 32]),
-        };
-        ack.mac = wire::mac(&key, &ack);
-        let record = JournalRecord::SessionResumed {
-            device_nonce: msg.nonce,
-            request_mac: msg.mac,
-            ack: ack.clone(),
-        };
-        self.journal_append(idx, &record)?;
-        self.apply_record(&record);
-        self.pre_reply_crash()?;
-        Ok((ack, Freshness::Fresh))
+        self.serve(&msg.account, false, |_, shard, eph| {
+            decide_resume(shard, eph, msg)
+        })
     }
 
     /// Handles a wire identity-reset request (paper §IV, "Identity
@@ -1548,41 +1277,9 @@ impl WebServer {
     /// Rejects on nonce, domain, account, or credential failures; returns
     /// [`Reject::ServerCrashed`] if a crash point fires.
     pub fn handle_reset(&mut self, msg: &ResetRequest) -> Result<(ResetAck, Freshness), Reject> {
-        self.check_up()?;
-        let idx = self.shard_for(&msg.account);
-        self.check_writable(idx)?;
-        self.maybe_compact(idx);
-        let digest = msg.request_digest();
-        if let Some((d, ack)) = self.shards[idx].reset_cache.get(&msg.nonce) {
-            if *d == digest {
-                return Ok((ack.clone(), Freshness::Resent));
-            }
-        }
-        self.consume_nonce(idx, msg.nonce)?;
-        if msg.domain != self.domain {
-            return Err(self.reject(Reject::BadSignature));
-        }
-        let Some(record) = self.shards[idx].accounts.get(msg.account.as_str()) else {
-            return Err(self.reject(Reject::UnknownAccount));
-        };
-        if record.reset_password != msg.password {
-            return Err(self.reject(Reject::BadResetCredential));
-        }
-        let record = JournalRecord::ResetServed {
-            account: Arc::from(msg.account.as_str()),
-            nonce: msg.nonce,
-            request_digest: digest,
-        };
-        self.journal_append(idx, &record)?;
-        self.apply_record(&record);
-        self.pre_reply_crash()?;
-        Ok((
-            ResetAck {
-                account: msg.account.clone(),
-                nonce: msg.nonce,
-            },
-            Freshness::Fresh,
-        ))
+        self.serve(&msg.account, false, |id, shard, eph| {
+            decide_reset(id, shard, eph, msg)
+        })
     }
 
     /// Identity reset after device loss, local form (a trusted side
@@ -1595,21 +1292,9 @@ impl WebServer {
     /// Rejects on unknown account or wrong credential; returns
     /// [`Reject::ServerCrashed`] if a crash point fires.
     pub fn reset_identity(&mut self, account: &str, password: &str) -> Result<(), Reject> {
-        self.check_up()?;
-        let idx = self.shard_for(account);
-        self.check_writable(idx)?;
-        let Some(record) = self.shards[idx].accounts.get(account) else {
-            return Err(self.reject(Reject::UnknownAccount));
-        };
-        if record.reset_password != password {
-            return Err(self.reject(Reject::BadResetCredential));
-        }
-        let record = JournalRecord::IdentityReset {
-            account: Arc::from(account),
-        };
-        self.journal_append(idx, &record)?;
-        self.apply_record(&record);
-        Ok(())
+        self.serve(account, false, |_, shard, _| {
+            decide_identity_reset(shard, account, password)
+        })
     }
 
     /// Closes `session_id` cleanly (logout / end of lifecycle),
@@ -1625,22 +1310,9 @@ impl WebServer {
     ///
     /// Returns [`Reject::ServerCrashed`] if a crash point fires.
     pub fn close_session(&mut self, account: &str, session_id: &str) -> Result<bool, Reject> {
-        self.check_up()?;
-        let idx = self.shard_for(account);
-        self.check_writable(idx)?;
-        self.maybe_compact(idx);
-        // The record shares the session's own names.
-        let record = match self.shards[idx].sessions.get_key_value(session_id) {
-            Some((id, s)) if *s.account == *account => JournalRecord::SessionClosed {
-                session_id: Arc::clone(id),
-                account: Arc::clone(&s.account),
-            },
-            _ => return Ok(false),
-        };
-        self.journal_append(idx, &record)?;
-        self.apply_record(&record);
-        self.pre_reply_crash()?;
-        Ok(true)
+        self.serve(account, false, |_, shard, _| {
+            decide_close(shard, account, session_id)
+        })
     }
 
     fn find_session(&self, session_id: &str) -> Option<&Session> {
@@ -1663,18 +1335,7 @@ impl WebServer {
     /// layout) that pairs with the journal segments to fully describe
     /// this server.
     pub fn identity(&self) -> ServerIdentity {
-        ServerIdentity {
-            domain: self.domain.clone(),
-            keys: self.keys.clone(),
-            cert: self.cert.clone(),
-            ca_key: self.ca_key.clone(),
-            pages: self.pages.clone(),
-            policy: self.policy,
-            shard_count: self.shards.len(),
-            cache_watermark: self.cache_watermark,
-            recovery_key: self.recovery_key,
-            interaction_window: self.interaction_window,
-        }
+        self.identity.clone()
     }
 
     /// Rebuilds a server from its durable identity and one journal
@@ -1695,35 +1356,12 @@ impl WebServer {
         debug_assert_eq!(identity.shard_count, journals.len().max(1));
         let mut seed = [0u8; 32];
         rng.fill_bytes(&mut seed);
-        let mut entropy = ChaChaEntropy::from_seed(seed);
-        let nonce_entropy = entropy.fork(b"nonces");
+        let ephemeral = Ephemeral::new(ChaChaEntropy::from_seed(seed));
         let mut shards: Vec<Shard> = journals.into_iter().map(Shard::over).collect();
         if shards.is_empty() {
             shards.push(Shard::default());
         }
-        let mut server = WebServer {
-            domain: identity.domain,
-            keys: identity.keys,
-            cert: identity.cert,
-            ca_key: identity.ca_key,
-            entropy,
-            nonces: NonceGenerator::new(nonce_entropy),
-            issued: IssuedNonces::default(),
-            shards,
-            pages: identity.pages,
-            policy: identity.policy,
-            reject_counts: HashMap::new(),
-            tracer: Tracer::disabled(),
-            risk_verified: [0; RISK_BUCKET_PCT.len() + 1],
-            crash: CrashSchedule::Never,
-            crashed: false,
-            degraded: false,
-            sync_policy: RetryPolicy::default(),
-            compaction_threshold: DEFAULT_COMPACTION_THRESHOLD,
-            cache_watermark: identity.cache_watermark,
-            recovery_key: identity.recovery_key,
-            interaction_window: identity.interaction_window,
-        };
+        let mut server = WebServer::assemble(identity, ephemeral, shards);
         let mut report = RecoveryReport::default();
         for idx in 0..server.shards.len() {
             let contents = server.shards[idx].journal.read();
@@ -1755,18 +1393,10 @@ impl WebServer {
         }
         // Challenge nonces are ephemeral: re-issue the one each live
         // session is waiting on so the device's next request verifies.
-        let pending: Vec<Nonce> = server
-            .shards
-            .iter()
-            .flat_map(|sh| {
-                sh.sessions
-                    .values()
-                    .filter(|s| !s.terminated)
-                    .map(|s| s.pending_nonce)
-            })
-            .collect();
-        for n in pending {
-            server.issued.issue(n);
+        for sh in &server.shards {
+            for s in sh.sessions.values().filter(|s| !s.terminated) {
+                server.ephemeral.issued.issue(s.pending_nonce);
+            }
         }
         (server, report)
     }
@@ -1786,13 +1416,11 @@ impl WebServer {
         // records re-emit nothing), then the live handle is reinstalled
         // and the recovery itself is recorded as per-shard spans.
         let tracer = self.tracer.clone();
-        let risk_verified = self.risk_verified;
-        let sync_policy = self.sync_policy;
+        let risk_verified = self.ephemeral.risk_verified;
         let (server, report) = WebServer::recover(identity, journals, rng);
         *self = server;
         self.tracer = tracer;
-        self.risk_verified = risk_verified;
-        self.sync_policy = sync_policy;
+        self.ephemeral.risk_verified = risk_verified;
         for (i, sh) in report.shards.iter().enumerate() {
             self.tracer.open(SpanKind::Recover(i), CtxArgs::shard(i));
             self.tracer.record(EventKind::Recovered {
@@ -1801,8 +1429,7 @@ impl WebServer {
                 replayed: sh.records_replayed,
                 skipped: sh.records_skipped,
             });
-            let corrupt = self.shards[i].corrupt.clone();
-            for seg in &corrupt {
+            for seg in &self.shards[i].corrupt {
                 self.tracer.record(EventKind::SegmentCorrupt {
                     shard: i,
                     segment: seg.segment,
@@ -1827,7 +1454,6 @@ impl WebServer {
     /// LRU watermark) also happen here, so replay reproduces them.
     pub fn apply_record(&mut self, rec: &JournalRecord) {
         let idx = self.shard_for(rec.shard_account());
-        let watermark = self.cache_watermark;
         match rec {
             JournalRecord::Registered {
                 account,
@@ -1837,7 +1463,7 @@ impl WebServer {
                 signature,
                 frame_hash,
             } => {
-                let group = self.keys.public_key().group();
+                let group = self.identity.keys.public_key().group();
                 let element = U2048::from_be_bytes(public_key);
                 let key = PublicKey::from_element(group, element);
                 let shard = &mut self.shards[idx];
@@ -1862,34 +1488,13 @@ impl WebServer {
                         lookback: 1,
                     });
                 if let Some(sig) = Signature::from_bytes(signature) {
-                    shard.reg_cache.insert(
-                        *nonce,
-                        (
-                            sig,
-                            RegistrationAck {
-                                account: account.to_string(),
-                                nonce: *nonce,
-                            },
-                        ),
-                    );
-                    shard.reg_order.push_back(*nonce);
-                    let mut evicted = 0u64;
-                    while shard.reg_cache.len() > watermark {
-                        match shard.reg_order.pop_front() {
-                            Some(old) => {
-                                shard.reg_cache.remove(&old);
-                                shard.consumed.forget_consumed(old);
-                                evicted += 1;
-                            }
-                            None => break,
-                        }
-                    }
-                    if evicted > 0 {
-                        self.tracer.record(EventKind::CacheEviction {
-                            cache: CacheKind::Registration,
-                            evicted,
-                        });
-                    }
+                    let ack = RegistrationAck {
+                        account: account.to_string(),
+                        nonce: *nonce,
+                    };
+                    let (cache, order) = (&mut shard.reg_cache, &mut shard.reg_order);
+                    let evicted = insert_lru(cache, order, &mut shard.consumed, *nonce, (sig, ack));
+                    self.trace_evictions(CacheKind::Registration, evicted);
                 }
             }
             JournalRecord::LoginServed {
@@ -1905,7 +1510,7 @@ impl WebServer {
                 // whose seal does not open under this server's recovery
                 // key is foreign or tampered and installs no session.
                 let Some(session_key) =
-                    open_session_key(&self.recovery_key, nonce, sealed_session_key)
+                    open_session_key(&self.identity.recovery_key, nonce, sealed_session_key)
                 else {
                     debug_assert!(false, "sealed session key failed to open");
                     return;
@@ -2029,13 +1634,11 @@ impl WebServer {
                     for n in &sess.consumed_nonces {
                         shard.consumed.forget_consumed(*n);
                     }
-                    self.issued.remove(sess.pending_nonce);
+                    self.ephemeral.issued.remove(sess.pending_nonce);
                     // The session entry plus its login/resume cache
                     // entries all left resident state.
-                    self.tracer.record(EventKind::CacheEviction {
-                        cache: CacheKind::Session,
-                        evicted: 1 + 1 + sess.resume_nonces.len() as u64,
-                    });
+                    let evicted = 1 + 1 + sess.resume_nonces.len() as u64;
+                    self.trace_evictions(CacheKind::Session, evicted);
                 }
             }
             JournalRecord::IdentityReset { account } => {
@@ -2049,35 +1652,23 @@ impl WebServer {
                 self.remove_binding(idx, account);
                 let shard = &mut self.shards[idx];
                 shard.consumed.mark_consumed(*nonce);
-                shard.reset_cache.insert(
-                    *nonce,
-                    (
-                        *request_digest,
-                        ResetAck {
-                            account: account.to_string(),
-                            nonce: *nonce,
-                        },
-                    ),
-                );
-                shard.reset_order.push_back(*nonce);
-                let mut evicted = 0u64;
-                while shard.reset_cache.len() > watermark {
-                    match shard.reset_order.pop_front() {
-                        Some(old) => {
-                            shard.reset_cache.remove(&old);
-                            shard.consumed.forget_consumed(old);
-                            evicted += 1;
-                        }
-                        None => break,
-                    }
-                }
-                if evicted > 0 {
-                    self.tracer.record(EventKind::CacheEviction {
-                        cache: CacheKind::Reset,
-                        evicted,
-                    });
-                }
+                let ack = ResetAck {
+                    account: account.to_string(),
+                    nonce: *nonce,
+                };
+                let (cache, order) = (&mut shard.reset_cache, &mut shard.reset_order);
+                let entry = (*request_digest, ack);
+                let evicted = insert_lru(cache, order, &mut shard.consumed, *nonce, entry);
+                self.trace_evictions(CacheKind::Reset, evicted);
             }
+        }
+    }
+
+    /// Traces `evicted` entries leaving `cache`, if any did.
+    fn trace_evictions(&self, cache: CacheKind, evicted: u64) {
+        if evicted > 0 {
+            self.tracer
+                .record(EventKind::CacheEviction { cache, evicted });
         }
     }
 
@@ -2134,7 +1725,7 @@ impl WebServer {
                 w.put(sid)
                     .put(&s.account)
                     .bytes(&seal_session_key(
-                        &self.recovery_key,
+                        &self.identity.recovery_key,
                         &s.login_nonce,
                         &s.key,
                     ))
@@ -2233,8 +1824,8 @@ impl WebServer {
         if r.str()? != "trust-shard-snapshot-v3" {
             return None;
         }
-        let group = self.keys.public_key().group();
-        let recovery_key = self.recovery_key;
+        let group = self.identity.keys.public_key().group();
+        let recovery_key = self.identity.recovery_key;
         let mut shard = Shard {
             session_counter: r.get()?,
             ..Shard::default()
@@ -2343,6 +1934,435 @@ impl WebServer {
         }
         r.is_empty().then_some(shard)
     }
+}
+
+/// Inserts `entry` under `nonce` into an LRU idempotency cache (`order` is
+/// its eviction order), then evicts past [`DEFAULT_CACHE_WATERMARK`],
+/// forgetting each evicted nonce in `consumed`. Returns how many left.
+fn insert_lru<V>(
+    cache: &mut HashMap<Nonce, V>,
+    order: &mut VecDeque<Nonce>,
+    consumed: &mut ReplayGuard,
+    nonce: Nonce,
+    entry: V,
+) -> u64 {
+    cache.insert(nonce, entry);
+    order.push_back(nonce);
+    let mut evicted = 0;
+    while cache.len() > DEFAULT_CACHE_WATERMARK {
+        let Some(old) = order.pop_front() else { break };
+        cache.remove(&old);
+        consumed.forget_consumed(old);
+        evicted += 1;
+    }
+    evicted
+}
+
+// --- Decisions ------------------------------------------------------------
+
+/// What a handler decided over a read-only shard, before anything is
+/// journaled. [`WebServer::commit`] carries it out.
+#[derive(Debug)]
+enum Decision<R> {
+    /// An answer that commits nothing: an idempotent cache hit, a
+    /// `Resent`/`Resync` retransmit, or closing a session that is not open.
+    Answer(R),
+    /// A record to commit; the reply travels inside it.
+    Commit(JournalRecord),
+    /// A record to commit, then a refusal (risk termination).
+    CommitThenRefuse(JournalRecord, Reject),
+}
+
+/// A handler's reply to fresh work, taken back out of the record that
+/// carried it through the commit.
+trait Reply {
+    fn from_record(record: JournalRecord) -> Self;
+}
+
+impl Reply for (RegistrationAck, Freshness) {
+    fn from_record(record: JournalRecord) -> Self {
+        let JournalRecord::Registered { account, nonce, .. } = record else {
+            unreachable!("a registration commits a binding");
+        };
+        let account = String::from(&*account);
+        (RegistrationAck { account, nonce }, Freshness::Fresh)
+    }
+}
+
+impl Reply for (ContentPage, Freshness) {
+    fn from_record(record: JournalRecord) -> Self {
+        match record {
+            JournalRecord::LoginServed { reply, .. }
+            | JournalRecord::InteractionServed { reply, .. } => (reply, Freshness::Fresh),
+            _ => unreachable!("only logins and interactions serve pages"),
+        }
+    }
+}
+
+impl Reply for (ResumeAck, Freshness) {
+    fn from_record(record: JournalRecord) -> Self {
+        let JournalRecord::SessionResumed { ack, .. } = record else {
+            unreachable!("a resume commits its ack");
+        };
+        (ack, Freshness::Fresh)
+    }
+}
+
+impl Reply for (ResetAck, Freshness) {
+    fn from_record(record: JournalRecord) -> Self {
+        let JournalRecord::ResetServed { account, nonce, .. } = record else {
+            unreachable!("a wire reset commits a served reset");
+        };
+        let account = String::from(&*account);
+        (ResetAck { account, nonce }, Freshness::Fresh)
+    }
+}
+
+/// A local identity reset answers nothing beyond success.
+impl Reply for () {
+    fn from_record(_: JournalRecord) {}
+}
+
+/// A committed close closed a live session.
+impl Reply for bool {
+    fn from_record(_: JournalRecord) -> bool {
+        true
+    }
+}
+
+/// Registration (Fig. 9, step 5): the checks, then the binding.
+fn decide_registration(
+    id: &ServerIdentity,
+    shard: &Shard,
+    eph: &mut Ephemeral,
+    msg: &RegistrationSubmit,
+) -> Result<Decision<(RegistrationAck, Freshness)>, Reject> {
+    if let Some((sig, ack)) = shard.reg_cache.get(&msg.nonce) {
+        if *sig == msg.signature {
+            return Ok(Decision::Answer((ack.clone(), Freshness::Resent)));
+        }
+    }
+    eph.consume_nonce(shard, msg.nonce)?;
+    if !msg.device_cert.verify(&id.ca_key) || msg.device_cert.role() != Role::FlockModule {
+        return Err(Reject::BadCertificate);
+    }
+    let bytes = RegistrationSubmit::signed_bytes(
+        &msg.domain,
+        &msg.account,
+        &msg.nonce,
+        &msg.frame_hash,
+        &msg.user_public,
+    );
+    if msg.domain != id.domain || !msg.device_cert.public_key().verify(&bytes, &msg.signature) {
+        return Err(Reject::BadSignature);
+    }
+    if shard.accounts.contains_key(msg.account.as_str()) {
+        return Err(Reject::AccountExists);
+    }
+    // Honest keys are `g^x`. A key of order 2 or 2q (`p−1`, `−g^x`) is
+    // refused like a bad signature: the subgroup test is a Jacobi symbol,
+    // cheaper than the signature check above.
+    let element = U2048::from_be_bytes(&msg.user_public);
+    let group = id.keys.public_key().group();
+    if !group.in_subgroup(&element) {
+        return Err(Reject::BadSignature);
+    }
+    let public_key = PublicKey::from_element(group, element);
+    // Fallback password, deliverable out of band; derived here so the
+    // reset experiment has a stable credential.
+    let reset_password = format!("reset-{}-{}", msg.account, public_key.fingerprint());
+    Ok(Decision::Commit(JournalRecord::Registered {
+        account: Arc::from(msg.account.as_str()),
+        public_key: msg.user_public.clone(),
+        reset_password,
+        nonce: msg.nonce,
+        signature: msg.signature.to_bytes(),
+        frame_hash: msg.frame_hash,
+    }))
+}
+
+/// Login (Fig. 10, step 3): the new session's id counts the `opened`
+/// sessions of every shard.
+fn decide_login(
+    id: &ServerIdentity,
+    shard: &Shard,
+    eph: &mut Ephemeral,
+    msg: &LoginSubmit,
+    opened: u64,
+) -> Result<Decision<(ContentPage, Freshness)>, Reject> {
+    if let Some((sig, page)) = shard.login_cache.get(&msg.nonce) {
+        if *sig == msg.signature {
+            return Ok(Decision::Answer((page.clone(), Freshness::Resent)));
+        }
+    }
+    eph.consume_nonce(shard, msg.nonce)?;
+    let Some((account, record)) = shard.accounts.get_key_value(msg.account.as_str()) else {
+        return Err(Reject::UnknownAccount);
+    };
+    let bytes = LoginSubmit::signed_bytes(
+        &msg.domain,
+        &msg.account,
+        &msg.nonce,
+        &msg.sealed_session_key,
+        &msg.frame_hash,
+        &msg.risk,
+    );
+    if msg.domain != id.domain || !record.public_key.verify(&bytes, &msg.signature) {
+        return Err(Reject::BadSignature);
+    }
+    let Ok(session_key) = btd_crypto::elgamal::open(&id.keys, &msg.sealed_session_key) else {
+        return Err(Reject::BadSessionKey);
+    };
+    eph.observe_risk(&msg.risk);
+    if id.policy.evaluate(&msg.risk, 0) == RiskDecision::Terminate {
+        return Err(Reject::RiskTerminated);
+    }
+
+    // The counters themselves only advance in apply_record, so the live
+    // path and journal replay agree on the session id.
+    let mut tag = [0u8; 16];
+    eph.entropy.fill(&mut tag);
+    let session_id: Arc<str> = Arc::from(format!("sess-{}-{}", opened + 1, Nonce(tag)));
+    let home = id.pages.get("/home").expect("home page").clone();
+    let nonce = eph.fresh_nonce();
+    let mut reply = ContentPage {
+        session_id,
+        account: Arc::clone(account),
+        nonce,
+        seq: 0,
+        page: home,
+        mac: Digest([0; 32]),
+    };
+    reply.mac = wire::mac(&session_key, &reply);
+    let sealed_session_key = seal_session_key(&id.recovery_key, &msg.nonce, &session_key);
+    Ok(Decision::Commit(JournalRecord::LoginServed {
+        nonce: msg.nonce,
+        signature: msg.signature.to_bytes(),
+        sealed_session_key,
+        window: id.interaction_window,
+        reply,
+        frame_hash: msg.frame_hash,
+        risk: msg.risk,
+    }))
+}
+
+/// Interaction (Fig. 10, step 4): the six admission rows documented on
+/// [`WebServer::handle_interaction`].
+fn decide_interaction(
+    id: &ServerIdentity,
+    shard: &Shard,
+    eph: &mut Ephemeral,
+    msg: &InteractionRequest,
+) -> Result<Decision<(ContentPage, Freshness)>, Reject> {
+    let s = match shard.sessions.get(&msg.session_id) {
+        Some(s) if !s.terminated && s.account == msg.account => s,
+        _ => return Err(Reject::UnknownSession),
+    };
+    let mac_ok = || wire::mac_matches(&s.key, msg, &msg.mac);
+    if let Some(cache) = s.window_reply(msg.seq) {
+        // The MAC must verify over this copy's bytes before the cache
+        // answers: equality with the cached MAC alone would let a tampered
+        // copy (original MAC, rewritten fields) pass as a benign
+        // retransmit. BadMac keeps an honest one retryable.
+        if !mac_ok() {
+            return Err(Reject::BadMac);
+        }
+        let freshness = if cache.request_mac == msg.mac {
+            Freshness::Resent
+        } else {
+            Freshness::Resync
+        };
+        return Ok(Decision::Answer((cache.reply.clone(), freshness)));
+    }
+    let base = s.expected_seq;
+    if msg.seq < base {
+        // Served long enough ago that the cache evicted it; an honest
+        // device cannot still be retransmitting this slot.
+        return Err(Reject::Replay);
+    }
+    if msg.seq >= base.saturating_add(s.window.max(1)) {
+        return Err(Reject::UnknownNonce);
+    }
+    // The one difference between the flows: where the nonces come from. A
+    // lock-step request echoes the challenge the last reply issued, and
+    // its reply draws the next one; a windowed session derives both from
+    // the key (no entropy draw, so serving the same slot set in any order
+    // leaves identical durable state).
+    let (request_nonce, reply_nonce) = if s.window == 0 {
+        (s.pending_nonce, None)
+    } else {
+        (
+            window_nonce(&s.key, msg.seq),
+            Some(window_nonce(&s.key, msg.seq + 1)),
+        )
+    };
+    if msg.nonce != request_nonce {
+        // Either a replayed old nonce or a forged one.
+        return Err(if shard.consumed.is_consumed(msg.nonce) {
+            Reject::Replay
+        } else {
+            Reject::UnknownNonce
+        });
+    }
+    if !mac_ok() {
+        return Err(Reject::BadMac);
+    }
+
+    // Risk policy. A termination is itself a durable state change.
+    eph.observe_risk(&msg.risk);
+    let stepups = match id.policy.evaluate(&msg.risk, s.stepups) {
+        RiskDecision::Terminate => {
+            let record = JournalRecord::SessionTerminated {
+                session_id: msg.session_id.clone(),
+                account: msg.account.clone(),
+            };
+            return Ok(Decision::CommitThenRefuse(record, Reject::RiskTerminated));
+        }
+        RiskDecision::StepUp => s.stepups + 1,
+        _ => 0,
+    };
+
+    // The page to serve next (unknown actions bounce to home).
+    let page = id
+        .pages
+        .get(&*msg.action)
+        .or_else(|| id.pages.get("/home"))
+        .expect("home page")
+        .clone();
+    let nonce = reply_nonce.unwrap_or_else(|| eph.fresh_nonce());
+    let mut reply = ContentPage {
+        session_id: msg.session_id.clone(),
+        account: msg.account.clone(),
+        nonce,
+        seq: msg.seq + 1,
+        page,
+        mac: Digest([0; 32]),
+    };
+    reply.mac = wire::mac(&s.key, &reply);
+    Ok(Decision::Commit(JournalRecord::InteractionServed {
+        request_nonce: msg.nonce,
+        request_mac: msg.mac,
+        action: msg.action.clone(),
+        frame_hash: msg.frame_hash,
+        risk: msg.risk,
+        // The page the server believed the user was seeing when they
+        // acted: the audit commitment.
+        expected_path: s.current_path.clone(),
+        stepups: u64::from(stepups),
+        reply,
+    }))
+}
+
+/// Resume: an ack with a fresh challenge and any reply the device missed.
+fn decide_resume(
+    shard: &Shard,
+    eph: &mut Ephemeral,
+    msg: &ResumeRequest,
+) -> Result<Decision<(ResumeAck, Freshness)>, Reject> {
+    if let Some((mac, ack)) = shard.resume_cache.get(&msg.nonce) {
+        if *mac == msg.mac {
+            return Ok(Decision::Answer((ack.clone(), Freshness::Resent)));
+        }
+    }
+    let s = match shard.sessions.get(msg.session_id.as_str()) {
+        Some(s) if !s.terminated && *s.account == *msg.account => s,
+        _ => return Err(Reject::UnknownSession),
+    };
+    if !wire::mac_matches(&s.key, msg, &msg.mac) {
+        return Err(Reject::BadMac);
+    }
+    if shard.consumed.is_consumed(msg.nonce) {
+        // Same nonce, different MAC: a tampered replay of an old resume.
+        // The byte-identical case was answered from the cache.
+        return Err(Reject::Replay);
+    }
+    let last_reply = if msg.last_seq == s.expected_seq {
+        // Fully in sync; the device just needs the current nonce.
+        None
+    } else if msg.last_seq.checked_add(1) == Some(s.expected_seq) {
+        // Behind by one with no cached reply: nothing to heal with, the
+        // device must treat the session as lost.
+        let cache = s.window_reply(msg.last_seq).ok_or(Reject::UnknownSession)?;
+        Some(cache.reply.clone())
+    } else if msg.last_seq < s.expected_seq {
+        return Err(Reject::Replay);
+    } else {
+        // The device claims acks from the future.
+        return Err(Reject::UnknownNonce);
+    };
+    let nonce = eph.fresh_nonce();
+    let mut ack = ResumeAck {
+        session_id: msg.session_id.clone(),
+        account: msg.account.clone(),
+        device_nonce: msg.nonce,
+        nonce,
+        seq: s.expected_seq,
+        last_reply,
+        mac: Digest([0; 32]),
+    };
+    ack.mac = wire::mac(&s.key, &ack);
+    Ok(Decision::Commit(JournalRecord::SessionResumed {
+        device_nonce: msg.nonce,
+        request_mac: msg.mac,
+        ack,
+    }))
+}
+
+/// Wire reset (paper §IV, "Identity Reset"): the checks, then the reset.
+fn decide_reset(
+    id: &ServerIdentity,
+    shard: &Shard,
+    eph: &mut Ephemeral,
+    msg: &ResetRequest,
+) -> Result<Decision<(ResetAck, Freshness)>, Reject> {
+    let digest = msg.request_digest();
+    if let Some((d, ack)) = shard.reset_cache.get(&msg.nonce) {
+        if *d == digest {
+            return Ok(Decision::Answer((ack.clone(), Freshness::Resent)));
+        }
+    }
+    eph.consume_nonce(shard, msg.nonce)?;
+    if msg.domain != id.domain {
+        return Err(Reject::BadSignature);
+    }
+    check_reset_password(shard, &msg.account, &msg.password)?;
+    Ok(Decision::Commit(JournalRecord::ResetServed {
+        account: Arc::from(msg.account.as_str()),
+        nonce: msg.nonce,
+        request_digest: digest,
+    }))
+}
+
+/// Local identity reset: the fallback password, then the unbinding.
+fn decide_identity_reset(
+    shard: &Shard,
+    account: &str,
+    password: &str,
+) -> Result<Decision<()>, Reject> {
+    check_reset_password(shard, account, password)?;
+    Ok(Decision::Commit(JournalRecord::IdentityReset {
+        account: Arc::from(account),
+    }))
+}
+
+/// The fallback-credential check both reset forms share.
+fn check_reset_password(shard: &Shard, account: &str, password: &str) -> Result<(), Reject> {
+    match shard.accounts.get(account) {
+        None => Err(Reject::UnknownAccount),
+        Some(record) if record.reset_password != password => Err(Reject::BadResetCredential),
+        Some(_) => Ok(()),
+    }
+}
+
+/// Close: a `SessionClosed` record, or `false` for a session not open.
+fn decide_close(shard: &Shard, account: &str, session_id: &str) -> Result<Decision<bool>, Reject> {
+    Ok(match shard.sessions.get_key_value(session_id) {
+        Some((id, s)) if *s.account == *account => Decision::Commit(JournalRecord::SessionClosed {
+            session_id: Arc::clone(id),
+            account: Arc::clone(&s.account),
+        }),
+        _ => Decision::Answer(false),
+    })
 }
 
 #[cfg(test)]
@@ -2537,7 +2557,7 @@ mod tests {
     fn issued_nonce_set_is_capped() {
         let (mut server, _, _) = setup();
         for _ in 0..(ISSUED_NONCE_CAP + 500) {
-            let _ = server.fresh_nonce();
+            let _ = server.ephemeral.fresh_nonce();
         }
         assert!(server.resident_stats().issued_nonces <= ISSUED_NONCE_CAP);
     }
@@ -2605,18 +2625,18 @@ mod tests {
             let mut survivors = Vec::new();
             let mut minted = Vec::new();
             for i in 0..(ISSUED_NONCE_CAP as u64 + 64) {
-                let n = server.fresh_nonce();
+                let n = server.ephemeral.fresh_nonce();
                 minted.push(n);
                 if i % 7 == 0 {
                     // Consume and immediately re-issue an older nonce.
                     let old = minted[(i / 2) as usize];
-                    if server.issued.remove(old) {
-                        server.issued.issue(old);
+                    if server.ephemeral.issued.remove(old) {
+                        server.ephemeral.issued.issue(old);
                     }
                 }
             }
             for n in minted {
-                if server.issued.remove(n) {
+                if server.ephemeral.issued.remove(n) {
                     survivors.push(n);
                 }
             }
@@ -2719,7 +2739,7 @@ mod tests {
         server.apply_record(&JournalRecord::LoginServed {
             nonce: login_nonce,
             signature: vec![1],
-            sealed_session_key: seal_session_key(&server.recovery_key, &login_nonce, &key),
+            sealed_session_key: seal_session_key(&server.identity.recovery_key, &login_nonce, &key),
             window: 0,
             reply: ContentPage {
                 session_id: "sess-1-x".into(),
@@ -2769,7 +2789,7 @@ mod tests {
         server.apply_record(&JournalRecord::LoginServed {
             nonce: login_nonce,
             signature: vec![1],
-            sealed_session_key: seal_session_key(&server.recovery_key, &login_nonce, &key),
+            sealed_session_key: seal_session_key(&server.identity.recovery_key, &login_nonce, &key),
             window,
             reply: reply(0, Nonce([2u8; 16])),
             frame_hash: Digest([3u8; 32]),
@@ -2832,7 +2852,7 @@ mod tests {
         server.apply_record(&JournalRecord::LoginServed {
             nonce: login_nonce,
             signature: vec![1],
-            sealed_session_key: seal_session_key(&server.recovery_key, &login_nonce, &key),
+            sealed_session_key: seal_session_key(&server.identity.recovery_key, &login_nonce, &key),
             window: 0,
             reply: ContentPage {
                 session_id: "sess-1-x".into(),
@@ -3058,14 +3078,7 @@ mod tests {
             ),
             (Entry::Resume, fresh()),
             (Entry::WireReset, fresh()),
-            (
-                Entry::ResetIdentity,
-                [
-                    (CRASHED, vec![BA], [1, 0, 0], "before", "before"),
-                    (CRASHED, vec![AA], [1, 1, 0], "before", "committed"),
-                    ("Ok(())", vec![], [1, 1, 0], "committed", "committed"),
-                ],
-            ),
+            (Entry::ResetIdentity, fresh()),
             (Entry::CloseSession, fresh()),
         ];
         for (entry, rows) in table {
@@ -3089,10 +3102,133 @@ mod tests {
         }
     }
 
+    #[test]
+    fn decide_interaction_needs_no_journal_or_crash_schedule() {
+        // A lock-step session that served slots 0 and 1, built only
+        // through apply_record: the base is 2, the reply cache holds slot
+        // 1, and the next request must echo the challenge [4; 16].
+        let (mut server, _, _) = setup();
+        let key = vec![0x5E; 32];
+        let login_nonce = Nonce([1u8; 16]);
+        let page = |seq, nonce| ContentPage {
+            session_id: "sess-1-x".into(),
+            account: "alice".into(),
+            nonce,
+            seq,
+            page: Page::new("/home", b"welcome back".to_vec()),
+            mac: Digest([0u8; 32]),
+        };
+        let request = |seq, nonce, action: &str| {
+            let mut r = InteractionRequest {
+                session_id: "sess-1-x".into(),
+                account: "alice".into(),
+                nonce,
+                seq,
+                action: action.into(),
+                frame_hash: Digest([3u8; 32]),
+                risk: RiskReport::fresh_login(),
+                mac: Digest([0u8; 32]),
+            };
+            r.mac = wire::mac(&key, &r);
+            r
+        };
+        let challenge = |i: u8| Nonce([i + 2; 16]);
+        server.apply_record(&JournalRecord::LoginServed {
+            nonce: login_nonce,
+            signature: vec![1],
+            sealed_session_key: seal_session_key(&server.identity.recovery_key, &login_nonce, &key),
+            window: 0,
+            reply: page(0, challenge(0)),
+            frame_hash: Digest([3u8; 32]),
+            risk: RiskReport::fresh_login(),
+        });
+        for slot in 0..2u8 {
+            let served = request(u64::from(slot), challenge(slot), "/inbox");
+            server.apply_record(&JournalRecord::InteractionServed {
+                request_nonce: served.nonce,
+                request_mac: served.mac,
+                action: served.action.clone(),
+                frame_hash: served.frame_hash,
+                risk: served.risk,
+                expected_path: "/home".into(),
+                stepups: 0,
+                reply: page(u64::from(slot) + 1, challenge(slot + 1)),
+            });
+        }
+        let idx = server.shard_for("alice");
+        let snapshot = server.shard_snapshot_bytes(idx);
+        let (id, shard) = (&server.identity, &server.shards[idx]);
+        let mut eph = Ephemeral::new(ChaChaEntropy::from_seed([0u8; 32]));
+        let mut decide = |msg: &InteractionRequest| decide_interaction(id, shard, &mut eph, msg);
+        let answered = |d: Result<Decision<(ContentPage, Freshness)>, Reject>| match d {
+            Ok(Decision::Answer((reply, freshness))) => Ok((reply.seq, freshness)),
+            other => Err(format!("{other:?}")),
+        };
+        let refused = |d: Result<Decision<(ContentPage, Freshness)>, Reject>| d.err();
+
+        // 1. A slot still cached answers from the cache: byte-identical is
+        //    Resent, a rebuilt copy Resync, and a tampered copy BadMac.
+        let retransmit = request(1, challenge(1), "/inbox");
+        assert_eq!(answered(decide(&retransmit)), Ok((2, Freshness::Resent)));
+        let rebuilt = request(1, challenge(1), "/settings");
+        assert_eq!(answered(decide(&rebuilt)), Ok((2, Freshness::Resync)));
+        let mut tampered = retransmit.clone();
+        tampered.action = "/transfer".into();
+        assert_eq!(refused(decide(&tampered)), Some(Reject::BadMac));
+        // 2. Below the base and evicted from the cache.
+        let evicted = request(0, challenge(0), "/inbox");
+        assert_eq!(refused(decide(&evicted)), Some(Reject::Replay));
+        // 3. At or past base + credit.
+        let ahead = request(3, challenge(3), "/inbox");
+        assert_eq!(refused(decide(&ahead)), Some(Reject::UnknownNonce));
+        // 4. The wrong nonce: a consumed one, then one never issued.
+        let consumed = request(2, challenge(1), "/inbox");
+        assert_eq!(refused(decide(&consumed)), Some(Reject::Replay));
+        let forged = request(2, Nonce([9u8; 16]), "/inbox");
+        assert_eq!(refused(decide(&forged)), Some(Reject::UnknownNonce));
+        // 5. The right nonce under a bad MAC.
+        let mut bad_mac = request(2, challenge(2), "/inbox");
+        bad_mac.mac = Digest([0u8; 32]);
+        assert_eq!(refused(decide(&bad_mac)), Some(Reject::BadMac));
+        // 6. Fresh work commits the served record, with the reply inside
+        //    it; a risk report the policy terminates commits the
+        //    termination and then refuses.
+        let fresh = request(2, challenge(2), "/inbox");
+        match decide(&fresh) {
+            Ok(Decision::Commit(JournalRecord::InteractionServed {
+                request_nonce,
+                expected_path,
+                reply,
+                ..
+            })) => {
+                assert_eq!(request_nonce, challenge(2));
+                assert_eq!(&*expected_path, "/home");
+                assert_eq!((reply.seq, &*reply.page.path), (3, "/inbox"));
+            }
+            other => panic!("fresh work must commit: {other:?}"),
+        }
+        let mut risky = request(2, challenge(2), "/inbox");
+        risky.risk.mismatched = ServerRiskPolicy::default().max_mismatches;
+        risky.mac = wire::mac(&key, &risky);
+        match decide(&risky) {
+            Ok(Decision::CommitThenRefuse(
+                JournalRecord::SessionTerminated { session_id, .. },
+                Reject::RiskTerminated,
+            )) => assert_eq!(&*session_id, "sess-1-x"),
+            other => panic!("termination must commit then refuse: {other:?}"),
+        }
+
+        // Only the two fresh evaluations sampled risk, only the lock-step
+        // reply drew a challenge, and the shard is as it was.
+        assert_eq!(eph.risk_verified.iter().sum::<u64>(), 2);
+        assert_eq!(eph.issued.len(), 1);
+        assert_eq!(server.shard_snapshot_bytes(idx), snapshot);
+    }
+
     impl WebServer {
         /// Adds (or replaces) a served page.
         pub fn put_page(&mut self, page: Page) {
-            self.pages.insert(page.path.to_string(), page);
+            self.identity.pages.insert(page.path.to_string(), page);
         }
     }
 }

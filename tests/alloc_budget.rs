@@ -323,7 +323,7 @@ fn traced_shard_allocations_are_pinned() {
         ShardBudget {
             served: 512,
             allocs: 5_325,
-            bytes: 5_501_931,
+            bytes: 5_501_899,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
