@@ -2,7 +2,7 @@
 //!
 //! Every request/response exchange runs through one lock-step
 //! retry/timeout/backoff driver ([`RetryPolicy`]) against the
-//! fault-injecting [`Channel`](crate::channel::Channel): dropped, delayed,
+//! fault-injecting [`Channel`]: dropped, delayed,
 //! or corrupted messages are retransmitted, the server answers
 //! retransmits from its idempotency cache, and [`ProtocolMetrics`] records
 //! exactly what happened — including the one count that must never move,

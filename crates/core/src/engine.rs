@@ -23,7 +23,7 @@
 //! protocol, but without its serial round trips.
 //!
 //! Metrics parity: every outcome is one emit of the same trace event the
-//! lock-step [`crate::auth::exchange`] loop would record, folded into the
+//! lock-step `auth::exchange` loop would record, folded into the
 //! live [`ProtocolMetrics`] as it is recorded, so
 //! [`crate::trace::derive_metrics`] over the event stream reproduces the
 //! live counters exactly (pinned by `tests/prop_window.rs`).

@@ -16,7 +16,7 @@
 //!   and [`StorageError::DiskFull`] against a configurable log-partition
 //!   capacity. Same seed, same faults.
 //! * [`SegmentedStorage`] is a log-structured
-//!   [`Storage`](super::journal::Storage) implementation on top: the log is a
+//!   [`Storage`] implementation on top: the log is a
 //!   chain of segments rotated at a size target, a rotated segment is
 //!   CRC-certified ("sealed") at the first sync after rotation, snapshots
 //!   stream to a reserved checkpoint area in bounded chunks, and a snapshot

@@ -1,7 +1,7 @@
 //! Deterministic protocol tracing: typed spans and point events across
 //! every layer of the remote-identity stack.
 //!
-//! Aggregate [`ProtocolMetrics`](crate::metrics::ProtocolMetrics) counters
+//! Aggregate [`ProtocolMetrics`] counters
 //! say *how often* the network hurt a flow; they cannot say *which*
 //! interaction gave up, which crash point it hit, or which resume healed
 //! it. [`Tracer`] closes that gap with a causal event journal:
@@ -37,7 +37,7 @@
 //!   ([`ProtocolMetrics::observe`]) at each emit point, so events and
 //!   counters cannot disagree; a consistency test pins it.
 //! * [`first_divergence`] — explain where two runs' traces part ways
-//!   (mirroring [`audit::first_divergence`](crate::audit)), with the
+//!   (mirroring the offline [`audit`](crate::audit)), with the
 //!   shared causal prefix as context.
 
 use std::cell::RefCell;
@@ -941,7 +941,7 @@ impl std::fmt::Display for TraceDivergence {
 
 /// Finds the first index where two traces disagree (ignoring ids, which
 /// are positional anyway): `None` means the traces are identical. Mirrors
-/// [`crate::audit::AuditReport::first_divergence`] for protocol runs.
+/// the offline [`crate::audit`]'s findings for protocol runs.
 pub fn first_divergence(left: &[TraceEvent], right: &[TraceEvent]) -> Option<TraceDivergence> {
     let common = left
         .iter()

@@ -14,7 +14,7 @@
 //!
 //! Durable state (journal records, shard snapshots) uses the same framing
 //! through [`Durable`]: one impl per type writes and reads it, and the
-//! [`durable!`] macro derives both directions from one field list.
+//! `durable!` macro derives both directions from one field list.
 
 use std::sync::Arc;
 

@@ -223,8 +223,8 @@ pub fn match_observation(
 
 /// The buffers matching needs, kept across calls so that matching every
 /// touch allocates little once they have grown: the best Hough bins, the
-/// scoring [`Workspace`], and the directions' sines and cosines. The vote
-/// table itself ([`VoteTable`], 34 KB for 58 × 19 pairs) is allocated
+/// scoring `Workspace`, and the directions' sines and cosines. The vote
+/// table itself (`VoteTable`, 34 KB for 58 × 19 pairs) is allocated
 /// once per [`MatchScratch::best_match`] call and shared by its
 /// templates: kept on every device, it would stay resident on each.
 ///

@@ -108,7 +108,7 @@ pub mod strategy {
         }
     }
 
-    /// Boxes a strategy (helper for [`prop_oneof!`]).
+    /// Boxes a strategy (helper for `prop_oneof!`).
     pub fn boxed<S>(s: S) -> Box<dyn Strategy<Value = S::Value>>
     where
         S: Strategy + 'static,

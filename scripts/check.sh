@@ -13,6 +13,9 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "==> trust-lint (trust boundary / dataflow taint / determinism / journal discipline)"
 mkdir -p target
 cargo run --release --bin trust_lint -- --json > target/trust_lint_findings.json
