@@ -38,6 +38,7 @@
 //! is the mutex-guarded result vector, which is sorted before use.
 
 use std::sync::Mutex;
+use std::thread::Scope;
 
 use btd_crypto::group::ModexpCounts;
 use btd_crypto::sha256::{sha256, Digest};
@@ -294,8 +295,6 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
     // live metrics).
     let series = sampler.map_or_else(Vec::new, |s| s.finish(lt + 1, world.server(sidx)));
 
-    let mut metrics = ProtocolMetrics::default();
-    let mut elapsed = SimDuration::ZERO;
     let mut shard_run = ShardRun {
         shard,
         accounts: owned.len(),
@@ -317,16 +316,12 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
         shard_run.completed += usize::from(r.completed);
         shard_run.crashes += r.crashes;
         shard_run.audit_mismatches += r.audit_mismatches;
-        metrics.absorb(&r.metrics);
-        elapsed += r.latency;
-    }
-    for lc in &lifecycles {
+        shard_run.metrics.absorb(&r.metrics);
+        shard_run.elapsed += r.latency;
         if let Some(err) = lc.failure() {
             shard_run.failures.push((lc.account().to_owned(), err));
         }
     }
-    shard_run.metrics = metrics;
-    shard_run.elapsed = elapsed;
     shard_run
 }
 
@@ -371,25 +366,37 @@ pub fn run_parallel(cfg: &ParallelConfig) -> ParallelRun {
     let results: Mutex<Vec<ShardRun>> = Mutex::new(Vec::with_capacity(cfg.shards));
     let workers = cfg.workers.min(cfg.shards);
     std::thread::scope(|scope| {
-        for w in 0..workers {
-            let results = &results;
-            scope.spawn(move || {
-                let mut mine = Vec::new();
-                let mut s = w;
-                while s < cfg.shards {
-                    mine.push(run_shard(cfg, s));
-                    s += workers;
-                }
-                results
-                    .lock()
-                    .expect("worker poisoned results")
-                    .extend(mine);
-            });
-        }
+        let first = scope.spawn(|| run_worker(scope, cfg, &results, 0, workers));
+        first.join().expect("worker panicked");
     });
     let mut shard_runs = results.into_inner().expect("worker poisoned results");
     shard_runs.sort_by_key(|r| r.shard);
     ParallelRun::merge(cfg.clone(), shard_runs)
+}
+
+/// Worker `w`: starts worker `w + 1` on a thread of `scope`, runs shards
+/// `w, w + workers, ...`, then joins worker `w + 1`. Leaving a scope does
+/// not wait for its threads to exit and hand back their malloc arenas;
+/// the joins do, and make workers exit last to first, so each worker of
+/// the next call takes the arena its index had and the peak resident
+/// size does not hang on thread timing.
+fn run_worker<'s, 'e>(
+    scope: &'s Scope<'s, 'e>,
+    cfg: &'e ParallelConfig,
+    results: &'e Mutex<Vec<ShardRun>>,
+    w: usize,
+    workers: usize,
+) {
+    let next = (w + 1 < workers)
+        .then(|| scope.spawn(move || run_worker(scope, cfg, results, w + 1, workers)));
+    let mut mine = Vec::new();
+    for s in (w..cfg.shards).step_by(workers) {
+        mine.push(run_shard(cfg, s));
+    }
+    results.lock().expect("results poisoned").extend(mine);
+    if let Some(next) = next {
+        next.join().expect("worker panicked");
+    }
 }
 
 impl ParallelRun {
@@ -400,12 +407,8 @@ impl ParallelRun {
     pub fn merge(config: ParallelConfig, mut shard_runs: Vec<ShardRun>) -> ParallelRun {
         let mut merged: Vec<(usize, StampedEvent)> = Vec::new();
         for run in shard_runs.iter_mut() {
-            let shard = run.shard;
-            merged.extend(
-                std::mem::take(&mut run.events)
-                    .into_iter()
-                    .map(|e| (shard, e)),
-            );
+            let events = std::mem::take(&mut run.events);
+            merged.extend(events.into_iter().map(|e| (run.shard, e)));
         }
         merged.sort_by_key(|(shard, e)| (e.lt, *shard, e.seq));
         ParallelRun {
