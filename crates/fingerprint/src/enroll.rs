@@ -170,6 +170,75 @@ mod tests {
         let _ = enroll(&finger, 0, &mut SimRng::seed_from(1));
     }
 
+    /// FNV-1a over every template's identity, length and the bit pattern
+    /// of each minutia's `x`, `y` and `angle`, with its kind.
+    fn templates_digest(templates: &[Template]) -> u64 {
+        let mut h = 0xCBF2_9CE4_8422_2325u64;
+        let mut eat = |word: u64| {
+            for byte in word.to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0100_0000_01B3);
+            }
+        };
+        for t in templates {
+            eat(t.user_id());
+            eat(u64::from(t.finger_index()));
+            eat(t.len() as u64);
+            for m in t.minutiae() {
+                eat(m.pos.x.to_bits());
+                eat(m.pos.y.to_bits());
+                eat(m.angle.to_bits());
+                eat(u64::from(m.kind == crate::minutiae::MinutiaKind::Ending));
+            }
+        }
+        h
+    }
+
+    /// Captures per finger of the guided flow (`btd_flock`'s
+    /// `ENROLL_CAPTURES`).
+    const ENROLL_CAPTURES: usize = 5;
+
+    /// Every bit of every enrolled template, pinned: users 0..64 with
+    /// three fingers each, enrolled in turn from one generator as a
+    /// device enrols its owner.
+    #[test]
+    fn enrolled_templates_match_known_answer() {
+        let mut rng = SimRng::seed_from(0xE2_0115);
+        let templates: Vec<Template> = (0..64)
+            .flat_map(|user| (0..3).map(move |finger| (user, finger)))
+            .map(|(user, finger)| {
+                enroll(
+                    &FingerPattern::generate(user, finger),
+                    ENROLL_CAPTURES,
+                    &mut rng,
+                )
+            })
+            .collect();
+        // `assert!`: the digest is derived from enrolled minutiae and must
+        // not be printed (secret-taint).
+        assert!(
+            templates_digest(&templates) == 0x9052_1D8D_631C_FF62,
+            "enrolled templates changed"
+        );
+    }
+
+    /// The same pin across capture counts, one capture (support of one)
+    /// included.
+    #[test]
+    fn templates_at_every_capture_count_match_known_answer() {
+        let mut rng = SimRng::seed_from(0xE2_0116);
+        let templates: Vec<Template> = [1, 2, 3, 8]
+            .into_iter()
+            .flat_map(|captures| (0..16).map(move |user| (user, captures)))
+            .map(|(user, captures)| enroll(&FingerPattern::generate(user, 1), captures, &mut rng))
+            .collect();
+        // `assert!`: the digest is derived from enrolled minutiae and must
+        // not be printed (secret-taint).
+        assert!(
+            templates_digest(&templates) == 0x2C19_A84B_6011_EE1E,
+            "enrolled templates changed"
+        );
+    }
+
     #[test]
     fn template_carries_identity() {
         let finger = FingerPattern::generate(104, 3);

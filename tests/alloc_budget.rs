@@ -5,14 +5,15 @@
 //! counting allocator with per-thread counters (test threads run side by
 //! side) and pins the allocations and bytes requested by every register,
 //! login, interaction and close step of one honest and one 10%-loss
-//! lifecycle, and the totals of one traced shard of a fleet run, the path
-//! the wall-clock benchmark measures. A change that adds or removes an
-//! allocation on the Fig. 10 path moves the pin; move it deliberately, in
-//! the same commit.
+//! lifecycle, the set-up of one device (FLock provisioning and the
+//! owner's enrolment), and the totals of one traced shard of a fleet run,
+//! the path the wall-clock benchmark measures. A change that adds or
+//! removes an allocation on the Fig. 10 path moves the pin; move it
+//! deliberately, in the same commit.
 //!
-//! To see where the interaction steps of one honest lifecycle allocate,
-//! run the ignored profiler, which prints the allocating call sites, most
-//! frequent first:
+//! To see where each stage of one honest lifecycle allocates, set-up
+//! included, run the ignored profiler, which prints the allocating call
+//! sites of every stage under its own heading, most frequent first:
 //!
 //! ```sh
 //! cargo test --release --test alloc_budget -- --ignored --nocapture
@@ -117,6 +118,9 @@ struct Budget {
     bytes: u64,
 }
 
+/// The lifecycle stages, in the order of [`stage_of`]'s indices.
+const STAGES: [&str; 4] = ["register", "login", "interact", "close"];
+
 /// Stage index of the next step: register, login, interact or close, from
 /// what the server, the device and the report show before it.
 fn stage_of(registered: bool, in_session: bool, report: &ChaosReport) -> usize {
@@ -140,15 +144,24 @@ struct Rig {
     server: usize,
     device: usize,
     lc: DeviceLifecycle,
+    /// What adding the device requested from the heap.
+    setup: Budget,
 }
 
 impl Rig {
-    /// Sets up the world; nothing here is counted.
+    /// Sets up the world. Only `World::add_device` is counted, into
+    /// `setup`, and only it is profiled if the caller is profiling.
     fn new(adversary: Adversary) -> Rig {
+        let profiling = PROFILING.replace(false);
         let mut rng = SimRng::seed_from(0xA110C);
         let mut world = World::with_adversary(adversary, &mut rng);
         let server = world.add_server(DOMAIN, &mut rng);
+        let before = COUNTS.with(Cell::get);
+        PROFILING.set(profiling);
         let device = world.add_device("budget-dev", HOLDER, &mut rng);
+        PROFILING.set(false);
+        let after = COUNTS.with(Cell::get);
+        let setup = b(1, after.0 - before.0, after.1 - before.1);
         let touches = world.touches_for_holder(device, TOUCHES, &mut rng);
         let lc = DeviceLifecycle::new(
             DOMAIN,
@@ -164,6 +177,7 @@ impl Rig {
             server,
             device,
             lc,
+            setup,
         }
     }
 
@@ -233,6 +247,24 @@ fn b(steps: u64, allocs: u64, bytes: u64) -> Budget {
         allocs,
         bytes,
     }
+}
+
+/// One `World::add_device`: the FLock module, its provisioning and the
+/// owner's three enrolled fingers.
+#[test]
+fn device_setup_allocations_are_pinned() {
+    lifecycle_budget(Adversary::None);
+    let got = Rig::new(Adversary::None).setup;
+    assert_eq!(
+        got,
+        Rig::new(Adversary::None).setup,
+        "allocations do not repeat"
+    );
+    assert_eq!(
+        got,
+        b(1, 563, 160_332),
+        "device set-up budget moved: {got:?}"
+    );
 }
 
 #[test]
@@ -414,34 +446,48 @@ fn allocation_site(trace: &Backtrace) -> String {
     }
 }
 
-/// Prints the call sites behind the allocations of the interaction steps
-/// of one honest lifecycle (after a warm-up lifecycle), most frequent
-/// first: the starting point for the next cut. Most steps allocate
-/// nothing; what is left lands on the step that grows a collection past
-/// its capacity. Backtraces are captured only on this test's thread, so
-/// the pinned tests running beside it stay exact.
+/// Prints the call sites behind the allocations of one honest lifecycle
+/// (after a warm-up lifecycle), stage by stage: device set-up, then
+/// register, login, interact and close, each under its own heading and
+/// most frequent first: the starting point for the next cut. Most
+/// interaction steps allocate nothing; what is left lands on the step
+/// that grows a collection past its capacity. Backtraces are captured
+/// only on this test's thread, so the pinned tests running beside it
+/// stay exact.
 #[test]
 #[ignore = "diagnostic: prints allocation call sites"]
-fn print_interaction_allocation_sites() {
+fn print_allocation_sites() {
     lifecycle_budget(Adversary::None);
+    PROFILING.set(true);
     let mut rig = Rig::new(Adversary::None);
-    let mut steps = 0u64;
+    PROFILING.set(false);
+    print_sites("set-up (World::add_device)", 1, &SITES.take());
+    let mut traces: [Vec<Backtrace>; 4] = Default::default();
+    let mut steps = [0u64; 4];
     while !rig.lc.is_done() {
-        let interacting = rig.stage() == 2;
-        PROFILING.set(interacting);
+        let stage = rig.stage();
+        PROFILING.set(true);
         rig.step();
         PROFILING.set(false);
-        steps += u64::from(interacting);
+        traces[stage].append(&mut SITES.take());
+        steps[stage] += 1;
     }
-    let traces = SITES.take();
+    for ((name, traces), steps) in STAGES.iter().zip(&traces).zip(steps) {
+        print_sites(name, steps, traces);
+    }
+}
+
+/// Prints one stage's allocations grouped by call site, most frequent
+/// first.
+fn print_sites(stage: &str, steps: u64, traces: &[Backtrace]) {
     let mut by_site: HashMap<String, u64> = HashMap::new();
-    for trace in &traces {
+    for trace in traces {
         *by_site.entry(allocation_site(trace)).or_default() += 1;
     }
     let mut sites: Vec<(String, u64)> = by_site.into_iter().collect();
     sites.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
     println!(
-        "{} allocations in {steps} honest interaction steps:",
+        "\n== {stage}: {} allocations in {steps} steps",
         traces.len()
     );
     for (site, n) in sites {
