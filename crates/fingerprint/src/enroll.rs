@@ -10,7 +10,7 @@
 use btd_sim::geom::MmPoint;
 use btd_sim::rng::SimRng;
 
-use crate::minutiae::{normalize_angle, CaptureWindow, Minutia};
+use crate::minutiae::{normalize_angle, CaptureWindow, Minutia, MinutiaKind};
 use crate::pattern::{FingerPattern, FINGER_HALF_H, FINGER_HALF_W};
 use crate::quality::CaptureConditions;
 use crate::template::Template;
@@ -19,6 +19,14 @@ use crate::template::Template;
 const MIN_SUPPORT_FRACTION: f64 = 0.4;
 /// Cluster radius when merging detections across captures, millimetres.
 const CLUSTER_RADIUS: f64 = 0.7;
+/// Side of a clustering grid cell: a hair over [`CLUSTER_RADIUS`], so two
+/// detections the cluster predicate joins always sit in neighbouring
+/// cells, whatever the rounding of their cell coordinates.
+const CELL: f64 = CLUSTER_RADIUS * (1.0 + 1e-9);
+/// Room per capture for detections beyond the ground truth when sizing
+/// the buffers (ideal conditions expect well under one spurious
+/// detection per capture). Going over costs a growth, not a result.
+const SLACK: usize = 2;
 
 /// Enrolls `finger` from `captures` guided captures.
 ///
@@ -49,39 +57,45 @@ pub fn enroll(finger: &FingerPattern, captures: usize, rng: &mut SimRng) -> Temp
         2.0 * FINGER_HALF_H + 2.0,
     );
 
-    let mut all: Vec<Minutia> = Vec::new();
+    // Every capture lands in one buffer, then is mapped back to the
+    // fingertip frame in place with its guided pose.
+    let truth = finger.minutiae().len();
+    let mut all: Vec<Minutia> = Vec::with_capacity(captures * (truth + SLACK));
     for _ in 0..captures {
-        let obs = finger.observe(&window, &CaptureConditions::ideal(), rng);
-        let (s, c) = (-obs.true_rotation).sin_cos();
-        let center = obs.true_window_center;
-        for m in &obs.minutiae {
-            // Invert the sensor-frame transform using the guided pose.
+        let first = all.len();
+        let meta = finger.observe_into(&window, &CaptureConditions::ideal(), rng, &mut all);
+        let (s, c) = (-meta.true_rotation).sin_cos();
+        let center = meta.true_window_center;
+        for m in &mut all[first..] {
             let x = m.pos.x * c - m.pos.y * s + center.x;
             let y = m.pos.x * s + m.pos.y * c + center.y;
-            all.push(Minutia::new(
-                MmPoint::new(x, y),
-                m.angle - obs.true_rotation,
-                m.kind,
-            ));
+            *m = Minutia::new(MmPoint::new(x, y), m.angle - meta.true_rotation, m.kind);
         }
     }
 
-    // Greedy clustering: repeatedly take an unclustered minutia and absorb
-    // everything within CLUSTER_RADIUS.
+    // Greedy clustering: repeatedly take the first unclustered minutia and
+    // absorb every later one within CLUSTER_RADIUS. The grid only narrows
+    // the search; members keep ascending order, which the sums and the
+    // vote below depend on.
     let min_support = ((captures as f64 * MIN_SUPPORT_FRACTION).ceil() as usize).max(1);
+    let grid = Grid::new(&all);
     let mut used = vec![false; all.len()];
-    let mut merged: Vec<Minutia> = Vec::new();
+    let mut members: Vec<usize> = Vec::with_capacity(captures + SLACK);
+    let mut merged: Vec<Minutia> = Vec::with_capacity(truth + SLACK);
     for i in 0..all.len() {
         if used[i] {
             continue;
         }
-        let mut members = vec![i];
-        used[i] = true;
-        for j in (i + 1)..all.len() {
-            if !used[j] && all[i].pos.distance_to(all[j].pos) < CLUSTER_RADIUS {
-                used[j] = true;
-                members.push(j);
-            }
+        members.clear();
+        members.push(i);
+        members.extend(
+            grid.near(all[i].pos)
+                .filter(|&j| j > i && !used[j])
+                .filter(|&j| all[i].pos.distance_to(all[j].pos) < CLUSTER_RADIUS),
+        );
+        members[1..].sort_unstable();
+        for &k in &members {
+            used[k] = true;
         }
         if members.len() < min_support {
             continue;
@@ -95,17 +109,92 @@ pub fn enroll(finger: &FingerPattern, captures: usize, rng: &mut SimRng) -> Temp
         let angle = normalize_angle(sin_sum.atan2(cos_sum));
         let endings = members
             .iter()
-            .filter(|&&k| all[k].kind == crate::minutiae::MinutiaKind::Ending)
+            .filter(|&&k| all[k].kind == MinutiaKind::Ending)
             .count();
         let kind = if endings * 2 >= members.len() {
-            crate::minutiae::MinutiaKind::Ending
+            MinutiaKind::Ending
         } else {
-            crate::minutiae::MinutiaKind::Bifurcation
+            MinutiaKind::Bifurcation
         };
         merged.push(Minutia::new(MmPoint::new(mx, my), angle, kind));
     }
 
     Template::new(finger.user_id(), finger.finger_index(), merged)
+}
+
+/// The detections bucketed into square [`CELL`]-wide cells over their
+/// bounding box, row-major, in CSR layout: cell `c` holds the indices
+/// `index[start[c]..start[c + 1]]`.
+struct Grid {
+    x0: f64,
+    y0: f64,
+    cols: usize,
+    rows: usize,
+    start: Vec<u32>,
+    index: Vec<u32>,
+}
+
+impl Grid {
+    /// Buckets `points` by a counting sort on their cells.
+    fn new(points: &[Minutia]) -> Grid {
+        let (mut x0, mut y0) = (f64::INFINITY, f64::INFINITY);
+        let (mut x1, mut y1) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
+        for m in points {
+            x0 = x0.min(m.pos.x);
+            y0 = y0.min(m.pos.y);
+            x1 = x1.max(m.pos.x);
+            y1 = y1.max(m.pos.y);
+        }
+        let cols = ((x1 - x0) / CELL) as usize + 1;
+        let rows = ((y1 - y0) / CELL) as usize + 1;
+        let mut grid = Grid {
+            x0,
+            y0,
+            cols,
+            rows,
+            start: vec![0; cols * rows + 1],
+            index: vec![0; points.len()],
+        };
+        for m in points {
+            let (col, row) = grid.cell(m.pos);
+            grid.start[row * cols + col] += 1;
+        }
+        // Running sums make `start[c]` the end of cell `c`; placing each
+        // point moves its cell's end back by one, leaving the start.
+        let mut end = 0;
+        for s in &mut grid.start {
+            end += *s;
+            *s = end;
+        }
+        for (k, m) in points.iter().enumerate().rev() {
+            let (col, row) = grid.cell(m.pos);
+            let slot = &mut grid.start[row * cols + col];
+            *slot -= 1;
+            grid.index[*slot as usize] = k as u32;
+        }
+        grid
+    }
+
+    /// The `(column, row)` of the cell holding `p`, a point inside the
+    /// bounding box.
+    fn cell(&self, p: MmPoint) -> (usize, usize) {
+        (
+            ((p.x - self.x0) / CELL) as usize,
+            ((p.y - self.y0) / CELL) as usize,
+        )
+    }
+
+    /// Every bucketed index in the 3×3 cells around the cell of `p`: a
+    /// superset of the points within [`CLUSTER_RADIUS`] of `p`.
+    fn near(&self, p: MmPoint) -> impl Iterator<Item = usize> + '_ {
+        let (col, row) = self.cell(p);
+        let cols = col.saturating_sub(1)..(col + 2).min(self.cols);
+        (row.saturating_sub(1)..(row + 2).min(self.rows)).flat_map(move |r| {
+            let from = self.start[r * self.cols + cols.start] as usize;
+            let to = self.start[r * self.cols + cols.end] as usize;
+            self.index[from..to].iter().map(|&k| k as usize)
+        })
+    }
 }
 
 #[cfg(test)]

@@ -125,6 +125,22 @@ pub struct Observation {
     pub genuine_count: usize,
 }
 
+/// Everything an [`Observation`] holds but its minutiae: what
+/// [`FingerPattern::observe_into`](crate::pattern::FingerPattern::observe_into)
+/// returns next to the detections it appends to the caller's buffer.
+#[derive(Clone, Debug)]
+pub struct ObservationMeta {
+    /// The quality report the capture pipeline attaches.
+    pub quality: crate::quality::QualityReport,
+    /// Ground truth (simulation-only): the touch angle applied.
+    pub true_rotation: f64,
+    /// Ground truth (simulation-only): the fingertip-frame window centre.
+    pub true_window_center: MmPoint,
+    /// Ground truth (simulation-only): how many of the appended minutiae
+    /// are genuine (a prefix of them); the rest are spurious detections.
+    pub genuine_count: usize,
+}
+
 impl Observation {
     /// Number of detected minutiae (genuine + spurious).
     pub fn len(&self) -> usize {

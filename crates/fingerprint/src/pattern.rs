@@ -11,7 +11,7 @@ use std::f64::consts::{PI, TAU};
 use btd_sim::geom::MmPoint;
 use btd_sim::rng::SimRng;
 
-use crate::minutiae::{CaptureWindow, Minutia, MinutiaKind, Observation};
+use crate::minutiae::{CaptureWindow, Minutia, MinutiaKind, Observation, ObservationMeta};
 use crate::quality::{CaptureConditions, QualityReport};
 
 /// Fingertip contact region half-width, millimetres.
@@ -175,6 +175,27 @@ impl FingerPattern {
         conditions: &CaptureConditions,
         rng: &mut SimRng,
     ) -> Observation {
+        let mut minutiae = Vec::new();
+        let meta = self.observe_into(window, conditions, rng, &mut minutiae);
+        Observation {
+            minutiae,
+            quality: meta.quality,
+            true_rotation: meta.true_rotation,
+            true_window_center: meta.true_window_center,
+            genuine_count: meta.genuine_count,
+        }
+    }
+
+    /// [`FingerPattern::observe`] that appends the detections to `out`
+    /// (genuine ones first) and returns the rest of the observation.
+    /// Enrollment gathers every capture into one buffer this way.
+    pub fn observe_into(
+        &self,
+        window: &CaptureWindow,
+        conditions: &CaptureConditions,
+        rng: &mut SimRng,
+        out: &mut Vec<Minutia>,
+    ) -> ObservationMeta {
         let quality = QualityReport::assess(conditions);
         let q = quality.score;
         let rotation = rng.gaussian_with(0.0, 0.35); // natural touch angles
@@ -187,7 +208,7 @@ impl FingerPattern {
         let spurious_rate = 3.0 * (1.0 - q); // expected count per window
 
         let (s, c) = rotation.sin_cos();
-        let mut observed = Vec::new();
+        let first = out.len();
         for m in &self.minutiae {
             if !window.rect.contains(m.pos) {
                 continue;
@@ -211,9 +232,9 @@ impl FingerPattern {
             } else {
                 m.kind
             };
-            observed.push(Minutia::new(MmPoint::new(rx, ry), angle, kind));
+            out.push(Minutia::new(MmPoint::new(rx, ry), angle, kind));
         }
-        let genuine_count = observed.len();
+        let genuine_count = out.len() - first;
 
         // Spurious detections from noise, smudges and dirt.
         let n_spurious = poisson_draw(rng, spurious_rate);
@@ -229,11 +250,10 @@ impl FingerPattern {
             } else {
                 MinutiaKind::Bifurcation
             };
-            observed.push(Minutia::new(pos, rng.range_f64(0.0, TAU), kind));
+            out.push(Minutia::new(pos, rng.range_f64(0.0, TAU), kind));
         }
 
-        Observation {
-            minutiae: observed,
+        ObservationMeta {
             quality,
             true_rotation: rotation,
             true_window_center: center,
