@@ -24,7 +24,7 @@ impl Nonce {
 
     /// Lowercase hex rendering.
     pub fn to_hex(&self) -> String {
-        self.0.iter().map(|b| format!("{:02x}", b)).collect()
+        crate::sha256::hex(&self.0)
     }
 }
 

@@ -144,8 +144,8 @@ impl PublicKey {
 
     /// A short fingerprint of the key for logs and audit records.
     pub fn fingerprint(&self) -> String {
-        let digest = crate::sha256::sha256(&self.to_bytes());
-        digest.to_hex()[..16].to_owned()
+        let digest = crate::sha256::sha256(&self.y.to_be_bytes());
+        crate::sha256::hex(&digest.as_bytes()[..8])
     }
 
     /// Verifies `sig` over `message`.
@@ -265,6 +265,16 @@ impl Signature {
 mod tests {
     use super::*;
     use crate::entropy::ChaChaEntropy;
+
+    #[test]
+    fn fingerprint_is_the_first_16_hex_digits_of_the_key_digest() {
+        for seed in 0..8 {
+            let (kp, _) = keys(seed);
+            let key = kp.public_key();
+            let full = crate::sha256::sha256(&key.to_bytes()).to_hex();
+            assert_eq!(key.fingerprint(), full[..16]);
+        }
+    }
 
     fn keys(seed: u64) -> (KeyPair, ChaChaEntropy) {
         let mut e = ChaChaEntropy::from_u64_seed(seed);

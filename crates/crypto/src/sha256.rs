@@ -18,8 +18,19 @@ impl Digest {
 
     /// Lowercase hex rendering.
     pub fn to_hex(&self) -> String {
-        self.0.iter().map(|b| format!("{:02x}", b)).collect()
+        hex(&self.0)
     }
+}
+
+/// Lowercase hex of `bytes`, written into one pre-sized string.
+pub(crate) fn hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
+    let mut out = String::with_capacity(2 * bytes.len());
+    for &b in bytes {
+        out.push(char::from(DIGITS[usize::from(b >> 4)]));
+        out.push(char::from(DIGITS[usize::from(b & 0x0F)]));
+    }
+    out
 }
 
 impl fmt::Debug for Digest {
@@ -222,6 +233,14 @@ pub fn sha256(data: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hex_matches_per_byte_format() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let formatted: String = bytes.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(hex(&bytes), formatted);
+        assert_eq!(hex(&[]), "");
+    }
 
     #[test]
     fn nist_vectors() {

@@ -269,8 +269,8 @@ fn honest_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 140, 58_141),
-            b(1, 97, 43_442),
+            b(1, 104, 57_517),
+            b(1, 80, 43_298),
             b(16, 27, 45_342),
             b(1, 39, 28_685),
         ],
@@ -284,8 +284,8 @@ fn lossy_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 140, 58_141),
-            b(1, 97, 43_442),
+            b(1, 104, 57_517),
+            b(1, 80, 43_298),
             b(16, 27, 45_342),
             b(1, 39, 28_685),
         ],
@@ -350,8 +350,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 3_284,
-            bytes: 5_081_871,
+            allocs: 3_072,
+            bytes: 5_078_799,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
