@@ -98,10 +98,15 @@ impl EnergyMeter {
 
     /// Adds `energy` to the bucket for `component`.
     pub fn record(&mut self, component: &str, energy: Joules) {
-        *self
-            .by_component
-            .entry(component.to_owned())
-            .or_insert(Joules(0.0)) += energy;
+        // Look up by `&str` first: only a new bucket owns a copy of the
+        // name.
+        match self.by_component.get_mut(component) {
+            Some(bucket) => *bucket += energy,
+            None => {
+                self.by_component
+                    .insert(component.to_owned(), Joules(0.0) + energy);
+            }
+        }
     }
 
     /// Total energy across all components.

@@ -270,8 +270,8 @@ fn honest_lifecycle_allocations_are_pinned() {
         got,
         [
             b(1, 104, 57_517),
-            b(1, 80, 43_298),
-            b(16, 27, 45_342),
+            b(1, 79, 43_284),
+            b(16, 26, 45_328),
             b(1, 39, 28_685),
         ],
         "honest lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -285,8 +285,8 @@ fn lossy_lifecycle_allocations_are_pinned() {
         got,
         [
             b(1, 104, 57_517),
-            b(1, 80, 43_298),
-            b(16, 27, 45_342),
+            b(1, 79, 43_284),
+            b(16, 26, 45_328),
             b(1, 39, 28_685),
         ],
         "10%-loss lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -350,8 +350,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 3_072,
-            bytes: 5_078_799,
+            allocs: 2_961,
+            bytes: 5_077_245,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
