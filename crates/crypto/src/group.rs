@@ -341,15 +341,16 @@ impl DhGroup {
         // length; expected < 2 iterations.
         let qbits = self.q.bits();
         let nbytes = qbits.div_ceil(8);
+        let mut full = [0u8; LIMBS * 8];
+        let buf = &mut full[..nbytes];
         loop {
-            let mut buf = vec![0u8; nbytes];
-            entropy.fill(&mut buf);
+            entropy.fill(buf);
             // Mask excess high bits.
             let excess = nbytes * 8 - qbits;
             if excess > 0 {
                 buf[0] &= 0xFF >> excess;
             }
-            let candidate = U2048::from_be_bytes(&buf);
+            let candidate = U2048::from_be_bytes(buf);
             if !candidate.is_zero() && candidate < self.q {
                 return candidate;
             }

@@ -260,7 +260,7 @@ fn device_setup_allocations_are_pinned() {
         Rig::new(Adversary::None).setup,
         "allocations do not repeat"
     );
-    assert_eq!(got, b(1, 34, 47_504), "device set-up budget moved: {got:?}");
+    assert_eq!(got, b(1, 32, 47_376), "device set-up budget moved: {got:?}");
 }
 
 #[test]
@@ -269,8 +269,8 @@ fn honest_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 104, 57_517),
-            b(1, 79, 43_284),
+            b(1, 100, 57_261),
+            b(1, 76, 43_092),
             b(16, 26, 45_328),
             b(1, 39, 28_685),
         ],
@@ -284,8 +284,8 @@ fn lossy_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 104, 57_517),
-            b(1, 79, 43_284),
+            b(1, 100, 57_261),
+            b(1, 76, 43_092),
             b(16, 26, 45_328),
             b(1, 39, 28_685),
         ],
@@ -350,8 +350,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 2_961,
-            bytes: 5_077_245,
+            allocs: 2_920,
+            bytes: 5_074_621,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
