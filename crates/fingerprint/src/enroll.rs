@@ -23,9 +23,11 @@ const CLUSTER_RADIUS: f64 = 0.7;
 /// detections the cluster predicate joins always sit in neighbouring
 /// cells, whatever the rounding of their cell coordinates.
 const CELL: f64 = CLUSTER_RADIUS * (1.0 + 1e-9);
-/// Room per capture for detections beyond the ground truth when sizing
-/// the buffers (ideal conditions expect well under one spurious
-/// detection per capture). Going over costs a growth, not a result.
+/// Headroom when sizing enrolment's buffers: detections per capture
+/// beyond the ground truth, cluster members beyond one per capture, and
+/// clusters beyond the ground truth (ideal conditions expect well under
+/// one spurious detection per capture). Going over costs a growth, not a
+/// result.
 const SLACK: usize = 2;
 
 /// Enrolls `finger` from `captures` guided captures.
@@ -276,7 +278,7 @@ mod tests {
                 eat(m.pos.x.to_bits());
                 eat(m.pos.y.to_bits());
                 eat(m.angle.to_bits());
-                eat(u64::from(m.kind == crate::minutiae::MinutiaKind::Ending));
+                eat(u64::from(m.kind == MinutiaKind::Ending));
             }
         }
         h

@@ -128,8 +128,7 @@ pub struct Observation {
 /// Everything an [`Observation`] holds but its minutiae: what
 /// [`FingerPattern::observe_into`](crate::pattern::FingerPattern::observe_into)
 /// returns next to the detections it appends to the caller's buffer.
-#[derive(Clone, Debug)]
-pub struct ObservationMeta {
+pub(crate) struct ObservationMeta {
     /// The quality report the capture pipeline attaches.
     pub quality: crate::quality::QualityReport,
     /// Ground truth (simulation-only): the touch angle applied.

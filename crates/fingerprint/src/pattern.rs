@@ -189,7 +189,7 @@ impl FingerPattern {
     /// [`FingerPattern::observe`] that appends the detections to `out`
     /// (genuine ones first) and returns the rest of the observation.
     /// Enrollment gathers every capture into one buffer this way.
-    pub fn observe_into(
+    pub(crate) fn observe_into(
         &self,
         window: &CaptureWindow,
         conditions: &CaptureConditions,
