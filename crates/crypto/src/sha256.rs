@@ -110,27 +110,24 @@ impl Sha256 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buffered > 0 {
-            let need = 64 - self.buffered;
-            let take = need.min(input.len());
+            let take = (64 - self.buffered).min(input.len());
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&input[..take]);
             self.buffered += take;
             input = &input[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            compress(&mut self.state, std::slice::from_ref(&self.buffer));
+            self.buffered = 0;
         }
-        while input.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&input[..64]);
-            self.compress(&block);
-            input = &input[64..];
+        // Whole blocks are compressed in place, in one call, so the
+        // state stays in registers from one block to the next.
+        let (blocks, rest) = input.as_chunks::<64>();
+        if !blocks.is_empty() {
+            compress(&mut self.state, blocks);
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
-        }
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Absorbs a length-prefixed field — used by the protocol layer so that
@@ -146,31 +143,36 @@ impl Sha256 {
         // Padding: 0x80, zeros up to 56 mod 64, then the 64-bit length,
         // written straight into the last block, or the last two when
         // more than 55 bytes are buffered.
-        let mut block = self.buffer;
-        block[self.buffered] = 0x80;
-        block[self.buffered + 1..].fill(0);
-        if self.buffered >= 56 {
-            self.compress(&block);
-            block = [0; 64];
-        }
-        block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
+        let mut tail = [[0u8; 64]; 2];
+        tail[0][..self.buffered].copy_from_slice(&self.buffer[..self.buffered]);
+        tail[0][self.buffered] = 0x80;
+        let n = if self.buffered >= 56 { 2 } else { 1 };
+        tail[n - 1][56..].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &tail[..n]);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[4 * i..4 * i + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest(out)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// Compresses `blocks` into `state`, on the CPU's SHA extensions when it
+/// has them and in portable code otherwise. Both give the same state.
+fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    #[cfg(target_arch = "x86_64")]
+    if shani::compress(state, blocks) {
+        return;
+    }
+    compress_portable(state, blocks);
+}
+
+/// The FIPS 180-4 compression function, one block at a time.
+fn compress_portable(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+    for block in blocks {
         let mut w = [0u32; 64];
-        for i in 0..16 {
-            w[i] = u32::from_be_bytes([
-                block[4 * i],
-                block[4 * i + 1],
-                block[4 * i + 2],
-                block[4 * i + 3],
-            ]);
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -180,7 +182,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -201,14 +203,151 @@ impl Sha256 {
             b = a;
             a = temp1.wrapping_add(temp2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The compression function on the x86 SHA extensions (SHA-NI), in the
+/// round structure of Intel's reference code: the state is held as two
+/// vectors, `ABEF` and `CDGH`, and each `sha256rnds2` runs two rounds.
+/// All of this file's `unsafe` code is here.
+#[cfg(target_arch = "x86_64")]
+#[deny(unsafe_op_in_unsafe_fn)]
+mod shani {
+    use std::arch::x86_64::{
+        __m128i, _mm_add_epi32, _mm_alignr_epi8, _mm_blend_epi16, _mm_loadu_si128, _mm_set_epi32,
+        _mm_set_epi64x, _mm_sha256msg1_epu32, _mm_sha256msg2_epu32, _mm_sha256rnds2_epu32,
+        _mm_shuffle_epi32, _mm_shuffle_epi8, _mm_storeu_si128,
+    };
+
+    use super::K;
+
+    /// Compresses `blocks` into `state` and returns `true`, or returns
+    /// `false` without touching `state` when the CPU lacks a feature the
+    /// kernel needs. Detection is cached by the standard library, so a
+    /// call costs a few loads before the first block.
+    pub(super) fn compress(state: &mut [u32; 8], blocks: &[[u8; 64]]) -> bool {
+        if !available() {
+            return false;
+        }
+        // SAFETY: `available` just checked that the CPU has every feature
+        // `compress_unchecked` is compiled with.
+        unsafe { compress_unchecked(state, blocks) };
+        true
+    }
+
+    /// Whether the CPU has every feature `compress_unchecked` uses
+    /// (`sse2` is part of the x86_64 baseline).
+    pub(super) fn available() -> bool {
+        std::is_x86_feature_detected!("sha")
+            && std::is_x86_feature_detected!("ssse3")
+            && std::is_x86_feature_detected!("sse4.1")
+    }
+
+    /// Rounds `4 * $i .. 4 * $i + 4` on the message words in `$w`.
+    macro_rules! rounds4 {
+        ($abef:ident, $cdgh:ident, $w:expr, $i:literal) => {{
+            let wk = _mm_add_epi32(
+                $w,
+                _mm_set_epi32(
+                    K[4 * $i + 3] as i32,
+                    K[4 * $i + 2] as i32,
+                    K[4 * $i + 1] as i32,
+                    K[4 * $i] as i32,
+                ),
+            );
+            $cdgh = _mm_sha256rnds2_epu32($cdgh, $abef, wk);
+            $abef = _mm_sha256rnds2_epu32($abef, $cdgh, _mm_shuffle_epi32(wk, 0x0E));
+        }};
+    }
+
+    /// Message words `W[t..t + 4]` from the four vectors before them.
+    macro_rules! schedule {
+        ($w0:expr, $w1:expr, $w2:expr, $w3:expr) => {
+            _mm_sha256msg2_epu32(
+                _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4)),
+                $w3,
+            )
+        };
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support `sha`, `sse2`, `ssse3` and `sse4.1`.
+    #[target_feature(enable = "sha,sse2,ssse3,sse4.1")]
+    unsafe fn compress_unchecked(state: &mut [u32; 8], blocks: &[[u8; 64]]) {
+        // Per 32-bit lane, big-endian bytes to native order.
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let ptr = state.as_mut_ptr().cast::<__m128i>();
+        // SAFETY: `state` is 32 bytes, two 16-byte vectors at offsets 0
+        // and 16, and `loadu` has no alignment requirement.
+        let (dcba, hgfe) = unsafe { (_mm_loadu_si128(ptr), _mm_loadu_si128(ptr.add(1))) };
+        let cdab = _mm_shuffle_epi32(dcba, 0xb1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+        for block in blocks {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let p = block.as_ptr().cast::<__m128i>();
+            // SAFETY: `block` is 64 bytes, four 16-byte vectors at offsets
+            // 0, 16, 32 and 48, and `loadu` has no alignment requirement.
+            let (mut w0, mut w1, mut w2, mut w3) = unsafe {
+                (
+                    _mm_loadu_si128(p),
+                    _mm_loadu_si128(p.add(1)),
+                    _mm_loadu_si128(p.add(2)),
+                    _mm_loadu_si128(p.add(3)),
+                )
+            };
+            w0 = _mm_shuffle_epi8(w0, bswap);
+            w1 = _mm_shuffle_epi8(w1, bswap);
+            w2 = _mm_shuffle_epi8(w2, bswap);
+            w3 = _mm_shuffle_epi8(w3, bswap);
+            rounds4!(abef, cdgh, w0, 0);
+            rounds4!(abef, cdgh, w1, 1);
+            rounds4!(abef, cdgh, w2, 2);
+            rounds4!(abef, cdgh, w3, 3);
+            w0 = schedule!(w0, w1, w2, w3);
+            rounds4!(abef, cdgh, w0, 4);
+            w1 = schedule!(w1, w2, w3, w0);
+            rounds4!(abef, cdgh, w1, 5);
+            w2 = schedule!(w2, w3, w0, w1);
+            rounds4!(abef, cdgh, w2, 6);
+            w3 = schedule!(w3, w0, w1, w2);
+            rounds4!(abef, cdgh, w3, 7);
+            w0 = schedule!(w0, w1, w2, w3);
+            rounds4!(abef, cdgh, w0, 8);
+            w1 = schedule!(w1, w2, w3, w0);
+            rounds4!(abef, cdgh, w1, 9);
+            w2 = schedule!(w2, w3, w0, w1);
+            rounds4!(abef, cdgh, w2, 10);
+            w3 = schedule!(w3, w0, w1, w2);
+            rounds4!(abef, cdgh, w3, 11);
+            w0 = schedule!(w0, w1, w2, w3);
+            rounds4!(abef, cdgh, w0, 12);
+            w1 = schedule!(w1, w2, w3, w0);
+            rounds4!(abef, cdgh, w1, 13);
+            w2 = schedule!(w2, w3, w0, w1);
+            rounds4!(abef, cdgh, w2, 14);
+            w3 = schedule!(w3, w0, w1, w2);
+            rounds4!(abef, cdgh, w3, 15);
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1b);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+        let hgfe = _mm_alignr_epi8(dchg, feba, 8);
+        // SAFETY: as for the loads above; `ptr` came from `&mut state`,
+        // which nothing else borrows here.
+        unsafe {
+            _mm_storeu_si128(ptr, dcba);
+            _mm_storeu_si128(ptr.add(1), hgfe);
+        }
     }
 }
 
@@ -233,6 +372,8 @@ pub fn sha256(data: &[u8]) -> Digest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn hex_matches_per_byte_format() {
@@ -242,41 +383,29 @@ mod tests {
         assert_eq!(hex(&[]), "");
     }
 
-    #[test]
-    fn nist_vectors() {
-        assert_eq!(
-            sha256(b"abc").to_hex(),
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        );
-        assert_eq!(
-            sha256(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq").to_hex(),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-        assert_eq!(
-            sha256(&[0x61; 1_000_000]).to_hex(),
-            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"
-        );
-    }
-
-    #[test]
-    fn incremental_equals_oneshot() {
-        let data: Vec<u8> = (0u32..1_000).map(|i| (i % 251) as u8).collect();
-        let oneshot = sha256(&data);
-        for chunk_size in [1usize, 3, 63, 64, 65, 200] {
-            let mut h = Sha256::new();
-            for chunk in data.chunks(chunk_size) {
-                h.update(chunk);
-            }
-            assert_eq!(h.finalize(), oneshot, "chunk size {chunk_size}");
-        }
+    /// The FIPS 180-4 example messages and their digests.
+    fn nist_cases() -> [(Vec<u8>, &'static str); 3] {
+        [
+            (
+                b"abc".to_vec(),
+                "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad",
+            ),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq".to_vec(),
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                vec![0x61; 1_000_000],
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+            ),
+        ]
     }
 
     /// Digests of `(31·i + 7) mod 256` byte strings at the padding
     /// boundaries (the length field fits, just fits, or needs a second
     /// block), computed independently with Python's `hashlib.sha256`.
-    #[test]
-    fn known_answers_at_padding_boundaries() {
-        let cases = [
+    fn padding_cases() -> Vec<(Vec<u8>, &'static str)> {
+        [
             (
                 0,
                 "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -309,15 +438,123 @@ mod tests {
                 1000,
                 "5097e7d587352f5097062ae679f37bda5802d9f875aba14c8cb4d1a188ada179",
             ),
-        ];
-        for (len, hex) in cases {
-            let msg: Vec<u8> = (0..len).map(|i| (31 * i + 7) as u8).collect();
+        ]
+        .into_iter()
+        .map(|(len, hex)| ((0..len).map(|i| (31 * i + 7) as u8).collect(), hex))
+        .collect()
+    }
+
+    /// A compression backend.
+    type Backend = fn(&mut [u32; 8], &[[u8; 64]]);
+
+    /// Every backend this CPU can run, by name. The hardware one is left
+    /// out only when the CPU lacks the SHA extensions.
+    fn backends() -> Vec<(&'static str, Backend)> {
+        let mut out: Vec<(&'static str, Backend)> = vec![("portable", compress_portable)];
+        #[cfg(target_arch = "x86_64")]
+        if shani::available() {
+            out.push(("sha-ni", |state, blocks| {
+                assert!(shani::compress(state, blocks));
+            }));
+        } else {
+            eprintln!("no SHA extensions on this CPU: hardware backend not tested");
+        }
+        out
+    }
+
+    /// SHA-256 of `msg` on one backend, padded here rather than by
+    /// [`Sha256::finalize`].
+    fn digest_with(backend: Backend, msg: &[u8]) -> String {
+        let mut padded = msg.to_vec();
+        padded.push(0x80);
+        while padded.len() % 64 != 56 {
+            padded.push(0);
+        }
+        padded.extend_from_slice(&(8 * msg.len() as u64).to_be_bytes());
+        let mut state = H0;
+        backend(&mut state, padded.as_chunks::<64>().0);
+        let mut out = [0u8; 32];
+        for (bytes, word) in out.as_chunks_mut::<4>().0.iter_mut().zip(state) {
+            *bytes = word.to_be_bytes();
+        }
+        Digest(out).to_hex()
+    }
+
+    #[test]
+    fn nist_vectors() {
+        for (msg, hex) in nist_cases() {
+            assert_eq!(sha256(&msg).to_hex(), hex);
+        }
+    }
+
+    #[test]
+    fn incremental_equals_oneshot() {
+        let data: Vec<u8> = (0u32..1_000).map(|i| (i % 251) as u8).collect();
+        let oneshot = sha256(&data);
+        for chunk_size in [1usize, 3, 63, 64, 65, 200] {
+            let mut h = Sha256::new();
+            for chunk in data.chunks(chunk_size) {
+                h.update(chunk);
+            }
+            assert_eq!(h.finalize(), oneshot, "chunk size {chunk_size}");
+        }
+    }
+
+    #[test]
+    fn known_answers_at_padding_boundaries() {
+        for (msg, hex) in padding_cases() {
+            let len = msg.len();
             assert_eq!(sha256(&msg).to_hex(), hex, "len {len}");
             let mut h = Sha256::new();
             for byte in msg.chunks(1) {
                 h.update(byte);
             }
             assert_eq!(h.finalize().to_hex(), hex, "len {len}, byte by byte");
+        }
+    }
+
+    #[test]
+    fn every_backend_meets_the_known_answers() {
+        for (name, backend) in backends() {
+            for (msg, hex) in nist_cases().into_iter().chain(padding_cases()) {
+                let len = msg.len();
+                assert_eq!(digest_with(backend, &msg), hex, "{name}, len {len}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn backends_agree_on_random_states_and_blocks(
+            state in collection::vec(any::<u32>(), 8..=8),
+            bytes in collection::vec(any::<u8>(), 64..=256),
+        ) {
+            let start: [u32; 8] = state.try_into().expect("eight words");
+            let blocks = bytes.as_chunks::<64>().0;
+            let mut want = start;
+            compress_portable(&mut want, blocks);
+            for (name, backend) in backends() {
+                let mut got = start;
+                backend(&mut got, blocks);
+                prop_assert!(got == want, "{name}: {got:08x?} != {want:08x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn update_split_at_every_offset_matches_oneshot() {
+        let data: Vec<u8> = (0u32..3 * 64 + 17).map(|i| (i * 37 + 5) as u8).collect();
+        let oneshot = sha256(&data);
+        for i in 0..=data.len() {
+            for j in i..=data.len() {
+                let mut h = Sha256::new();
+                h.update(&data[..i]);
+                h.update(&data[i..j]);
+                h.update(&data[j..]);
+                assert_eq!(h.finalize(), oneshot, "split at {i} and {j}");
+            }
         }
     }
 
