@@ -28,6 +28,8 @@ pub struct UserProfile {
     name: String,
     panel_size: MmSize,
     clusters: Vec<TouchCluster>,
+    /// `clusters`' weights, in order, so a draw needs no fresh `Vec`.
+    cluster_weights: Vec<f64>,
     /// Mean inter-touch gap, seconds.
     pub mean_gap_s: f64,
     /// Fraction of touches that are fast swipes rather than taps.
@@ -52,8 +54,9 @@ impl UserProfile {
         clusters: Vec<TouchCluster>,
     ) -> Self {
         assert!(!clusters.is_empty(), "profile needs at least one cluster");
+        let cluster_weights: Vec<f64> = clusters.iter().map(|c| c.weight).collect();
         assert!(
-            clusters.iter().map(|c| c.weight).sum::<f64>() > 0.0,
+            cluster_weights.iter().sum::<f64>() > 0.0,
             "cluster weights must not all be zero"
         );
         UserProfile {
@@ -61,6 +64,7 @@ impl UserProfile {
             name: name.into(),
             panel_size,
             clusters,
+            cluster_weights,
             mean_gap_s: 0.8,
             swipe_fraction: 0.3,
             mean_pressure: 0.55,
@@ -207,8 +211,7 @@ impl UserProfile {
 
     /// Samples a touch position, clamped to the panel.
     pub fn sample_position(&self, rng: &mut SimRng) -> MmPoint {
-        let weights: Vec<f64> = self.clusters.iter().map(|c| c.weight).collect();
-        let c = &self.clusters[rng.weighted_index(&weights)];
+        let c = &self.clusters[rng.weighted_index(&self.cluster_weights)];
         let x = rng
             .gaussian_with(c.mean.x, c.std_dev.w)
             .clamp(1.0, self.panel_size.w - 1.0);
