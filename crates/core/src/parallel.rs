@@ -37,6 +37,7 @@
 //! worker owns its shard worlds exclusively, and the only shared object
 //! is the mutex-guarded result vector, which is sorted before use.
 
+use std::fmt::Write as _;
 use std::sync::Mutex;
 use std::thread::Scope;
 
@@ -228,13 +229,16 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
 
     // Adopt exactly the accounts the server's own routing places here, in
     // ascending global index order so RNG draws are reproducible.
+    // One name buffer serves every index; only owned accounts keep a copy.
     let mut owned: Vec<(usize, String, u64)> = Vec::new();
+    let mut account = String::new();
     for i in 0..cfg.accounts {
-        let account = format!("par-user-{i}");
+        account.clear();
+        let _ = write!(account, "par-user-{i}");
         if shard_index(&account, cfg.shards) == shard {
             let holder = 1_000 + i as u64;
             let didx = world.add_device(&format!("par-dev-{i}"), holder, &mut rng);
-            owned.push((didx, account, holder));
+            owned.push((didx, account.clone(), holder));
         }
     }
 
