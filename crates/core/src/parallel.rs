@@ -335,20 +335,22 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
 fn drain_at(
     lt: u64,
     tracer: &Tracer,
-    sampler: Option<&mut ShardSampler>,
+    mut sampler: Option<&mut ShardSampler>,
     events: &mut Vec<StampedEvent>,
 ) {
-    let drained = tracer.drain();
-    if let Some(s) = sampler {
-        for ev in &drained {
-            s.observe_event(ev);
+    // One reservation per batch, as `extend` made: growing by pushes
+    // alone raised perfbench's peak RSS by about 1 MiB.
+    events.reserve(tracer.len());
+    tracer.drain_each(|event| {
+        if let Some(s) = sampler.as_deref_mut() {
+            s.observe_event(&event);
         }
-    }
-    events.extend(drained.into_iter().map(|event| StampedEvent {
-        lt,
-        seq: event.id,
-        event,
-    }));
+        events.push(StampedEvent {
+            lt,
+            seq: event.id,
+            event,
+        });
+    });
 }
 
 /// Runs every shard across `cfg.workers` OS threads and merges the

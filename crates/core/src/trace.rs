@@ -632,10 +632,20 @@ impl Tracer {
     /// reproduces the whole-trace derivation without ever holding the
     /// whole trace — the fleet-scale runs depend on it.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        self.inner
-            .as_ref()
-            .map(|i| i.borrow_mut().events.drain(..).collect())
-            .unwrap_or_default()
+        let mut out = Vec::with_capacity(self.len());
+        self.drain_each(|ev| out.push(ev));
+        out
+    }
+
+    /// Takes every recorded event out of the buffer as [`Tracer::drain`]
+    /// does, handing each to `sink` in recording order instead of
+    /// collecting them, so a caller that keeps its own buffer allocates
+    /// nothing per drain. `sink` must not record into this tracer: the
+    /// buffer stays borrowed while it runs.
+    pub fn drain_each(&self, sink: impl FnMut(TraceEvent)) {
+        if let Some(inner) = &self.inner {
+            inner.borrow_mut().events.drain(..).for_each(sink);
+        }
     }
 
     /// Exports the trace as JSON Lines: one event object per line, keys
@@ -1232,6 +1242,24 @@ mod tests {
         let u = t.clone();
         u.record(EventKind::GiveUp);
         assert_eq!(t.len(), 1);
+    }
+
+    #[test]
+    fn drain_each_hands_over_events_in_order_and_empties_the_buffer() {
+        let t = Tracer::enabled();
+        t.record(EventKind::Resync);
+        t.record(EventKind::GiveUp);
+        let mut ids = Vec::new();
+        t.drain_each(|ev| ids.push(ev.id));
+        assert_eq!(ids, vec![0, 1]);
+        assert!(t.is_empty());
+        t.record(EventKind::Resync);
+        let drained = t.drain();
+        assert_eq!(drained.len(), 1);
+        assert_eq!(drained[0].id, 2, "ids keep climbing across drains");
+        let mut called = false;
+        Tracer::disabled().drain_each(|_| called = true);
+        assert!(!called);
     }
 
     #[test]
