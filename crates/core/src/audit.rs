@@ -20,12 +20,11 @@
 //!
 //! Verification is *batched*: the audit log is stored per account, and an
 //! audit pass checks a whole window of an account's entries in one sweep
-//! against a shared page→view-hash-set cache, instead of re-deriving the
-//! legitimate views entry at a time. One full-server pass builds each
-//! page's hash set exactly once no matter how many accounts or entries
-//! reference it.
-
-use std::collections::{HashMap, HashSet};
+//! against the server's per-page view hashes, instead of re-deriving the
+//! legitimate views entry at a time. The server computes a page's view
+//! hashes the first time any audit meets the page and keeps them, so a
+//! page's views are hashed once per server no matter how many accounts,
+//! entries, sessions or passes reference it.
 
 use btd_crypto::sha256::Digest;
 
@@ -71,32 +70,7 @@ impl AuditReport {
     }
 }
 
-/// The shared page → legitimate-view-hash cache one audit sweep builds
-/// lazily and every account window reuses.
-#[derive(Default)]
-struct ViewCache {
-    views: HashMap<String, HashSet<Digest>>,
-}
-
-impl ViewCache {
-    fn matches(&mut self, server: &WebServer, path: &str, hash: &Digest) -> bool {
-        if !self.views.contains_key(path) {
-            let hashes: HashSet<Digest> = server
-                .page(path)
-                .map(|p| p.all_view_hashes().into_iter().collect())
-                .unwrap_or_default();
-            self.views.insert(path.to_owned(), hashes);
-        }
-        self.views[path].contains(hash)
-    }
-}
-
-fn audit_window(
-    server: &WebServer,
-    account: &str,
-    start: usize,
-    cache: &mut ViewCache,
-) -> AuditReport {
+fn audit_window(server: &WebServer, account: &str, start: usize) -> AuditReport {
     let mut report = AuditReport {
         total: 0,
         legitimate: 0,
@@ -110,7 +84,7 @@ fn audit_window(
         let lo = i.saturating_sub(entry.lookback.max(1) as usize - 1);
         let legitimate = (lo..=i)
             .rev()
-            .any(|j| cache.matches(server, &window[j].expected_path, &entry.frame_hash));
+            .any(|j| server.is_legitimate_view(&window[j].expected_path, &entry.frame_hash));
         if legitimate {
             report.legitimate += 1;
         } else {
@@ -127,17 +101,16 @@ fn audit_window(
 }
 
 /// Audits the server's entire frame-hash log: every account's whole
-/// window, batched over one shared view cache. Findings are ordered by
+/// window, against the server's memoized view hashes. Findings are ordered by
 /// account, then by position in that account's window.
 pub fn audit_server(server: &WebServer) -> AuditReport {
-    let mut cache = ViewCache::default();
     let mut report = AuditReport {
         total: 0,
         legitimate: 0,
         findings: Vec::new(),
     };
     for account in server.audit_accounts() {
-        report.merge(audit_window(server, account, 0, &mut cache));
+        report.merge(audit_window(server, account, 0));
     }
     report
 }
@@ -147,6 +120,5 @@ pub fn audit_server(server: &WebServer) -> AuditReport {
 /// a particular session appended. Findings carry absolute window indices
 /// regardless of `start`.
 pub fn audit_account_from(server: &WebServer, account: &str, start: usize) -> AuditReport {
-    let mut cache = ViewCache::default();
-    audit_window(server, account, start, &mut cache)
+    audit_window(server, account, start)
 }

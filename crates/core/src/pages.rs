@@ -8,7 +8,7 @@
 //! possible hash codes" — [`Page::all_view_hashes`] is that set, used by
 //! the offline audit.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use btd_crypto::sha256::Digest;
 use btd_flock::framehash::{DisplayFrame, FrameHashEngine};
@@ -83,6 +83,34 @@ impl Page {
     }
 }
 
+/// A page as a server holds it, with its legitimate view hashes
+/// memoized: the first audit that meets the page renders and hashes its
+/// views, and every later audit on the same server reads them. The memo
+/// is derived from the page alone and is never written to a snapshot, a
+/// digest or a trace.
+#[derive(Clone, Debug)]
+pub(crate) struct ServedPage {
+    /// The page.
+    pub(crate) page: Page,
+    views: OnceLock<Box<[Digest]>>,
+}
+
+impl ServedPage {
+    /// Holds `page`, its view hashes not yet computed.
+    pub(crate) fn new(page: Page) -> Self {
+        ServedPage {
+            page,
+            views: OnceLock::new(),
+        }
+    }
+
+    /// [`Page::all_view_hashes`], computed on the first call.
+    pub(crate) fn view_hashes(&self) -> &[Digest] {
+        self.views
+            .get_or_init(|| self.page.all_view_hashes().into_boxed_slice())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +167,14 @@ mod tests {
             Page::all_views().count(),
             ZOOM_LEVELS.len() * SCROLL_STOPS.len()
         );
+    }
+
+    #[test]
+    fn served_page_computes_its_view_hashes_once() {
+        let served = ServedPage::new(Page::new("/a", b"content a".to_vec()));
+        let first = served.view_hashes();
+        assert_eq!(first, served.page.all_view_hashes().as_slice());
+        assert!(std::ptr::eq(first, served.view_hashes()), "recomputed");
     }
 
     #[test]

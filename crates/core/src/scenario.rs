@@ -583,6 +583,30 @@ mod tests {
     }
 
     #[test]
+    fn repeated_audits_agree_and_leave_the_state_digest_alone() {
+        let mut rng = SimRng::seed_from(1);
+        let mut world = World::new(&mut rng);
+        world.add_server("www.xyz.com", &mut rng);
+        let d = world.add_device("phone-1", 42, &mut rng);
+        world.register(d, "www.xyz.com", "alice", &mut rng).unwrap();
+        world.login(d, "www.xyz.com", &mut rng).unwrap();
+        world.run_session(d, "www.xyz.com", 10, &mut rng).unwrap();
+        let server = world.server(0);
+        let digest = server.state_digest();
+        // The first audit fills the server's view-hash memo, the second
+        // reads it; neither is durable state.
+        let first = audit_server(server);
+        assert_eq!(server.state_digest(), digest);
+        let second = audit_server(server);
+        assert_eq!(server.state_digest(), digest);
+        assert!(first.is_clean() && second.is_clean());
+        assert_eq!(
+            (second.total, second.legitimate),
+            (first.total, first.legitimate)
+        );
+    }
+
+    #[test]
     fn duplicate_account_registration_rejected() {
         let mut rng = SimRng::seed_from(2);
         let mut world = World::new(&mut rng);

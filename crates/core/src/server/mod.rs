@@ -65,7 +65,7 @@ use crate::messages::{
     window_nonce, ContentPage, Freshness, InteractionRequest, LoginSubmit, RegistrationAck,
     RegistrationSubmit, Reject, ResetAck, ResetRequest, ResumeAck, ResumeRequest, ServerHello,
 };
-use crate::pages::Page;
+use crate::pages::{Page, ServedPage};
 use crate::risk_policy::{RiskDecision, RiskReport, ServerRiskPolicy};
 use crate::telemetry::RISK_BUCKET_PCT;
 use crate::trace::{CacheKind, CtxArgs, EventKind, Outcome, SpanKind, Tracer};
@@ -456,7 +456,7 @@ pub struct ServerIdentity {
     keys: KeyPair,
     cert: Certificate,
     ca_key: PublicKey,
-    pages: HashMap<String, Page>,
+    pages: HashMap<String, ServedPage>,
     policy: ServerRiskPolicy,
     shard_count: usize,
     /// Symmetric key sealing session keys into journal records and
@@ -685,7 +685,10 @@ impl WebServer {
             ("/transfer", &b"transfer funds"[..]),
             ("/settings", &b"account settings"[..]),
         ] {
-            pages.insert(path.to_owned(), Page::new(path, body.to_vec()));
+            pages.insert(
+                path.to_owned(),
+                ServedPage::new(Page::new(path, body.to_vec())),
+            );
         }
 
         let identity = ServerIdentity {
@@ -775,9 +778,15 @@ impl WebServer {
         self.identity.policy = policy;
     }
 
-    /// The page at `path`, if served here.
-    pub fn page(&self, path: &str) -> Option<&Page> {
-        self.identity.pages.get(path)
+    /// Whether `hash` is the frame hash of one of the legitimate views of
+    /// the page at `path` (false when no page is served there). The view
+    /// hashes are computed the first time any audit meets the page and
+    /// kept for the server's life.
+    pub(crate) fn is_legitimate_view(&self, path: &str, hash: &Digest) -> bool {
+        self.identity
+            .pages
+            .get(path)
+            .is_some_and(|p| p.view_hashes().contains(hash))
     }
 
     /// Number of account shards.
@@ -1137,6 +1146,7 @@ impl WebServer {
             .pages
             .get(path)
             .unwrap_or_else(|| panic!("no page at {path}"))
+            .page
             .clone();
         let nonce = self.ephemeral.fresh_nonce();
         let bytes = ServerHello::signed_bytes(&id.domain, &page, &nonce);
@@ -2123,7 +2133,7 @@ fn decide_login(
     let mut tag = [0u8; 16];
     eph.entropy.fill(&mut tag);
     let session_id: Arc<str> = Arc::from(format!("sess-{}-{}", opened + 1, Nonce(tag)));
-    let home = id.pages.get("/home").expect("home page").clone();
+    let home = id.pages.get("/home").expect("home page").page.clone();
     let nonce = eph.fresh_nonce();
     let mut reply = ContentPage {
         session_id,
@@ -2228,6 +2238,7 @@ fn decide_interaction(
         .get(&*msg.action)
         .or_else(|| id.pages.get("/home"))
         .expect("home page")
+        .page
         .clone();
     let nonce = reply_nonce.unwrap_or_else(|| eph.fresh_nonce());
     let mut reply = ContentPage {
@@ -3226,9 +3237,16 @@ mod tests {
     }
 
     impl WebServer {
+        /// The page at `path`, if served here.
+        pub fn page(&self, path: &str) -> Option<&Page> {
+            self.identity.pages.get(path).map(|p| &p.page)
+        }
+
         /// Adds (or replaces) a served page.
         pub fn put_page(&mut self, page: Page) {
-            self.identity.pages.insert(page.path.to_string(), page);
+            self.identity
+                .pages
+                .insert(page.path.to_string(), ServedPage::new(page));
         }
     }
 }
