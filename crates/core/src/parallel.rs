@@ -339,7 +339,7 @@ fn drain_at(
     events: &mut Vec<StampedEvent>,
 ) {
     // One reservation per batch, as `extend` made: growing by pushes
-    // alone raised perfbench's peak RSS by about 1 MiB.
+    // alone raised perfbench's peak RSS by about 1.5 MiB.
     events.reserve(tracer.len());
     tracer.drain_each(|event| {
         if let Some(s) = sampler.as_deref_mut() {
