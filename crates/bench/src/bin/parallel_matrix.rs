@@ -12,13 +12,13 @@
 //!
 //! Five hot-path micro-benches ride along so every later PR shows its
 //! delta: the partial-print matcher, MAC verify, 512-bit modexp, the
-//! ridge rasterizer, and journal framing + crc32. Their wall-clock ns/op
-//! go to the human table
-//! only; the JSON carries their deterministic workload checksums, which
-//! pin *what* was measured without pinning machine speed.
+//! ridge rasterizer, and journal framing + crc32. Their wall-clock ns/op,
+//! like each run's wall time, go to standard error, so standard output is
+//! deterministic; the JSON carries their deterministic workload checksums,
+//! which pin *what* was measured without pinning machine speed.
 //!
 //! ```sh
-//! cargo run -p btd-bench --bin parallel_matrix            # table + wall clocks
+//! cargo run -p btd-bench --bin parallel_matrix            # table; wall clocks on stderr
 //! cargo run -p btd-bench --bin parallel_matrix -- --json  # canonical JSON
 //! ```
 //!
@@ -371,8 +371,8 @@ fn main() {
         "p50 ms",
         "p99 ms",
         "digest",
-        "wall ms",
     ]);
+    let mut wall = Table::new(["accounts", "shards", "workers", "wall ms"]);
     for r in &rows {
         table.row([
             r.accounts.to_string(),
@@ -385,6 +385,11 @@ fn main() {
             r.p50_ms.to_string(),
             r.p99_ms.to_string(),
             r.digest.clone(),
+        ]);
+        wall.row([
+            r.accounts.to_string(),
+            r.shards.to_string(),
+            r.workers.to_string(),
             format!("{:.0}", r.wall_ms),
         ]);
     }
@@ -394,12 +399,14 @@ fn main() {
          digests (asserted); the digest column shows the shared prefix. \
          interactions/sec and speedup are modeled from the simulated \
          makespan — the slowest worker's summed shard protocol time — so \
-         they are deterministic and blessable; wall ms is this machine's \
-         real elapsed time per run and stays out of the JSON."
+         they are deterministic and blessable. Each run's wall time and \
+         the hot paths' ns/op are this machine's real elapsed time and go \
+         to standard error."
     );
-    println!("\nhot paths (wall clock, this machine):");
+    eprint!("\nrun wall clock, this machine:\n{}", wall.render());
+    eprintln!("\nhot paths (wall clock, this machine):");
     for h in &hot_paths {
-        println!(
+        eprintln!(
             "  {:<22} {:>12.0} ns/op  ({} iters, checksum {:016x})",
             h.name, h.ns_per_op, h.iters, h.checksum
         );

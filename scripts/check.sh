@@ -81,6 +81,37 @@ run_bench_json parallel_matrix target/parallel_matrix.run2.json
 diff -u target/parallel_matrix.json target/parallel_matrix.run2.json \
   || { echo "parallel_matrix is nondeterministic across same-seed runs"; exit 1; }
 
+# Every ```text bin=NAME block of EXPERIMENTS.md is what NAME prints on
+# standard output (blank edge lines and trailing spaces trimmed); a block
+# that drifts from its binary fails here instead of going stale.
+echo "==> EXPERIMENTS.md blocks vs their binaries"
+cargo build -q --release -p btd-bench
+python3 - <<'PY'
+import difflib, re, subprocess, sys
+
+def trim(text):
+    lines = [line.rstrip() for line in text.split("\n")]
+    while lines and not lines[0]:
+        lines.pop(0)
+    while lines and not lines[-1]:
+        lines.pop()
+    return lines
+
+doc = open("EXPERIMENTS.md").read()
+blocks = re.findall(r"^```text bin=(\w+)\n(.*?)^```$", doc, re.M | re.S)
+drifted = []
+for name, block in blocks:
+    run = subprocess.run(["target/release/" + name], capture_output=True, text=True)
+    out = run.stdout if run.returncode == 0 else run.stderr
+    if trim(out) != trim(block):
+        drifted.append(name)
+        sys.stdout.writelines(difflib.unified_diff(
+            [l + "\n" for l in trim(block)], [l + "\n" for l in trim(out)],
+            "EXPERIMENTS.md", name))
+print(f"{len(blocks)} blocks checked, {len(drifted)} drifted")
+sys.exit(1 if drifted else 0)
+PY
+
 echo "==> fleet_top smoke (telemetry invariance + reconciliation + SLO health)"
 cargo run -q --release -p btd-bench --bin fleet_top -- 16 > target/fleet_top.txt \
   || { echo "fleet_top failed: telemetry contract or SLO health broke"; cat target/fleet_top.txt; exit 1; }
