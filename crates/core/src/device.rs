@@ -110,7 +110,6 @@ struct DeviceSession {
     /// The account the session logged in as.
     account: Arc<str>,
     key: Vec<u8>,
-    next_nonce: Nonce,
     /// The cumulative-ack base, echoed from the last applied content
     /// page: the lowest slot whose reply has not been applied yet, which
     /// is the slot a lock-step request carries.
@@ -119,7 +118,8 @@ struct DeviceSession {
     /// The nonce of an in-flight resume request, so the matching ack can
     /// be recognised (and a stale or unsolicited one rejected).
     pending_resume: Option<Nonce>,
-    /// Interaction window (0 = lock-step stop-and-wait).
+    /// Interaction window, the session's credit (1 = lock-step
+    /// stop-and-wait).
     window: u64,
     /// Verified in-window replies that arrived ahead of the base, sorted
     /// by seq; drained as the base catches up.
@@ -438,11 +438,10 @@ impl MobileDevice {
                 session_id: None,
                 account: Arc::from(account.as_str()),
                 key: session_key,
-                next_nonce: hello.nonce,
                 next_seq: 0,
                 current_page: hello.page.clone(),
                 pending_resume: None,
-                window: 0,
+                window: 1,
                 ooo_replies: Vec::new(),
             },
         );
@@ -476,13 +475,18 @@ impl MobileDevice {
     /// Switches the session at `domain` into pipelined windowed mode with
     /// up to `window >= 1` interactions in flight. Call once after login,
     /// mirroring the window the server advertised for the session; the
-    /// per-slot nonces are derived from the session key on both ends from
-    /// here on, so no server round trip is needed to arm the window.
+    /// per-slot nonces are derived from the session key on both ends, so
+    /// no server round trip is needed to arm the window.
     ///
     /// # Errors
     ///
     /// Fails without a live session.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is 0.
     pub fn enable_window(&mut self, domain: &str, window: u64) -> Result<(), DeviceError> {
+        assert!(window >= 1, "window must be at least 1");
         let session = self
             .sessions
             .get_mut(domain)
@@ -490,39 +494,64 @@ impl MobileDevice {
         if session.session_id.is_none() {
             return Err(DeviceError::NoSession);
         }
-        session.window = window.max(1);
+        session.window = window;
         Ok(())
     }
 
-    /// Builds a windowed interaction request for an explicit `slot` in
-    /// `[base, base + window)` — unlike [`MobileDevice::build_interaction`]
-    /// the sequence number is the caller's, so a pipelined runner can keep
+    /// Builds the interaction request for `action` at an explicit `slot`
+    /// in `[base, base + window)`: the slot's derived nonce, the current
+    /// risk window, the frame hash of what the user is looking at, and the
+    /// session MAC. Unlike [`MobileDevice::build_interaction`] the
+    /// sequence number is the caller's, so a pipelined runner can keep
     /// several slots in flight and retransmit any one of them
-    /// selectively. The request's nonce is the derived per-slot nonce.
+    /// selectively.
     ///
     /// # Errors
     ///
-    /// Fails without a live windowed session, or when `slot` is outside
-    /// the window.
+    /// Fails without a live session, or when `slot` is outside the
+    /// window.
     pub fn windowed_request(
         &mut self,
         domain: &str,
         action: impl Into<Arc<str>>,
         slot: u64,
     ) -> Result<InteractionRequest, DeviceError> {
+        let risk = RiskReport::from_tracker(self.flock.auth().risk());
         let session = self.sessions.get(domain).ok_or(DeviceError::NoSession)?;
-        if session.window == 0
-            || slot < session.next_seq
-            || slot >= session.next_seq + session.window
-        {
+        if slot < session.next_seq || slot >= session.next_seq + session.window {
             return Err(DeviceError::NoSession);
         }
+        let Some(session_id) = session.session_id.clone() else {
+            return Err(DeviceError::NoSession);
+        };
+        let record = self
+            .flock
+            .domain_record(domain)
+            .ok_or(DeviceError::UnknownDomain)?;
+        // The session's copy, unless the domain was re-bound since login.
+        let account = if *session.account == *record.account {
+            Arc::clone(&session.account)
+        } else {
+            Arc::from(record.account.as_str())
+        };
         let nonce = window_nonce(&session.key, slot);
-        self.sign_interaction(domain, action.into(), slot, nonce)
+        let frame_hash = self.display_session(domain);
+        let mut request = InteractionRequest {
+            session_id,
+            account,
+            nonce,
+            seq: slot,
+            action: action.into(),
+            frame_hash,
+            risk,
+            mac: Digest([0; 32]),
+        };
+        request.mac = wire::mac(&self.sessions[domain].key, &request);
+        Ok(request)
     }
 
     /// Accepts a content page into the session's window: the device-side
-    /// mirror of the server's admission rule, with credit `max(window, 1)`
+    /// mirror of the server's admission rule, with credit `window`
     /// (lock-step is a window of one). After the session MAC verifies:
     ///
     /// * a session still waiting for its login page adopts the page;
@@ -533,8 +562,6 @@ impl MobileDevice {
     ///
     /// A stale reply is authentic but superseded and changes nothing, so
     /// adversarial re-deliveries can never roll the session backwards.
-    /// A windowed session records the base's advance as a
-    /// [`EventKind::WindowAdvance`] event.
     ///
     /// # Errors
     ///
@@ -555,7 +582,7 @@ impl MobileDevice {
             session.session_id = Some(Arc::clone(&content.session_id));
         } else {
             let base = session.next_seq;
-            if content.seq <= base || content.seq > base + session.window.max(1) {
+            if content.seq <= base || content.seq > base + session.window {
                 return Ok(WindowAccept::Stale);
             }
             if content.seq > base + 1 {
@@ -567,7 +594,6 @@ impl MobileDevice {
             }
         }
         session.next_seq = content.seq;
-        session.next_nonce = content.nonce;
         self.tracer
             .record(EventKind::ContentAccepted { seq: content.seq });
         let mut applied = 1;
@@ -580,19 +606,12 @@ impl MobileDevice {
         {
             let next = session.ooo_replies.remove(0);
             session.next_seq = next.seq;
-            session.next_nonce = next.nonce;
             drained_page = Some(next.page);
             applied += 1;
             self.tracer
                 .record(EventKind::ContentAccepted { seq: next.seq });
         }
         session.current_page = drained_page.unwrap_or_else(|| content.page.clone());
-        if session.window > 0 {
-            self.tracer.record(EventKind::WindowAdvance {
-                base: session.next_seq,
-                applied,
-            });
-        }
         self.display_session(domain);
         Ok(WindowAccept::Applied { applied })
     }
@@ -615,9 +634,10 @@ impl MobileDevice {
         }
     }
 
-    /// Builds a post-login interaction request for `action` against the
-    /// session's *current* nonce and sequence number, attaching the
-    /// current risk window.
+    /// Builds a post-login interaction request for `action` at the
+    /// session's base slot (its current sequence number), attaching the
+    /// current risk window: the [`MobileDevice::windowed_request`] a
+    /// lock-step flow sends.
     ///
     /// # Errors
     ///
@@ -628,49 +648,8 @@ impl MobileDevice {
         action: impl Into<Arc<str>>,
     ) -> Result<InteractionRequest, DeviceError> {
         let session = self.sessions.get(domain).ok_or(DeviceError::NoSession)?;
-        let (seq, nonce) = (session.next_seq, session.next_nonce);
-        self.sign_interaction(domain, action.into(), seq, nonce)
-    }
-
-    /// Signs an interaction request for `action` at slot `seq` carrying
-    /// `nonce`, the one body behind both builders: the current risk
-    /// window, the frame hash of what the user is looking at, and the
-    /// session MAC.
-    fn sign_interaction(
-        &mut self,
-        domain: &str,
-        action: Arc<str>,
-        seq: u64,
-        nonce: Nonce,
-    ) -> Result<InteractionRequest, DeviceError> {
-        let risk = RiskReport::from_tracker(self.flock.auth().risk());
-        let session = self.sessions.get(domain).ok_or(DeviceError::NoSession)?;
-        let Some(session_id) = session.session_id.clone() else {
-            return Err(DeviceError::NoSession);
-        };
-        let record = self
-            .flock
-            .domain_record(domain)
-            .ok_or(DeviceError::UnknownDomain)?;
-        // The session's copy, unless the domain was re-bound since login.
-        let account = if *session.account == *record.account {
-            Arc::clone(&session.account)
-        } else {
-            Arc::from(record.account.as_str())
-        };
-        let frame_hash = self.display_session(domain);
-        let mut request = InteractionRequest {
-            session_id,
-            account,
-            nonce,
-            seq,
-            action,
-            frame_hash,
-            risk,
-            mac: Digest([0; 32]),
-        };
-        request.mac = wire::mac(&self.sessions[domain].key, &request);
-        Ok(request)
+        let slot = session.next_seq;
+        self.windowed_request(domain, action, slot)
     }
 
     /// Builds a post-login interaction request for `action`, driven by a
@@ -708,7 +687,9 @@ impl MobileDevice {
         Some(InteractionRequest {
             session_id: session.session_id.clone().unwrap_or_else(|| Arc::from("")),
             account: Arc::from(account),
-            nonce: session.next_nonce,
+            // The nonce the last reply carried, which the host saw on the
+            // wire.
+            nonce: window_nonce(&session.key, session.next_seq),
             seq: session.next_seq,
             action: Arc::from(action),
             frame_hash: Digest([0xEE; 32]),
@@ -767,7 +748,7 @@ impl MobileDevice {
     /// Accepts a resume acknowledgement: verifies the MAC and the echo of
     /// the in-flight resume nonce, applies the healed reply if the server
     /// included one (the device was one page behind), and re-arms the
-    /// session's nonce and sequence number from the ack.
+    /// session's sequence number from the ack.
     ///
     /// # Errors
     ///
@@ -786,14 +767,12 @@ impl MobileDevice {
             return Err(DeviceError::BadServerMac);
         }
         // The healed reply first: it displays and advances state like any
-        // content page. Then adopt the ack's nonce/seq — the reply's own
-        // embedded nonce died with the old server process.
+        // content page. Then adopt the ack's seq, the server's base.
         if let Some(reply) = &ack.last_reply {
             let reply = reply.clone();
             self.accept_content(domain, &reply)?;
         }
         let session = self.sessions.get_mut(domain).expect("session checked");
-        session.next_nonce = ack.nonce;
         session.next_seq = ack.seq;
         session.pending_resume = None;
         self.tracer.record(EventKind::ResumeAccepted {

@@ -475,9 +475,11 @@ impl Core<'_> {
                 // base slot's reply is still owed.
                 self.ack(run, slot, sent_at);
             }
-            Ok(WindowAccept::Applied { .. }) => {
-                self.ack(run, slot, sent_at);
+            Ok(WindowAccept::Applied { applied }) => {
                 let base = device.session_seq(&self.domain).unwrap_or(run.base0);
+                self.tracer
+                    .record(EventKind::WindowAdvance { base, applied });
+                self.ack(run, slot, sent_at);
                 for (i, state) in run.slots.iter_mut().enumerate() {
                     if run.base0 + i as u64 <= base.saturating_sub(1) {
                         state.done = true;

@@ -128,11 +128,11 @@ pub fn sealed_box_bytes(boxed: &SealedBox) -> Vec<u8> {
     })
 }
 
-/// The derived per-slot nonce of the pipelined windowed flow: both ends
-/// compute `truncate16(HMAC-SHA256(key, label || seq))` from the session
-/// MAC key, so a device can build requests for every slot in its window
-/// without waiting for server-issued challenges, and a recovered server
-/// needs no resume round to re-learn them. Replay protection does not
+/// The derived per-slot nonce of every session, lock-step or pipelined:
+/// both ends compute `truncate16(HMAC-SHA256(key, label || seq))` from
+/// the session MAC key, so a device can build requests for every slot in
+/// its window without waiting for server-issued challenges, and a
+/// recovered server re-issues nothing. Replay protection does not
 /// weaken: the nonce is bound to one slot, and the server's reply-window
 /// membership test ensures each slot is served fresh at most once.
 pub fn window_nonce(key: &[u8], seq: u64) -> Nonce {

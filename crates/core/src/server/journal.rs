@@ -416,9 +416,9 @@ pub enum JournalRecord {
         /// holds no raw secrets; `apply_record` unseals on live apply and
         /// on recovery replay alike.
         sealed_session_key: Vec<u8>,
-        /// Negotiated interaction window for the session: 0 means the
-        /// lock-step stop-and-wait flow, `w >= 1` enables the pipelined
-        /// windowed flow with up to `w` interactions in flight.
+        /// Negotiated interaction window for the session, its credit: up
+        /// to `w >= 1` interactions in flight (1 is the lock-step
+        /// stop-and-wait flow).
         window: u64,
         /// The first content page served (carries session id, nonce, seq).
         reply: ContentPage,

@@ -160,8 +160,6 @@ durable!(CachedInteraction {
 struct Session {
     account: Arc<str>,
     key: Vec<u8>,
-    /// The challenge a lock-step request must echo (window 0 only).
-    pending_nonce: Nonce,
     /// The window base: the lowest slot not yet served, advanced past
     /// contiguously served slots on every apply. In lock-step, the
     /// sequence number the next fresh interaction must carry.
@@ -177,12 +175,12 @@ struct Session {
     /// Every nonce this session consumed, in consumption order; forgotten
     /// from the replay guard when the session closes.
     consumed_nonces: Vec<Nonce>,
-    /// Negotiated interaction window: 0 is the lock-step stop-and-wait
-    /// flow; `w >= 1` lets the pipelined engine keep up to `w`
-    /// interactions in flight, authenticated by per-slot derived nonces.
+    /// Negotiated interaction window, the session's credit: up to
+    /// `window >= 1` interactions in flight. Lock-step stop-and-wait is a
+    /// window of one.
     window: u64,
-    /// Served replies, sorted by seq and capped at the session's credit
-    /// `max(window, 1)`: a lock-step session keeps its last reply here.
+    /// Served replies, sorted by seq and capped at the session's credit:
+    /// a lock-step session keeps its last reply here.
     reply_window: Vec<CachedInteraction>,
 }
 
@@ -205,7 +203,7 @@ impl Session {
         // base itself is unserved), so a full cache holds one below it,
         // older than `slot`: evicting it first keeps the buffer at its
         // reserved size. The device cannot retransmit a slot that old.
-        let credit = self.window.max(1) as usize;
+        let credit = self.window as usize;
         if self.reply_window.len() == credit {
             self.reply_window.remove(0);
         }
@@ -282,10 +280,10 @@ durable!(AuditEntry {
 
 /// The server-wide set of issued-but-unconsumed challenge nonces.
 ///
-/// Never journaled: a challenge is ephemeral, and recovery re-issues the
-/// pending nonce of every live session. Issue order is kept so the set
-/// can be capped at [`ISSUED_NONCE_CAP`] by evicting the oldest — and
-/// "oldest" means strict insertion-order FIFO over the *latest* issue of
+/// Never journaled: a hello challenge is ephemeral, and a crash loses the
+/// ones in flight (the device fetches a new hello). Issue order is kept so
+/// the set can be capped at [`ISSUED_NONCE_CAP`] by evicting the oldest —
+/// and "oldest" means strict insertion-order FIFO over the *latest* issue of
 /// each nonce, never hash-iteration order. Each issue is stamped with a
 /// monotonic generation; a deque entry whose generation no longer matches
 /// the live map is a tombstone (the nonce was consumed, or re-issued
@@ -463,8 +461,9 @@ pub struct ServerIdentity {
     /// snapshots. Part of the durable identity: recovery must open what
     /// the dead process sealed.
     recovery_key: [u8; 32],
-    /// Interaction window advertised at login: 0 keeps the lock-step
-    /// stop-and-wait flow; `w >= 1` enables the pipelined windowed flow.
+    /// Interaction window advertised at login: 1 is the lock-step
+    /// stop-and-wait flow; `w > 1` lets the pipelined engine keep up to
+    /// `w` interactions in flight.
     interaction_window: u64,
 }
 
@@ -700,7 +699,7 @@ impl WebServer {
             policy: ServerRiskPolicy::default(),
             shard_count: shard_count.max(1),
             recovery_key,
-            interaction_window: 0,
+            interaction_window: 1,
         };
         let shards = (0..identity.shard_count).map(|_| Shard::default());
         WebServer::assemble(identity, ephemeral, shards.collect())
@@ -755,11 +754,16 @@ impl WebServer {
     }
 
     /// Sets the interaction window advertised to sessions opened from now
-    /// on: 0 (the default) keeps the lock-step stop-and-wait flow, while
-    /// `w >= 1` lets the pipelined engine keep up to `w` interactions in
+    /// on: 1 (the default) is the lock-step stop-and-wait flow, while
+    /// `w > 1` lets the pipelined engine keep up to `w` interactions in
     /// flight per session. Existing sessions keep the window they were
     /// opened with — it is recorded in their `LoginServed` journal record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `window` is 0.
     pub fn set_interaction_window(&mut self, window: u64) {
+        assert!(window >= 1, "window must be at least 1");
         self.identity.interaction_window = window;
     }
 
@@ -1213,10 +1217,10 @@ impl WebServer {
 
     /// Handles a post-login interaction (Fig. 10, step 4).
     ///
-    /// Every session runs one admission rule with credit `max(window, 1)`
-    /// slots, `expected_seq` being the window base (the lowest slot not yet
-    /// served). A lock-step session (window 0) is the window of one that
-    /// Fig. 10 describes: stop-and-wait.
+    /// Every session runs one admission rule with credit `window` slots,
+    /// `expected_seq` being the window base (the lowest slot not yet
+    /// served). A lock-step session is the window of one that Fig. 10
+    /// describes: stop-and-wait.
     ///
     /// 1. Slot still in the reply cache — a retransmit: MAC-verify *this
     ///    copy's* bytes, then answer from the cache ([`Freshness::Resent`]
@@ -1231,12 +1235,10 @@ impl WebServer {
     /// 5. Bad MAC — [`Reject::BadMac`].
     /// 6. Fresh work: risk policy, then the reply, journaled then applied.
     ///
-    /// Only the nonce source differs. A lock-step request echoes the
-    /// challenge the server issued with its last reply, and the reply
-    /// carries a fresh one. A windowed request carries the per-slot nonce
-    /// both ends derive from the session key
-    /// ([`crate::messages::window_nonce`]), so pipelined requests need no
-    /// challenge and recovery needs no resume round.
+    /// Every request carries the per-slot nonce both ends derive from the
+    /// session key ([`crate::messages::window_nonce`]), and every reply
+    /// carries the next slot's, so pipelined requests need no challenge
+    /// and recovery re-issues nothing.
     ///
     /// # Errors
     ///
@@ -1255,7 +1257,7 @@ impl WebServer {
     /// Handles a session-resumption request: a device whose exchange timed
     /// out across a server restart proves possession of the session key
     /// (MAC over a fresh device nonce and its last acknowledged sequence
-    /// number) and re-learns the current challenge nonce. If the device is
+    /// number) and re-learns its base slot. If the device is
     /// one reply behind — the server served an interaction whose reply
     /// died with the old process — the cached reply rides along in the ack
     /// so the device catches up without the interaction running twice.
@@ -1269,9 +1271,7 @@ impl WebServer {
     /// resume nonce, or an implausible sequence number; returns
     /// [`Reject::ServerCrashed`] if a crash point fires.
     pub fn handle_resume(&mut self, msg: &ResumeRequest) -> Result<(ResumeAck, Freshness), Reject> {
-        self.serve(&msg.account, false, |_, shard, eph| {
-            decide_resume(shard, eph, msg)
-        })
+        self.serve(&msg.account, false, |_, shard, _| decide_resume(shard, msg))
     }
 
     /// Handles a wire identity-reset request (paper §IV, "Identity
@@ -1352,9 +1352,9 @@ impl WebServer {
     /// segment per shard: each shard independently restores its
     /// snapshot, replays every decodable record, and reports what it
     /// salvaged — a torn tail in one segment is that shard's skip count,
-    /// not a global failure. Afterwards the challenge nonces embedded in
-    /// the restored sessions are re-issued. Fresh entropy comes from
-    /// `rng` — a restarted process never reuses its old randomness.
+    /// not a global failure. A restored session's nonces are derived from
+    /// its key, so nothing is re-issued. Fresh entropy comes from `rng` —
+    /// a restarted process never reuses its old randomness.
     ///
     /// Observability state (reject counters, trace, risk histogram)
     /// restarts empty; only protocol state is durable.
@@ -1400,13 +1400,6 @@ impl WebServer {
                 server.apply_record(rec);
             }
             report.shards.push(shard_report);
-        }
-        // Challenge nonces are ephemeral: re-issue the one each live
-        // session is waiting on so the device's next request verifies.
-        for sh in &server.shards {
-            for s in sh.sessions.values().filter(|s| !s.terminated) {
-                server.ephemeral.issued.issue(s.pending_nonce);
-            }
         }
         (server, report)
     }
@@ -1519,10 +1512,13 @@ impl WebServer {
                 // The journal never holds the raw session key; a record
                 // whose seal does not open under this server's recovery
                 // key is foreign or tampered and installs no session.
+                // No writer journals a window of 0 either: a session needs
+                // credit for at least one slot.
                 let Some(session_key) =
                     open_session_key(&self.identity.recovery_key, nonce, sealed_session_key)
+                        .filter(|_| *window >= 1)
                 else {
-                    debug_assert!(false, "sealed session key failed to open");
+                    debug_assert!(false, "sealed session key failed to open, or window 0");
                     return;
                 };
                 let shard = &mut self.shards[idx];
@@ -1545,7 +1541,6 @@ impl WebServer {
                     Session {
                         account: reply.account.clone(),
                         key: session_key,
-                        pending_nonce: reply.nonce,
                         expected_seq: reply.seq,
                         current_path: reply.page.path.clone(),
                         stepups: 0,
@@ -1575,12 +1570,12 @@ impl WebServer {
                 let shard = &mut self.shards[idx];
                 shard.consumed.mark_consumed(*request_nonce);
                 // A pipelined device legitimately lags the serve stream by
-                // up to its window; lock-step sessions (window 0) stay
+                // up to its window; lock-step sessions (window 1) stay
                 // exact.
                 let lookback = shard
                     .sessions
                     .get(&reply.session_id)
-                    .map_or(1, |s| s.window.max(1));
+                    .map_or(1, |s| s.window);
                 shard
                     .audit
                     .entry(reply.account.clone())
@@ -1600,9 +1595,6 @@ impl WebServer {
                     if !session.cache_reply(slot, *request_mac, reply) {
                         return;
                     }
-                    if session.window == 0 {
-                        session.pending_nonce = reply.nonce;
-                    }
                     // The page shown is the highest-seq one served so far
                     // — again independent of apply order.
                     if let Some(last) = session.reply_window.last() {
@@ -1621,7 +1613,6 @@ impl WebServer {
                 let shard = &mut self.shards[idx];
                 shard.consumed.mark_consumed(*device_nonce);
                 if let Some(session) = shard.sessions.get_mut(ack.session_id.as_str()) {
-                    session.pending_nonce = ack.nonce;
                     session.resume_nonces.push(*device_nonce);
                     session.consumed_nonces.push(*device_nonce);
                 }
@@ -1644,7 +1635,6 @@ impl WebServer {
                     for n in &sess.consumed_nonces {
                         shard.consumed.forget_consumed(*n);
                     }
-                    self.ephemeral.issued.remove(sess.pending_nonce);
                     // The session entry plus its login/resume cache
                     // entries all left resident state.
                     let evicted = 1 + 1 + sess.resume_nonces.len() as u64;
@@ -1699,15 +1689,15 @@ impl WebServer {
     /// sorted order, LRU caches in eviction order — both deterministic
     /// under replay — so two shards in the same state encode
     /// identically). Excludes observability state (reject counters,
-    /// trace) and the issued-nonce set, which recovery re-issues.
+    /// trace) and the issued-nonce set, which holds only hello challenges.
     ///
-    /// v2: session keys are sealed under the recovery key (the snapshot,
-    /// like the journal, holds no raw secrets — sealing is deterministic,
-    /// so equal state still means equal bytes), and each session carries
-    /// its interaction window plus the windowed reply cache.
+    /// Session keys are sealed under the recovery key (the snapshot, like
+    /// the journal, holds no raw secrets — sealing is deterministic, so
+    /// equal state still means equal bytes), and each session carries its
+    /// interaction window and its reply cache.
     pub fn shard_snapshot_bytes(&self, idx: usize) -> Vec<u8> {
         let shard = &self.shards[idx];
-        signing_bytes("trust-shard-snapshot-v3", |w| {
+        signing_bytes("trust-shard-snapshot-v4", |w| {
             w.u64(shard.session_counter);
 
             let mut accounts: Vec<_> = shard.accounts.iter().collect();
@@ -1722,16 +1712,7 @@ impl WebServer {
             let mut sessions: Vec<_> = shard.sessions.iter().collect();
             sessions.sort_by(|a, b| a.0.cmp(b.0));
             w.u64(sessions.len() as u64);
-            let none = Vec::new();
             for (sid, s) in sessions {
-                // v3 layout: a lock-step session's one cached reply sits in
-                // its own slot here and its list below stays empty. A slot
-                // is a list of at most one, whose count is the presence flag.
-                let (slot, list) = if s.window == 0 {
-                    (&s.reply_window, &none)
-                } else {
-                    (&none, &s.reply_window)
-                };
                 w.put(sid)
                     .put(&s.account)
                     .bytes(&seal_session_key(
@@ -1739,9 +1720,7 @@ impl WebServer {
                         &s.login_nonce,
                         &s.key,
                     ))
-                    .put(&s.pending_nonce)
                     .put(&s.expected_seq)
-                    .put(slot)
                     .put(&s.current_path)
                     .u64(s.stepups.into())
                     .u64(s.terminated.into())
@@ -1750,7 +1729,7 @@ impl WebServer {
                     .put(&s.resume_nonces)
                     .put(&s.consumed_nonces)
                     .put(&s.window)
-                    .put(list);
+                    .put(&s.reply_window);
             }
 
             // The LRU caches serialize in eviction (insertion) order so a
@@ -1831,7 +1810,7 @@ impl WebServer {
     /// a fresh shard, so a snapshot rejected part way installs nothing.
     fn decode_shard_snapshot(&self, bytes: &[u8]) -> Option<Shard> {
         let mut r = FieldReader::new(bytes);
-        if r.str()? != "trust-shard-snapshot-v3" {
+        if r.str()? != "trust-shard-snapshot-v4" {
             return None;
         }
         let group = self.identity.keys.public_key().group();
@@ -1860,9 +1839,7 @@ impl WebServer {
             // The login nonce (the seal's stream nonce) arrives later in
             // the stream; buffer the sealed bytes until it does.
             let sealed_key: Vec<u8> = r.get()?;
-            let pending_nonce = r.get()?;
             let expected_seq = r.get()?;
-            let slot: Vec<CachedInteraction> = r.get()?;
             let current_path = r.get()?;
             let stepups = u32::try_from(r.u64()?).ok()?;
             let terminated = r.u64().filter(|&t| t < 2)? == 1;
@@ -1870,22 +1847,14 @@ impl WebServer {
             let login_nonce = r.get()?;
             let resume_nonces = r.get()?;
             let consumed_nonces = r.get()?;
-            let window = r.get()?;
-            let list: Vec<CachedInteraction> = r.get()?;
-            // A lock-step session keeps its reply in the slot, a windowed
-            // one in the list; no writer mixes the two.
-            let reply_window = match (window, slot.len(), list.len()) {
-                (0, 0 | 1, 0) => slot,
-                (1.., 0, _) => list,
-                _ => return None,
-            };
+            let window = r.get().filter(|&w: &u64| w >= 1)?;
+            let reply_window = r.get()?;
             let key = open_session_key(&recovery_key, &login_nonce, &sealed_key)?;
             shard.sessions.insert(
                 sid,
                 Session {
                     account,
                     key,
-                    pending_nonce,
                     expected_seq,
                     current_path,
                     stepups,
@@ -2134,11 +2103,10 @@ fn decide_login(
     eph.entropy.fill(&mut tag);
     let session_id: Arc<str> = Arc::from(format!("sess-{}-{}", opened + 1, Nonce(tag)));
     let home = id.pages.get("/home").expect("home page").page.clone();
-    let nonce = eph.fresh_nonce();
     let mut reply = ContentPage {
         session_id,
         account: Arc::clone(account),
-        nonce,
+        nonce: window_nonce(&session_key, 0),
         seq: 0,
         page: home,
         mac: Digest([0; 32]),
@@ -2190,23 +2158,12 @@ fn decide_interaction(
         // device cannot still be retransmitting this slot.
         return Err(Reject::Replay);
     }
-    if msg.seq >= base.saturating_add(s.window.max(1)) {
+    if msg.seq >= base.saturating_add(s.window) {
         return Err(Reject::UnknownNonce);
     }
-    // The one difference between the flows: where the nonces come from. A
-    // lock-step request echoes the challenge the last reply issued, and
-    // its reply draws the next one; a windowed session derives both from
-    // the key (no entropy draw, so serving the same slot set in any order
-    // leaves identical durable state).
-    let (request_nonce, reply_nonce) = if s.window == 0 {
-        (s.pending_nonce, None)
-    } else {
-        (
-            window_nonce(&s.key, msg.seq),
-            Some(window_nonce(&s.key, msg.seq + 1)),
-        )
-    };
-    if msg.nonce != request_nonce {
+    // Both nonces derive from the key (no entropy draw, so serving the
+    // same slot set in any order leaves identical durable state).
+    if msg.nonce != window_nonce(&s.key, msg.seq) {
         // Either a replayed old nonce or a forged one.
         return Err(if shard.consumed.is_consumed(msg.nonce) {
             Reject::Replay
@@ -2240,11 +2197,10 @@ fn decide_interaction(
         .expect("home page")
         .page
         .clone();
-    let nonce = reply_nonce.unwrap_or_else(|| eph.fresh_nonce());
     let mut reply = ContentPage {
         session_id: msg.session_id.clone(),
         account: msg.account.clone(),
-        nonce,
+        nonce: window_nonce(&s.key, msg.seq + 1),
         seq: msg.seq + 1,
         page,
         mac: Digest([0; 32]),
@@ -2264,10 +2220,10 @@ fn decide_interaction(
     }))
 }
 
-/// Resume: an ack with a fresh challenge and any reply the device missed.
+/// Resume: an ack with the base slot's nonce and any reply the device
+/// missed.
 fn decide_resume(
     shard: &Shard,
-    eph: &mut Ephemeral,
     msg: &ResumeRequest,
 ) -> Result<Decision<(ResumeAck, Freshness)>, Reject> {
     if let Some((mac, ack)) = shard.resume_cache.get(&msg.nonce) {
@@ -2301,12 +2257,11 @@ fn decide_resume(
         // The device claims acks from the future.
         return Err(Reject::UnknownNonce);
     };
-    let nonce = eph.fresh_nonce();
     let mut ack = ResumeAck {
         session_id: msg.session_id.clone(),
         account: msg.account.clone(),
         device_nonce: msg.nonce,
-        nonce,
+        nonce: window_nonce(&s.key, s.expected_seq),
         seq: s.expected_seq,
         last_reply,
         mac: Digest([0; 32]),
@@ -2751,7 +2706,7 @@ mod tests {
             nonce: login_nonce,
             signature: vec![1],
             sealed_session_key: seal_session_key(&server.identity.recovery_key, &login_nonce, &key),
-            window: 0,
+            window: 1,
             reply: ContentPage {
                 session_id: "sess-1-x".into(),
                 account: "alice".into(),
@@ -2830,28 +2785,20 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_rejects_a_reply_cache_in_the_other_flows_place() {
-        // A lock-step session's reply sits in the single slot, a windowed
-        // one's in the list; relabelling the window mixes the two.
-        for (window, relabelled) in [(0u64, 1u64), (1, 0)] {
-            let (mut bytes, at) = snapshot_with_one_served_slot(window);
-            let (mut server, _, _) = setup();
-            let idx = server.shard_for("alice");
-            assert!(
-                server.restore_shard_snapshot(idx, &bytes),
-                "window {window}"
-            );
-            assert_eq!(
-                server.shards[idx].sessions["sess-1-x"].reply_window.len(),
-                1
-            );
-            bytes[at..at + 8].copy_from_slice(&relabelled.to_be_bytes());
-            let (mut server, _, _) = setup();
-            assert!(
-                !server.restore_shard_snapshot(idx, &bytes),
-                "window {window} relabelled {relabelled} must be malformed"
-            );
-        }
+    fn snapshot_rejects_a_zero_window() {
+        // Every session has credit for at least one slot; a snapshot whose
+        // session claims none is malformed.
+        let (mut bytes, at) = snapshot_with_one_served_slot(1);
+        let (mut server, _, _) = setup();
+        let idx = server.shard_for("alice");
+        assert!(server.restore_shard_snapshot(idx, &bytes));
+        assert_eq!(
+            server.shards[idx].sessions["sess-1-x"].reply_window.len(),
+            1
+        );
+        bytes[at..at + 8].copy_from_slice(&0u64.to_be_bytes());
+        let (mut server, _, _) = setup();
+        assert!(!server.restore_shard_snapshot(idx, &bytes));
     }
 
     #[test]
@@ -2864,7 +2811,7 @@ mod tests {
             nonce: login_nonce,
             signature: vec![1],
             sealed_session_key: seal_session_key(&server.identity.recovery_key, &login_nonce, &key),
-            window: 0,
+            window: 1,
             reply: ContentPage {
                 session_id: "sess-1-x".into(),
                 account: "alice".into(),
@@ -3117,7 +3064,7 @@ mod tests {
     fn decide_interaction_needs_no_journal_or_crash_schedule() {
         // A lock-step session that served slots 0 and 1, built only
         // through apply_record: the base is 2, the reply cache holds slot
-        // 1, and the next request must echo the challenge [4; 16].
+        // 1, and the next request must carry slot 2's derived nonce.
         let (mut server, _, _) = setup();
         let key = vec![0x5E; 32];
         let login_nonce = Nonce([1u8; 16]);
@@ -3143,12 +3090,12 @@ mod tests {
             r.mac = wire::mac(&key, &r);
             r
         };
-        let challenge = |i: u8| Nonce([i + 2; 16]);
+        let challenge = |i: u8| window_nonce(&key, u64::from(i));
         server.apply_record(&JournalRecord::LoginServed {
             nonce: login_nonce,
             signature: vec![1],
             sealed_session_key: seal_session_key(&server.identity.recovery_key, &login_nonce, &key),
-            window: 0,
+            window: 1,
             reply: page(0, challenge(0)),
             frame_hash: Digest([3u8; 32]),
             risk: RiskReport::fresh_login(),
@@ -3229,10 +3176,10 @@ mod tests {
             other => panic!("termination must commit then refuse: {other:?}"),
         }
 
-        // Only the two fresh evaluations sampled risk, only the lock-step
-        // reply drew a challenge, and the shard is as it was.
+        // Only the two fresh evaluations sampled risk, no reply drew a
+        // challenge, and the shard is as it was.
         assert_eq!(eph.risk_verified.iter().sum::<u64>(), 2);
-        assert_eq!(eph.issued.len(), 1);
+        assert_eq!(eph.issued.len(), 0);
         assert_eq!(server.shard_snapshot_bytes(idx), snapshot);
     }
 

@@ -387,7 +387,8 @@ pub enum EventKind {
         healed_reply: bool,
     },
     /// The device's cumulative-ack base advanced past contiguously applied
-    /// windowed replies (pipelined mode only). Purely observational —
+    /// windowed replies (recorded by the pipelined engine only, so
+    /// lock-step flows carry none). Purely observational —
     /// [`derive_metrics`] ignores it, so trace/metrics parity is unchanged.
     WindowAdvance {
         /// The new base: the lowest slot whose reply is still outstanding.

@@ -270,8 +270,8 @@ fn honest_lifecycle_allocations_are_pinned() {
         got,
         [
             b(1, 100, 57_261),
-            b(1, 76, 43_092),
-            b(16, 26, 45_328),
+            b(1, 76, 42_964),
+            b(16, 20, 42_536),
             b(1, 25, 21_301),
         ],
         "honest lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -285,8 +285,8 @@ fn lossy_lifecycle_allocations_are_pinned() {
         got,
         [
             b(1, 100, 57_261),
-            b(1, 76, 43_092),
-            b(16, 26, 45_328),
+            b(1, 76, 42_964),
+            b(16, 20, 42_536),
             b(1, 25, 21_301),
         ],
         "10%-loss lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -350,8 +350,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 1_733,
-            bytes: 4_679_476,
+            allocs: 1_718,
+            bytes: 4_578_876,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),

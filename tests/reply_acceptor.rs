@@ -1,11 +1,12 @@
-//! The device's reply acceptor, row by row: a lock-step session (window
-//! 0) and a window-1 session are fed the same table of authentic replies
-//! — the login page, the reply to the current request, a reply healed
-//! inside a resume ack, a duplicate of the reply just applied, replies
-//! one and two slots ahead, one below the base, and a copy with a bad
-//! MAC. Each row pins the acceptor's result, the session's sequence
-//! number afterwards, and the `ContentAccepted` / `WindowAdvance` events
-//! the delivery recorded.
+//! The device's reply acceptor, row by row: a lock-step session (a window
+//! of one) is fed a table of authentic replies — the login page, the
+//! reply to the current request, a reply healed inside a resume ack, a
+//! duplicate of the reply just applied, replies one and two slots ahead,
+//! one below the base, and a copy with a bad MAC. Each row pins the
+//! acceptor's result, the session's sequence number afterwards, and the
+//! `ContentAccepted` / `WindowAdvance` events the delivery recorded: the
+//! device records no `WindowAdvance` (the pipelined engine does), so a
+//! lock-step trace gains none.
 //!
 //! Every row starts from its own freshly built world, so a row that moves
 //! the session cannot shift the rows after it. Replies ahead of the base
@@ -23,21 +24,18 @@ const HOLDER: u64 = 7;
 /// Slots served and applied before a row's reply is delivered.
 const BASE: usize = 2;
 
-/// One world with a registered account and a session opened at `window`.
+/// One world with a registered account and a lock-step session.
 struct Rig {
     world: World,
     server: usize,
     device: usize,
-    window: u64,
-    /// Whether the device has switched the session to its window.
-    windowed: bool,
     tracer: Tracer,
 }
 
 impl Rig {
     /// Registers the account and opens the session by hand, returning the
     /// login page undelivered.
-    fn new(window: u64) -> (Rig, ContentPage) {
+    fn new() -> (Rig, ContentPage) {
         let mut rng = SimRng::seed_from(0xACC3);
         let mut world = World::with_adversary(Adversary::None, &mut rng);
         let server = world.add_server(DOMAIN, &mut rng);
@@ -46,7 +44,6 @@ impl Rig {
         world
             .register(device, DOMAIN, "alice", &mut rng)
             .expect("register");
-        world.server_mut(server).set_interaction_window(window);
         let hello = world.server_mut(server).hello("/login");
         let submit = world
             .device_mut(device)
@@ -60,8 +57,6 @@ impl Rig {
             world,
             server,
             device,
-            window,
-            windowed: false,
             tracer,
         };
         (rig, page)
@@ -69,16 +64,9 @@ impl Rig {
 
     /// A rig whose session has applied the login page and the replies to
     /// `slots` requests; returns those replies in slot order.
-    fn at_base(window: u64, slots: usize) -> (Rig, Vec<ContentPage>) {
-        let (mut rig, page) = Rig::new(window);
+    fn at_base(slots: usize) -> (Rig, Vec<ContentPage>) {
+        let (mut rig, page) = Rig::new();
         rig.deliver(&page).expect("login page");
-        if window > 0 {
-            rig.world
-                .device_mut(rig.device)
-                .enable_window(DOMAIN, window)
-                .expect("enable window");
-            rig.windowed = true;
-        }
         let replies = (0..slots)
             .map(|_| {
                 let reply = rig.serve("/inbox");
@@ -92,15 +80,11 @@ impl Rig {
     /// Serves the device's request for its current slot, returning the
     /// reply undelivered.
     fn serve(&mut self, action: &str) -> ContentPage {
-        let device = self.world.device_mut(self.device);
-        let request = if self.window == 0 {
-            device.build_interaction(DOMAIN, action).expect("build")
-        } else {
-            let slot = device.session_seq(DOMAIN).expect("session");
-            device
-                .windowed_request(DOMAIN, action, slot)
-                .expect("windowed build")
-        };
+        let request = self
+            .world
+            .device_mut(self.device)
+            .build_interaction(DOMAIN, action)
+            .expect("build");
         self.world
             .server_mut(self.server)
             .handle_interaction(&request)
@@ -108,20 +92,13 @@ impl Rig {
             .0
     }
 
-    /// Feeds one reply through the acceptor the session's flow uses,
-    /// rendering the result.
+    /// Feeds one reply through the acceptor, rendering its verdict.
     fn deliver(&mut self, reply: &ContentPage) -> Result<String, String> {
-        let device = self.world.device_mut(self.device);
-        let result = if !self.windowed {
-            device
-                .accept_content(DOMAIN, reply)
-                .map(|()| "Ok".to_owned())
-        } else {
-            device
-                .accept_windowed_content(DOMAIN, reply)
-                .map(|accept| format!("{accept:?}"))
-        };
-        result.map_err(|e| format!("{e:?}"))
+        self.world
+            .device_mut(self.device)
+            .accept_windowed_content(DOMAIN, reply)
+            .map(|accept| format!("{accept:?}"))
+            .map_err(|e| format!("{e:?}"))
     }
 
     /// Loses the reply to the current request, then resumes: the ack
@@ -180,8 +157,8 @@ fn pin(mut rig: Rig, deliver: impl FnOnce(&mut Rig) -> Result<String, String>) -
 }
 
 /// Runs `deliver` on a fresh rig at [`BASE`] and pins what it did.
-fn row(window: u64, deliver: impl FnOnce(&mut Rig) -> Result<String, String>) -> Outcome {
-    pin(Rig::at_base(window, BASE).0, deliver)
+fn row(deliver: impl FnOnce(&mut Rig) -> Result<String, String>) -> Outcome {
+    pin(Rig::at_base(BASE).0, deliver)
 }
 
 fn outcome(result: Result<&str, &str>, seq: u64, events: &[&str]) -> Outcome {
@@ -192,104 +169,62 @@ fn outcome(result: Result<&str, &str>, seq: u64, events: &[&str]) -> Outcome {
     }
 }
 
-/// The table for a session at `window`: `(row name, observed)`.
-fn table(window: u64) -> Vec<(&'static str, Outcome)> {
+/// The table for a lock-step session: `(row name, observed)`.
+fn table() -> Vec<(&'static str, Outcome)> {
     // Slots 0..BASE are applied; a twin of the rig under test serves
     // three more.
-    let (_, replies) = Rig::at_base(window, BASE + 3);
+    let (_, replies) = Rig::at_base(BASE + 3);
     let base_reply = replies[BASE].clone();
     let mut rows = Vec::new();
 
-    let (rig, page) = Rig::new(window);
+    let (rig, page) = Rig::new();
     rows.push(("login page", pin(rig, |rig| rig.deliver(&page))));
-    rows.push(("base reply", row(window, |rig| rig.deliver(&base_reply))));
+    rows.push(("base reply", row(|rig| rig.deliver(&base_reply))));
     rows.push((
         "healed reply inside a resume ack",
-        row(window, Rig::resume_healing_the_current_slot),
+        row(Rig::resume_healing_the_current_slot),
     ));
     rows.push((
         "duplicate of the reply just applied",
-        row(window, |rig| rig.deliver(&replies[BASE - 1])),
+        row(|rig| rig.deliver(&replies[BASE - 1])),
     ));
-    rows.push((
-        "one slot ahead",
-        row(window, |rig| rig.deliver(&replies[BASE + 1])),
-    ));
+    rows.push(("one slot ahead", row(|rig| rig.deliver(&replies[BASE + 1]))));
     rows.push((
         "two slots ahead",
-        row(window, |rig| rig.deliver(&replies[BASE + 2])),
+        row(|rig| rig.deliver(&replies[BASE + 2])),
     ));
-    rows.push((
-        "below base",
-        row(window, |rig| rig.deliver(&replies[BASE - 2])),
-    ));
+    rows.push(("below base", row(|rig| rig.deliver(&replies[BASE - 2]))));
     let mut bad_mac = base_reply.clone();
     bad_mac.mac.0[0] ^= 1;
-    rows.push(("bad MAC", row(window, |rig| rig.deliver(&bad_mac))));
+    rows.push(("bad MAC", row(|rig| rig.deliver(&bad_mac))));
     rows
-}
-
-fn check(window: u64, expected: Vec<(&str, Outcome)>) {
-    let observed = table(window);
-    assert_eq!(observed.len(), expected.len());
-    for ((name, got), (want_name, want)) in observed.iter().zip(&expected) {
-        assert_eq!(name, want_name);
-        assert_eq!(got, want, "window {window}, row {name:?}");
-    }
-}
-
-#[test]
-fn lock_step_acceptor_table() {
-    check(
-        0,
-        vec![
-            ("login page", outcome(Ok("Ok"), 0, &["accepted 0"])),
-            ("base reply", outcome(Ok("Ok"), 3, &["accepted 3"])),
-            (
-                "healed reply inside a resume ack",
-                outcome(Ok("Ok"), 3, &["accepted 3"]),
-            ),
-            // A lock-step session has a credit of one slot: the copies
-            // below and past it are stale, as in a window-1 session. No
-            // lock-step flow hands these to the device.
-            (
-                "duplicate of the reply just applied",
-                outcome(Ok("Ok"), 2, &[]),
-            ),
-            ("one slot ahead", outcome(Ok("Ok"), 2, &[])),
-            ("two slots ahead", outcome(Ok("Ok"), 2, &[])),
-            ("below base", outcome(Ok("Ok"), 2, &[])),
-            ("bad MAC", outcome(Err("BadServerMac"), 2, &[])),
-        ],
-    );
 }
 
 #[test]
 fn window_one_acceptor_table() {
-    check(
-        1,
-        vec![
-            ("login page", outcome(Ok("Ok"), 0, &["accepted 0"])),
-            (
-                "base reply",
-                outcome(
-                    Ok("Applied { applied: 1 }"),
-                    3,
-                    &["accepted 3", "advance base=3 applied=1"],
-                ),
-            ),
-            (
-                "healed reply inside a resume ack",
-                outcome(Ok("Ok"), 3, &["accepted 3", "advance base=3 applied=1"]),
-            ),
-            (
-                "duplicate of the reply just applied",
-                outcome(Ok("Stale"), 2, &[]),
-            ),
-            ("one slot ahead", outcome(Ok("Stale"), 2, &[])),
-            ("two slots ahead", outcome(Ok("Stale"), 2, &[])),
-            ("below base", outcome(Ok("Stale"), 2, &[])),
-            ("bad MAC", outcome(Err("BadServerMac"), 2, &[])),
-        ],
-    );
+    let applied = "Applied { applied: 1 }";
+    let expected = vec![
+        ("login page", outcome(Ok(applied), 0, &["accepted 0"])),
+        ("base reply", outcome(Ok(applied), 3, &["accepted 3"])),
+        (
+            "healed reply inside a resume ack",
+            outcome(Ok("Ok"), 3, &["accepted 3"]),
+        ),
+        // A credit of one slot: the copies below and past it are stale.
+        // No lock-step flow hands these to the device.
+        (
+            "duplicate of the reply just applied",
+            outcome(Ok("Stale"), 2, &[]),
+        ),
+        ("one slot ahead", outcome(Ok("Stale"), 2, &[])),
+        ("two slots ahead", outcome(Ok("Stale"), 2, &[])),
+        ("below base", outcome(Ok("Stale"), 2, &[])),
+        ("bad MAC", outcome(Err("BadServerMac"), 2, &[])),
+    ];
+    let observed = table();
+    assert_eq!(observed.len(), expected.len());
+    for ((name, got), (want_name, want)) in observed.iter().zip(&expected) {
+        assert_eq!(name, want_name);
+        assert_eq!(got, want, "row {name:?}");
+    }
 }

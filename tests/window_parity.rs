@@ -1,11 +1,10 @@
-//! Lock-step is a window of one: a session opened with window 0 (the
-//! Fig. 10 stop-and-wait flow, nonces issued by the server) and one opened
-//! with window 1 (nonces derived per slot from the session key) must give
-//! the same verdict to every request the server can see — fresh work,
-//! retransmits, rebuilds after a lost reply, tampering, stale and future
-//! slots, replayed and forged nonces, bad MACs — and count the same
-//! rejections. The table runs on a live server, then again after journal
-//! recovery and after a snapshot restore.
+//! Lock-step is a window of one: a session's nonces are derived per slot
+//! from its key, so the verdict the server gives every request it can see
+//! — fresh work, retransmits, rebuilds after a lost reply, tampering,
+//! stale and future slots, replayed and forged nonces, bad MACs — is
+//! pinned in one table, with the rejections it counts. The table runs on
+//! a live server, then again after journal recovery and after a snapshot
+//! restore.
 
 use btd_crypto::nonce::Nonce;
 use btd_sim::rng::SimRng;
@@ -17,19 +16,18 @@ const DOMAIN: &str = "www.xyz.com";
 
 type Verdict = Result<Freshness, Reject>;
 
-/// One world with a registered account and a session opened at `window`.
+/// One world with a registered account and a lock-step session.
 struct Rig {
     world: World,
     server: usize,
     device: usize,
-    window: u64,
     rng: SimRng,
     /// The last request the variants served fresh.
     last: Option<InteractionRequest>,
 }
 
 impl Rig {
-    fn new(window: u64) -> Rig {
+    fn new() -> Rig {
         let mut rng = SimRng::seed_from(0x51DE);
         let mut world = World::with_adversary(Adversary::None, &mut rng);
         let server = world.add_server(DOMAIN, &mut rng);
@@ -37,18 +35,11 @@ impl Rig {
         world
             .register(device, DOMAIN, "alice", &mut rng)
             .expect("register");
-        if window == 0 {
-            world.login(device, DOMAIN, &mut rng).expect("login");
-        } else {
-            world
-                .login_windowed(device, DOMAIN, window, &mut rng)
-                .expect("windowed login");
-        }
+        world.login(device, DOMAIN, &mut rng).expect("login");
         Rig {
             world,
             server,
             device,
-            window,
             rng,
             last: None,
         }
@@ -56,26 +47,17 @@ impl Rig {
 
     /// The device's request for its current slot.
     fn build(&mut self, action: &str) -> InteractionRequest {
-        let device = self.world.device_mut(self.device);
-        if self.window == 0 {
-            device.build_interaction(DOMAIN, action).expect("build")
-        } else {
-            let slot = device.session_seq(DOMAIN).expect("session");
-            device
-                .windowed_request(DOMAIN, action, slot)
-                .expect("windowed build")
-        }
+        self.world
+            .device_mut(self.device)
+            .build_interaction(DOMAIN, action)
+            .expect("build")
     }
 
     fn deliver(&mut self, reply: &ContentPage) {
-        let device = self.world.device_mut(self.device);
-        if self.window == 0 {
-            device.accept_content(DOMAIN, reply).expect("accept");
-        } else {
-            device
-                .accept_windowed_content(DOMAIN, reply)
-                .expect("accept windowed");
-        }
+        self.world
+            .device_mut(self.device)
+            .accept_content(DOMAIN, reply)
+            .expect("accept");
     }
 
     fn send(&mut self, req: &InteractionRequest) -> (Verdict, Option<ContentPage>) {
@@ -153,72 +135,93 @@ impl Rig {
         counts.sort_by_key(|(r, _)| format!("{r:?}"));
         counts
     }
-}
 
-fn assert_parity(stage: &str, lock_step: &mut Rig, windowed: &mut Rig) {
-    // The reply cache came through: the last request is still a resend.
-    for rig in [&mut *lock_step, &mut *windowed] {
-        let last = rig.last.clone().expect("served before");
-        let verdict = rig.send(&last).0;
+    /// The pinned table, and the rejections it counts on a server whose
+    /// counters started at zero.
+    fn check(&mut self, stage: &str) {
+        let expected: Vec<(&str, Verdict)> = vec![
+            ("fresh", Ok(Freshness::Fresh)),
+            ("fresh, reply lost", Ok(Freshness::Fresh)),
+            ("byte-identical resend", Ok(Freshness::Resent)),
+            ("rebuilt after a lost reply", Ok(Freshness::Resync)),
+            ("tampered copy of the cached slot", Err(Reject::BadMac)),
+            ("two behind", Err(Reject::Replay)),
+            ("one ahead", Err(Reject::UnknownNonce)),
+            ("consumed nonce", Err(Reject::Replay)),
+            ("never-issued nonce", Err(Reject::UnknownNonce)),
+            ("bad MAC", Err(Reject::BadMac)),
+            ("fresh after refusals", Ok(Freshness::Fresh)),
+        ];
+        assert_eq!(self.variants(), expected, "{stage}");
         assert_eq!(
-            verdict,
-            Ok(Freshness::Resent),
-            "{stage}: window {}",
-            rig.window
+            self.reject_counts(),
+            vec![
+                (Reject::BadMac, 2),
+                (Reject::Replay, 2),
+                (Reject::UnknownNonce, 2)
+            ],
+            "{stage}: reject counts"
         );
     }
-    let a = lock_step.variants();
-    let b = windowed.variants();
-    for ((name, va), (_, vb)) in a.iter().zip(&b) {
-        assert_eq!(va, vb, "{stage}: {name}: window 0 vs window 1");
+
+    /// The reply cache came through a restart: the last request is still
+    /// a resend.
+    fn last_is_resent(&mut self, stage: &str) {
+        let last = self.last.clone().expect("served before");
+        assert_eq!(self.send(&last).0, Ok(Freshness::Resent), "{stage}");
     }
-    assert_eq!(
-        lock_step.reject_counts(),
-        windowed.reject_counts(),
-        "{stage}: reject counts"
-    );
 }
 
 #[test]
-fn window_zero_and_window_one_give_the_same_verdicts() {
-    let mut lock_step = Rig::new(0);
-    let mut windowed = Rig::new(1);
+fn lock_step_verdicts_hold_live_after_recovery_and_after_restore() {
+    let mut rig = Rig::new();
+    rig.check("live");
 
-    let expected: Vec<(&str, Verdict)> = vec![
-        ("fresh", Ok(Freshness::Fresh)),
-        ("fresh, reply lost", Ok(Freshness::Fresh)),
-        ("byte-identical resend", Ok(Freshness::Resent)),
-        ("rebuilt after a lost reply", Ok(Freshness::Resync)),
-        ("tampered copy of the cached slot", Err(Reject::BadMac)),
-        ("two behind", Err(Reject::Replay)),
-        ("one ahead", Err(Reject::UnknownNonce)),
-        ("consumed nonce", Err(Reject::Replay)),
-        ("never-issued nonce", Err(Reject::UnknownNonce)),
-        ("bad MAC", Err(Reject::BadMac)),
-        ("fresh after refusals", Ok(Freshness::Fresh)),
-    ];
-    let live = lock_step.variants();
-    assert_eq!(live, expected, "window 0 verdicts");
-    assert_eq!(windowed.variants(), expected, "window 1 verdicts");
-    assert_eq!(lock_step.reject_counts(), windowed.reject_counts());
-
-    // Journal recovery: every shard replays its records.
-    for rig in [&mut lock_step, &mut windowed] {
-        let report = rig
-            .world
-            .server_mut(rig.server)
-            .recover_in_place(&mut rig.rng);
-        assert_eq!(report.snapshots_restored(), 0);
-    }
-    assert_parity("after journal recovery", &mut lock_step, &mut windowed);
+    // Journal recovery: every shard replays its records. Reject counters
+    // are observability state and restart empty.
+    let report = rig
+        .world
+        .server_mut(rig.server)
+        .recover_in_place(&mut rig.rng);
+    assert_eq!(report.snapshots_restored(), 0);
+    rig.last_is_resent("after journal recovery");
+    rig.check("after journal recovery");
 
     // Snapshot restore: compaction folds the records into snapshots.
-    for rig in [&mut lock_step, &mut windowed] {
-        let server = rig.world.server_mut(rig.server);
-        server.compact_journal();
-        let report = server.recover_in_place(&mut rig.rng);
-        assert!(report.snapshots_restored() > 0);
-        assert_eq!(report.records_replayed(), 0);
-    }
-    assert_parity("after snapshot restore", &mut lock_step, &mut windowed);
+    let server = rig.world.server_mut(rig.server);
+    server.compact_journal();
+    let report = server.recover_in_place(&mut rig.rng);
+    assert!(report.snapshots_restored() > 0);
+    assert_eq!(report.records_replayed(), 0);
+    rig.last_is_resent("after snapshot restore");
+    rig.check("after snapshot restore");
+}
+
+#[test]
+fn recovered_server_serves_the_next_lock_step_request_with_nothing_reissued() {
+    let mut rig = Rig::new();
+    let first = rig.build("/inbox");
+    let (verdict, reply) = rig.send(&first);
+    assert_eq!(verdict, Ok(Freshness::Fresh));
+    rig.deliver(&reply.expect("served"));
+
+    let server = rig.world.server_mut(rig.server);
+    server.recover_in_place(&mut rig.rng);
+    assert_eq!(
+        server.resident_stats().issued_nonces,
+        0,
+        "recovery issues no challenge"
+    );
+
+    // No resume round: the device's next request carries the derived
+    // nonce of its slot, and the recovered server serves it fresh.
+    let next = rig.build("/settings");
+    let (verdict, reply) = rig.send(&next);
+    assert_eq!(verdict, Ok(Freshness::Fresh));
+    rig.deliver(&reply.expect("served"));
+    assert_eq!(
+        rig.world.device(rig.device).session_seq(DOMAIN),
+        Some(2),
+        "both slots applied"
+    );
 }
