@@ -8,6 +8,12 @@
 //! device records no `WindowAdvance` (the pipelined engine does), so a
 //! lock-step trace gains none.
 //!
+//! The same table is run twice: once on the session as login leaves it,
+//! driven through `build_interaction`, and once on a session switched to
+//! a window of one by hand and driven through `windowed_request`. Both
+//! must give every row the same result, since lock-step is a window of
+//! one.
+//!
 //! Every row starts from its own freshly built world, so a row that moves
 //! the session cannot shift the rows after it. Replies ahead of the base
 //! come from a twin world built from the same seed, which serves a few
@@ -29,13 +35,15 @@ struct Rig {
     world: World,
     server: usize,
     device: usize,
+    /// Whether the session is driven through the explicit window-1 calls.
+    windowed: bool,
     tracer: Tracer,
 }
 
 impl Rig {
     /// Registers the account and opens the session by hand, returning the
     /// login page undelivered.
-    fn new() -> (Rig, ContentPage) {
+    fn new(windowed: bool) -> (Rig, ContentPage) {
         let mut rng = SimRng::seed_from(0xACC3);
         let mut world = World::with_adversary(Adversary::None, &mut rng);
         let server = world.add_server(DOMAIN, &mut rng);
@@ -57,6 +65,7 @@ impl Rig {
             world,
             server,
             device,
+            windowed,
             tracer,
         };
         (rig, page)
@@ -64,9 +73,15 @@ impl Rig {
 
     /// A rig whose session has applied the login page and the replies to
     /// `slots` requests; returns those replies in slot order.
-    fn at_base(slots: usize) -> (Rig, Vec<ContentPage>) {
-        let (mut rig, page) = Rig::new();
+    fn at_base(windowed: bool, slots: usize) -> (Rig, Vec<ContentPage>) {
+        let (mut rig, page) = Rig::new(windowed);
         rig.deliver(&page).expect("login page");
+        if windowed {
+            rig.world
+                .device_mut(rig.device)
+                .enable_window(DOMAIN, 1)
+                .expect("enable window");
+        }
         let replies = (0..slots)
             .map(|_| {
                 let reply = rig.serve("/inbox");
@@ -80,11 +95,15 @@ impl Rig {
     /// Serves the device's request for its current slot, returning the
     /// reply undelivered.
     fn serve(&mut self, action: &str) -> ContentPage {
-        let request = self
-            .world
-            .device_mut(self.device)
-            .build_interaction(DOMAIN, action)
-            .expect("build");
+        let device = self.world.device_mut(self.device);
+        let request = if self.windowed {
+            let slot = device.session_seq(DOMAIN).expect("session");
+            device
+                .windowed_request(DOMAIN, action, slot)
+                .expect("windowed build")
+        } else {
+            device.build_interaction(DOMAIN, action).expect("build")
+        };
         self.world
             .server_mut(self.server)
             .handle_interaction(&request)
@@ -157,8 +176,8 @@ fn pin(mut rig: Rig, deliver: impl FnOnce(&mut Rig) -> Result<String, String>) -
 }
 
 /// Runs `deliver` on a fresh rig at [`BASE`] and pins what it did.
-fn row(deliver: impl FnOnce(&mut Rig) -> Result<String, String>) -> Outcome {
-    pin(Rig::at_base(BASE).0, deliver)
+fn row(windowed: bool, deliver: impl FnOnce(&mut Rig) -> Result<String, String>) -> Outcome {
+    pin(Rig::at_base(windowed, BASE).0, deliver)
 }
 
 fn outcome(result: Result<&str, &str>, seq: u64, events: &[&str]) -> Outcome {
@@ -170,38 +189,45 @@ fn outcome(result: Result<&str, &str>, seq: u64, events: &[&str]) -> Outcome {
 }
 
 /// The table for a lock-step session: `(row name, observed)`.
-fn table() -> Vec<(&'static str, Outcome)> {
+fn table(windowed: bool) -> Vec<(&'static str, Outcome)> {
     // Slots 0..BASE are applied; a twin of the rig under test serves
     // three more.
-    let (_, replies) = Rig::at_base(BASE + 3);
+    let (_, replies) = Rig::at_base(windowed, BASE + 3);
     let base_reply = replies[BASE].clone();
     let mut rows = Vec::new();
 
-    let (rig, page) = Rig::new();
+    let (rig, page) = Rig::new(windowed);
     rows.push(("login page", pin(rig, |rig| rig.deliver(&page))));
-    rows.push(("base reply", row(|rig| rig.deliver(&base_reply))));
+    rows.push(("base reply", row(windowed, |rig| rig.deliver(&base_reply))));
     rows.push((
         "healed reply inside a resume ack",
-        row(Rig::resume_healing_the_current_slot),
+        row(windowed, Rig::resume_healing_the_current_slot),
     ));
     rows.push((
         "duplicate of the reply just applied",
-        row(|rig| rig.deliver(&replies[BASE - 1])),
+        row(windowed, |rig| rig.deliver(&replies[BASE - 1])),
     ));
-    rows.push(("one slot ahead", row(|rig| rig.deliver(&replies[BASE + 1]))));
+    rows.push((
+        "one slot ahead",
+        row(windowed, |rig| rig.deliver(&replies[BASE + 1])),
+    ));
     rows.push((
         "two slots ahead",
-        row(|rig| rig.deliver(&replies[BASE + 2])),
+        row(windowed, |rig| rig.deliver(&replies[BASE + 2])),
     ));
-    rows.push(("below base", row(|rig| rig.deliver(&replies[BASE - 2]))));
+    rows.push((
+        "below base",
+        row(windowed, |rig| rig.deliver(&replies[BASE - 2])),
+    ));
     let mut bad_mac = base_reply.clone();
     bad_mac.mac.0[0] ^= 1;
-    rows.push(("bad MAC", row(|rig| rig.deliver(&bad_mac))));
+    rows.push(("bad MAC", row(windowed, |rig| rig.deliver(&bad_mac))));
     rows
 }
 
-#[test]
-fn window_one_acceptor_table() {
+/// Checks the table for one way of driving the session against the one
+/// expected table.
+fn check(windowed: bool) {
     let applied = "Applied { applied: 1 }";
     let expected = vec![
         ("login page", outcome(Ok(applied), 0, &["accepted 0"])),
@@ -221,10 +247,20 @@ fn window_one_acceptor_table() {
         ("below base", outcome(Ok("Stale"), 2, &[])),
         ("bad MAC", outcome(Err("BadServerMac"), 2, &[])),
     ];
-    let observed = table();
+    let observed = table(windowed);
     assert_eq!(observed.len(), expected.len());
     for ((name, got), (want_name, want)) in observed.iter().zip(&expected) {
         assert_eq!(name, want_name);
-        assert_eq!(got, want, "row {name:?}");
+        assert_eq!(got, want, "windowed {windowed}, row {name:?}");
     }
+}
+
+#[test]
+fn lock_step_acceptor_table() {
+    check(false);
+}
+
+#[test]
+fn window_one_acceptor_table() {
+    check(true);
 }
