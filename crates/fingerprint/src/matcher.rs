@@ -1346,6 +1346,67 @@ mod tests {
         }
     }
 
+    /// The `keep` best bins the production vote leaves for scoring.
+    fn top_bins(
+        template: &Template,
+        observed: &[Minutia],
+        cfg: &MatchConfig,
+        keep: usize,
+    ) -> Vec<(u32, BinKey)> {
+        let cfg = MatchConfig {
+            hough_bins_evaluated: keep,
+            min_minutiae: 0,
+            ..*cfg
+        };
+        let mut scratch = MatchScratch::new();
+        scratch.best_match(std::slice::from_ref(template), observed, &cfg);
+        scratch.top
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The whole vote table, and the best `keep` bins for several
+        /// counts, equal the reference's ranking in both angle modes:
+        /// pairs aimed at rounding boundaries (which the filter must send
+        /// to the exact key), stray minutiae, and repeated observed
+        /// minutiae, whose every bin gets at least two votes.
+        #[test]
+        fn vote_and_top_bins_match_reference_on_aimed_pairs(
+            seed in any::<u64>(),
+            aimed in 1usize..24,
+            stray in 0usize..8,
+            copies in 0usize..16,
+            mod_pi in any::<bool>()
+        ) {
+            use std::f64::consts::TAU;
+            let cfg = if mod_pi {
+                MatchConfig::for_image_extraction()
+            } else {
+                MatchConfig::default()
+            };
+            let mut rng = SimRng::seed_from(seed);
+            let (template, mut observed) = boundary_pairs(&cfg, &mut rng, aimed, 0.0, 0.0);
+            for _ in 0..stray {
+                observed.push(Minutia {
+                    pos: MmPoint::new(rng.range_f64(-6.0, 6.0), rng.range_f64(-6.0, 6.0)),
+                    angle: rng.range_f64(0.0, TAU),
+                    kind: crate::minutiae::MinutiaKind::Bifurcation,
+                });
+            }
+            observed.extend_from_within(..copies.min(observed.len()));
+            let template = Template::new(0, 0, template);
+            let reference = reference::hough_votes(&template, &observed, &cfg);
+            prop_assert_eq!(&vote_table(&template, &observed, &cfg), &reference);
+            for keep in [1, 2, 4, 8, 32] {
+                prop_assert_eq!(
+                    &top_bins(&template, &observed, &cfg, keep)[..],
+                    &reference[..keep.min(reference.len())]
+                );
+            }
+        }
+    }
+
     #[test]
     fn fmod_free_fold_is_bit_exact() {
         use std::f64::consts::{FRAC_PI_2, PI, TAU};

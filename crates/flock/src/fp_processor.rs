@@ -315,6 +315,89 @@ mod tests {
         assert!(accepted <= 1, "stranger accepted {accepted}/10");
     }
 
+    /// Folds every bit of a verification into `h`, FNV-1a over the bytes
+    /// of each field.
+    fn fold_verify(h: u64, r: &VerifyResult) -> u64 {
+        let decision = match r.decision {
+            MatchDecision::Accept => 0,
+            MatchDecision::Reject => 1,
+            MatchDecision::Inconclusive => 2,
+        };
+        [
+            r.best.score.to_bits(),
+            r.best.matched as u64,
+            r.best.rotation.to_bits(),
+            r.best.translation.0.to_bits(),
+            r.best.translation.1.to_bits(),
+            r.finger_index as u64,
+            r.matched_user,
+            decision,
+            r.latency.as_nanos(),
+        ]
+        .iter()
+        .flat_map(|w| w.to_le_bytes())
+        .fold(h, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Touches shaped like the fleet's: 4–8 mm windows anywhere on the
+    /// pad, uneven pressure, moisture and coverage, two in three from one
+    /// of the owner's three enrolled fingers and the rest from a stranger.
+    fn fleet_touches(owner: u64, count: usize, rng: &mut SimRng) -> Vec<Vec<Minutia>> {
+        (0..count)
+            .map(|i| {
+                let user = if i % 3 == 2 { 70_000 + i as u64 } else { owner };
+                let pattern = FingerPattern::generate(user, (i % 3) as u8);
+                let side = rng.range_f64(4.0, 8.0);
+                let window = CaptureWindow::centered(
+                    MmPoint::new(rng.range_f64(-3.0, 3.0), rng.range_f64(-4.0, 4.0)),
+                    side,
+                    side,
+                );
+                let conditions = CaptureConditions {
+                    speed_mm_s: rng.range_f64(0.0, 30.0),
+                    pressure: rng.range_f64(0.3, 1.0),
+                    coverage: rng.range_f64(0.6, 1.0),
+                    moisture: rng.range_f64(0.2, 0.7),
+                };
+                pattern.observe(&window, &conditions, rng).minutiae
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fleet_touch_verifications_are_bit_exact() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let (mut minutiae, mut verified) = (0, 0);
+        let mut decisions = [0usize; 3];
+        for owner in 0..4u64 {
+            let mut rng = SimRng::seed_from(0xF1EE7 + owner);
+            let mut p = FingerprintProcessor::new();
+            p.enroll_user(800 + owner, 3, &mut rng);
+            for observed in fleet_touches(800 + owner, 50, &mut rng) {
+                let r = p.verify(&observed).unwrap();
+                minutiae += observed.len();
+                verified += 1;
+                decisions[r.decision as usize] += 1;
+                h = fold_verify(h, &r);
+            }
+        }
+        assert_eq!(verified, 200);
+        assert!(
+            decisions.iter().all(|&n| n > 10),
+            "accept, reject, inconclusive: {decisions:?}"
+        );
+        assert!(
+            (6..=12).contains(&(minutiae / verified)),
+            "{minutiae} minutiae in {verified} touches"
+        );
+        assert_eq!(
+            h, 0xe0c1_48d2_18b2_c476,
+            "fleet verification digest moved: {h:#018x}"
+        );
+    }
+
     #[test]
     fn latency_reported_and_counts_tracked() {
         let mut p = FingerprintProcessor::new();
