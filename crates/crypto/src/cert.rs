@@ -23,14 +23,20 @@ pub enum Role {
     CertificateAuthority,
 }
 
-impl fmt::Display for Role {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
+impl Role {
+    /// The role's name, as certificates carry it.
+    fn name(self) -> &'static str {
+        match self {
             Role::WebServer => "web-server",
             Role::FlockModule => "flock-module",
             Role::CertificateAuthority => "certificate-authority",
-        };
-        f.write_str(s)
+        }
+    }
+}
+
+impl fmt::Display for Role {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -72,7 +78,7 @@ impl Certificate {
         let mut hasher = Sha256::new();
         hasher.update_field(b"trust-certificate-v1");
         hasher.update_field(subject.as_bytes());
-        hasher.update_field(role.to_string().as_bytes());
+        hasher.update_field(role.name().as_bytes());
         hasher.update_field(&public_key.to_bytes());
         hasher.update_field(&serial.to_be_bytes());
         h.extend_from_slice(hasher.finalize().as_bytes());

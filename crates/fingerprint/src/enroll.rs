@@ -11,7 +11,7 @@ use btd_sim::geom::MmPoint;
 use btd_sim::rng::SimRng;
 
 use crate::minutiae::{normalize_angle, CaptureWindow, Minutia, MinutiaKind};
-use crate::pattern::{FingerPattern, FINGER_HALF_H, FINGER_HALF_W};
+use crate::pattern::{FingerPattern, FINGER_HALF_H, FINGER_HALF_W, MOST_MINUTIAE};
 use crate::quality::CaptureConditions;
 use crate::template::Template;
 
@@ -50,83 +50,137 @@ const SLACK: usize = 2;
 /// assert!(template.len() >= 20);
 /// ```
 pub fn enroll(finger: &FingerPattern, captures: usize, rng: &mut SimRng) -> Template {
-    assert!(captures > 0, "enrollment needs at least one capture");
-    // A window covering the whole fingertip: guided enrollment asks the
-    // user to press flat on a dedicated region.
-    let window = CaptureWindow::centered(
-        MmPoint::new(0.0, 0.0),
-        2.0 * FINGER_HALF_W + 2.0,
-        2.0 * FINGER_HALF_H + 2.0,
-    );
+    Enrolment::default().enroll(finger, captures, rng)
+}
 
-    // Every capture lands in one buffer, then is mapped back to the
-    // fingertip frame in place with its guided pose.
-    let truth = finger.minutiae().len();
-    let mut all: Vec<Minutia> = Vec::with_capacity(captures * (truth + SLACK));
-    for _ in 0..captures {
-        let first = all.len();
-        let meta = finger.observe_into(&window, &CaptureConditions::ideal(), rng, &mut all);
-        let (s, c) = (-meta.true_rotation).sin_cos();
-        let center = meta.true_window_center;
-        for m in &mut all[first..] {
-            let x = m.pos.x * c - m.pos.y * s + center.x;
-            let y = m.pos.x * s + m.pos.y * c + center.y;
-            *m = Minutia::new(MmPoint::new(x, y), m.angle - meta.true_rotation, m.kind);
-        }
+/// Enrolment's working buffers, kept across the fingers of one guided
+/// flow so that enrolling several fingers allocates them about once
+/// rather than once per finger. They hold detections of the last finger
+/// enrolled, so `Debug` shows none of them.
+#[derive(Default)]
+pub struct Enrolment {
+    /// Every capture's detections, in the fingertip frame.
+    all: Vec<Minutia>,
+    /// Which detections are already clustered.
+    used: Vec<bool>,
+    /// The detections of the cluster being merged.
+    members: Vec<usize>,
+    grid: Grid,
+}
+
+impl std::fmt::Debug for Enrolment {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Enrolment").finish_non_exhaustive()
     }
+}
 
-    // Greedy clustering: repeatedly take the first unclustered minutia and
-    // absorb every later one within CLUSTER_RADIUS. The grid only narrows
-    // the search; members keep ascending order, which the sums and the
-    // vote below depend on.
-    let min_support = ((captures as f64 * MIN_SUPPORT_FRACTION).ceil() as usize).max(1);
-    let grid = Grid::new(&all);
-    let mut used = vec![false; all.len()];
-    let mut members: Vec<usize> = Vec::with_capacity(captures + SLACK);
-    let mut merged: Vec<Minutia> = Vec::with_capacity(truth + SLACK);
-    for i in 0..all.len() {
-        if used[i] {
-            continue;
-        }
-        members.clear();
-        members.push(i);
-        members.extend(
-            grid.near(all[i].pos)
-                .filter(|&j| j > i && !used[j])
-                .filter(|&j| all[i].pos.distance_to(all[j].pos) < CLUSTER_RADIUS),
+impl Enrolment {
+    /// [`enroll`] with these buffers: every bit of the template is the
+    /// same.
+    ///
+    /// # Panics
+    ///
+    /// As [`enroll`].
+    pub fn enroll(
+        &mut self,
+        finger: &FingerPattern,
+        captures: usize,
+        rng: &mut SimRng,
+    ) -> Template {
+        assert!(captures > 0, "enrollment needs at least one capture");
+        // A window covering the whole fingertip: guided enrollment asks the
+        // user to press flat on a dedicated region.
+        let window = CaptureWindow::centered(
+            MmPoint::new(0.0, 0.0),
+            2.0 * FINGER_HALF_W + 2.0,
+            2.0 * FINGER_HALF_H + 2.0,
         );
-        members[1..].sort_unstable();
-        for &k in &members {
-            used[k] = true;
-        }
-        if members.len() < min_support {
-            continue;
-        }
-        // Average position; circular-mean angle; majority kind.
-        let n = members.len() as f64;
-        let mx = members.iter().map(|&k| all[k].pos.x).sum::<f64>() / n;
-        let my = members.iter().map(|&k| all[k].pos.y).sum::<f64>() / n;
-        let sin_sum: f64 = members.iter().map(|&k| all[k].angle.sin()).sum();
-        let cos_sum: f64 = members.iter().map(|&k| all[k].angle.cos()).sum();
-        let angle = normalize_angle(sin_sum.atan2(cos_sum));
-        let endings = members
-            .iter()
-            .filter(|&&k| all[k].kind == MinutiaKind::Ending)
-            .count();
-        let kind = if endings * 2 >= members.len() {
-            MinutiaKind::Ending
-        } else {
-            MinutiaKind::Bifurcation
-        };
-        merged.push(Minutia::new(MmPoint::new(mx, my), angle, kind));
-    }
 
-    Template::new(finger.user_id(), finger.finger_index(), merged)
+        // Every capture lands in one buffer, then is mapped back to the
+        // fingertip frame in place with its guided pose.
+        let truth = finger.minutiae().len();
+        let Enrolment {
+            all,
+            used,
+            members,
+            grid,
+        } = self;
+        // Sized for the largest pattern, so the buffers grow at most on
+        // the first finger of a flow.
+        let most = captures * (truth.max(MOST_MINUTIAE) + SLACK);
+        all.clear();
+        all.reserve(most);
+        used.clear();
+        used.reserve(most);
+        grid.index.clear();
+        grid.index.reserve(most);
+        for _ in 0..captures {
+            let first = all.len();
+            let meta = finger.observe_into(&window, &CaptureConditions::ideal(), rng, all);
+            let (s, c) = (-meta.true_rotation).sin_cos();
+            let center = meta.true_window_center;
+            for m in &mut all[first..] {
+                let x = m.pos.x * c - m.pos.y * s + center.x;
+                let y = m.pos.x * s + m.pos.y * c + center.y;
+                *m = Minutia::new(MmPoint::new(x, y), m.angle - meta.true_rotation, m.kind);
+            }
+        }
+
+        // Greedy clustering: repeatedly take the first unclustered minutia and
+        // absorb every later one within CLUSTER_RADIUS. The grid only narrows
+        // the search; members keep ascending order, which the sums and the
+        // vote below depend on.
+        let min_support = ((captures as f64 * MIN_SUPPORT_FRACTION).ceil() as usize).max(1);
+        grid.fill(all);
+        used.resize(all.len(), false);
+        members.clear();
+        members.reserve(captures + SLACK);
+        let mut merged: Vec<Minutia> = Vec::with_capacity(truth + SLACK);
+        for i in 0..all.len() {
+            if used[i] {
+                continue;
+            }
+            members.clear();
+            members.push(i);
+            members.extend(
+                grid.near(all[i].pos)
+                    .filter(|&j| j > i && !used[j])
+                    .filter(|&j| all[i].pos.distance_to(all[j].pos) < CLUSTER_RADIUS),
+            );
+            members[1..].sort_unstable();
+            for &k in members.iter() {
+                used[k] = true;
+            }
+            if members.len() < min_support {
+                continue;
+            }
+            // Average position; circular-mean angle; majority kind.
+            let n = members.len() as f64;
+            let mx = members.iter().map(|&k| all[k].pos.x).sum::<f64>() / n;
+            let my = members.iter().map(|&k| all[k].pos.y).sum::<f64>() / n;
+            let sin_sum: f64 = members.iter().map(|&k| all[k].angle.sin()).sum();
+            let cos_sum: f64 = members.iter().map(|&k| all[k].angle.cos()).sum();
+            let angle = normalize_angle(sin_sum.atan2(cos_sum));
+            let endings = members
+                .iter()
+                .filter(|&&k| all[k].kind == MinutiaKind::Ending)
+                .count();
+            let kind = if endings * 2 >= members.len() {
+                MinutiaKind::Ending
+            } else {
+                MinutiaKind::Bifurcation
+            };
+            merged.push(Minutia::new(MmPoint::new(mx, my), angle, kind));
+        }
+
+        Template::new(finger.user_id(), finger.finger_index(), merged)
+    }
 }
 
 /// The detections bucketed into square [`CELL`]-wide cells over their
 /// bounding box, row-major, in CSR layout: cell `c` holds the indices
 /// `index[start[c]..start[c + 1]]`.
+#[derive(Default)]
 struct Grid {
     x0: f64,
     y0: f64,
@@ -137,8 +191,9 @@ struct Grid {
 }
 
 impl Grid {
-    /// Buckets `points` by a counting sort on their cells.
-    fn new(points: &[Minutia]) -> Grid {
+    /// Buckets `points` by a counting sort on their cells, reusing the
+    /// grid's buffers.
+    fn fill(&mut self, points: &[Minutia]) {
         let (mut x0, mut y0) = (f64::INFINITY, f64::INFINITY);
         let (mut x1, mut y1) = (f64::NEG_INFINITY, f64::NEG_INFINITY);
         for m in points {
@@ -149,14 +204,12 @@ impl Grid {
         }
         let cols = ((x1 - x0) / CELL) as usize + 1;
         let rows = ((y1 - y0) / CELL) as usize + 1;
-        let mut grid = Grid {
-            x0,
-            y0,
-            cols,
-            rows,
-            start: vec![0; cols * rows + 1],
-            index: vec![0; points.len()],
-        };
+        let grid = self;
+        (grid.x0, grid.y0, grid.cols, grid.rows) = (x0, y0, cols, rows);
+        grid.start.clear();
+        grid.start.resize(cols * rows + 1, 0);
+        grid.index.clear();
+        grid.index.resize(points.len(), 0);
         for m in points {
             let (col, row) = grid.cell(m.pos);
             grid.start[row * cols + col] += 1;
@@ -174,7 +227,6 @@ impl Grid {
             *slot -= 1;
             grid.index[*slot as usize] = k as u32;
         }
-        grid
     }
 
     /// The `(column, row)` of the cell holding `p`, a point inside the

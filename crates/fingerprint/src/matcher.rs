@@ -221,12 +221,76 @@ pub fn match_observation(
         .1
 }
 
+/// Enrolled templates with the constants the vote derives from them: the
+/// `sin_cos` of every template direction and whether every template lies
+/// in the certified range. They are computed once, when the set is built,
+/// instead of on every match ([`MatchScratch::best_match_in`]).
+///
+/// The constants are derived from the minutiae, so they are as secret:
+/// `Debug` shows only the template count. They stay out of [`Template`]
+/// itself, so a template's encoding, size and clone cost are unchanged.
+#[derive(Clone, Default)]
+pub struct TemplateSet {
+    templates: Vec<Template>,
+    /// `sin_cos` of each template direction, template after template.
+    direction_trig: Vec<(f64, f64)>,
+    /// Whether every template minutia lies in the certified range.
+    certified: bool,
+}
+
+impl std::fmt::Debug for TemplateSet {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "TemplateSet({} templates <redacted>)",
+            self.templates.len()
+        )
+    }
+}
+
+impl TemplateSet {
+    /// The set of `templates`, with its constants.
+    pub fn new(templates: Vec<Template>) -> Self {
+        let mut direction_trig = Vec::with_capacity(templates.iter().map(Template::len).sum());
+        let certified = template_constants(&templates, &mut direction_trig);
+        TemplateSet {
+            templates,
+            direction_trig,
+            certified,
+        }
+    }
+
+    /// The templates, in the order they were given.
+    pub fn templates(&self) -> &[Template] {
+        &self.templates
+    }
+
+    /// The templates, giving up the constants.
+    pub fn into_templates(self) -> Vec<Template> {
+        self.templates
+    }
+}
+
+/// Fills `trig` with the `sin_cos` of every template direction, template
+/// after template, and returns whether every template lies in the
+/// certified range.
+fn template_constants(templates: &[Template], trig: &mut Vec<(f64, f64)>) -> bool {
+    trig.clear();
+    for template in templates {
+        trig.extend(template.minutiae().iter().map(|m| m.angle.sin_cos()));
+    }
+    templates
+        .iter()
+        .all(|t| FilteredVote::certifies(t.minutiae()))
+}
+
 /// The buffers matching needs, kept across calls so that matching every
-/// touch allocates little once they have grown: the best Hough bins, the
-/// scoring `Workspace`, and the directions' sines and cosines. The vote
-/// table itself (`VoteTable`, 34 KB for 58 × 19 pairs) is allocated
-/// once per [`MatchScratch::best_match`] call and shared by its
-/// templates: kept on every device, it would stay resident on each.
+/// touch allocates little: the best Hough bins, the bins that reached two
+/// votes, the scoring `Workspace`, and the directions' sines and cosines.
+/// [`MatchScratch::reserve_for`] sizes them for a template set up front.
+/// The vote table itself (`VoteTable`, 34 KB for 58 × 19 pairs) is
+/// allocated once per match call and shared by its templates: kept on
+/// every device, it would stay resident on each.
 ///
 /// Between calls the buffers still hold minutiae derived from the last
 /// template matched, so a scratch belongs with the templates it matches
@@ -236,7 +300,10 @@ pub fn match_observation(
 pub struct MatchScratch {
     /// The bins to score, best first.
     top: Vec<(u32, BinKey)>,
-    /// `sin_cos` of each template direction.
+    /// Indices into the vote table's bins of those that reached two votes.
+    twos: Vec<u32>,
+    /// `sin_cos` of each template direction, for templates matched
+    /// without a [`TemplateSet`].
     template_trig: Vec<(f64, f64)>,
     /// `sin_cos` of each observed direction.
     observed_trig: Vec<(f64, f64)>,
@@ -271,13 +338,63 @@ impl MatchScratch {
         observed: &[Minutia],
         config: &MatchConfig,
     ) -> Option<(usize, MatchResult)> {
+        let mut trig = std::mem::take(&mut self.template_trig);
+        let certified = template_constants(templates, &mut trig);
+        let best = self.best_of(templates, &trig, certified, observed, config);
+        self.template_trig = trig;
+        best
+    }
+
+    /// [`MatchScratch::best_match`] over `set`'s templates, with the
+    /// constants the set computed when it was built.
+    pub fn best_match_in(
+        &mut self,
+        set: &TemplateSet,
+        observed: &[Minutia],
+        config: &MatchConfig,
+    ) -> Option<(usize, MatchResult)> {
+        self.best_of(
+            &set.templates,
+            &set.direction_trig,
+            set.certified,
+            observed,
+            config,
+        )
+    }
+
+    /// Sizes every buffer for matching `set` under `config`, taking the
+    /// longest template as the bound on an observation's minutiae, so a
+    /// device's first verifications do not grow them one doubling at a
+    /// time.
+    pub fn reserve_for(&mut self, set: &TemplateSet, config: &MatchConfig) {
+        let most = set.templates.iter().map(Template::len).max().unwrap_or(0);
+        let keep = config.hough_bins_evaluated.clamp(1, most.max(1));
+        self.top.reserve(keep);
+        self.twos.reserve(most);
+        self.observed_trig.reserve(most);
+        self.work.reserve(most);
+    }
+
+    /// The search behind [`MatchScratch::best_match`]: `template_trig`
+    /// holds the `sin_cos` of every template direction, template after
+    /// template, and `certified` whether every template lies in the
+    /// certified range.
+    fn best_of(
+        &mut self,
+        templates: &[Template],
+        template_trig: &[(f64, f64)],
+        certified: bool,
+        observed: &[Minutia],
+        config: &MatchConfig,
+    ) -> Option<(usize, MatchResult)> {
         if templates.is_empty() {
             return None;
         }
         if observed.len() < config.min_minutiae {
             return Some((0, MatchResult::no_match()));
         }
-        let fast = FilteredVote::new(config).filter(|_| FilteredVote::certifies(observed));
+        let fast =
+            FilteredVote::new(config).filter(|_| certified && FilteredVote::certifies(observed));
         self.observed_trig.clear();
         if fast.is_some() {
             self.observed_trig
@@ -287,9 +404,11 @@ impl MatchScratch {
         let most_pairs = templates.iter().map(Template::len).max().unwrap_or(0) * observed.len();
         let mut table = VoteTable::for_pairs(most_pairs);
         let mut best: Option<(usize, MatchResult)> = None;
+        let mut rest = template_trig;
         for (i, template) in templates.iter().enumerate() {
-            let fast = fast.filter(|_| FilteredVote::certifies(template.minutiae()));
-            self.vote(&mut table, template, observed, config, fast);
+            let (trig, later) = rest.split_at(template.len());
+            rest = later;
+            self.vote(&mut table, template, trig, observed, config, fast);
             // Evaluate the top few bins — vote quantization occasionally
             // splits the true transform across neighbouring bins, and
             // committing to a single bin causes catastrophic genuine
@@ -319,11 +438,13 @@ impl MatchScratch {
     /// Votes are counted in an open-addressing table sized for one vote
     /// per pair, so it never grows. The (votes, key) order is total over
     /// distinct keys, so the bins chosen do not depend on how the table is
-    /// laid out.
+    /// laid out. `template_trig` holds the `sin_cos` of the template's
+    /// directions (read only when `fast` is set).
     fn vote(
         &mut self,
         table: &mut VoteTable,
         template: &Template,
+        template_trig: &[(f64, f64)],
         observed: &[Minutia],
         config: &MatchConfig,
         fast: Option<FilteredVote>,
@@ -337,33 +458,79 @@ impl MatchScratch {
         self.top.clear();
         match fast {
             Some(fast) => {
+                // Key pass: one packed key per pair, template-major, with
+                // no branch on the data; pairs the filter cannot round are
+                // marked `EXACT`.
                 let bins = &mut table.bins;
                 bins.clear();
-                self.template_trig.clear();
-                self.template_trig
-                    .extend(template.minutiae().iter().map(|m| m.angle.sin_cos()));
-                for (t, &t_trig) in template.minutiae().iter().zip(&self.template_trig) {
-                    for (o, &o_trig) in observed.iter().zip(&self.observed_trig) {
-                        let key = pack(
-                            fast.key(config, t, t_trig, o, o_trig)
-                                .unwrap_or_else(|| exact_key(config, t, o)),
-                        );
-                        let hash = key.wrapping_mul(FIBONACCI);
-                        count_vote(slots, bins, slot_bits, key, hash);
+                let obs = observed.iter().zip(&self.observed_trig);
+                for (t, &t_trig) in template.minutiae().iter().zip(template_trig) {
+                    if config.angle_mod_pi {
+                        bins.extend(obs.clone().map(|(o, &o_trig)| {
+                            (0, fast.packed_key::<true>(t, t_trig, o, o_trig))
+                        }));
+                    } else {
+                        bins.extend(obs.clone().map(|(o, &o_trig)| {
+                            (0, fast.packed_key::<false>(t, t_trig, o, o_trig))
+                        }));
                     }
                 }
-                for &(votes, key) in bins.iter() {
-                    keep_best(&mut self.top, keep, (votes, unpack(key)));
+                // Counting pass: the distinct bins are compacted into the
+                // front of the same buffer, never past the key being read,
+                // and each bin is noted when it reaches two votes.
+                let twos = &mut self.twos;
+                twos.clear();
+                let mut distinct = 0;
+                for i in 0..pairs {
+                    let mut key = bins[i].1;
+                    if key == EXACT {
+                        let (t, o) = (i / observed.len(), i % observed.len());
+                        key = pack(exact_key(config, &template.minutiae()[t], &observed[o]));
+                    }
+                    let hash = key.wrapping_mul(FIBONACCI);
+                    match probe(slots, slot_bits, hash, |b| bins[b].1 == key) {
+                        Ok(b) => {
+                            bins[b].0 += 1;
+                            if bins[b].0 == 2 {
+                                twos.push(b as u32);
+                            }
+                        }
+                        Err(slot) => {
+                            bins[distinct] = (1, key);
+                            distinct += 1;
+                            *slot = distinct as u32;
+                        }
+                    }
+                }
+                bins.truncate(distinct);
+                // A bin with one vote ranks below every bin with two or
+                // more, so when at least `keep` bins reached two votes the
+                // best `keep` are among them.
+                if twos.len() >= keep {
+                    for &b in twos.iter() {
+                        let (votes, key) = bins[b as usize];
+                        keep_best(&mut self.top, keep, (votes, unpack(key)));
+                    }
+                } else {
+                    for &(votes, key) in bins.iter() {
+                        keep_best(&mut self.top, keep, (votes, unpack(key)));
+                    }
                 }
             }
             None => {
                 // Outside the certified range a key can be any `i64`:
                 // full keys, in a table allocated for the call.
-                let mut bins = Vec::with_capacity(pairs);
+                let mut bins: Vec<(u32, BinKey)> = Vec::with_capacity(pairs);
                 for t in template.minutiae() {
                     for o in observed {
                         let key = exact_key(config, t, o);
-                        count_vote(slots, &mut bins, slot_bits, key, bin_hash(key));
+                        match probe(slots, slot_bits, bin_hash(key), |b| bins[b].1 == key) {
+                            Ok(b) => bins[b].0 += 1,
+                            Err(slot) => {
+                                bins.push((1, key));
+                                *slot = bins.len() as u32;
+                            }
+                        }
                     }
                 }
                 for &bin in &bins {
@@ -435,28 +602,22 @@ fn bin_hash((r, x, y): BinKey) -> u64 {
     })
 }
 
-/// Adds one vote for `key`, whose hash is `hash`, to the table: `slots`
-/// holds 1 + an index into `bins`, 0 marking an empty slot.
-fn count_vote<K: Copy + Eq>(
+/// Finds the bin whose hash is `hash` in the open-addressing `slots`
+/// (each holds 1 + an index into the bins, 0 marking an empty slot):
+/// `Ok` with the index of the first bin `is_key` accepts along the probe
+/// run, or `Err` with the empty slot that ends the run.
+fn probe(
     slots: &mut [u32],
-    bins: &mut Vec<(u32, K)>,
     slot_bits: u32,
-    key: K,
     hash: u64,
-) {
+    is_key: impl Fn(usize) -> bool,
+) -> Result<usize, &mut u32> {
     let mask = (1u64 << slot_bits) - 1;
     let mut slot = hash >> (64 - slot_bits);
     loop {
         match slots[slot as usize] {
-            0 => {
-                bins.push((1, key));
-                slots[slot as usize] = bins.len() as u32;
-                return;
-            }
-            i if bins[i as usize - 1].1 == key => {
-                bins[i as usize - 1].0 += 1;
-                return;
-            }
+            0 => return Err(&mut slots[slot as usize]),
+            i if is_key(i as usize - 1) => return Ok(i as usize - 1),
             _ => slot = (slot + 1) & mask,
         }
     }
@@ -577,19 +738,50 @@ impl FilteredVote {
         })
     }
 
-    /// [`exact_key`] of the pair, from each minutia's `sin_cos`, or `None`
-    /// where the fast value cannot be rounded safely.
-    #[inline]
-    fn key(
+    /// The packed [`exact_key`] of the pair, from each minutia's
+    /// `sin_cos`, or [`EXACT`] where the fast value cannot be rounded
+    /// safely or the fold would need `fmod`. `MOD_PI` is the
+    /// configuration's `angle_mod_pi`.
+    ///
+    /// [`MatchConfig::fold_parity`]'s cases are evaluated on the same
+    /// operations in the same order, so the folded difference and its
+    /// parity are bit-identical to `fold_parity`'s wherever that one
+    /// counts periods; where it would call `fmod`, the pair is marked
+    /// instead of branching to the exact key. The rounded coordinates are
+    /// read off the bits of the [`ROUNDER`] sums (`rounded_bits`), not
+    /// converted.
+    #[inline(always)]
+    fn packed_key<const MOD_PI: bool>(
         &self,
-        config: &MatchConfig,
         t: &Minutia,
         (st, ct): (f64, f64),
         o: &Minutia,
         (so, co): (f64, f64),
-    ) -> Option<BinKey> {
-        let (dtheta, odd) = config.fold_parity(o.angle - t.angle);
-        let sign = if odd? { -1.0 } else { 1.0 };
+    ) -> PackedKey {
+        use std::f64::consts::{PI, TAU};
+        let a = o.angle - t.angle;
+        let period = if MOD_PI { PI } else { TAU };
+        let once = a.abs() >= period;
+        let folds = a.abs() < 2.0 * period;
+        let d = if once {
+            (a - period.copysign(a)).copysign(a)
+        } else {
+            a
+        };
+        let (dtheta, odd) = if MOD_PI {
+            let (low, high) = (d < -PI / 2.0, d >= PI / 2.0);
+            let d = if low {
+                d + PI
+            } else if high {
+                d - PI
+            } else {
+                d
+            };
+            (d, once ^ low ^ high)
+        } else {
+            (if d < 0.0 { d + period } else { d }, false)
+        };
+        let sign = if odd { -1.0 } else { 1.0 };
         let s = sign * (so * ct - co * st);
         let c = sign * (co * ct + so * st);
         let tx = o.pos.x - (t.pos.x * c - t.pos.y * s);
@@ -599,16 +791,37 @@ impl FilteredVote {
             tx * self.inv_translation_bin,
             ty * self.inv_translation_bin,
         );
-        let (rr, rx, ry) = (
-            (r + ROUNDER) - ROUNDER,
-            (x + ROUNDER) - ROUNDER,
-            (y + ROUNDER) - ROUNDER,
-        );
+        let (sr, sx, sy) = (r + ROUNDER, x + ROUNDER, y + ROUNDER);
+        let (rr, rx, ry) = (sr - ROUNDER, sx - ROUNDER, sy - ROUNDER);
         let clear = 0.5 - DELTA;
-        (((r - rr).abs() < clear) & ((x - rx).abs() < clear) & ((y - ry).abs() < clear))
-            .then_some((rr as i64, rx as i64, ry as i64))
+        let exact =
+            folds & ((r - rr).abs() < clear) & ((x - rx).abs() < clear) & ((y - ry).abs() < clear);
+        let key = rounded_bits(sr) << 42 | rounded_bits(sx) << 21 | rounded_bits(sy);
+        if exact {
+            key
+        } else {
+            EXACT
+        }
     }
 }
+
+/// [`pack`]'s field of `rne(x)`, from `sum = x + ROUNDER`: for
+/// |x| ≤ 2⁵¹ the sum lies in [2⁵², 2⁵³), where the ulp is 1, so its bits
+/// less [`ROUNDER`]'s are `rne(x)` as an integer. Certified coordinates
+/// stay far inside ±2²⁰, so the biased field fits its 21 bits.
+#[inline(always)]
+fn rounded_bits(sum: f64) -> PackedKey {
+    let field = sum
+        .to_bits()
+        .wrapping_sub(ROUNDER.to_bits())
+        .wrapping_add(PACK_BIAS as u64);
+    debug_assert!(field < 1 << 21);
+    field & ((1 << 21) - 1)
+}
+
+/// Marks a pair that votes through [`exact_key`]: no packed key has its
+/// top bit set.
+const EXACT: PackedKey = u64::MAX;
 
 /// The scoring buffers, shared by every bin and refinement pass.
 #[derive(Default)]
@@ -619,13 +832,21 @@ struct Workspace {
     candidates: Vec<(f64, usize, usize)>,
     /// Greedy one-to-one correspondences `(template, observed)`.
     pairs: Vec<(usize, usize)>,
-    /// Which template minutiae are already paired.
-    t_used: Vec<bool>,
-    /// Which observed minutiae are already paired.
-    o_used: Vec<bool>,
+    /// Which minutiae are already paired: the template's, then the
+    /// observation's.
+    used: Vec<bool>,
 }
 
 impl Workspace {
+    /// Sizes every buffer for templates and observations of up to `most`
+    /// minutiae, with room for two candidates per minutia.
+    fn reserve(&mut self, most: usize) {
+        self.transformed.reserve(most);
+        self.candidates.reserve(2 * most);
+        self.pairs.reserve(most);
+        self.used.reserve(2 * most);
+    }
+
     /// Puts the template under the rigid transform (rotate by `theta`,
     /// then translate) into `self.transformed`.
     fn transform(&mut self, template: &Template, theta: f64, (tx, ty): (f64, f64)) {
@@ -674,15 +895,15 @@ impl Workspace {
                 .then(a.2.cmp(&b.2))
                 .then(a.1.cmp(&b.1))
         });
-        self.t_used.clear();
-        self.t_used.resize(self.transformed.len(), false);
-        self.o_used.clear();
-        self.o_used.resize(observed.len(), false);
+        self.used.clear();
+        self.used
+            .resize(self.transformed.len() + observed.len(), false);
+        let (t_used, o_used) = self.used.split_at_mut(self.transformed.len());
         self.pairs.clear();
         for &(_, ti, oi) in &self.candidates {
-            if !self.t_used[ti] && !self.o_used[oi] {
-                self.t_used[ti] = true;
-                self.o_used[oi] = true;
+            if !t_used[ti] && !o_used[oi] {
+                t_used[ti] = true;
+                o_used[oi] = true;
                 self.pairs.push((ti, oi));
             }
         }

@@ -18,6 +18,8 @@ use crate::quality::{CaptureConditions, QualityReport};
 pub const FINGER_HALF_W: f64 = 7.0;
 /// Fingertip contact region half-height, millimetres.
 pub const FINGER_HALF_H: f64 = 9.0;
+/// The most ground-truth minutiae a generated pattern has.
+pub(crate) const MOST_MINUTIAE: usize = 58;
 
 /// A synthetic finger with known ground truth.
 #[derive(Clone, Debug)]
@@ -66,7 +68,7 @@ impl FingerPattern {
         // Minutiae: rejection-sample positions inside the fingertip ellipse
         // with a minimum pairwise separation so the constellation looks like
         // a real print (40–60 minutiae, ~0.2/mm² density).
-        let target = rng.range_i64(42, 58) as usize;
+        let target = rng.range_i64(42, MOST_MINUTIAE as i64) as usize;
         let min_sep = 1.1;
         let mut minutiae: Vec<Minutia> = Vec::with_capacity(target);
         let mut attempts = 0;

@@ -6,8 +6,8 @@
 //! partial-print matcher against all of them, taking the best score — a
 //! touch can come from any enrolled finger.
 
-use btd_fingerprint::enroll::enroll;
-use btd_fingerprint::matcher::{MatchConfig, MatchResult, MatchScratch};
+use btd_fingerprint::enroll::Enrolment;
+use btd_fingerprint::matcher::{MatchConfig, MatchResult, MatchScratch, TemplateSet};
 use btd_fingerprint::minutiae::Minutia;
 use btd_fingerprint::pattern::FingerPattern;
 use btd_fingerprint::template::Template;
@@ -51,7 +51,8 @@ impl VerifyResult {}
 /// The fingerprint processor with its template store.
 #[derive(Clone, Debug)]
 pub struct FingerprintProcessor {
-    templates: Vec<Template>,
+    /// The enrolled templates, with the matcher's constants for them.
+    templates: TemplateSet,
     config: MatchConfig,
     owner_user_id: Option<u64>,
     verifications: u64,
@@ -66,7 +67,7 @@ impl FingerprintProcessor {
     /// Creates an empty processor with the default matcher configuration.
     pub fn new() -> Self {
         FingerprintProcessor {
-            templates: Vec::new(),
+            templates: TemplateSet::default(),
             config: MatchConfig::default(),
             owner_user_id: None,
             verifications: 0,
@@ -86,7 +87,7 @@ impl FingerprintProcessor {
 
     /// Number of enrolled finger templates.
     pub fn template_count(&self) -> usize {
-        self.templates.len()
+        self.templates.templates().len()
     }
 
     /// Enrolls `finger_count` fingers of `user_id` via the guided flow,
@@ -98,7 +99,7 @@ impl FingerprintProcessor {
     /// Panics if `finger_count` is zero.
     pub fn enroll_user(&mut self, user_id: u64, finger_count: u8, rng: &mut SimRng) {
         assert!(finger_count > 0, "must enroll at least one finger");
-        self.templates.clear();
+        self.templates = TemplateSet::default();
         self.owner_user_id = Some(user_id);
         self.add_user(user_id, finger_count, rng);
     }
@@ -112,10 +113,13 @@ impl FingerprintProcessor {
     /// Panics if `finger_count` is zero.
     pub fn add_user(&mut self, user_id: u64, finger_count: u8, rng: &mut SimRng) {
         assert!(finger_count > 0, "must enroll at least one finger");
+        let mut templates = std::mem::take(&mut self.templates).into_templates();
+        let mut enrolment = Enrolment::default();
         for f in 0..finger_count {
             let finger = FingerPattern::generate(user_id, f);
-            self.templates.push(enroll(&finger, ENROLL_CAPTURES, rng));
+            templates.push(enrolment.enroll(&finger, ENROLL_CAPTURES, rng));
         }
+        self.set_templates(templates);
         if self.owner_user_id.is_none() {
             self.owner_user_id = Some(user_id);
         }
@@ -123,7 +127,12 @@ impl FingerprintProcessor {
 
     /// The distinct users with enrolled templates.
     pub fn enrolled_users(&self) -> Vec<u64> {
-        let mut users: Vec<u64> = self.templates.iter().map(Template::user_id).collect();
+        let mut users: Vec<u64> = self
+            .templates
+            .templates()
+            .iter()
+            .map(Template::user_id)
+            .collect();
         users.sort_unstable();
         users.dedup();
         users
@@ -139,27 +148,36 @@ impl FingerprintProcessor {
             !templates.is_empty(),
             "cannot install an empty template set"
         );
-        self.templates = templates;
+        self.set_templates(templates);
         self.owner_user_id = Some(user_id);
     }
 
     /// Exports the enrolled templates (identity transfer to a new device).
     pub fn export_templates(&self) -> Vec<Template> {
-        self.templates.clone()
+        self.templates.templates().to_vec()
+    }
+
+    /// Replaces the template set: the matcher's constants are computed
+    /// here, once, and its buffers sized for the new set, so no
+    /// verification pays for either.
+    fn set_templates(&mut self, templates: Vec<Template>) {
+        self.templates = TemplateSet::new(templates);
+        self.scratch.reserve_for(&self.templates, &self.config);
     }
 
     /// Verifies an observation against every enrolled finger, returning
     /// the best result, or `None` if nothing is enrolled.
     pub fn verify(&mut self, observed: &[Minutia]) -> Option<VerifyResult> {
-        if self.templates.is_empty() {
+        let templates = self.templates.templates();
+        if templates.is_empty() {
             return None;
         }
         self.verifications += 1;
         let (finger_index, best) = self
             .scratch
-            .best_match(&self.templates, observed, &self.config)
+            .best_match_in(&self.templates, observed, &self.config)
             .expect("templates non-empty");
-        let matched_user = self.templates[finger_index].user_id();
+        let matched_user = templates[finger_index].user_id();
         let decision = if observed.len() < self.config.min_minutiae {
             MatchDecision::Inconclusive
         } else if best.is_accepted(&self.config) {
@@ -174,8 +192,7 @@ impl FingerprintProcessor {
         // Matcher latency: Hough voting is O(template × observed) pairs;
         // an embedded matcher core does ~1 pair per 100 ns plus fixed
         // overhead.
-        let pairs: u64 = self
-            .templates
+        let pairs: u64 = templates
             .iter()
             .map(|t| (t.len() * observed.len()) as u64)
             .sum();

@@ -260,7 +260,7 @@ fn device_setup_allocations_are_pinned() {
         Rig::new(Adversary::None).setup,
         "allocations do not repeat"
     );
-    assert_eq!(got, b(1, 32, 47_376), "device set-up budget moved: {got:?}");
+    assert_eq!(got, b(1, 29, 35_236), "device set-up budget moved: {got:?}");
 }
 
 #[test]
@@ -269,8 +269,8 @@ fn honest_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 100, 57_261),
-            b(1, 76, 42_964),
+            b(1, 84, 49_629),
+            b(1, 73, 42_580),
             b(16, 20, 42_536),
             b(1, 25, 21_301),
         ],
@@ -284,8 +284,8 @@ fn lossy_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 100, 57_261),
-            b(1, 76, 42_964),
+            b(1, 84, 49_629),
+            b(1, 73, 42_580),
             b(16, 20, 42_536),
             b(1, 25, 21_301),
         ],
@@ -350,8 +350,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 1_718,
-            bytes: 4_578_876,
+            allocs: 1_632,
+            bytes: 4_514_828,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
