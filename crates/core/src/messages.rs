@@ -119,13 +119,21 @@ impl RegistrationSubmit {
     }
 }
 
+/// A sealed box's fields, nested inside the login signature.
+impl Canonical for SealedBox {
+    fn fields<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.str("sealed-box-v1")
+            .bytes(&self.ephemeral.to_be_bytes())
+            .bytes(&self.ciphertext)
+            .bytes(&self.tag);
+    }
+}
+
 /// Canonical bytes of a sealed box (for inclusion under signatures/MACs).
 pub fn sealed_box_bytes(boxed: &SealedBox) -> Vec<u8> {
-    signing_bytes("sealed-box-v1", |w| {
-        w.bytes(&boxed.ephemeral.to_be_bytes())
-            .bytes(&boxed.ciphertext)
-            .bytes(&boxed.tag);
-    })
+    let mut w = FieldWriter::new();
+    boxed.fields(&mut w);
+    w.finish()
 }
 
 /// The derived per-slot nonce of every session, lock-step or pipelined:
@@ -190,7 +198,7 @@ impl LoginSubmit {
             w.str(domain)
                 .str(account)
                 .bytes(nonce.as_bytes())
-                .bytes(&sealed_box_bytes(sealed))
+                .nested(sealed)
                 .bytes(frame_hash.as_bytes())
                 .nested(risk);
         })

@@ -69,7 +69,7 @@ use crate::pages::{Page, ServedPage};
 use crate::risk_policy::{RiskDecision, RiskReport, ServerRiskPolicy};
 use crate::telemetry::RISK_BUCKET_PCT;
 use crate::trace::{CacheKind, CtxArgs, EventKind, Outcome, SpanKind, Tracer};
-use crate::wire::{self, durable, signing_bytes, FieldReader};
+use crate::wire::{self, durable, FieldReader, FieldWriter};
 
 use journal::{CorruptSegment, CrashPoint, CrashSchedule, Journal, JournalRecord, StorageError};
 use storage::{DiskFaultProfile, SegmentedStorage};
@@ -1697,89 +1697,95 @@ impl WebServer {
     /// interaction window and its reply cache.
     pub fn shard_snapshot_bytes(&self, idx: usize) -> Vec<u8> {
         let shard = &self.shards[idx];
-        signing_bytes("trust-shard-snapshot-v4", |w| {
-            w.u64(shard.session_counter);
+        // One pass: the snapshot is large and its sealing costly.
+        let mut bytes = FieldWriter::new();
+        let w = &mut bytes;
+        w.str("trust-shard-snapshot-v4");
+        w.u64(shard.session_counter);
 
-            let mut accounts: Vec<_> = shard.accounts.iter().collect();
-            accounts.sort_by(|a, b| a.0.cmp(b.0));
-            w.u64(accounts.len() as u64);
-            for (name, rec) in accounts {
-                w.str(name)
-                    .bytes(&rec.public_key.to_bytes())
-                    .str(&rec.reset_password);
-            }
+        let mut accounts: Vec<_> = shard.accounts.iter().collect();
+        accounts.sort_by(|a, b| a.0.cmp(b.0));
+        w.u64(accounts.len() as u64);
+        for (name, rec) in accounts {
+            w.str(name)
+                .bytes(&rec.public_key.to_bytes())
+                .str(&rec.reset_password);
+        }
 
-            let mut sessions: Vec<_> = shard.sessions.iter().collect();
-            sessions.sort_by(|a, b| a.0.cmp(b.0));
-            w.u64(sessions.len() as u64);
-            for (sid, s) in sessions {
-                w.put(sid)
-                    .put(&s.account)
-                    .bytes(&seal_session_key(
-                        &self.identity.recovery_key,
-                        &s.login_nonce,
-                        &s.key,
-                    ))
-                    .put(&s.expected_seq)
-                    .put(&s.current_path)
-                    .u64(s.stepups.into())
-                    .u64(s.terminated.into())
-                    .put(&s.interactions)
-                    .put(&s.login_nonce)
-                    .put(&s.resume_nonces)
-                    .put(&s.consumed_nonces)
-                    .put(&s.window)
-                    .put(&s.reply_window);
-            }
+        let mut sessions: Vec<_> = shard.sessions.iter().collect();
+        sessions.sort_by(|a, b| a.0.cmp(b.0));
+        w.u64(sessions.len() as u64);
+        for (sid, s) in sessions {
+            w.put(sid)
+                .put(&s.account)
+                .bytes(&seal_session_key(
+                    &self.identity.recovery_key,
+                    &s.login_nonce,
+                    &s.key,
+                ))
+                .put(&s.expected_seq)
+                .put(&s.current_path)
+                .u64(s.stepups.into())
+                .u64(s.terminated.into())
+                .put(&s.interactions)
+                .put(&s.login_nonce)
+                .put(&s.resume_nonces)
+                .put(&s.consumed_nonces)
+                .put(&s.window)
+                .put(&s.reply_window);
+        }
 
-            // The LRU caches serialize in eviction (insertion) order so a
-            // restored shard evicts in exactly the same order.
-            w.u64(shard.reg_order.len() as u64);
-            for n in &shard.reg_order {
-                let (sig, ack) = &shard.reg_cache[n];
-                w.put(n).bytes(&sig.to_bytes()).put(&ack.account);
-            }
+        // The LRU caches serialize in eviction (insertion) order so a
+        // restored shard evicts in exactly the same order.
+        w.u64(shard.reg_order.len() as u64);
+        for n in &shard.reg_order {
+            let (sig, ack) = &shard.reg_cache[n];
+            w.put(n).bytes(&sig.to_bytes()).put(&ack.account);
+        }
 
-            let mut logins: Vec<_> = shard.login_cache.iter().collect();
-            logins.sort_by_key(|(n, _)| n.0);
-            w.u64(logins.len() as u64);
-            for (n, (sig, page)) in logins {
-                w.put(n).bytes(&sig.to_bytes()).put(page);
-            }
+        let mut logins: Vec<_> = shard.login_cache.iter().collect();
+        logins.sort_by_key(|(n, _)| n.0);
+        w.u64(logins.len() as u64);
+        for (n, (sig, page)) in logins {
+            w.put(n).bytes(&sig.to_bytes()).put(page);
+        }
 
-            let mut resumes: Vec<_> = shard.resume_cache.iter().collect();
-            resumes.sort_by_key(|(n, _)| n.0);
-            w.u64(resumes.len() as u64);
-            for (n, (mac, ack)) in resumes {
-                w.put(n).put(mac).put(ack);
-            }
+        let mut resumes: Vec<_> = shard.resume_cache.iter().collect();
+        resumes.sort_by_key(|(n, _)| n.0);
+        w.u64(resumes.len() as u64);
+        for (n, (mac, ack)) in resumes {
+            w.put(n).put(mac).put(ack);
+        }
 
-            w.u64(shard.reset_order.len() as u64);
-            for n in &shard.reset_order {
-                let (digest, ack) = &shard.reset_cache[n];
-                w.put(n).put(digest).put(&ack.account);
-            }
+        w.u64(shard.reset_order.len() as u64);
+        for n in &shard.reset_order {
+            let (digest, ack) = &shard.reset_cache[n];
+            w.put(n).put(digest).put(&ack.account);
+        }
 
-            w.put(&shard.consumed.consumed_sorted());
+        w.put(&shard.consumed.consumed_sorted());
 
-            let mut audit_accounts: Vec<_> = shard.audit.iter().collect();
-            audit_accounts.sort_by(|a, b| a.0.cmp(b.0));
-            w.u64(audit_accounts.len() as u64);
-            for (account, entries) in audit_accounts {
-                w.put(account).put(entries);
-            }
-        })
+        let mut audit_accounts: Vec<_> = shard.audit.iter().collect();
+        audit_accounts.sort_by(|a, b| a.0.cmp(b.0));
+        w.u64(audit_accounts.len() as u64);
+        for (account, entries) in audit_accounts {
+            w.put(account).put(entries);
+        }
+        bytes.finish()
     }
 
     /// Canonical bytes of the full durable state: the shard count plus
     /// every shard's snapshot, in shard order.
     pub fn snapshot_bytes(&self) -> Vec<u8> {
-        signing_bytes("trust-server-snapshot-v2", |w| {
-            w.u32(self.shards.len() as u32);
-            for idx in 0..self.shards.len() {
-                w.bytes(&self.shard_snapshot_bytes(idx));
-            }
-        })
+        // One pass: the snapshot is large and its sealing costly.
+        let mut bytes = FieldWriter::new();
+        let w = &mut bytes;
+        w.str("trust-server-snapshot-v2");
+        w.u32(self.shards.len() as u32);
+        for idx in 0..self.shards.len() {
+            w.bytes(&self.shard_snapshot_bytes(idx));
+        }
+        bytes.finish()
     }
 
     /// A digest of [`WebServer::snapshot_bytes`]: two servers with equal

@@ -144,6 +144,13 @@ pub fn mac_matches(key: &[u8], value: &impl Canonical, tag: &Tag) -> bool {
 
 /// Convenience: encodes fields with a domain-separation label first.
 ///
+/// The bytes land in a buffer allocated once at their exact length:
+/// `fill` runs twice, first into a counting sink for the length, as
+/// [`FieldWriter::nested`] measures a nested list, then into the buffer.
+/// So `fill` must write the same fields both times, and should be cheap;
+/// a large or costly encoding (a snapshot) writes one [`FieldWriter`]
+/// instead.
+///
 /// # Example
 ///
 /// ```
@@ -157,11 +164,18 @@ pub fn mac_matches(key: &[u8], value: &impl Canonical, tag: &Tag) -> bool {
 /// });
 /// assert_ne!(a, b);
 /// ```
-pub fn signing_bytes(label: &str, fill: impl FnOnce(&mut FieldWriter)) -> Vec<u8> {
-    let mut w = FieldWriter::new();
-    w.str(label);
-    fill(&mut w);
-    w.finish()
+pub fn signing_bytes(label: &str, fill: impl Fn(&mut FieldWriter<&mut dyn Sink>)) -> Vec<u8> {
+    let write = |sink: &mut dyn Sink| {
+        let mut w = FieldWriter::over(sink);
+        w.str(label);
+        fill(&mut w);
+    };
+    let mut len = Len::default();
+    write(&mut len);
+    let mut bytes = Vec::with_capacity(len.0);
+    write(&mut bytes);
+    debug_assert_eq!(bytes.len(), len.0, "fill wrote different fields");
+    bytes
 }
 
 /// Reads back a sequence of length-prefixed fields written by
@@ -549,7 +563,7 @@ mod tests {
         assert_ne!(a, b);
     }
 
-    impl FieldWriter {
+    impl<S: Sink> FieldWriter<S> {
         /// Appends an `f64` field (IEEE-754 big-endian bits).
         pub fn f64(&mut self, v: f64) -> &mut Self {
             self.bytes(&v.to_be_bytes())

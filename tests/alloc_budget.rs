@@ -269,8 +269,8 @@ fn honest_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 84, 49_629),
-            b(1, 73, 42_580),
+            b(1, 68, 48_631),
+            b(1, 47, 38_828),
             b(16, 20, 42_536),
             b(1, 25, 21_301),
         ],
@@ -284,8 +284,8 @@ fn lossy_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 84, 49_629),
-            b(1, 73, 42_580),
+            b(1, 68, 48_631),
+            b(1, 47, 38_828),
             b(16, 20, 42_536),
             b(1, 25, 21_301),
         ],
@@ -350,8 +350,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 1_632,
-            bytes: 4_514_828,
+            allocs: 1_464,
+            bytes: 4_495_830,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
