@@ -148,7 +148,9 @@ fn run_cell(
 }
 
 /// The lock-step `run_session` reference for a loss pattern: no event
-/// timeline, so it contributes served/retry counts and RTT quantiles.
+/// timeline, so it contributes served/retry counts and RTT quantiles. It
+/// runs on the window-1 row's seeds, so the two rows face the same loss
+/// pattern and differ only in the protocol driver.
 fn run_lockstep(
     policy: &RetryPolicy,
     adversary: &Adversary,
@@ -159,7 +161,7 @@ fn run_lockstep(
     let mut latency = trust_core::metrics::LatencyHistogram::default();
     let mut ran = 0u64;
     for session in 0.. {
-        let seed = cell_seed(pi, li, 0, session);
+        let seed = cell_seed(pi, li, 1, session);
         let Some((mut world, device, mut rng)) = setup(policy, adversary, 0, seed) else {
             continue;
         };
