@@ -129,13 +129,6 @@ impl Canonical for SealedBox {
     }
 }
 
-/// Canonical bytes of a sealed box (for inclusion under signatures/MACs).
-pub fn sealed_box_bytes(boxed: &SealedBox) -> Vec<u8> {
-    let mut w = FieldWriter::new();
-    boxed.fields(&mut w);
-    w.finish()
-}
-
 /// The derived per-slot nonce of every session, lock-step or pipelined:
 /// both ends compute `truncate16(HMAC-SHA256(key, label || seq))` from
 /// the session MAC key, so a device can build requests for every slot in
@@ -574,6 +567,13 @@ mod tests {
             base,
             RegistrationSubmit::signed_bytes("d", "a", &nonce(1), &Digest([8; 32]), &[1, 2, 3])
         );
+    }
+
+    /// A sealed box's canonical bytes, as the login signature nests them.
+    fn sealed_box_bytes(boxed: &SealedBox) -> Vec<u8> {
+        let mut w = FieldWriter::new();
+        boxed.fields(&mut w);
+        w.finish()
     }
 
     #[test]

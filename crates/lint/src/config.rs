@@ -215,6 +215,9 @@ impl Default for Config {
                 ("KeyPair", "x"),
                 ("DomainRecord", "user_secret"),
                 ("Template", "minutiae"),
+                // The matcher's per-template constants: the `sin_cos` of
+                // every enrolled direction, derived from the minutiae.
+                ("TemplateSet", "direction_trig"),
                 ("ChaChaEntropy", "key"),
             ],
             taint_sanitizers: vec![

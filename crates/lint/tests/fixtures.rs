@@ -263,6 +263,20 @@ fn secret_taint_names_its_origin() {
 }
 
 #[test]
+fn secret_taint_follows_the_matcher_constants() {
+    // `TemplateSet.direction_trig` holds the `sin_cos` of every enrolled
+    // direction: a registered secret field, so a renamed read of it that
+    // reaches a format macro fires, and its length does not.
+    check_pair(
+        "crates/flock/src/fp_processor.rs",
+        include_str!("fixtures/secret_taint_template_constants/bad.rs"),
+        include_str!("fixtures/secret_taint_template_constants/good.rs"),
+        "secret-taint",
+        1,
+    );
+}
+
+#[test]
 fn determinism_reach_follows_the_call_chain() {
     // Staged in `crates/bench`, where the direct wall-clock rule is out
     // of scope — only transitive reachability from `World::run` fires.
