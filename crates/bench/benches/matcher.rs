@@ -6,7 +6,7 @@ use std::hint::black_box;
 use btd_fingerprint::enroll::enroll;
 use btd_fingerprint::extract::{extract_minutiae, thin, Bitmap, ExtractionConfig};
 use btd_fingerprint::image::rasterize;
-use btd_fingerprint::matcher::{match_observation, MatchConfig, MatchScratch};
+use btd_fingerprint::matcher::{match_observation, MatchConfig, MatchScratch, TemplateSet};
 use btd_fingerprint::minutiae::CaptureWindow;
 use btd_fingerprint::pattern::FingerPattern;
 use btd_fingerprint::quality::{CaptureConditions, QualityReport};
@@ -53,12 +53,47 @@ fn bench_matcher(c: &mut Criterion) {
     });
     // The same search under the image-extraction configuration, so the
     // π-periodic voting branch is timed too.
-    let templates = processor.export_templates();
+    let templates = TemplateSet::new(processor.export_templates());
     let image_cfg = MatchConfig::for_image_extraction();
     let mut scratch = MatchScratch::new();
     group.bench_function("verify_3_templates_pi_periodic", |b| {
         b.iter(|| {
-            black_box(scratch.best_match(&templates, black_box(&genuine_obs.minutiae), &image_cfg))
+            black_box(scratch.best_match_in(
+                &templates,
+                black_box(&genuine_obs.minutiae),
+                &image_cfg,
+            ))
+        })
+    });
+    // The fleet's touches are smaller than the 8 mm ideal capture above:
+    // 4–8 mm windows under uneven pressure, moisture and coverage, two in
+    // three from one of the owner's enrolled fingers, the rest from a
+    // stranger (about 7.5 minutiae each). One iteration verifies the next
+    // touch of 64, in turn.
+    let touches: Vec<_> = (0..64u64)
+        .map(|i| {
+            let user = if i % 3 == 2 { 70_000 + i } else { 1 };
+            let pattern = FingerPattern::generate(user, (i % 3) as u8);
+            let side = rng.range_f64(4.0, 8.0);
+            let window = CaptureWindow::centered(
+                MmPoint::new(rng.range_f64(-3.0, 3.0), rng.range_f64(-4.0, 4.0)),
+                side,
+                side,
+            );
+            let conditions = CaptureConditions {
+                speed_mm_s: rng.range_f64(0.0, 30.0),
+                pressure: rng.range_f64(0.3, 1.0),
+                coverage: rng.range_f64(0.6, 1.0),
+                moisture: rng.range_f64(0.2, 0.7),
+            };
+            pattern.observe(&window, &conditions, &mut rng).minutiae
+        })
+        .collect();
+    let mut next = 0;
+    group.bench_function("verify_3_templates_fleet_touches", |b| {
+        b.iter(|| {
+            next = (next + 1) % touches.len();
+            black_box(processor.verify(black_box(&touches[next])))
         })
     });
     group.bench_function("quality_assessment", |b| {
