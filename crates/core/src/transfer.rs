@@ -72,7 +72,7 @@ pub struct TransferOffer {
 fn offer_digest(cert: &Certificate) -> Digest {
     sha256(&signing_bytes("trust-transfer-offer-v1", |w| {
         w.str(cert.subject())
-            .str(&cert.role().to_string())
+            .str(cert.role().name())
             .bytes(&cert.public_key().to_bytes())
             .u64(cert.serial());
     }))

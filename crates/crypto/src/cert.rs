@@ -25,7 +25,7 @@ pub enum Role {
 
 impl Role {
     /// The role's name, as certificates carry it.
-    fn name(self) -> &'static str {
+    pub fn name(self) -> &'static str {
         match self {
             Role::WebServer => "web-server",
             Role::FlockModule => "flock-module",

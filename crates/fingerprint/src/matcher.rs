@@ -459,8 +459,8 @@ impl MatchScratch {
         match fast {
             Some(fast) => {
                 // Key pass: one packed key per pair, template-major, with
-                // no branch on the data; pairs the filter cannot round are
-                // marked `EXACT`.
+                // no call or early exit per pair; pairs the filter cannot
+                // round are marked `EXACT`.
                 let bins = &mut table.bins;
                 bins.clear();
                 let obs = observed.iter().zip(&self.observed_trig);
