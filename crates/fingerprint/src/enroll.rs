@@ -105,8 +105,8 @@ impl Enrolment {
             members,
             grid,
         } = self;
-        // Sized for the largest pattern, so the buffers grow at most on
-        // the first finger of a flow.
+        // Sized for the largest pattern, so a flow's later fingers find
+        // them large enough; going over costs a growth, not a result.
         let most = captures * (truth.max(MOST_MINUTIAE) + SLACK);
         all.clear();
         all.reserve(most);
