@@ -216,7 +216,7 @@ pub fn match_observation(
     config: &MatchConfig,
 ) -> MatchResult {
     MatchScratch::new()
-        .best_match(std::slice::from_ref(template), observed, config)
+        .best_match(&TemplateSet::new(vec![template.clone()]), observed, config)
         .expect("one template")
         .1
 }
@@ -224,7 +224,7 @@ pub fn match_observation(
 /// Enrolled templates with the constants the vote derives from them: the
 /// `sin_cos` of every template direction and whether every template lies
 /// in the certified range. They are computed once, when the set is built,
-/// instead of on every match ([`MatchScratch::best_match_in`]).
+/// instead of on every match ([`MatchScratch::best_match`]).
 ///
 /// The constants are derived from the minutiae, so they are as secret:
 /// `Debug` shows only the template count. They stay out of [`Template`]
@@ -252,7 +252,12 @@ impl TemplateSet {
     /// The set of `templates`, with its constants.
     pub fn new(templates: Vec<Template>) -> Self {
         let mut direction_trig = Vec::with_capacity(templates.iter().map(Template::len).sum());
-        let certified = template_constants(&templates, &mut direction_trig);
+        for template in &templates {
+            direction_trig.extend(template.minutiae().iter().map(|m| m.angle.sin_cos()));
+        }
+        let certified = templates
+            .iter()
+            .all(|t| FilteredVote::certifies(t.minutiae()));
         TemplateSet {
             templates,
             direction_trig,
@@ -269,19 +274,6 @@ impl TemplateSet {
     pub fn into_templates(self) -> Vec<Template> {
         self.templates
     }
-}
-
-/// Fills `trig` with the `sin_cos` of every template direction, template
-/// after template, and returns whether every template lies in the
-/// certified range.
-fn template_constants(templates: &[Template], trig: &mut Vec<(f64, f64)>) -> bool {
-    trig.clear();
-    for template in templates {
-        trig.extend(template.minutiae().iter().map(|m| m.angle.sin_cos()));
-    }
-    templates
-        .iter()
-        .all(|t| FilteredVote::certifies(t.minutiae()))
 }
 
 /// The buffers matching needs, kept across calls so that matching every
@@ -302,9 +294,6 @@ pub struct MatchScratch {
     top: Vec<(u32, BinKey)>,
     /// Indices into the vote table's bins of those that reached two votes.
     twos: Vec<u32>,
-    /// `sin_cos` of each template direction, for templates matched
-    /// without a [`TemplateSet`].
-    template_trig: Vec<(f64, f64)>,
     /// `sin_cos` of each observed direction.
     observed_trig: Vec<(f64, f64)>,
     work: Workspace,
@@ -328,40 +317,6 @@ impl MatchScratch {
         MatchScratch::default()
     }
 
-    /// Matches `observed` against every template and returns the index and
-    /// result of the best score (the first template, on a tie), or `None`
-    /// when `templates` is empty. Each result is bit-identical to
-    /// [`match_observation`]'s for that template.
-    pub fn best_match(
-        &mut self,
-        templates: &[Template],
-        observed: &[Minutia],
-        config: &MatchConfig,
-    ) -> Option<(usize, MatchResult)> {
-        let mut trig = std::mem::take(&mut self.template_trig);
-        let certified = template_constants(templates, &mut trig);
-        let best = self.best_of(templates, &trig, certified, observed, config);
-        self.template_trig = trig;
-        best
-    }
-
-    /// [`MatchScratch::best_match`] over `set`'s templates, with the
-    /// constants the set computed when it was built.
-    pub fn best_match_in(
-        &mut self,
-        set: &TemplateSet,
-        observed: &[Minutia],
-        config: &MatchConfig,
-    ) -> Option<(usize, MatchResult)> {
-        self.best_of(
-            &set.templates,
-            &set.direction_trig,
-            set.certified,
-            observed,
-            config,
-        )
-    }
-
     /// Sizes every buffer for matching `set` under `config`, taking the
     /// longest template as the bound on an observation's minutiae, so a
     /// device's first verifications do not grow them one doubling at a
@@ -375,26 +330,25 @@ impl MatchScratch {
         self.work.reserve(most);
     }
 
-    /// The search behind [`MatchScratch::best_match`]: `template_trig`
-    /// holds the `sin_cos` of every template direction, template after
-    /// template, and `certified` whether every template lies in the
-    /// certified range.
-    fn best_of(
+    /// Matches `observed` against every template of `set` and returns the
+    /// index and result of the best score (the first template, on a tie),
+    /// or `None` when `set` is empty. Each result is bit-identical to
+    /// [`match_observation`]'s for that template.
+    pub fn best_match(
         &mut self,
-        templates: &[Template],
-        template_trig: &[(f64, f64)],
-        certified: bool,
+        set: &TemplateSet,
         observed: &[Minutia],
         config: &MatchConfig,
     ) -> Option<(usize, MatchResult)> {
+        let templates = &set.templates;
         if templates.is_empty() {
             return None;
         }
         if observed.len() < config.min_minutiae {
             return Some((0, MatchResult::no_match()));
         }
-        let fast =
-            FilteredVote::new(config).filter(|_| certified && FilteredVote::certifies(observed));
+        let fast = FilteredVote::new(config)
+            .filter(|_| set.certified && FilteredVote::certifies(observed));
         self.observed_trig.clear();
         if fast.is_some() {
             self.observed_trig
@@ -404,7 +358,7 @@ impl MatchScratch {
         let most_pairs = templates.iter().map(Template::len).max().unwrap_or(0) * observed.len();
         let mut table = VoteTable::for_pairs(most_pairs);
         let mut best: Option<(usize, MatchResult)> = None;
-        let mut rest = template_trig;
+        let mut rest = &set.direction_trig[..];
         for (i, template) in templates.iter().enumerate() {
             let (trig, later) = rest.split_at(template.len());
             rest = later;
@@ -440,6 +394,11 @@ impl MatchScratch {
     /// distinct keys, so the bins chosen do not depend on how the table is
     /// laid out. `template_trig` holds the `sin_cos` of the template's
     /// directions (read only when `fast` is set).
+    ///
+    /// Kept out of line: inlined into `best_match`, its loops were
+    /// compiled differently from one build to the next, and the π-periodic
+    /// search's time moved by up to 10% with them.
+    #[inline(never)]
     fn vote(
         &mut self,
         table: &mut VoteTable,
@@ -1393,7 +1352,7 @@ mod tests {
             ..*cfg
         };
         let mut scratch = MatchScratch::new();
-        scratch.best_match(std::slice::from_ref(template), observed, &all);
+        scratch.best_match(&TemplateSet::new(vec![template.clone()]), observed, &all);
         scratch.top
     }
 
@@ -1580,7 +1539,7 @@ mod tests {
             ..*cfg
         };
         let mut scratch = MatchScratch::new();
-        scratch.best_match(std::slice::from_ref(template), observed, &cfg);
+        scratch.best_match(&TemplateSet::new(vec![template.clone()]), observed, &cfg);
         scratch.top
     }
 

@@ -175,7 +175,7 @@ impl FingerprintProcessor {
         self.verifications += 1;
         let (finger_index, best) = self
             .scratch
-            .best_match_in(&self.templates, observed, &self.config)
+            .best_match(&self.templates, observed, &self.config)
             .expect("templates non-empty");
         let matched_user = templates[finger_index].user_id();
         let decision = if observed.len() < self.config.min_minutiae {
