@@ -697,6 +697,7 @@ mod tests {
     }
 
     pub(super) fn interaction_oracle(key: &[u8], r: &InteractionRequest) -> Digest {
+        let risk = risk_bytes(&r.risk);
         hmac_sha256(
             key,
             &signing_bytes("trust-interaction-v1", |w| {
@@ -706,7 +707,7 @@ mod tests {
                     .u64(r.seq)
                     .str(&r.action)
                     .bytes(r.frame_hash.as_bytes())
-                    .bytes(&risk_bytes(&r.risk));
+                    .bytes(&risk);
             }),
         )
     }
@@ -728,6 +729,7 @@ mod tests {
     }
 
     pub(super) fn ack_oracle(key: &[u8], a: &ResumeAck) -> Digest {
+        let last_reply = a.last_reply.as_ref().map(|r| (content_bytes(r), r.mac));
         hmac_sha256(
             key,
             &signing_bytes("trust-resume-ack-v1", |w| {
@@ -736,9 +738,9 @@ mod tests {
                     .bytes(a.device_nonce.as_bytes())
                     .bytes(a.nonce.as_bytes())
                     .u64(a.seq);
-                match &a.last_reply {
-                    Some(r) => {
-                        w.u64(1).bytes(&content_bytes(r)).bytes(r.mac.as_bytes());
+                match &last_reply {
+                    Some((content, mac)) => {
+                        w.u64(1).bytes(content).bytes(mac.as_bytes());
                     }
                     None => {
                         w.u64(0);

@@ -70,10 +70,11 @@ pub struct TransferOffer {
 
 /// Digest binding a [`TransferOffer`] to the certificate it carries.
 fn offer_digest(cert: &Certificate) -> Digest {
+    let key = cert.public_key().to_bytes();
     sha256(&signing_bytes("trust-transfer-offer-v1", |w| {
         w.str(cert.subject())
             .str(cert.role().name())
-            .bytes(&cert.public_key().to_bytes())
+            .bytes(&key)
             .u64(cert.serial());
     }))
 }

@@ -147,9 +147,11 @@ pub fn mac_matches(key: &[u8], value: &impl Canonical, tag: &Tag) -> bool {
 /// The bytes land in a buffer allocated once at their exact length:
 /// `fill` runs twice, first into a counting sink for the length, as
 /// [`FieldWriter::nested`] measures a nested list, then into the buffer.
-/// So `fill` must write the same fields both times, and should be cheap;
-/// a large or costly encoding (a snapshot) writes one [`FieldWriter`]
-/// instead.
+/// So `fill` must be pure: it writes the same fields both times and does
+/// no other work. A caller computes any field that costs work (an
+/// encoding, a digest, nested signing bytes) before the call and
+/// captures the result; a large or costly encoding (a snapshot) writes
+/// one [`FieldWriter`] instead.
 ///
 /// # Example
 ///
