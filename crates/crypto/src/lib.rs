@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! Cryptographic substrate for the TRUST / FLock reproduction, implemented
 //! from scratch (no external dependencies).

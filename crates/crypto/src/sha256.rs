@@ -281,8 +281,9 @@ mod shani {
         // Per 32-bit lane, big-endian bytes to native order.
         let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
         let ptr = state.as_mut_ptr().cast::<__m128i>();
-        // SAFETY: `state` is 32 bytes, two 16-byte vectors at offsets 0
-        // and 16, and `loadu` has no alignment requirement.
+        // SAFETY: `compress` checked the CPU features (`available`) before
+        // calling this kernel; `state` is 32 bytes, two 16-byte vectors at
+        // offsets 0 and 16, and `loadu` has no alignment requirement.
         let (dcba, hgfe) = unsafe { (_mm_loadu_si128(ptr), _mm_loadu_si128(ptr.add(1))) };
         let cdab = _mm_shuffle_epi32(dcba, 0xb1);
         let efgh = _mm_shuffle_epi32(hgfe, 0x1b);
@@ -292,8 +293,9 @@ mod shani {
         for block in blocks {
             let (abef_in, cdgh_in) = (abef, cdgh);
             let p = block.as_ptr().cast::<__m128i>();
-            // SAFETY: `block` is 64 bytes, four 16-byte vectors at offsets
-            // 0, 16, 32 and 48, and `loadu` has no alignment requirement.
+            // SAFETY: the features are checked as for the state loads;
+            // `block` is 64 bytes, four 16-byte vectors at offsets 0, 16,
+            // 32 and 48, and `loadu` has no alignment requirement.
             let (mut w0, mut w1, mut w2, mut w3) = unsafe {
                 (
                     _mm_loadu_si128(p),
@@ -342,8 +344,9 @@ mod shani {
         let dchg = _mm_shuffle_epi32(cdgh, 0xb1);
         let dcba = _mm_blend_epi16(feba, dchg, 0xf0);
         let hgfe = _mm_alignr_epi8(dchg, feba, 8);
-        // SAFETY: as for the loads above; `ptr` came from `&mut state`,
-        // which nothing else borrows here.
+        // SAFETY: the features are checked and the bounds hold as for the
+        // loads above; `ptr` came from `&mut state`, which nothing else
+        // borrows here.
         unsafe {
             _mm_storeu_si128(ptr, dcba);
             _mm_storeu_si128(ptr.add(1), hgfe);

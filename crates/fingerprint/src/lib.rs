@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![warn(clippy::undocumented_unsafe_blocks)]
 
 //! Synthetic fingerprint generation, quality assessment, and partial-print
 //! matching.

@@ -278,8 +278,9 @@ impl TemplateSet {
 
 /// The buffers matching needs, kept across calls so that matching every
 /// touch allocates little: the best Hough bins, the bins that reached two
-/// votes, the scoring `Workspace`, and the directions' sines and cosines.
-/// [`MatchScratch::reserve_for`] sizes them for a template set up front.
+/// votes, the scoring `Workspace`, and the observed minutiae in the key
+/// pass's lane layout. [`MatchScratch::reserve_for`] sizes them for a
+/// template set up front.
 /// The vote table itself (`VoteTable`, 34 KB for 58 × 19 pairs) is
 /// allocated once per match call and shared by its templates: kept on
 /// every device, it would stay resident on each.
@@ -294,8 +295,9 @@ pub struct MatchScratch {
     top: Vec<(u32, BinKey)>,
     /// Indices into the vote table's bins of those that reached two votes.
     twos: Vec<u32>,
-    /// `sin_cos` of each observed direction.
-    observed_trig: Vec<(f64, f64)>,
+    /// The observed minutiae with their directions' `sin_cos`, four to an
+    /// entry (filled only for a certified call).
+    observed_lanes: Vec<ObservedLanes>,
     work: Workspace,
 }
 
@@ -326,7 +328,7 @@ impl MatchScratch {
         let keep = config.hough_bins_evaluated.clamp(1, most.max(1));
         self.top.reserve(keep);
         self.twos.reserve(most);
-        self.observed_trig.reserve(most);
+        self.observed_lanes.reserve(most.div_ceil(LANES));
         self.work.reserve(most);
     }
 
@@ -349,10 +351,10 @@ impl MatchScratch {
         }
         let fast = FilteredVote::new(config)
             .filter(|_| set.certified && FilteredVote::certifies(observed));
-        self.observed_trig.clear();
+        self.observed_lanes.clear();
         if fast.is_some() {
-            self.observed_trig
-                .extend(observed.iter().map(|m| m.angle.sin_cos()));
+            self.observed_lanes
+                .extend(observed.chunks(LANES).map(ObservedLanes::new));
         }
         let obs_bound = bounding_radius(observed);
         let most_pairs = templates.iter().map(Template::len).max().unwrap_or(0) * observed.len();
@@ -422,18 +424,15 @@ impl MatchScratch {
                 // round are marked `EXACT`.
                 let bins = &mut table.bins;
                 bins.clear();
-                let obs = observed.iter().zip(&self.observed_trig);
-                for (t, &t_trig) in template.minutiae().iter().zip(template_trig) {
-                    if config.angle_mod_pi {
-                        bins.extend(obs.clone().map(|(o, &o_trig)| {
-                            (0, fast.packed_key::<true>(t, t_trig, o, o_trig))
-                        }));
-                    } else {
-                        bins.extend(obs.clone().map(|(o, &o_trig)| {
-                            (0, fast.packed_key::<false>(t, t_trig, o, o_trig))
-                        }));
-                    }
-                }
+                bins.resize(pairs, (0, 0));
+                fast.key_pass(
+                    config.angle_mod_pi,
+                    template.minutiae(),
+                    template_trig,
+                    &self.observed_lanes,
+                    observed.len(),
+                    bins,
+                );
                 // Counting pass: the distinct bins are compacted into the
                 // front of the same buffer, never past the key being read,
                 // and each bin is noted when it reaches two votes.
@@ -697,6 +696,53 @@ impl FilteredVote {
         })
     }
 
+    /// Writes the packed key of every (template, observed) pair into
+    /// `bins` (`template.len()` rows of `count`), on the CPU's AVX2 when it
+    /// has it and in scalar code otherwise. Both write the same keys.
+    /// `trig` holds the `sin_cos` of the template's directions, `observed`
+    /// the `count` observed minutiae.
+    fn key_pass(
+        &self,
+        mod_pi: bool,
+        template: &[Minutia],
+        trig: &[(f64, f64)],
+        observed: &[ObservedLanes],
+        count: usize,
+        bins: &mut [(u32, PackedKey)],
+    ) {
+        if count == 0 {
+            return;
+        }
+        #[cfg(target_arch = "x86_64")]
+        if avx2::key_pass(self, mod_pi, template, trig, observed, count, bins) {
+            return;
+        }
+        if mod_pi {
+            self.key_pass_scalar::<true>(template, trig, observed, count, bins);
+        } else {
+            self.key_pass_scalar::<false>(template, trig, observed, count, bins);
+        }
+    }
+
+    /// [`FilteredVote::key_pass`] one pair at a time (`count` > 0).
+    fn key_pass_scalar<const MOD_PI: bool>(
+        &self,
+        template: &[Minutia],
+        trig: &[(f64, f64)],
+        observed: &[ObservedLanes],
+        count: usize,
+        bins: &mut [(u32, PackedKey)],
+    ) {
+        for ((t, &t_trig), row) in template.iter().zip(trig).zip(bins.chunks_exact_mut(count)) {
+            let t = Oriented::new(t, t_trig);
+            for (lanes, bins) in observed.iter().zip(row.chunks_mut(LANES)) {
+                for (lane, bin) in bins.iter_mut().enumerate() {
+                    bin.1 = self.packed_key::<MOD_PI>(&t, &lanes.lane(lane));
+                }
+            }
+        }
+    }
+
     /// The packed [`exact_key`] of the pair, from each minutia's
     /// `sin_cos`, or [`EXACT`] where the fast value cannot be rounded
     /// safely or the fold would need `fmod`. `MOD_PI` is the
@@ -708,16 +754,12 @@ impl FilteredVote {
     /// counts periods; where it would call `fmod`, the pair is marked
     /// instead of branching to the exact key. The rounded coordinates are
     /// read off the bits of the [`ROUNDER`] sums (`rounded_bits`), not
-    /// converted.
+    /// converted. The AVX2 kernel (`avx2::key_pass`) runs these
+    /// operations, in this order, on four pairs at a time.
     #[inline(always)]
-    fn packed_key<const MOD_PI: bool>(
-        &self,
-        t: &Minutia,
-        (st, ct): (f64, f64),
-        o: &Minutia,
-        (so, co): (f64, f64),
-    ) -> PackedKey {
+    fn packed_key<const MOD_PI: bool>(&self, t: &Oriented, o: &Oriented) -> PackedKey {
         use std::f64::consts::{PI, TAU};
+        let (st, ct, so, co) = (t.sin, t.cos, o.sin, o.cos);
         let a = o.angle - t.angle;
         let period = if MOD_PI { PI } else { TAU };
         let once = a.abs() >= period;
@@ -743,8 +785,8 @@ impl FilteredVote {
         let sign = if odd { -1.0 } else { 1.0 };
         let s = sign * (so * ct - co * st);
         let c = sign * (co * ct + so * st);
-        let tx = o.pos.x - (t.pos.x * c - t.pos.y * s);
-        let ty = o.pos.y - (t.pos.x * s + t.pos.y * c);
+        let tx = o.x - (t.x * c - t.y * s);
+        let ty = o.y - (t.x * s + t.y * c);
         let (r, x, y) = (
             dtheta * self.inv_rotation_bin,
             tx * self.inv_translation_bin,
@@ -755,6 +797,7 @@ impl FilteredVote {
         let clear = 0.5 - DELTA;
         let exact =
             folds & ((r - rr).abs() < clear) & ((x - rx).abs() < clear) & ((y - ry).abs() < clear);
+        debug_assert!(!exact || [rr, rx, ry].iter().all(|v| v.abs() < PACK_BIAS as f64));
         let key = rounded_bits(sr) << 42 | rounded_bits(sx) << 21 | rounded_bits(sy);
         if exact {
             key
@@ -767,14 +810,14 @@ impl FilteredVote {
 /// [`pack`]'s field of `rne(x)`, from `sum = x + ROUNDER`: for
 /// |x| ≤ 2⁵¹ the sum lies in [2⁵², 2⁵³), where the ulp is 1, so its bits
 /// less [`ROUNDER`]'s are `rne(x)` as an integer. Certified coordinates
-/// stay far inside ±2²⁰, so the biased field fits its 21 bits.
+/// stay far inside ±2²⁰, so the biased field fits its 21 bits; the field
+/// of a pair marked [`EXACT`] is not used.
 #[inline(always)]
 fn rounded_bits(sum: f64) -> PackedKey {
     let field = sum
         .to_bits()
         .wrapping_sub(ROUNDER.to_bits())
         .wrapping_add(PACK_BIAS as u64);
-    debug_assert!(field < 1 << 21);
     field & ((1 << 21) - 1)
 }
 
@@ -782,11 +825,88 @@ fn rounded_bits(sum: f64) -> PackedKey {
 /// top bit set.
 const EXACT: PackedKey = u64::MAX;
 
+/// Minutiae per kernel step: four `f64` lanes, one AVX2 register.
+const LANES: usize = 4;
+
+/// One coordinate of four minutiae.
+type Lanes = [f64; LANES];
+
+/// A minutia's position and direction, with the direction's `sin_cos`.
+#[derive(Clone, Copy)]
+struct Oriented {
+    x: f64,
+    y: f64,
+    angle: f64,
+    sin: f64,
+    cos: f64,
+}
+
+impl Oriented {
+    fn new(m: &Minutia, (sin, cos): (f64, f64)) -> Self {
+        Oriented {
+            x: m.pos.x,
+            y: m.pos.y,
+            angle: m.angle,
+            sin,
+            cos,
+        }
+    }
+}
+
+/// Four observed minutiae as the key pass reads them: each field holds
+/// one coordinate of all four. Lanes past the end of the observation hold
+/// zeros; the kernels compute keys for them and drop them.
+#[derive(Clone, Copy, Default)]
+struct ObservedLanes {
+    x: Lanes,
+    y: Lanes,
+    angle: Lanes,
+    sin: Lanes,
+    cos: Lanes,
+}
+
+impl ObservedLanes {
+    /// The lanes of up to [`LANES`] minutiae, with their `sin_cos`.
+    fn new(minutiae: &[Minutia]) -> Self {
+        let mut lanes = ObservedLanes::default();
+        for (i, m) in minutiae.iter().enumerate() {
+            lanes.x[i] = m.pos.x;
+            lanes.y[i] = m.pos.y;
+            lanes.angle[i] = m.angle;
+            (lanes.sin[i], lanes.cos[i]) = m.angle.sin_cos();
+        }
+        lanes
+    }
+
+    fn lane(&self, i: usize) -> Oriented {
+        Oriented {
+            x: self.x[i],
+            y: self.y[i],
+            angle: self.angle[i],
+            sin: self.sin[i],
+            cos: self.cos[i],
+        }
+    }
+}
+
+/// The positions of four transformed template minutiae. Lanes past the
+/// end of the template hold zeros; the gate masks them off.
+#[derive(Clone, Copy, Default)]
+struct PositionLanes {
+    x: Lanes,
+    y: Lanes,
+}
+
 /// The scoring buffers, shared by every bin and refinement pass.
 #[derive(Default)]
 struct Workspace {
-    /// The template under the current transform.
-    transformed: Vec<Minutia>,
+    /// The template's positions under the current transform, four to an
+    /// entry.
+    positions: Vec<PositionLanes>,
+    /// How many template minutiae `positions` holds.
+    count: usize,
+    /// The current transform's rotation.
+    theta: f64,
     /// Candidate correspondences `(distance, template, observed)`.
     candidates: Vec<(f64, usize, usize)>,
     /// Greedy one-to-one correspondences `(template, observed)`.
@@ -800,53 +920,83 @@ impl Workspace {
     /// Sizes every buffer for templates and observations of up to `most`
     /// minutiae, with room for two candidates per minutia.
     fn reserve(&mut self, most: usize) {
-        self.transformed.reserve(most);
+        self.positions.reserve(most.div_ceil(LANES));
         self.candidates.reserve(2 * most);
         self.pairs.reserve(most);
         self.used.reserve(2 * most);
     }
 
-    /// Puts the template under the rigid transform (rotate by `theta`,
-    /// then translate) into `self.transformed`.
+    /// Puts the template's positions under the rigid transform (rotate by
+    /// `theta`, then translate) into `self.positions`: the expression of
+    /// `Minutia::transformed`, with `theta.sin_cos()` evaluated once. The
+    /// directions are transformed only where `correspond` needs them.
     fn transform(&mut self, template: &Template, theta: f64, (tx, ty): (f64, f64)) {
-        let sin_cos = theta.sin_cos();
-        self.transformed.clear();
-        self.transformed.extend(
-            template
-                .minutiae()
-                .iter()
-                .map(|m| m.transformed_sin_cos(theta, sin_cos, tx, ty)),
-        );
+        let (s, c) = theta.sin_cos();
+        self.theta = theta;
+        self.count = template.len();
+        self.positions.clear();
+        self.positions
+            .extend(template.minutiae().chunks(LANES).map(|chunk| {
+                let mut lanes = PositionLanes::default();
+                for (i, m) in chunk.iter().enumerate() {
+                    lanes.x[i] = m.pos.x * c - m.pos.y * s + tx;
+                    lanes.y[i] = m.pos.x * s + m.pos.y * c + ty;
+                }
+                lanes
+            }));
+    }
+
+    /// The transformed template positions, in template order.
+    fn positions(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
+        self.positions
+            .iter()
+            .flat_map(|lanes| lanes.x.into_iter().zip(lanes.y))
+            .take(self.count)
     }
 
     /// Greedy one-to-one correspondences (closest pairs first) between
-    /// `self.transformed` and `observed`, into `self.pairs`.
+    /// the transformed `template` and `observed`, into `self.pairs`.
     ///
     /// Ties in distance go to the candidate found first in (observed,
     /// template) order, as a stable sort of the candidates in that push
     /// order would leave them.
     fn correspond(
         &mut self,
+        template: &Template,
         observed: &[Minutia],
         pos_tolerance: f64,
         angle_tolerance: f64,
         config: &MatchConfig,
     ) {
         let gate = squared_gate(pos_tolerance);
-        self.candidates.clear();
-        for (oi, o) in observed.iter().enumerate() {
-            for (ti, t) in self.transformed.iter().enumerate() {
-                // `MmPoint::distance_to`'s sum of squares; its root is
-                // taken only for pairs the gate cannot rule out.
-                let d2 = (o.pos.x - t.pos.x).powi(2) + (o.pos.y - t.pos.y).powi(2);
-                if d2 > gate {
-                    continue;
-                }
-                let d = d2.sqrt();
-                if d <= pos_tolerance && config.angle_gap(o.angle, t.angle) <= angle_tolerance {
-                    self.candidates.push((d, ti, oi));
+        let theta = self.theta;
+        let candidates = &mut self.candidates;
+        candidates.clear();
+        // The pairs inside the gate, four template minutiae at a time: the
+        // root is taken, and the template direction transformed as
+        // `Minutia::new` normalizes it, only for those.
+        let mut visit = |oi: usize, quad: usize, mut mask: u32, d2: &Lanes| {
+            while mask != 0 {
+                let lane = mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                let ti = quad * LANES + lane;
+                let d = d2[lane].sqrt();
+                if d <= pos_tolerance
+                    && config.angle_gap(
+                        observed[oi].angle,
+                        normalize_angle(template.minutiae()[ti].angle + theta),
+                    ) <= angle_tolerance
+                {
+                    candidates.push((d, ti, oi));
                 }
             }
+        };
+        #[cfg(target_arch = "x86_64")]
+        let gated = avx2::gate(&self.positions, self.count, observed, gate, &mut visit);
+        #[cfg(not(target_arch = "x86_64"))]
+        let gated = false;
+        if !gated {
+            gate_scalar(&self.positions, self.count, observed, gate, &mut visit);
         }
         self.candidates.sort_unstable_by(|a, b| {
             a.0.partial_cmp(&b.0)
@@ -855,15 +1005,49 @@ impl Workspace {
                 .then(a.1.cmp(&b.1))
         });
         self.used.clear();
-        self.used
-            .resize(self.transformed.len() + observed.len(), false);
-        let (t_used, o_used) = self.used.split_at_mut(self.transformed.len());
+        self.used.resize(self.count + observed.len(), false);
+        let (t_used, o_used) = self.used.split_at_mut(self.count);
         self.pairs.clear();
         for &(_, ti, oi) in &self.candidates {
             if !t_used[ti] && !o_used[oi] {
                 t_used[ti] = true;
                 o_used[oi] = true;
                 self.pairs.push((ti, oi));
+            }
+        }
+    }
+}
+
+/// The correspondence gate one pair at a time: for every observed
+/// minutia and every four of the `count` transformed template minutiae
+/// in `positions`, calls `visit(observed index, quad index, mask, d2)`
+/// when the mask is not empty. Bit `i` of the mask is set when lane `i`'s
+/// squared distance `d2[i]` is not above `gate` (NaN is not), and is
+/// clear for the padding lanes past `count`.
+fn gate_scalar(
+    positions: &[PositionLanes],
+    count: usize,
+    observed: &[Minutia],
+    gate: f64,
+    visit: &mut impl FnMut(usize, usize, u32, &Lanes),
+) {
+    for (oi, o) in observed.iter().enumerate() {
+        for (quad, lanes) in positions.iter().enumerate() {
+            let mut squares = [0.0; LANES];
+            let mut mask = 0;
+            let points = lanes.x.iter().zip(&lanes.y);
+            let used = (count - quad * LANES).min(LANES);
+            for (lane, (d2, (x, y))) in squares.iter_mut().zip(points).enumerate().take(used) {
+                // `MmPoint::distance_to`'s sum of squares; its root is
+                // taken only for pairs the gate cannot rule out.
+                *d2 = (o.pos.x - x).powi(2) + (o.pos.y - y).powi(2);
+                if *d2 > gate {
+                    continue;
+                }
+                mask |= 1 << lane;
+            }
+            if mask != 0 {
+                visit(oi, quad, mask, &squares);
             }
         }
     }
@@ -914,6 +1098,7 @@ fn score_bin(
         };
         work.transform(template, rotation, translation);
         work.correspond(
+            template,
             observed,
             config.pos_tolerance_mm * slack,
             config.angle_tolerance_rad * slack,
@@ -956,6 +1141,7 @@ fn score_bin(
     // --- Final correspondence count under exact tolerances ---------------
     work.transform(template, rotation, translation);
     work.correspond(
+        template,
         observed,
         config.pos_tolerance_mm,
         config.angle_tolerance_rad,
@@ -976,14 +1162,13 @@ fn score_bin(
         .contains(&bound)
         .then_some((bound * bound * (1.0 - 1e-9), bound * bound * (1.0 + 1e-9)));
     let in_region = work
-        .transformed
-        .iter()
-        .filter(|t| {
-            let r2 = t.pos.x * t.pos.x + t.pos.y * t.pos.y;
+        .positions()
+        .filter(|&(x, y)| {
+            let r2 = x * x + y * y;
             match band {
                 Some((inside, _)) if r2 <= inside => true,
                 Some((_, outside)) if r2 >= outside => false,
-                _ => t.pos.x.hypot(t.pos.y) <= bound,
+                _ => x.hypot(y) <= bound,
             }
         })
         .count()
@@ -1006,6 +1191,9 @@ fn bounding_radius(minutiae: &[Minutia]) -> f64 {
         .map(|m| m.pos.x.hypot(m.pos.y))
         .fold(0.0, f64::max)
 }
+
+#[cfg(target_arch = "x86_64")]
+mod avx2;
 
 #[cfg(test)]
 mod reference;
@@ -1616,6 +1804,239 @@ mod tests {
                     "fold({a:e})"
                 );
             }
+        }
+    }
+
+    /// A key-pass backend: writes the keys of every (template, observed)
+    /// pair, as [`FilteredVote::key_pass`] does.
+    type KeyPass = fn(
+        &FilteredVote,
+        bool,
+        &[Minutia],
+        &[(f64, f64)],
+        &[ObservedLanes],
+        usize,
+        &mut [(u32, PackedKey)],
+    );
+
+    /// A correspondence-gate backend, as `gate_scalar`.
+    type Gate =
+        fn(&[PositionLanes], usize, &[Minutia], f64, &mut dyn FnMut(usize, usize, u32, &Lanes));
+
+    /// Every key-pass and gate backend this CPU can run, by name. The AVX2
+    /// ones are left out only when the CPU lacks AVX2.
+    fn backends() -> Vec<(&'static str, KeyPass, Gate)> {
+        let mut out: Vec<(&'static str, KeyPass, Gate)> = vec![(
+            "scalar",
+            |vote, mod_pi, template, trig, observed, count, bins| {
+                if mod_pi {
+                    vote.key_pass_scalar::<true>(template, trig, observed, count, bins);
+                } else {
+                    vote.key_pass_scalar::<false>(template, trig, observed, count, bins);
+                }
+            },
+            |positions, count, observed, gate, mut visit| {
+                gate_scalar(positions, count, observed, gate, &mut visit);
+            },
+        )];
+        #[cfg(target_arch = "x86_64")]
+        if avx2::available() {
+            out.push((
+                "avx2",
+                |vote, mod_pi, template, trig, observed, count, bins| {
+                    assert!(avx2::key_pass(
+                        vote, mod_pi, template, trig, observed, count, bins
+                    ));
+                },
+                |positions, count, observed, gate, mut visit| {
+                    assert!(avx2::gate(positions, count, observed, gate, &mut visit));
+                },
+            ));
+        } else {
+            eprintln!("no AVX2 on this CPU: AVX2 kernels not tested");
+        }
+        out
+    }
+
+    /// The key of every pair of `template` × `observed` under `cfg`, on
+    /// one key-pass backend.
+    fn keys_with(
+        key_pass: KeyPass,
+        cfg: &MatchConfig,
+        template: &[Minutia],
+        observed: &[Minutia],
+    ) -> Vec<PackedKey> {
+        let vote = FilteredVote::new(cfg).expect("certified bins");
+        let trig: Vec<_> = template.iter().map(|m| m.angle.sin_cos()).collect();
+        let lanes: Vec<_> = observed.chunks(LANES).map(ObservedLanes::new).collect();
+        let mut bins = vec![(0, 0); template.len() * observed.len()];
+        if !observed.is_empty() {
+            key_pass(
+                &vote,
+                cfg.angle_mod_pi,
+                template,
+                &trig,
+                &lanes,
+                observed.len(),
+                &mut bins,
+            );
+        }
+        bins.into_iter().map(|(_, key)| key).collect()
+    }
+
+    /// Every gate visit for `template` under `pose` against `observed`,
+    /// on one gate backend, for a few gates: the gate, observed index,
+    /// quad, mask and the bits of the set lanes' squared distances.
+    fn gate_visits(
+        gate_fn: Gate,
+        template: &[Minutia],
+        observed: &[Minutia],
+        (theta, tx, ty): (f64, f64, f64),
+    ) -> Vec<(u64, usize, usize, u32, Vec<u64>)> {
+        let mut work = Workspace::default();
+        work.transform(&Template::new(0, 0, template.to_vec()), theta, (tx, ty));
+        let mut visits = Vec::new();
+        for gate in [
+            squared_gate(0.9),
+            squared_gate(0.9 * 1.6),
+            0.0,
+            f64::INFINITY,
+            f64::NAN,
+        ] {
+            gate_fn(
+                &work.positions,
+                work.count,
+                observed,
+                gate,
+                &mut |oi, quad, mask, d2| {
+                    let set = (0..LANES).filter(|lane| mask >> lane & 1 == 1);
+                    let d2 = set.map(|lane| d2[lane].to_bits()).collect();
+                    visits.push((gate.to_bits(), oi, quad, mask, d2));
+                },
+            );
+        }
+        visits
+    }
+
+    /// Both kernels give the same bits on every backend, in both angle
+    /// modes, and every key the filter does not mark is `exact_key`'s
+    /// where the inputs are certified. The messages name the backend, not
+    /// the template-derived values.
+    fn assert_backends_agree(template: &[Minutia], observed: &[Minutia]) {
+        let backends = backends();
+        let (_, scalar_keys, scalar_gate) = backends[0];
+        for cfg in [MatchConfig::default(), MatchConfig::for_image_extraction()] {
+            let keys = keys_with(scalar_keys, &cfg, template, observed);
+            if FilteredVote::certifies(template) && FilteredVote::certifies(observed) {
+                for (i, &key) in keys.iter().enumerate() {
+                    let (t, o) = (&template[i / observed.len()], &observed[i % observed.len()]);
+                    if key != EXACT {
+                        assert!(unpack(key) == exact_key(&cfg, t, o), "pair {i}");
+                    }
+                }
+            }
+            for &(name, key_pass, _) in &backends[1..] {
+                assert!(
+                    keys_with(key_pass, &cfg, template, observed) == keys,
+                    "{name} keys differ (mod pi: {})",
+                    cfg.angle_mod_pi
+                );
+            }
+        }
+        for pose in [(0.0, 0.0, 0.0), (0.7, 1.3, -0.4), (-2.9, 0.0, 2.5)] {
+            let visits = gate_visits(scalar_gate, template, observed, pose);
+            for &(name, _, gate) in &backends[1..] {
+                assert!(
+                    gate_visits(gate, template, observed, pose) == visits,
+                    "{name} gate masks differ"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn backends_agree_on_the_golden_corpus_and_odd_counts() {
+        for (template, observed) in golden_corpus() {
+            assert_backends_agree(template.minutiae(), &observed);
+            // Every observation length mod 4, so the padding lanes of both
+            // sides' last quad are exercised.
+            for n in 1..=9.min(observed.len()) {
+                assert_backends_agree(&template.minutiae()[..n + 2], &observed[..n]);
+            }
+        }
+    }
+
+    #[test]
+    fn backends_agree_on_fleet_touches() {
+        let mut rng = SimRng::seed_from(0xF1EE7);
+        let templates: Vec<Template> = (0..3)
+            .map(|finger| enroll(&FingerPattern::generate(800, finger), 5, &mut rng))
+            .collect();
+        // The fleet's touches: 4–8 mm windows anywhere on the pad, uneven
+        // conditions, two in three from the owner and the rest from a
+        // stranger.
+        for i in 0..60u64 {
+            let user = if i % 3 == 2 { 70_000 + i } else { 800 };
+            let pattern = FingerPattern::generate(user, (i % 3) as u8);
+            let side = rng.range_f64(4.0, 8.0);
+            let window = CaptureWindow::centered(
+                MmPoint::new(rng.range_f64(-3.0, 3.0), rng.range_f64(-4.0, 4.0)),
+                side,
+                side,
+            );
+            let conditions = CaptureConditions {
+                speed_mm_s: rng.range_f64(0.0, 30.0),
+                pressure: rng.range_f64(0.3, 1.0),
+                coverage: rng.range_f64(0.6, 1.0),
+                moisture: rng.range_f64(0.2, 0.7),
+            };
+            let observed = pattern.observe(&window, &conditions, &mut rng).minutiae;
+            assert_backends_agree(templates[i as usize % 3].minutiae(), &observed);
+        }
+    }
+
+    #[test]
+    fn backends_agree_on_aimed_and_out_of_range_pairs() {
+        for cfg in [MatchConfig::default(), MatchConfig::for_image_extraction()] {
+            let mut rng = SimRng::seed_from(0xB0DE);
+            for n in [42, 41, 7, 1] {
+                let (template, observed) = boundary_pairs(&cfg, &mut rng, n, 0.0, 0.0);
+                assert_backends_agree(&template, &observed);
+            }
+            // Outside the certified range the call votes through
+            // `exact_key` and the key pass never runs; the kernels still
+            // agree, marking every pair they cannot round. Positions out
+            // to 1e4 mm keep the packed fields in range.
+            let (template, observed) = boundary_pairs(&cfg, &mut rng, 42, 5e3, 0.0);
+            assert!(!FilteredVote::certifies(&template));
+            assert_backends_agree(&template, &observed);
+            for turn in [1e9, -1e9] {
+                let (template, mut observed) = boundary_pairs(&cfg, &mut rng, 42, 0.0, 0.0);
+                for o in observed.iter_mut().step_by(2) {
+                    o.angle += turn;
+                }
+                assert!(!FilteredVote::certifies(&observed));
+                assert_backends_agree(&template, &observed);
+            }
+            let (mut template, mut observed) = boundary_pairs(&cfg, &mut rng, 42, 0.0, 0.0);
+            template[3].angle = f64::NAN;
+            template[4].pos = MmPoint::new(f64::NAN, 1.0);
+            observed[5].angle = f64::NAN;
+            observed[6].pos = MmPoint::new(2.0, f64::NAN);
+            assert!(!FilteredVote::certifies(&template));
+            assert_backends_agree(&template, &observed);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn backends_agree_on_arbitrary_minutiae(
+            template in proptest::collection::vec(arb_minutia(), 1..40),
+            observed in proptest::collection::vec(arb_minutia(), 1..14),
+        ) {
+            assert_backends_agree(&template, &observed);
         }
     }
 }

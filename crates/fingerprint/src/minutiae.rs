@@ -49,28 +49,22 @@ impl Minutia {
             kind,
         }
     }
-
-    /// [`Minutia::transformed`] with `theta.sin_cos()` already computed, so
-    /// a whole constellation can share one evaluation.
-    pub(crate) fn transformed_sin_cos(
-        &self,
-        theta: f64,
-        (s, c): (f64, f64),
-        tx: f64,
-        ty: f64,
-    ) -> Minutia {
-        let x = self.pos.x * c - self.pos.y * s + tx;
-        let y = self.pos.x * s + self.pos.y * c + ty;
-        Minutia::new(MmPoint::new(x, y), self.angle + theta, self.kind)
-    }
 }
 
 /// Normalizes an angle into `[0, 2π)`.
 pub fn normalize_angle(a: f64) -> f64 {
     let tau = std::f64::consts::TAU;
-    // `fmod` is exact and returns `a` itself when |a| < τ, so the
-    // common in-range case skips the libm call.
-    let mut x = if a.abs() < tau { a } else { a % tau };
+    // `fmod` is exact: it returns `a` itself when |a| < τ, and `a ∓ τ`,
+    // which is representable (Sterbenz), when |a| < 2τ, so the
+    // subtraction gives it exactly (`copysign` keeps a zero's sign as
+    // `fmod` does). Only angles two periods out call libm.
+    let mut x = if a.abs() < tau {
+        a
+    } else if a.abs() < 2.0 * tau {
+        (a - tau.copysign(a)).copysign(a)
+    } else {
+        a % tau
+    };
     if x < 0.0 {
         x += tau;
     }
@@ -174,17 +168,35 @@ mod tests {
             x
         };
         let below = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let subnormal = f64::from_bits(1);
+        // A dense grid of [−4π, 4π] with each point's neighbours, which
+        // crosses the one-period case's edges at ±τ and ±2τ.
+        let grid = (-20_000..=20_000).map(|i| f64::from(i) * (4.0 * PI / 20_000.0));
+        for a in grid.flat_map(|a| [a.next_down(), a, a.next_up()]) {
+            assert_eq!(
+                normalize_angle(a).to_bits(),
+                with_fmod(a).to_bits(),
+                "normalize_angle({a:e})"
+            );
+        }
         for a in [
             TAU,
             -TAU,
             below(TAU),
             -below(TAU),
+            2.0 * TAU,
+            -2.0 * TAU,
+            below(2.0 * TAU),
+            -below(2.0 * TAU),
+            (2.0 * TAU).next_up(),
             0.0,
             -0.0,
             PI,
             -FRAC_PI_2,
             f64::MIN_POSITIVE,
             -f64::MIN_POSITIVE,
+            subnormal,
+            -subnormal,
             1e9 + 0.5,
             -3e7,
             1e300,
@@ -239,9 +251,12 @@ mod tests {
 
     impl Minutia {
         /// Applies the rigid transform (rotate by `theta`, then translate by
-        /// `(tx, ty)`).
+        /// `(tx, ty)`), as the matcher's workspace transforms a template.
         pub fn transformed(&self, theta: f64, tx: f64, ty: f64) -> Minutia {
-            self.transformed_sin_cos(theta, theta.sin_cos(), tx, ty)
+            let (s, c) = theta.sin_cos();
+            let x = self.pos.x * c - self.pos.y * s + tx;
+            let y = self.pos.x * s + self.pos.y * c + ty;
+            Minutia::new(MmPoint::new(x, y), self.angle + theta, self.kind)
         }
     }
 }

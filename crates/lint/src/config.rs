@@ -218,6 +218,9 @@ impl Default for Config {
                 // The matcher's per-template constants: the `sin_cos` of
                 // every enrolled direction, derived from the minutiae.
                 ("TemplateSet", "direction_trig"),
+                // The matcher's scoring buffer: the template's positions
+                // under a candidate transform.
+                ("Workspace", "positions"),
                 ("ChaChaEntropy", "key"),
             ],
             taint_sanitizers: vec![

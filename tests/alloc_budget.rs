@@ -260,7 +260,7 @@ fn device_setup_allocations_are_pinned() {
         Rig::new(Adversary::None).setup,
         "allocations do not repeat"
     );
-    assert_eq!(got, b(1, 29, 35_212), "device set-up budget moved: {got:?}");
+    assert_eq!(got, b(1, 29, 35_724), "device set-up budget moved: {got:?}");
 }
 
 #[test]
@@ -351,7 +351,7 @@ fn traced_shard_allocations_are_pinned() {
         ShardBudget {
             served: 512,
             allocs: 1_464,
-            bytes: 4_495_662,
+            bytes: 4_497_710,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
