@@ -72,17 +72,17 @@ impl Certificate {
         self.serial
     }
 
-    /// The bytes covered by the CA signature.
-    fn signed_bytes(subject: &str, role: Role, public_key: &PublicKey, serial: u64) -> Vec<u8> {
-        let mut h = Vec::new();
+    /// The bytes covered by the CA signature: a digest of the fields, the
+    /// key as its canonical encoding ([`PublicKey::to_bytes`]), hashed
+    /// from the stack.
+    fn signed_bytes(subject: &str, role: Role, public_key: &PublicKey, serial: u64) -> [u8; 32] {
         let mut hasher = Sha256::new();
         hasher.update_field(b"trust-certificate-v1");
         hasher.update_field(subject.as_bytes());
         hasher.update_field(role.name().as_bytes());
-        hasher.update_field(&public_key.to_bytes());
+        hasher.update_field(&public_key.element().to_be_bytes());
         hasher.update_field(&serial.to_be_bytes());
-        h.extend_from_slice(hasher.finalize().as_bytes());
-        h
+        *hasher.finalize().as_bytes()
     }
 
     /// Verifies the certificate against the CA public key, and that the

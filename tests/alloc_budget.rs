@@ -260,7 +260,7 @@ fn device_setup_allocations_are_pinned() {
         Rig::new(Adversary::None).setup,
         "allocations do not repeat"
     );
-    assert_eq!(got, b(1, 29, 35_724), "device set-up budget moved: {got:?}");
+    assert_eq!(got, b(1, 27, 35_436), "device set-up budget moved: {got:?}");
 }
 
 #[test]
@@ -269,8 +269,8 @@ fn honest_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 68, 48_631),
-            b(1, 47, 38_828),
+            b(1, 64, 48_055),
+            b(1, 45, 38_540),
             b(16, 20, 42_536),
             b(1, 25, 21_301),
         ],
@@ -284,8 +284,8 @@ fn lossy_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 68, 48_631),
-            b(1, 47, 38_828),
+            b(1, 64, 48_055),
+            b(1, 45, 38_540),
             b(16, 20, 42_536),
             b(1, 25, 21_301),
         ],
@@ -350,8 +350,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 1_464,
-            bytes: 4_497_710,
+            allocs: 1_430,
+            bytes: 4_492_814,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
