@@ -10,8 +10,8 @@
 
 use btd_bench::report::{banner, Table};
 use btd_fingerprint::enroll::enroll;
-use btd_fingerprint::matcher::{match_observation, MatchConfig};
-use btd_fingerprint::minutiae::CaptureWindow;
+use btd_fingerprint::matcher::{MatchConfig, MatchScratch, TemplateSet};
+use btd_fingerprint::minutiae::{CaptureWindow, Minutia};
 use btd_fingerprint::pattern::FingerPattern;
 use btd_fingerprint::quality::CaptureConditions;
 use btd_fingerprint::roc::RocAnalysis;
@@ -24,22 +24,36 @@ fn populations(window_mm: f64, seed: u64) -> RocAnalysis {
     let cfg = MatchConfig::default();
     let mut genuine = Vec::new();
     let mut impostor = Vec::new();
+    let mut scratch = MatchScratch::new();
     for t in 0..TRIALS {
         let mut rng = SimRng::seed_from(seed + t);
         let owner = FingerPattern::generate(t, 0);
         let other = FingerPattern::generate(100_000 + t, 0);
-        let template = enroll(&owner, 5, &mut rng);
+        let template = TemplateSet::new(vec![enroll(&owner, 5, &mut rng)]);
         let window = CaptureWindow::centered(
             MmPoint::new(rng.range_f64(-2.0, 2.0), rng.range_f64(-3.0, 3.0)),
             window_mm,
             window_mm,
         );
         let g = owner.observe(&window, &CaptureConditions::ideal(), &mut rng);
-        genuine.push(match_observation(&template, &g.minutiae, &cfg).score);
+        genuine.push(score(&mut scratch, &template, &g.minutiae, &cfg));
         let i = other.observe(&window, &CaptureConditions::ideal(), &mut rng);
-        impostor.push(match_observation(&template, &i.minutiae, &cfg).score);
+        impostor.push(score(&mut scratch, &template, &i.minutiae, &cfg));
     }
     RocAnalysis::new(genuine, impostor)
+}
+
+/// The match score of `observed` against the one template of `template`.
+fn score(
+    scratch: &mut MatchScratch,
+    template: &TemplateSet,
+    observed: &[Minutia],
+    cfg: &MatchConfig,
+) -> f64 {
+    let (_, result) = scratch
+        .best_match(template, observed, cfg)
+        .expect("one template");
+    result.score
 }
 
 fn main() {
@@ -98,15 +112,16 @@ fn main() {
     ] {
         let cfg = MatchConfig::default();
         let mut genuine = Vec::new();
+        let mut scratch = MatchScratch::new();
         for t in 0..TRIALS {
             let mut rng = SimRng::seed_from(5_000 + t);
             let owner = FingerPattern::generate(t, 0);
-            let template = enroll(&owner, 5, &mut rng);
+            let template = TemplateSet::new(vec![enroll(&owner, 5, &mut rng)]);
             let window = CaptureWindow::centered(MmPoint::new(0.0, 1.0), 8.0, 8.0);
             let mut conditions = CaptureConditions::ideal();
             mutate(&mut conditions);
             let g = owner.observe(&window, &conditions, &mut rng);
-            genuine.push(match_observation(&template, &g.minutiae, &cfg).score);
+            genuine.push(score(&mut scratch, &template, &g.minutiae, &cfg));
         }
         let mean = genuine.iter().sum::<f64>() / genuine.len() as f64;
         let frr = genuine.iter().filter(|s| **s < cfg.score_threshold).count() as f64

@@ -13,8 +13,8 @@ use btd_bench::report::{banner, Table};
 use btd_fingerprint::enroll::enroll;
 use btd_fingerprint::extract::{extract_minutiae, extract_template, ExtractionConfig};
 use btd_fingerprint::image::rasterize;
-use btd_fingerprint::matcher::{match_observation, MatchConfig};
-use btd_fingerprint::minutiae::CaptureWindow;
+use btd_fingerprint::matcher::{MatchConfig, MatchScratch, TemplateSet};
+use btd_fingerprint::minutiae::{CaptureWindow, Minutia};
 use btd_fingerprint::pattern::FingerPattern;
 use btd_fingerprint::quality::CaptureConditions;
 use btd_fingerprint::roc::RocAnalysis;
@@ -28,19 +28,20 @@ fn image_populations(seed: u64) -> RocAnalysis {
     let ext = ExtractionConfig::default();
     let mut genuine = Vec::new();
     let mut impostor = Vec::new();
+    let mut scratch = MatchScratch::new();
     for t in 0..TRIALS {
         let owner = FingerPattern::generate(seed + t, 0);
         let other = FingerPattern::generate(seed + 10_000 + t, 0);
         let mut rng = SimRng::seed_from(seed + t);
-        let template = extract_template(&owner, 0.05, &ext);
+        let template = TemplateSet::new(vec![extract_template(&owner, 0.05, &ext)]);
         let region = MmRect::centered(
             MmPoint::new(rng.range_f64(-1.5, 1.5), rng.range_f64(-2.0, 2.0)),
             MmSize::new(8.0, 8.0),
         );
         let g = extract_minutiae(&rasterize(&owner, region, 0.05), &ext);
         let i = extract_minutiae(&rasterize(&other, region, 0.05), &ext);
-        genuine.push(match_observation(&template, &g, &cfg).score);
-        impostor.push(match_observation(&template, &i, &cfg).score);
+        genuine.push(score(&mut scratch, &template, &g, &cfg));
+        impostor.push(score(&mut scratch, &template, &i, &cfg));
     }
     RocAnalysis::new(genuine, impostor)
 }
@@ -49,11 +50,12 @@ fn model_populations(seed: u64) -> RocAnalysis {
     let cfg = MatchConfig::default();
     let mut genuine = Vec::new();
     let mut impostor = Vec::new();
+    let mut scratch = MatchScratch::new();
     for t in 0..TRIALS {
         let owner = FingerPattern::generate(seed + t, 0);
         let other = FingerPattern::generate(seed + 10_000 + t, 0);
         let mut rng = SimRng::seed_from(seed + t);
-        let template = enroll(&owner, 5, &mut rng);
+        let template = TemplateSet::new(vec![enroll(&owner, 5, &mut rng)]);
         let window = CaptureWindow::centered(
             MmPoint::new(rng.range_f64(-1.5, 1.5), rng.range_f64(-2.0, 2.0)),
             8.0,
@@ -61,10 +63,23 @@ fn model_populations(seed: u64) -> RocAnalysis {
         );
         let g = owner.observe(&window, &CaptureConditions::ideal(), &mut rng);
         let i = other.observe(&window, &CaptureConditions::ideal(), &mut rng);
-        genuine.push(match_observation(&template, &g.minutiae, &cfg).score);
-        impostor.push(match_observation(&template, &i.minutiae, &cfg).score);
+        genuine.push(score(&mut scratch, &template, &g.minutiae, &cfg));
+        impostor.push(score(&mut scratch, &template, &i.minutiae, &cfg));
     }
     RocAnalysis::new(genuine, impostor)
+}
+
+/// The match score of `observed` against the one template of `template`.
+fn score(
+    scratch: &mut MatchScratch,
+    template: &TemplateSet,
+    observed: &[Minutia],
+    cfg: &MatchConfig,
+) -> f64 {
+    let (_, result) = scratch
+        .best_match(template, observed, cfg)
+        .expect("one template");
+    result.score
 }
 
 fn main() {

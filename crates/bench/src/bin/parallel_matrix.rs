@@ -36,8 +36,9 @@ use btd_crypto::nonce::Nonce;
 use btd_crypto::sha256::sha256;
 use btd_fingerprint::enroll::enroll;
 use btd_fingerprint::image::rasterize;
+use btd_fingerprint::matcher::{MatchScratch, TemplateSet};
 use btd_fingerprint::minutiae::CaptureWindow;
-use btd_fingerprint::{match_observation, CaptureConditions, FingerPattern, MatchConfig};
+use btd_fingerprint::{CaptureConditions, FingerPattern, MatchConfig};
 use btd_sim::geom::{MmPoint, MmRect, MmSize};
 use btd_sim::rng::SimRng;
 use trust_core::parallel::{run_parallel, ParallelConfig, ParallelRun};
@@ -169,15 +170,18 @@ struct HotPath {
 fn hot_matcher() -> HotPath {
     let mut rng = SimRng::seed_from(SEED);
     let pattern = FingerPattern::generate(7, 0);
-    let template = enroll(&pattern, 6, &mut rng);
+    let template = TemplateSet::new(vec![enroll(&pattern, 6, &mut rng)]);
     let window = CaptureWindow::centered(MmPoint::new(1.5, -2.0), 8.0, 8.0);
     let obs = pattern.observe(&window, &CaptureConditions::ideal(), &mut rng);
     let config = MatchConfig::default();
+    let mut scratch = MatchScratch::new();
     let iters = 200u64;
     let mut checksum = 0u64;
     let started = Instant::now();
     for _ in 0..iters {
-        let result = match_observation(&template, &obs.minutiae, &config);
+        let (_, result) = scratch
+            .best_match(&template, &obs.minutiae, &config)
+            .expect("one template");
         checksum = checksum
             .wrapping_add((result.score * 1e6) as u64)
             .wrapping_add(result.matched as u64);

@@ -467,17 +467,22 @@ mod tests {
         // binarize + thin + extract, and match the *extracted* minutiae
         // against the enrolled template. Genuine scores must beat impostor
         // scores under the π-periodic matching mode.
-        use crate::matcher::{match_observation, MatchConfig};
+        use crate::matcher::{MatchConfig, MatchScratch, TemplateSet};
         use btd_sim::rng::SimRng;
 
         let cfg = MatchConfig::for_image_extraction();
+        let mut scratch = MatchScratch::new();
         let mut genuine_wins = 0;
         let trials = 6;
         for trial in 0..trials {
             let owner = FingerPattern::generate(200 + trial, 0);
             let other = FingerPattern::generate(900 + trial, 0);
             let mut rng = SimRng::seed_from(50 + trial);
-            let template = extract_template(&owner, 0.05, &ExtractionConfig::default());
+            let template = TemplateSet::new(vec![extract_template(
+                &owner,
+                0.05,
+                &ExtractionConfig::default(),
+            )]);
             let region = MmRect::centered(
                 MmPoint::new(rng.range_f64(-1.5, 1.5), rng.range_f64(-2.0, 2.0)),
                 MmSize::new(8.0, 8.0),
@@ -486,8 +491,11 @@ mod tests {
             let impostor_img = rasterize(&other, region, 0.05);
             let genuine_obs = extract_minutiae(&genuine_img, &ExtractionConfig::default());
             let impostor_obs = extract_minutiae(&impostor_img, &ExtractionConfig::default());
-            let g = match_observation(&template, &genuine_obs, &cfg).score;
-            let i = match_observation(&template, &impostor_obs, &cfg).score;
+            let mut score = |observed: &[Minutia]| {
+                let (_, result) = scratch.best_match(&template, observed, &cfg).unwrap();
+                result.score
+            };
+            let (g, i) = (score(&genuine_obs), score(&impostor_obs));
             if g > i {
                 genuine_wins += 1;
             }

@@ -33,7 +33,7 @@
 //! ```
 //! use btd_fingerprint::pattern::FingerPattern;
 //! use btd_fingerprint::enroll::enroll;
-//! use btd_fingerprint::matcher::{MatchConfig, match_observation};
+//! use btd_fingerprint::matcher::{MatchConfig, MatchScratch, TemplateSet};
 //! use btd_fingerprint::minutiae::CaptureWindow;
 //! use btd_fingerprint::quality::CaptureConditions;
 //! use btd_sim::geom::MmPoint;
@@ -41,10 +41,12 @@
 //!
 //! let finger = FingerPattern::generate(1001, 0);
 //! let mut rng = SimRng::seed_from(7);
-//! let template = enroll(&finger, 5, &mut rng);
+//! let templates = TemplateSet::new(vec![enroll(&finger, 5, &mut rng)]);
 //! let window = CaptureWindow::centered(MmPoint::new(0.0, 0.0), 8.0, 8.0);
 //! let obs = finger.observe(&window, &CaptureConditions::ideal(), &mut rng);
-//! let result = match_observation(&template, &obs.minutiae, &MatchConfig::default());
+//! let (_, result) = MatchScratch::new()
+//!     .best_match(&templates, &obs.minutiae, &MatchConfig::default())
+//!     .unwrap();
 //! assert!(result.score > 0.3);
 //! ```
 
@@ -58,7 +60,7 @@ pub mod quality;
 pub mod roc;
 pub mod template;
 
-pub use matcher::{match_observation, MatchConfig, MatchResult};
+pub use matcher::{MatchConfig, MatchResult};
 pub use minutiae::{CaptureWindow, Minutia, MinutiaKind, Observation};
 pub use pattern::FingerPattern;
 pub use quality::{CaptureConditions, QualityGate, QualityReport};

@@ -180,47 +180,6 @@ impl MatchResult {
     }
 }
 
-/// Matches an observation (sensor-frame minutiae) against a template.
-///
-/// Returns [`MatchResult::no_match`] when the observation has fewer than
-/// [`MatchConfig::min_minutiae`] points. This is
-/// [`MatchScratch::best_match`] over one template with a fresh scratch;
-/// a caller that matches every touch keeps its scratch instead.
-///
-/// # Example
-///
-/// ```
-/// use btd_fingerprint::matcher::{match_observation, MatchConfig};
-/// use btd_fingerprint::pattern::FingerPattern;
-/// use btd_fingerprint::enroll::enroll;
-/// use btd_fingerprint::minutiae::CaptureWindow;
-/// use btd_fingerprint::quality::CaptureConditions;
-/// use btd_sim::geom::MmPoint;
-/// use btd_sim::rng::SimRng;
-///
-/// let finger = FingerPattern::generate(1, 0);
-/// let mut rng = SimRng::seed_from(2);
-/// let template = enroll(&finger, 5, &mut rng);
-/// let window = CaptureWindow::centered(MmPoint::new(0.0, 2.0), 8.0, 8.0);
-/// let obs = finger.observe(&window, &CaptureConditions::ideal(), &mut rng);
-/// let genuine = match_observation(&template, &obs.minutiae, &MatchConfig::default());
-///
-/// let impostor_finger = FingerPattern::generate(2, 0);
-/// let obs2 = impostor_finger.observe(&window, &CaptureConditions::ideal(), &mut rng);
-/// let impostor = match_observation(&template, &obs2.minutiae, &MatchConfig::default());
-/// assert!(genuine.score > impostor.score);
-/// ```
-pub fn match_observation(
-    template: &Template,
-    observed: &[Minutia],
-    config: &MatchConfig,
-) -> MatchResult {
-    MatchScratch::new()
-        .best_match(&TemplateSet::new(vec![template.clone()]), observed, config)
-        .expect("one template")
-        .1
-}
-
 /// Enrolled templates with the constants the vote derives from them: the
 /// `sin_cos` of every template direction and whether every template lies
 /// in the certified range. They are computed once, when the set is built,
@@ -334,8 +293,39 @@ impl MatchScratch {
 
     /// Matches `observed` against every template of `set` and returns the
     /// index and result of the best score (the first template, on a tie),
-    /// or `None` when `set` is empty. Each result is bit-identical to
-    /// [`match_observation`]'s for that template.
+    /// or `None` when `set` is empty. A template's result does not depend
+    /// on the other templates of the set or on what the scratch matched
+    /// before. An observation with fewer than
+    /// [`MatchConfig::min_minutiae`] points gives
+    /// [`MatchResult::no_match`] for the first template.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use btd_fingerprint::enroll::enroll;
+    /// use btd_fingerprint::matcher::{MatchConfig, MatchScratch, TemplateSet};
+    /// use btd_fingerprint::minutiae::CaptureWindow;
+    /// use btd_fingerprint::pattern::FingerPattern;
+    /// use btd_fingerprint::quality::CaptureConditions;
+    /// use btd_sim::geom::MmPoint;
+    /// use btd_sim::rng::SimRng;
+    ///
+    /// let finger = FingerPattern::generate(1, 0);
+    /// let mut rng = SimRng::seed_from(2);
+    /// let set = TemplateSet::new(vec![enroll(&finger, 5, &mut rng)]);
+    /// let window = CaptureWindow::centered(MmPoint::new(0.0, 2.0), 8.0, 8.0);
+    /// let cfg = MatchConfig::default();
+    /// let mut scratch = MatchScratch::new();
+    /// scratch.reserve_for(&set, &cfg);
+    ///
+    /// let obs = finger.observe(&window, &CaptureConditions::ideal(), &mut rng);
+    /// let (_, genuine) = scratch.best_match(&set, &obs.minutiae, &cfg).unwrap();
+    ///
+    /// let impostor_finger = FingerPattern::generate(2, 0);
+    /// let obs2 = impostor_finger.observe(&window, &CaptureConditions::ideal(), &mut rng);
+    /// let (_, impostor) = scratch.best_match(&set, &obs2.minutiae, &cfg).unwrap();
+    /// assert!(genuine.score > impostor.score);
+    /// ```
     pub fn best_match(
         &mut self,
         set: &TemplateSet,
@@ -1208,6 +1198,18 @@ mod tests {
     use btd_sim::geom::MmPoint;
     use btd_sim::rng::SimRng;
     use proptest::prelude::*;
+
+    /// One template matched with a fresh scratch.
+    fn match_observation(
+        template: &Template,
+        observed: &[Minutia],
+        config: &MatchConfig,
+    ) -> MatchResult {
+        MatchScratch::new()
+            .best_match(&TemplateSet::new(vec![template.clone()]), observed, config)
+            .expect("one template")
+            .1
+    }
 
     fn genuine_and_impostor_scores(window_size: f64, trials: u64) -> (Vec<f64>, Vec<f64>) {
         let cfg = MatchConfig::default();

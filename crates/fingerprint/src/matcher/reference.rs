@@ -6,7 +6,7 @@
 //! [`pair_coordinates`] and [`hough_votes`] so the tests can aim pairs
 //! at rounding boundaries and compare whole vote tables; the arithmetic
 //! is unchanged. The differential tests in `super::tests` compare its
-//! results with [`super::match_observation`] bit for bit.
+//! results with [`super::MatchScratch::best_match`]'s bit for bit.
 
 use std::collections::HashMap;
 
@@ -73,7 +73,7 @@ fn angle_gap(config: &MatchConfig, a: f64, b: f64) -> f64 {
     }
 }
 
-/// The reference [`super::match_observation`].
+/// The reference match of one template.
 pub(super) fn match_observation(
     template: &Template,
     observed: &[Minutia],

@@ -248,7 +248,7 @@ impl Default for Config {
                 // The matcher is the sanctioned consumer of templates: its
                 // scores/decisions are the system's outputs, derived from
                 // the secret by design.
-                "match_observation",
+                "best_match",
             ],
             sim_entry_types: vec!["World"],
             sim_entry_fns: vec!["run_shard", "run_parallel", "run_chaos_lifecycle"],

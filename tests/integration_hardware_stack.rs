@@ -2,7 +2,7 @@
 //! fingerprint → placement (paper §II–III, Figs. 1–4, Table II).
 
 use btd_fingerprint::enroll::enroll;
-use btd_fingerprint::matcher::{match_observation, MatchConfig};
+use btd_fingerprint::matcher::{MatchConfig, MatchScratch, TemplateSet};
 use btd_fingerprint::pattern::FingerPattern;
 use btd_placement::cost::CostModel;
 use btd_placement::greedy::greedy;
@@ -57,7 +57,7 @@ fn detected_coordinates_are_good_enough_for_matching() {
     let mut controller = TouchController::new(panel);
     let mut rng = SimRng::seed_from(2);
     let finger = FingerPattern::generate(9, 0);
-    let template = enroll(&finger, 5, &mut rng);
+    let template = TemplateSet::new(vec![enroll(&finger, 5, &mut rng)]);
 
     let true_touch = MmPoint::new(26.0, 74.0);
     let contact = Contact::new(true_touch, 4.5, 0.6);
@@ -76,7 +76,9 @@ fn detected_coordinates_are_good_enough_for_matching() {
         &btd_fingerprint::quality::CaptureConditions::ideal(),
         &mut rng,
     );
-    let result = match_observation(&template, &obs.minutiae, &MatchConfig::default());
+    let (_, result) = MatchScratch::new()
+        .best_match(&template, &obs.minutiae, &MatchConfig::default())
+        .expect("one template");
     assert!(
         result.score >= MatchConfig::default().score_threshold,
         "score {} too low",
