@@ -962,23 +962,18 @@ impl Workspace {
         let theta = self.theta;
         let candidates = &mut self.candidates;
         candidates.clear();
-        // The pairs inside the gate, four template minutiae at a time: the
-        // root is taken, and the template direction transformed as
-        // `Minutia::new` normalizes it, only for those.
-        let mut visit = |oi: usize, quad: usize, mut mask: u32, d2: &Lanes| {
-            while mask != 0 {
-                let lane = mask.trailing_zeros() as usize;
-                mask &= mask - 1;
-                let ti = quad * LANES + lane;
-                let d = d2[lane].sqrt();
-                if d <= pos_tolerance
-                    && config.angle_gap(
-                        observed[oi].angle,
-                        normalize_angle(template.minutiae()[ti].angle + theta),
-                    ) <= angle_tolerance
-                {
-                    candidates.push((d, ti, oi));
-                }
+        // The pairs inside the gate: the root is taken, and the template
+        // direction transformed as `Minutia::new` normalizes it, only for
+        // those.
+        let mut visit = |oi: usize, ti: usize, d2: f64| {
+            let d = d2.sqrt();
+            if d <= pos_tolerance
+                && config.angle_gap(
+                    observed[oi].angle,
+                    normalize_angle(template.minutiae()[ti].angle + theta),
+                ) <= angle_tolerance
+            {
+                candidates.push((d, ti, oi));
             }
         };
         #[cfg(target_arch = "x86_64")]
@@ -1008,39 +1003,37 @@ impl Workspace {
     }
 }
 
-/// The correspondence gate one pair at a time: for every observed
-/// minutia and every four of the `count` transformed template minutiae
-/// in `positions`, calls `visit(observed index, quad index, mask, d2)`
-/// when the mask is not empty. Bit `i` of the mask is set when lane `i`'s
-/// squared distance `d2[i]` is not above `gate` (NaN is not), and is
-/// clear for the padding lanes past `count`.
+/// The correspondence gate one pair at a time: calls `visit(observed
+/// index, template index, d2)` for every pair of an observed minutia and
+/// one of the `count` transformed template minutiae in `positions` whose
+/// squared distance `d2` is not above `gate` (NaN is not), in (observed,
+/// template) order.
 fn gate_scalar(
     positions: &[PositionLanes],
     count: usize,
     observed: &[Minutia],
     gate: f64,
-    visit: &mut impl FnMut(usize, usize, u32, &Lanes),
+    visit: &mut impl FnMut(usize, usize, f64),
 ) {
     for (oi, o) in observed.iter().enumerate() {
-        for (quad, lanes) in positions.iter().enumerate() {
-            let mut squares = [0.0; LANES];
-            let mut mask = 0;
-            let points = lanes.x.iter().zip(&lanes.y);
-            let used = (count - quad * LANES).min(LANES);
-            for (lane, (d2, (x, y))) in squares.iter_mut().zip(points).enumerate().take(used) {
-                // `MmPoint::distance_to`'s sum of squares; its root is
-                // taken only for pairs the gate cannot rule out.
-                *d2 = (o.pos.x - x).powi(2) + (o.pos.y - y).powi(2);
-                if *d2 > gate {
-                    continue;
-                }
-                mask |= 1 << lane;
+        for ti in 0..count {
+            let d2 = squared_distance(o, positions, ti);
+            if d2 > gate {
+                continue;
             }
-            if mask != 0 {
-                visit(oi, quad, mask, &squares);
-            }
+            visit(oi, ti, d2);
         }
     }
+}
+
+/// `MmPoint::distance_to`'s sum of squares between `o` and transformed
+/// template minutia `ti`; its root is taken only for pairs the gate
+/// cannot rule out.
+#[inline(always)]
+fn squared_distance(o: &Minutia, positions: &[PositionLanes], ti: usize) -> f64 {
+    let lanes = &positions[ti / LANES];
+    let (x, y) = (lanes.x[ti % LANES], lanes.y[ti % LANES]);
+    (o.pos.x - x).powi(2) + (o.pos.y - y).powi(2)
 }
 
 /// A squared distance above which a correctly rounded square root exceeds
@@ -1822,8 +1815,7 @@ mod tests {
     );
 
     /// A correspondence-gate backend, as `gate_scalar`.
-    type Gate =
-        fn(&[PositionLanes], usize, &[Minutia], f64, &mut dyn FnMut(usize, usize, u32, &Lanes));
+    type Gate = fn(&[PositionLanes], usize, &[Minutia], f64, &mut dyn FnMut(usize, usize, f64));
 
     /// Every key-pass and gate backend this CPU can run, by name. The AVX2
     /// ones are left out only when the CPU lacks AVX2.
@@ -1887,34 +1879,37 @@ mod tests {
     }
 
     /// Every gate visit for `template` under `pose` against `observed`,
-    /// on one gate backend, for a few gates: the gate, observed index,
-    /// quad, mask and the bits of the set lanes' squared distances.
+    /// on one gate backend, for a few gates: the gate, observed and
+    /// template index and the bits of the squared distance.
     fn gate_visits(
         gate_fn: Gate,
         template: &[Minutia],
         observed: &[Minutia],
         (theta, tx, ty): (f64, f64, f64),
-    ) -> Vec<(u64, usize, usize, u32, Vec<u64>)> {
+    ) -> Vec<(u64, usize, usize, u64)> {
         let mut work = Workspace::default();
         work.transform(&Template::new(0, 0, template.to_vec()), theta, (tx, ty));
         let mut visits = Vec::new();
-        for gate in [
+        // Gates on some pairs' own squared distances, and just below them,
+        // where an ulp of difference between the backends would show.
+        let on_pairs = observed.iter().take(3).flat_map(|o| {
+            let d2 = squared_distance(o, &work.positions, 0);
+            [d2, d2.next_down()]
+        });
+        let gates = [
             squared_gate(0.9),
             squared_gate(0.9 * 1.6),
             0.0,
             f64::INFINITY,
             f64::NAN,
-        ] {
+        ];
+        for gate in gates.into_iter().chain(on_pairs) {
             gate_fn(
                 &work.positions,
                 work.count,
                 observed,
                 gate,
-                &mut |oi, quad, mask, d2| {
-                    let set = (0..LANES).filter(|lane| mask >> lane & 1 == 1);
-                    let d2 = set.map(|lane| d2[lane].to_bits()).collect();
-                    visits.push((gate.to_bits(), oi, quad, mask, d2));
-                },
+                &mut |oi, ti, d2| visits.push((gate.to_bits(), oi, ti, d2.to_bits())),
             );
         }
         visits

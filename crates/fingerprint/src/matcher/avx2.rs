@@ -15,15 +15,14 @@ use std::arch::x86_64::{
     __m256d, __m256i, _mm256_add_epi64, _mm256_add_pd, _mm256_and_pd, _mm256_and_si256,
     _mm256_andnot_pd, _mm256_blendv_pd, _mm256_castpd_si256, _mm256_cmp_pd, _mm256_loadu_pd,
     _mm256_movemask_pd, _mm256_mul_pd, _mm256_or_pd, _mm256_or_si256, _mm256_set1_epi64x,
-    _mm256_set1_pd, _mm256_setzero_pd, _mm256_slli_epi64, _mm256_storeu_pd, _mm256_storeu_si256,
-    _mm256_sub_epi64, _mm256_sub_pd, _mm256_xor_pd, _mm256_xor_si256, _CMP_GE_OQ, _CMP_LT_OQ,
-    _CMP_NGT_UQ,
+    _mm256_set1_pd, _mm256_setzero_pd, _mm256_slli_epi64, _mm256_storeu_si256, _mm256_sub_epi64,
+    _mm256_sub_pd, _mm256_xor_pd, _mm256_xor_si256, _CMP_GE_OQ, _CMP_LT_OQ, _CMP_NGT_UQ,
 };
 use std::f64::consts::{PI, TAU};
 
 use super::{
-    FilteredVote, Lanes, Minutia, ObservedLanes, PackedKey, PositionLanes, DELTA, LANES, PACK_BIAS,
-    ROUNDER,
+    squared_distance, FilteredVote, Lanes, Minutia, ObservedLanes, PackedKey, PositionLanes, DELTA,
+    LANES, PACK_BIAS, ROUNDER,
 };
 
 /// Whether the CPU has AVX2, the one feature the kernels are compiled
@@ -58,15 +57,15 @@ pub(super) fn key_pass(
     true
 }
 
-/// Calls `visit` exactly as `gate_scalar` does, computing each mask for
-/// four template minutiae at a time, and returns `true`; or returns
-/// `false` without calling it when the CPU lacks AVX2.
+/// Calls `visit` exactly as `gate_scalar` does, testing four template
+/// minutiae at a time, and returns `true`; or returns `false` without
+/// calling it when the CPU lacks AVX2.
 pub(super) fn gate(
     positions: &[PositionLanes],
     count: usize,
     observed: &[Minutia],
     gate: f64,
-    visit: &mut impl FnMut(usize, usize, u32, &Lanes),
+    visit: &mut impl FnMut(usize, usize, f64),
 ) -> bool {
     if !available() {
         return false;
@@ -217,6 +216,9 @@ unsafe fn key_pass_unchecked<const MOD_PI: bool>(
     }
 }
 
+/// Quads of template minutiae whose gate bits share one `u64` mask.
+const MASK_QUADS: usize = 64 / LANES;
+
 /// # Safety
 ///
 /// The CPU must support AVX2.
@@ -226,25 +228,33 @@ unsafe fn gate_unchecked(
     count: usize,
     observed: &[Minutia],
     gate: f64,
-    visit: &mut impl FnMut(usize, usize, u32, &Lanes),
+    visit: &mut impl FnMut(usize, usize, f64),
 ) {
-    let gate = _mm256_set1_pd(gate);
+    let gate_v = _mm256_set1_pd(gate);
     for (oi, o) in observed.iter().enumerate() {
         let (ox, oy) = (_mm256_set1_pd(o.pos.x), _mm256_set1_pd(o.pos.y));
-        for (quad, lanes) in positions.iter().enumerate() {
-            let dx = _mm256_sub_pd(ox, load(&lanes.x));
-            let dy = _mm256_sub_pd(oy, load(&lanes.y));
-            let d2 = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
-            // "Not above" is true for NaN, as `!(d2 > gate)` is.
-            let pass = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NGT_UQ>(d2, gate)) as u32;
-            let mask = pass & ((1 << (count - quad * LANES).min(LANES)) - 1);
-            if mask != 0 {
-                let mut squares = [0.0; LANES];
-                // SAFETY: `gate` checked for AVX2 (`available`) before
-                // calling this kernel; `squares` is four `f64`s, the 32
-                // bytes `storeu` writes, and it needs no alignment.
-                unsafe { _mm256_storeu_pd(squares.as_mut_ptr(), d2) };
-                visit(oi, quad, mask, &squares);
+        for (block, quads) in positions.chunks(MASK_QUADS).enumerate() {
+            // One bit per template minutia of the block, set where the
+            // squared distance is not above the gate ("not greater" is
+            // true for NaN, as `!(d2 > gate)` is), with no branch per
+            // quad.
+            let mut mask = 0u64;
+            for (quad, lanes) in quads.iter().enumerate() {
+                let dx = _mm256_sub_pd(ox, load(&lanes.x));
+                let dy = _mm256_sub_pd(oy, load(&lanes.y));
+                let d2 = _mm256_add_pd(_mm256_mul_pd(dx, dx), _mm256_mul_pd(dy, dy));
+                let pass = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_NGT_UQ>(d2, gate_v));
+                mask |= u64::from(pass as u32) << (quad * LANES);
+            }
+            let first = block * MASK_QUADS * LANES;
+            if count - first < 64 {
+                mask &= (1 << (count - first)) - 1;
+            }
+            while mask != 0 {
+                let ti = first + mask.trailing_zeros() as usize;
+                mask &= mask - 1;
+                // The lane's own operations, so the same value.
+                visit(oi, ti, squared_distance(o, positions, ti));
             }
         }
     }
