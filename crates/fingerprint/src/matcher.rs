@@ -938,10 +938,7 @@ impl Workspace {
 
     /// The transformed template positions, in template order.
     fn positions(&self) -> impl Iterator<Item = (f64, f64)> + '_ {
-        self.positions
-            .iter()
-            .flat_map(|lanes| lanes.x.into_iter().zip(lanes.y))
-            .take(self.count)
+        (0..self.count).map(|i| position(&self.positions, i))
     }
 
     /// Greedy one-to-one correspondences (closest pairs first) between
@@ -1031,9 +1028,15 @@ fn gate_scalar(
 /// cannot rule out.
 #[inline(always)]
 fn squared_distance(o: &Minutia, positions: &[PositionLanes], ti: usize) -> f64 {
-    let lanes = &positions[ti / LANES];
-    let (x, y) = (lanes.x[ti % LANES], lanes.y[ti % LANES]);
+    let (x, y) = position(positions, ti);
     (o.pos.x - x).powi(2) + (o.pos.y - y).powi(2)
+}
+
+/// Transformed template minutia `i`'s position.
+#[inline(always)]
+fn position(positions: &[PositionLanes], i: usize) -> (f64, f64) {
+    let lanes = &positions[i / LANES];
+    (lanes.x[i % LANES], lanes.y[i % LANES])
 }
 
 /// A squared distance above which a correctly rounded square root exceeds
