@@ -917,8 +917,8 @@ impl Workspace {
     }
 
     /// Puts the template's positions under the rigid transform (rotate by
-    /// `theta`, then translate) into `self.positions`: the expression of
-    /// `Minutia::transformed`, with `theta.sin_cos()` evaluated once. The
+    /// `theta`, then translate) into `self.positions`, with
+    /// `theta.sin_cos()` evaluated once for the whole template. The
     /// directions are transformed only where `correspond` needs them.
     fn transform(&mut self, template: &Template, theta: f64, (tx, ty): (f64, f64)) {
         let (s, c) = theta.sin_cos();
