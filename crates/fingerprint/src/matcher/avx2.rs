@@ -85,22 +85,6 @@ fn load(lanes: &Lanes) -> __m256d {
     unsafe { _mm256_loadu_pd(lanes.as_ptr()) }
 }
 
-/// `rne(v) as i64` of each lane's `v`, biased into [`pack`]'s field, from
-/// `sum = v + ROUNDER`: `rounded_bits` on four lanes, as 64-bit lane ops.
-///
-/// [`pack`]: super::pack
-macro_rules! rounded_bits {
-    ($sum:expr, $rounder_bits:expr, $bias:expr, $field_mask:expr) => {
-        _mm256_and_si256(
-            _mm256_add_epi64(
-                _mm256_sub_epi64(_mm256_castpd_si256($sum), $rounder_bits),
-                $bias,
-            ),
-            $field_mask,
-        )
-    };
-}
-
 /// # Safety
 ///
 /// The CPU must support AVX2.
@@ -130,6 +114,12 @@ unsafe fn key_pass_unchecked<const MOD_PI: bool>(
     let bias = _mm256_set1_epi64x(PACK_BIAS);
     let field_mask = _mm256_set1_epi64x((1 << 21) - 1);
     let all_ones = _mm256_set1_epi64x(-1);
+    // `rounded_bits` on four lanes, as 64-bit lane ops: `rne(v)` biased
+    // into `pack`'s field, from `sum = v + ROUNDER`.
+    let rounded_bits = |sum: __m256d| {
+        let bits = _mm256_sub_epi64(_mm256_castpd_si256(sum), rounder_bits);
+        _mm256_and_si256(_mm256_add_epi64(bits, bias), field_mask)
+    };
     for ((t, &(st, ct)), row) in template.iter().zip(trig).zip(bins.chunks_exact_mut(count)) {
         let (tx, ty, ta) = (
             _mm256_set1_pd(t.pos.x),
@@ -197,10 +187,10 @@ unsafe fn key_pass_unchecked<const MOD_PI: bool>(
             );
             let key: __m256i = _mm256_or_si256(
                 _mm256_or_si256(
-                    _mm256_slli_epi64::<42>(rounded_bits!(sr, rounder_bits, bias, field_mask)),
-                    _mm256_slli_epi64::<21>(rounded_bits!(sx, rounder_bits, bias, field_mask)),
+                    _mm256_slli_epi64::<42>(rounded_bits(sr)),
+                    _mm256_slli_epi64::<21>(rounded_bits(sx)),
                 ),
-                rounded_bits!(sy, rounder_bits, bias, field_mask),
+                rounded_bits(sy),
             );
             // Every bit set, `EXACT`, in the lanes `exact` leaves clear.
             let key = _mm256_or_si256(key, _mm256_xor_si256(_mm256_castpd_si256(exact), all_ones));
@@ -253,7 +243,7 @@ unsafe fn gate_unchecked(
             while mask != 0 {
                 let ti = first + mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                // The lane's own operations, so the same value.
+                // The scalar `d2` runs the lane's operations: the same value.
                 visit(oi, ti, squared_distance(o, positions, ti));
             }
         }
