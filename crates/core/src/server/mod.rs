@@ -2743,6 +2743,110 @@ mod tests {
         assert_eq!(server.state_digest(), digest, "snapshotting is read-only");
     }
 
+    /// Pins the shard snapshot layout: one shard built only through
+    /// `apply_record` holding an account, a lock-step session with a
+    /// served slot, a window-3 session that served two slots out of
+    /// order, an entry in each of the four idempotency caches, a
+    /// terminated session and audit entries. Any change to what the
+    /// snapshot writes, or in which order, moves the digest.
+    #[test]
+    fn shard_snapshot_layout_matches_known_answer() {
+        let mut rng = SimRng::seed_from(11);
+        let mut ca = TrustAuthority::new(DhGroup::test_512(), &mut rng);
+        let mut server =
+            WebServer::with_shards("www.xyz.com", DhGroup::test_512(), &mut ca, &mut rng, 1);
+        let recovery_key = server.identity.recovery_key;
+        let public_key = server.public_key().to_bytes();
+        let nonce = |b: u8| Nonce([b; 16]);
+        let page = |sid: &str, account: &str, seq, path: &str| ContentPage {
+            session_id: sid.into(),
+            account: account.into(),
+            nonce: nonce(0x40 + seq as u8),
+            seq,
+            page: Page::new(path, path.as_bytes().to_vec()),
+            mac: Digest([seq as u8; 32]),
+        };
+        let register = |account: &str, n: u8| JournalRecord::Registered {
+            account: account.into(),
+            public_key: public_key.clone(),
+            reset_password: format!("pw-{account}"),
+            nonce: nonce(n),
+            signature: vec![n; 512],
+            frame_hash: Digest([n; 32]),
+        };
+        let login = |sid: &str, account: &str, n: u8, window| JournalRecord::LoginServed {
+            nonce: nonce(n),
+            signature: vec![n; 512],
+            sealed_session_key: seal_session_key(&recovery_key, &nonce(n), &[n; 32]),
+            window,
+            reply: page(sid, account, 0, "/home"),
+            frame_hash: Digest([n; 32]),
+            risk: RiskReport::fresh_login(),
+        };
+        let serve = |sid: &str, slot: u64, n: u8, path: &str| JournalRecord::InteractionServed {
+            request_nonce: nonce(n),
+            request_mac: Digest([n; 32]),
+            action: path.into(),
+            frame_hash: Digest([n; 32]),
+            risk: RiskReport {
+                window: 8,
+                verified: 7,
+                mismatched: 1,
+            },
+            expected_path: "/home".into(),
+            stepups: 1,
+            reply: page(sid, "alice", slot + 1, path),
+        };
+        let records = [
+            register("alice", 1),
+            register("bob", 2),
+            login("sess-1", "alice", 3, 1),
+            serve("sess-1", 0, 4, "/inbox"),
+            login("sess-2", "alice", 5, 3),
+            serve("sess-2", 1, 6, "/transfer"),
+            serve("sess-2", 0, 7, "/settings"),
+            JournalRecord::SessionResumed {
+                device_nonce: nonce(8),
+                request_mac: Digest([8; 32]),
+                ack: ResumeAck {
+                    session_id: "sess-1".into(),
+                    account: "alice".into(),
+                    device_nonce: nonce(8),
+                    nonce: nonce(9),
+                    seq: 1,
+                    last_reply: Some(page("sess-1", "alice", 1, "/inbox")),
+                    mac: Digest([9; 32]),
+                },
+            },
+            login("sess-3", "bob", 10, 1),
+            JournalRecord::SessionTerminated {
+                session_id: "sess-3".into(),
+                account: "bob".into(),
+            },
+            JournalRecord::ResetServed {
+                account: "bob".into(),
+                nonce: nonce(11),
+                request_digest: Digest([11; 32]),
+            },
+        ];
+        for record in &records {
+            server.apply_record(record);
+        }
+        let held = ResidentStats {
+            sessions: 3,
+            cache_entries: 2 + 3 + 1 + 1,
+            consumed_nonces: 10,
+            issued_nonces: 0,
+            audit_entries: 8,
+        };
+        assert_eq!(server.resident_stats(), held);
+        assert_eq!(server.account_count(), 1, "bob's binding was reset");
+        assert_eq!(
+            sha256(&server.shard_snapshot_bytes(0)).to_hex(),
+            "fd8413f906e22aef6959d6779bf9f5a858d42b681f15f9345dc5ac135c2d51ac"
+        );
+    }
+
     /// One shard snapshot holding a session opened at `window` that served
     /// slot 0 on request nonce `[7; 16]`, and the offset of the session's
     /// window value in it.
