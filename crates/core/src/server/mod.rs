@@ -347,9 +347,9 @@ struct Shard {
     /// its shard).
     sessions: HashMap<Arc<str>, Session>,
     /// Idempotency cache for bound registrations, keyed by submission
-    /// nonce, bounded by the LRU watermark (`reg_order` is eviction
-    /// order).
-    reg_cache: HashMap<Nonce, (Signature, RegistrationAck)>,
+    /// nonce (the submission signature and the account), bounded by the
+    /// LRU watermark (`reg_order` is eviction order).
+    reg_cache: HashMap<Nonce, (Signature, String)>,
     reg_order: VecDeque<Nonce>,
     /// Idempotency cache for opened logins, keyed by submission nonce;
     /// evicted when the session closes.
@@ -357,9 +357,10 @@ struct Shard {
     /// Idempotency cache for served resumes, keyed by the device-chosen
     /// resume nonce; evicted when the session closes.
     resume_cache: HashMap<Nonce, (Digest, ResumeAck)>,
-    /// Idempotency cache for served wire resets, keyed by request nonce,
-    /// bounded by the LRU watermark (`reset_order` is eviction order).
-    reset_cache: HashMap<Nonce, (Digest, ResetAck)>,
+    /// Idempotency cache for served wire resets, keyed by request nonce
+    /// (the request digest and the account), bounded by the LRU watermark
+    /// (`reset_order` is eviction order).
+    reset_cache: HashMap<Nonce, (Digest, String)>,
     reset_order: VecDeque<Nonce>,
     /// Consumed-nonce registry for this shard's accounts.
     consumed: ReplayGuard,
@@ -1491,12 +1492,9 @@ impl WebServer {
                         lookback: 1,
                     });
                 if let Some(sig) = Signature::from_bytes(signature) {
-                    let ack = RegistrationAck {
-                        account: account.to_string(),
-                        nonce: *nonce,
-                    };
+                    let entry = (sig, account.to_string());
                     let (cache, order) = (&mut shard.reg_cache, &mut shard.reg_order);
-                    let evicted = insert_lru(cache, order, &mut shard.consumed, *nonce, (sig, ack));
+                    let evicted = insert_lru(cache, order, &mut shard.consumed, *nonce, entry);
                     self.trace_evictions(CacheKind::Registration, evicted);
                 }
             }
@@ -1652,12 +1650,8 @@ impl WebServer {
                 self.remove_binding(idx, account);
                 let shard = &mut self.shards[idx];
                 shard.consumed.mark_consumed(*nonce);
-                let ack = ResetAck {
-                    account: account.to_string(),
-                    nonce: *nonce,
-                };
                 let (cache, order) = (&mut shard.reset_cache, &mut shard.reset_order);
-                let entry = (*request_digest, ack);
+                let entry = (*request_digest, account.to_string());
                 let evicted = insert_lru(cache, order, &mut shard.consumed, *nonce, entry);
                 self.trace_evictions(CacheKind::Reset, evicted);
             }
@@ -1739,8 +1733,8 @@ impl WebServer {
         // restored shard evicts in exactly the same order.
         w.u64(shard.reg_order.len() as u64);
         for n in &shard.reg_order {
-            let (sig, ack) = &shard.reg_cache[n];
-            w.put(n).bytes(&sig.to_bytes()).put(&ack.account);
+            let (sig, account) = &shard.reg_cache[n];
+            w.put(n).bytes(&sig.to_bytes()).put(account);
         }
 
         let mut logins: Vec<_> = shard.login_cache.iter().collect();
@@ -1759,8 +1753,8 @@ impl WebServer {
 
         w.u64(shard.reset_order.len() as u64);
         for n in &shard.reset_order {
-            let (digest, ack) = &shard.reset_cache[n];
-            w.put(n).put(digest).put(&ack.account);
+            let (digest, account) = &shard.reset_cache[n];
+            w.put(n).put(digest).put(account);
         }
 
         w.put(&shard.consumed.consumed_sorted());
@@ -1879,9 +1873,7 @@ impl WebServer {
             let nonce = r.get()?;
             let sig = Signature::from_bytes(r.bytes()?)?;
             let account = r.get()?;
-            shard
-                .reg_cache
-                .insert(nonce, (sig, RegistrationAck { account, nonce }));
+            shard.reg_cache.insert(nonce, (sig, account));
             shard.reg_order.push_back(nonce);
         }
 
@@ -1903,9 +1895,7 @@ impl WebServer {
             let nonce = r.get()?;
             let digest = r.get()?;
             let account = r.get()?;
-            shard
-                .reset_cache
-                .insert(nonce, (digest, ResetAck { account, nonce }));
+            shard.reset_cache.insert(nonce, (digest, account));
             shard.reset_order.push_back(nonce);
         }
 
@@ -2022,9 +2012,13 @@ fn decide_registration(
     eph: &mut Ephemeral,
     msg: &RegistrationSubmit,
 ) -> Result<Decision<(RegistrationAck, Freshness)>, Reject> {
-    if let Some((sig, ack)) = shard.reg_cache.get(&msg.nonce) {
+    if let Some((sig, account)) = shard.reg_cache.get(&msg.nonce) {
         if *sig == msg.signature {
-            return Ok(Decision::Answer((ack.clone(), Freshness::Resent)));
+            let ack = RegistrationAck {
+                account: account.clone(),
+                nonce: msg.nonce,
+            };
+            return Ok(Decision::Answer((ack, Freshness::Resent)));
         }
     }
     eph.consume_nonce(shard, msg.nonce)?;
@@ -2288,9 +2282,13 @@ fn decide_reset(
     msg: &ResetRequest,
 ) -> Result<Decision<(ResetAck, Freshness)>, Reject> {
     let digest = msg.request_digest();
-    if let Some((d, ack)) = shard.reset_cache.get(&msg.nonce) {
+    if let Some((d, account)) = shard.reset_cache.get(&msg.nonce) {
         if *d == digest {
-            return Ok(Decision::Answer((ack.clone(), Freshness::Resent)));
+            let ack = ResetAck {
+                account: account.clone(),
+                nonce: msg.nonce,
+            };
+            return Ok(Decision::Answer((ack, Freshness::Resent)));
         }
     }
     eph.consume_nonce(shard, msg.nonce)?;
