@@ -375,9 +375,6 @@ struct Shard {
     /// operation until the operator intervenes — certified bytes going
     /// bad must never be silently absorbed into new durable state.
     quarantined: bool,
-    /// Per-segment skip accounting behind `quarantined` (what recovery
-    /// found broken, kept for the trace and operator reports).
-    corrupt: Vec<CorruptSegment>,
 }
 
 impl Shard {
@@ -541,7 +538,7 @@ impl Ephemeral {
 }
 
 /// What recovering one shard found and rebuilt.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ShardRecovery {
     /// Whether a snapshot was present and restored.
     pub snapshot_restored: bool,
@@ -553,7 +550,7 @@ pub struct ShardRecovery {
     /// sealed segment failed its certificate check.
     pub quarantined: bool,
     /// Sealed segments whose certificate did not match their bytes.
-    pub corrupt_segments: usize,
+    pub corrupt_segments: Vec<CorruptSegment>,
 }
 
 /// What a [`WebServer::recover`] pass found and rebuilt, per shard.
@@ -598,7 +595,7 @@ impl RecoveryReport {
 
     /// Total corrupt sealed segments found across all shards.
     pub fn corrupt_segments(&self) -> usize {
-        self.shards.iter().map(|s| s.corrupt_segments).sum()
+        self.shards.iter().map(|s| s.corrupt_segments.len()).sum()
     }
 }
 
@@ -1381,13 +1378,12 @@ impl WebServer {
                 records_replayed: contents.records.len(),
                 records_skipped: contents.skipped,
                 quarantined: !contents.corrupt_segments.is_empty(),
-                corrupt_segments: contents.corrupt_segments.len(),
+                corrupt_segments: contents.corrupt_segments,
             };
             // Certified bytes that no longer verify quarantine the shard:
             // its salvaged state stays readable, but nothing new may be
             // built on top of a log we know lost certified records.
             server.shards[idx].quarantined = shard_report.quarantined;
-            server.shards[idx].corrupt = contents.corrupt_segments.clone();
             if !contents.snapshot.is_empty() {
                 shard_report.snapshot_restored =
                     server.restore_shard_snapshot(idx, &contents.snapshot);
@@ -1433,7 +1429,7 @@ impl WebServer {
                 replayed: sh.records_replayed,
                 skipped: sh.records_skipped,
             });
-            for seg in &self.shards[i].corrupt {
+            for seg in &sh.corrupt_segments {
                 self.tracer.record(EventKind::SegmentCorrupt {
                     shard: i,
                     segment: seg.segment,
@@ -1797,7 +1793,6 @@ impl WebServer {
                 // snapshot state; they stay with the live shard.
                 let live = &mut self.shards[idx];
                 std::mem::swap(&mut restored.journal, &mut live.journal);
-                std::mem::swap(&mut restored.corrupt, &mut live.corrupt);
                 restored.quarantined = live.quarantined;
                 *live = restored;
                 true

@@ -351,7 +351,7 @@ fn traced_shard_allocations_are_pinned() {
         ShardBudget {
             served: 512,
             allocs: 1_430,
-            bytes: 4_492_622,
+            bytes: 4_492_238,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),

@@ -231,8 +231,8 @@ fn rotted_seal_quarantines_exactly_its_shard_with_per_skip_accounting() {
         "certified corruption quarantines the shard"
     );
     assert!(
-        report.shards[shard].corrupt_segments >= 1,
-        "the rotted seals are counted"
+        !report.shards[shard].corrupt_segments.is_empty(),
+        "the rotted seals are listed"
     );
     assert!(
         report.records_skipped() >= 1,
