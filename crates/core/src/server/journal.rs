@@ -24,7 +24,7 @@ use btd_sim::rng::SimRng;
 use crate::messages::{ContentPage, ResumeAck};
 use crate::pages::Page;
 use crate::risk_policy::RiskReport;
-use crate::wire::{self, durable, Durable, FieldReader, FieldWriter, Sink};
+use crate::wire::{self, durable, FieldWriter};
 
 /// Slice-by-4 lookup tables for the IEEE CRC-32 polynomial, built at
 /// compile time (4 tables x 256 entries = 4 KiB).
@@ -525,23 +525,13 @@ durable!(ResumeAck {
     mac
 });
 
-/// Each count widened to a `u64` field; reading narrows it back and
-/// rejects a count no `u32` holds.
-impl Durable for RiskReport {
-    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
-        w.u64(self.window.into())
-            .u64(self.verified.into())
-            .u64(self.mismatched.into());
-    }
-    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
-        let mut count = || u32::try_from(r.u64()?).ok();
-        Some(RiskReport {
-            window: count()?,
-            verified: count()?,
-            mismatched: count()?,
-        })
-    }
-}
+// Each count travels as a `u64` field and reads back only if a `u32`
+// holds it.
+durable!(RiskReport {
+    window,
+    verified,
+    mismatched
+});
 
 impl JournalRecord {
     /// The account this record belongs to — the shard-routing key. Every

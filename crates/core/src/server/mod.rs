@@ -14,14 +14,10 @@
 //! acknowledged state — including the nonce and sequence caches that keep
 //! `replays_accepted == 0` across restarts.
 //!
-//! # Decide, then commit
-//!
-//! Every entry point runs one frame (DESIGN §22). After admission, a
-//! `decide_*` function validates the message over the [`ServerIdentity`]
-//! and a read-only shard, changing only never-journaled draws (entropy,
-//! challenges, the risk histogram), and returns a `Decision`. One `commit`
-//! then journals, syncs and applies its record, trips the before-reply
-//! crash point on the way to an `Ok` answer, and counts every refusal.
+//! Every entry point runs one frame (DESIGN §22): admission, `commit`
+//! and recovery live here, the pure `decide_*` functions in `decide`, and
+//! each shard's durable state in `state`, whose `ShardState::apply` is the
+//! one mutation that live handling and journal replay share.
 //!
 //! # Sharding
 //!
@@ -31,9 +27,7 @@
 //! ([`JournalRecord::shard_account`]), so each shard owns an independent
 //! journal segment and [`WebServer::recover`] replays the segments
 //! independently — a torn tail in one shard's log cannot block the
-//! others. `apply_record` remains the single mutation path: it routes the
-//! record to its shard, so live handling and per-shard replay share one
-//! implementation.
+//! others.
 //!
 //! Resident state is bounded. Closing a session
 //! ([`WebServer::close_session`]) journals a `SessionClosed` record whose
@@ -44,34 +38,41 @@
 //! of issued but unconsumed challenge nonces is capped at
 //! [`ISSUED_NONCE_CAP`].
 
+mod decide;
 pub mod journal;
+mod state;
 pub mod storage;
+
+pub use state::AuditEntry;
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
-use btd_crypto::bignum::U2048;
-use btd_crypto::cert::{Certificate, Role};
+use btd_crypto::cert::Certificate;
 use btd_crypto::entropy::{ChaChaEntropy, EntropySource};
 use btd_crypto::group::DhGroup;
-use btd_crypto::hmac::hmac_sha256;
-use btd_crypto::nonce::{Nonce, NonceGenerator, ReplayGuard};
-use btd_crypto::schnorr::{KeyPair, PublicKey, Signature};
+use btd_crypto::nonce::{Nonce, NonceGenerator};
+use btd_crypto::schnorr::{KeyPair, PublicKey};
 use btd_crypto::sha256::{sha256, Digest};
 use btd_sim::rng::SimRng;
 
 use crate::ca::TrustAuthority;
 use crate::messages::{
-    window_nonce, ContentPage, Freshness, InteractionRequest, LoginSubmit, RegistrationAck,
-    RegistrationSubmit, Reject, ResetAck, ResetRequest, ResumeAck, ResumeRequest, ServerHello,
+    ContentPage, Freshness, InteractionRequest, LoginSubmit, RegistrationAck, RegistrationSubmit,
+    Reject, ResetAck, ResetRequest, ResumeAck, ResumeRequest, ServerHello,
 };
 use crate::pages::{Page, ServedPage};
-use crate::risk_policy::{RiskDecision, RiskReport, ServerRiskPolicy};
+use crate::risk_policy::{RiskReport, ServerRiskPolicy};
 use crate::telemetry::RISK_BUCKET_PCT;
-use crate::trace::{CacheKind, CtxArgs, EventKind, Outcome, SpanKind, Tracer};
-use crate::wire::{self, durable, FieldReader, FieldWriter};
+use crate::trace::{CtxArgs, EventKind, Outcome, SpanKind, Tracer};
+use crate::wire::FieldWriter;
 
+use decide::{
+    decide_close, decide_identity_reset, decide_interaction, decide_login, decide_registration,
+    decide_reset, decide_resume, Decision, Reply,
+};
 use journal::{CorruptSegment, CrashPoint, CrashSchedule, Journal, JournalRecord, StorageError};
+use state::ShardState;
 use storage::{DiskFaultProfile, SegmentedStorage};
 
 /// Degraded-mode hysteresis: entered when log-partition pressure reaches
@@ -122,161 +123,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 pub fn shard_index(account: &str, shard_count: usize) -> usize {
     (fnv1a(account.as_bytes()) % shard_count as u64) as usize
 }
-
-/// A bound account.
-#[derive(Clone, Debug)]
-struct AccountRecord {
-    public_key: PublicKey,
-    /// Fallback credential for identity reset ("the user can rely on her
-    /// old passwords in order to … reset").
-    reset_password: String,
-}
-
-/// A reply served in a session, kept so a retransmitted request can be
-/// answered without advancing state (at-most-once semantics).
-#[derive(Clone, Debug)]
-struct CachedInteraction {
-    /// Sequence number of the request that produced the reply.
-    seq: u64,
-    /// MAC of that request — identifies a byte-identical retransmit.
-    request_mac: Digest,
-    /// The reply to resend.
-    reply: ContentPage,
-}
-
-durable!(CachedInteraction {
-    seq,
-    request_mac,
-    reply
-});
-
-/// A live session.
-///
-/// Besides protocol state, a session tracks every nonce it has consumed
-/// (`login_nonce`, `resume_nonces`, `consumed_nonces`) so that closing it
-/// can evict the matching idempotency-cache entries and replay-guard
-/// entries in one pass.
-#[derive(Clone)]
-struct Session {
-    account: Arc<str>,
-    key: Vec<u8>,
-    /// The window base: the lowest slot not yet served, advanced past
-    /// contiguously served slots on every apply. In lock-step, the
-    /// sequence number the next fresh interaction must carry.
-    expected_seq: u64,
-    current_path: Arc<str>,
-    stepups: u32,
-    terminated: bool,
-    interactions: u64,
-    /// The login nonce that opened this session (keys the login cache).
-    login_nonce: Nonce,
-    /// Resume nonces served for this session (key the resume cache).
-    resume_nonces: Vec<Nonce>,
-    /// Every nonce this session consumed, in consumption order; forgotten
-    /// from the replay guard when the session closes.
-    consumed_nonces: Vec<Nonce>,
-    /// Negotiated interaction window, the session's credit: up to
-    /// `window >= 1` interactions in flight. Lock-step stop-and-wait is a
-    /// window of one.
-    window: u64,
-    /// Served replies, sorted by seq and capped at the session's credit:
-    /// a lock-step session keeps its last reply here.
-    reply_window: Vec<CachedInteraction>,
-}
-
-impl Session {
-    /// The cached reply for slot `seq`, if it is still in the window.
-    fn window_reply(&self, seq: u64) -> Option<&CachedInteraction> {
-        self.reply_window.iter().find(|c| c.seq == seq)
-    }
-
-    /// Caches the reply to `slot` and advances the base past every
-    /// contiguously served slot. Order-independent on purpose: applying
-    /// served slots in any in-window order converges to the same state,
-    /// so reply reordering on the wire cannot fork the digest. Returns
-    /// false for a slot already cached (exactly-once holds).
-    fn cache_reply(&mut self, slot: u64, request_mac: Digest, reply: &ContentPage) -> bool {
-        if self.window_reply(slot).is_some() {
-            return false;
-        }
-        // At most `credit - 1` cached slots lie at or above the base (the
-        // base itself is unserved), so a full cache holds one below it,
-        // older than `slot`: evicting it first keeps the buffer at its
-        // reserved size. The device cannot retransmit a slot that old.
-        let credit = self.window as usize;
-        if self.reply_window.len() == credit {
-            self.reply_window.remove(0);
-        }
-        self.reply_window
-            .reserve_exact(credit - self.reply_window.len());
-        let at = self.reply_window.partition_point(|c| c.seq < slot);
-        self.reply_window.insert(
-            at,
-            CachedInteraction {
-                seq: slot,
-                request_mac,
-                reply: reply.clone(),
-            },
-        );
-        while self.window_reply(self.expected_seq).is_some() {
-            self.expected_seq += 1;
-        }
-        true
-    }
-}
-
-// `key` is the live session MAC key; a derived Debug would copy it into
-// any `{:?}` of the server. Everything else here is safe to show.
-impl std::fmt::Debug for Session {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Session")
-            .field("account", &self.account)
-            .field(
-                "key",
-                &format_args!("<{}-byte key redacted>", self.key.len()),
-            )
-            .field("expected_seq", &self.expected_seq)
-            .field("current_path", &self.current_path)
-            .field("stepups", &self.stepups)
-            .field("terminated", &self.terminated)
-            .field("interactions", &self.interactions)
-            .field("window", &self.window)
-            .finish_non_exhaustive()
-    }
-}
-
-/// One audit-log entry: what page the server believes the user was seeing,
-/// and the frame hash FLock reported. The names are shared with the
-/// session and the served record.
-#[derive(Clone, Debug)]
-pub struct AuditEntry {
-    /// Account that acted.
-    pub account: Arc<str>,
-    /// Path of the page the server had served for this view.
-    pub expected_path: Arc<str>,
-    /// The frame hash FLock attached to the request.
-    pub frame_hash: Digest,
-    /// The action requested.
-    pub action: Arc<str>,
-    /// The risk report attached.
-    pub risk: RiskReport,
-    /// How many consecutive serves (this entry included, counting
-    /// backwards through the account's log) the reported frame may
-    /// legitimately lag behind: 1 for lock-step entries, the session's
-    /// window for pipelined serves. A device with `w` requests in flight
-    /// is still displaying the page applied up to `w` slots ago, so the
-    /// audit accepts a view of any of those pages.
-    pub lookback: u64,
-}
-
-durable!(AuditEntry {
-    account,
-    expected_path,
-    frame_hash,
-    action,
-    risk,
-    lookback
-});
 
 /// The server-wide set of issued-but-unconsumed challenge nonces.
 ///
@@ -338,36 +184,11 @@ impl IssuedNonces {
     }
 }
 
-/// One account shard: the partition of durable state owned by the
-/// accounts that hash here, plus its own journal segment.
+/// One account shard: its durable state and the journal segment that
+/// rebuilds it.
 #[derive(Debug, Default)]
 struct Shard {
-    accounts: HashMap<Arc<str>, AccountRecord>,
-    /// Live sessions, keyed by session id (an account's sessions live in
-    /// its shard).
-    sessions: HashMap<Arc<str>, Session>,
-    /// Idempotency cache for bound registrations, keyed by submission
-    /// nonce (the submission signature and the account), bounded by the
-    /// LRU watermark (`reg_order` is eviction order).
-    reg_cache: HashMap<Nonce, (Signature, String)>,
-    reg_order: VecDeque<Nonce>,
-    /// Idempotency cache for opened logins, keyed by submission nonce;
-    /// evicted when the session closes.
-    login_cache: HashMap<Nonce, (Signature, ContentPage)>,
-    /// Idempotency cache for served resumes, keyed by the device-chosen
-    /// resume nonce; evicted when the session closes.
-    resume_cache: HashMap<Nonce, (Digest, ResumeAck)>,
-    /// Idempotency cache for served wire resets, keyed by request nonce
-    /// (the request digest and the account), bounded by the LRU watermark
-    /// (`reset_order` is eviction order).
-    reset_cache: HashMap<Nonce, (Digest, String)>,
-    reset_order: VecDeque<Nonce>,
-    /// Consumed-nonce registry for this shard's accounts.
-    consumed: ReplayGuard,
-    /// Audit log, per account (batch audit verifies whole windows).
-    audit: HashMap<Arc<str>, Vec<AuditEntry>>,
-    /// Sessions ever opened in this shard (drives globally unique ids).
-    session_counter: u64,
+    state: ShardState,
     /// This shard's journal segment.
     journal: Journal,
     /// Set when recovery found a sealed segment whose certificate no
@@ -375,70 +196,6 @@ struct Shard {
     /// operation until the operator intervenes — certified bytes going
     /// bad must never be silently absorbed into new durable state.
     quarantined: bool,
-}
-
-impl Shard {
-    fn over(journal: Journal) -> Shard {
-        Shard {
-            journal,
-            ..Shard::default()
-        }
-    }
-}
-
-/// Domain-separation label for sealing session keys into durable state.
-const SEAL_LABEL: &[u8] = b"trust-seal-session-key-v1";
-
-/// ChaCha20 stream nonce for sealing: the first 12 bytes of the consumed
-/// login nonce, which is unique per login (the replay guard enforces it).
-fn seal_stream_nonce(login_nonce: &Nonce) -> [u8; 12] {
-    let mut n = [0u8; 12];
-    n.copy_from_slice(&login_nonce.as_bytes()[..12]);
-    n
-}
-
-/// Seals a session MAC key for durable storage (journal records and shard
-/// snapshots) under the server's recovery key: ChaCha20 keyed by the
-/// recovery key with a per-login stream nonce, then an HMAC-SHA256 tag
-/// over label, nonce, and ciphertext. The journal therefore never holds a
-/// raw session key; a wrong recovery key or tampered record surfaces as
-/// `None` from [`open_session_key`], never as silently garbled state.
-fn seal_session_key(recovery_key: &[u8; 32], login_nonce: &Nonce, key: &[u8]) -> Vec<u8> {
-    let mut sealed =
-        btd_crypto::chacha20::encrypt(recovery_key, &seal_stream_nonce(login_nonce), key);
-    let mut tagged = Vec::with_capacity(SEAL_LABEL.len() + 16 + sealed.len());
-    tagged.extend_from_slice(SEAL_LABEL);
-    tagged.extend_from_slice(login_nonce.as_bytes());
-    tagged.extend_from_slice(&sealed);
-    let tag = hmac_sha256(recovery_key, &tagged);
-    sealed.extend_from_slice(tag.as_bytes());
-    sealed
-}
-
-/// Opens a key sealed by [`seal_session_key`]; `None` if the tag does not
-/// verify under `recovery_key`.
-fn open_session_key(
-    recovery_key: &[u8; 32],
-    login_nonce: &Nonce,
-    sealed: &[u8],
-) -> Option<Vec<u8>> {
-    if sealed.len() < 32 {
-        return None;
-    }
-    let (ciphertext, tag) = sealed.split_at(sealed.len() - 32);
-    let mut tagged = Vec::with_capacity(SEAL_LABEL.len() + 16 + ciphertext.len());
-    tagged.extend_from_slice(SEAL_LABEL);
-    tagged.extend_from_slice(login_nonce.as_bytes());
-    tagged.extend_from_slice(ciphertext);
-    let expect = hmac_sha256(recovery_key, &tagged);
-    if !btd_crypto::hmac::constant_time_eq(expect.as_bytes(), tag) {
-        return None;
-    }
-    Some(btd_crypto::chacha20::decrypt(
-        recovery_key,
-        &seal_stream_nonce(login_nonce),
-        ciphertext,
-    ))
 }
 
 /// The durable, non-journaled part of a server: keys, certificate, page
@@ -525,8 +282,8 @@ impl Ephemeral {
 
     /// Consumes `nonce` against `shard`: replayed, never issued, or taken
     /// out of the issued set for good, even if the decision later refuses.
-    /// The durable consumed-marking happens in `apply_record`.
-    fn consume_nonce(&mut self, shard: &Shard, nonce: Nonce) -> Result<(), Reject> {
+    /// The durable consumed-marking happens in `ShardState::apply`.
+    fn consume_nonce(&mut self, shard: &ShardState, nonce: Nonce) -> Result<(), Reject> {
         if shard.consumed.is_consumed(nonce) {
             Err(Reject::Replay)
         } else if self.issued.remove(nonce) {
@@ -803,12 +560,13 @@ impl WebServer {
 
     /// Number of bound accounts, across shards.
     pub fn account_count(&self) -> usize {
-        self.shards.iter().map(|s| s.accounts.len()).sum()
+        self.shards.iter().map(|s| s.state.accounts.len()).sum()
     }
 
     /// Whether `account` is bound.
     pub fn has_account(&self, account: &str) -> bool {
         self.shards[self.shard_for(account)]
+            .state
             .accounts
             .contains_key(account)
     }
@@ -817,7 +575,7 @@ impl WebServer {
     /// each account's entries in append order.
     pub fn audit_log(&self) -> Vec<AuditEntry> {
         let mut per_account: Vec<(&Arc<str>, &Vec<AuditEntry>)> =
-            self.shards.iter().flat_map(|s| s.audit.iter()).collect();
+            self.shards.iter().flat_map(|s| &s.state.audit).collect();
         per_account.sort_by(|a, b| a.0.cmp(b.0));
         per_account
             .into_iter()
@@ -831,7 +589,7 @@ impl WebServer {
         let mut names: Vec<&str> = self
             .shards
             .iter()
-            .flat_map(|s| s.audit.keys().map(|k| &**k))
+            .flat_map(|s| s.state.audit.keys().map(|k| &**k))
             .collect();
         names.sort_unstable();
         names
@@ -841,6 +599,7 @@ impl WebServer {
     /// window).
     pub fn audit_log_for(&self, account: &str) -> &[AuditEntry] {
         self.shards[self.shard_for(account)]
+            .state
             .audit
             .get(account)
             .map(|v| v.as_slice())
@@ -854,6 +613,7 @@ impl WebServer {
             ..ResidentStats::default()
         };
         for sh in &self.shards {
+            let sh = &sh.state;
             st.sessions += sh.sessions.len();
             st.cache_entries += sh.reg_cache.len()
                 + sh.login_cache.len()
@@ -1070,7 +830,7 @@ impl WebServer {
         &mut self,
         account: &str,
         sheds: bool,
-        decide: impl FnOnce(&ServerIdentity, &Shard, &mut Ephemeral) -> Result<Decision<R>, Reject>,
+        decide: impl FnOnce(&ServerIdentity, &ShardState, &mut Ephemeral) -> Result<Decision<R>, Reject>,
     ) -> Result<R, Reject> {
         if self.crashed {
             return Err(Reject::ServerCrashed);
@@ -1084,7 +844,7 @@ impl WebServer {
             if self.shards[idx].journal.pending_records() >= DEFAULT_COMPACTION_THRESHOLD {
                 self.compact_shard(idx);
             }
-            decide(&self.identity, &self.shards[idx], &mut self.ephemeral)
+            decide(&self.identity, &self.shards[idx].state, &mut self.ephemeral)
         };
         self.commit(idx, decision)
     }
@@ -1188,6 +948,7 @@ impl WebServer {
     /// real deployment; exposed for the reset experiment).
     pub fn reset_password_for(&self, account: &str) -> Option<&str> {
         self.shards[self.shard_for(account)]
+            .state
             .accounts
             .get(account)
             .map(|a| a.reset_password.as_str())
@@ -1323,18 +1084,17 @@ impl WebServer {
         })
     }
 
-    fn find_session(&self, session_id: &str) -> Option<&Session> {
-        self.shards.iter().find_map(|s| s.sessions.get(session_id))
-    }
-
     /// Interactions served in a session (testing/metrics).
     pub fn session_interactions(&self, session_id: &str) -> Option<u64> {
-        self.find_session(session_id).map(|s| s.interactions)
+        self.shards
+            .iter()
+            .find_map(|s| s.state.sessions.get(session_id))
+            .map(|s| s.state.interactions)
     }
 
     /// Sessions ever opened, across shards (drives unique session ids).
     fn total_sessions(&self) -> u64 {
-        self.shards.iter().map(|s| s.session_counter).sum()
+        self.shards.iter().map(|s| s.state.session_counter).sum()
     }
 
     // --- Recovery ---------------------------------------------------------
@@ -1365,7 +1125,11 @@ impl WebServer {
         let mut seed = [0u8; 32];
         rng.fill_bytes(&mut seed);
         let ephemeral = Ephemeral::new(ChaChaEntropy::from_seed(seed));
-        let mut shards: Vec<Shard> = journals.into_iter().map(Shard::over).collect();
+        let over = |journal| Shard {
+            journal,
+            ..Shard::default()
+        };
+        let mut shards: Vec<Shard> = journals.into_iter().map(over).collect();
         if shards.is_empty() {
             shards.push(Shard::default());
         }
@@ -1450,318 +1214,25 @@ impl WebServer {
     /// mutation path for durable state: live handlers journal a record
     /// and then apply it through here, so recovery replay is reuse, not
     /// reimplementation. The record routes to its shard via
-    /// [`JournalRecord::shard_account`]; cache evictions (session close,
-    /// LRU watermark) also happen here, so replay reproduces them.
+    /// [`JournalRecord::shard_account`], whose state's `apply` changes
+    /// it; what that evicted (session close, LRU watermark) is traced
+    /// here.
     pub fn apply_record(&mut self, rec: &JournalRecord) {
         let idx = self.shard_for(rec.shard_account());
-        match rec {
-            JournalRecord::Registered {
-                account,
-                public_key,
-                reset_password,
-                nonce,
-                signature,
-                frame_hash,
-            } => {
-                let group = self.identity.keys.public_key().group();
-                let element = U2048::from_be_bytes(public_key);
-                let key = PublicKey::from_element(group, element);
-                let shard = &mut self.shards[idx];
-                shard.accounts.insert(
-                    account.clone(),
-                    AccountRecord {
-                        public_key: key,
-                        reset_password: reset_password.clone(),
-                    },
-                );
-                shard.consumed.mark_consumed(*nonce);
-                shard
-                    .audit
-                    .entry(account.clone())
-                    .or_default()
-                    .push(AuditEntry {
-                        account: account.clone(),
-                        expected_path: Arc::from("/register"),
-                        frame_hash: *frame_hash,
-                        action: Arc::from("register"),
-                        risk: RiskReport::fresh_login(),
-                        lookback: 1,
-                    });
-                if let Some(sig) = Signature::from_bytes(signature) {
-                    let entry = (sig, account.to_string());
-                    let (cache, order) = (&mut shard.reg_cache, &mut shard.reg_order);
-                    let evicted = insert_lru(cache, order, &mut shard.consumed, *nonce, entry);
-                    self.trace_evictions(CacheKind::Registration, evicted);
-                }
-            }
-            JournalRecord::LoginServed {
-                nonce,
-                signature,
-                sealed_session_key,
-                window,
-                reply,
-                frame_hash,
-                risk,
-            } => {
-                // The journal never holds the raw session key; a record
-                // whose seal does not open under this server's recovery
-                // key is foreign or tampered and installs no session.
-                // No writer journals a window of 0 either: a session needs
-                // credit for at least one slot.
-                let Some(session_key) =
-                    open_session_key(&self.identity.recovery_key, nonce, sealed_session_key)
-                        .filter(|_| *window >= 1)
-                else {
-                    debug_assert!(false, "sealed session key failed to open, or window 0");
-                    return;
-                };
-                let shard = &mut self.shards[idx];
-                shard.session_counter += 1;
-                shard.consumed.mark_consumed(*nonce);
-                shard
-                    .audit
-                    .entry(reply.account.clone())
-                    .or_default()
-                    .push(AuditEntry {
-                        account: reply.account.clone(),
-                        expected_path: Arc::from("/login"),
-                        frame_hash: *frame_hash,
-                        action: Arc::from("login"),
-                        risk: *risk,
-                        lookback: 1,
-                    });
-                shard.sessions.insert(
-                    reply.session_id.clone(),
-                    Session {
-                        account: reply.account.clone(),
-                        key: session_key,
-                        expected_seq: reply.seq,
-                        current_path: reply.page.path.clone(),
-                        stepups: 0,
-                        terminated: false,
-                        interactions: 0,
-                        login_nonce: *nonce,
-                        resume_nonces: Vec::new(),
-                        consumed_nonces: vec![*nonce],
-                        window: *window,
-                        reply_window: Vec::new(),
-                    },
-                );
-                if let Some(sig) = Signature::from_bytes(signature) {
-                    shard.login_cache.insert(*nonce, (sig, reply.clone()));
-                }
-            }
-            JournalRecord::InteractionServed {
-                request_nonce,
-                request_mac,
-                action,
-                frame_hash,
-                risk,
-                expected_path,
-                stepups,
-                reply,
-            } => {
-                let shard = &mut self.shards[idx];
-                shard.consumed.mark_consumed(*request_nonce);
-                // A pipelined device legitimately lags the serve stream by
-                // up to its window; lock-step sessions (window 1) stay
-                // exact.
-                let lookback = shard
-                    .sessions
-                    .get(&reply.session_id)
-                    .map_or(1, |s| s.window);
-                shard
-                    .audit
-                    .entry(reply.account.clone())
-                    .or_default()
-                    .push(AuditEntry {
-                        account: reply.account.clone(),
-                        expected_path: expected_path.clone(),
-                        frame_hash: *frame_hash,
-                        action: action.clone(),
-                        risk: *risk,
-                        lookback,
-                    });
-                if let Some(session) = shard.sessions.get_mut(&reply.session_id) {
-                    // `reply.seq` is `slot + 1`, so the served slot is one
-                    // less.
-                    let slot = reply.seq.saturating_sub(1);
-                    if !session.cache_reply(slot, *request_mac, reply) {
-                        return;
-                    }
-                    // The page shown is the highest-seq one served so far
-                    // — again independent of apply order.
-                    if let Some(last) = session.reply_window.last() {
-                        session.current_path.clone_from(&last.reply.page.path);
-                    }
-                    session.interactions += 1;
-                    session.stepups = *stepups as u32;
-                    session.consumed_nonces.push(*request_nonce);
-                }
-            }
-            JournalRecord::SessionResumed {
-                device_nonce,
-                request_mac,
-                ack,
-            } => {
-                let shard = &mut self.shards[idx];
-                shard.consumed.mark_consumed(*device_nonce);
-                if let Some(session) = shard.sessions.get_mut(ack.session_id.as_str()) {
-                    session.resume_nonces.push(*device_nonce);
-                    session.consumed_nonces.push(*device_nonce);
-                }
-                shard
-                    .resume_cache
-                    .insert(*device_nonce, (*request_mac, ack.clone()));
-            }
-            JournalRecord::SessionTerminated { session_id, .. } => {
-                if let Some(session) = self.shards[idx].sessions.get_mut(session_id) {
-                    session.terminated = true;
-                }
-            }
-            JournalRecord::SessionClosed { session_id, .. } => {
-                let shard = &mut self.shards[idx];
-                if let Some(sess) = shard.sessions.remove(session_id) {
-                    shard.login_cache.remove(&sess.login_nonce);
-                    for n in &sess.resume_nonces {
-                        shard.resume_cache.remove(n);
-                    }
-                    for n in &sess.consumed_nonces {
-                        shard.consumed.forget_consumed(*n);
-                    }
-                    // The session entry plus its login/resume cache
-                    // entries all left resident state.
-                    let evicted = 1 + 1 + sess.resume_nonces.len() as u64;
-                    self.trace_evictions(CacheKind::Session, evicted);
-                }
-            }
-            JournalRecord::IdentityReset { account } => {
-                self.remove_binding(idx, account);
-            }
-            JournalRecord::ResetServed {
-                account,
-                nonce,
-                request_digest,
-            } => {
-                self.remove_binding(idx, account);
-                let shard = &mut self.shards[idx];
-                shard.consumed.mark_consumed(*nonce);
-                let (cache, order) = (&mut shard.reset_cache, &mut shard.reset_order);
-                let entry = (*request_digest, account.to_string());
-                let evicted = insert_lru(cache, order, &mut shard.consumed, *nonce, entry);
-                self.trace_evictions(CacheKind::Reset, evicted);
-            }
-        }
-    }
-
-    /// Traces `evicted` entries leaving `cache`, if any did.
-    fn trace_evictions(&self, cache: CacheKind, evicted: u64) {
-        if evicted > 0 {
+        if let Some((cache, evicted)) = self.shards[idx].state.apply(&self.identity, rec) {
             self.tracer
                 .record(EventKind::CacheEviction { cache, evicted });
         }
     }
 
-    fn remove_binding(&mut self, idx: usize, account: &str) {
-        let shard = &mut self.shards[idx];
-        shard.accounts.remove(account);
-        // Kill any live sessions for the account.
-        for s in shard.sessions.values_mut() {
-            if *s.account == *account {
-                s.terminated = true;
-            }
-        }
-    }
-
     // --- Snapshots --------------------------------------------------------
 
-    /// Canonical bytes of one shard's durable state (maps serialized in
-    /// sorted order, LRU caches in eviction order — both deterministic
-    /// under replay — so two shards in the same state encode
-    /// identically). Excludes observability state (reject counters,
-    /// trace) and the issued-nonce set, which holds only hello challenges.
-    ///
-    /// Session keys are sealed under the recovery key (the snapshot, like
-    /// the journal, holds no raw secrets — sealing is deterministic, so
-    /// equal state still means equal bytes), and each session carries its
-    /// interaction window and its reply cache.
+    /// Canonical bytes of one shard's durable state: maps in ascending key
+    /// order, LRU caches in eviction order, session keys sealed. Excludes
+    /// observability state (reject counters, trace) and the issued-nonce
+    /// set, which holds only hello challenges.
     pub fn shard_snapshot_bytes(&self, idx: usize) -> Vec<u8> {
-        let shard = &self.shards[idx];
-        // One pass: the snapshot is large and its sealing costly.
-        let mut bytes = FieldWriter::new();
-        let w = &mut bytes;
-        w.str("trust-shard-snapshot-v4");
-        w.u64(shard.session_counter);
-
-        let mut accounts: Vec<_> = shard.accounts.iter().collect();
-        accounts.sort_by(|a, b| a.0.cmp(b.0));
-        w.u64(accounts.len() as u64);
-        for (name, rec) in accounts {
-            w.str(name)
-                .bytes(&rec.public_key.to_bytes())
-                .str(&rec.reset_password);
-        }
-
-        let mut sessions: Vec<_> = shard.sessions.iter().collect();
-        sessions.sort_by(|a, b| a.0.cmp(b.0));
-        w.u64(sessions.len() as u64);
-        for (sid, s) in sessions {
-            w.put(sid)
-                .put(&s.account)
-                .bytes(&seal_session_key(
-                    &self.identity.recovery_key,
-                    &s.login_nonce,
-                    &s.key,
-                ))
-                .put(&s.expected_seq)
-                .put(&s.current_path)
-                .u64(s.stepups.into())
-                .u64(s.terminated.into())
-                .put(&s.interactions)
-                .put(&s.login_nonce)
-                .put(&s.resume_nonces)
-                .put(&s.consumed_nonces)
-                .put(&s.window)
-                .put(&s.reply_window);
-        }
-
-        // The LRU caches serialize in eviction (insertion) order so a
-        // restored shard evicts in exactly the same order.
-        w.u64(shard.reg_order.len() as u64);
-        for n in &shard.reg_order {
-            let (sig, account) = &shard.reg_cache[n];
-            w.put(n).bytes(&sig.to_bytes()).put(account);
-        }
-
-        let mut logins: Vec<_> = shard.login_cache.iter().collect();
-        logins.sort_by_key(|(n, _)| n.0);
-        w.u64(logins.len() as u64);
-        for (n, (sig, page)) in logins {
-            w.put(n).bytes(&sig.to_bytes()).put(page);
-        }
-
-        let mut resumes: Vec<_> = shard.resume_cache.iter().collect();
-        resumes.sort_by_key(|(n, _)| n.0);
-        w.u64(resumes.len() as u64);
-        for (n, (mac, ack)) in resumes {
-            w.put(n).put(mac).put(ack);
-        }
-
-        w.u64(shard.reset_order.len() as u64);
-        for n in &shard.reset_order {
-            let (digest, account) = &shard.reset_cache[n];
-            w.put(n).put(digest).put(account);
-        }
-
-        w.put(&shard.consumed.consumed_sorted());
-
-        let mut audit_accounts: Vec<_> = shard.audit.iter().collect();
-        audit_accounts.sort_by(|a, b| a.0.cmp(b.0));
-        w.u64(audit_accounts.len() as u64);
-        for (account, entries) in audit_accounts {
-            w.put(account).put(entries);
-        }
-        bytes.finish()
+        self.shards[idx].state.snapshot(&self.identity)
     }
 
     /// Canonical bytes of the full durable state: the shard count plus
@@ -1785,554 +1256,25 @@ impl WebServer {
     }
 
     /// Restores shard `idx`'s durable state from `bytes`; false when the
-    /// snapshot does not decode, which leaves the shard as it was.
+    /// snapshot does not decode, which leaves the shard as it was. The
+    /// journal segment and its quarantine verdict are not snapshot state.
     fn restore_shard_snapshot(&mut self, idx: usize, bytes: &[u8]) -> bool {
-        match self.decode_shard_snapshot(bytes) {
-            Some(mut restored) => {
-                // The journal segment and its quarantine verdict are not
-                // snapshot state; they stay with the live shard.
-                let live = &mut self.shards[idx];
-                std::mem::swap(&mut restored.journal, &mut live.journal);
-                restored.quarantined = live.quarantined;
-                *live = restored;
+        match ShardState::from_snapshot(&self.identity, bytes) {
+            Some(state) => {
+                self.shards[idx].state = state;
                 true
             }
             None => false,
         }
     }
-
-    /// Decodes a whole shard snapshot, trailing-byte check included, into
-    /// a fresh shard, so a snapshot rejected part way installs nothing.
-    fn decode_shard_snapshot(&self, bytes: &[u8]) -> Option<Shard> {
-        let mut r = FieldReader::new(bytes);
-        if r.str()? != "trust-shard-snapshot-v4" {
-            return None;
-        }
-        let group = self.identity.keys.public_key().group();
-        let recovery_key = self.identity.recovery_key;
-        let mut shard = Shard {
-            session_counter: r.get()?,
-            ..Shard::default()
-        };
-
-        for _ in 0..r.u64()? {
-            let name = r.get()?;
-            let key = PublicKey::from_element(group, U2048::from_be_bytes(r.bytes()?));
-            let reset_password = r.get()?;
-            shard.accounts.insert(
-                name,
-                AccountRecord {
-                    public_key: key,
-                    reset_password,
-                },
-            );
-        }
-
-        for _ in 0..r.u64()? {
-            let sid = r.get()?;
-            let account = r.get()?;
-            // The login nonce (the seal's stream nonce) arrives later in
-            // the stream; buffer the sealed bytes until it does.
-            let sealed_key: Vec<u8> = r.get()?;
-            let expected_seq = r.get()?;
-            let current_path = r.get()?;
-            let stepups = u32::try_from(r.u64()?).ok()?;
-            let terminated = r.u64().filter(|&t| t < 2)? == 1;
-            let interactions = r.get()?;
-            let login_nonce = r.get()?;
-            let resume_nonces = r.get()?;
-            let consumed_nonces = r.get()?;
-            let window = r.get().filter(|&w: &u64| w >= 1)?;
-            let reply_window = r.get()?;
-            let key = open_session_key(&recovery_key, &login_nonce, &sealed_key)?;
-            shard.sessions.insert(
-                sid,
-                Session {
-                    account,
-                    key,
-                    expected_seq,
-                    current_path,
-                    stepups,
-                    terminated,
-                    interactions,
-                    login_nonce,
-                    resume_nonces,
-                    consumed_nonces,
-                    window,
-                    reply_window,
-                },
-            );
-        }
-
-        for _ in 0..r.u64()? {
-            let nonce = r.get()?;
-            let sig = Signature::from_bytes(r.bytes()?)?;
-            let account = r.get()?;
-            shard.reg_cache.insert(nonce, (sig, account));
-            shard.reg_order.push_back(nonce);
-        }
-
-        for _ in 0..r.u64()? {
-            let nonce = r.get()?;
-            let sig = Signature::from_bytes(r.bytes()?)?;
-            let page = r.get()?;
-            shard.login_cache.insert(nonce, (sig, page));
-        }
-
-        for _ in 0..r.u64()? {
-            let nonce = r.get()?;
-            let mac = r.get()?;
-            let ack = r.get()?;
-            shard.resume_cache.insert(nonce, (mac, ack));
-        }
-
-        for _ in 0..r.u64()? {
-            let nonce = r.get()?;
-            let digest = r.get()?;
-            let account = r.get()?;
-            shard.reset_cache.insert(nonce, (digest, account));
-            shard.reset_order.push_back(nonce);
-        }
-
-        let consumed: Vec<Nonce> = r.get()?;
-        shard.consumed = ReplayGuard::from_consumed(consumed);
-
-        for _ in 0..r.u64()? {
-            let account = r.get()?;
-            let entries = r.get()?;
-            shard.audit.insert(account, entries);
-        }
-        r.is_empty().then_some(shard)
-    }
-}
-
-/// Inserts `entry` under `nonce` into an LRU idempotency cache (`order` is
-/// its eviction order), then evicts past [`DEFAULT_CACHE_WATERMARK`],
-/// forgetting each evicted nonce in `consumed`. Returns how many left.
-fn insert_lru<V>(
-    cache: &mut HashMap<Nonce, V>,
-    order: &mut VecDeque<Nonce>,
-    consumed: &mut ReplayGuard,
-    nonce: Nonce,
-    entry: V,
-) -> u64 {
-    cache.insert(nonce, entry);
-    order.push_back(nonce);
-    let mut evicted = 0;
-    while cache.len() > DEFAULT_CACHE_WATERMARK {
-        let Some(old) = order.pop_front() else { break };
-        cache.remove(&old);
-        consumed.forget_consumed(old);
-        evicted += 1;
-    }
-    evicted
-}
-
-// --- Decisions ------------------------------------------------------------
-
-/// What a handler decided over a read-only shard, before anything is
-/// journaled. [`WebServer::commit`] carries it out.
-#[derive(Debug)]
-enum Decision<R> {
-    /// An answer that commits nothing: an idempotent cache hit, a
-    /// `Resent`/`Resync` retransmit, or closing a session that is not open.
-    Answer(R),
-    /// A record to commit; the reply travels inside it.
-    Commit(JournalRecord),
-    /// A record to commit, then a refusal (risk termination).
-    CommitThenRefuse(JournalRecord, Reject),
-}
-
-/// A handler's reply to fresh work, taken back out of the record that
-/// carried it through the commit.
-trait Reply {
-    fn from_record(record: JournalRecord) -> Self;
-}
-
-impl Reply for (RegistrationAck, Freshness) {
-    fn from_record(record: JournalRecord) -> Self {
-        let JournalRecord::Registered { account, nonce, .. } = record else {
-            unreachable!("a registration commits a binding");
-        };
-        let account = String::from(&*account);
-        (RegistrationAck { account, nonce }, Freshness::Fresh)
-    }
-}
-
-impl Reply for (ContentPage, Freshness) {
-    fn from_record(record: JournalRecord) -> Self {
-        match record {
-            JournalRecord::LoginServed { reply, .. }
-            | JournalRecord::InteractionServed { reply, .. } => (reply, Freshness::Fresh),
-            _ => unreachable!("only logins and interactions serve pages"),
-        }
-    }
-}
-
-impl Reply for (ResumeAck, Freshness) {
-    fn from_record(record: JournalRecord) -> Self {
-        let JournalRecord::SessionResumed { ack, .. } = record else {
-            unreachable!("a resume commits its ack");
-        };
-        (ack, Freshness::Fresh)
-    }
-}
-
-impl Reply for (ResetAck, Freshness) {
-    fn from_record(record: JournalRecord) -> Self {
-        let JournalRecord::ResetServed { account, nonce, .. } = record else {
-            unreachable!("a wire reset commits a served reset");
-        };
-        let account = String::from(&*account);
-        (ResetAck { account, nonce }, Freshness::Fresh)
-    }
-}
-
-/// A local identity reset answers nothing beyond success.
-impl Reply for () {
-    fn from_record(_: JournalRecord) {}
-}
-
-/// A committed close closed a live session.
-impl Reply for bool {
-    fn from_record(_: JournalRecord) -> bool {
-        true
-    }
-}
-
-/// Registration (Fig. 9, step 5): the checks, then the binding.
-fn decide_registration(
-    id: &ServerIdentity,
-    shard: &Shard,
-    eph: &mut Ephemeral,
-    msg: &RegistrationSubmit,
-) -> Result<Decision<(RegistrationAck, Freshness)>, Reject> {
-    if let Some((sig, account)) = shard.reg_cache.get(&msg.nonce) {
-        if *sig == msg.signature {
-            let ack = RegistrationAck {
-                account: account.clone(),
-                nonce: msg.nonce,
-            };
-            return Ok(Decision::Answer((ack, Freshness::Resent)));
-        }
-    }
-    eph.consume_nonce(shard, msg.nonce)?;
-    if !msg.device_cert.verify(&id.ca_key) || msg.device_cert.role() != Role::FlockModule {
-        return Err(Reject::BadCertificate);
-    }
-    let bytes = RegistrationSubmit::signed_bytes(
-        &msg.domain,
-        &msg.account,
-        &msg.nonce,
-        &msg.frame_hash,
-        &msg.user_public,
-    );
-    if msg.domain != id.domain || !msg.device_cert.public_key().verify(&bytes, &msg.signature) {
-        return Err(Reject::BadSignature);
-    }
-    if shard.accounts.contains_key(msg.account.as_str()) {
-        return Err(Reject::AccountExists);
-    }
-    // Honest keys are `g^x`. A key of order 2 or 2q (`p−1`, `−g^x`) is
-    // refused like a bad signature: the subgroup test is a Jacobi symbol,
-    // cheaper than the signature check above.
-    let element = U2048::from_be_bytes(&msg.user_public);
-    let group = id.keys.public_key().group();
-    if !group.in_subgroup(&element) {
-        return Err(Reject::BadSignature);
-    }
-    let public_key = PublicKey::from_element(group, element);
-    // Fallback password, deliverable out of band; derived here so the
-    // reset experiment has a stable credential.
-    let reset_password = format!("reset-{}-{}", msg.account, public_key.fingerprint());
-    Ok(Decision::Commit(JournalRecord::Registered {
-        account: Arc::from(msg.account.as_str()),
-        public_key: msg.user_public.clone(),
-        reset_password,
-        nonce: msg.nonce,
-        signature: msg.signature.to_bytes(),
-        frame_hash: msg.frame_hash,
-    }))
-}
-
-/// Login (Fig. 10, step 3): the new session's id counts the `opened`
-/// sessions of every shard.
-fn decide_login(
-    id: &ServerIdentity,
-    shard: &Shard,
-    eph: &mut Ephemeral,
-    msg: &LoginSubmit,
-    opened: u64,
-) -> Result<Decision<(ContentPage, Freshness)>, Reject> {
-    if let Some((sig, page)) = shard.login_cache.get(&msg.nonce) {
-        if *sig == msg.signature {
-            return Ok(Decision::Answer((page.clone(), Freshness::Resent)));
-        }
-    }
-    eph.consume_nonce(shard, msg.nonce)?;
-    let Some((account, record)) = shard.accounts.get_key_value(msg.account.as_str()) else {
-        return Err(Reject::UnknownAccount);
-    };
-    let bytes = LoginSubmit::signed_bytes(
-        &msg.domain,
-        &msg.account,
-        &msg.nonce,
-        &msg.sealed_session_key,
-        &msg.frame_hash,
-        &msg.risk,
-    );
-    if msg.domain != id.domain || !record.public_key.verify(&bytes, &msg.signature) {
-        return Err(Reject::BadSignature);
-    }
-    let Ok(session_key) = btd_crypto::elgamal::open(&id.keys, &msg.sealed_session_key) else {
-        return Err(Reject::BadSessionKey);
-    };
-    eph.observe_risk(&msg.risk);
-    if id.policy.evaluate(&msg.risk, 0) == RiskDecision::Terminate {
-        return Err(Reject::RiskTerminated);
-    }
-
-    // The counters themselves only advance in apply_record, so the live
-    // path and journal replay agree on the session id.
-    let mut tag = [0u8; 16];
-    eph.entropy.fill(&mut tag);
-    let session_id: Arc<str> = Arc::from(format!("sess-{}-{}", opened + 1, Nonce(tag)));
-    let home = id.pages.get("/home").expect("home page").page.clone();
-    let mut reply = ContentPage {
-        session_id,
-        account: Arc::clone(account),
-        nonce: window_nonce(&session_key, 0),
-        seq: 0,
-        page: home,
-        mac: Digest([0; 32]),
-    };
-    reply.mac = wire::mac(&session_key, &reply);
-    let sealed_session_key = seal_session_key(&id.recovery_key, &msg.nonce, &session_key);
-    Ok(Decision::Commit(JournalRecord::LoginServed {
-        nonce: msg.nonce,
-        signature: msg.signature.to_bytes(),
-        sealed_session_key,
-        window: id.interaction_window,
-        reply,
-        frame_hash: msg.frame_hash,
-        risk: msg.risk,
-    }))
-}
-
-/// Interaction (Fig. 10, step 4): the six admission rows documented on
-/// [`WebServer::handle_interaction`].
-fn decide_interaction(
-    id: &ServerIdentity,
-    shard: &Shard,
-    eph: &mut Ephemeral,
-    msg: &InteractionRequest,
-) -> Result<Decision<(ContentPage, Freshness)>, Reject> {
-    let s = match shard.sessions.get(&msg.session_id) {
-        Some(s) if !s.terminated && s.account == msg.account => s,
-        _ => return Err(Reject::UnknownSession),
-    };
-    let mac_ok = || wire::mac_matches(&s.key, msg, &msg.mac);
-    if let Some(cache) = s.window_reply(msg.seq) {
-        // The MAC must verify over this copy's bytes before the cache
-        // answers: equality with the cached MAC alone would let a tampered
-        // copy (original MAC, rewritten fields) pass as a benign
-        // retransmit. BadMac keeps an honest one retryable.
-        if !mac_ok() {
-            return Err(Reject::BadMac);
-        }
-        let freshness = if cache.request_mac == msg.mac {
-            Freshness::Resent
-        } else {
-            Freshness::Resync
-        };
-        return Ok(Decision::Answer((cache.reply.clone(), freshness)));
-    }
-    let base = s.expected_seq;
-    if msg.seq < base {
-        // Served long enough ago that the cache evicted it; an honest
-        // device cannot still be retransmitting this slot.
-        return Err(Reject::Replay);
-    }
-    if msg.seq >= base.saturating_add(s.window) {
-        return Err(Reject::UnknownNonce);
-    }
-    // Both nonces derive from the key (no entropy draw, so serving the
-    // same slot set in any order leaves identical durable state).
-    if msg.nonce != window_nonce(&s.key, msg.seq) {
-        // Either a replayed old nonce or a forged one.
-        return Err(if shard.consumed.is_consumed(msg.nonce) {
-            Reject::Replay
-        } else {
-            Reject::UnknownNonce
-        });
-    }
-    if !mac_ok() {
-        return Err(Reject::BadMac);
-    }
-
-    // Risk policy. A termination is itself a durable state change.
-    eph.observe_risk(&msg.risk);
-    let stepups = match id.policy.evaluate(&msg.risk, s.stepups) {
-        RiskDecision::Terminate => {
-            let record = JournalRecord::SessionTerminated {
-                session_id: msg.session_id.clone(),
-                account: msg.account.clone(),
-            };
-            return Ok(Decision::CommitThenRefuse(record, Reject::RiskTerminated));
-        }
-        RiskDecision::StepUp => s.stepups + 1,
-        _ => 0,
-    };
-
-    // The page to serve next (unknown actions bounce to home).
-    let page = id
-        .pages
-        .get(&*msg.action)
-        .or_else(|| id.pages.get("/home"))
-        .expect("home page")
-        .page
-        .clone();
-    let mut reply = ContentPage {
-        session_id: msg.session_id.clone(),
-        account: msg.account.clone(),
-        nonce: window_nonce(&s.key, msg.seq + 1),
-        seq: msg.seq + 1,
-        page,
-        mac: Digest([0; 32]),
-    };
-    reply.mac = wire::mac(&s.key, &reply);
-    Ok(Decision::Commit(JournalRecord::InteractionServed {
-        request_nonce: msg.nonce,
-        request_mac: msg.mac,
-        action: msg.action.clone(),
-        frame_hash: msg.frame_hash,
-        risk: msg.risk,
-        // The page the server believed the user was seeing when they
-        // acted: the audit commitment.
-        expected_path: s.current_path.clone(),
-        stepups: u64::from(stepups),
-        reply,
-    }))
-}
-
-/// Resume: an ack with the base slot's nonce and any reply the device
-/// missed.
-fn decide_resume(
-    shard: &Shard,
-    msg: &ResumeRequest,
-) -> Result<Decision<(ResumeAck, Freshness)>, Reject> {
-    if let Some((mac, ack)) = shard.resume_cache.get(&msg.nonce) {
-        if *mac == msg.mac {
-            return Ok(Decision::Answer((ack.clone(), Freshness::Resent)));
-        }
-    }
-    let s = match shard.sessions.get(msg.session_id.as_str()) {
-        Some(s) if !s.terminated && *s.account == *msg.account => s,
-        _ => return Err(Reject::UnknownSession),
-    };
-    if !wire::mac_matches(&s.key, msg, &msg.mac) {
-        return Err(Reject::BadMac);
-    }
-    if shard.consumed.is_consumed(msg.nonce) {
-        // Same nonce, different MAC: a tampered replay of an old resume.
-        // The byte-identical case was answered from the cache.
-        return Err(Reject::Replay);
-    }
-    let last_reply = if msg.last_seq == s.expected_seq {
-        // Fully in sync; the device just needs the current nonce.
-        None
-    } else if msg.last_seq.checked_add(1) == Some(s.expected_seq) {
-        // Behind by one with no cached reply: nothing to heal with, the
-        // device must treat the session as lost.
-        let cache = s.window_reply(msg.last_seq).ok_or(Reject::UnknownSession)?;
-        Some(cache.reply.clone())
-    } else if msg.last_seq < s.expected_seq {
-        return Err(Reject::Replay);
-    } else {
-        // The device claims acks from the future.
-        return Err(Reject::UnknownNonce);
-    };
-    let mut ack = ResumeAck {
-        session_id: msg.session_id.clone(),
-        account: msg.account.clone(),
-        device_nonce: msg.nonce,
-        nonce: window_nonce(&s.key, s.expected_seq),
-        seq: s.expected_seq,
-        last_reply,
-        mac: Digest([0; 32]),
-    };
-    ack.mac = wire::mac(&s.key, &ack);
-    Ok(Decision::Commit(JournalRecord::SessionResumed {
-        device_nonce: msg.nonce,
-        request_mac: msg.mac,
-        ack,
-    }))
-}
-
-/// Wire reset (paper §IV, "Identity Reset"): the checks, then the reset.
-fn decide_reset(
-    id: &ServerIdentity,
-    shard: &Shard,
-    eph: &mut Ephemeral,
-    msg: &ResetRequest,
-) -> Result<Decision<(ResetAck, Freshness)>, Reject> {
-    let digest = msg.request_digest();
-    if let Some((d, account)) = shard.reset_cache.get(&msg.nonce) {
-        if *d == digest {
-            let ack = ResetAck {
-                account: account.clone(),
-                nonce: msg.nonce,
-            };
-            return Ok(Decision::Answer((ack, Freshness::Resent)));
-        }
-    }
-    eph.consume_nonce(shard, msg.nonce)?;
-    if msg.domain != id.domain {
-        return Err(Reject::BadSignature);
-    }
-    check_reset_password(shard, &msg.account, &msg.password)?;
-    Ok(Decision::Commit(JournalRecord::ResetServed {
-        account: Arc::from(msg.account.as_str()),
-        nonce: msg.nonce,
-        request_digest: digest,
-    }))
-}
-
-/// Local identity reset: the fallback password, then the unbinding.
-fn decide_identity_reset(
-    shard: &Shard,
-    account: &str,
-    password: &str,
-) -> Result<Decision<()>, Reject> {
-    check_reset_password(shard, account, password)?;
-    Ok(Decision::Commit(JournalRecord::IdentityReset {
-        account: Arc::from(account),
-    }))
-}
-
-/// The fallback-credential check both reset forms share.
-fn check_reset_password(shard: &Shard, account: &str, password: &str) -> Result<(), Reject> {
-    match shard.accounts.get(account) {
-        None => Err(Reject::UnknownAccount),
-        Some(record) if record.reset_password != password => Err(Reject::BadResetCredential),
-        Some(_) => Ok(()),
-    }
-}
-
-/// Close: a `SessionClosed` record, or `false` for a session not open.
-fn decide_close(shard: &Shard, account: &str, session_id: &str) -> Result<Decision<bool>, Reject> {
-    Ok(match shard.sessions.get_key_value(session_id) {
-        Some((id, s)) if *s.account == *account => Decision::Commit(JournalRecord::SessionClosed {
-            session_id: Arc::clone(id),
-            account: Arc::clone(&s.account),
-        }),
-        _ => Decision::Answer(false),
-    })
 }
 
 #[cfg(test)]
 mod tests {
+    use super::state::{open_session_key, seal_session_key};
     use super::*;
+    use crate::messages::window_nonce;
+    use crate::wire;
 
     fn setup() -> (WebServer, TrustAuthority, SimRng) {
         let mut rng = SimRng::seed_from(11);
@@ -2341,17 +1283,16 @@ mod tests {
         (server, ca, rng)
     }
 
+    /// Binds `name` without journaling it: state the journal never saw.
     fn insert_account(server: &mut WebServer, name: &str, password: &str) {
-        let key = server.public_key().clone();
-        let idx = server.shard_for(name);
-        // trust-lint: allow(journal-discipline) -- test fixture: seeds an account behind the journal's back precisely to exercise recovery from a state the journal never saw
-        server.shards[idx].accounts.insert(
-            name.into(),
-            AccountRecord {
-                public_key: key,
-                reset_password: password.to_owned(),
-            },
-        );
+        server.apply_record(&JournalRecord::Registered {
+            account: name.into(),
+            public_key: server.public_key().to_bytes(),
+            reset_password: password.to_owned(),
+            nonce: Nonce([0xA5; 16]),
+            signature: Vec::new(),
+            frame_hash: Digest([0; 32]),
+        });
     }
 
     #[test]
@@ -2730,7 +1671,7 @@ mod tests {
         };
         assert!(server2.restore_shard_snapshot(idx, &snapshot));
         assert_eq!(
-            server2.shards[idx].sessions["sess-1-x"].key, key,
+            server2.shards[idx].state.sessions["sess-1-x"].key, key,
             "restore unseals back to the raw key"
         );
         assert_eq!(server.state_digest(), digest, "snapshotting is read-only");
@@ -2887,6 +1828,81 @@ mod tests {
         (bytes, at)
     }
 
+    /// `bytes` with its one occurrence of `from` replaced by `to`.
+    fn splice(bytes: &[u8], from: &[u8], to: &[u8]) -> Vec<u8> {
+        let at = bytes
+            .windows(from.len())
+            .position(|w| w == from)
+            .expect("pattern in snapshot");
+        [&bytes[..at], to, &bytes[at + from.len()..]].concat()
+    }
+
+    #[test]
+    fn snapshot_decoding_is_canonical() {
+        // Two bound accounts, each with a registration-cache entry; every
+        // map is written in ascending key order, the cache in eviction
+        // order, the consumed nonces ascending.
+        let (mut server, _, _) = setup();
+        let public_key = server.public_key().to_bytes();
+        for (account, n) in [("alice", 1u8), ("dave", 2)] {
+            server.apply_record(&JournalRecord::Registered {
+                account: account.into(),
+                public_key: public_key.clone(),
+                reset_password: format!("pw-{account}"),
+                nonce: Nonce([n; 16]),
+                signature: vec![n; 512],
+                frame_hash: Digest([n; 32]),
+            });
+        }
+        assert_eq!(server.shard_for("alice"), server.shard_for("dave"));
+        let idx = server.shard_for("alice");
+        let bytes = server.shard_snapshot_bytes(idx);
+        let field = |fill: &dyn Fn(&mut FieldWriter)| {
+            let mut w = FieldWriter::new();
+            fill(&mut w);
+            w.finish()
+        };
+        let account = |name: &str| {
+            field(&|w| {
+                w.str(name).bytes(&public_key).str(&format!("pw-{name}"));
+            })
+        };
+        let cached = |name: &str, n: u8| {
+            field(&|w| {
+                w.put(&Nonce([n; 16])).bytes(&[n; 512]).str(name);
+            })
+        };
+        let consumed = |a: u8, b: u8| {
+            field(&|w| {
+                w.u64(2).put(&Nonce([a; 16])).put(&Nonce([b; 16]));
+            })
+        };
+        let (alice, dave) = (account("alice"), account("dave"));
+        let both = [alice.clone(), dave.clone()].concat();
+
+        let (mut restored, _, _) = setup();
+        assert!(restored.restore_shard_snapshot(idx, &bytes));
+        assert_eq!(restored.shard_snapshot_bytes(idx), bytes);
+        for (what, malformed) in [
+            ("an account listed twice", splice(&bytes, &dave, &alice)),
+            (
+                "two accounts out of order",
+                splice(&bytes, &both, &[dave.clone(), alice.clone()].concat()),
+            ),
+            (
+                "a cached registration listed twice",
+                splice(&bytes, &cached("dave", 2), &cached("alice", 1)),
+            ),
+            (
+                "two consumed nonces out of order",
+                splice(&bytes, &consumed(1, 2), &consumed(2, 1)),
+            ),
+        ] {
+            let (mut restored, _, _) = setup();
+            assert!(!restored.restore_shard_snapshot(idx, &malformed), "{what}");
+        }
+    }
+
     #[test]
     fn snapshot_rejects_a_zero_window() {
         // Every session has credit for at least one slot; a snapshot whose
@@ -2896,7 +1912,10 @@ mod tests {
         let idx = server.shard_for("alice");
         assert!(server.restore_shard_snapshot(idx, &bytes));
         assert_eq!(
-            server.shards[idx].sessions["sess-1-x"].reply_window.len(),
+            server.shards[idx].state.sessions["sess-1-x"]
+                .state
+                .reply_window
+                .len(),
             1
         );
         bytes[at..at + 8].copy_from_slice(&0u64.to_be_bytes());
@@ -2940,7 +1959,7 @@ mod tests {
         let (recovered, report) = WebServer::recover(server.identity(), journals, &mut rng);
         assert!(!report.shards[idx].snapshot_restored);
         assert!(!recovered.has_account("alice"));
-        assert!(recovered.shards[idx].sessions.is_empty());
+        assert!(recovered.shards[idx].state.sessions.is_empty());
         assert!(recovered.audit_log_for("alice").is_empty());
         let (empty, _, _) = setup();
         assert_eq!(
@@ -3218,7 +2237,7 @@ mod tests {
         }
         let idx = server.shard_for("alice");
         let snapshot = server.shard_snapshot_bytes(idx);
-        let (id, shard) = (&server.identity, &server.shards[idx]);
+        let (id, shard) = (&server.identity, &server.shards[idx].state);
         let mut eph = Ephemeral::new(ChaChaEntropy::from_seed([0u8; 32]));
         let mut decide = |msg: &InteractionRequest| decide_interaction(id, shard, &mut eph, msg);
         let answered = |d: Result<Decision<(ContentPage, Freshness)>, Reject>| match d {
@@ -3303,6 +2322,7 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::state::ShardState;
     use super::*;
     use crate::channel::Adversary;
     use journal::CrashProfile;
@@ -3310,11 +2330,12 @@ mod proptests {
 
     const DOMAIN: &str = "www.xyz.com";
 
-    /// The identity and shard snapshots of a server after a seeded run
+    /// A world whose server (the index beside it) ran a seeded workload
     /// over a 10%-loss channel: chaos lifecycles with crashes (closed at
-    /// the end), lock-step sessions left open, and one windowed session
-    /// left open.
-    fn lossy_snapshots(seed: u64) -> (ServerIdentity, Vec<Vec<u8>>) {
+    /// the end), then crash-free lock-step sessions left open, one of them
+    /// reset and re-bound over the wire, and one windowed session left
+    /// open.
+    fn lossy_world(seed: u64) -> (crate::World, usize) {
         let mut rng = SimRng::seed_from(seed);
         let mut world = crate::World::with_adversary(Adversary::RandomLoss { loss: 0.1 }, &mut rng);
         let sidx = world.add_server(DOMAIN, &mut rng);
@@ -3326,6 +2347,15 @@ mod proptests {
                 let crashes = CrashProfile::uniform(0.05);
                 let _ = world.run_chaos_lifecycle(device, DOMAIN, account, 6, crashes, &mut rng);
                 continue;
+            }
+            if i == 2 {
+                // The chaos lifecycles leave their crash schedule armed and
+                // the server perhaps dead: the rest of the run is crash-free.
+                let server = world.server_mut(sidx);
+                server.arm_crash_schedule(CrashSchedule::Never);
+                if server.is_crashed() {
+                    server.recover_in_place(&mut rng);
+                }
             }
             let _ = world.register(device, DOMAIN, account, &mut rng);
             if i == 4 {
@@ -3339,7 +2369,19 @@ mod proptests {
                     let _ = world.server_mut(sidx).handle_resume(&req);
                 }
             }
+            if i == 3 {
+                if let Some(password) = world.server(sidx).reset_password_for(account) {
+                    let password = password.to_owned();
+                    let _ = world.reset_and_rebind(DOMAIN, account, &password, device, &mut rng);
+                }
+            }
         }
+        (world, sidx)
+    }
+
+    /// The identity and shard snapshots of [`lossy_world`]'s server.
+    fn lossy_snapshots(seed: u64) -> (ServerIdentity, Vec<Vec<u8>>) {
+        let (world, sidx) = lossy_world(seed);
         let server = world.server(sidx);
         let snapshots = (0..server.shard_count())
             .map(|idx| server.shard_snapshot_bytes(idx))
@@ -3370,6 +2412,52 @@ mod proptests {
                 let mut longer = bytes.clone();
                 longer.push(extra);
                 prop_assert!(!fresh(&identity).restore_shard_snapshot(idx, &longer));
+            }
+        }
+
+        /// At every split point of each shard's journaled records,
+        /// applying the prefix, encoding and decoding the state, then
+        /// applying the suffix evicts what applying everything evicts and
+        /// ends in the same bytes, the live shard's; and a changed clone
+        /// leaves its original's bytes alone.
+        #[test]
+        fn apply_commutes_with_a_snapshot_round_trip(seed in any::<u64>()) {
+            let (world, sidx) = lossy_world(seed);
+            let server = world.server(sidx);
+            let id = server.identity();
+            for idx in 0..server.shard_count() {
+                let contents = server.journal(idx).read();
+                let start = match contents.snapshot.as_slice() {
+                    [] => ShardState::default(),
+                    bytes => ShardState::from_snapshot(&id, bytes).expect("snapshot decodes"),
+                };
+                let records = contents.records;
+                let mut whole = start.clone();
+                let evicted: Vec<_> = records.iter().map(|r| whole.apply(&id, r)).collect();
+                let bytes = whole.snapshot(&id);
+                prop_assert_eq!(&bytes, &server.shard_snapshot_bytes(idx));
+                let mut prefix = start;
+                for split in 0..=records.len() {
+                    let encoded = prefix.snapshot(&id);
+                    let mut state = ShardState::from_snapshot(&id, &encoded).expect("decodes");
+                    let rest: Vec<_> = records[split..].iter().map(|r| state.apply(&id, r)).collect();
+                    prop_assert_eq!(&rest[..], &evicted[split..]);
+                    prop_assert_eq!(&state.snapshot(&id), &bytes);
+                    if let Some(r) = records.get(split) {
+                        prefix.apply(&id, r);
+                    }
+                }
+                let mut copy = whole.clone();
+                copy.apply(&id, &JournalRecord::Registered {
+                    account: "zed".into(),
+                    public_key: server.public_key().to_bytes(),
+                    reset_password: "pw-zed".to_owned(),
+                    nonce: Nonce([0x5A; 16]),
+                    signature: Vec::new(),
+                    frame_hash: Digest([0; 32]),
+                });
+                prop_assert_ne!(&copy.snapshot(&id), &bytes);
+                prop_assert_eq!(&whole.snapshot(&id), &bytes);
             }
         }
     }

@@ -16,10 +16,13 @@
 //! through [`Durable`]: one impl per type writes and reads it, and the
 //! `durable!` macro derives both directions from one field list.
 
+use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
 use btd_crypto::hmac::{constant_time_eq, HmacSha256, Tag};
 use btd_crypto::nonce::Nonce;
+use btd_crypto::schnorr::Signature;
 use btd_crypto::sha256::Digest;
 
 /// Where a [`FieldWriter`] puts the bytes it encodes.
@@ -362,6 +365,102 @@ impl<T: Durable> Durable for Vec<T> {
         }
         Some(items)
     }
+}
+
+/// A `u64` field that reads back only if it fits.
+impl Durable for u32 {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.u64((*self).into());
+    }
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        u32::try_from(r.u64()?).ok()
+    }
+}
+
+/// A `u64` flag, 0 or 1.
+impl Durable for bool {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.u64((*self).into());
+    }
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        r.u64().filter(|&flag| flag < 2).map(|flag| flag == 1)
+    }
+}
+
+/// The fixed-size bytes of [`Signature::to_bytes`].
+impl Durable for Signature {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.bytes(&self.to_bytes());
+    }
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        Signature::from_bytes(r.bytes()?)
+    }
+}
+
+/// The two values, one after the other.
+impl<A: Durable, B: Durable> Durable for (A, B) {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        w.put(&self.0).put(&self.1);
+    }
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        Some((r.get()?, r.get()?))
+    }
+}
+
+/// A `u64` count, then the pairs in ascending key order.
+impl<K: Durable + Ord + Hash + Clone, V: Durable> Durable for HashMap<K, V> {
+    fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
+        put_sorted(w, self, |w, v| {
+            w.put(v);
+        });
+    }
+    fn get(r: &mut FieldReader<'_>) -> Option<Self> {
+        get_sorted(r, |r| r.get())
+    }
+}
+
+/// Writes `map` as a `u64` count, then each key followed by what `put`
+/// writes for its value, in ascending key order: equal maps encode
+/// identically whatever their hash order.
+pub(crate) fn put_sorted<K, V, S>(
+    w: &mut FieldWriter<S>,
+    map: &HashMap<K, V>,
+    mut put: impl FnMut(&mut FieldWriter<S>, &V),
+) where
+    K: Durable + Ord,
+    S: Sink,
+{
+    let mut pairs: Vec<_> = map.iter().collect();
+    pairs.sort_by(|a, b| a.0.cmp(b.0));
+    w.u64(pairs.len() as u64);
+    for (k, v) in pairs {
+        w.put(k);
+        put(w, v);
+    }
+}
+
+/// Reads what [`put_sorted`] wrote, each value through `get`. Keys must
+/// strictly ascend, so a map has one encoding: a repeated or out-of-order
+/// key is malformed.
+pub(crate) fn get_sorted<K, V>(
+    r: &mut FieldReader<'_>,
+    mut get: impl FnMut(&mut FieldReader<'_>) -> Option<V>,
+) -> Option<HashMap<K, V>>
+where
+    K: Durable + Ord + Hash + Clone,
+{
+    // The count is untrusted: grow as pairs arrive, never reserve it.
+    let mut map = HashMap::new();
+    let mut last: Option<K> = None;
+    for _ in 0..r.u64()? {
+        let key: K = r.get()?;
+        if last.as_ref().is_some_and(|l| *l >= key) {
+            return None;
+        }
+        map.insert(key.clone(), get(r)?);
+        last = Some(key);
+    }
+    Some(map)
 }
 
 /// Implements [`Durable`] from one field list in wire order, so the

@@ -12,8 +12,8 @@ use std::fmt;
 
 use crate::entropy::EntropySource;
 
-/// A 128-bit protocol nonce.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// A 128-bit protocol nonce, ordered by its bytes.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nonce(pub [u8; 16]);
 
 impl Nonce {
