@@ -50,19 +50,21 @@ pub struct Config {
     /// Markers in function names whose bodies must iterate maps in a
     /// canonical order (snapshot/digest/export paths).
     pub ordered_fn_markers: Vec<&'static str>,
-    /// Journal discipline: the file holding the sharded durable state,
+    /// Journal discipline: the file holding the shard's durable state,
     /// the durable field names, and the functions allowed to mutate them.
     pub durable_file: &'static str,
     pub durable_fields: Vec<&'static str>,
-    /// Identifiers a durable-field access hangs off (`shard.accounts…`,
+    /// Identifiers a durable-field access hangs off (`self.accounts…`,
     /// `self.shards[idx].accounts…`). Anchoring on the receiver keeps
     /// field-name collisions on unrelated structs (e.g. a stats struct
     /// with a `sessions` count) from firing.
     pub durable_receivers: Vec<&'static str>,
     pub durable_mutators: Vec<&'static str>,
-    /// Storage sync discipline (durable file only): any function calling
-    /// a reply marker must have called a sync marker earlier in its body
-    /// — a reply must never leave before its record is durably synced.
+    /// Storage sync discipline, in the file holding the commit path: any
+    /// function calling a reply marker must have called a sync marker
+    /// earlier in its body — a reply must never leave before its record
+    /// is durably synced.
+    pub commit_file: &'static str,
     pub reply_markers: Vec<&'static str>,
     pub sync_markers: Vec<&'static str>,
     /// Metrics/trace parity: crate prefix, the `ProtocolMetrics` counter
@@ -124,7 +126,7 @@ impl Default for Config {
                 },
                 SecretType {
                     name: "Session",
-                    defined_in: "crates/core/src/server/mod.rs",
+                    defined_in: "crates/core/src/server/state.rs",
                     containment: false,
                     why: "holds the raw session MAC key",
                 },
@@ -163,29 +165,27 @@ impl Default for Config {
             deterministic: vec!["crates/", "tests/", "examples/"],
             thread_pool_files: vec!["crates/core/src/parallel.rs"],
             ordered_fn_markers: vec!["snapshot", "digest", "export", "canonical"],
-            durable_file: "crates/core/src/server/mod.rs",
+            durable_file: "crates/core/src/server/state.rs",
             durable_fields: vec![
                 "accounts",
                 "sessions",
                 "reg_cache",
-                "reg_order",
                 "login_cache",
                 "resume_cache",
                 "reset_cache",
-                "reset_order",
                 "consumed",
                 "audit",
                 "session_counter",
             ],
-            durable_receivers: vec!["shard", "sh"],
+            durable_receivers: vec!["self", "state"],
             durable_mutators: vec![
-                // The journal-then-apply path itself plus its one helper,
-                // and snapshot restore (replaying durable state wholesale
+                // `ShardState::apply`, the journal-then-apply path, and the
+                // snapshot decoder (replaying durable state wholesale
                 // during recovery is the other legitimate writer).
-                "apply_record",
-                "remove_binding",
-                "decode_shard_snapshot",
+                "apply",
+                "from_snapshot",
             ],
+            commit_file: "crates/core/src/server/mod.rs",
             reply_markers: vec!["pre_reply_crash"],
             sync_markers: vec![
                 // `journal_append` ends in the shard sync barrier; the

@@ -31,7 +31,7 @@
 //! |---|---|---|
 //! | secret containment | `secret-debug-derive`, `secret-outside-trust`, `secret-format-leak`, `secret-payload-field` | secrets stay behind the FLock boundary and out of all formatted/serialized output |
 //! | determinism | `wall-clock`, `os-thread`, `os-random`, `unordered-iteration` | same seed ⇒ byte-identical runs |
-//! | journal discipline | `journal-discipline` | durable state mutates only in `apply_record` |
+//! | journal discipline | `journal-discipline` | durable state mutates only in `ShardState::apply` |
 //! | storage sync discipline | `storage-sync-before-reply` | a reply never leaves before its record is synced |
 //! | metrics/trace parity | `metrics-trace-parity` | counters move only in the `ProtocolMetrics::observe` fold of trace events, so `derive_metrics` reconciles exactly |
 //! | dataflow | `secret-taint`, `determinism-reach` | no secret value reaches a sink through renames or calls; nothing a sim entry reaches is nondeterministic |

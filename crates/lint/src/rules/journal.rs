@@ -1,13 +1,13 @@
 //! Family 3 — journal discipline.
 //!
 //! Crash recovery is replay: `WebServer::recover` rebuilds durable state
-//! by re-applying journal records through the same `apply_record` the live
-//! handlers use. That only works if `apply_record` (and its helpers) are
-//! the *only* code mutating durable shard fields — a handler that pokes a
-//! shard directly creates state the journal cannot reproduce, which is a
-//! silent crash-consistency bug. This rule makes the convention mechanical:
-//! any mutation of a durable field outside the allowed functions is a
-//! finding.
+//! by re-applying journal records through the same `ShardState::apply`
+//! the live handlers use. That only works if `apply` (and the snapshot
+//! decoder) are the *only* code mutating durable shard fields — code that
+//! pokes the state directly creates state the journal cannot reproduce,
+//! which is a silent crash-consistency bug. This rule makes the
+//! convention mechanical: in the durable-state file, any mutation of a
+//! durable field outside the allowed functions is a finding.
 
 use crate::config::Config;
 use crate::findings::Finding;
@@ -52,7 +52,7 @@ pub fn check(file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
         if !cfg.durable_fields.contains(&id.as_str()) || !super::preceded_by_dot(tokens, i) {
             continue;
         }
-        // Anchor on the receiver: `shard.accounts…` / `sh.accounts…` /
+        // Anchor on the receiver: `self.accounts…` / `state.accounts…` /
         // `…shards[idx].accounts…`. An unrelated struct that happens to
         // share a field name (`st.sessions += …`) is not durable state.
         let receiver_ok = i >= 2
@@ -78,8 +78,8 @@ pub fn check(file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
             t.line,
             format!(
                 "durable shard field `.{id}` mutated in {where_}; durable state may only \
-                 change inside `apply_record` (journal-then-apply), or recovery replay \
-                 cannot reproduce it"
+                 change inside `ShardState::apply` (journal-then-apply), or recovery \
+                 replay cannot reproduce it"
             ),
         ));
     }

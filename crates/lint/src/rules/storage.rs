@@ -6,9 +6,9 @@
 //! may still lose — the one ordering bug the whole journal-then-apply
 //! design exists to prevent, and one that no test catches until a fault
 //! schedule happens to land on the gap. This rule makes the ordering
-//! mechanical: in the durable-state file, every function that calls a
-//! reply marker must have called a sync marker earlier in its body
-//! (`journal_append` counts: it ends in the shard sync barrier).
+//! mechanical: in the file holding the commit path, every function that
+//! calls a reply marker must have called a sync marker earlier in its
+//! body (`journal_append` counts: it ends in the shard sync barrier).
 
 use crate::config::Config;
 use crate::findings::Finding;
@@ -16,7 +16,7 @@ use crate::lexer::Tok;
 use crate::model::{fn_spans, SourceFile};
 
 pub fn check(file: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
-    if !file.rel_path.contains(cfg.durable_file) {
+    if !file.rel_path.contains(cfg.commit_file) {
         return;
     }
     let tokens = file.tokens();

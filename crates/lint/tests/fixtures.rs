@@ -402,7 +402,7 @@ impl Book {
 #[test]
 fn journal_discipline() {
     check_pair(
-        "crates/core/src/server/mod.rs",
+        "crates/core/src/server/state.rs",
         include_str!("fixtures/journal_discipline/bad.rs"),
         include_str!("fixtures/journal_discipline/good.rs"),
         "journal-discipline",

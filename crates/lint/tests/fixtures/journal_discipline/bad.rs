@@ -1,10 +1,9 @@
-//! BAD: a live handler mutates a durable shard field directly, creating
-//! state the journal never saw. Staged at `crates/core/src/server/mod.rs`
-//! by the test harness.
+//! BAD: a method beside `apply` mutates a durable field directly,
+//! creating state the journal never saw. Staged at
+//! `crates/core/src/server/state.rs` by the test harness.
 
-impl WebServer {
-    fn handle_login(&mut self, account: &str) {
-        let idx = self.shard_for(account);
-        self.shards[idx].accounts.insert(account.to_owned(), 1);
+impl ShardState {
+    fn open_session(&mut self, account: &str) {
+        self.accounts.insert(account.to_owned(), 1);
     }
 }

@@ -1,17 +1,14 @@
-//! GOOD: handlers append a journal record; only `apply_record` touches
-//! durable state. Staged at `crates/core/src/server/mod.rs` by the test
-//! harness.
+//! GOOD: only `apply` touches durable state, one journal record at a
+//! time; other methods read it. Staged at
+//! `crates/core/src/server/state.rs` by the test harness.
 
-impl WebServer {
-    fn handle_login(&mut self, account: &str) {
-        let record = JournalRecord::login(account);
-        self.journal.append(&record);
-        self.apply_record(&record);
+impl ShardState {
+    fn apply(&mut self, record: &JournalRecord) {
+        self.accounts.insert(record.account().to_owned(), 1);
+        self.session_counter += 1;
     }
 
-    fn apply_record(&mut self, record: &JournalRecord) {
-        let shard = &mut self.shards[self.shard_for(record.account())];
-        shard.accounts.insert(record.account().to_owned(), 1);
-        shard.session_counter += 1;
+    fn account_count(&self) -> usize {
+        self.accounts.len()
     }
 }
