@@ -188,8 +188,8 @@ pub(super) fn decide_login(
         return Err(Reject::RiskTerminated);
     }
 
-    // The counters themselves only advance in apply_record, so the live
-    // path and journal replay agree on the session id.
+    // Only `ShardState::apply` advances the counters, so the live path
+    // and journal replay agree on the session id.
     let mut tag = [0u8; 16];
     eph.entropy.fill(&mut tag);
     let session_id: Arc<str> = Arc::from(format!("sess-{}-{}", opened + 1, Nonce(tag)));
@@ -334,18 +334,16 @@ pub(super) fn decide_resume(
         // The byte-identical case was answered from the cache.
         return Err(Reject::Replay);
     }
-    let last_reply = if msg.last_seq == s.state.expected_seq {
+    let base = s.state.expected_seq;
+    let last_reply = if msg.last_seq == base {
         // Fully in sync; the device just needs the current nonce.
         None
-    } else if msg.last_seq.checked_add(1) == Some(s.state.expected_seq) {
+    } else if msg.last_seq.checked_add(1) == Some(base) {
         // Behind by one with no cached reply: nothing to heal with, the
         // device must treat the session as lost.
-        let cache = s
-            .state
-            .window_reply(msg.last_seq)
-            .ok_or(Reject::UnknownSession)?;
-        Some(cache.reply.clone())
-    } else if msg.last_seq < s.state.expected_seq {
+        let cache = s.state.window_reply(msg.last_seq);
+        Some(cache.ok_or(Reject::UnknownSession)?.reply.clone())
+    } else if msg.last_seq < base {
         return Err(Reject::Replay);
     } else {
         // The device claims acks from the future.
@@ -355,8 +353,8 @@ pub(super) fn decide_resume(
         session_id: msg.session_id.clone(),
         account: msg.account.clone(),
         device_nonce: msg.nonce,
-        nonce: window_nonce(&s.key, s.state.expected_seq),
-        seq: s.state.expected_seq,
+        nonce: window_nonce(&s.key, base),
+        seq: base,
         last_reply,
         mac: Digest([0; 32]),
     };

@@ -413,8 +413,8 @@ pub enum JournalRecord {
         /// The session MAC key, sealed under the server's recovery key
         /// (ChaCha20 keyed by the recovery key, stream nonce derived from
         /// the consumed login nonce, HMAC-SHA256 tagged). The journal
-        /// holds no raw secrets; `apply_record` unseals on live apply and
-        /// on recovery replay alike.
+        /// holds no raw secrets; `ShardState::apply` unseals on live apply
+        /// and on recovery replay alike.
         sealed_session_key: Vec<u8>,
         /// Negotiated interaction window for the session, its credit: up
         /// to `w >= 1` interactions in flight (1 is the lock-step

@@ -46,7 +46,6 @@ pub mod storage;
 pub use state::AuditEntry;
 
 use std::collections::{HashMap, HashSet, VecDeque};
-use std::sync::Arc;
 
 use btd_crypto::cert::Certificate;
 use btd_crypto::entropy::{ChaChaEntropy, EntropySource};
@@ -96,7 +95,7 @@ const SYNC_ATTEMPTS: u64 = 4;
 pub const DEFAULT_SHARDS: usize = 4;
 
 /// LRU watermark for the registration/reset idempotency caches (entries
-/// per shard). Eviction happens inside `apply_record`, so replay
+/// per shard). Eviction happens inside `ShardState::apply`, so replay
 /// reproduces it deterministically without explicit eviction records.
 pub const DEFAULT_CACHE_WATERMARK: usize = 64;
 
@@ -198,18 +197,6 @@ pub struct ServerIdentity {
     /// stop-and-wait flow; `w > 1` lets the pipelined engine keep up to
     /// `w` interactions in flight.
     interaction_window: u64,
-}
-
-impl ServerIdentity {
-    /// The serving domain.
-    pub fn domain(&self) -> &str {
-        &self.domain
-    }
-
-    /// How many shards the journal segments are laid out over.
-    pub fn shard_count(&self) -> usize {
-        self.shard_count
-    }
 }
 
 /// The state a decision may change: process-local draws that are never
@@ -536,6 +523,11 @@ impl WebServer {
         shard_index(account, self.shards.len())
     }
 
+    /// The durable state of the shard that owns `account`.
+    fn state_for(&self, account: &str) -> &ShardState {
+        &self.shards[self.shard_for(account)].state
+    }
+
     /// Number of bound accounts, across shards.
     pub fn account_count(&self) -> usize {
         self.shards.iter().map(|s| s.state.accounts.len()).sum()
@@ -543,21 +535,16 @@ impl WebServer {
 
     /// Whether `account` is bound.
     pub fn has_account(&self, account: &str) -> bool {
-        self.shards[self.shard_for(account)]
-            .state
-            .accounts
-            .contains_key(account)
+        self.state_for(account).accounts.contains_key(account)
     }
 
     /// The audit log, flattened across shards: accounts in sorted order,
     /// each account's entries in append order.
     pub fn audit_log(&self) -> Vec<AuditEntry> {
-        let mut per_account: Vec<(&Arc<str>, &Vec<AuditEntry>)> =
-            self.shards.iter().flat_map(|s| &s.state.audit).collect();
-        per_account.sort_by(|a, b| a.0.cmp(b.0));
-        per_account
+        let entries = |account| self.audit_log_for(account).iter().cloned();
+        self.audit_accounts()
             .into_iter()
-            .flat_map(|(_, entries)| entries.iter().cloned())
+            .flat_map(entries)
             .collect()
     }
 
@@ -576,12 +563,8 @@ impl WebServer {
     /// One account's audit entries, in append order (the batch-audit
     /// window).
     pub fn audit_log_for(&self, account: &str) -> &[AuditEntry] {
-        self.shards[self.shard_for(account)]
-            .state
-            .audit
-            .get(account)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        let entries = self.state_for(account).audit.get(account);
+        entries.map_or(&[], |v| v.as_slice())
     }
 
     /// Resident (evictable) state counts, for boundedness assertions.
@@ -925,11 +908,8 @@ impl WebServer {
     /// The account's fallback reset password (out-of-band channel in the
     /// real deployment; exposed for the reset experiment).
     pub fn reset_password_for(&self, account: &str) -> Option<&str> {
-        self.shards[self.shard_for(account)]
-            .state
-            .accounts
-            .get(account)
-            .map(|a| a.reset_password.as_str())
+        let record = self.state_for(account).accounts.get(account);
+        record.map(|a| a.reset_password.as_str())
     }
 
     /// Handles a login submission (Fig. 10, step 3): verifies nonce and
@@ -1115,8 +1095,9 @@ impl WebServer {
         let mut report = RecoveryReport::default();
         for idx in 0..server.shards.len() {
             let contents = server.shards[idx].journal.read();
-            let mut shard_report = ShardRecovery {
-                snapshot_restored: false,
+            let shard_report = ShardRecovery {
+                snapshot_restored: !contents.snapshot.is_empty()
+                    && server.restore_shard_snapshot(idx, &contents.snapshot),
                 records_replayed: contents.records.len(),
                 records_skipped: contents.skipped,
                 quarantined: !contents.corrupt_segments.is_empty(),
@@ -1126,10 +1107,6 @@ impl WebServer {
             // its salvaged state stays readable, but nothing new may be
             // built on top of a log we know lost certified records.
             server.shards[idx].quarantined = shard_report.quarantined;
-            if !contents.snapshot.is_empty() {
-                shard_report.snapshot_restored =
-                    server.restore_shard_snapshot(idx, &contents.snapshot);
-            }
             for rec in &contents.records {
                 debug_assert_eq!(
                     server.shard_for(rec.shard_account()),
@@ -1237,13 +1214,11 @@ impl WebServer {
     /// snapshot does not decode, which leaves the shard as it was. The
     /// journal segment and its quarantine verdict are not snapshot state.
     fn restore_shard_snapshot(&mut self, idx: usize, bytes: &[u8]) -> bool {
-        match ShardState::from_snapshot(&self.identity, bytes) {
-            Some(state) => {
-                self.shards[idx].state = state;
-                true
-            }
-            None => false,
-        }
+        let Some(state) = ShardState::from_snapshot(&self.identity, bytes) else {
+            return false;
+        };
+        self.shards[idx].state = state;
+        true
     }
 }
 
@@ -2344,7 +2319,7 @@ mod proptests {
 
     /// A server with `identity`'s keys and empty shards.
     fn fresh(identity: &ServerIdentity) -> WebServer {
-        let journals = (0..identity.shard_count()).map(|_| Journal::in_memory());
+        let journals = (0..identity.shard_count).map(|_| Journal::in_memory());
         let mut rng = SimRng::seed_from(0);
         WebServer::recover(identity.clone(), journals.collect(), &mut rng).0
     }

@@ -1,17 +1,9 @@
-//! A shard's durable state as a value.
-//!
-//! [`ShardState`] holds what the shard's journal rebuilds: accounts,
-//! sessions, the four idempotency caches, consumed nonces, the audit log
-//! and the session counter. It holds no journal and does no I/O, so it can
-//! be cloned, and [`ShardState::apply`] is its one mutator: live handling
-//! and recovery replay apply the same records through it.
-//!
-//! Its snapshot is its encoding. Every nested value is written and read by
-//! a `Durable` impl: `durable!` field lists, maps in ascending key order
-//! ([`wire::put_sorted`]) and the LRU caches in eviction order ([`Lru`]).
-//! Two pieces are written by hand because reading them needs the server's
-//! identity: an account's public-key group element, and a session's key,
-//! sealed under the recovery key.
+//! A shard's durable state as a value: [`ShardState`] holds no journal,
+//! can be cloned, and changes only through [`ShardState::apply`], which
+//! live handling and recovery replay share. Its snapshot is its encoding,
+//! built from `Durable` impls; only an account's public-key group element
+//! and a session's sealed key, which need the server's identity to read,
+//! are written by hand.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -69,17 +61,11 @@ pub(super) struct Session {
 }
 
 // `key` is the live session MAC key; a derived Debug would copy it into
-// any `{:?}` of the server. Everything else here is safe to show.
+// any `{:?}` of the server.
 impl std::fmt::Debug for Session {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Session")
-            .field("account", &self.account)
-            .field(
-                "key",
-                &format_args!("<{}-byte key redacted>", self.key.len()),
-            )
-            .field("state", &self.state)
-            .finish()
+        let Session { account, state, .. } = self;
+        write!(f, "Session({account}, key <redacted>, {state:?})")
     }
 }
 
@@ -232,9 +218,12 @@ impl<V> Lru<V> {
 
     /// Inserts `entry` under `nonce`, then evicts past the watermark,
     /// forgetting each evicted nonce in `consumed`. Returns how many left.
+    /// A nonce keeps its place if it is cached already, so `order` lists
+    /// each nonce once and every snapshot restores.
     fn insert(&mut self, nonce: Nonce, entry: V, consumed: &mut ReplayGuard) -> u64 {
-        self.map.insert(nonce, entry);
-        self.order.push_back(nonce);
+        if self.map.insert(nonce, entry).is_none() {
+            self.order.push_back(nonce);
+        }
         let mut evicted = 0;
         while self.map.len() > DEFAULT_CACHE_WATERMARK {
             let Some(old) = self.order.pop_front() else {
@@ -307,6 +296,10 @@ impl ShardState {
         id: &ServerIdentity,
         rec: &JournalRecord,
     ) -> Option<(CacheKind, u64)> {
+        let mut log = |entry: AuditEntry| {
+            let account = entry.account.clone();
+            self.audit.entry(account).or_default().push(entry);
+        };
         let evicted = match rec {
             JournalRecord::Registered {
                 account,
@@ -324,17 +317,14 @@ impl ShardState {
                 };
                 self.accounts.insert(account.clone(), record);
                 self.consumed.mark_consumed(*nonce);
-                self.audit
-                    .entry(account.clone())
-                    .or_default()
-                    .push(AuditEntry {
-                        account: account.clone(),
-                        expected_path: Arc::from("/register"),
-                        frame_hash: *frame_hash,
-                        action: Arc::from("register"),
-                        risk: RiskReport::fresh_login(),
-                        lookback: 1,
-                    });
+                log(AuditEntry {
+                    account: account.clone(),
+                    expected_path: Arc::from("/register"),
+                    frame_hash: *frame_hash,
+                    action: Arc::from("register"),
+                    risk: RiskReport::fresh_login(),
+                    lookback: 1,
+                });
                 // A signature that does not parse caches nothing.
                 let entry = (Signature::from_bytes(signature)?, account.to_string());
                 let evicted = self.reg_cache.insert(*nonce, entry, &mut self.consumed);
@@ -362,17 +352,14 @@ impl ShardState {
                 };
                 self.session_counter += 1;
                 self.consumed.mark_consumed(*nonce);
-                self.audit
-                    .entry(reply.account.clone())
-                    .or_default()
-                    .push(AuditEntry {
-                        account: reply.account.clone(),
-                        expected_path: Arc::from("/login"),
-                        frame_hash: *frame_hash,
-                        action: Arc::from("login"),
-                        risk: *risk,
-                        lookback: 1,
-                    });
+                log(AuditEntry {
+                    account: reply.account.clone(),
+                    expected_path: Arc::from("/login"),
+                    frame_hash: *frame_hash,
+                    action: Arc::from("login"),
+                    risk: *risk,
+                    lookback: 1,
+                });
                 let session = Session {
                     account: reply.account.clone(),
                     key,
@@ -411,17 +398,14 @@ impl ShardState {
                 // exact.
                 let session = self.sessions.get_mut(&reply.session_id);
                 let lookback = session.as_ref().map_or(1, |s| s.state.window);
-                self.audit
-                    .entry(reply.account.clone())
-                    .or_default()
-                    .push(AuditEntry {
-                        account: reply.account.clone(),
-                        expected_path: expected_path.clone(),
-                        frame_hash: *frame_hash,
-                        action: action.clone(),
-                        risk: *risk,
-                        lookback,
-                    });
+                log(AuditEntry {
+                    account: reply.account.clone(),
+                    expected_path: expected_path.clone(),
+                    frame_hash: *frame_hash,
+                    action: action.clone(),
+                    risk: *risk,
+                    lookback,
+                });
                 let s = &mut session?.state;
                 // `reply.seq` is `slot + 1`, so the served slot is one
                 // less.
@@ -578,9 +562,9 @@ const SEAL_LABEL: &[u8] = b"trust-seal-session-key-v1";
 /// ChaCha20 stream nonce for sealing: the first 12 bytes of the consumed
 /// login nonce, which is unique per login (the replay guard enforces it).
 fn seal_stream_nonce(login_nonce: &Nonce) -> [u8; 12] {
-    let mut n = [0u8; 12];
-    n.copy_from_slice(&login_nonce.as_bytes()[..12]);
-    n
+    login_nonce.0[..12]
+        .try_into()
+        .expect("a nonce has 16 bytes")
 }
 
 /// Seals a session MAC key for durable storage (journal records and shard
@@ -617,17 +601,9 @@ pub(super) fn open_session_key(
     login_nonce: &Nonce,
     sealed: &[u8],
 ) -> Option<Vec<u8>> {
-    if sealed.len() < 32 {
-        return None;
-    }
-    let (ciphertext, tag) = sealed.split_at(sealed.len() - 32);
+    let (ciphertext, tag) = sealed.split_at(sealed.len().checked_sub(32)?);
     let expect = seal_tag(recovery_key, login_nonce, ciphertext);
-    if !btd_crypto::hmac::constant_time_eq(expect.as_bytes(), tag) {
-        return None;
-    }
-    Some(btd_crypto::chacha20::decrypt(
-        recovery_key,
-        &seal_stream_nonce(login_nonce),
-        ciphertext,
-    ))
+    btd_crypto::hmac::constant_time_eq(expect.as_bytes(), tag).then(|| {
+        btd_crypto::chacha20::decrypt(recovery_key, &seal_stream_nonce(login_nonce), ciphertext)
+    })
 }

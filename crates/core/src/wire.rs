@@ -408,7 +408,7 @@ impl<A: Durable, B: Durable> Durable for (A, B) {
 }
 
 /// A `u64` count, then the pairs in ascending key order.
-impl<K: Durable + Ord + Hash + Clone, V: Durable> Durable for HashMap<K, V> {
+impl<K: Durable + Ord + Hash, V: Durable> Durable for HashMap<K, V> {
     fn put<S: Sink>(&self, w: &mut FieldWriter<S>) {
         put_sorted(w, self, |w, v| {
             w.put(v);
@@ -422,14 +422,11 @@ impl<K: Durable + Ord + Hash + Clone, V: Durable> Durable for HashMap<K, V> {
 /// Writes `map` as a `u64` count, then each key followed by what `put`
 /// writes for its value, in ascending key order: equal maps encode
 /// identically whatever their hash order.
-pub(crate) fn put_sorted<K, V, S>(
+pub(crate) fn put_sorted<K: Durable + Ord, V, S: Sink>(
     w: &mut FieldWriter<S>,
     map: &HashMap<K, V>,
     mut put: impl FnMut(&mut FieldWriter<S>, &V),
-) where
-    K: Durable + Ord,
-    S: Sink,
-{
+) {
     let mut pairs: Vec<_> = map.iter().collect();
     pairs.sort_by(|a, b| a.0.cmp(b.0));
     w.u64(pairs.len() as u64);
@@ -442,25 +439,17 @@ pub(crate) fn put_sorted<K, V, S>(
 /// Reads what [`put_sorted`] wrote, each value through `get`. Keys must
 /// strictly ascend, so a map has one encoding: a repeated or out-of-order
 /// key is malformed.
-pub(crate) fn get_sorted<K, V>(
+pub(crate) fn get_sorted<K: Durable + Ord + Hash, V>(
     r: &mut FieldReader<'_>,
     mut get: impl FnMut(&mut FieldReader<'_>) -> Option<V>,
-) -> Option<HashMap<K, V>>
-where
-    K: Durable + Ord + Hash + Clone,
-{
+) -> Option<HashMap<K, V>> {
     // The count is untrusted: grow as pairs arrive, never reserve it.
-    let mut map = HashMap::new();
-    let mut last: Option<K> = None;
+    let mut pairs: Vec<(K, V)> = Vec::new();
     for _ in 0..r.u64()? {
-        let key: K = r.get()?;
-        if last.as_ref().is_some_and(|l| *l >= key) {
-            return None;
-        }
-        map.insert(key.clone(), get(r)?);
-        last = Some(key);
+        pairs.push((r.get()?, get(r)?));
     }
-    Some(map)
+    let ascending = pairs.windows(2).all(|p| p[0].0 < p[1].0);
+    ascending.then(|| pairs.into_iter().collect())
 }
 
 /// Implements [`Durable`] from one field list in wire order, so the
