@@ -8,7 +8,7 @@
 
 use std::sync::Arc;
 
-use btd_crypto::bignum::U2048;
+use btd_crypto::bignum::{LIMBS, U2048};
 use btd_crypto::cert::Role;
 use btd_crypto::entropy::EntropySource;
 use btd_crypto::nonce::Nonce;
@@ -129,9 +129,12 @@ pub(super) fn decide_registration(
     if shard.accounts.contains_key(msg.account.as_str()) {
         return Err(Reject::AccountExists);
     }
-    // Honest keys are `g^x`. A key of order 2 or 2q (`p−1`, `−g^x`) is
-    // refused like a bad signature: the subgroup test is a Jacobi symbol,
-    // cheaper than the signature check above.
+    // Honest keys are `g^x`. A key wider than 2048 bits, or of order 2
+    // or 2q (`p−1`, `−g^x`), is refused like a bad signature: the subgroup
+    // test is a Jacobi symbol, cheaper than the signature check above.
+    if msg.user_public.len() > LIMBS * 8 {
+        return Err(Reject::BadSignature);
+    }
     let element = U2048::from_be_bytes(&msg.user_public);
     let group = id.keys.public_key().group();
     if !group.in_subgroup(&element) {

@@ -354,31 +354,70 @@ fn out_of_subgroup_user_keys_are_refused_at_registration() {
         (g_x, Ok(())),
     ];
     for (i, (element, verdict)) in keys.into_iter().enumerate() {
-        let hello = world.server_mut(0).hello("/register");
-        let account = format!("odd-key-{i}");
-        let frame_hash = btd_crypto::sha256::Digest([7; 32]);
         let user_public = element.to_be_bytes().to_vec();
-        let bytes = RegistrationSubmit::signed_bytes(
-            &hello.domain,
-            &account,
-            &hello.nonce,
-            &frame_hash,
-            &user_public,
-        );
-        let flock = world.device_mut(d).flock_mut();
-        let submit = RegistrationSubmit {
-            domain: hello.domain.clone(),
-            account,
-            nonce: hello.nonce,
-            frame_hash,
-            user_public,
-            device_cert: flock.certificate().unwrap().clone(),
-            signature: flock.sign_with_device_key(&bytes),
-        };
+        let submit = certified_registration(&mut world, d, &format!("odd-key-{i}"), user_public);
         let result = world.server_mut(0).handle_registration(&submit);
         assert_eq!(result.map(|_| ()), verdict, "key {i}");
     }
     assert_eq!(world.server(0).account_count(), 1, "only the honest key");
+}
+
+#[test]
+fn oversized_user_keys_are_refused_at_registration() {
+    // A certified device signs a registration whose per-site key is wider
+    // than 2048 bits. The server must refuse it like a bad signature, not
+    // fail decoding it: even a leading zero byte in front of an honest key
+    // makes 257 bytes.
+    let mut rng = SimRng::seed_from(28);
+    let mut world = World::new(&mut rng);
+    world.add_server("www.xyz.com", &mut rng);
+    let d = world.add_device("phone-1", 42, &mut rng);
+    let group = btd_crypto::group::DhGroup::test_512();
+    let mut entropy = btd_crypto::entropy::ChaChaEntropy::from_u64_seed(28);
+    let honest = group
+        .pow_g(&group.random_scalar(&mut entropy))
+        .to_be_bytes()
+        .to_vec();
+    let mut padded = vec![0u8];
+    padded.extend_from_slice(&honest);
+    for (i, user_public) in [padded, vec![0xFF; 300]].into_iter().enumerate() {
+        let submit = certified_registration(&mut world, d, &format!("wide-key-{i}"), user_public);
+        let result = world.server_mut(0).handle_registration(&submit);
+        assert_eq!(result.map(|_| ()), Err(Reject::BadSignature), "key {i}");
+    }
+    let submit = certified_registration(&mut world, d, "honest-key", honest);
+    assert!(world.server_mut(0).handle_registration(&submit).is_ok());
+    assert_eq!(world.server(0).account_count(), 1, "only the honest key");
+}
+
+/// A registration for `account` carrying `user_public`, with a fresh
+/// hello's nonce, signed by device `d`'s certified FLock key: genuine in
+/// every field the server checks before the key itself.
+fn certified_registration(
+    world: &mut World,
+    d: usize,
+    account: &str,
+    user_public: Vec<u8>,
+) -> RegistrationSubmit {
+    let hello = world.server_mut(0).hello("/register");
+    let frame_hash = btd_crypto::sha256::Digest([7; 32]);
+    let bytes = RegistrationSubmit::signed_bytes(
+        &hello.domain,
+        account,
+        &hello.nonce,
+        &frame_hash,
+        &user_public,
+    );
+    let flock = world.device_mut(d).flock_mut();
+    RegistrationSubmit {
+        domain: hello.domain.clone(),
+        account: account.to_owned(),
+        nonce: hello.nonce,
+        frame_hash,
+        user_public,
+        device_cert: flock.certificate().unwrap().clone(),
+        signature: flock.sign_with_device_key(&bytes),
+    }
 }
 
 /// Seals `plaintext` the way `btd_crypto::elgamal::seal` does, but with an
