@@ -16,8 +16,8 @@
 //! * **Same seed, any worker count, byte-identical output.** N=1 must
 //!   equal N=8 bit-for-bit in [`ParallelRun::export_jsonl`] and
 //!   [`ParallelRun::state_digest`]. Workers finish in nondeterministic
-//!   order; the merge recombines per-shard results by a stable sort on
-//!   `(logical time, shard id, sequence)`, a pure function of the
+//!   order; the merge recombines per-shard results in
+//!   `(logical time, shard id, sequence)` order, a pure function of the
 //!   per-shard data.
 //! * **Logical clocks, not wall clocks.** Each shard's clock ticks once
 //!   per round-robin sweep of its lifecycles; events drained after a step
@@ -57,7 +57,7 @@ use crate::server::storage::DiskFaultProfile;
 use crate::telemetry::{
     self, profile_spans, HealthEngine, HealthReport, SeriesPoint, ShardSampler, SpanProfile,
 };
-use crate::trace::{derive_metrics, event_json, TraceEvent, Tracer};
+use crate::trace::{derive_metrics, write_event_json, TraceEvent, Tracer};
 use crate::wire::signing_bytes;
 
 /// Domain every shard world serves; fixed so account → shard routing is
@@ -114,17 +114,20 @@ impl ParallelConfig {
 }
 
 /// One trace event stamped by its shard's logical clock: `lt` is the
-/// round-robin sweep the event fired in, `seq` the shard tracer's own
-/// monotonic id. `(lt, shard, seq)` is the total merge order.
+/// round-robin sweep the event fired in. The event's own id, which the
+/// shard's tracer assigns in recording order, is its shard-local sequence
+/// number `seq`, and `(lt, shard, seq)` is the total merge order.
 #[derive(Clone, PartialEq, Debug)]
 pub struct StampedEvent {
     /// Logical time: the owning shard's sweep counter at drain.
     pub lt: u64,
-    /// Shard-local sequence: the tracer-assigned event id.
-    pub seq: u64,
     /// The event itself, untouched.
     pub event: TraceEvent,
 }
+
+// A fleet run holds one merged entry per traced event, so the entry's size
+// is most of the trace's resident memory.
+const _: () = assert!(std::mem::size_of::<(usize, StampedEvent)>() <= 88);
 
 /// Everything one shard's simulation produced. Independent of worker
 /// count by construction: the shard's world, RNG, clock, and tracer are
@@ -153,7 +156,8 @@ pub struct ShardRun {
     pub elapsed: SimDuration,
     /// SHA-256 of this shard's canonical snapshot bytes.
     pub digest: Digest,
-    /// The shard's full stamped trace, in recording order.
+    /// The shard's full stamped trace, in recording order, so ascending
+    /// in `(lt, seq)`; held at its exact length.
     pub events: Vec<StampedEvent>,
     /// The shard's sampled telemetry series, ascending `lt` (empty when
     /// `sample_interval == 0`).
@@ -171,7 +175,7 @@ pub struct ParallelRun {
     /// Per-shard results, ascending shard id. Their `events` have been
     /// moved into `merged`.
     pub shard_runs: Vec<ShardRun>,
-    /// Every shard's events, stably sorted by `(lt, shard, seq)`.
+    /// Every shard's events, ascending in `(lt, shard, seq)`.
     pub merged: Vec<(usize, StampedEvent)>,
 }
 
@@ -294,6 +298,8 @@ pub fn run_shard(cfg: &ParallelConfig, shard: usize) -> ShardRun {
     // Span closes recorded by the final steps are already drained; catch
     // any stragglers at one tick past the last sweep.
     drain_at(lt + 1, &tracer, sampler.as_mut(), &mut events);
+    // The stream stays resident until the merge: drop its growth slack.
+    events.shrink_to_fit();
     // A final forced point at the straggler tick carries the run's
     // cumulative totals (what `telemetry::reconcile` checks against the
     // live metrics).
@@ -345,11 +351,7 @@ fn drain_at(
         if let Some(s) = sampler.as_deref_mut() {
             s.observe_event(&event);
         }
-        events.push(StampedEvent {
-            lt,
-            seq: event.id,
-            event,
-        });
+        events.push(StampedEvent { lt, event });
     });
 }
 
@@ -359,8 +361,8 @@ fn drain_at(
 /// Worker `w` owns shards `{s : s % workers == w}` and runs them back to
 /// back on its own thread. Workers push finished [`ShardRun`]s into a
 /// shared vector in completion order — the only nondeterminism in the
-/// whole run — and the merge immediately sorts by shard id, then by
-/// `(lt, shard, seq)` for the event stream, erasing it.
+/// whole run — and the merge immediately sorts them by shard id, then
+/// orders the event stream by `(lt, shard, seq)`, erasing it.
 ///
 /// # Panics
 ///
@@ -406,17 +408,42 @@ fn run_worker<'s, 'e>(
 }
 
 impl ParallelRun {
-    /// Merges per-shard runs (ascending shard id) into the global trace
-    /// order: a stable sort by `(lt, shard, seq)`. Pure in the shard-run
-    /// set, so any worker schedule producing the same shards merges to
-    /// the same bytes.
+    /// Merges per-shard runs (ascending shard id, each stream ascending in
+    /// `(lt, seq)` as [`run_shard`] records it) into the global trace
+    /// order, ascending in `(lt, shard, seq)`. Pure in the shard-run set,
+    /// so any worker schedule producing the same shards merges to the
+    /// same bytes.
+    ///
+    /// A linear merge: for each logical time in turn, it moves every
+    /// shard's batch stamped with that time, shards in ascending order,
+    /// into `merged`, which is allocated once at its exact length. The
+    /// key is unique, so this is the order a stable sort by it gives.
     pub fn merge(config: ParallelConfig, mut shard_runs: Vec<ShardRun>) -> ParallelRun {
-        let mut merged: Vec<(usize, StampedEvent)> = Vec::new();
-        for run in shard_runs.iter_mut() {
-            let events = std::mem::take(&mut run.events);
-            merged.extend(events.into_iter().map(|e| (run.shard, e)));
+        debug_assert!(shard_runs.windows(2).all(|w| w[0].shard < w[1].shard));
+        debug_assert!(shard_runs.iter().all(|r| r.events.windows(2).all(|w| (
+            w[0].lt,
+            w[0].event.id
+        ) < (
+            w[1].lt,
+            w[1].event.id
+        ))));
+        let total = shard_runs.iter().map(|r| r.events.len()).sum();
+        let mut merged = Vec::with_capacity(total);
+        let mut streams: Vec<(usize, std::vec::IntoIter<StampedEvent>)> = shard_runs
+            .iter_mut()
+            .map(|run| (run.shard, std::mem::take(&mut run.events).into_iter()))
+            .collect();
+        while let Some(lt) = streams
+            .iter()
+            .filter_map(|(_, stream)| stream.as_slice().first())
+            .map(|e| e.lt)
+            .min()
+        {
+            for (shard, stream) in &mut streams {
+                let batch = stream.as_slice().iter().take_while(|e| e.lt == lt).count();
+                merged.extend(stream.by_ref().take(batch).map(|e| (*shard, e)));
+            }
         }
-        merged.sort_by_key(|(shard, e)| (e.lt, *shard, e.seq));
         ParallelRun {
             config,
             shard_runs,
@@ -431,13 +458,13 @@ impl ParallelRun {
     pub fn export_jsonl(&self) -> String {
         let mut out = String::new();
         for (shard, e) in &self.merged {
-            out.push_str(&format!(
-                "{{\"lt\":{},\"worker_shard\":{},\"seq\":{},\"event\":{}}}\n",
-                e.lt,
-                shard,
-                e.seq,
-                event_json(&e.event)
-            ));
+            let _ = write!(
+                out,
+                "{{\"lt\":{},\"worker_shard\":{shard},\"seq\":{},\"event\":",
+                e.lt, e.event.id
+            );
+            write_event_json(&mut out, &e.event);
+            out.push_str("}\n");
         }
         out
     }
@@ -467,8 +494,7 @@ impl ParallelRun {
     /// Re-derives the fleet metrics from the merged trace alone — must
     /// equal [`ParallelRun::fleet_metrics`] (trace/metrics parity).
     pub fn derived_metrics(&self) -> ProtocolMetrics {
-        let events: Vec<TraceEvent> = self.merged.iter().map(|(_, e)| e.event.clone()).collect();
-        derive_metrics(&events)
+        derive_metrics(self.merged.iter().map(|(_, e)| &e.event))
     }
 
     /// Round-trip latency of every served interaction, fleet-wide.
@@ -565,7 +591,11 @@ impl ParallelRun {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use crate::trace::{event_json, CtxArgs, EventKind};
+    use proptest::prelude::*;
 
     fn small_cfg(workers: usize) -> ParallelConfig {
         ParallelConfig {
@@ -658,11 +688,134 @@ mod tests {
         let keys: Vec<_> = run
             .merged
             .iter()
-            .map(|(shard, e)| (e.lt, *shard, e.seq))
+            .map(|(shard, e)| (e.lt, *shard, e.event.id))
             .collect();
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
+    }
+
+    /// A shard run holding `events` and nothing else.
+    fn bare_shard_run(shard: usize, events: Vec<StampedEvent>) -> ShardRun {
+        ShardRun {
+            shard,
+            accounts: 0,
+            served: 0,
+            completed: 0,
+            crashes: 0,
+            audit_mismatches: 0,
+            failures: Vec::new(),
+            metrics: ProtocolMetrics::default(),
+            elapsed: SimDuration::ZERO,
+            digest: Digest([0; 32]),
+            events,
+            series: Vec::new(),
+            modexps: ModexpCounts::default(),
+        }
+    }
+
+    /// Shard streams as `run_shard` records them: shard `i` of `streams`
+    /// gets id `2i + 1` (ids need not be contiguous), one tracer, and an
+    /// event per `(lt step, context)` entry, stamped at the running sum of
+    /// the steps. Steps of 0 make long runs at one `lt`, shared by shards.
+    fn generated_shard_runs(streams: &[Vec<(u64, u8)>]) -> Vec<ShardRun> {
+        let sessions: [Arc<str>; 2] = [Arc::from("sess-1"), Arc::from("sess-\"2\"")];
+        streams
+            .iter()
+            .enumerate()
+            .map(|(i, stream)| {
+                let tracer = Tracer::enabled();
+                let mut lt = 0;
+                let mut events = Vec::new();
+                for &(step, ctx) in stream {
+                    lt += step;
+                    let account = format!("acct-{}", ctx % 3);
+                    let args = CtxArgs {
+                        account: (ctx % 4 != 3).then_some(account.as_str().into()),
+                        session: (ctx % 2 == 1)
+                            .then(|| (&sessions[usize::from(ctx % 4 / 2)]).into()),
+                        shard: (ctx % 5 == 0).then_some(i),
+                        seq: (ctx % 3 == 0).then_some(u64::from(ctx)),
+                    };
+                    tracer.record_with(
+                        args,
+                        EventKind::Send {
+                            attempt: u32::from(ctx),
+                        },
+                    );
+                    tracer.drain_each(|event| events.push(StampedEvent { lt, event }));
+                }
+                bare_shard_run(2 * i + 1, events)
+            })
+            .collect()
+    }
+
+    /// The merge as a stable sort by `(lt, shard, seq)` over every shard's
+    /// events, exported line by line through `event_json`: the reference
+    /// the linear merge and the streaming export must reproduce.
+    fn sorted_reference(shard_runs: &[ShardRun]) -> (Vec<(usize, StampedEvent)>, String) {
+        let mut merged: Vec<(usize, StampedEvent)> = shard_runs
+            .iter()
+            .flat_map(|r| r.events.iter().map(|e| (r.shard, e.clone())))
+            .collect();
+        merged.sort_by_key(|(shard, e)| (e.lt, *shard, e.event.id));
+        let export = merged
+            .iter()
+            .map(|(shard, e)| {
+                format!(
+                    "{{\"lt\":{},\"worker_shard\":{},\"seq\":{},\"event\":{}}}\n",
+                    e.lt,
+                    shard,
+                    e.event.id,
+                    event_json(&e.event)
+                )
+            })
+            .collect();
+        (merged, export)
+    }
+
+    fn assert_merge_matches_the_stable_sort(streams: &[Vec<(u64, u8)>]) {
+        let shard_runs = generated_shard_runs(streams);
+        let (merged, export) = sorted_reference(&shard_runs);
+        let run = ParallelRun::merge(small_cfg(1), shard_runs);
+        assert_eq!(run.merged, merged);
+        assert_eq!(run.merged.capacity(), merged.len(), "merged at exact size");
+        assert_eq!(run.export_jsonl(), export);
+        assert!(run.shard_runs.iter().all(|r| r.events.is_empty()));
+    }
+
+    #[test]
+    fn merge_matches_the_stable_sort_on_edge_streams() {
+        let shared_lt: Vec<(u64, u8)> = (0..5).map(|c| (0, c)).collect();
+        let cases: Vec<Vec<Vec<(u64, u8)>>> = vec![
+            vec![],
+            vec![vec![]],
+            vec![vec![], vec![], vec![]],
+            vec![vec![(4, 1)]],
+            vec![vec![(0, 0), (1, 1), (1, 2), (3, 3)]],
+            vec![vec![(2, 0)], vec![], vec![(0, 1)], vec![(2, 2)]],
+            vec![shared_lt.clone(); 12],
+            vec![shared_lt, vec![(0, 7), (5, 8)], vec![], vec![(1, 9)]],
+        ];
+        for streams in &cases {
+            assert_merge_matches_the_stable_sort(streams);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// On any shard streams `run_shard` could record, the linear merge
+        /// gives the stable sort's entries and export bytes.
+        #[test]
+        fn merge_matches_the_stable_sort_on_generated_streams(
+            streams in proptest::collection::vec(
+                proptest::collection::vec((prop_oneof![Just(0u64), 0u64..4], any::<u8>()), 0..24),
+                0..12,
+            ),
+        ) {
+            assert_merge_matches_the_stable_sort(&streams);
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::Arc;
 
 use crate::metrics::{ProtocolMetrics, LATENCY_BUCKET_MS};
 use crate::server::WebServer;
@@ -732,11 +731,11 @@ struct OpenFrame {
 /// invariant. Costs are the modeled wire times the trace already
 /// carries: `Served.rtt_nanos`, plus `Timeout`/`CorruptReject` backoffs.
 pub fn profile_spans<'a>(events: impl IntoIterator<Item = (usize, &'a TraceEvent)>) -> SpanProfile {
-    type StackKey = (usize, Option<Arc<str>>);
+    type StackKey<'a> = (usize, Option<&'a str>);
     let mut stacks: BTreeMap<StackKey, Vec<OpenFrame>> = BTreeMap::new();
     let mut agg: BTreeMap<(usize, String), (u64, u64, u64)> = BTreeMap::new();
     for (shard, ev) in events {
-        let key: StackKey = (shard, ev.ctx.account.clone());
+        let key: StackKey = (shard, ev.ctx.account());
         match &ev.kind {
             EventKind::SpanOpen { span } => {
                 stacks.entry(key).or_default().push(OpenFrame {

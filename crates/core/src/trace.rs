@@ -41,7 +41,7 @@
 //!   shared causal prefix as context.
 
 use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt::Write as _;
 use std::rc::Rc;
 use std::sync::Arc;
@@ -51,27 +51,59 @@ use crate::metrics::{Phase, ProtocolMetrics};
 use crate::server::journal::CrashPoint;
 
 /// Context attached to every event: which account/session/shard/sequence
-/// number the protocol was working for when the event fired. Fields are
+/// number the protocol was working for when the event fired. Each part is
 /// optional because layers know different amounts (a channel fault during
 /// a hello fetch has no session yet; a journal append knows its shard).
-/// The strings are shared: the events a span records point at the copy
-/// the span made when it opened, and a fleet run's trace crosses threads.
+///
+/// Packed into 32 bytes, since a fleet run holds one per traced event:
+/// the account and session live together in one shared allocation that
+/// every event of a span, and every span with the same names, points at;
+/// the shard is held in 32 bits.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct TraceCtx {
+    names: Option<Arc<CtxNames>>,
+    seq: Option<u64>,
+    shard: Option<u32>,
+}
+
+/// The strings of a [`TraceCtx`], shared by reference count: a fleet
+/// run's trace crosses threads.
+#[derive(PartialEq, Eq, Debug)]
+struct CtxNames {
+    account: Option<Arc<str>>,
+    session: Option<Arc<str>>,
+}
+
+impl TraceCtx {
     /// Account the flow serves, when known.
-    pub account: Option<Arc<str>>,
+    pub fn account(&self) -> Option<&str> {
+        self.names.as_ref()?.account.as_deref()
+    }
+
     /// Live session id, when one exists.
-    pub session: Option<Arc<str>>,
+    pub fn session(&self) -> Option<&str> {
+        self.names.as_ref()?.session.as_deref()
+    }
+
     /// Shard the event touched (journal/recovery events).
-    pub shard: Option<usize>,
+    pub fn shard(&self) -> Option<usize> {
+        self.shard.map(|s| s as usize)
+    }
+
     /// Interaction sequence number, when inside an interaction.
-    pub seq: Option<u64>,
+    pub fn seq(&self) -> Option<u64> {
+        self.seq
+    }
 }
 
 /// Borrowed context arguments: call sites hand these to [`Tracer::open`]
 /// / [`Tracer::record_with`] so a *disabled* tracer never allocates the
 /// owned strings, and an enabled one shares the strings a caller already
 /// holds as `Arc<str>` instead of copying them.
+///
+/// # Panics
+///
+/// An enabled tracer panics on a `shard` that does not fit in 32 bits.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CtxArgs<'a> {
     /// Account the flow serves, when known.
@@ -106,7 +138,14 @@ impl<'a> From<&'a Arc<str>> for CtxStr<'a> {
     }
 }
 
-impl CtxStr<'_> {
+impl<'a> CtxStr<'a> {
+    fn as_str(self) -> &'a str {
+        match self {
+            CtxStr::Borrowed(s) => s,
+            CtxStr::Shared(s) => s,
+        }
+    }
+
     fn to_shared(self) -> Arc<str> {
         match self {
             CtxStr::Borrowed(s) => Arc::from(s),
@@ -129,15 +168,6 @@ impl<'a> CtxArgs<'a> {
         CtxArgs {
             shard: Some(shard),
             ..CtxArgs::default()
-        }
-    }
-
-    fn to_owned_ctx(self) -> TraceCtx {
-        TraceCtx {
-            account: self.account.map(CtxStr::to_shared),
-            session: self.session.map(CtxStr::to_shared),
-            shard: self.shard,
-            seq: self.seq,
         }
     }
 }
@@ -466,6 +496,11 @@ pub struct TraceEvent {
 struct TraceBuf {
     events: VecDeque<TraceEvent>,
     ctx_stack: Vec<TraceCtx>,
+    /// The names each account's contexts last used: without a session,
+    /// and with its latest one. A context with the same names shares them
+    /// instead of allocating its own, so an interaction's span costs no
+    /// allocation once its session's first span has made them.
+    names: BTreeMap<Arc<str>, AccountNames>,
     next_id: u64,
     /// Ring-buffer bound: at `Some(cap)` the buffer keeps only the most
     /// recent `cap` events, evicting the oldest on overflow. `None` (the
@@ -491,6 +526,72 @@ impl TraceBuf {
     fn current_ctx(&self) -> TraceCtx {
         self.ctx_stack.last().cloned().unwrap_or_default()
     }
+
+    /// The owned context for `args`, sharing the names an earlier context
+    /// with the same account and session made.
+    fn ctx(&mut self, args: CtxArgs<'_>) -> TraceCtx {
+        let shard = args
+            .shard
+            .map(|s| u32::try_from(s).expect("trace context shard fits in 32 bits"));
+        TraceCtx {
+            names: self.names(args.account, args.session),
+            seq: args.seq,
+            shard,
+        }
+    }
+
+    fn names(
+        &mut self,
+        account: Option<CtxStr<'_>>,
+        session: Option<CtxStr<'_>>,
+    ) -> Option<Arc<CtxNames>> {
+        let Some(account) = account else {
+            return session.map(|s| {
+                Arc::new(CtxNames {
+                    account: None,
+                    session: Some(s.to_shared()),
+                })
+            });
+        };
+        if !self.names.contains_key(account.as_str()) {
+            let shared = account.to_shared();
+            self.names.insert(
+                Arc::clone(&shared),
+                AccountNames {
+                    account: shared,
+                    bare: None,
+                    with_session: None,
+                },
+            );
+        }
+        let known = self
+            .names
+            .get_mut(account.as_str())
+            .expect("inserted above");
+        let slot = if session.is_some() {
+            &mut known.with_session
+        } else {
+            &mut known.bare
+        };
+        match slot {
+            Some(names) if names.session.as_deref() == session.map(CtxStr::as_str) => {}
+            _ => {
+                *slot = Some(Arc::new(CtxNames {
+                    account: Some(Arc::clone(&known.account)),
+                    session: session.map(CtxStr::to_shared),
+                }));
+            }
+        }
+        slot.clone()
+    }
+}
+
+/// One account's cached context names ([`TraceBuf::names`]).
+#[derive(Debug)]
+struct AccountNames {
+    account: Arc<str>,
+    bare: Option<Arc<CtxNames>>,
+    with_session: Option<Arc<CtxNames>>,
 }
 
 /// A cheap, cloneable handle to a shared trace buffer. Disabled by
@@ -566,7 +667,9 @@ impl Tracer {
     /// driver, whose spans would not nest).
     pub fn record_with(&self, ctx: CtxArgs<'_>, kind: EventKind) {
         if let Some(inner) = &self.inner {
-            inner.borrow_mut().push(ctx.to_owned_ctx(), kind);
+            let mut buf = inner.borrow_mut();
+            let ctx = buf.ctx(ctx);
+            buf.push(ctx, kind);
         }
     }
 
@@ -577,7 +680,7 @@ impl Tracer {
     pub fn open(&self, span: SpanKind, ctx: CtxArgs<'_>) {
         if let Some(inner) = &self.inner {
             let mut buf = inner.borrow_mut();
-            let owned = ctx.to_owned_ctx();
+            let owned = buf.ctx(ctx);
             buf.push(owned.clone(), EventKind::SpanOpen { span });
             buf.ctx_stack.push(owned);
         }
@@ -742,18 +845,19 @@ fn span_json(out: &mut String, span: SpanKind) {
     }
 }
 
-fn write_event_json(out: &mut String, ev: &TraceEvent) {
+/// Appends [`event_json`]'s line for `ev` to `out`.
+pub(crate) fn write_event_json(out: &mut String, ev: &TraceEvent) {
     let _ = write!(out, "{{\"id\":{}", ev.id);
-    if let Some(a) = &ev.ctx.account {
+    if let Some(a) = ev.ctx.account() {
         json_str_field(out, "account", a);
     }
-    if let Some(s) = &ev.ctx.session {
+    if let Some(s) = ev.ctx.session() {
         json_str_field(out, "session", s);
     }
-    if let Some(sh) = ev.ctx.shard {
+    if let Some(sh) = ev.ctx.shard() {
         let _ = write!(out, ",\"shard\":{sh}");
     }
-    if let Some(seq) = ev.ctx.seq {
+    if let Some(seq) = ev.ctx.seq() {
         let _ = write!(out, ",\"seq\":{seq}");
     }
     match &ev.kind {
@@ -908,12 +1012,15 @@ fn write_event_json(out: &mut String, ev: &TraceEvent) {
 /// [`ProtocolMetrics::observe`] fold the live flows apply at each emit
 /// point, replayed over the recorded events. `Served` events carry exact
 /// nanosecond round trips, so for any traced run `derive_metrics(events)`
-/// equals the sum of the live per-flow metrics.
-pub fn derive_metrics(events: &[TraceEvent]) -> ProtocolMetrics {
-    events.iter().fold(ProtocolMetrics::default(), |mut m, ev| {
-        m.observe(&ev.kind);
-        m
-    })
+/// equals the sum of the live per-flow metrics. It folds borrowed events,
+/// so a caller holding them in another layout never copies the trace.
+pub fn derive_metrics<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> ProtocolMetrics {
+    events
+        .into_iter()
+        .fold(ProtocolMetrics::default(), |mut m, ev| {
+            m.observe(&ev.kind);
+            m
+        })
 }
 
 // --- Trace diff ------------------------------------------------------------
@@ -993,7 +1100,7 @@ impl<'a> TraceQuery<'a> {
     pub fn by_account(&self, account: &str) -> Vec<&'a TraceEvent> {
         self.events
             .iter()
-            .filter(|e| e.ctx.account.as_deref() == Some(account))
+            .filter(|e| e.ctx.account() == Some(account))
             .collect()
     }
 
@@ -1001,7 +1108,7 @@ impl<'a> TraceQuery<'a> {
     pub fn by_session(&self, session: &str) -> Vec<&'a TraceEvent> {
         self.events
             .iter()
-            .filter(|e| e.ctx.session.as_deref() == Some(session))
+            .filter(|e| e.ctx.session() == Some(session))
             .collect()
     }
 
@@ -1024,17 +1131,13 @@ impl<'a> TraceQuery<'a> {
     pub fn causal_chain(&self, account: &str, seq: u64) -> Vec<&'a TraceEvent> {
         self.events
             .iter()
-            .filter(|e| e.ctx.account.as_deref() == Some(account) && e.ctx.seq == Some(seq))
+            .filter(|e| e.ctx.account() == Some(account) && e.ctx.seq() == Some(seq))
             .collect()
     }
 
     /// Accounts that appear in the trace, sorted and deduplicated.
     pub fn accounts(&self) -> Vec<&'a str> {
-        let mut names: Vec<&str> = self
-            .events
-            .iter()
-            .filter_map(|e| e.ctx.account.as_deref())
-            .collect();
+        let mut names: Vec<&str> = self.events.iter().filter_map(|e| e.ctx.account()).collect();
         names.sort_unstable();
         names.dedup();
         names
@@ -1166,7 +1269,7 @@ pub fn describe(ev: &TraceEvent) -> String {
             }
         }
     };
-    if let Some(seq) = ev.ctx.seq {
+    if let Some(seq) = ev.ctx.seq() {
         let _ = write!(s, " [seq {seq}]");
     }
     s
@@ -1204,8 +1307,8 @@ mod tests {
         );
         t.close(SpanKind::Interact(0), Outcome::Success);
         for ev in t.events() {
-            assert!(Arc::ptr_eq(ev.ctx.account.as_ref().unwrap(), &account));
-            assert!(Arc::ptr_eq(ev.ctx.session.as_ref().unwrap(), &session));
+            assert!(std::ptr::eq(ev.ctx.account().unwrap(), &*account));
+            assert!(std::ptr::eq(ev.ctx.session().unwrap(), &*session));
         }
     }
 
@@ -1226,8 +1329,8 @@ mod tests {
         t.record(EventKind::Resync);
         let events = t.events();
         assert_eq!(events.len(), 4);
-        assert_eq!(events[1].ctx.account.as_deref(), Some("alice"));
-        assert_eq!(events[1].ctx.seq, Some(3));
+        assert_eq!(events[1].ctx.account(), Some("alice"));
+        assert_eq!(events[1].ctx.seq(), Some(3));
         // After the close, the context is popped.
         assert_eq!(events[3].ctx, TraceCtx::default());
         // Ids are monotonic.

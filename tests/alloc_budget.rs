@@ -6,8 +6,9 @@
 //! side) and pins the allocations and bytes requested by every register,
 //! login, interaction and close step of one honest and one 10%-loss
 //! lifecycle, the set-up of one device (FLock provisioning and the
-//! owner's enrolment), and the totals of one traced shard of a fleet run,
-//! the path the wall-clock benchmark measures. A change that adds or
+//! owner's enrolment), the totals of one traced shard of a fleet run,
+//! the path the wall-clock benchmark measures, and the merge of a fleet's
+//! shard traces and its trace/metrics check. A change that adds or
 //! removes an allocation on the Fig. 10 path moves the pin; move it
 //! deliberately, in the same commit.
 //!
@@ -29,7 +30,7 @@ use btd_crypto::sha256::Digest;
 use btd_sim::rng::SimRng;
 use trust_core::channel::{Adversary, Channel};
 use trust_core::chaos::{ChaosReport, DeviceLifecycle};
-use trust_core::parallel::{run_shard, ParallelConfig};
+use trust_core::parallel::{run_shard, ParallelConfig, ParallelRun, ShardRun, StampedEvent};
 use trust_core::scenario::{World, DEFAULT_ACTIONS};
 use trust_core::server::journal::{CrashProfile, Journal, JournalRecord};
 
@@ -357,6 +358,39 @@ fn traced_shard_allocations_are_pinned() {
         got.allocs_per_interaction(),
         got.bytes_per_interaction(),
     );
+}
+
+/// The merge allocates the merged trace once, at its exact length, plus
+/// one small vector of shard cursors, and copies no entry into any other
+/// buffer; re-deriving the fleet metrics from the merged trace, which the
+/// benchmark checks after every repetition, allocates nothing.
+#[test]
+fn merge_allocates_the_trace_once_and_parity_allocates_nothing() {
+    let mut cfg = ParallelConfig::new(0x5EED, 16, 4, 1);
+    cfg.touches = 8;
+    let merge_cfg = cfg.clone();
+    let shard_runs: Vec<ShardRun> = (0..cfg.shards).map(|s| run_shard(&cfg, s)).collect();
+    let total: usize = shard_runs.iter().map(|r| r.events.len()).sum();
+    assert!(total > 0, "the shards must be traced");
+
+    let before = COUNTS.with(Cell::get);
+    let run = ParallelRun::merge(merge_cfg, shard_runs);
+    let after = COUNTS.with(Cell::get);
+    assert_eq!(run.merged.len(), total);
+    assert_eq!(run.merged.capacity(), total);
+    let entries = total * size_of::<(usize, StampedEvent)>();
+    let cursors = cfg.shards * size_of::<(usize, std::vec::IntoIter<StampedEvent>)>();
+    assert_eq!(
+        (after.0 - before.0, after.1 - before.1),
+        (2, (entries + cursors) as u64),
+        "merge allocations moved ({total} entries)"
+    );
+
+    let before = COUNTS.with(Cell::get);
+    let derived = run.derived_metrics();
+    let after = COUNTS.with(Cell::get);
+    assert_eq!(derived, run.fleet_metrics());
+    assert_eq!(after.0 - before.0, 0, "derived_metrics allocated");
 }
 
 /// Honest sends (and independent loss and jitter, which filter and delay

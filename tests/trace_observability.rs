@@ -162,10 +162,12 @@ fn query_slices_and_causal_chains_cover_the_trace() {
         .any(|e| matches!(e.kind, EventKind::Send { .. })));
 
     // Session filters recover every interaction recorded under a session.
-    let with_session: Vec<&TraceEvent> =
-        events.iter().filter(|e| e.ctx.session.is_some()).collect();
+    let with_session: Vec<&TraceEvent> = events
+        .iter()
+        .filter(|e| e.ctx.session().is_some())
+        .collect();
     if let Some(ev) = with_session.first() {
-        let sid = ev.ctx.session.as_deref().unwrap();
+        let sid = ev.ctx.session().unwrap();
         assert!(!q.by_session(sid).is_empty());
     }
 }
