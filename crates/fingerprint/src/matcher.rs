@@ -235,14 +235,16 @@ impl TemplateSet {
     }
 }
 
-/// The buffers matching needs, kept across calls so that matching every
-/// touch allocates little: the best Hough bins, the bins that reached two
-/// votes, the scoring `Workspace`, and the observed minutiae in the key
-/// pass's lane layout. [`MatchScratch::reserve_for`] sizes them for a
-/// template set up front.
-/// The vote table itself (`VoteTable`, 34 KB for 58 × 19 pairs) is
-/// allocated once per match call and shared by its templates: kept on
-/// every device, it would stay resident on each.
+/// The buffers matching needs, kept across calls so that matching a
+/// certified template set allocates nothing once they have grown: the
+/// Hough vote table, the best bins, the bins that reached two votes, the
+/// scoring `Workspace`, and the observed minutiae in the key pass's lane
+/// layout. [`MatchScratch::reserve_for`] sizes all but the vote table for
+/// a template set up front. The vote table grows to the most pairs a call
+/// has needed (34 KB for 58 × 19 pairs): reserved for the 58 × 58 pairs a
+/// 58-point template bounds, it would take 86 KB on every device, most of
+/// it never used, since observations are a sensor patch's worth of
+/// minutiae.
 ///
 /// Between calls the buffers still hold minutiae derived from the last
 /// template matched, so a scratch belongs with the templates it matches
@@ -257,6 +259,7 @@ pub struct MatchScratch {
     /// The observed minutiae with their directions' `sin_cos`, four to an
     /// entry (filled only for a certified call).
     observed_lanes: Vec<ObservedLanes>,
+    table: VoteTable,
     work: Workspace,
 }
 
@@ -348,13 +351,13 @@ impl MatchScratch {
         }
         let obs_bound = bounding_radius(observed);
         let most_pairs = templates.iter().map(Template::len).max().unwrap_or(0) * observed.len();
-        let mut table = VoteTable::for_pairs(most_pairs);
+        self.table.reserve(most_pairs);
         let mut best: Option<(usize, MatchResult)> = None;
         let mut rest = &set.direction_trig[..];
         for (i, template) in templates.iter().enumerate() {
             let (trig, later) = rest.split_at(template.len());
             rest = later;
-            self.vote(&mut table, template, trig, observed, config, fast);
+            self.vote(template, trig, observed, config, fast);
             // Evaluate the top few bins — vote quantization occasionally
             // splits the true transform across neighbouring bins, and
             // committing to a single bin causes catastrophic genuine
@@ -393,7 +396,6 @@ impl MatchScratch {
     #[inline(never)]
     fn vote(
         &mut self,
-        table: &mut VoteTable,
         template: &Template,
         template_trig: &[(f64, f64)],
         observed: &[Minutia],
@@ -402,6 +404,7 @@ impl MatchScratch {
     ) {
         let pairs = template.len() * observed.len();
         let slot_bits = VoteTable::slot_bits(pairs);
+        let table = &mut self.table;
         let slots = &mut table.slots;
         slots.clear();
         slots.resize(1 << slot_bits, 0);
@@ -489,8 +492,9 @@ impl MatchScratch {
     }
 }
 
-/// The Hough vote table, sized for one pair count and reused for any
-/// smaller one, so it never grows while in use.
+/// The Hough vote table, reserved for the most pairs a call votes and
+/// reused for any fewer, so it never grows while in use.
+#[derive(Default)]
 struct VoteTable {
     /// Open addressing: each slot holds 1 + an index into `bins`, 0 marks
     /// an empty slot.
@@ -500,11 +504,13 @@ struct VoteTable {
 }
 
 impl VoteTable {
-    fn for_pairs(pairs: usize) -> Self {
-        VoteTable {
-            slots: Vec::with_capacity(1 << VoteTable::slot_bits(pairs)),
-            bins: Vec::with_capacity(pairs),
-        }
+    /// Grows the table, to exactly what is asked, when it holds fewer
+    /// than `pairs` votes.
+    fn reserve(&mut self, pairs: usize) {
+        self.slots.clear();
+        self.slots.reserve_exact(1 << VoteTable::slot_bits(pairs));
+        self.bins.clear();
+        self.bins.reserve_exact(pairs);
     }
 
     /// log2 of the slot count for `pairs` votes: at most half full, for
