@@ -649,7 +649,7 @@ mod tests {
         let r1 = flock.domain_record("bank.com").unwrap();
         let r2 = flock.domain_record("mail.com").unwrap();
         // Not assert_ne!: on failure it would print both secret scalars.
-        let keys_differ = r1.user_secret != r2.user_secret;
+        let keys_differ = r1.keys.secret_scalar() != r2.keys.secret_scalar();
         assert!(keys_differ, "per-site keys must differ");
     }
 

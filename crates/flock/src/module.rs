@@ -6,7 +6,7 @@
 //! relaying with hashing, the continuous-authentication pipeline, and the
 //! identity-transfer flow (paper §IV, "Identity Transfer").
 
-use btd_crypto::bignum::U2048;
+use btd_crypto::bignum::{LIMBS, U2048};
 use btd_crypto::cert::Certificate;
 use btd_crypto::elgamal::SealedBox;
 use btd_crypto::entropy::ChaChaEntropy;
@@ -250,14 +250,15 @@ impl FlockModule {
         server_key: &PublicKey,
     ) -> Result<PublicKey, StorageError> {
         let keys = self.crypto.generate_keypair();
+        let public = keys.public_key().clone();
         let record = DomainRecord {
             domain: domain.to_owned(),
             account: account.to_owned(),
-            user_secret: *keys.secret_scalar(),
+            keys,
             server_key: server_key.clone(),
         };
         self.storage.put_record(record)?;
-        Ok(keys.public_key().clone())
+        Ok(public)
     }
 
     /// The stored record for `domain`.
@@ -265,11 +266,9 @@ impl FlockModule {
         self.storage.record(domain)
     }
 
-    /// Reconstructs the key pair for `domain`.
-    pub fn domain_keypair(&self, domain: &str) -> Option<KeyPair> {
-        self.storage
-            .record(domain)
-            .map(|r| KeyPair::from_secret(self.group, r.user_secret))
+    /// The key pair for `domain`.
+    pub fn domain_keypair(&self, domain: &str) -> Option<&KeyPair> {
+        self.storage.record(domain).map(|r| &r.keys)
     }
 
     /// Number of registered domains.
@@ -285,8 +284,8 @@ impl FlockModule {
 
     /// Signs with a domain key pair, or `None` if the domain is unknown.
     pub fn sign_with_domain_key(&mut self, domain: &str, message: &[u8]) -> Option<Signature> {
-        let keys = self.domain_keypair(domain)?;
-        Some(self.crypto.sign(&keys, message))
+        let record = self.storage.record(domain)?;
+        Some(self.crypto.sign(&record.keys, message))
     }
 
     /// The crypto processor (for the protocol layer's seal/open/MAC needs
@@ -363,6 +362,13 @@ fn get_bytes<'a>(input: &mut &'a [u8]) -> Option<&'a [u8]> {
     Some(head)
 }
 
+/// A length-prefixed big-endian number, or `None` if it is wider than
+/// 2048 bits.
+fn get_u2048(input: &mut &[u8]) -> Option<U2048> {
+    let bytes = get_bytes(input)?;
+    (bytes.len() <= LIMBS * 8).then(|| U2048::from_be_bytes(bytes))
+}
+
 fn encode_identity(owner: u64, templates: &[Template], records: &[DomainRecord]) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&owner.to_be_bytes());
@@ -385,7 +391,7 @@ fn encode_identity(owner: u64, templates: &[Template], records: &[DomainRecord])
     for r in records {
         put_bytes(&mut out, r.domain.as_bytes());
         put_bytes(&mut out, r.account.as_bytes());
-        put_bytes(&mut out, &r.user_secret.to_be_bytes());
+        put_bytes(&mut out, &r.keys.secret_scalar().to_be_bytes());
         put_bytes(&mut out, &r.server_key.to_bytes());
     }
     out
@@ -432,15 +438,15 @@ fn decode_identity(
     for _ in 0..n_records {
         let domain = String::from_utf8(get_bytes(&mut input)?.to_vec()).ok()?;
         let account = String::from_utf8(get_bytes(&mut input)?.to_vec()).ok()?;
-        let secret = U2048::from_be_bytes(get_bytes(&mut input)?);
-        let server_element = U2048::from_be_bytes(get_bytes(&mut input)?);
-        if !group.contains(&server_element) {
+        let secret = get_u2048(&mut input)?;
+        let server_element = get_u2048(&mut input)?;
+        if secret.is_zero() || &secret >= group.order() || !group.contains(&server_element) {
             return None;
         }
         records.push(DomainRecord {
             domain,
             account,
-            user_secret: secret,
+            keys: KeyPair::from_secret(group, secret),
             server_key: PublicKey::from_element(group, server_element),
         });
     }
@@ -545,13 +551,7 @@ mod tests {
         let msg = b"post-transfer request";
         let sig = new.sign_with_domain_key("www.xyz.com", msg).unwrap();
         let old_record = old.domain_record("www.xyz.com").unwrap();
-        let site_pub = PublicKey::from_element(
-            DhGroup::test_512(),
-            *KeyPair::from_secret(DhGroup::test_512(), old_record.user_secret)
-                .public_key()
-                .element(),
-        );
-        assert!(site_pub.verify(msg, &sig));
+        assert!(old_record.keys.public_key().verify(msg, &sig));
     }
 
     #[test]
@@ -588,7 +588,7 @@ mod tests {
         let (owner, templates, records) =
             decode_identity(&encode_identity(9, &[], &[]), group).unwrap();
         // The identity blob is secret-bearing (encode_identity ->
-        // DomainRecord.user_secret), and field-insensitive taint smears
+        // DomainRecord.keys), and field-insensitive taint smears
         // onto every binding destructured from it; `owner` is the plain
         // u64 account id, so printing it on failure leaks nothing.
         // trust-lint: allow(secret-taint) -- owner is the non-secret half of the decoded tuple

@@ -9,8 +9,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use btd_crypto::bignum::U2048;
-use btd_crypto::schnorr::PublicKey;
+use btd_crypto::schnorr::{KeyPair, PublicKey};
 
 /// A per-web-site identity record (paper Figure 9's "User–Domain Record").
 #[derive(Clone)]
@@ -19,15 +18,17 @@ pub struct DomainRecord {
     pub domain: String,
     /// The user's account identifier on that server.
     pub account: String,
-    /// The secret scalar of the per-site key pair (the public half is
-    /// recomputable).
-    pub user_secret: U2048,
+    /// The per-site key pair. Flash holds only its secret scalar (the
+    /// public half is recomputable, so [`DomainRecord::encoded_size`]
+    /// counts the secret alone); the public half is derived once, when
+    /// the record is made or imported, not at every signature.
+    pub keys: KeyPair,
     /// The server's public key, pinned at registration.
     pub server_key: PublicKey,
 }
 
-// `user_secret` is the per-site signing key; a derived Debug would hand it
-// to any `{:?}` in a log line. Identify the record by the *server's*
+// `keys` holds the per-site signing key; Debug redacts it anyway, but the
+// record names itself by the server key, which any log line may show. Identify the record by the *server's*
 // public-key fingerprint instead.
 impl fmt::Debug for DomainRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -153,8 +154,8 @@ mod tests {
         DomainRecord {
             domain: domain.to_owned(),
             account: "alice01".to_owned(),
-            user_secret: *kp.secret_scalar(),
             server_key: kp.public_key().clone(),
+            keys: kp,
         }
     }
 

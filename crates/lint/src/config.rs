@@ -213,7 +213,7 @@ impl Default for Config {
                 ("Session", "key"),
                 ("DeviceSession", "key"),
                 ("KeyPair", "x"),
-                ("DomainRecord", "user_secret"),
+                ("DomainRecord", "keys"),
                 ("Template", "minutiae"),
                 // The matcher's per-template constants: the `sin_cos` of
                 // every enrolled direction, derived from the minutiae.

@@ -543,7 +543,7 @@ fn login_rejection_paths_are_exhaustive() {
             .flock()
             .domain_record("www.xyz.com")
             .unwrap();
-        KeyPair::from_secret(DhGroup::test_512(), record.user_secret)
+        record.keys.clone()
     };
     let forged = trust_core::messages::LoginSubmit {
         domain: "www.xyz.com".to_owned(),
