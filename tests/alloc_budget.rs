@@ -261,7 +261,7 @@ fn device_setup_allocations_are_pinned() {
         Rig::new(Adversary::None).setup,
         "allocations do not repeat"
     );
-    assert_eq!(got, b(1, 27, 35_436), "device set-up budget moved: {got:?}");
+    assert_eq!(got, b(1, 27, 35_484), "device set-up budget moved: {got:?}");
 }
 
 #[test]
@@ -270,9 +270,9 @@ fn honest_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 64, 47_927),
-            b(1, 45, 38_540),
-            b(16, 20, 42_536),
+            b(1, 64, 50_919),
+            b(1, 43, 30_308),
+            b(16, 18, 22_904),
             b(1, 25, 21_301),
         ],
         "honest lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -285,9 +285,9 @@ fn lossy_lifecycle_allocations_are_pinned() {
     assert_eq!(
         got,
         [
-            b(1, 64, 47_927),
-            b(1, 45, 38_540),
-            b(16, 20, 42_536),
+            b(1, 64, 50_919),
+            b(1, 43, 30_308),
+            b(16, 18, 22_904),
             b(1, 25, 21_301),
         ],
         "10%-loss lifecycle budget moved (register, login, interact, close): {got:?}"
@@ -351,8 +351,8 @@ fn traced_shard_allocations_are_pinned() {
         got,
         ShardBudget {
             served: 512,
-            allocs: 1_430,
-            bytes: 4_492_102,
+            allocs: 1_269,
+            bytes: 3_205_190,
         },
         "traced shard budget moved ({:.2} allocations, {:.0} B per interaction): {got:?}",
         got.allocs_per_interaction(),
