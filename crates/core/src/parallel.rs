@@ -419,14 +419,11 @@ impl ParallelRun {
     /// into `merged`, which is allocated once at its exact length. The
     /// key is unique, so this is the order a stable sort by it gives.
     pub fn merge(config: ParallelConfig, mut shard_runs: Vec<ShardRun>) -> ParallelRun {
+        let key = |e: &StampedEvent| (e.lt, e.event.id);
         debug_assert!(shard_runs.windows(2).all(|w| w[0].shard < w[1].shard));
-        debug_assert!(shard_runs.iter().all(|r| r.events.windows(2).all(|w| (
-            w[0].lt,
-            w[0].event.id
-        ) < (
-            w[1].lt,
-            w[1].event.id
-        ))));
+        debug_assert!(shard_runs
+            .iter()
+            .all(|r| r.events.windows(2).all(|w| key(&w[0]) < key(&w[1]))));
         let total = shard_runs.iter().map(|r| r.events.len()).sum();
         let mut merged = Vec::with_capacity(total);
         let mut streams: Vec<(usize, std::vec::IntoIter<StampedEvent>)> = shard_runs
