@@ -604,6 +604,38 @@ mod tests {
         assert!(decode_identity(&bytes[..bytes.len() - 1], group).is_none());
     }
 
+    #[test]
+    fn codec_refuses_secrets_no_key_pair_can_hold() {
+        // The payload arrives sealed to the device's public key, which
+        // anyone can seal to: a zero secret, one at or above the group
+        // order, or a number wider than 2048 bits decodes to `None`
+        // instead of panicking at the next signature or in the decoder.
+        let group = DhGroup::test_512();
+        let server = KeyPair::from_secret(group, U2048::from_u64(5));
+        let payload = |secret: &[u8]| {
+            let mut out = Vec::new();
+            out.extend_from_slice(&9u64.to_be_bytes());
+            out.extend_from_slice(&0u32.to_be_bytes());
+            out.extend_from_slice(&1u32.to_be_bytes());
+            put_bytes(&mut out, b"www.xyz.com");
+            put_bytes(&mut out, b"alice");
+            put_bytes(&mut out, secret);
+            put_bytes(&mut out, &server.public_key().to_bytes());
+            out
+        };
+        let mut wide = vec![0u8];
+        wide.extend_from_slice(&U2048::from_u64(7).to_be_bytes());
+        for bad in [
+            U2048::ZERO.to_be_bytes().to_vec(),
+            group.order().to_be_bytes().to_vec(),
+            wide,
+        ] {
+            assert!(decode_identity(&payload(&bad), group).is_none());
+        }
+        let good = decode_identity(&payload(&U2048::from_u64(7).to_be_bytes()), group);
+        assert_eq!(good.map(|(_, _, records)| records.len()), Some(1));
+    }
+
     impl FlockModule {
         /// Hash of the most recently displayed frame.
         pub fn last_frame_hash(&self) -> Option<Digest> {
